@@ -9,13 +9,15 @@
  * across random DEMs and lp39/rqt54 circuit DEMs, including odd shot
  * counts that leave a partial final 64-shot word. Also pins down the
  * engine's shot-order/thread-count invariance through measureDemLer and
- * the generic (no-AVX2) kernel cross-check.
+ * the generic (no-AVX2) kernel cross-check, and pins the default decoder's
+ * outputs on the benchmark codes to golden hashes.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "circuit/coloration.h"
@@ -68,12 +70,19 @@ randomDem(uint64_t seed, std::size_t nd, std::size_t ne, double max_p)
 }
 
 Dem
+circuitDem(const code::CssCode &code, std::size_t rounds, double p,
+           circuit::MemoryBasis basis = circuit::MemoryBasis::Z)
+{
+    auto cp = std::make_shared<const code::CssCode>(code);
+    auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
+                                            rounds, basis);
+    return buildDem(circ, NoiseModel::uniform(p));
+}
+
+Dem
 circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
 {
-    auto cp = std::make_shared<const code::CssCode>(build());
-    auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
-                                            rounds, circuit::MemoryBasis::Z);
-    return buildDem(circ, NoiseModel::uniform(p));
+    return circuitDem(build(), rounds, p);
 }
 
 /** The tested width matrix: scalar reference path, both AVX2 kernel
@@ -290,6 +299,83 @@ TEST(LaneDecode, DefaultAdapterServesRowDecoders)
     EXPECT_EQ(packed, batched);
     EXPECT_EQ(stats.adapterShots, frames.shots);
     EXPECT_EQ(stats.packedShots, 0u);
+}
+
+TEST(LaneDecode, GoldenOutputsOnBenchmarkCodes)
+{
+    // Pinned default-options decodePacked outputs: an FNV-1a hash of the
+    // per-shot predictions, the failure count, and osdShots per (code, p,
+    // basis) cell at fixed sampling seeds. Any change to what the BP+OSD
+    // decoder predicts on the benchmark codes — BP arithmetic, stopping
+    // rules, OSD pivot order — moves at least one of these constants.
+    // They were recorded while BP still ran on localized regions
+    // (radius 3) and must hold unchanged on the full Tanner graph: the
+    // proof that dropping the regions changed no output bit.
+    struct Cell
+    {
+        const char *code;
+        double p;
+        circuit::MemoryBasis basis;
+        uint64_t hash;
+        std::size_t failures;
+        uint64_t osdShots;
+    };
+    using circuit::MemoryBasis;
+    const Cell cells[] = {
+        {"surface3", 1e-3, MemoryBasis::Z, 9042513869818124195ull, 0, 1},
+        {"surface3", 1e-3, MemoryBasis::X, 15671602179283603266ull, 1, 2},
+        {"surface3", 4e-3, MemoryBasis::Z, 12433859014133703011ull, 6, 20},
+        {"surface3", 4e-3, MemoryBasis::X, 3708676697114346402ull, 4, 21},
+        {"surface5", 1e-3, MemoryBasis::Z, 15053811675821901602ull, 1, 38},
+        {"surface5", 1e-3, MemoryBasis::X, 13847107380374571810ull, 1, 25},
+        {"surface5", 4e-3, MemoryBasis::Z, 4519325614385277571ull, 4, 250},
+        {"surface5", 4e-3, MemoryBasis::X, 13833945219477208162ull, 7, 242},
+        {"lp39", 1e-3, MemoryBasis::Z, 18000601530091996035ull, 1, 19},
+        {"lp39", 1e-3, MemoryBasis::X, 3675279716225523365ull, 1, 37},
+        {"lp39", 4e-3, MemoryBasis::Z, 15745982174862581475ull, 26, 255},
+        {"lp39", 4e-3, MemoryBasis::X, 3726356808080361219ull, 19, 270},
+        {"rqt54", 1e-3, MemoryBasis::Z, 14180402718664502738ull, 109, 245},
+        {"rqt54", 1e-3, MemoryBasis::X, 2346137499269743696ull, 113, 230},
+        {"rqt54", 4e-3, MemoryBasis::Z, 18374478876030329707ull, 479, 840},
+        {"rqt54", 4e-3, MemoryBasis::X, 15244810195741891220ull, 510, 869},
+        {"rqt60", 1e-3, MemoryBasis::Z, 18413573488877339427ull, 0, 76},
+        {"rqt60", 1e-3, MemoryBasis::X, 7175403773689132768ull, 0, 100},
+        {"rqt60", 4e-3, MemoryBasis::Z, 17600379692024172579ull, 3, 438},
+        {"rqt60", 4e-3, MemoryBasis::X, 13348434726898820162ull, 2, 448},
+    };
+    constexpr std::size_t kShots = 1024;
+    uint64_t seed = 4001;
+    for (const Cell &cell : cells) {
+        std::string name = cell.code;
+        code::CssCode cc = name == "surface3"   ? code::benchmarkSurface(3)
+                           : name == "surface5" ? code::benchmarkSurface(5)
+                           : name == "lp39"     ? code::benchmarkLp39()
+                           : name == "rqt54"    ? code::benchmarkRqt54()
+                                                : code::benchmarkRqt60();
+        std::size_t rounds = name == "surface5" ? 5 : 3;
+        Dem dem = circuitDem(cc, rounds, cell.p, cell.basis);
+        FrameBatch frames = sampleDemFrames(dem, kShots, seed++);
+        decoder::BpOsdDecoder dec(dem);
+        std::vector<uint64_t> pred(kShots);
+        decoder::PackedDecodeStats stats;
+        dec.decodePacked(frames.view(), pred.data(), &stats);
+        std::vector<uint64_t> masks;
+        frames.obsMasks(masks);
+        uint64_t hash = 1469598103934665603ull;
+        std::size_t failures = 0;
+        for (std::size_t s = 0; s < kShots; ++s) {
+            for (int byte = 0; byte < 8; ++byte) {
+                hash ^= (pred[s] >> (8 * byte)) & 0xff;
+                hash *= 1099511628211ull;
+            }
+            failures += pred[s] != masks[s];
+        }
+        std::string label = name + " p=" + std::to_string(cell.p) +
+                            (cell.basis == MemoryBasis::Z ? " Z" : " X");
+        EXPECT_EQ(hash, cell.hash) << label;
+        EXPECT_EQ(failures, cell.failures) << label;
+        EXPECT_EQ(stats.osdShots, cell.osdShots) << label;
+    }
 }
 
 TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
