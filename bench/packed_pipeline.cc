@@ -5,8 +5,9 @@
  *
  * "Seed scalar" is the original pipeline preserved verbatim: scalar
  * row-layout sampling, a fresh flipped-detector vector per shot, and
- * BpOsdDecoder::decodeReference (the per-region implementation the
- * repository started with). "Packed" is the word-packed frame sampler, one
+ * BpOsdDecoder::decodeReference (the repository's original BP+OSD
+ * implementation, now running on the full Tanner graph like every other
+ * path, as the full-graph reference). "Packed" is the word-packed frame sampler, one
  * transpose per batch, and the batched decoder with default options.
  *
  * Alongside throughput the run verifies the pipeline's three contracts:

@@ -8,8 +8,11 @@
  * the X phase strictly before the Z phase makes every X/Z check pair cross
  * on *all* of its shared qubits — an even number for a CSS code — so the
  * schedule is commutation-valid for every code. This is the generic,
- * hook-error-oblivious starting point PropHunt optimizes (DESIGN.md
- * substitution 6).
+ * hook-error-oblivious starting point PropHunt optimizes. The coloring is
+ * greedy (each edge takes the smallest color free at its check and its
+ * qubit) rather than a minimum edge coloring: it is deterministic and needs
+ * no matching machinery, at the price of possibly a few more CNOT layers
+ * than the optimum.
  */
 #ifndef PROPHUNT_CIRCUIT_COLORATION_H
 #define PROPHUNT_CIRCUIT_COLORATION_H

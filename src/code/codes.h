@@ -2,8 +2,10 @@
  * @file
  * The benchmark QEC code suite of the paper's Table 1, plus the seeded
  * random searches used to select concrete lifted-product / two-block
- * instances (see DESIGN.md substitution 5 for why the RQT codes are
- * replaced by group-algebra constructions with matching shape).
+ * instances. The RQT codes are replaced by two-block group-algebra codes
+ * of matching length, stabilizer weight, and distance, because the
+ * paper's instances come from a randomized construction that cannot be
+ * reproduced bit for bit (two_block.h).
  */
 #ifndef PROPHUNT_CODE_CODES_H
 #define PROPHUNT_CODE_CODES_H

@@ -8,10 +8,12 @@
  *
  * which commute because left and right translations commute. For cyclic G
  * these are the well-known generalized bicycle codes. These serve as our
- * structural stand-in for the paper's Random Quantum Tanner codes (see
- * DESIGN.md, substitution 5): irregular LDPC CSS codes built from the same
- * group algebras (C15-derived and dihedral) with matching stabilizer
- * weights.
+ * structural stand-in for the paper's Random Quantum Tanner codes:
+ * irregular LDPC CSS codes built from the same group algebras
+ * (C15-derived and dihedral) with matching stabilizer weights. The RQT
+ * instances come out of a randomized Tanner-code construction whose
+ * concrete check matrices the repository cannot reproduce, while a seeded
+ * two-block search yields fixed codes of the same shape.
  */
 #ifndef PROPHUNT_CODE_TWO_BLOCK_H
 #define PROPHUNT_CODE_TWO_BLOCK_H

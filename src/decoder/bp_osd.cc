@@ -10,21 +10,14 @@ namespace prophunt::decoder {
 namespace {
 
 /**
- * Message sentinel on inactive edges. Equal to the reference min-sum
- * magnitude initialization, so an inactive edge can never displace an
- * active one from the two-minimum (the two smallest of a multiset already
- * containing two 1e300 entries are unchanged by adding more), and its
- * positive sign leaves the row sign product alone.
+ * Elimination usually terminates within a few dozen columns, so the
+ * posterior ranking is sorted lazily: first the kOsdPrefix most likely
+ * columns, then chunks kOsdGrowth times larger whenever the elimination
+ * outruns the sorted prefix. The (posterior, column id) keys are a strict
+ * total order, so the pivot sequence equals a full sort's.
  */
-constexpr double kInactive = 1e300;
-
-/**
- * Elimination usually terminates within a few dozen columns, so on large
- * regions only the most likely prefix is sorted up front; the tail is
- * sorted lazily if ever reached. The reference-exact mode keeps the full
- * sort so column order matches bit for bit.
- */
-constexpr std::size_t kOsdPrefix = 512;
+constexpr std::size_t kOsdPrefix = 32;
+constexpr std::size_t kOsdGrowth = 4;
 
 /**
  * Map a posterior to a uint64 whose integer order equals double order.
@@ -45,25 +38,32 @@ osdPostKey(double v)
 
 } // namespace
 
+
 std::shared_ptr<const BpOsdDecoder::Tanner>
 BpOsdDecoder::buildTanner(const sim::Dem &dem)
 {
     auto t = std::make_shared<Tanner>();
     std::size_t numDetectors = dem.numDetectors;
-    t->colDets.reserve(dem.errors.size());
-    t->detCols.resize(numDetectors);
-    for (std::size_t e = 0; e < dem.errors.size(); ++e) {
+    std::size_t ne = dem.errors.size();
+    // Flatten the Tanner graph once: edge e of column c occupies slots
+    // colBegin[c]..colBegin[c+1]; detEdges lists the same edge ids per
+    // detector in (column, slot) order — the traversal order every
+    // per-shot pass reuses.
+    t->colBegin.assign(ne + 1, 0);
+    for (std::size_t e = 0; e < ne; ++e) {
         const auto &mech = dem.errors[e];
-        t->colDets.push_back(mech.detectors);
         uint64_t obs = 0;
         for (uint32_t o : mech.observables) {
             obs |= uint64_t{1} << o;
         }
         t->colObs.push_back(obs);
         double p = std::clamp(mech.p, 1e-12, 0.5 - 1e-12);
-        t->prior.push_back(std::log((1.0 - p) / p));
+        double prior = std::log((1.0 - p) / p);
+        t->prior.push_back(prior);
+        t->colBegin[e + 1] = t->colBegin[e] + (uint32_t)mech.detectors.size();
         for (uint32_t d : mech.detectors) {
-            t->detCols[d].push_back((uint32_t)e);
+            t->colDet.push_back(d);
+            t->edgePrior.push_back(prior);
         }
         if (!mech.detectors.empty()) {
             auto it = t->single.find(mech.detectors);
@@ -72,23 +72,7 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
             }
         }
     }
-
-    // Flatten the Tanner graph once: edge e of column c occupies slots
-    // colBegin[c]..colBegin[c+1]; detEdges lists the same edge ids per
-    // detector in (column, slot) order — the traversal order every
-    // per-shot pass reuses.
-    std::size_t ne = t->colDets.size();
-    t->colBegin.assign(ne + 1, 0);
-    for (std::size_t c = 0; c < ne; ++c) {
-        t->colBegin[c + 1] = t->colBegin[c] + (uint32_t)t->colDets[c].size();
-    }
-    std::size_t edges = t->colBegin[ne];
-    t->colDet.reserve(edges);
-    for (std::size_t c = 0; c < ne; ++c) {
-        for (uint32_t d : t->colDets[c]) {
-            t->colDet.push_back(d);
-        }
-    }
+    std::size_t edges = t->colDet.size();
     t->detBegin.assign(numDetectors + 1, 0);
     for (uint32_t d : t->colDet) {
         ++t->detBegin[d + 1];
@@ -104,105 +88,67 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
             t->detEdges[fill[t->colDet[e]]++] = (uint32_t)e;
         }
     }
-    t->detCol.resize(edges);
-    for (std::size_t d = 0; d < numDetectors; ++d) {
-        for (uint32_t i = t->detBegin[d]; i < t->detBegin[d + 1]; ++i) {
-            // detEdges is ordered by column within a detector, so this
-            // reproduces the detCols adjacency order exactly.
-            uint32_t e = t->detEdges[i];
-            uint32_t lo = 0, hi = (uint32_t)ne;
-            while (lo + 1 < hi) {
-                uint32_t mid = (lo + hi) / 2;
-                if (t->colBegin[mid] <= e) {
-                    lo = mid;
-                } else {
-                    hi = mid;
-                }
-            }
-            t->detCol[i] = lo;
-        }
-    }
     t->allCols.resize(ne);
     std::iota(t->allCols.begin(), t->allCols.end(), 0);
+    t->colBits.reset(ne, numDetectors);
+    for (std::size_t c = 0; c < ne; ++c) {
+        for (uint32_t e = t->colBegin[c]; e < t->colBegin[c + 1]; ++e) {
+            t->colBits.set(c, t->colDet[e]);
+        }
+    }
     return t;
 }
 
 BpOsdDecoder::BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts)
     : opts_(opts), numDetectors_(dem.numDetectors), tanner_(buildTanner(dem))
 {
-    std::size_t ne = tanner_->colDets.size();
-    std::size_t edges = tanner_->colBegin[ne];
-    msgC2d_.assign(edges, kInactive);
+    std::size_t ne = tanner_->numCols();
+    std::size_t edges = tanner_->colDet.size();
+    msgC2d_.resize(edges);
     msgD2c_.resize(edges);
     posterior_.assign(ne, 0.0);
     hard_.assign(ne, 0);
     acc_.assign(numDetectors_, 0);
     syn_.assign(numDetectors_, 0);
-    errIn_.assign(ne, 0);
-    detIn_.assign(numDetectors_, 0);
-    detLocal_.assign(numDetectors_, -1);
     std::size_t maxDeg = 0;
     for (std::size_t d = 0; d < numDetectors_; ++d) {
         maxDeg = std::max<std::size_t>(maxDeg,
                                        tanner_->detBegin[d + 1] - tanner_->detBegin[d]);
     }
     edgeNeg_.assign(maxDeg, 0);
-    satFromDet_.assign(numDetectors_, -1);
-    // Reach bitmaps pay one BFS per distinct seed detector and then
-    // replace every later BFS with an OR; cap the matrix at a size where
-    // that trade is obviously right (32 MB covers every benchmark code
-    // by orders of magnitude). The matrix itself is allocated lazily on
-    // the first growRegion — engine caches hold prototype decoders that
-    // are only ever clone()d, and per-worker clones should not each
-    // commit megabytes before decoding a single shot.
-    std::size_t reachWords = (ne + 63) / 64;
-    reachEnabled_ = ne > 0 && numDetectors_ > 0 &&
-                    numDetectors_ * reachWords * 8 <= 32u << 20;
+}
+
+bool
+BpOsdDecoder::decodeTrivial(const std::vector<uint32_t> &flipped,
+                            uint64_t &out) const
+{
+    out = 0;
+    if (flipped.empty()) {
+        return true;
+    }
+    // Weight-1 fast path: a syndrome exactly matching one mechanism is
+    // overwhelmingly most likely explained by it (p >> p^2).
+    auto hit = tanner_->single.find(flipped);
+    if (hit != tanner_->single.end()) {
+        out = hit->second.first;
+        return true;
+    }
+    for (uint32_t d : flipped) {
+        if (tanner_->detBegin[d + 1] == tanner_->detBegin[d]) {
+            return true; // No column can explain this detector.
+        }
+    }
+    return false;
 }
 
 uint64_t
-BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
-                        const std::vector<uint32_t> &flipped, bool &ok)
+BpOsdDecoder::runBp(const std::vector<uint32_t> &flipped)
 {
-    // One pass over the region's edges: install prior messages and build
-    // the local detector numbering in the reference discovery order
-    // (consumed by OSD); regionDets_ doubles as the active-detector
-    // worklist.
-    regionDets_.clear();
-    for (uint32_t c : cols) {
-        double prior = tanner_->prior[c];
-        posterior_[c] = 0.0;
-        for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-            msgC2d_[e] = prior;
-            uint32_t d = tanner_->colDet[e];
-            if (detLocal_[d] < 0) {
-                detLocal_[d] = (int32_t)regionDets_.size();
-                regionDets_.push_back(d);
-            }
-        }
-    }
-    bool feasible = true;
-    for (uint32_t d : flipped) {
-        if (detLocal_[d] < 0) {
-            // A flipped detector with no adjacent error in the region:
-            // unsolvable here.
-            feasible = false;
-            break;
-        }
-    }
-    if (!feasible) {
-        for (uint32_t d : regionDets_) {
-            detLocal_[d] = -1;
-        }
-        for (uint32_t c : cols) {
-            for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-                msgC2d_[e] = kInactive;
-            }
-        }
-        ok = false;
-        return 0;
-    }
-
+    const Tanner &t = *tanner_;
+    std::size_t ne = t.numCols();
+    std::copy(t.edgePrior.begin(), t.edgePrior.end(), msgC2d_.begin());
+    // Zero iterations hand OSD all-zero posteriors (column-id order).
+    std::fill(posterior_.begin(), posterior_.end(), 0.0);
     for (uint32_t d : flipped) {
         syn_[d] = 1;
     }
@@ -215,20 +161,18 @@ BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
     std::ptrdiff_t bestMismatches = mismatches;
     std::size_t sinceBest = 0;
     for (std::size_t it = 0; it < opts_.maxIterations && !converged; ++it) {
-        // Detector -> column (min-sum with normalization). Inactive edges
-        // sit at the kInactive sentinel and cannot perturb the result:
-        // their magnitude matches the two-minimum initialization and their
-        // sign is positive. Messages are staged into a stack buffer so the
-        // write-back pass needs no second gather, and the two-minimum
-        // tracking compiles to conditional moves instead of branches.
-        for (uint32_t d : regionDets_) {
-            uint32_t b = tanner_->detBegin[d], en = tanner_->detBegin[d + 1];
+        // Detector -> column (min-sum with normalization). Messages are
+        // staged into a stack buffer so the write-back pass needs no
+        // second gather, and the two-minimum tracking compiles to
+        // conditional moves instead of branches.
+        for (std::size_t d = 0; d < numDetectors_; ++d) {
+            uint32_t b = t.detBegin[d], en = t.detBegin[d + 1];
             uint32_t deg = en - b;
             bool negProduct = syn_[d] != 0;
             double min1 = 1e300, min2 = 1e300;
             uint32_t argpos = UINT32_MAX;
             for (uint32_t i = 0; i < deg; ++i) {
-                double v = msgC2d_[tanner_->detEdges[b + i]];
+                double v = msgC2d_[t.detEdges[b + i]];
                 bool neg = v < 0.0;
                 negProduct = negProduct != neg;
                 edgeNeg_[i] = neg;
@@ -244,16 +188,16 @@ BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
             double m1 = scale * min1, m2 = scale * min2;
             for (uint32_t i = 0; i < deg; ++i) {
                 double mag = (i == argpos) ? m2 : m1;
-                msgD2c_[tanner_->detEdges[b + i]] =
+                msgD2c_[t.detEdges[b + i]] =
                     (negProduct != (bool)edgeNeg_[i]) ? -mag : mag;
             }
         }
         // Column -> detector, posterior, hard decision. The syndrome check
         // is maintained incrementally: a hard-decision flip toggles the
         // parity of the column's detectors.
-        for (uint32_t c : cols) {
-            uint32_t b = tanner_->colBegin[c], en = tanner_->colBegin[c + 1];
-            double total = tanner_->prior[c];
+        for (std::size_t c = 0; c < ne; ++c) {
+            uint32_t b = t.colBegin[c], en = t.colBegin[c + 1];
+            double total = t.prior[c];
             for (uint32_t e = b; e < en; ++e) {
                 total += msgD2c_[e];
             }
@@ -262,7 +206,7 @@ BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
             if (h != hard_[c]) {
                 hard_[c] = h;
                 for (uint32_t e = b; e < en; ++e) {
-                    uint32_t d = tanner_->colDet[e];
+                    uint32_t d = t.colDet[e];
                     acc_[d] ^= 1;
                     mismatches += (acc_[d] != syn_[d]) ? 1 : -1;
                 }
@@ -282,155 +226,85 @@ BpOsdDecoder::runRegion(const std::vector<uint32_t> &cols,
         }
     }
 
+    // An OSD failure means the syndrome lies outside the column span:
+    // decoded as 0.
+    bool solved = converged || osdSolve(t.allCols, posterior_.data(),
+                                        flipped, opts_.packedOsd);
+    const std::vector<uint8_t> &uses = converged ? hard_ : solUses_;
     uint64_t result = 0;
-    bool solved = false;
-    if (converged) {
-        for (uint32_t c : cols) {
-            if (hard_[c]) {
-                result ^= tanner_->colObs[c];
-            }
-        }
-        solved = true;
-    } else {
-        osdPost_.resize(cols.size());
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-            osdPost_[i] = posterior_[cols[i]];
-        }
-        solved = osdSolve(cols, osdPost_.data(), flipped);
-        if (solved) {
-            for (std::size_t c = 0; c < cols.size(); ++c) {
-                if (solUses_[c]) {
-                    result ^= tanner_->colObs[cols[c]];
-                }
-            }
+    for (std::size_t c = 0; solved && c < ne; ++c) {
+        if (uses[c]) {
+            result ^= t.colObs[c];
         }
     }
 
-    // Restore the between-shot invariants: sentinel messages, zero flags,
-    // -1 local indices.
-    for (uint32_t c : cols) {
-        hard_[c] = 0;
-        for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-            msgC2d_[e] = kInactive;
-        }
-    }
-    for (uint32_t d : regionDets_) {
-        acc_[d] = 0;
-        detLocal_[d] = -1;
-    }
+    // Restore the between-shot invariants: zero flags.
+    std::fill(hard_.begin(), hard_.end(), 0);
+    std::fill(acc_.begin(), acc_.end(), 0);
     for (uint32_t d : flipped) {
         syn_[d] = 0;
     }
-    ok = solved;
-    return solved ? result : 0;
+    return result;
 }
 
 bool
 BpOsdDecoder::osdSolve(const std::vector<uint32_t> &cols, const double *post,
-                       const std::vector<uint32_t> &flipped)
-{
-    return osdSolveImpl(cols, post, flipped, opts_.packedOsd, nullptr,
-                        false);
-}
-
-bool
-BpOsdDecoder::osdSolveImpl(const std::vector<uint32_t> &cols,
-                           const double *post,
-                           const std::vector<uint32_t> &flipped, bool packed,
-                           OsdColCache *cache, bool global_rows)
+                       const std::vector<uint32_t> &flipped, bool packed)
 {
     // OSD-0: process columns in decreasing error likelihood (ascending
     // posterior LLR) and solve H x = s by incremental elimination on
-    // column vectors over the local detectors. Ties are broken by global
-    // column id: the pivot order must be identical across elimination
-    // backends, sort strategies (full vs lazy prefix), and region
-    // discovery orders even when posteriors collide exactly (duplicated
-    // priors make that common, not hypothetical). The ranking runs on
-    // flat OsdKey records — the indirect double comparator, not the
-    // elimination, used to dominate the post-pass on large regions.
+    // packed column vectors. Ties are broken by global column id: the
+    // pivot order must be identical across elimination backends, sort
+    // strategies (full vs lazy prefix), and column orders even when
+    // posteriors collide exactly (duplicated priors make that common,
+    // not hypothetical). The ranking runs on flat OsdKey records — the
+    // indirect double comparator, not the elimination, used to dominate
+    // the post-pass on large graphs.
     std::size_t ne = cols.size();
     osdKeys_.resize(ne);
     for (std::size_t i = 0; i < ne; ++i) {
         osdKeys_[i] = OsdKey{osdPostKey(post[i]), cols[i], (uint32_t)i};
     }
-    bool fullSort = opts_.stagnationWindow == 0 || ne <= kOsdPrefix;
-    if (fullSort) {
-        std::sort(osdKeys_.begin(), osdKeys_.end());
-        osdSortedPrefix_ = ne;
-    } else {
-        std::nth_element(osdKeys_.begin(), osdKeys_.begin() + kOsdPrefix,
-                         osdKeys_.end());
-        std::sort(osdKeys_.begin(), osdKeys_.begin() + kOsdPrefix);
-        osdSortedPrefix_ = kOsdPrefix;
-    }
+    osdSortedPrefix_ = 0;
+    osdSortMore();
+    solUses_.assign(ne, 0);
     if (packed) {
-        return osdSolvePacked(cols, flipped, cache, global_rows);
+        return osdSolvePacked(cols, flipped);
     }
     return osdSolveScalar(cols, flipped);
 }
 
 void
-BpOsdDecoder::osdSortTail()
+BpOsdDecoder::osdSortMore()
 {
-    std::sort(osdKeys_.begin() + osdSortedPrefix_, osdKeys_.end());
-    osdSortedPrefix_ = osdKeys_.size();
+    std::size_t from = osdSortedPrefix_;
+    std::size_t to = std::min(osdKeys_.size(),
+                              std::max(kOsdPrefix, kOsdGrowth * from));
+    if (to < osdKeys_.size()) {
+        std::nth_element(osdKeys_.begin() + from, osdKeys_.begin() + to,
+                         osdKeys_.end());
+    }
+    std::sort(osdKeys_.begin() + from, osdKeys_.begin() + to);
+    osdSortedPrefix_ = to;
 }
 
 bool
 BpOsdDecoder::osdSolvePacked(const std::vector<uint32_t> &cols,
-                             const std::vector<uint32_t> &flipped,
-                             OsdColCache *cache, bool global_rows)
+                             const std::vector<uint32_t> &flipped)
 {
-    // Row numbering: the region-local detLocal_ map when the caller has
-    // one anyway (runRegion, the scalar reference comparisons), the
-    // global detector ids when it does not (the batched flush) — the
-    // solution is row-numbering invariant, and global rows make the
-    // per-job detLocal_ rebuild plus one indirection per gathered bit
-    // disappear.
-    std::size_t ne = cols.size();
-    std::size_t nd = global_rows ? numDetectors_ : regionDets_.size();
-    std::size_t words = (nd + 63) / 64;
-    elim_.begin(nd);
+    elim_.begin(numDetectors_);
     for (uint32_t d : flipped) {
-        elim_.setSyndromeBit(global_rows ? d : (std::size_t)detLocal_[d]);
+        elim_.setSyndromeBit(d);
     }
-    solUses_.assign(ne, 0);
     osdPushPos_.clear();
     bool solved = false;
-    for (std::size_t oi = 0; oi < ne; ++oi) {
+    for (std::size_t oi = 0; oi < cols.size(); ++oi) {
         if (oi == osdSortedPrefix_) {
-            osdSortTail();
+            osdSortMore();
         }
         uint32_t oc = osdKeys_[oi].pos;
-        uint32_t gc = cols[oc];
-        const uint64_t *colBits;
-        if (cache != nullptr) {
-            // Shared lazily built packed column: one gather per column
-            // per flush group, not per shot.
-            uint64_t *bits = cache->bits.row(oc);
-            if (!cache->built[oc]) {
-                cache->built[oc] = 1;
-                for (uint32_t e = tanner_->colBegin[gc]; e < tanner_->colBegin[gc + 1];
-                     ++e) {
-                    uint32_t ld = global_rows
-                                      ? tanner_->colDet[e]
-                                      : (uint32_t)detLocal_[tanner_->colDet[e]];
-                    bits[ld >> 6] |= uint64_t{1} << (ld & 63);
-                }
-            }
-            colBits = bits;
-        } else {
-            colWords_.assign(words, 0);
-            for (uint32_t e = tanner_->colBegin[gc]; e < tanner_->colBegin[gc + 1]; ++e) {
-                uint32_t ld = global_rows
-                                  ? tanner_->colDet[e]
-                                  : (uint32_t)detLocal_[tanner_->colDet[e]];
-                colWords_[ld >> 6] |= uint64_t{1} << (ld & 63);
-            }
-            colBits = colWords_.data();
-        }
         osdPushPos_.push_back(oc);
-        if (elim_.push(colBits)) {
+        if (elim_.push(tanner_->colBits.row(cols[oc]))) {
             solved = true;
             break;
         }
@@ -448,32 +322,26 @@ bool
 BpOsdDecoder::osdSolveScalar(const std::vector<uint32_t> &cols,
                              const std::vector<uint32_t> &flipped)
 {
-    std::size_t ne = cols.size(), nd = regionDets_.size();
-    std::size_t words = (nd + 63) / 64;
+    std::size_t ne = cols.size(), nd = numDetectors_;
+    std::size_t words = tanner_->colBits.rowWords();
     synWords_.assign(words, 0);
     for (uint32_t d : flipped) {
-        uint32_t ld = (uint32_t)detLocal_[d];
-        synWords_[ld >> 6] |= uint64_t{1} << (ld & 63);
+        synWords_[d >> 6] |= uint64_t{1} << (d & 63);
     }
     pivRow_.clear();
     pivCols_.clear();
     pivMembers_.clear();
     pivMemBegin_.assign(1, 0);
-    solUses_.assign(ne, 0);
     bool solved = false;
     // Reduce the syndrome as we go; solution = pivots whose row bit is
     // set in the (running) reduced syndrome.
     for (std::size_t oi = 0; oi < ne; ++oi) {
         if (oi == osdSortedPrefix_) {
-            osdSortTail();
+            osdSortMore();
         }
         uint32_t oc = osdKeys_[oi].pos;
-        uint32_t gc = cols[oc];
-        colWords_.assign(words, 0);
-        for (uint32_t e = tanner_->colBegin[gc]; e < tanner_->colBegin[gc + 1]; ++e) {
-            uint32_t ld = (uint32_t)detLocal_[tanner_->colDet[e]];
-            colWords_[ld >> 6] |= uint64_t{1} << (ld & 63);
-        }
+        const uint64_t *packedCol = tanner_->colBits.row(cols[oc]);
+        colWords_.assign(packedCol, packedCol + words);
         memScratch_.clear();
         memScratch_.push_back(oc);
         std::size_t npiv = pivRow_.size();
@@ -525,7 +393,6 @@ BpOsdDecoder::osdSolveScalar(const std::vector<uint32_t> &cols,
             }
         }
         if (zero) {
-            std::fill(solUses_.begin(), solUses_.end(), 0);
             for (std::size_t pi = 0; pi < npiv + 1; ++pi) {
                 if (useScratch_[pi]) {
                     for (uint32_t mi = pivMemBegin_[pi];
@@ -541,163 +408,14 @@ BpOsdDecoder::osdSolveScalar(const std::vector<uint32_t> &cols,
     return solved;
 }
 
-void
-BpOsdDecoder::growRegion(const std::vector<uint32_t> &flipped)
-{
-    // Region growth is monotone in its seed set: the region of a
-    // syndrome is the union of the regions grown from each flipped
-    // detector alone. The consumers are all column-order invariant (see
-    // the header comment), so the union can be computed on the lazily
-    // built per-detector reach bitmaps — one saturating seed proves the
-    // whole region covers every column, and otherwise errs_ is the OR
-    // of the seed rows extracted in canonical ascending order; both
-    // match the BFS discovery-order region bit for bit.
-    if (reachEnabled_ && !flipped.empty()) {
-        std::size_t ne = tanner_->colDets.size();
-        if (reachCols_.rows() != numDetectors_) {
-            // First use (a populated clone arrives already sized).
-            reachCols_.reset(numDetectors_, ne);
-            reachBuilt_.assign(numDetectors_, 0);
-            regionWords_.assign(reachCols_.rowWords(), 0);
-        }
-        bool saturated = false;
-        for (uint32_t d : flipped) {
-            if (!reachBuilt_[d]) {
-                seedScratch_.assign(1, d);
-                growRegionBfs(seedScratch_);
-                uint64_t *row = reachCols_.row(d);
-                for (uint32_t c : errs_) {
-                    row[c >> 6] |= uint64_t{1} << (c & 63);
-                }
-                reachBuilt_[d] = 1;
-                satFromDet_[d] = errs_.size() == ne ? 1 : 0;
-            }
-            if (satFromDet_[d] == 1) {
-                saturated = true;
-                break;
-            }
-        }
-        if (saturated) {
-            errs_ = tanner_->allCols;
-            return;
-        }
-        std::size_t words = reachCols_.rowWords();
-        std::fill(regionWords_.begin(), regionWords_.end(), uint64_t{0});
-        for (uint32_t d : flipped) {
-            const uint64_t *row = reachCols_.row(d);
-            for (std::size_t w = 0; w < words; ++w) {
-                regionWords_[w] |= row[w];
-            }
-        }
-        errs_.clear();
-        for (std::size_t w = 0; w < words; ++w) {
-            uint64_t word = regionWords_[w];
-            while (word != 0) {
-                errs_.push_back(
-                    (uint32_t)((w << 6) + std::countr_zero(word)));
-                word &= word - 1;
-            }
-        }
-        return;
-    }
-    // Bitmaps disabled: probe the first seed's memoized saturation flag,
-    // then fall back to the BFS.
-    if (!flipped.empty() && satFromDet_[flipped[0]] != 0) {
-        if (satFromDet_[flipped[0]] < 0) {
-            seedScratch_.assign(1, flipped[0]);
-            growRegionBfs(seedScratch_);
-            satFromDet_[flipped[0]] =
-                errs_.size() == tanner_->colDets.size() ? 1 : 0;
-        }
-        if (satFromDet_[flipped[0]] == 1) {
-            errs_ = tanner_->allCols;
-            return;
-        }
-    }
-    growRegionBfs(flipped);
-}
-
-void
-BpOsdDecoder::growRegionBfs(const std::vector<uint32_t> &seeds)
-{
-    // Localized region: errors within regionRadius expansion layers of the
-    // flipped detectors.
-    errs_.clear();
-    touchedDets_.clear();
-    frontier_.assign(seeds.begin(), seeds.end());
-    for (uint32_t d : frontier_) {
-        detIn_[d] = 1;
-        touchedDets_.push_back(d);
-    }
-    // Dense syndromes saturate the region early (every column joins
-    // within a layer or two on the benchmark codes); once all columns are
-    // in, later layers can only re-scan marks, so stop growing. The
-    // column list and its order are unchanged by the early exit.
-    std::size_t ne = tanner_->colDets.size();
-    for (std::size_t layer = 0;
-         layer < opts_.regionRadius && errs_.size() < ne; ++layer) {
-        newDets_.clear();
-        for (uint32_t d : frontier_) {
-            if (errs_.size() == ne) {
-                break;
-            }
-            for (uint32_t i = tanner_->detBegin[d]; i < tanner_->detBegin[d + 1]; ++i) {
-                uint32_t e = tanner_->detCol[i];
-                if (errIn_[e]) {
-                    continue;
-                }
-                errIn_[e] = 1;
-                errs_.push_back(e);
-                for (uint32_t j = tanner_->colBegin[e]; j < tanner_->colBegin[e + 1];
-                     ++j) {
-                    uint32_t dd = tanner_->colDet[j];
-                    if (!detIn_[dd]) {
-                        detIn_[dd] = 1;
-                        touchedDets_.push_back(dd);
-                        newDets_.push_back(dd);
-                    }
-                }
-            }
-        }
-        frontier_.swap(newDets_);
-        if (frontier_.empty()) {
-            break;
-        }
-    }
-    for (uint32_t e : errs_) {
-        errIn_[e] = 0;
-    }
-    for (uint32_t d : touchedDets_) {
-        detIn_[d] = 0;
-    }
-}
-
-uint64_t
-BpOsdDecoder::decodeFast(const std::vector<uint32_t> &flipped)
-{
-    if (flipped.empty()) {
-        return 0;
-    }
-    // Weight-1 fast path: a syndrome exactly matching one mechanism is
-    // overwhelmingly most likely explained by it (p >> p^2).
-    auto hit = tanner_->single.find(flipped);
-    if (hit != tanner_->single.end()) {
-        return hit->second.first;
-    }
-    growRegion(flipped);
-    bool ok = false;
-    uint64_t result = runRegion(errs_, flipped, ok);
-    if (!ok) {
-        // Fall back to the full graph.
-        result = runRegion(tanner_->allCols, flipped, ok);
-    }
-    return result;
-}
-
 uint64_t
 BpOsdDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
 {
-    return decodeFast(flipped_detectors);
+    uint64_t out = 0;
+    if (decodeTrivial(flipped_detectors, out)) {
+        return out;
+    }
+    return runBp(flipped_detectors);
 }
 
 void
@@ -705,70 +423,42 @@ BpOsdDecoder::decodeBatch(const sim::SampleBatch &batch, std::size_t first,
                           std::size_t count, uint64_t *obs_out)
 {
     for (std::size_t i = 0; i < count; ++i) {
-        std::size_t shot = first + i;
-        const uint64_t *row = batch.det.data() + shot * batch.detWords;
-        uint64_t any = 0;
-        for (std::size_t w = 0; w < batch.detWords; ++w) {
-            any |= row[w];
-        }
-        if (any == 0) {
-            obs_out[i] = 0;
-            continue;
-        }
-        batch.flippedDetectors(shot, flippedScratch_);
-        obs_out[i] = decodeFast(flippedScratch_);
+        batch.flippedDetectors(first + i, flippedScratch_);
+        obs_out[i] = decode(flippedScratch_);
     }
 }
 
 uint64_t
-BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
-                           const std::vector<uint32_t> &flipped, bool &ok)
+BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
 {
-    // Local index maps.
-    std::vector<uint32_t> dets;
-    std::vector<int> det_local(numDetectors_, -1);
-    for (uint32_t e : errs) {
-        for (uint32_t d : tanner_->colDets[e]) {
-            if (det_local[d] < 0) {
-                det_local[d] = (int)dets.size();
-                dets.push_back(d);
-            }
-        }
+    if (flipped_detectors.empty()) {
+        return 0;
     }
-    std::size_t nd = dets.size(), ne = errs.size();
+    // Weight-1 fast path: a syndrome exactly matching one mechanism is
+    // overwhelmingly most likely explained by it (p >> p^2).
+    auto hit = tanner_->single.find(flipped_detectors);
+    if (hit != tanner_->single.end()) {
+        return hit->second.first;
+    }
+    const Tanner &t = *tanner_;
+    std::size_t nd = numDetectors_, ne = t.numCols();
     std::vector<uint8_t> syn(nd, 0);
-    for (uint32_t d : flipped) {
-        if (det_local[d] < 0) {
-            // A flipped detector with no adjacent error in the region:
-            // unsolvable here.
-            ok = false;
-            return 0;
-        }
-        syn[det_local[d]] = 1;
+    for (uint32_t d : flipped_detectors) {
+        syn[d] = 1;
     }
 
-    // Edge lists (local).
-    struct ColEdges
-    {
-        std::size_t begin, count;
-    };
-    std::vector<ColEdges> col_edges(ne);
-    std::vector<uint32_t> edge_det;   // local detector per edge
-    std::vector<double> msg_c2d;      // column -> detector messages
+    // Edge lists: column c owns edges colBegin[c]..colBegin[c+1].
+    std::vector<uint32_t> edge_det; // detector per edge
+    std::vector<double> msg_c2d;    // column -> detector messages
     for (std::size_t c = 0; c < ne; ++c) {
-        col_edges[c].begin = edge_det.size();
-        col_edges[c].count = tanner_->colDets[errs[c]].size();
-        for (uint32_t d : tanner_->colDets[errs[c]]) {
-            edge_det.push_back((uint32_t)det_local[d]);
-            msg_c2d.push_back(tanner_->prior[errs[c]]);
+        for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
+            edge_det.push_back(t.colDet[e]);
+            msg_c2d.push_back(t.prior[c]);
         }
     }
     std::vector<std::vector<uint32_t>> det_edges(nd);
-    for (std::size_t c = 0; c < ne; ++c) {
-        for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-            det_edges[edge_det[col_edges[c].begin + k]].push_back(
-                (uint32_t)(col_edges[c].begin + k));
-        }
+    for (std::size_t e = 0; e < edge_det.size(); ++e) {
+        det_edges[edge_det[e]].push_back((uint32_t)e);
     }
 
     std::vector<double> msg_d2c(edge_det.size(), 0.0);
@@ -781,8 +471,8 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
             if (!hard[c]) {
                 continue;
             }
-            for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-                acc[edge_det[col_edges[c].begin + k]] ^= 1;
+            for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
+                acc[edge_det[e]] ^= 1;
             }
         }
         return acc == syn;
@@ -822,14 +512,13 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
         }
         // Column -> detector, posterior, hard decision.
         for (std::size_t c = 0; c < ne; ++c) {
-            double total = tanner_->prior[errs[c]];
-            for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-                total += msg_d2c[col_edges[c].begin + k];
+            double total = t.prior[c];
+            for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
+                total += msg_d2c[e];
             }
             posterior[c] = total;
             hard[c] = total < 0;
-            for (std::size_t k = 0; k < col_edges[c].count; ++k) {
-                std::size_t e = col_edges[c].begin + k;
+            for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
                 msg_c2d[e] = total - msg_d2c[e];
             }
         }
@@ -840,26 +529,24 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
     if (converged) {
         for (std::size_t c = 0; c < ne; ++c) {
             if (hard[c]) {
-                result ^= tanner_->colObs[errs[c]];
+                result ^= t.colObs[c];
             }
         }
-        ok = true;
         return result;
     }
 
     // OSD-0: process columns in decreasing error likelihood (ascending
     // posterior LLR) and solve H x = s by incremental elimination on column
-    // vectors over the local detectors.
+    // vectors over the detectors.
     std::vector<uint32_t> order(ne);
     std::iota(order.begin(), order.end(), 0);
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-        // Tie-break by global column id, as in osdSolve: every
-        // elimination path must pick the same pivot order under tied
-        // posteriors.
+        // Tie-break by column id, as in osdSolve: every elimination path
+        // must pick the same pivot order under tied posteriors.
         if (posterior[a] != posterior[b]) {
             return posterior[a] < posterior[b];
         }
-        return errs[a] < errs[b];
+        return a < b;
     });
 
     std::size_t words = (nd + 63) / 64;
@@ -873,7 +560,6 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
     {
         std::size_t row;
         std::vector<uint64_t> col;
-        uint32_t errCol;
         std::vector<uint32_t> members; ///< original columns XORed in
     };
     std::vector<Pivot> pivots;
@@ -884,8 +570,8 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
     for (uint32_t oc : order) {
         // Build the column vector.
         std::vector<uint64_t> col(words, 0);
-        for (std::size_t k = 0; k < col_edges[oc].count; ++k) {
-            uint32_t d = edge_det[col_edges[oc].begin + k];
+        for (uint32_t e = t.colBegin[oc]; e < t.colBegin[oc + 1]; ++e) {
+            uint32_t d = edge_det[e];
             col[d >> 6] |= uint64_t{1} << (d & 63);
         }
         std::vector<uint32_t> members{oc};
@@ -908,7 +594,7 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
         if (row == nd) {
             continue; // dependent column
         }
-        pivots.push_back({row, std::move(col), oc, std::move(members)});
+        pivots.push_back({row, std::move(col), std::move(members)});
         // Check if the syndrome is now explainable.
         std::vector<uint64_t> r = s_vec;
         std::vector<uint8_t> use(pivots.size(), 0);
@@ -929,7 +615,6 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
             }
         }
         if (zero) {
-            std::fill(sol_uses.begin(), sol_uses.end(), 0);
             for (std::size_t pi = 0; pi < pivots.size(); ++pi) {
                 if (use[pi]) {
                     for (uint32_t mc : pivots[pi].members) {
@@ -942,70 +627,13 @@ BpOsdDecoder::decodeRegion(const std::vector<uint32_t> &errs,
         }
     }
     if (!solved) {
-        ok = false;
-        return 0;
+        return 0; // The syndrome lies outside the column span.
     }
     for (std::size_t c = 0; c < ne; ++c) {
         if (sol_uses[c]) {
-            result ^= tanner_->colObs[errs[c]];
+            result ^= t.colObs[c];
         }
     }
-    ok = true;
-    return result;
-}
-
-uint64_t
-BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
-{
-    if (flipped_detectors.empty()) {
-        return 0;
-    }
-    // Weight-1 fast path: a syndrome exactly matching one mechanism is
-    // overwhelmingly most likely explained by it (p >> p^2).
-    auto hit = tanner_->single.find(flipped_detectors);
-    if (hit != tanner_->single.end()) {
-        return hit->second.first;
-    }
-    // Localized region: errors within regionRadius expansion layers of the
-    // flipped detectors.
-    std::vector<uint8_t> err_in(tanner_->colDets.size(), 0);
-    std::vector<uint8_t> det_in(numDetectors_, 0);
-    std::vector<uint32_t> frontier_dets = flipped_detectors;
-    std::vector<uint32_t> errs;
-    for (uint32_t d : frontier_dets) {
-        det_in[d] = 1;
-    }
-    for (std::size_t layer = 0; layer < opts_.regionRadius; ++layer) {
-        std::vector<uint32_t> new_dets;
-        for (uint32_t d : frontier_dets) {
-            for (uint32_t e : tanner_->detCols[d]) {
-                if (err_in[e]) {
-                    continue;
-                }
-                err_in[e] = 1;
-                errs.push_back(e);
-                for (uint32_t dd : tanner_->colDets[e]) {
-                    if (!det_in[dd]) {
-                        det_in[dd] = 1;
-                        new_dets.push_back(dd);
-                    }
-                }
-            }
-        }
-        frontier_dets = std::move(new_dets);
-        if (frontier_dets.empty()) {
-            break;
-        }
-    }
-    bool ok = false;
-    uint64_t result = decodeRegion(errs, flipped_detectors, ok);
-    if (ok) {
-        return result;
-    }
-    // Fall back to the full graph.
-    std::vector<uint32_t> all(tanner_->colDets.size());
-    std::iota(all.begin(), all.end(), 0);
-    result = decodeRegion(all, flipped_detectors, ok);
     return result;
 }
 
@@ -1015,37 +643,8 @@ BpOsdDecoder::osdPostPass(const std::vector<uint32_t> &cols,
                           const std::vector<uint32_t> &flipped, bool packed,
                           std::vector<uint8_t> &uses)
 {
-    // Local detector numbering in region-discovery order, exactly as
-    // runRegion builds it before handing over to osdSolve.
-    regionDets_.clear();
-    for (uint32_t c : cols) {
-        for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-            uint32_t d = tanner_->colDet[e];
-            if (detLocal_[d] < 0) {
-                detLocal_[d] = (int32_t)regionDets_.size();
-                regionDets_.push_back(d);
-            }
-        }
-    }
-    bool feasible = true;
-    for (uint32_t d : flipped) {
-        if (detLocal_[d] < 0) {
-            feasible = false;
-            break;
-        }
-    }
-    bool solved = false;
-    if (feasible) {
-        solved = osdSolveImpl(cols, post.data(), flipped, packed, nullptr,
-                              false);
-    }
-    uses.assign(cols.size(), 0);
-    if (solved) {
-        uses = solUses_;
-    }
-    for (uint32_t d : regionDets_) {
-        detLocal_[d] = -1;
-    }
+    bool solved = osdSolve(cols, post.data(), flipped, packed);
+    uses = solUses_; // all-zero unless solved
     return solved;
 }
 

@@ -2,12 +2,16 @@
  * @file
  * Belief propagation + ordered-statistics decoding for LDPC DEMs.
  *
- * Min-sum BP runs on a localized sub-Tanner-graph around the flipped
- * detectors (the localized-statistics idea of BP-LSD, DESIGN.md
- * substitution 3); if the hard decision does not reproduce the syndrome,
- * OSD-0 re-solves it by Gaussian elimination over the columns ranked by BP
- * reliability. Falls back to the full graph when the local region cannot
- * explain the syndrome.
+ * Min-sum BP runs on the full Tanner graph of the DEM; if the hard
+ * decision does not reproduce the syndrome, OSD-0 re-solves it by
+ * Gaussian elimination over every column ranked by BP reliability. A
+ * syndrome outside the column span decodes to 0.
+ *
+ * BP deliberately runs on the whole graph rather than on a localized
+ * region around the flipped detectors (the BP-LSD idea): on every
+ * benchmark code a radius-3 region changed no prediction relative to the
+ * full graph, while its growth, bookkeeping, and fallback paths cost
+ * code and time on every shot.
  */
 #ifndef PROPHUNT_DECODER_BP_OSD_H
 #define PROPHUNT_DECODER_BP_OSD_H
@@ -30,8 +34,6 @@ struct BpOsdOptions
     std::size_t maxIterations = 30;
     /** Min-sum normalization factor. */
     double scale = 0.8;
-    /** Expansion radius of the localized region (error layers). */
-    std::size_t regionRadius = 3;
     /**
      * Stop BP once this many consecutive iterations pass without the
      * syndrome-mismatch count reaching a new minimum (0 = always run to
@@ -54,14 +56,12 @@ struct BpOsdOptions
      * the shared Tanner CSR: messages are stored lane-interleaved
      * (laneWidth doubles per edge), the detector -> column two-minimum
      * reduction runs 8 lanes per AVX-512 vector (4 per AVX2 vector,
-     * with a bit-identical scalar-lane fallback), and per-lane sentinel
-     * masks keep each
-     * shot's localized region independent. Lanes retire individually on
-     * convergence / stagnation and are refilled from the shot queue, so
-     * iteration skew between easy and hard syndromes no longer idles the
-     * engine. Every lane reproduces per-shot decode() bit for bit — the
-     * observables are identical for every laneWidth, only the throughput
-     * changes.
+     * with a bit-identical scalar-lane fallback). Lanes retire
+     * individually on convergence / stagnation and are refilled from the
+     * shot queue, so iteration skew between easy and hard syndromes no
+     * longer idles the engine. Every lane reproduces per-shot decode()
+     * bit for bit — the observables are identical for every laneWidth,
+     * only the throughput changes.
      */
     std::size_t laneWidth = 8;
     /**
@@ -81,13 +81,11 @@ struct BpOsdOptions
  * BP+OSD decoder over a detector error model.
  *
  * The hot path runs on a Tanner structure flattened once at construction
- * (global CSR edge lists, message arrays sized to the full graph); each
- * shot only touches syndrome-dependent state — the localized region's
- * columns, their edges, and the message values — and restores it on exit.
- * Inactive edges carry a +1e300 sentinel message, which reproduces the
- * reference implementation's min-sum initialization exactly, so decode(),
- * decodeBatch(), and the retained per-region reference path
- * (decodeReference()) agree bit for bit.
+ * (global CSR edge lists, message arrays sized to the full graph) and
+ * shared by every clone; each shot only resets its message values and
+ * decision flags. decode(), decodeBatch(), decodePacked(), and the
+ * retained reference implementation (decodeReference()) agree bit for
+ * bit.
  */
 class BpOsdDecoder : public Decoder
 {
@@ -111,24 +109,24 @@ class BpOsdDecoder : public Decoder
                       PackedDecodeStats *stats = nullptr) override;
 
     /**
-     * The original per-region implementation (rebuilds local indices and
-     * edge lists per call). Kept as the comparison baseline for the
-     * batched path: equal output, pre-optimization cost.
+     * The original implementation (rebuilds its edge lists and message
+     * arrays per call, full-graph BP then OSD-0). Kept as the comparison
+     * baseline for the optimized paths: equal output, pre-optimization
+     * cost.
      */
     uint64_t decodeReference(const std::vector<uint32_t> &flipped_detectors);
 
     /**
-     * Test seam: run the OSD-0 post-pass alone on an explicit region.
+     * Test seam: run the OSD-0 post-pass alone over an explicit column
+     * set.
      *
-     * @p cols is the region's column set, @p post the per-position
-     * posterior ranking (post[i] ranks cols[i]; size must match), and
-     * @p flipped the sorted flipped detectors. @p packed selects the
-     * gf2_dense elimination vs the scalar reference — the two must agree
-     * bit for bit (tests/osd_elimination_test.cc fuzzes exactly this).
-     * Fills @p uses with one 0/1 flag per cols position and returns
-     * whether the syndrome was explained; a flipped detector with no
-     * adjacent column in @p cols makes the region infeasible (false,
-     * all-zero uses), matching runRegion's pre-check.
+     * @p cols is the column set, @p post the per-position posterior
+     * ranking (post[i] ranks cols[i]; size must match), and @p flipped
+     * the sorted flipped detectors. @p packed selects the gf2_dense
+     * elimination vs the scalar reference — the two must agree bit for
+     * bit (tests/osd_elimination_test.cc fuzzes exactly this). Fills @p
+     * uses with one 0/1 flag per cols position and returns whether the
+     * syndrome was explained (false leaves @p uses all-zero).
      */
     bool osdPostPass(const std::vector<uint32_t> &cols,
                      const std::vector<double> &post,
@@ -148,11 +146,11 @@ class BpOsdDecoder : public Decoder
     }
 
     /**
-     * Immutable per-DEM decode structure: the column-compressed DEM plus
-     * the flattened global Tanner CSR, built once per DEM by
-     * buildTanner() and referenced read-only by every per-shot pass.
-     * Edge e of column c spans colBegin[c]..colBegin[c+1] in (column,
-     * slot) order; detEdges groups the same edge ids by detector.
+     * Immutable per-DEM decode structure: per-column data plus the
+     * flattened global Tanner CSR, built once per DEM by buildTanner()
+     * and referenced read-only by every per-shot pass. Edge e of column
+     * c spans colBegin[c]..colBegin[c+1] in (column, slot) order;
+     * detEdges groups the same edge ids by detector.
      */
     struct Tanner
     {
@@ -160,101 +158,59 @@ class BpOsdDecoder : public Decoder
          * likeliest single mechanism. Fixes BP's tendency to explain a
          * weight-1 syndrome with a heavier degenerate solution. */
         std::map<std::vector<uint32_t>, std::pair<uint64_t, double>> single;
-        // Column-compressed DEM.
-        std::vector<std::vector<uint32_t>> colDets;
         std::vector<uint64_t> colObs;
         std::vector<double> prior; ///< log((1-p)/p) per column.
-        std::vector<std::vector<uint32_t>> detCols;
         // Global Tanner CSR.
         std::vector<uint32_t> colBegin;
         std::vector<uint32_t> colDet;   ///< Edge -> detector.
+        std::vector<double> edgePrior;  ///< Edge -> prior of its column.
         std::vector<uint32_t> detBegin;
         std::vector<uint32_t> detEdges; ///< Detector -> edge ids, (c, k) order.
-        std::vector<uint32_t> detCol;   ///< Column of detEdges[i] (growth).
-        std::vector<uint32_t> allCols;  ///< 0..numErrors-1 (full-graph pass).
+        std::vector<uint32_t> allCols;  ///< 0..numCols()-1 (the OSD column set).
+        /** Row c = column c packed over the detectors: the OSD
+         * elimination's input, built once instead of per solve. */
+        DenseBitMat colBits;
+
+        std::size_t numCols() const { return colObs.size(); }
     };
 
     /** Build the shared read-only Tanner structure of @p dem. */
     static std::shared_ptr<const Tanner> buildTanner(const sim::Dem &dem);
 
   private:
-    /** Reference decode restricted to a subset of error columns;
-     * nullopt-like failure is signaled via @p ok. */
-    uint64_t decodeRegion(const std::vector<uint32_t> &errs,
-                          const std::vector<uint32_t> &flipped, bool &ok);
+    /** Resolve @p flipped without BP where possible: the empty syndrome,
+     * an exact single-mechanism match, or a flipped detector no column
+     * touches (unexplainable; decoded as 0). Returns false when BP must
+     * run. */
+    bool decodeTrivial(const std::vector<uint32_t> &flipped,
+                       uint64_t &out) const;
 
-    /** Hot path: grow the localized region and decode it on the global
-     * Tanner structure, falling back to the full graph. */
+    /** Hot path: trivial syndromes, else runBp. */
     uint64_t decodeFast(const std::vector<uint32_t> &flipped);
 
-    /** Min-sum BP (+ OSD-0 fallback) over @p cols on the global edge
-     * arrays; restores all scratch state before returning. */
-    uint64_t runRegion(const std::vector<uint32_t> &cols,
-                       const std::vector<uint32_t> &flipped, bool &ok);
-
-    /** Grow the localized region (regionRadius layers) around @p flipped
-     * into errs_; the errIn_/detIn_ marks are restored before returning.
-     *
-     * Saturation fast path: region growth is monotone in its seed set,
-     * so if the region grown from @p flipped's first detector alone
-     * covers every column, the full region does too. That predicate is
-     * memoized per detector (satFromDet_), and a hit skips the BFS
-     * entirely, filling errs_ with the canonical identity column order
-     * instead of the discovery order. Every consumer is column-order
-     * invariant — BP updates are per-column/per-detector independent,
-     * the OSD solution is the unique expression of the syndrome over an
-     * order-independent pivot set (posterior ties break by global column
-     * id), and observable masks XOR over sets — so the fast path is
-     * bit-identical to the BFS, it just stops paying ~an edge walk per
-     * shot on DEMs whose dense Tanner graphs saturate every region (the
-     * rqt benchmark codes).
-     */
-    void growRegion(const std::vector<uint32_t> &flipped);
-
-    /** The BFS behind growRegion (discovery order, early saturation
-     * exit). */
-    void growRegionBfs(const std::vector<uint32_t> &seeds);
+    /** Min-sum BP (+ OSD-0 fallback) on the global edge arrays; restores
+     * the decision flags before returning. */
+    uint64_t runBp(const std::vector<uint32_t> &flipped);
 
     /**
      * OSD-0 over @p cols: solve H x = s by incremental elimination with
      * columns ranked by ascending posterior (ties broken by global
-     * column id, so every elimination backend and every region
-     * discovery order picks the same pivot sequence); post[i] is the
-     * posterior of cols[i] (both callers gather into osdPost_ first, so
-     * the sort reads contiguous memory). detLocal_/regionDets_ must hold
-     * the region's local detector numbering; fills solUses_ per position
-     * in @p cols and returns whether the syndrome became explainable.
-     * Dispatches to the packed or scalar elimination per opts_.packedOsd.
+     * column id, so every elimination backend and every column order
+     * picks the same pivot sequence); post[i] is the posterior of
+     * cols[i]. Elimination rows are the global detector ids. Fills
+     * solUses_ per position in @p cols and returns whether the syndrome
+     * became explainable. Ranks the columns into osdKeys_ (only a short
+     * sorted prefix up front; the backends extend it via osdSortMore
+     * when they reach its end) and dispatches to the packed or scalar
+     * elimination.
      */
     bool osdSolve(const std::vector<uint32_t> &cols, const double *post,
-                  const std::vector<uint32_t> &flipped);
+                  const std::vector<uint32_t> &flipped, bool packed);
 
-    /** Shared per-group packed-column cache of the batched OSD queue:
-     * row i = packed column cols[i] over the group's local detector
-     * numbering, built lazily and reused by every shot in the group. */
-    struct OsdColCache
-    {
-        DenseBitMat bits;
-        std::vector<uint8_t> built;
-    };
-
-    /** osdSolve body with the backend explicit and an optional shared
-     * column cache (ignored by the scalar backend). Ranks the columns
-     * into osdKeys_ (a sorted kOsdPrefix prefix unless the exact
-     * mode or a small region forces the full sort; the backends complete
-     * the tail lazily via osdSortTail) and dispatches. @p global_rows
-     * (packed backend only) numbers elimination rows by global detector
-     * id instead of detLocal_ — the flush path uses it to skip the
-     * per-job detLocal_ rebuild; results are row-numbering invariant. */
-    bool osdSolveImpl(const std::vector<uint32_t> &cols, const double *post,
-                      const std::vector<uint32_t> &flipped, bool packed,
-                      OsdColCache *cache, bool global_rows);
-
-    /** The packed elimination: gf2_dense eliminator over lazily built
+    /** The packed elimination: gf2_dense eliminator over the shared
      * packed columns. */
     bool osdSolvePacked(const std::vector<uint32_t> &cols,
-                        const std::vector<uint32_t> &flipped,
-                        OsdColCache *cache, bool global_rows);
+                        const std::vector<uint32_t> &flipped);
 
     /** The original per-entry elimination, kept as the bit-exact
      * reference and benchmark baseline for the packed backend. */
@@ -282,15 +238,16 @@ class BpOsdDecoder : public Decoder
         }
     };
 
-    /** Sort the unsorted tail of osdKeys_: the lazy completion both
-     * eliminations trigger when they outrun the sorted prefix. */
-    void osdSortTail();
+    /** Extend the sorted prefix of osdKeys_ by the next chunk of most
+     * likely columns: the lazy ranking both eliminations trigger when
+     * they outrun the sorted prefix. */
+    void osdSortMore();
 
     // --- lane engine (decodePacked; see bp_osd_lanes.cc) ---
 
     /** Size the lane-interleaved state for width @p w (no-op once sized). */
     void laneEnsure(std::size_t w);
-    /** Park shot @p shot (region already grown into errs_) in lane @p l. */
+    /** Park shot @p shot with syndrome @p flipped in lane @p l. */
     void laneInstall(std::size_t l, std::size_t shot,
                      const std::vector<uint32_t> &flipped);
     /** Finish lane @p l and restore the lane's slice of every
@@ -309,23 +266,14 @@ class BpOsdDecoder : public Decoder
     struct OsdJob
     {
         std::size_t shot = 0;
-        /** FNV-1a of the cols sequence (grouping key; saturated jobs
-         * group by the flag alone). */
-        uint64_t sig = 0;
-        /** Region == every column: cols is left empty and allCols_ is
-         * the canonical column order, so all saturated jobs share one
-         * group regardless of their discovery order. */
-        bool saturated = false;
-        std::vector<uint32_t> cols;
         std::vector<uint32_t> flipped;
-        std::vector<double> post; ///< Posterior per (canonical) position.
+        std::vector<double> post; ///< Posterior per column.
     };
 
-    /** Capture lane @p l's region, flipped set, and posterior slice into
-     * the OSD queue (storage reused across flushes). */
+    /** Capture lane @p l's flipped set and posterior slice into the OSD
+     * queue (storage reused across flushes). */
     void osdEnqueue(std::size_t l);
-    /** Solve every queued job, grouped by region shape so the packed
-     * column build is shared, and write the observable masks. */
+    /** Solve every queued job and write the observable masks. */
     void osdFlush(uint64_t *obs_out, PackedDecodeStats *stats);
 
     BpOsdOptions opts_;
@@ -334,45 +282,17 @@ class BpOsdDecoder : public Decoder
      * Tanner, only the scratch below is per-instance. */
     std::shared_ptr<const Tanner> tanner_;
 
-    // Per-shot scratch. Invariants between shots: msgC2d_ holds the
-    // inactive-edge sentinel everywhere, flag arrays are zero, and
-    // detLocal_ is -1; runRegion/decodeFast restore them on every path.
+    // Per-shot scratch. Invariants between shots: the flag arrays are
+    // zero; runBp restores them on every path and rewrites msgC2d_ from
+    // the edge priors at the start of each shot.
     std::vector<double> msgC2d_;
     std::vector<double> msgD2c_;
-    std::vector<double> posterior_;   ///< Per column (active entries valid).
+    std::vector<double> posterior_;   ///< Per column.
     std::vector<uint8_t> hard_;       ///< Per column.
     std::vector<uint8_t> acc_;        ///< Parity of hard columns per detector.
     std::vector<uint8_t> syn_;        ///< Syndrome bit per detector.
-    std::vector<uint8_t> errIn_;      ///< Region-growth column marks.
-    std::vector<uint8_t> detIn_;      ///< Region-growth detector marks.
-    std::vector<int32_t> detLocal_;   ///< Detector -> local index (OSD).
-    std::vector<uint32_t> regionDets_;
-    std::vector<uint32_t> touchedDets_;
     std::vector<uint8_t> edgeNeg_;    ///< Per-slot message signs (one row).
-    std::vector<uint32_t> errs_;
-    std::vector<uint32_t> frontier_;
-    std::vector<uint32_t> newDets_;
     std::vector<uint32_t> flippedScratch_;
-    /** Memo: does the region grown from this detector alone saturate
-     * (cover every column)? -1 unknown, else 0/1. */
-    std::vector<int8_t> satFromDet_;
-    std::vector<uint32_t> seedScratch_; ///< Single-seed BFS probe.
-    /**
-     * Per-detector region reachability: row d = bitmap of the columns
-     * within regionRadius layers of detector d, built lazily by one
-     * single-seed BFS per detector. Region growth is monotone, so the
-     * region of a syndrome is the OR of its detectors' rows — one
-     * word-wide sweep plus a bit extraction per shot instead of an edge
-     * walk, with errs_ emerging in canonical ascending order (which
-     * also makes same-set regions group in the batched OSD queue).
-     * Enabled unless the matrix would be unreasonably large
-     * (reachEnabled_); the BFS path remains as the fallback and the
-     * row builder.
-     */
-    DenseBitMat reachCols_;
-    std::vector<uint8_t> reachBuilt_;
-    bool reachEnabled_ = false;
-    std::vector<uint64_t> regionWords_; ///< OR-of-rows scratch.
     // OSD scratch. Pivots are stored flattened (rows, bit columns,
     // member segments) so the elimination loop never allocates.
     std::vector<uint64_t> synWords_;
@@ -385,7 +305,6 @@ class BpOsdDecoder : public Decoder
     std::vector<uint32_t> memScratch_;
     std::vector<uint64_t> rScratch_;
     std::vector<uint8_t> useScratch_;
-    std::vector<double> osdPost_; ///< Posteriors gathered per cols position.
     // Packed-elimination scratch (osdSolvePacked).
     Gf2Eliminator elim_;
     std::vector<uint32_t> osdPushPos_; ///< Push index -> cols position.
@@ -396,19 +315,13 @@ class BpOsdDecoder : public Decoder
     // counts the live prefix, the vectors behind it keep their capacity.
     std::vector<OsdJob> osdQueue_;
     std::size_t osdQueueSize_ = 0;
-    std::vector<uint32_t> osdOrderIdx_;    ///< Flush grouping scratch.
-    std::vector<uint32_t> osdFallbackIdx_; ///< Full-graph fallback jobs.
-    OsdColCache osdCache_;
 
     // Lane engine state (sized by laneEnsure on the first packed decode).
     // Message/posterior arrays are lane-interleaved: element (i, lane)
-    // lives at i*laneW_ + lane. The region membership that the scalar
-    // scratch encodes with sentinel *values* is carried by the per-edge
-    // lane bit planes instead: laneMsg_ may hold garbage in inactive
-    // lanes, the detector pass substitutes the sentinel (or, on a lane's
-    // first iteration, the column prior) while loading. That turns the
-    // per-shot install/retire work from one strided double per edge into
-    // one contiguous bit per edge.
+    // lives at i*laneW_ + lane. Slots of lanes without a live shot hold
+    // garbage nobody reads; a lane's first detector pass substitutes the
+    // column prior while loading, so installing a shot never writes the
+    // message array.
     std::size_t laneW_ = 0;
     /** In-place message array: column->detector values going into a
      * detector pass, detector->column values going into a column pass
@@ -416,19 +329,14 @@ class BpOsdDecoder : public Decoder
      * pass may overwrite its input slot). */
     std::vector<double> laneMsg_;
     std::vector<double> lanePost_;
-    std::vector<uint16_t> laneEdgeActive_; ///< Bit l: edge in lane l's region.
-    std::vector<double> edgePrior_;      ///< prior_ of each edge's column.
     std::vector<double> laneStage_;      ///< Det-pass staging, maxDeg x W.
     std::vector<uint32_t> laneHardBits_; ///< Per column, bit l = lane l.
     std::vector<uint8_t> laneAcc_;       ///< Hard-decision parity per (det, lane).
     std::vector<uint8_t> laneSynB_;      ///< Syndrome bit per (det, lane).
     std::vector<double> laneSynSign_;    ///< -0.0 where the syndrome is set.
-    std::vector<uint32_t> colLaneMask_;  ///< Per column, lanes it is active in.
-    std::vector<uint32_t> detLaneMask_;
-    std::vector<std::vector<uint32_t>> laneCols_; ///< Region per lane.
+    uint32_t laneLiveMask_ = 0;          ///< Bit l: lane l holds a shot.
     std::vector<std::vector<uint32_t>> laneFlipped_;
     std::vector<std::size_t> laneShot_;
-    std::vector<uint8_t> laneLive_;
     std::vector<std::ptrdiff_t> laneMismatch_;
     std::vector<std::ptrdiff_t> laneBest_;
     std::vector<std::size_t> laneSinceBest_;

@@ -18,31 +18,24 @@
  * kernel tiers produce the same bits (PROPHUNT_NO_AVX512 /
  * PROPHUNT_NO_AVX2 step down explicitly).
  *
- * Localized-region semantics are preserved per lane without per-shot
- * message initialization: laneEdgeActive_ carries one bit per
- * (edge, lane), and the detector pass substitutes the scalar path's
- * +1e300 inactive-edge sentinel — or the column prior on a lane's first
- * iteration, when no column pass has written real messages yet — while
- * loading. The message array may therefore hold garbage in inactive
- * lanes: installing a shot sets one contiguous bit per region edge
- * instead of writing one strided double (a full cache line each at
- * laneWidth 8), and retiring clears the lane's bit planes with
- * vectorizable full-array sweeps. Both passes find their work by
- * scanning the per-column/per-detector lane masks in index order, which
- * keeps the message walks sequential. Lanes retire individually
+ * Lanes carry no per-shot message initialization: the detector pass
+ * substitutes the column prior on a lane's first iteration, when no
+ * column pass has written real messages yet, while loading. Slots of a
+ * lane without a live shot hold garbage that nobody reads — live lanes'
+ * results never depend on them, since every pass reads only the lane's
+ * own slots. Both passes walk every detector and column in index order,
+ * which keeps the message walks sequential. Lanes retire individually
  * (convergence, stagnation, or the iteration budget) and are refilled
  * from the shot queue, so iteration skew between easy and hard syndromes
  * no longer serializes the batch.
  *
  * Retired-but-unconverged lanes do not solve OSD inline: they compact
- * into a batched work queue (shot id, region, syndrome, posterior
- * snapshot) that is flushed in groups of identical region shapes, so
- * the packed-column build of the GF(2) elimination is shared across the
- * shots of a group and the post-pass runs out of hot scratch instead of
- * interleaving with lane state. Each job's solve is independent, so the
- * queueing changes throughput only.
+ * into a batched work queue (shot id, syndrome, posterior snapshot) that
+ * is flushed in one pass, so the post-pass runs out of hot scratch
+ * instead of interleaving with lane state. Each job's solve is
+ * independent, so the queueing changes throughput only.
  *
- * Exactness: every per-lane recurrence reproduces the scalar runRegion
+ * Exactness: every per-lane recurrence reproduces the scalar runBp
  * arithmetic operation for operation (same edge order in the sums, same
  * strict-minimum updates, no FMA contraction), the per-lane stopping
  * rules are the scalar ones, and non-converged lanes hand their
@@ -51,9 +44,9 @@
  * never depends on which shots share its lanes (shot-order invariance).
  * The sign-bit trick used by the vector kernels (sign(x) as the IEEE
  * sign bit) matches the scalar `v < 0.0` test because effective
- * column -> detector messages are never -0.0: priors and sentinels are
- * positive, and a sum or difference of doubles only produces -0.0 from
- * two negative zeros.
+ * column -> detector messages are never -0.0: priors are positive, and a
+ * sum or difference of doubles only produces -0.0 from two negative
+ * zeros.
  */
 #include "decoder/bp_osd.h"
 
@@ -62,7 +55,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
-#include <numeric>
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define PROPHUNT_LANES_X86 1
@@ -73,15 +65,15 @@ namespace prophunt::decoder {
 
 namespace {
 
-/** Same value as the scalar path's inactive-edge sentinel (bp_osd.cc). */
-constexpr double kInactiveLane = 1e300;
+/** The scalar runBp's two-minimum initialization. */
+constexpr double kMinInit = 1e300;
 
 /**
  * Flush the batched OSD queue once this many retired-unconverged shots
  * have accumulated (and always at the end of a decodePacked call).
- * Large enough to amortize the shared packed-column build across the
- * shots of a flush window, small enough to bound the queued posterior
- * snapshots (each is one double per region column).
+ * Large enough to keep the elimination scratch hot across many solves,
+ * small enough to bound the queued posterior snapshots (each is one
+ * double per column).
  */
 constexpr std::size_t kOsdFlushCap = 128;
 
@@ -93,6 +85,8 @@ struct LaneCtx
     std::size_t numDetectors = 0;
     std::size_t numCols = 0;
     double scale = 0.0;
+    /** Bit l: lane l holds a live shot. */
+    uint32_t liveLanes = 0;
     /** Bit l: lane l is on its first iteration (messages still read as
      * the column prior; no column pass has run for it yet). */
     uint32_t freshLanes = 0;
@@ -105,25 +99,19 @@ struct LaneCtx
     double *msg = nullptr;
     double *stage = nullptr;
     double *post = nullptr;
-    const uint16_t *edgeActive = nullptr;
     const double *synSign = nullptr;
     const uint8_t *synB = nullptr;
     uint8_t *acc = nullptr;
     uint32_t *hardBits = nullptr;
-    const uint32_t *detMask = nullptr;
-    const uint32_t *colMask = nullptr;
     std::ptrdiff_t *mismatch = nullptr;
 };
 
 /** The effective column->detector message of (edge @p e, lane @p l): the
- * stored value for live region edges, the column prior before a lane's
- * first column pass, the scalar sentinel outside the region. */
+ * column prior before a lane's first column pass, the stored value
+ * afterwards. */
 inline double
 effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
 {
-    if (((cx.edgeActive[e] >> l) & 1) == 0) {
-        return kInactiveLane;
-    }
     if (((cx.freshLanes >> l) & 1) != 0) {
         return cx.edgePrior[e];
     }
@@ -131,7 +119,7 @@ effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
 }
 
 /** Detector -> column pass for one (detector, lane): the scalar min-sum
- * two-minimum reduction of runRegion, indexed into the lane slice. */
+ * two-minimum reduction of runBp, indexed into the lane slice. */
 void
 detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
 {
@@ -139,7 +127,7 @@ detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
     uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
     uint32_t deg = en - b;
     bool negProduct = cx.synB[(std::size_t)d * W + l] != 0;
-    double min1 = 1e300, min2 = 1e300;
+    double min1 = kMinInit, min2 = kMinInit;
     uint32_t argpos = UINT32_MAX;
     for (uint32_t i = 0; i < deg; ++i) {
         double v = effectiveMsg(cx, cx.detEdges[b + i], l);
@@ -197,11 +185,9 @@ void
 detPassGeneric(const LaneCtx &cx)
 {
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
-        uint32_t mask = cx.detMask[d];
-        while (mask != 0) {
+        for (uint32_t mask = cx.liveLanes; mask != 0; mask &= mask - 1) {
             detPassLane(cx, (uint32_t)d,
                         (std::size_t)std::countr_zero(mask));
-            mask &= mask - 1;
         }
     }
 }
@@ -210,11 +196,9 @@ void
 colPassGeneric(const LaneCtx &cx)
 {
     for (std::size_t c = 0; c < cx.numCols; ++c) {
-        uint32_t mask = cx.colMask[c];
-        while (mask != 0) {
+        for (uint32_t mask = cx.liveLanes; mask != 0; mask &= mask - 1) {
             colPassLane(cx, (uint32_t)c,
                         (std::size_t)std::countr_zero(mask));
-            mask &= mask - 1;
         }
     }
 }
@@ -242,8 +226,8 @@ nibbleMask(uint32_t nib)
  * detector's edges: the two-minimum chains of the chunks are
  * independent, so interleaving them hides the blend latency, and every
  * message cache line is touched once per pass. Remainder lanes (W % 4)
- * run the scalar kernel; lanes of a processed chunk with no live shot at
- * this detector see only sentinels and produce garbage nobody reads.
+ * run the scalar kernel; lanes of a processed chunk with no live shot
+ * produce garbage nobody reads.
  */
 template <int NC>
 __attribute__((target("avx2"))) void
@@ -251,41 +235,32 @@ detPassAvx2(const LaneCtx &cx)
 {
     const std::size_t W = cx.W;
     const __m256d signMask = _mm256_set1_pd(-0.0);
-    const __m256d inactive = _mm256_set1_pd(kInactiveLane);
+    const __m256d minInit = _mm256_set1_pd(kMinInit);
     const __m256d scaleV = _mm256_set1_pd(cx.scale);
     __m256d freshV[NC];
     for (int k = 0; k < NC; ++k) {
         freshV[k] = nibbleMask((cx.freshLanes >> (4 * k)) & 0xf);
     }
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
-        uint32_t mask = cx.detMask[d];
-        if (mask == 0) {
-            continue;
-        }
         uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
         uint32_t deg = en - b;
         __m256d signAcc[NC], min1[NC], min2[NC], argpos[NC];
         for (int k = 0; k < NC; ++k) {
             signAcc[k] =
                 _mm256_loadu_pd(cx.synSign + (std::size_t)d * W + 4 * k);
-            min1[k] = inactive;
-            min2[k] = inactive;
+            min1[k] = minInit;
+            min2[k] = minInit;
             argpos[k] = _mm256_set1_pd(-1.0);
         }
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            uint32_t act = cx.edgeActive[e];
             const __m256d priorV = _mm256_set1_pd(cx.edgePrior[e]);
             const __m256d idx = _mm256_set1_pd((double)i);
             for (int k = 0; k < NC; ++k) {
-                __m256d am = nibbleMask((act >> (4 * k)) & 0xf);
                 __m256d v = _mm256_loadu_pd(cx.msg + e * W + 4 * k);
-                // Region membership: prior on the lane's first
-                // iteration, stored value afterwards, sentinel outside
-                // the region.
-                v = _mm256_blendv_pd(v, priorV,
-                                     _mm256_and_pd(am, freshV[k]));
-                v = _mm256_blendv_pd(inactive, v, am);
+                // Prior on the lane's first iteration, stored value
+                // afterwards.
+                v = _mm256_blendv_pd(v, priorV, freshV[k]);
                 _mm256_storeu_pd(cx.stage + (std::size_t)i * W + 4 * k, v);
                 signAcc[k] =
                     _mm256_xor_pd(signAcc[k], _mm256_and_pd(v, signMask));
@@ -320,7 +295,7 @@ detPassAvx2(const LaneCtx &cx)
             }
         }
         for (std::size_t l = (std::size_t)NC * 4; l < W; ++l) {
-            if ((mask >> l) & 1) {
+            if ((cx.liveLanes >> l) & 1) {
                 detPassLane(cx, (uint32_t)d, l);
             }
         }
@@ -334,10 +309,6 @@ colPassAvx2(const LaneCtx &cx)
     const std::size_t W = cx.W;
     const __m256d zero = _mm256_setzero_pd();
     for (std::size_t c = 0; c < cx.numCols; ++c) {
-        uint32_t mask = cx.colMask[c];
-        if (mask == 0) {
-            continue;
-        }
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
         __m256d tot[NC];
         for (int k = 0; k < NC; ++k) {
@@ -351,10 +322,10 @@ colPassAvx2(const LaneCtx &cx)
             }
         }
         for (int k = 0; k < NC; ++k) {
-            // Unmasked: inactive lanes' posteriors are garbage nobody
+            // Unmasked: dead lanes' posteriors are garbage nobody
             // reads (a live lane rewrites its slice every iteration).
             _mm256_storeu_pd(cx.post + (std::size_t)c * W + 4 * k, tot[k]);
-            uint32_t nib = (mask >> (4 * k)) & 0xf;
+            uint32_t nib = (cx.liveLanes >> (4 * k)) & 0xf;
             if (nib == 0) {
                 continue;
             }
@@ -383,15 +354,14 @@ colPassAvx2(const LaneCtx &cx)
         for (uint32_t e = b; e < en; ++e) {
             for (int k = 0; k < NC; ++k) {
                 std::size_t off = (std::size_t)e * W + 4 * k;
-                // In-place and unmasked: garbage lanes stay garbage, the
-                // detector pass's membership blend restores semantics.
+                // In-place and unmasked: garbage lanes stay garbage.
                 _mm256_storeu_pd(
                     cx.msg + off,
                     _mm256_sub_pd(tot[k], _mm256_loadu_pd(cx.msg + off)));
             }
         }
         for (std::size_t l = (std::size_t)NC * 4; l < W; ++l) {
-            if ((mask >> l) & 1) {
+            if ((cx.liveLanes >> l) & 1) {
                 colPassLane(cx, (uint32_t)c, l);
             }
         }
@@ -401,9 +371,8 @@ colPassAvx2(const LaneCtx &cx)
 /**
  * AVX-512 kernels: one 512-bit vector carries a whole 8-lane chunk, so
  * W=8 runs in a single chunk (W=16 in two) with half the instruction
- * stream of the AVX2 pair — and the per-edge lane bit planes become
- * native predicate masks (__mmask8) instead of nibble-expanded blend
- * vectors. Every select/compare mirrors the AVX2 kernel operation for
+ * stream of the AVX2 pair — and the lane masks become native predicate
+ * masks (__mmask8) instead of nibble-expanded blend vectors. Every select/compare mirrors the AVX2 kernel operation for
  * operation per lane, and all sign handling stays integer bit
  * manipulation, so the three kernel tiers are bit-identical.
  */
@@ -415,17 +384,13 @@ detPassAvx512(const LaneCtx &cx)
     const std::size_t W = cx.W;
     const __m512i signMask = _mm512_set1_epi64(INT64_MIN);
     const __m512i absMask = _mm512_set1_epi64(INT64_MAX);
-    const __m512d inactive = _mm512_set1_pd(kInactiveLane);
+    const __m512d minInit = _mm512_set1_pd(kMinInit);
     const __m512d scaleV = _mm512_set1_pd(cx.scale);
     __mmask8 fresh[NC];
     for (int k = 0; k < NC; ++k) {
         fresh[k] = (__mmask8)(cx.freshLanes >> (8 * k));
     }
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
-        uint32_t mask = cx.detMask[d];
-        if (mask == 0) {
-            continue;
-        }
         uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
         uint32_t deg = en - b;
         __m512i signAcc[NC];
@@ -433,24 +398,19 @@ detPassAvx512(const LaneCtx &cx)
         for (int k = 0; k < NC; ++k) {
             signAcc[k] = _mm512_castpd_si512(
                 _mm512_loadu_pd(cx.synSign + (std::size_t)d * W + 8 * k));
-            min1[k] = inactive;
-            min2[k] = inactive;
+            min1[k] = minInit;
+            min2[k] = minInit;
             argpos[k] = _mm512_set1_pd(-1.0);
         }
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            uint32_t act = cx.edgeActive[e];
             const __m512d priorV = _mm512_set1_pd(cx.edgePrior[e]);
             const __m512d idx = _mm512_set1_pd((double)i);
             for (int k = 0; k < NC; ++k) {
-                __mmask8 am = (__mmask8)(act >> (8 * k));
                 __m512d v = _mm512_loadu_pd(cx.msg + e * W + 8 * k);
-                // Region membership: prior on the lane's first
-                // iteration, stored value afterwards, sentinel outside
-                // the region.
-                v = _mm512_mask_blend_pd((__mmask8)(am & fresh[k]), v,
-                                         priorV);
-                v = _mm512_mask_blend_pd(am, inactive, v);
+                // Prior on the lane's first iteration, stored value
+                // afterwards.
+                v = _mm512_mask_blend_pd(fresh[k], v, priorV);
                 _mm512_storeu_pd(cx.stage + (std::size_t)i * W + 8 * k, v);
                 __m512i vi = _mm512_castpd_si512(v);
                 signAcc[k] = _mm512_xor_epi64(
@@ -491,7 +451,7 @@ detPassAvx512(const LaneCtx &cx)
             }
         }
         for (std::size_t l = (std::size_t)NC * 8; l < W; ++l) {
-            if ((mask >> l) & 1) {
+            if ((cx.liveLanes >> l) & 1) {
                 detPassLane(cx, (uint32_t)d, l);
             }
         }
@@ -505,10 +465,6 @@ colPassAvx512(const LaneCtx &cx)
     const std::size_t W = cx.W;
     const __m512d zero = _mm512_setzero_pd();
     for (std::size_t c = 0; c < cx.numCols; ++c) {
-        uint32_t mask = cx.colMask[c];
-        if (mask == 0) {
-            continue;
-        }
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
         __m512d tot[NC];
         for (int k = 0; k < NC; ++k) {
@@ -522,10 +478,10 @@ colPassAvx512(const LaneCtx &cx)
             }
         }
         for (int k = 0; k < NC; ++k) {
-            // Unmasked: inactive lanes' posteriors are garbage nobody
+            // Unmasked: dead lanes' posteriors are garbage nobody
             // reads (a live lane rewrites its slice every iteration).
             _mm512_storeu_pd(cx.post + (std::size_t)c * W + 8 * k, tot[k]);
-            uint32_t oct = (mask >> (8 * k)) & 0xff;
+            uint32_t oct = (cx.liveLanes >> (8 * k)) & 0xff;
             if (oct == 0) {
                 continue;
             }
@@ -553,15 +509,14 @@ colPassAvx512(const LaneCtx &cx)
         for (uint32_t e = b; e < en; ++e) {
             for (int k = 0; k < NC; ++k) {
                 std::size_t off = (std::size_t)e * W + 8 * k;
-                // In-place and unmasked: garbage lanes stay garbage, the
-                // detector pass's membership blend restores semantics.
+                // In-place and unmasked: garbage lanes stay garbage.
                 _mm512_storeu_pd(
                     cx.msg + off,
                     _mm512_sub_pd(tot[k], _mm512_loadu_pd(cx.msg + off)));
             }
         }
         for (std::size_t l = (std::size_t)NC * 8; l < W; ++l) {
-            if ((mask >> l) & 1) {
+            if ((cx.liveLanes >> l) & 1) {
                 colPassLane(cx, (uint32_t)c, l);
             }
         }
@@ -610,22 +565,13 @@ void
 BpOsdDecoder::laneEnsure(std::size_t w)
 {
     std::size_t edges = tanner_->colDet.size();
-    std::size_t ne = tanner_->colDets.size();
+    std::size_t ne = tanner_->numCols();
     if (laneW_ == w && laneMsg_.size() == edges * w) {
         return;
     }
     laneW_ = w;
     laneMsg_.assign(edges * w, 0.0);
     lanePost_.assign(ne * w, 0.0);
-    laneEdgeActive_.assign(edges, 0);
-    if (edgePrior_.empty()) {
-        edgePrior_.resize(edges);
-        for (std::size_t c = 0; c < ne; ++c) {
-            for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-                edgePrior_[e] = tanner_->prior[c];
-            }
-        }
-    }
     std::size_t maxDeg = 0;
     for (std::size_t d = 0; d < numDetectors_; ++d) {
         maxDeg = std::max<std::size_t>(maxDeg,
@@ -636,12 +582,9 @@ BpOsdDecoder::laneEnsure(std::size_t w)
     laneAcc_.assign(numDetectors_ * w, 0);
     laneSynB_.assign(numDetectors_ * w, 0);
     laneSynSign_.assign(numDetectors_ * w, 0.0);
-    colLaneMask_.assign(ne, 0);
-    detLaneMask_.assign(numDetectors_, 0);
-    laneCols_.assign(w, {});
+    laneLiveMask_ = 0;
     laneFlipped_.assign(w, {});
     laneShot_.assign(w, 0);
-    laneLive_.assign(w, 0);
     laneMismatch_.assign(w, 0);
     laneBest_.assign(w, 0);
     laneSinceBest_.assign(w, 0);
@@ -653,44 +596,15 @@ BpOsdDecoder::laneInstall(std::size_t l, std::size_t shot,
                           const std::vector<uint32_t> &flipped)
 {
     const std::size_t W = laneW_;
-    uint32_t bit = uint32_t{1} << l;
-    uint16_t ebit = (uint16_t)(1u << l);
-    // The caller just grew the region into errs_; take it over wholesale.
-    laneCols_[l].swap(errs_);
     laneFlipped_[l].assign(flipped.begin(), flipped.end());
-    if (laneCols_[l].size() == tanner_->colDets.size()) {
-        // Saturated region: the lane's bit planes cover every edge and
-        // column, and every detector with an incident error — exactly
-        // the marks the per-column walk would set, written as
-        // vectorizable full-array sweeps instead of per-edge bit ops.
-        for (std::size_t e = 0; e < laneEdgeActive_.size(); ++e) {
-            laneEdgeActive_[e] |= ebit;
-        }
-        for (std::size_t c = 0; c < colLaneMask_.size(); ++c) {
-            colLaneMask_[c] |= bit;
-        }
-        for (std::size_t d = 0; d < numDetectors_; ++d) {
-            if (tanner_->detBegin[d + 1] != tanner_->detBegin[d]) {
-                detLaneMask_[d] |= bit;
-            }
-        }
-    } else {
-        for (uint32_t c : laneCols_[l]) {
-            colLaneMask_[c] |= bit;
-            for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1]; ++e) {
-                laneEdgeActive_[e] |= ebit;
-                detLaneMask_[tanner_->colDet[e]] |= bit;
-            }
-        }
-    }
-    for (uint32_t d : laneFlipped_[l]) {
+    for (uint32_t d : flipped) {
         laneSynB_[(std::size_t)d * W + l] = 1;
         laneSynSign_[(std::size_t)d * W + l] = -0.0;
     }
     laneShot_[l] = shot;
-    laneLive_[l] = 1;
+    laneLiveMask_ |= uint32_t{1} << l;
     // Hard decisions start all-zero, so every flipped detector mismatches.
-    laneMismatch_[l] = (std::ptrdiff_t)laneFlipped_[l].size();
+    laneMismatch_[l] = (std::ptrdiff_t)flipped.size();
     laneBest_[l] = laneMismatch_[l];
     laneSinceBest_[l] = 0;
     laneIter_[l] = 0;
@@ -704,32 +618,11 @@ BpOsdDecoder::osdEnqueue(std::size_t l)
     }
     OsdJob &job = osdQueue_[osdQueueSize_++];
     const std::size_t W = laneW_;
-    std::size_t ne = tanner_->colDets.size();
+    std::size_t ne = tanner_->numCols();
     job.shot = laneShot_[l];
-    job.saturated = laneCols_[l].size() == ne;
-    if (job.saturated) {
-        // Canonical column order (tanner_->allCols): saturated regions differ
-        // only in discovery order, which the OSD result is invariant to
-        // (global-id tie-break + row-numbering-free solution), so every
-        // saturated job lands in one shared flush group.
-        job.sig = 0;
-        job.cols.clear();
-        job.post.resize(ne);
-        for (std::size_t c = 0; c < ne; ++c) {
-            job.post[c] = lanePost_[c * W + l];
-        }
-    } else {
-        job.cols.assign(laneCols_[l].begin(), laneCols_[l].end());
-        uint64_t h = 1469598103934665603ull; // FNV-1a over the sequence.
-        for (uint32_t c : job.cols) {
-            h ^= c;
-            h *= 1099511628211ull;
-        }
-        job.sig = h;
-        job.post.resize(job.cols.size());
-        for (std::size_t i = 0; i < job.cols.size(); ++i) {
-            job.post[i] = lanePost_[(std::size_t)job.cols[i] * W + l];
-        }
+    job.post.resize(ne);
+    for (std::size_t c = 0; c < ne; ++c) {
+        job.post[c] = lanePost_[c * W + l];
     }
     job.flipped.assign(laneFlipped_[l].begin(), laneFlipped_[l].end());
 }
@@ -741,118 +634,21 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
         return;
     }
     auto t0 = std::chrono::steady_clock::now();
-    // Group jobs with identical region shapes so the packed-column build
-    // is shared; sorting by (shape, shot) keeps the processing order —
-    // and thus any scratch warm-up — deterministic. Results are per-shot
-    // regardless of grouping, so obs_out is grouping-invariant.
-    osdOrderIdx_.resize(osdQueueSize_);
-    std::iota(osdOrderIdx_.begin(), osdOrderIdx_.end(), 0);
-    std::sort(osdOrderIdx_.begin(), osdOrderIdx_.end(),
-              [&](uint32_t a, uint32_t b) {
-                  const OsdJob &ja = osdQueue_[a], &jb = osdQueue_[b];
-                  if (ja.saturated != jb.saturated) {
-                      return ja.saturated > jb.saturated;
-                  }
-                  if (ja.sig != jb.sig) {
-                      return ja.sig < jb.sig;
-                  }
-                  return ja.shot < jb.shot;
-              });
-    std::size_t i = 0;
-    while (i < osdQueueSize_) {
-        const OsdJob &rep = osdQueue_[osdOrderIdx_[i]];
-        const std::vector<uint32_t> &cols =
-            rep.saturated ? tanner_->allCols : rep.cols;
-        std::size_t j = i + 1;
-        while (j < osdQueueSize_) {
-            const OsdJob &o = osdQueue_[osdOrderIdx_[j]];
-            if (o.saturated != rep.saturated || o.sig != rep.sig ||
-                (!rep.saturated && o.cols != rep.cols)) {
-                break; // Hash collisions fall out as separate groups.
-            }
-            ++j;
-        }
-        // Row numbering for the packed backend: global detector rows
-        // skip the per-job detLocal_ rebuild, but the elimination's word
-        // width then scales with numDetectors_ instead of the region's
-        // detector count — a loss on large-detector DEMs with small
-        // regions. Compare numDetectors_ against the region's edge
-        // count (an upper bound on its detector count, computed without
-        // building the numbering): global rows only when at most ~4x
-        // wider than the worst-case local numbering. Either numbering
-        // produces identical solutions. The scalar reference backend
-        // always uses the region-local numbering it has always used.
-        bool packed = opts_.packedOsd;
-        bool globalRows = packed;
-        if (packed) {
-            std::size_t edgeBound = 0;
-            for (uint32_t c : cols) {
-                edgeBound += tanner_->colBegin[c + 1] - tanner_->colBegin[c];
-                if (4 * edgeBound >= numDetectors_) {
-                    break;
-                }
-            }
-            globalRows = numDetectors_ <= 4 * edgeBound;
-        }
-        if (!packed || !globalRows) {
-            regionDets_.clear();
-            for (uint32_t c : cols) {
-                for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1];
-                     ++e) {
-                    uint32_t d = tanner_->colDet[e];
-                    if (detLocal_[d] < 0) {
-                        detLocal_[d] = (int32_t)regionDets_.size();
-                        regionDets_.push_back(d);
-                    }
+    // Every job solves over all columns against the shared packed
+    // columns of the Tanner structure. An unsolvable syndrome lies
+    // outside the column span and decodes to 0.
+    const std::vector<uint32_t> &cols = tanner_->allCols;
+    for (std::size_t k = 0; k < osdQueueSize_; ++k) {
+        const OsdJob &job = osdQueue_[k];
+        uint64_t result = 0;
+        if (osdSolve(cols, job.post.data(), job.flipped, opts_.packedOsd)) {
+            for (std::size_t c = 0; c < cols.size(); ++c) {
+                if (solUses_[c]) {
+                    result ^= tanner_->colObs[c];
                 }
             }
         }
-        // The shared packed-column cache is built only when the group
-        // actually has shots to share it (resetting it for a singleton
-        // costs more than it saves — the no-cache path gathers only the
-        // columns the elimination touches) and only when it fits the
-        // same 32 MB cap the reach bitmaps respect.
-        OsdColCache *cache = nullptr;
-        std::size_t cacheRows =
-            globalRows ? numDetectors_ : regionDets_.size();
-        if (packed && j - i > 1 &&
-            cols.size() * ((cacheRows + 63) / 64) * 8 <= 32u << 20) {
-            osdCache_.bits.reset(cols.size(), cacheRows);
-            osdCache_.built.assign(cols.size(), 0);
-            cache = &osdCache_;
-        }
-        // Full-graph fallbacks run after the group releases detLocal_
-        // (runRegion builds its own numbering there).
-        osdFallbackIdx_.clear();
-        for (std::size_t k = i; k < j; ++k) {
-            OsdJob &job = osdQueue_[osdOrderIdx_[k]];
-            bool solved = osdSolveImpl(cols, job.post.data(), job.flipped,
-                                       packed, cache, globalRows);
-            if (solved) {
-                uint64_t result = 0;
-                for (std::size_t c = 0; c < cols.size(); ++c) {
-                    if (solUses_[c]) {
-                        result ^= tanner_->colObs[cols[c]];
-                    }
-                }
-                obs_out[job.shot] = result;
-            } else {
-                osdFallbackIdx_.push_back(osdOrderIdx_[k]);
-            }
-        }
-        if (!packed || !globalRows) {
-            for (uint32_t d : regionDets_) {
-                detLocal_[d] = -1;
-            }
-        }
-        for (uint32_t fk : osdFallbackIdx_) {
-            // The scalar path's full-graph fallback (runRegion restores
-            // its own scratch; the lane arrays are untouched by it).
-            OsdJob &job = osdQueue_[fk];
-            bool ok = false;
-            obs_out[job.shot] = runRegion(tanner_->allCols, job.flipped, ok);
-        }
-        i = j;
+        obs_out[job.shot] = result;
     }
     if (stats != nullptr) {
         stats->osdShots += osdQueueSize_;
@@ -869,45 +665,39 @@ BpOsdDecoder::laneRetire(std::size_t l, bool converged, uint64_t *obs_out)
 {
     const std::size_t W = laneW_;
     uint32_t bit = uint32_t{1} << l;
-    uint16_t ebit = (uint16_t)(1u << l);
-    if (converged) {
-        uint64_t result = 0;
-        for (uint32_t c : laneCols_[l]) {
-            if (laneHardBits_[c] & bit) {
-                result ^= tanner_->colObs[c];
-            }
-        }
-        obs_out[laneShot_[l]] = result;
-    } else {
+    if (!converged) {
         // Retired without convergence: compact into the batched OSD work
-        // queue (the posterior slice, region, and syndrome are captured
-        // before the lane's state is swept below); osdFlush writes the
-        // observable mask.
+        // queue (the posterior slice and syndrome are captured before the
+        // lane's state is reset below); osdFlush writes the observable
+        // mask.
         osdEnqueue(l);
     }
-    // Restore this lane's slice of every between-shot invariant with
-    // full-array sweeps: lane l's bits are only set inside its region, so
-    // clearing them everywhere is the same as walking the region, and the
-    // sweeps vectorize. The message array itself is NOT touched —
-    // clearing the active bits is what retires its slots.
-    for (std::size_t e = 0; e < laneEdgeActive_.size(); ++e) {
-        laneEdgeActive_[e] &= (uint16_t)~ebit;
-    }
-    for (std::size_t c = 0; c < colLaneMask_.size(); ++c) {
-        colLaneMask_[c] &= ~bit;
+    // One walk over the columns both reads the converged decision and
+    // restores the lane's hard bits and detector parities to zero: the
+    // parity is the XOR of the hard columns' detectors, so toggling
+    // them again clears it. The message array itself is NOT touched —
+    // the next shot's first detector pass reads the priors instead.
+    uint64_t result = 0;
+    for (std::size_t c = 0; c < laneHardBits_.size(); ++c) {
+        if ((laneHardBits_[c] & bit) == 0) {
+            continue;
+        }
+        result ^= tanner_->colObs[c];
         laneHardBits_[c] &= ~bit;
+        for (uint32_t e = tanner_->colBegin[c]; e < tanner_->colBegin[c + 1];
+             ++e) {
+            laneAcc_[(std::size_t)tanner_->colDet[e] * W + l] ^= 1;
+        }
     }
-    for (std::size_t d = 0; d < numDetectors_; ++d) {
-        detLaneMask_[d] &= ~bit;
-        laneAcc_[d * W + l] = 0;
+    if (converged) {
+        obs_out[laneShot_[l]] = result;
     }
     for (uint32_t d : laneFlipped_[l]) {
         laneSynB_[(std::size_t)d * W + l] = 0;
         laneSynSign_[(std::size_t)d * W + l] = 0.0;
     }
-    laneCols_[l].clear();
     laneFlipped_[l].clear();
-    laneLive_[l] = 0;
+    laneLiveMask_ &= ~bit;
 }
 
 void
@@ -916,11 +706,12 @@ BpOsdDecoder::laneIterate(int simd_level)
     LaneCtx cx;
     cx.W = laneW_;
     cx.numDetectors = numDetectors_;
-    cx.numCols = tanner_->colDets.size();
+    cx.numCols = tanner_->numCols();
     cx.scale = opts_.scale;
+    cx.liveLanes = laneLiveMask_;
     cx.freshLanes = 0;
     for (std::size_t l = 0; l < laneW_; ++l) {
-        if (laneLive_[l] && laneIter_[l] == 0) {
+        if (((laneLiveMask_ >> l) & 1) != 0 && laneIter_[l] == 0) {
             cx.freshLanes |= uint32_t{1} << l;
         }
     }
@@ -929,17 +720,14 @@ BpOsdDecoder::laneIterate(int simd_level)
     cx.detBegin = tanner_->detBegin.data();
     cx.detEdges = tanner_->detEdges.data();
     cx.prior = tanner_->prior.data();
-    cx.edgePrior = edgePrior_.data();
+    cx.edgePrior = tanner_->edgePrior.data();
     cx.msg = laneMsg_.data();
     cx.stage = laneStage_.data();
     cx.post = lanePost_.data();
-    cx.edgeActive = laneEdgeActive_.data();
     cx.synSign = laneSynSign_.data();
     cx.synB = laneSynB_.data();
     cx.acc = laneAcc_.data();
     cx.hardBits = laneHardBits_.data();
-    cx.detMask = detLaneMask_.data();
-    cx.colMask = colLaneMask_.data();
     cx.mismatch = laneMismatch_.data();
 #if PROPHUNT_LANES_X86
     if (simd_level >= 2 && laneW_ == 8) {
@@ -1031,36 +819,16 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
     // the lanes.
     laneQueue_.clear();
     for (std::size_t s = 0; s < shots; ++s) {
-        uint32_t fb = packedOffsets_[s], fe = packedOffsets_[s + 1];
-        if (fb == fe) {
-            obs_out[s] = 0;
-            continue;
-        }
-        flippedScratch_.assign(packedFlipped_.begin() + fb,
-                               packedFlipped_.begin() + fe);
-        auto hit = tanner_->single.find(flippedScratch_);
-        if (hit != tanner_->single.end()) {
-            obs_out[s] = hit->second.first;
+        flippedScratch_.assign(packedFlipped_.begin() + packedOffsets_[s],
+                               packedFlipped_.begin() + packedOffsets_[s + 1]);
+        if (decodeTrivial(flippedScratch_, obs_out[s])) {
             continue;
         }
         if (opts_.maxIterations == 0) {
             // Zero-iteration BP goes straight to OSD in the scalar path;
             // serve this pathological config from there instead of
             // special-casing the lane loop.
-            obs_out[s] = decodeFast(flippedScratch_);
-            continue;
-        }
-        bool disconnected = false;
-        for (uint32_t d : flippedScratch_) {
-            if (tanner_->detBegin[d + 1] == tanner_->detBegin[d]) {
-                disconnected = true;
-                break;
-            }
-        }
-        if (disconnected) {
-            // A flipped detector with no incident error is unexplainable
-            // even on the full graph; the scalar path returns 0.
-            obs_out[s] = 0;
+            obs_out[s] = runBp(flippedScratch_);
             continue;
         }
         laneQueue_.push_back((uint32_t)s);
@@ -1071,38 +839,28 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
         simd = 2;
     }
     std::size_t next = 0;
-    std::size_t live = 0;
     for (;;) {
         // Refill free lanes from the queue.
-        for (std::size_t l = 0; l < W; ++l) {
-            while (!laneLive_[l] && next < laneQueue_.size()) {
+        for (std::size_t l = 0; l < W && next < laneQueue_.size(); ++l) {
+            if (((laneLiveMask_ >> l) & 1) == 0) {
                 std::size_t s = laneQueue_[next++];
-                uint32_t fb = packedOffsets_[s], fe = packedOffsets_[s + 1];
-                flippedScratch_.assign(packedFlipped_.begin() + fb,
-                                       packedFlipped_.begin() + fe);
-                growRegion(flippedScratch_);
-                if (errs_.empty()) {
-                    // regionRadius == 0: the scalar path's region attempt
-                    // is infeasible and it decodes on the full graph.
-                    bool ok = false;
-                    obs_out[s] = runRegion(tanner_->allCols, flippedScratch_, ok);
-                    continue;
-                }
+                flippedScratch_.assign(
+                    packedFlipped_.begin() + packedOffsets_[s],
+                    packedFlipped_.begin() + packedOffsets_[s + 1]);
                 laneInstall(l, s, flippedScratch_);
-                ++live;
             }
         }
-        if (live == 0) {
+        if (laneLiveMask_ == 0) {
             break;
         }
         laneIterate(simd);
         if (stats != nullptr) {
-            stats->laneSlotsBusy += live;
+            stats->laneSlotsBusy += (uint64_t)std::popcount(laneLiveMask_);
             stats->laneSlotsTotal += W;
         }
         // Per-lane stopping rules, mirroring the scalar iteration loop.
         for (std::size_t l = 0; l < W; ++l) {
-            if (!laneLive_[l]) {
+            if (((laneLiveMask_ >> l) & 1) == 0) {
                 continue;
             }
             ++laneIter_[l];
@@ -1124,7 +882,6 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
             }
             if (done) {
                 laneRetire(l, converged, obs_out);
-                --live;
             }
         }
         if (osdQueueSize_ >= kOsdFlushCap) {

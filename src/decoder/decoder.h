@@ -5,7 +5,8 @@
  * A decoder receives the set of flipped detectors of one shot and predicts
  * which logical observables flipped, as a bit mask (observable i = bit i).
  * The library supports up to 64 observables per memory experiment, far more
- * than any benchmark code needs (max k = 18).
+ * than any benchmark code needs (max k = 18); Registry::create rejects a
+ * DEM with more.
  */
 #ifndef PROPHUNT_DECODER_DECODER_H
 #define PROPHUNT_DECODER_DECODER_H
@@ -30,9 +31,8 @@ namespace prophunt::decoder {
  * counters account the lane engine's batched OSD post-pass: `osdShots`
  * is the number of shots whose lane retired without BP convergence and
  * went through the GF(2) elimination (or its scalar reference), `osdUs`
- * the wall microseconds spent inside that post-pass (packed-column
- * build, elimination, and the full-graph fallback for unexplainable
- * regions).
+ * the wall microseconds spent inside that post-pass (posterior ranking
+ * and elimination).
  */
 struct PackedDecodeStats
 {

@@ -10,9 +10,9 @@
  * provides both pieces:
  *
  *  - DenseBitMat: a rows() x cols() bit matrix, 64 columns per word,
- *    row-major, with reset() reusing capacity. The decoder uses it as the
- *    per-region packed-column cache (row i = column i of the region's
- *    check matrix over the local detectors).
+ *    row-major, with reset() reusing capacity. The decoder keeps one per
+ *    DEM as its packed check-matrix columns (row c = column c over the
+ *    detectors).
  *
  *  - Gf2Eliminator: incremental row-swap-free Gaussian elimination over
  *    candidate columns. Each accepted pivot is stored reduced against all

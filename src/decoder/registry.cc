@@ -44,7 +44,7 @@ DecoderSpec::describe() const
         os << "{}";
     } else if (const auto *bp = std::get_if<BpOsdOptions>(&options)) {
         os << "{maxIterations=" << bp->maxIterations
-           << ",scale=" << bp->scale << ",regionRadius=" << bp->regionRadius
+           << ",scale=" << bp->scale
            << ",stagnationWindow=" << bp->stagnationWindow
            << ",laneWidth=" << bp->laneWidth
            << ",packedOsd=" << bp->packedOsd << "}";
@@ -115,6 +115,14 @@ std::unique_ptr<Decoder>
 Registry::create(const DecoderSpec &spec, const sim::Dem &dem,
                  const circuit::SmCircuit &circuit) const
 {
+    // Predictions are 64-bit observable masks (decoder.h); a wider DEM
+    // would silently drop observables instead of decoding them.
+    if (dem.numObservables > 64) {
+        throw std::invalid_argument(
+            "decoder '" + spec.name + "': the DEM has " +
+            std::to_string(dem.numObservables) +
+            " observables, but decoders support at most 64");
+    }
     // Copy the factory under the lock, build outside it: decoder
     // construction is slow (matching-graph / Tanner-CSR builds) and must
     // not serialize concurrent engine workers.

@@ -5,8 +5,9 @@
  * Clusters grow from flipped detectors in half-edge increments until every
  * cluster is neutral (even defect parity or touching the boundary), then a
  * peeling pass over the grown spanning forest produces the correction. This
- * is our stand-in for PyMatching's sparse-blossom MWPM (DESIGN.md
- * substitution 2): near-MWPM accuracy with near-linear runtime.
+ * is our stand-in for PyMatching's sparse-blossom MWPM: it keeps the
+ * library free of an external matching dependency while giving near-MWPM
+ * accuracy with near-linear runtime.
  */
 #ifndef PROPHUNT_DECODER_UNION_FIND_H
 #define PROPHUNT_DECODER_UNION_FIND_H

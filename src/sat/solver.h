@@ -5,9 +5,10 @@
  * Standard architecture: two-watched-literal propagation, first-UIP
  * conflict analysis with clause learning, EVSIDS branching, phase saving,
  * Luby restarts, and assumption-based incremental solving. It replaces the
- * paper's Z3 + Loandra stack (DESIGN.md substitution 4) and is sized for
- * PropHunt's subgraph models (hundreds of variables) while still being able
- * to attempt — and time out on — the global formulations of Table 2.
+ * paper's Z3 + Loandra stack so the library has no external solver
+ * dependency; PropHunt's subgraph models are small (hundreds of
+ * variables), and the solver can still attempt — and time out on — the
+ * global formulations of Table 2.
  */
 #ifndef PROPHUNT_SAT_SOLVER_H
 #define PROPHUNT_SAT_SOLVER_H

@@ -231,7 +231,9 @@ TEST(BenchmarkCodes, Table1Parameters)
     {
         std::size_t n, k, d;
     };
-    // The two large RQT stand-ins realize k=12 (see DESIGN.md, sub. 5).
+    // The two large RQT stand-ins realize k=12: they are two-block codes
+    // matched to the paper's RQT instances in n, weight, and distance, and
+    // k=12 is the closest the two-block search found.
     std::vector<Expected> expected = {{9, 1, 3},   {25, 1, 5}, {49, 1, 7},
                                       {81, 1, 9},  {39, 3, 3}, {60, 2, 6},
                                       {54, 12, 4}, {108, 12, 4}};

@@ -16,10 +16,13 @@
 #include "api/config.h"
 #include "api/engine.h"
 #include "api/sprt.h"
+#include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
+#include "code/css_code.h"
 #include "code/surface.h"
 #include "decoder/logical_error.h"
 #include "decoder/registry.h"
+#include "gf2/matrix.h"
 #include "sim/dem_builder.h"
 
 using namespace prophunt;
@@ -122,6 +125,33 @@ TEST(Registry, SpecDescribeDistinguishesOptions)
               decoder::DecoderSpec("bp_osd", b).describe());
     EXPECT_EQ(decoder::DecoderSpec("bp_osd", a).describe(),
               decoder::DecoderSpec("bp_osd", a).describe());
+}
+
+TEST(Registry, RejectsMoreThan64Observables)
+{
+    // Predictions are 64-bit observable masks, so a DEM with 65
+    // observables must be refused, not silently decoded on the first 64.
+    // One X and one Z check on qubits {0, 1} of 67 leave k = 65.
+    gf2::Matrix hx(1, 67), hz(1, 67);
+    for (std::size_t q : {0u, 1u}) {
+        hx.set(0, q, true);
+        hz.set(0, q, true);
+    }
+    auto code = std::make_shared<const code::CssCode>(hx, hz, "k65");
+    ASSERT_EQ(code->k(), 65u);
+    circuit::SmSchedule schedule = circuit::colorationSchedule(code);
+    for (const char *name : {"union_find", "bp_osd", "mle"}) {
+        try {
+            decoder::measureMemoryLer(schedule, 1,
+                                      sim::NoiseModel::uniform(1e-3), name,
+                                      64, 1);
+            FAIL() << name << ": expected std::invalid_argument";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find("65 observables"),
+                      std::string::npos)
+                << name << ": " << e.what();
+        }
+    }
 }
 
 // --- schedule hashing -------------------------------------------------------
