@@ -418,16 +418,6 @@ BpOsdDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
     return runBp(flipped_detectors);
 }
 
-void
-BpOsdDecoder::decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                          std::size_t count, uint64_t *obs_out)
-{
-    for (std::size_t i = 0; i < count; ++i) {
-        batch.flippedDetectors(first + i, flippedScratch_);
-        obs_out[i] = decode(flippedScratch_);
-    }
-}
-
 uint64_t
 BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
 {

@@ -98,9 +98,6 @@ class BpOsdDecoder : public Decoder
 
     uint64_t decode(const std::vector<uint32_t> &flipped_detectors) override;
 
-    void decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                     std::size_t count, uint64_t *obs_out) override;
-
     /** Native frame-layout path: per-shot syndromes are extracted from
      * the detector-major words without a transpose and decoded by the
      * lane engine (opts.laneWidth > 0) or routed through the base
@@ -166,7 +163,7 @@ class BpOsdDecoder : public Decoder
         std::vector<double> edgePrior;  ///< Edge -> prior of its column.
         std::vector<uint32_t> detBegin;
         std::vector<uint32_t> detEdges; ///< Detector -> edge ids, (c, k) order.
-        std::vector<uint32_t> allCols;  ///< 0..numCols()-1 (the OSD column set).
+        std::vector<uint32_t> allCols;  ///< 0..numCols()-1, the OSD columns.
         /** Row c = column c packed over the detectors: the OSD
          * elimination's input, built once instead of per solve. */
         DenseBitMat colBits;
@@ -184,9 +181,6 @@ class BpOsdDecoder : public Decoder
      * run. */
     bool decodeTrivial(const std::vector<uint32_t> &flipped,
                        uint64_t &out) const;
-
-    /** Hot path: trivial syndromes, else runBp. */
-    uint64_t decodeFast(const std::vector<uint32_t> &flipped);
 
     /** Min-sum BP (+ OSD-0 fallback) on the global edge arrays; restores
      * the decision flags before returning. */

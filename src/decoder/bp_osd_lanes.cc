@@ -372,9 +372,10 @@ colPassAvx2(const LaneCtx &cx)
  * AVX-512 kernels: one 512-bit vector carries a whole 8-lane chunk, so
  * W=8 runs in a single chunk (W=16 in two) with half the instruction
  * stream of the AVX2 pair — and the lane masks become native predicate
- * masks (__mmask8) instead of nibble-expanded blend vectors. Every select/compare mirrors the AVX2 kernel operation for
- * operation per lane, and all sign handling stays integer bit
- * manipulation, so the three kernel tiers are bit-identical.
+ * masks (__mmask8) instead of nibble-expanded blend vectors. Every
+ * select/compare mirrors the AVX2 kernel operation for operation per
+ * lane, and all sign handling stays integer bit manipulation, so the
+ * three kernel tiers are bit-identical.
  */
 
 template <int NC>

@@ -84,8 +84,7 @@ class Decoder
      *
      * Writes one predicted observable mask per shot into @p obs_out. Must
      * match per-shot decode() bit for bit; the default implementation loops
-     * over decode() with a reusable flipped-detector buffer, and decoders
-     * with a genuinely batched path (BP+OSD) override it.
+     * over decode() with a reusable flipped-detector buffer.
      */
     virtual void decodeBatch(const sim::SampleBatch &batch, std::size_t first,
                              std::size_t count, uint64_t *obs_out);
