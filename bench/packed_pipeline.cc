@@ -5,9 +5,8 @@
  *
  * "Seed scalar" is the original pipeline preserved verbatim: scalar
  * row-layout sampling, a fresh flipped-detector vector per shot, and
- * BpOsdDecoder::decodeReference (the repository's original BP+OSD
- * implementation, now running on the full Tanner graph like every other
- * path, as the full-graph reference). "Packed" is the word-packed frame sampler, one
+ * BpOsdDecoder::decodeReference (the original full-graph BP+OSD
+ * implementation). "Packed" is the word-packed frame sampler, one
  * transpose per batch, and the batched decoder with default options.
  *
  * Alongside throughput the run verifies the pipeline's three contracts:
