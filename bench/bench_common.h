@@ -9,9 +9,6 @@
  * the PROPHUNT_* environment variables documented in api/config.h
  * (PROPHUNT_SHOTS, PROPHUNT_ITERS, PROPHUNT_SAMPLES, PROPHUNT_THREADS,
  * PROPHUNT_MAX_FAILURES, PROPHUNT_FULL, ...).
- *
- * The env helpers below are thin compatibility shims over api::Config /
- * api::env*; new code should use those directly.
  */
 #ifndef PROPHUNT_BENCH_COMMON_H
 #define PROPHUNT_BENCH_COMMON_H
@@ -49,26 +46,6 @@ engine()
     return e;
 }
 
-// --- compatibility shims (prefer api::Config / api::env*) -------------------
-
-inline std::size_t
-envSize(const char *name, std::size_t def)
-{
-    return prophunt::api::envSize(name, def);
-}
-
-inline double
-envDouble(const char *name, double def)
-{
-    return prophunt::api::envDouble(name, def);
-}
-
-inline bool
-envFlag(const char *name)
-{
-    return prophunt::api::envFlag(name);
-}
-
 inline std::size_t
 shots()
 {
@@ -81,8 +58,6 @@ lerOptions()
 {
     return config().lerOptions();
 }
-
-// ---------------------------------------------------------------------------
 
 /** Combined memory-Z + memory-X LER of a schedule, through the engine. */
 inline double

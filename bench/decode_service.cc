@@ -174,7 +174,7 @@ runConfig(const Config &cfg)
     Row row;
     row.name = cfg.name;
     row.p = cfg.p;
-    std::size_t base = phbench::envSize("PROPHUNT_SHOTS", 20000);
+    std::size_t base = api::envSize("PROPHUNT_SHOTS", 20000);
     row.shotsPerRequest = std::max<std::size_t>(100, base / cfg.divisor);
     row.requests = kRequestsPerPhase;
     // ~8 shards per request: enough queue churn to exercise the shard
@@ -192,7 +192,7 @@ runConfig(const Config &cfg)
         phbench::decoderFor(*cp), model->dem, model->circuit);
 
     std::size_t reps = std::max<std::size_t>(
-        1, phbench::envSize("PROPHUNT_BENCH_REPS", 3));
+        1, api::envSize("PROPHUNT_BENCH_REPS", 3));
 
     // --- calibration: raw serial measureDemLer, best of reps.
     decoder::LerOptions serial;

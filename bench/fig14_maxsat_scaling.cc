@@ -34,12 +34,12 @@ void
 runCode(const code::CssCode &code, std::size_t distance,
         const circuit::SmSchedule &start, const char *label)
 {
-    bool full = phbench::envFlag("PROPHUNT_FULL");
+    bool full = api::envFlag("PROPHUNT_FULL");
     core::PropHuntOptions opts = phbench::defaultOptions(17);
     if (full) {
         // Paper-scale budgets unless the env overrides them explicitly.
-        opts.iterations = phbench::envSize("PROPHUNT_ITERS", 25);
-        opts.samplesPerIteration = phbench::envSize("PROPHUNT_SAMPLES", 500);
+        opts.iterations = api::envSize("PROPHUNT_ITERS", 25);
+        opts.samplesPerIteration = api::envSize("PROPHUNT_SAMPLES", 500);
     }
     opts.maxAmbiguousPerIteration = full ? 16 : 8;
     core::PropHunt tool(opts);
@@ -103,7 +103,7 @@ main(int argc, char **argv)
         runCode(s.code(), 5, circuit::poorSurfaceSchedule(s),
                 "poor start");
     }
-    if (phbench::envFlag("PROPHUNT_FULL")) {
+    if (api::envFlag("PROPHUNT_FULL")) {
         {
             code::SurfaceCode s(7);
             runCode(s.code(), 7, circuit::poorSurfaceSchedule(s),

@@ -1,34 +1,31 @@
 /**
  * @file
- * Before/after micro-benchmark of the packed sample -> decodeBatch
+ * Before/after micro-benchmark of the packed sample -> lane-decode
  * pipeline on the Figure 12 LDPC codes (single thread, reduced shots).
  *
  * "Seed scalar" is the original pipeline preserved verbatim: scalar
  * row-layout sampling, a fresh flipped-detector vector per shot, and
- * BpOsdDecoder::decodeReference (the original full-graph BP+OSD
- * implementation). "Packed" is the word-packed frame sampler, one
- * transpose per batch, and the batched decoder with default options.
+ * BpOsdDecoder::decodeReference in exact mode (stagnationWindow = 0).
+ * "Lane" is the word-packed frame sampler feeding
+ * BpOsdDecoder::decodePacked with default options: the SIMD lane engine
+ * and its batched OSD post-pass, with no transpose anywhere.
  *
- * Alongside throughput the run verifies the pipeline's three contracts:
- * the packed sampler reproduces the scalar sampler bit for bit,
- * decodeBatch equals per-shot decode() on identical syndromes, and the
- * exact decoder mode (stagnationWindow = 0) reproduces the seed reference
- * prediction for prediction.
+ * Alongside throughput the run verifies the pipeline's contracts: the
+ * packed sampler reproduces the scalar sampler bit for bit, an exact-mode
+ * lane decode reproduces the seed reference prediction for prediction, a
+ * default-options lane decode equals the default-options reference, and
+ * the packed GF(2) elimination equals the scalar OSD post-pass.
  *
- * On top of the seed-vs-batched comparison, the run measures the lane
- * engine (BpOsdOptions::laneWidth SIMD lanes fed packed frames through
- * decodePacked, no transpose at all) against the batched path and emits a
- * second artifact, $PROPHUNT_LANE_BENCH_OUT (default
- * BENCH_lane_pipeline.json). When a committed batched baseline is
- * readable ($PROPHUNT_LANE_BASELINE, default
- * ../bench/results/packed_pipeline_baseline.json), the artifact also
- * records the lane speedup against it, and the run FAILS if the lane
- * path is slower than the committed batched throughput on rqt54 — the
- * CI regression gate for the packed decode path.
- *
- * Writes a JSON artifact to $PROPHUNT_BENCH_OUT (default
- * BENCH_packed_pipeline.json); bench/results/ keeps committed baselines
- * for both artifacts.
+ * Artifacts: $PROPHUNT_BENCH_OUT (default BENCH_packed_pipeline.json),
+ * $PROPHUNT_LANE_BENCH_OUT (default BENCH_lane_pipeline.json) and
+ * $PROPHUNT_OSD_BENCH_OUT (default BENCH_osd_pipeline.json);
+ * bench/results/ keeps committed baselines. The run FAILS on rqt54 if
+ * the lane path falls behind the committed batched throughput
+ * ($PROPHUNT_LANE_BASELINE, default
+ * ../bench/results/packed_pipeline_baseline.json) or behind 1.3x the
+ * frozen PR 4 lane record ($PROPHUNT_PR4_LANE_BASELINE) — both only on a
+ * machine whose same-run seed-scalar rate reaches the committed one —
+ * or if the packed elimination is slower than the scalar post-pass.
  */
 #include <chrono>
 #include <cstdio>
@@ -60,16 +57,13 @@ struct Row
     std::size_t shots = 0;
     double p = 0;
     double scalarRate = 0;
-    double packedRate = 0;
     double laneRate = 0;
     double laneOccupancy = 0;
-    std::size_t laneWidth = 0;
     bool samplerIdentical = false;
-    bool batchEqualsDecode = false;
     bool exactEqualsReference = false;
-    bool laneEqualsBatched = false;
+    bool defaultEqualsReference = false;
     double lerScalar = 0;
-    double lerPacked = 0;
+    double lerLane = 0;
     // OSD-isolated section: the same frames through the lane engine with
     // the packed gf2_dense elimination vs the retained scalar post-pass.
     std::size_t osdShots = 0;
@@ -126,7 +120,7 @@ runConfig(const Config &cfg)
     Row row;
     row.name = cfg.name;
     row.p = cfg.p;
-    std::size_t base = phbench::envSize("PROPHUNT_SHOTS", 20000);
+    std::size_t base = api::envSize("PROPHUNT_SHOTS", 20000);
     row.shots = std::max<std::size_t>(100, base / cfg.divisor);
 
     auto cp = std::make_shared<const code::CssCode>(cfg.build());
@@ -138,11 +132,10 @@ runConfig(const Config &cfg)
     decoder::BpOsdOptions exactOpts;
     exactOpts.stagnationWindow = 0;
     decoder::BpOsdDecoder seedDec(dem, exactOpts);
-    decoder::BpOsdDecoder packedDec(dem); // default (stagnation window)
 
     // Best-of-N timing on both paths to suppress scheduler noise.
     std::size_t reps = std::max<std::size_t>(
-        1, phbench::envSize("PROPHUNT_BENCH_REPS", 3));
+        1, api::envSize("PROPHUNT_BENCH_REPS", 3));
 
     // --- seed scalar path: row sampling + per-shot reference decode.
     std::vector<uint64_t> seedPred(row.shots);
@@ -158,23 +151,9 @@ runConfig(const Config &cfg)
         scalarSecs = std::min(scalarSecs, now() - t0);
     }
 
-    // --- packed path: frame sampling + transpose + batched decode.
-    std::vector<uint64_t> packedPred(row.shots);
-    sim::FrameBatch frames;
-    sim::SampleBatch rows;
-    double packedSecs = 1e300;
-    for (std::size_t rep = 0; rep < reps; ++rep) {
-        double t0 = now();
-        sim::sampleDemFramesInto(dem, row.shots, 201, frames);
-        sim::transposeFrames(frames, rows);
-        packedDec.decodeBatch(rows, 0, row.shots, packedPred.data());
-        packedSecs = std::min(packedSecs, now() - t0);
-    }
-
     // --- lane path: packed frames straight into the SIMD lane engine.
-    decoder::BpOsdOptions laneOpts; // default laneWidth, packed OSD
-    row.laneWidth = laneOpts.laneWidth;
-    decoder::BpOsdDecoder laneDec(dem, laneOpts);
+    decoder::BpOsdDecoder laneDec(dem); // default options, packed OSD
+    sim::FrameBatch frames;
     std::vector<uint64_t> lanePred(row.shots);
     double laneSecs = 1e300;
     decoder::PackedDecodeStats laneStats;
@@ -213,30 +192,29 @@ runConfig(const Config &cfg)
     row.osdEqual = scalarOsdPred == lanePred;
 
     row.scalarRate = row.shots / scalarSecs;
-    row.packedRate = row.shots / packedSecs;
     row.laneRate = row.shots / laneSecs;
 
     // Contracts.
+    sim::SampleBatch rows;
+    sim::transposeView(frames.view(), rows);
     row.samplerIdentical =
         rows.det == scalarBatch.det && rows.obs == scalarBatch.obs;
-    row.batchEqualsDecode = true;
-    row.exactEqualsReference = true;
-    row.laneEqualsBatched = lanePred == packedPred;
+    std::vector<uint64_t> exactLanePred(row.shots);
+    seedDec.decodePacked(frames.view(), exactLanePred.data());
+    row.exactEqualsReference = exactLanePred == seedPred;
+    row.defaultEqualsReference = true;
     std::vector<uint32_t> scratch;
-    std::size_t failScalar = 0, failPacked = 0;
+    std::size_t failScalar = 0, failLane = 0;
     for (std::size_t s = 0; s < row.shots; ++s) {
         rows.flippedDetectors(s, scratch);
-        if (packedDec.decode(scratch) != packedPred[s]) {
-            row.batchEqualsDecode = false;
-        }
-        if (seedDec.decode(scratch) != seedPred[s]) {
-            row.exactEqualsReference = false;
+        if (laneDec.decodeReference(scratch) != lanePred[s]) {
+            row.defaultEqualsReference = false;
         }
         failScalar += seedPred[s] != rows.obsMask(s);
-        failPacked += packedPred[s] != rows.obsMask(s);
+        failLane += lanePred[s] != rows.obsMask(s);
     }
     row.lerScalar = (double)failScalar / row.shots;
-    row.lerPacked = (double)failPacked / row.shots;
+    row.lerLane = (double)failLane / row.shots;
     return row;
 }
 
@@ -245,11 +223,11 @@ runConfig(const Config &cfg)
 int
 main()
 {
-    std::printf("=== Packed sample -> decodeBatch pipeline vs seed scalar "
+    std::printf("=== Packed sample -> lane decode pipeline vs seed scalar "
                 "path (fig12 LDPC codes, 1 thread) ===\n");
     std::printf("Expected shape: >=3x shots/sec on the RQT codes where "
-                "BP+OSD dominates; identical sampler bits; decodeBatch == "
-                "decode; exact mode == seed reference.\n\n");
+                "BP+OSD dominates; identical sampler bits; lane decode == "
+                "reference in exact and default mode.\n\n");
 
     const Config configs[] = {
         {"lp39", code::benchmarkLp39, 3, 2e-3, 5},
@@ -259,24 +237,23 @@ main()
 
     std::vector<Row> rowsOut;
     bool contractsHold = true;
-    std::printf("%-7s %6s %10s %12s %12s %12s %8s %8s %8s %9s %9s\n",
-                "code", "shots", "p", "scalar/s", "packed/s", "lane/s",
-                "speedup", "bits==", "lane==", "LERscal", "LERpack");
+    std::printf("%-7s %6s %10s %12s %12s %8s %8s %8s %9s %9s\n", "code",
+                "shots", "p", "scalar/s", "lane/s", "speedup", "bits==",
+                "lane==", "LERscal", "LERlane");
     for (const Config &cfg : configs) {
         Row r = runConfig(cfg);
-        std::printf("%-7s %6zu %10.4f %12.0f %12.0f %12.0f %7.2fx %8s %8s "
+        std::printf("%-7s %6zu %10.4f %12.0f %12.0f %7.2fx %8s %8s "
                     "%9.4f %9.4f\n",
-                    r.name.c_str(), r.shots, r.p, r.scalarRate,
-                    r.packedRate, r.laneRate, r.laneRate / r.packedRate,
+                    r.name.c_str(), r.shots, r.p, r.scalarRate, r.laneRate,
+                    r.laneRate / r.scalarRate,
                     r.samplerIdentical ? "yes" : "NO",
-                    r.batchEqualsDecode && r.exactEqualsReference &&
-                            r.laneEqualsBatched
+                    r.exactEqualsReference && r.defaultEqualsReference
                         ? "yes"
                         : "NO",
-                    r.lerScalar, r.lerPacked);
+                    r.lerScalar, r.lerLane);
         contractsHold = contractsHold && r.samplerIdentical &&
-                        r.batchEqualsDecode && r.exactEqualsReference &&
-                        r.laneEqualsBatched && r.osdEqual;
+                        r.exactEqualsReference &&
+                        r.defaultEqualsReference && r.osdEqual;
         rowsOut.push_back(r);
     }
 
@@ -303,26 +280,26 @@ main()
                 f,
                 "    {\"code\": \"%s\", \"shots\": %zu, \"p\": %g,\n"
                 "     \"seed_scalar_shots_per_sec\": %.1f,\n"
-                "     \"packed_batch_shots_per_sec\": %.1f,\n"
+                "     \"lane_shots_per_sec\": %.1f,\n"
                 "     \"speedup\": %.3f,\n"
                 "     \"sampler_bits_identical\": %s,\n"
-                "     \"batch_equals_decode\": %s,\n"
                 "     \"exact_mode_equals_seed_reference\": %s,\n"
-                "     \"ler_seed_scalar\": %.5f, \"ler_packed\": %.5f}%s\n",
-                r.name.c_str(), r.shots, r.p, r.scalarRate, r.packedRate,
-                r.packedRate / r.scalarRate,
+                "     \"default_mode_equals_reference\": %s,\n"
+                "     \"ler_seed_scalar\": %.5f, \"ler_lane\": %.5f}%s\n",
+                r.name.c_str(), r.shots, r.p, r.scalarRate, r.laneRate,
+                r.laneRate / r.scalarRate,
                 r.samplerIdentical ? "true" : "false",
-                r.batchEqualsDecode ? "true" : "false",
-                r.exactEqualsReference ? "true" : "false", r.lerScalar,
-                r.lerPacked, i + 1 < rowsOut.size() ? "," : "");
+                r.exactEqualsReference ? "true" : "false",
+                r.defaultEqualsReference ? "true" : "false", r.lerScalar,
+                r.lerLane, i + 1 < rowsOut.size() ? "," : "");
         }
         std::fprintf(f, "  ]\n}\n");
         std::fclose(f);
         std::printf("\nwrote %s\n", path.c_str());
     }
 
-    // Lane-vs-batched artifact, with the committed batched baseline as
-    // the cross-PR reference when available.
+    // Lane artifact, with the committed batched baseline as the cross-PR
+    // reference when available.
     const char *basePath = std::getenv("PROPHUNT_LANE_BASELINE");
     std::string baseline =
         basePath ? basePath : "../bench/results/packed_pipeline_baseline.json";
@@ -347,67 +324,49 @@ main()
             std::fprintf(
                 f,
                 "    {\"code\": \"%s\", \"shots\": %zu, \"p\": %g,\n"
-                "     \"lane_width\": %zu,\n"
-                "     \"batched_shots_per_sec\": %.1f,\n"
                 "     \"lane_shots_per_sec\": %.1f,\n"
                 "     \"lane_occupancy\": %.3f,\n"
-                "     \"speedup_vs_batched\": %.3f,\n"
                 "     \"committed_batched_shots_per_sec\": %.1f,\n"
                 "     \"speedup_vs_committed_batched\": %.3f,\n"
-                "     \"lane_equals_batched\": %s,\n"
                 "     \"ler_lane\": %.5f}%s\n",
-                r.name.c_str(), r.shots, r.p, r.laneWidth, r.packedRate,
-                r.laneRate, r.laneOccupancy, r.laneRate / r.packedRate,
-                committed,
-                committed > 0 ? r.laneRate / committed : 0.0,
-                r.laneEqualsBatched ? "true" : "false",
-                // lane == batched predictions, so the lane LER is the
-                // packed LER by construction (still recorded for the
-                // artifact's self-sufficiency).
-                r.lerPacked, i + 1 < rowsOut.size() ? "," : "");
-            // CI regression gate on rqt54: the lane path may never fall
-            // behind the batched path measured in THIS run (machine
-            // independent), and on hardware at least as fast as the
-            // committed baseline's it may not fall behind the committed
-            // batched throughput either. Gating on the same-run numbers
-            // first keeps the check meaningful on slower CI runners,
-            // where the committed absolute rate is unreachable by any
-            // path.
-            if (r.name == "rqt54") {
-                bool slowerThanBatched = r.laneRate < r.packedRate;
-                bool slowerThanCommitted = committed > 0 &&
-                                           r.packedRate >= committed &&
-                                           r.laneRate < committed;
-                if (slowerThanBatched || slowerThanCommitted) {
-                    laneGateHolds = false;
-                    char buf[192];
-                    std::snprintf(
-                        buf, sizeof buf,
-                        "lane %.0f shots/s < %s %.0f shots/s on rqt54",
-                        r.laneRate,
-                        slowerThanBatched ? "same-run batched"
-                                          : "committed batched",
-                        slowerThanBatched ? r.packedRate : committed);
-                    gateDetail = buf;
-                }
-                // End-to-end speedup gate for the packed-OSD rewrite:
-                // on hardware at least as fast as the committed batched
-                // baseline's, the lane path must beat the frozen PR 4
-                // lane record by >= 1.3x on rqt54. The machine guard
-                // keeps the check meaningful on slower CI runners.
-                double pr4Lane = baselineValue(laneRecord, r.name,
-                                               "lane_shots_per_sec");
-                if (pr4Lane > 0 && committed > 0 &&
-                    r.packedRate >= committed &&
-                    r.laneRate < 1.3 * pr4Lane) {
-                    laneGateHolds = false;
-                    char buf[192];
-                    std::snprintf(buf, sizeof buf,
-                                  "lane %.0f shots/s < 1.3x committed PR4 "
-                                  "lane %.0f shots/s on rqt54",
-                                  r.laneRate, pr4Lane);
-                    gateDetail = buf;
-                }
+                r.name.c_str(), r.shots, r.p, r.laneRate, r.laneOccupancy,
+                committed, committed > 0 ? r.laneRate / committed : 0.0,
+                r.lerLane, i + 1 < rowsOut.size() ? "," : "");
+            // CI regression gates on rqt54, armed only on a machine at
+            // least as fast as the one that recorded the baselines: its
+            // same-run seed-scalar rate (the unchanged reference
+            // pipeline) must reach the committed one. On slower runners
+            // the committed absolute rates are unreachable by any path.
+            if (r.name != "rqt54") {
+                continue;
+            }
+            double committedScalar = baselineValue(
+                baseline, r.name, "seed_scalar_shots_per_sec");
+            bool armed = committedScalar > 0 &&
+                         r.scalarRate >= committedScalar;
+            // The lane path may not fall behind the committed batched
+            // throughput.
+            if (armed && committed > 0 && r.laneRate < committed) {
+                laneGateHolds = false;
+                char buf[192];
+                std::snprintf(buf, sizeof buf,
+                              "lane %.0f shots/s < committed batched %.0f "
+                              "shots/s on rqt54",
+                              r.laneRate, committed);
+                gateDetail = buf;
+            }
+            // End-to-end speedup gate for the packed-OSD rewrite: the
+            // lane path must beat the frozen PR 4 lane record by >= 1.3x.
+            double pr4Lane = baselineValue(laneRecord, r.name,
+                                           "lane_shots_per_sec");
+            if (armed && pr4Lane > 0 && r.laneRate < 1.3 * pr4Lane) {
+                laneGateHolds = false;
+                char buf[192];
+                std::snprintf(buf, sizeof buf,
+                              "lane %.0f shots/s < 1.3x committed PR4 "
+                              "lane %.0f shots/s on rqt54",
+                              r.laneRate, pr4Lane);
+                gateDetail = buf;
             }
         }
         std::fprintf(f, "  ]\n}\n");

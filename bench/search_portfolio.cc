@@ -140,7 +140,7 @@ race(const std::string &label, const circuit::SmSchedule &start,
 {
     core::PropHuntOptions opts;
     opts.iterations =
-        phbench::envSize("PROPHUNT_SEARCH_MAXSAT_ITERS", kDefaultMaxSatIters);
+        api::envSize("PROPHUNT_SEARCH_MAXSAT_ITERS", kDefaultMaxSatIters);
     opts.samplesPerIteration = 100;
     opts.maxAmbiguousPerIteration = 4;
     opts.maxCost = 8;
@@ -151,7 +151,7 @@ race(const std::string &label, const circuit::SmSchedule &start,
     search::PortfolioOptions portfolio;
     portfolio.enabled = true;
     std::size_t expansions =
-        phbench::envSize("PROPHUNT_SEARCH_EXPANSIONS", kDefaultExpansions);
+        api::envSize("PROPHUNT_SEARCH_EXPANSIONS", kDefaultExpansions);
     portfolio.beamBudget = {expansions, 0.0};
     portfolio.bnbBudget = {expansions, 0.0};
 
@@ -235,7 +235,7 @@ main(int argc, char **argv)
         std::printf("scratch calibration (d5): %.0f expansions/sec\n",
                     rows.back().scratchRate);
     }
-    if (phbench::envFlag("PROPHUNT_FULL")) {
+    if (api::envFlag("PROPHUNT_FULL")) {
         auto c = code::benchmarkRqt60();
         auto cp = std::make_shared<const code::CssCode>(c);
         rows.push_back(

@@ -25,18 +25,6 @@ configFromArgs(int &argc, char **argv)
     return cfg;
 }
 
-/**
- * Deprecated shim: strip recognized flags from argv and build LerOptions.
- *
- * Prefer configFromArgs; this keeps the old examples' entry point
- * working. Unrecognized arguments are left in place for the caller.
- */
-inline prophunt::decoder::LerOptions
-lerOptionsFromArgs(int &argc, char **argv)
-{
-    return configFromArgs(argc, argv).lerOptions();
-}
-
 } // namespace phcli
 
 #endif // PROPHUNT_EXAMPLES_CLI_COMMON_H

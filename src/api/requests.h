@@ -49,7 +49,7 @@ struct Telemetry
     std::size_t workSteals = 0;
     /** Peak pending shard-queue depth observed at admission. */
     std::size_t queueDepth = 0;
-    /** Packed-decode path counters: native packed vs transpose-adapter
+    /** Packed-decode path counters: native packed vs per-shot adapter
      * shots, the lane engine's occupancy, and the batched OSD
      * post-pass's osdShots/osdUs (decoder/decoder.h). */
     decoder::PackedDecodeStats packed;

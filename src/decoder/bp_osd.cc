@@ -102,20 +102,6 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
 BpOsdDecoder::BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts)
     : opts_(opts), numDetectors_(dem.numDetectors), tanner_(buildTanner(dem))
 {
-    std::size_t ne = tanner_->numCols();
-    std::size_t edges = tanner_->colDet.size();
-    msgC2d_.resize(edges);
-    msgD2c_.resize(edges);
-    posterior_.assign(ne, 0.0);
-    hard_.assign(ne, 0);
-    acc_.assign(numDetectors_, 0);
-    syn_.assign(numDetectors_, 0);
-    std::size_t maxDeg = 0;
-    for (std::size_t d = 0; d < numDetectors_; ++d) {
-        maxDeg = std::max<std::size_t>(maxDeg,
-                                       tanner_->detBegin[d + 1] - tanner_->detBegin[d]);
-    }
-    edgeNeg_.assign(maxDeg, 0);
 }
 
 bool
@@ -139,112 +125,6 @@ BpOsdDecoder::decodeTrivial(const std::vector<uint32_t> &flipped,
         }
     }
     return false;
-}
-
-uint64_t
-BpOsdDecoder::runBp(const std::vector<uint32_t> &flipped)
-{
-    const Tanner &t = *tanner_;
-    std::size_t ne = t.numCols();
-    std::copy(t.edgePrior.begin(), t.edgePrior.end(), msgC2d_.begin());
-    // Zero iterations hand OSD all-zero posteriors (column-id order).
-    std::fill(posterior_.begin(), posterior_.end(), 0.0);
-    for (uint32_t d : flipped) {
-        syn_[d] = 1;
-    }
-    // Hamming distance between the hard-decision parity and the syndrome;
-    // hard_/acc_ start all-zero between shots.
-    std::ptrdiff_t mismatches = (std::ptrdiff_t)flipped.size();
-
-    double scale = opts_.scale;
-    bool converged = false;
-    std::ptrdiff_t bestMismatches = mismatches;
-    std::size_t sinceBest = 0;
-    for (std::size_t it = 0; it < opts_.maxIterations && !converged; ++it) {
-        // Detector -> column (min-sum with normalization). Messages are
-        // staged into a stack buffer so the write-back pass needs no
-        // second gather, and the two-minimum tracking compiles to
-        // conditional moves instead of branches.
-        for (std::size_t d = 0; d < numDetectors_; ++d) {
-            uint32_t b = t.detBegin[d], en = t.detBegin[d + 1];
-            uint32_t deg = en - b;
-            bool negProduct = syn_[d] != 0;
-            double min1 = 1e300, min2 = 1e300;
-            uint32_t argpos = UINT32_MAX;
-            for (uint32_t i = 0; i < deg; ++i) {
-                double v = msgC2d_[t.detEdges[b + i]];
-                bool neg = v < 0.0;
-                negProduct = negProduct != neg;
-                edgeNeg_[i] = neg;
-                double a = std::fabs(v);
-                if (a < min1) {
-                    min2 = min1;
-                    min1 = a;
-                    argpos = i;
-                } else if (a < min2) {
-                    min2 = a;
-                }
-            }
-            double m1 = scale * min1, m2 = scale * min2;
-            for (uint32_t i = 0; i < deg; ++i) {
-                double mag = (i == argpos) ? m2 : m1;
-                msgD2c_[t.detEdges[b + i]] =
-                    (negProduct != (bool)edgeNeg_[i]) ? -mag : mag;
-            }
-        }
-        // Column -> detector, posterior, hard decision. The syndrome check
-        // is maintained incrementally: a hard-decision flip toggles the
-        // parity of the column's detectors.
-        for (std::size_t c = 0; c < ne; ++c) {
-            uint32_t b = t.colBegin[c], en = t.colBegin[c + 1];
-            double total = t.prior[c];
-            for (uint32_t e = b; e < en; ++e) {
-                total += msgD2c_[e];
-            }
-            posterior_[c] = total;
-            uint8_t h = total < 0;
-            if (h != hard_[c]) {
-                hard_[c] = h;
-                for (uint32_t e = b; e < en; ++e) {
-                    uint32_t d = t.colDet[e];
-                    acc_[d] ^= 1;
-                    mismatches += (acc_[d] != syn_[d]) ? 1 : -1;
-                }
-            }
-            for (uint32_t e = b; e < en; ++e) {
-                msgC2d_[e] = total - msgD2c_[e];
-            }
-        }
-        converged = mismatches == 0;
-        if (!converged && opts_.stagnationWindow != 0) {
-            if (mismatches < bestMismatches) {
-                bestMismatches = mismatches;
-                sinceBest = 0;
-            } else if (++sinceBest >= opts_.stagnationWindow) {
-                break; // BP stagnated; hand the posteriors to OSD.
-            }
-        }
-    }
-
-    // An OSD failure means the syndrome lies outside the column span:
-    // decoded as 0.
-    bool solved = converged || osdSolve(t.allCols, posterior_.data(),
-                                        flipped, opts_.packedOsd);
-    const std::vector<uint8_t> &uses = converged ? hard_ : solUses_;
-    uint64_t result = 0;
-    for (std::size_t c = 0; solved && c < ne; ++c) {
-        if (uses[c]) {
-            result ^= t.colObs[c];
-        }
-    }
-
-    // Restore the between-shot invariants: zero flags.
-    std::fill(hard_.begin(), hard_.end(), 0);
-    std::fill(acc_.begin(), acc_.end(), 0);
-    for (uint32_t d : flipped) {
-        syn_[d] = 0;
-    }
-    return result;
 }
 
 bool
@@ -415,7 +295,10 @@ BpOsdDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
     if (decodeTrivial(flipped_detectors, out)) {
         return out;
     }
-    return runBp(flipped_detectors);
+    const uint32_t offsets[2] = {0, (uint32_t)flipped_detectors.size()};
+    laneQueue_.assign(1, 0);
+    laneRun(flipped_detectors.data(), offsets, &out, nullptr);
+    return out;
 }
 
 uint64_t
@@ -455,7 +338,8 @@ BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
     std::vector<double> posterior(ne, 0.0);
     std::vector<uint8_t> hard(ne, 0);
 
-    auto check_syndrome = [&]() {
+    // Hamming distance between the hard-decision parity and the syndrome.
+    auto syndrome_mismatches = [&]() {
         std::vector<uint8_t> acc(nd, 0);
         for (std::size_t c = 0; c < ne; ++c) {
             if (!hard[c]) {
@@ -465,10 +349,18 @@ BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
                 acc[edge_det[e]] ^= 1;
             }
         }
-        return acc == syn;
+        std::size_t n = 0;
+        for (std::size_t d = 0; d < nd; ++d) {
+            n += acc[d] != syn[d];
+        }
+        return n;
     };
 
     bool converged = false;
+    // All hard decisions start at zero, so every flipped detector
+    // mismatches.
+    std::size_t best = flipped_detectors.size();
+    std::size_t since_best = 0;
     for (std::size_t it = 0; it < opts_.maxIterations && !converged; ++it) {
         // Detector -> column (min-sum with normalization).
         for (std::size_t d = 0; d < nd; ++d) {
@@ -512,7 +404,16 @@ BpOsdDecoder::decodeReference(const std::vector<uint32_t> &flipped_detectors)
                 msg_c2d[e] = total - msg_d2c[e];
             }
         }
-        converged = check_syndrome();
+        std::size_t mismatches = syndrome_mismatches();
+        converged = mismatches == 0;
+        if (!converged && opts_.stagnationWindow != 0) {
+            if (mismatches < best) {
+                best = mismatches;
+                since_best = 0;
+            } else if (++since_best >= opts_.stagnationWindow) {
+                break; // BP stagnated; hand the posteriors to OSD.
+            }
+        }
     }
 
     uint64_t result = 0;

@@ -36,8 +36,10 @@ struct BpOsdOptions
     double scale = 0.8;
     /**
      * Stop BP once this many consecutive iterations pass without the
-     * syndrome-mismatch count reaching a new minimum (0 = always run to
-     * maxIterations, reproducing the reference path bit for bit).
+     * syndrome-mismatch count (the Hamming distance between the
+     * hard-decision parity and the syndrome) reaching a new minimum; 0 =
+     * always run to maxIterations. Every path, decodeReference included,
+     * applies the same rule.
      *
      * Non-converging syndromes dominate LDPC decode time: they burn the
      * whole iteration budget polishing posteriors that OSD then only uses
@@ -47,23 +49,6 @@ struct BpOsdOptions
      * while removing most BP work on the hard shots.
      */
     std::size_t stagnationWindow = 2;
-    /**
-     * Shots decoded in parallel SIMD lanes by decodePacked (clamped to
-     * BpOsdDecoder::kMaxLaneWidth; 0 = scalar reference path, i.e. the
-     * transpose + decodeBatch pipeline).
-     *
-     * The lane engine runs min-sum BP for laneWidth shots at once over
-     * the shared Tanner CSR: messages are stored lane-interleaved
-     * (laneWidth doubles per edge), the detector -> column two-minimum
-     * reduction runs 8 lanes per AVX-512 vector (4 per AVX2 vector,
-     * with a bit-identical scalar-lane fallback). Lanes retire
-     * individually on convergence / stagnation and are refilled from the
-     * shot queue, so iteration skew between easy and hard syndromes no
-     * longer idles the engine. Every lane reproduces per-shot decode()
-     * bit for bit — the observables are identical for every laneWidth,
-     * only the throughput changes.
-     */
-    std::size_t laneWidth = 8;
     /**
      * Solve the OSD-0 post-pass with the word-packed gf2_dense
      * eliminator (incremental syndrome reduction, bit-packed solution
@@ -80,36 +65,33 @@ struct BpOsdOptions
 /**
  * BP+OSD decoder over a detector error model.
  *
- * The hot path runs on a Tanner structure flattened once at construction
- * (global CSR edge lists, message arrays sized to the full graph) and
- * shared by every clone; each shot only resets its message values and
- * decision flags. decode(), decodeBatch(), decodePacked(), and the
- * retained reference implementation (decodeReference()) agree bit for
- * bit.
+ * BP runs in one engine: min-sum for 8 shots at once in SIMD lanes
+ * over a Tanner structure flattened once per DEM (global CSR edge
+ * lists) and shared by every clone (see bp_osd_lanes.cc). decodePacked()
+ * feeds it a whole frame shard, decode() a single shot; both agree bit
+ * for bit with the retained reference implementation (decodeReference())
+ * for every option value.
  */
 class BpOsdDecoder : public Decoder
 {
   public:
-    /** Hard cap on BpOsdOptions::laneWidth (lane masks are 32-bit and the
-     * message arrays scale linearly with the width). */
-    static constexpr std::size_t kMaxLaneWidth = 16;
-
     explicit BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts = {});
 
+    /** Trivial syndromes resolve by lookup; any other shot runs through
+     * the lane engine alone. */
     uint64_t decode(const std::vector<uint32_t> &flipped_detectors) override;
 
     /** Native frame-layout path: per-shot syndromes are extracted from
-     * the detector-major words without a transpose and decoded by the
-     * lane engine (opts.laneWidth > 0) or routed through the base
-     * adapter (laneWidth == 0, the PR 2 batched path). */
+     * the detector-major words (sim::flippedDetectorLists) and decoded by
+     * the lane engine. */
     void decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
                       PackedDecodeStats *stats = nullptr) override;
 
     /**
      * The original implementation (rebuilds its edge lists and message
-     * arrays per call, full-graph BP then OSD-0). Kept as the comparison
-     * baseline for the optimized paths: equal output, pre-optimization
-     * cost.
+     * arrays per call, full-graph BP with the stagnation rule, then
+     * OSD-0 by scalar elimination). Kept as the oracle the optimized
+     * paths are tested against: equal output, pre-optimization cost.
      */
     uint64_t decodeReference(const std::vector<uint32_t> &flipped_detectors);
 
@@ -182,10 +164,6 @@ class BpOsdDecoder : public Decoder
     bool decodeTrivial(const std::vector<uint32_t> &flipped,
                        uint64_t &out) const;
 
-    /** Min-sum BP (+ OSD-0 fallback) on the global edge arrays; restores
-     * the decision flags before returning. */
-    uint64_t runBp(const std::vector<uint32_t> &flipped);
-
     /**
      * OSD-0 over @p cols: solve H x = s by incremental elimination with
      * columns ranked by ascending posterior (ties broken by global
@@ -237,13 +215,20 @@ class BpOsdDecoder : public Decoder
      * they outrun the sorted prefix. */
     void osdSortMore();
 
-    // --- lane engine (decodePacked; see bp_osd_lanes.cc) ---
+    // --- lane engine (decode and decodePacked; see bp_osd_lanes.cc) ---
 
-    /** Size the lane-interleaved state for width @p w (no-op once sized). */
-    void laneEnsure(std::size_t w);
-    /** Park shot @p shot with syndrome @p flipped in lane @p l. */
-    void laneInstall(std::size_t l, std::size_t shot,
-                     const std::vector<uint32_t> &flipped);
+    /**
+     * Decode every shot listed in laneQueue_ through the lanes and the
+     * batched OSD post-pass: shot s's syndrome is flipped[offsets[s] ..
+     * offsets[s + 1]) and its observable mask goes to obs_out[s].
+     */
+    void laneRun(const uint32_t *flipped, const uint32_t *offsets,
+                 uint64_t *obs_out, PackedDecodeStats *stats);
+    /** Size the lane-interleaved state (no-op once sized). */
+    void laneEnsure();
+    /** Park shot @p shot with syndrome [@p first, @p last) in lane @p l. */
+    void laneInstall(std::size_t l, std::size_t shot, const uint32_t *first,
+                     const uint32_t *last);
     /** Finish lane @p l and restore the lane's slice of every
      * between-shot invariant. Converged lanes write their observable
      * mask into @p obs_out immediately; unconverged lanes compact into
@@ -254,7 +239,7 @@ class BpOsdDecoder : public Decoder
      * all bit-identical). */
     void laneIterate(int simd_level);
 
-    // --- batched OSD work queue (decodePacked post-pass) ---
+    // --- batched OSD work queue (the lane engine's post-pass) ---
 
     /** One retired-but-unconverged shot awaiting the OSD post-pass. */
     struct OsdJob
@@ -264,9 +249,11 @@ class BpOsdDecoder : public Decoder
         std::vector<double> post; ///< Posterior per column.
     };
 
-    /** Capture lane @p l's flipped set and posterior slice into the OSD
-     * queue (storage reused across flushes). */
-    void osdEnqueue(std::size_t l);
+    /** Queue shot @p shot with syndrome [@p first, @p last) for the OSD
+     * post-pass and return its posterior buffer, one entry per column for
+     * the caller to fill (storage reused across flushes). */
+    double *osdEnqueue(std::size_t shot, const uint32_t *first,
+                       const uint32_t *last);
     /** Solve every queued job and write the observable masks. */
     void osdFlush(uint64_t *obs_out, PackedDecodeStats *stats);
 
@@ -276,17 +263,7 @@ class BpOsdDecoder : public Decoder
      * Tanner, only the scratch below is per-instance. */
     std::shared_ptr<const Tanner> tanner_;
 
-    // Per-shot scratch. Invariants between shots: the flag arrays are
-    // zero; runBp restores them on every path and rewrites msgC2d_ from
-    // the edge priors at the start of each shot.
-    std::vector<double> msgC2d_;
-    std::vector<double> msgD2c_;
-    std::vector<double> posterior_;   ///< Per column.
-    std::vector<uint8_t> hard_;       ///< Per column.
-    std::vector<uint8_t> acc_;        ///< Parity of hard columns per detector.
-    std::vector<uint8_t> syn_;        ///< Syndrome bit per detector.
-    std::vector<uint8_t> edgeNeg_;    ///< Per-slot message signs (one row).
-    std::vector<uint32_t> flippedScratch_;
+    std::vector<uint32_t> flippedScratch_; ///< One shot's syndrome.
     // OSD scratch. Pivots are stored flattened (rows, bit columns,
     // member segments) so the elimination loop never allocates.
     std::vector<uint64_t> synWords_;
@@ -310,20 +287,19 @@ class BpOsdDecoder : public Decoder
     std::vector<OsdJob> osdQueue_;
     std::size_t osdQueueSize_ = 0;
 
-    // Lane engine state (sized by laneEnsure on the first packed decode).
-    // Message/posterior arrays are lane-interleaved: element (i, lane)
-    // lives at i*laneW_ + lane. Slots of lanes without a live shot hold
-    // garbage nobody reads; a lane's first detector pass substitutes the
-    // column prior while loading, so installing a shot never writes the
-    // message array.
-    std::size_t laneW_ = 0;
+    // Lane engine state (sized by laneEnsure on the first decode, so a
+    // prototype that only gets cloned never allocates it). Message and
+    // posterior arrays are lane-interleaved: element (i, lane) lives at
+    // i*8 + lane. Slots of lanes without a live shot hold garbage nobody
+    // reads; a lane's first detector pass substitutes the column prior
+    // while loading, so installing a shot never writes the message array.
     /** In-place message array: column->detector values going into a
      * detector pass, detector->column values going into a column pass
      * (an edge belongs to exactly one detector and one column, so each
      * pass may overwrite its input slot). */
     std::vector<double> laneMsg_;
     std::vector<double> lanePost_;
-    std::vector<double> laneStage_;      ///< Det-pass staging, maxDeg x W.
+    std::vector<double> laneStage_;      ///< Det-pass staging, maxDeg x lanes.
     std::vector<uint32_t> laneHardBits_; ///< Per column, bit l = lane l.
     std::vector<uint8_t> laneAcc_;       ///< Hard-decision parity per (det, lane).
     std::vector<uint8_t> laneSynB_;      ///< Syndrome bit per (det, lane).
@@ -338,8 +314,7 @@ class BpOsdDecoder : public Decoder
     // Packed-syndrome extraction scratch (per-shot flipped lists).
     std::vector<uint32_t> packedFlipped_;
     std::vector<uint32_t> packedOffsets_;
-    std::vector<uint32_t> packedFill_;
-    std::vector<uint32_t> laneQueue_;
+    std::vector<uint32_t> laneQueue_; ///< Shots laneRun decodes, in order.
 };
 
 } // namespace prophunt::decoder

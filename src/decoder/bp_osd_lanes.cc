@@ -1,22 +1,23 @@
 /**
  * @file
- * Lane-batched SIMD BP engine behind BpOsdDecoder::decodePacked.
+ * Lane-batched SIMD BP engine behind BpOsdDecoder::decode and
+ * decodePacked.
  *
- * The engine runs min-sum BP for laneWidth shots in parallel "lanes" over
- * the global Tanner CSR built once per DEM. Messages live in ONE
- * lane-interleaved in-place array (laneWidth doubles per edge): a
- * detector pass reads column->detector values and overwrites each slot
- * with its detector->column reply (an edge belongs to exactly one
- * detector and one column, so neither pass reads a slot another detector
- * or column wrote this iteration). The detector -> column two-minimum
- * reduction processes 8 lanes per AVX-512 vector (4 per AVX2 vector on
- * hardware without it) from one contiguous load — no gathers — and walks
- * every chunk of the width in a single pass over the detector's edges,
- * so the independent per-chunk min chains hide the blend latency and
- * each message cache line is touched once per pass. Odd widths and
- * non-x86 builds use a bit-identical scalar-lane fallback; all three
- * kernel tiers produce the same bits (PROPHUNT_NO_AVX512 /
- * PROPHUNT_NO_AVX2 step down explicitly).
+ * The engine runs min-sum BP for 8 shots in parallel "lanes" over the
+ * global Tanner CSR built once per DEM. It is the decoder's only BP:
+ * decodePacked feeds it a frame shard, decode() a single shot.
+ * Messages live in ONE lane-interleaved in-place array (8 doubles per
+ * edge): a detector pass reads column->detector values and overwrites
+ * each slot with its detector->column reply (an edge belongs to exactly
+ * one detector and one column, so neither pass reads a slot another
+ * detector or column wrote this iteration). The detector -> column
+ * two-minimum reduction processes all 8 lanes in one AVX-512 vector (two
+ * AVX2 vectors on hardware without it, walked in a single pass over the
+ * detector's edges so the two independent min chains hide the blend
+ * latency) from contiguous loads — no gathers — and touches each message
+ * cache line once per pass. Non-x86 builds use a bit-identical
+ * scalar-lane generic kernel; all three kernel tiers produce the same
+ * bits (PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step down explicitly).
  *
  * Lanes carry no per-shot message initialization: the detector pass
  * substitutes the column prior on a lane's first iteration, when no
@@ -35,13 +36,13 @@
  * instead of interleaving with lane state. Each job's solve is
  * independent, so the queueing changes throughput only.
  *
- * Exactness: every per-lane recurrence reproduces the scalar runBp
+ * Exactness: every per-lane recurrence reproduces decodeReference's
  * arithmetic operation for operation (same edge order in the sums, same
  * strict-minimum updates, no FMA contraction), the per-lane stopping
- * rules are the scalar ones, and non-converged lanes hand their
- * posteriors to the shared OSD post-pass — so decodePacked equals
- * per-shot decode() bit for bit for every laneWidth, and a shot's result
- * never depends on which shots share its lanes (shot-order invariance).
+ * rules are the reference ones, and non-converged lanes hand their
+ * posteriors to the shared OSD post-pass — so decodePacked, decode() and
+ * decodeReference agree bit for bit, and a shot's result never depends
+ * on which shots share its lanes (shot-order invariance).
  * The sign-bit trick used by the vector kernels (sign(x) as the IEEE
  * sign bit) matches the scalar `v < 0.0` test because effective
  * column -> detector messages are never -0.0: priors are positive, and a
@@ -65,12 +66,16 @@ namespace prophunt::decoder {
 
 namespace {
 
-/** The scalar runBp's two-minimum initialization. */
+/** Shots decoded in parallel: one AVX-512 vector or two AVX2 vectors of
+ * doubles. The vector kernels are written for exactly this width. */
+constexpr std::size_t kLanes = 8;
+
+/** decodeReference's two-minimum initialization. */
 constexpr double kMinInit = 1e300;
 
 /**
  * Flush the batched OSD queue once this many retired-unconverged shots
- * have accumulated (and always at the end of a decodePacked call).
+ * have accumulated (and always at the end of a lane run).
  * Large enough to keep the elimination scratch hot across many solves,
  * small enough to bound the queued posterior snapshots (each is one
  * double per column).
@@ -81,7 +86,6 @@ constexpr std::size_t kOsdFlushCap = 128;
  * the same kernels compile with and without AVX2. */
 struct LaneCtx
 {
-    std::size_t W = 0;
     std::size_t numDetectors = 0;
     std::size_t numCols = 0;
     double scale = 0.0;
@@ -115,15 +119,15 @@ effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
     if (((cx.freshLanes >> l) & 1) != 0) {
         return cx.edgePrior[e];
     }
-    return cx.msg[e * cx.W + l];
+    return cx.msg[e * kLanes + l];
 }
 
 /** Detector -> column pass for one (detector, lane): the scalar min-sum
- * two-minimum reduction of runBp, indexed into the lane slice. */
+ * two-minimum reduction, indexed into the lane slice. */
 void
 detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
 {
-    const std::size_t W = cx.W;
+    constexpr std::size_t W = kLanes;
     uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
     uint32_t deg = en - b;
     bool negProduct = cx.synB[(std::size_t)d * W + l] != 0;
@@ -158,7 +162,7 @@ detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
 void
 colPassLane(const LaneCtx &cx, uint32_t c, std::size_t l)
 {
-    const std::size_t W = cx.W;
+    constexpr std::size_t W = kLanes;
     uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
     double total = cx.prior[c];
     for (uint32_t e = b; e < en; ++e) {
@@ -222,18 +226,17 @@ nibbleMask(uint32_t nib)
 }
 
 /**
- * AVX2 detector pass for NC 4-lane chunks walked in ONE pass over each
- * detector's edges: the two-minimum chains of the chunks are
+ * AVX2 detector pass for the two 4-lane chunks walked in ONE pass over
+ * each detector's edges: the two-minimum chains of the chunks are
  * independent, so interleaving them hides the blend latency, and every
- * message cache line is touched once per pass. Remainder lanes (W % 4)
- * run the scalar kernel; lanes of a processed chunk with no live shot
+ * message cache line is touched once per pass. Lanes with no live shot
  * produce garbage nobody reads.
  */
-template <int NC>
 __attribute__((target("avx2"))) void
 detPassAvx2(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
+    constexpr int NC = kLanes / 4; // 4-lane chunks
+    constexpr std::size_t W = kLanes;
     const __m256d signMask = _mm256_set1_pd(-0.0);
     const __m256d minInit = _mm256_set1_pd(kMinInit);
     const __m256d scaleV = _mm256_set1_pd(cx.scale);
@@ -294,19 +297,14 @@ detPassAvx2(const LaneCtx &cx)
                                  _mm256_or_pd(mag, sb));
             }
         }
-        for (std::size_t l = (std::size_t)NC * 4; l < W; ++l) {
-            if ((cx.liveLanes >> l) & 1) {
-                detPassLane(cx, (uint32_t)d, l);
-            }
-        }
     }
 }
 
-template <int NC>
 __attribute__((target("avx2"))) void
 colPassAvx2(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
+    constexpr int NC = kLanes / 4; // 4-lane chunks
+    constexpr std::size_t W = kLanes;
     const __m256d zero = _mm256_setzero_pd();
     for (std::size_t c = 0; c < cx.numCols; ++c) {
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
@@ -360,166 +358,111 @@ colPassAvx2(const LaneCtx &cx)
                     _mm256_sub_pd(tot[k], _mm256_loadu_pd(cx.msg + off)));
             }
         }
-        for (std::size_t l = (std::size_t)NC * 4; l < W; ++l) {
-            if ((cx.liveLanes >> l) & 1) {
-                colPassLane(cx, (uint32_t)c, l);
-            }
-        }
     }
 }
 
 /**
- * AVX-512 kernels: one 512-bit vector carries a whole 8-lane chunk, so
- * W=8 runs in a single chunk (W=16 in two) with half the instruction
- * stream of the AVX2 pair — and the lane masks become native predicate
- * masks (__mmask8) instead of nibble-expanded blend vectors. Every
- * select/compare mirrors the AVX2 kernel operation for operation per
- * lane, and all sign handling stays integer bit manipulation, so the
+ * AVX-512 kernels: one 512-bit vector carries all 8 lanes, with half the
+ * instruction stream of the AVX2 pair — and the lane masks become native
+ * predicate masks (__mmask8) instead of nibble-expanded blend vectors.
+ * Every select/compare mirrors the AVX2 kernel operation for operation
+ * per lane, and all sign handling stays integer bit manipulation, so the
  * three kernel tiers are bit-identical.
  */
 
-template <int NC>
 __attribute__((target("avx512f"))) void
 detPassAvx512(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
+    constexpr std::size_t W = kLanes;
     const __m512i signMask = _mm512_set1_epi64(INT64_MIN);
     const __m512i absMask = _mm512_set1_epi64(INT64_MAX);
     const __m512d minInit = _mm512_set1_pd(kMinInit);
     const __m512d scaleV = _mm512_set1_pd(cx.scale);
-    __mmask8 fresh[NC];
-    for (int k = 0; k < NC; ++k) {
-        fresh[k] = (__mmask8)(cx.freshLanes >> (8 * k));
-    }
+    const __mmask8 fresh = (__mmask8)cx.freshLanes;
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
         uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
         uint32_t deg = en - b;
-        __m512i signAcc[NC];
-        __m512d min1[NC], min2[NC], argpos[NC];
-        for (int k = 0; k < NC; ++k) {
-            signAcc[k] = _mm512_castpd_si512(
-                _mm512_loadu_pd(cx.synSign + (std::size_t)d * W + 8 * k));
-            min1[k] = minInit;
-            min2[k] = minInit;
-            argpos[k] = _mm512_set1_pd(-1.0);
-        }
+        __m512i signAcc = _mm512_castpd_si512(
+            _mm512_loadu_pd(cx.synSign + (std::size_t)d * W));
+        __m512d min1 = minInit, min2 = minInit;
+        __m512d argpos = _mm512_set1_pd(-1.0);
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            const __m512d priorV = _mm512_set1_pd(cx.edgePrior[e]);
-            const __m512d idx = _mm512_set1_pd((double)i);
-            for (int k = 0; k < NC; ++k) {
-                __m512d v = _mm512_loadu_pd(cx.msg + e * W + 8 * k);
-                // Prior on the lane's first iteration, stored value
-                // afterwards.
-                v = _mm512_mask_blend_pd(fresh[k], v, priorV);
-                _mm512_storeu_pd(cx.stage + (std::size_t)i * W + 8 * k, v);
-                __m512i vi = _mm512_castpd_si512(v);
-                signAcc[k] = _mm512_xor_epi64(
-                    signAcc[k], _mm512_and_epi64(vi, signMask));
-                __m512d a = _mm512_castsi512_pd(
-                    _mm512_and_epi64(vi, absMask));
-                __mmask8 lt1 = _mm512_cmp_pd_mask(a, min1[k], _CMP_LT_OQ);
-                __mmask8 lt2 = _mm512_cmp_pd_mask(a, min2[k], _CMP_LT_OQ);
-                min2[k] = _mm512_mask_blend_pd(
-                    lt1, _mm512_mask_blend_pd(lt2, min2[k], a), min1[k]);
-                min1[k] = _mm512_mask_blend_pd(lt1, min1[k], a);
-                argpos[k] = _mm512_mask_blend_pd(lt1, argpos[k], idx);
-            }
+            __m512d v = _mm512_loadu_pd(cx.msg + e * W);
+            // Prior on the lane's first iteration, stored value
+            // afterwards.
+            v = _mm512_mask_blend_pd(fresh, v,
+                                     _mm512_set1_pd(cx.edgePrior[e]));
+            _mm512_storeu_pd(cx.stage + (std::size_t)i * W, v);
+            __m512i vi = _mm512_castpd_si512(v);
+            signAcc =
+                _mm512_xor_epi64(signAcc, _mm512_and_epi64(vi, signMask));
+            __m512d a = _mm512_castsi512_pd(_mm512_and_epi64(vi, absMask));
+            __mmask8 lt1 = _mm512_cmp_pd_mask(a, min1, _CMP_LT_OQ);
+            __mmask8 lt2 = _mm512_cmp_pd_mask(a, min2, _CMP_LT_OQ);
+            min2 = _mm512_mask_blend_pd(
+                lt1, _mm512_mask_blend_pd(lt2, min2, a), min1);
+            min1 = _mm512_mask_blend_pd(lt1, min1, a);
+            argpos = _mm512_mask_blend_pd(lt1, argpos,
+                                          _mm512_set1_pd((double)i));
         }
-        __m512d m1[NC], m2[NC];
-        for (int k = 0; k < NC; ++k) {
-            m1[k] = _mm512_mul_pd(scaleV, min1[k]);
-            m2[k] = _mm512_mul_pd(scaleV, min2[k]);
-        }
+        __m512d m1 = _mm512_mul_pd(scaleV, min1);
+        __m512d m2 = _mm512_mul_pd(scaleV, min2);
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            const __m512d idx = _mm512_set1_pd((double)i);
-            for (int k = 0; k < NC; ++k) {
-                __m512d v =
-                    _mm512_loadu_pd(cx.stage + (std::size_t)i * W + 8 * k);
-                __mmask8 eq =
-                    _mm512_cmp_pd_mask(idx, argpos[k], _CMP_EQ_OQ);
-                __m512d mag = _mm512_mask_blend_pd(eq, m1[k], m2[k]);
-                // mag >= 0, so OR-ing the product sign bit equals the
-                // scalar ±mag selection bit for bit (including ±0.0).
-                __m512i sb = _mm512_and_epi64(
-                    _mm512_xor_epi64(signAcc[k], _mm512_castpd_si512(v)),
-                    signMask);
-                _mm512_storeu_pd(
-                    cx.msg + e * W + 8 * k,
-                    _mm512_castsi512_pd(_mm512_or_epi64(
-                        _mm512_castpd_si512(mag), sb)));
-            }
-        }
-        for (std::size_t l = (std::size_t)NC * 8; l < W; ++l) {
-            if ((cx.liveLanes >> l) & 1) {
-                detPassLane(cx, (uint32_t)d, l);
-            }
+            __m512d v = _mm512_loadu_pd(cx.stage + (std::size_t)i * W);
+            __mmask8 eq = _mm512_cmp_pd_mask(_mm512_set1_pd((double)i),
+                                             argpos, _CMP_EQ_OQ);
+            __m512d mag = _mm512_mask_blend_pd(eq, m1, m2);
+            // mag >= 0, so OR-ing the product sign bit equals the scalar
+            // ±mag selection bit for bit (including ±0.0).
+            __m512i sb = _mm512_and_epi64(
+                _mm512_xor_epi64(signAcc, _mm512_castpd_si512(v)),
+                signMask);
+            _mm512_storeu_pd(cx.msg + e * W,
+                             _mm512_castsi512_pd(_mm512_or_epi64(
+                                 _mm512_castpd_si512(mag), sb)));
         }
     }
 }
 
-template <int NC>
 __attribute__((target("avx512f"))) void
 colPassAvx512(const LaneCtx &cx)
 {
-    const std::size_t W = cx.W;
+    constexpr std::size_t W = kLanes;
     const __m512d zero = _mm512_setzero_pd();
     for (std::size_t c = 0; c < cx.numCols; ++c) {
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
-        __m512d tot[NC];
-        for (int k = 0; k < NC; ++k) {
-            tot[k] = _mm512_set1_pd(cx.prior[c]);
-        }
+        __m512d tot = _mm512_set1_pd(cx.prior[c]);
         for (uint32_t e = b; e < en; ++e) {
-            for (int k = 0; k < NC; ++k) {
-                tot[k] = _mm512_add_pd(
-                    tot[k],
-                    _mm512_loadu_pd(cx.msg + (std::size_t)e * W + 8 * k));
-            }
+            tot = _mm512_add_pd(tot,
+                                _mm512_loadu_pd(cx.msg + (std::size_t)e * W));
         }
-        for (int k = 0; k < NC; ++k) {
-            // Unmasked: dead lanes' posteriors are garbage nobody
-            // reads (a live lane rewrites its slice every iteration).
-            _mm512_storeu_pd(cx.post + (std::size_t)c * W + 8 * k, tot[k]);
-            uint32_t oct = (cx.liveLanes >> (8 * k)) & 0xff;
-            if (oct == 0) {
-                continue;
-            }
-            uint32_t hNow =
-                (uint32_t)_mm512_cmp_pd_mask(tot[k], zero, _CMP_LT_OQ) &
-                oct;
-            uint32_t hPrev = (cx.hardBits[c] >> (8 * k)) & 0xff;
-            uint32_t changed = hNow ^ hPrev;
-            if (changed != 0) {
-                cx.hardBits[c] ^= changed << (8 * k);
-                while (changed != 0) {
-                    std::size_t l =
-                        8 * k + (std::size_t)std::countr_zero(changed);
-                    for (uint32_t e = b; e < en; ++e) {
-                        std::size_t off =
-                            (std::size_t)cx.colDet[e] * W + l;
-                        cx.acc[off] ^= 1;
-                        cx.mismatch[l] +=
-                            (cx.acc[off] != cx.synB[off]) ? 1 : -1;
-                    }
-                    changed &= changed - 1;
+        // Unmasked: dead lanes' posteriors are garbage nobody reads (a
+        // live lane rewrites its slice every iteration).
+        _mm512_storeu_pd(cx.post + (std::size_t)c * W, tot);
+        uint32_t hNow =
+            (uint32_t)_mm512_cmp_pd_mask(tot, zero, _CMP_LT_OQ) &
+            cx.liveLanes;
+        uint32_t changed = hNow ^ cx.hardBits[c];
+        if (changed != 0) {
+            cx.hardBits[c] ^= changed;
+            while (changed != 0) {
+                std::size_t l = (std::size_t)std::countr_zero(changed);
+                for (uint32_t e = b; e < en; ++e) {
+                    std::size_t off = (std::size_t)cx.colDet[e] * W + l;
+                    cx.acc[off] ^= 1;
+                    cx.mismatch[l] += (cx.acc[off] != cx.synB[off]) ? 1 : -1;
                 }
+                changed &= changed - 1;
             }
         }
         for (uint32_t e = b; e < en; ++e) {
-            for (int k = 0; k < NC; ++k) {
-                std::size_t off = (std::size_t)e * W + 8 * k;
-                // In-place and unmasked: garbage lanes stay garbage.
-                _mm512_storeu_pd(
-                    cx.msg + off,
-                    _mm512_sub_pd(tot[k], _mm512_loadu_pd(cx.msg + off)));
-            }
-        }
-        for (std::size_t l = (std::size_t)NC * 8; l < W; ++l) {
-            if ((cx.liveLanes >> l) & 1) {
-                colPassLane(cx, (uint32_t)c, l);
-            }
+            std::size_t off = (std::size_t)e * W;
+            // In-place and unmasked: garbage lanes stay garbage.
+            _mm512_storeu_pd(
+                cx.msg + off,
+                _mm512_sub_pd(tot, _mm512_loadu_pd(cx.msg + off)));
         }
     }
 }
@@ -563,69 +506,64 @@ laneUseAvx512()
 } // namespace
 
 void
-BpOsdDecoder::laneEnsure(std::size_t w)
+BpOsdDecoder::laneEnsure()
 {
     std::size_t edges = tanner_->colDet.size();
     std::size_t ne = tanner_->numCols();
-    if (laneW_ == w && laneMsg_.size() == edges * w) {
+    if (laneShot_.size() == kLanes) {
         return;
     }
-    laneW_ = w;
-    laneMsg_.assign(edges * w, 0.0);
-    lanePost_.assign(ne * w, 0.0);
+    laneMsg_.assign(edges * kLanes, 0.0);
+    lanePost_.assign(ne * kLanes, 0.0);
     std::size_t maxDeg = 0;
     for (std::size_t d = 0; d < numDetectors_; ++d) {
         maxDeg = std::max<std::size_t>(maxDeg,
                                        tanner_->detBegin[d + 1] - tanner_->detBegin[d]);
     }
-    laneStage_.assign(maxDeg * w, 0.0);
+    laneStage_.assign(maxDeg * kLanes, 0.0);
     laneHardBits_.assign(ne, 0);
-    laneAcc_.assign(numDetectors_ * w, 0);
-    laneSynB_.assign(numDetectors_ * w, 0);
-    laneSynSign_.assign(numDetectors_ * w, 0.0);
+    laneAcc_.assign(numDetectors_ * kLanes, 0);
+    laneSynB_.assign(numDetectors_ * kLanes, 0);
+    laneSynSign_.assign(numDetectors_ * kLanes, 0.0);
     laneLiveMask_ = 0;
-    laneFlipped_.assign(w, {});
-    laneShot_.assign(w, 0);
-    laneMismatch_.assign(w, 0);
-    laneBest_.assign(w, 0);
-    laneSinceBest_.assign(w, 0);
-    laneIter_.assign(w, 0);
+    laneFlipped_.assign(kLanes, {});
+    laneShot_.assign(kLanes, 0);
+    laneMismatch_.assign(kLanes, 0);
+    laneBest_.assign(kLanes, 0);
+    laneSinceBest_.assign(kLanes, 0);
+    laneIter_.assign(kLanes, 0);
 }
 
 void
 BpOsdDecoder::laneInstall(std::size_t l, std::size_t shot,
-                          const std::vector<uint32_t> &flipped)
+                          const uint32_t *first, const uint32_t *last)
 {
-    const std::size_t W = laneW_;
-    laneFlipped_[l].assign(flipped.begin(), flipped.end());
-    for (uint32_t d : flipped) {
-        laneSynB_[(std::size_t)d * W + l] = 1;
-        laneSynSign_[(std::size_t)d * W + l] = -0.0;
+    laneFlipped_[l].assign(first, last);
+    for (const uint32_t *d = first; d != last; ++d) {
+        laneSynB_[(std::size_t)*d * kLanes + l] = 1;
+        laneSynSign_[(std::size_t)*d * kLanes + l] = -0.0;
     }
     laneShot_[l] = shot;
     laneLiveMask_ |= uint32_t{1} << l;
     // Hard decisions start all-zero, so every flipped detector mismatches.
-    laneMismatch_[l] = (std::ptrdiff_t)flipped.size();
+    laneMismatch_[l] = last - first;
     laneBest_[l] = laneMismatch_[l];
     laneSinceBest_[l] = 0;
     laneIter_[l] = 0;
 }
 
-void
-BpOsdDecoder::osdEnqueue(std::size_t l)
+double *
+BpOsdDecoder::osdEnqueue(std::size_t shot, const uint32_t *first,
+                         const uint32_t *last)
 {
     if (osdQueue_.size() == osdQueueSize_) {
         osdQueue_.emplace_back();
     }
     OsdJob &job = osdQueue_[osdQueueSize_++];
-    const std::size_t W = laneW_;
-    std::size_t ne = tanner_->numCols();
-    job.shot = laneShot_[l];
-    job.post.resize(ne);
-    for (std::size_t c = 0; c < ne; ++c) {
-        job.post[c] = lanePost_[c * W + l];
-    }
-    job.flipped.assign(laneFlipped_[l].begin(), laneFlipped_[l].end());
+    job.shot = shot;
+    job.flipped.assign(first, last);
+    job.post.resize(tanner_->numCols());
+    return job.post.data();
 }
 
 void
@@ -664,14 +602,19 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
 void
 BpOsdDecoder::laneRetire(std::size_t l, bool converged, uint64_t *obs_out)
 {
-    const std::size_t W = laneW_;
+    constexpr std::size_t W = kLanes;
     uint32_t bit = uint32_t{1} << l;
     if (!converged) {
         // Retired without convergence: compact into the batched OSD work
         // queue (the posterior slice and syndrome are captured before the
         // lane's state is reset below); osdFlush writes the observable
         // mask.
-        osdEnqueue(l);
+        const std::vector<uint32_t> &flipped = laneFlipped_[l];
+        double *post = osdEnqueue(laneShot_[l], flipped.data(),
+                                  flipped.data() + flipped.size());
+        for (std::size_t c = 0; c < tanner_->numCols(); ++c) {
+            post[c] = lanePost_[c * W + l];
+        }
     }
     // One walk over the columns both reads the converged decision and
     // restores the lane's hard bits and detector parities to zero: the
@@ -705,13 +648,12 @@ void
 BpOsdDecoder::laneIterate(int simd_level)
 {
     LaneCtx cx;
-    cx.W = laneW_;
     cx.numDetectors = numDetectors_;
     cx.numCols = tanner_->numCols();
     cx.scale = opts_.scale;
     cx.liveLanes = laneLiveMask_;
     cx.freshLanes = 0;
-    for (std::size_t l = 0; l < laneW_; ++l) {
+    for (std::size_t l = 0; l < kLanes; ++l) {
         if (((laneLiveMask_ >> l) & 1) != 0 && laneIter_[l] == 0) {
             cx.freshLanes |= uint32_t{1} << l;
         }
@@ -731,29 +673,14 @@ BpOsdDecoder::laneIterate(int simd_level)
     cx.hardBits = laneHardBits_.data();
     cx.mismatch = laneMismatch_.data();
 #if PROPHUNT_LANES_X86
-    if (simd_level >= 2 && laneW_ == 8) {
-        detPassAvx512<1>(cx);
-        colPassAvx512<1>(cx);
+    if (simd_level >= 2) {
+        detPassAvx512(cx);
+        colPassAvx512(cx);
         return;
     }
-    if (simd_level >= 2 && laneW_ == 16) {
-        detPassAvx512<2>(cx);
-        colPassAvx512<2>(cx);
-        return;
-    }
-    if (simd_level >= 1 && laneW_ == 8) {
-        detPassAvx2<2>(cx);
-        colPassAvx2<2>(cx);
-        return;
-    }
-    if (simd_level >= 1 && laneW_ == 4) {
-        detPassAvx2<1>(cx);
-        colPassAvx2<1>(cx);
-        return;
-    }
-    if (simd_level >= 1 && laneW_ == 16) {
-        detPassAvx2<4>(cx);
-        colPassAvx2<4>(cx);
+    if (simd_level >= 1) {
+        detPassAvx2(cx);
+        colPassAvx2(cx);
         return;
     }
 #else
@@ -764,91 +691,33 @@ BpOsdDecoder::laneIterate(int simd_level)
 }
 
 void
-BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
-                           PackedDecodeStats *stats)
+BpOsdDecoder::laneRun(const uint32_t *flipped, const uint32_t *offsets,
+                      uint64_t *obs_out, PackedDecodeStats *stats)
 {
-    std::size_t W = std::min(opts_.laneWidth, kMaxLaneWidth);
-    if (W == 0) {
-        // Scalar reference path: the base adapter (one transpose, then the
-        // PR 2 batched decode).
-        Decoder::decodePacked(frames, obs_out, stats);
-        return;
-    }
-    std::size_t shots = frames.shots;
-    if (stats != nullptr) {
-        stats->packedShots += shots;
-    }
-    if (shots == 0) {
-        return;
-    }
-    laneEnsure(W);
-
-    // Per-shot flipped-detector lists straight from the detector-major
-    // words (two counting-sort passes). Scanning detectors in ascending
-    // order leaves every per-shot list sorted, as decode() expects.
-    packedOffsets_.assign(shots + 1, 0);
-    for (std::size_t d = 0; d < frames.numDetectors; ++d) {
-        const uint64_t *row = frames.detRow(d);
-        for (std::size_t w = 0; w < frames.shotWords; ++w) {
-            uint64_t word = row[w];
-            while (word != 0) {
-                ++packedOffsets_[(w << 6) +
-                                 (std::size_t)std::countr_zero(word) + 1];
-                word &= word - 1;
+    if (opts_.maxIterations == 0) {
+        // No BP: OSD ranks the columns by all-zero posteriors, i.e. in
+        // column-id order.
+        for (uint32_t s : laneQueue_) {
+            double *post = osdEnqueue(s, flipped + offsets[s],
+                                      flipped + offsets[s + 1]);
+            std::fill(post, post + tanner_->numCols(), 0.0);
+            if (osdQueueSize_ >= kOsdFlushCap) {
+                osdFlush(obs_out, stats);
             }
         }
+        osdFlush(obs_out, stats);
+        return;
     }
-    for (std::size_t s = 0; s < shots; ++s) {
-        packedOffsets_[s + 1] += packedOffsets_[s];
-    }
-    packedFlipped_.resize(packedOffsets_[shots]);
-    packedFill_.assign(packedOffsets_.begin(), packedOffsets_.end() - 1);
-    for (std::size_t d = 0; d < frames.numDetectors; ++d) {
-        const uint64_t *row = frames.detRow(d);
-        for (std::size_t w = 0; w < frames.shotWords; ++w) {
-            uint64_t word = row[w];
-            while (word != 0) {
-                std::size_t s =
-                    (w << 6) + (std::size_t)std::countr_zero(word);
-                packedFlipped_[packedFill_[s]++] = (uint32_t)d;
-                word &= word - 1;
-            }
-        }
-    }
-
-    // Route shots: trivial syndromes resolve inline, the rest queue for
-    // the lanes.
-    laneQueue_.clear();
-    for (std::size_t s = 0; s < shots; ++s) {
-        flippedScratch_.assign(packedFlipped_.begin() + packedOffsets_[s],
-                               packedFlipped_.begin() + packedOffsets_[s + 1]);
-        if (decodeTrivial(flippedScratch_, obs_out[s])) {
-            continue;
-        }
-        if (opts_.maxIterations == 0) {
-            // Zero-iteration BP goes straight to OSD in the scalar path;
-            // serve this pathological config from there instead of
-            // special-casing the lane loop.
-            obs_out[s] = runBp(flippedScratch_);
-            continue;
-        }
-        laneQueue_.push_back((uint32_t)s);
-    }
-
-    int simd = W >= 4 && laneUseAvx2() ? 1 : 0;
-    if (simd == 1 && (W == 8 || W == 16) && laneUseAvx512()) {
-        simd = 2;
-    }
+    laneEnsure();
+    int simd = !laneUseAvx2() ? 0 : laneUseAvx512() ? 2 : 1;
     std::size_t next = 0;
     for (;;) {
         // Refill free lanes from the queue.
-        for (std::size_t l = 0; l < W && next < laneQueue_.size(); ++l) {
+        for (std::size_t l = 0; l < kLanes && next < laneQueue_.size(); ++l) {
             if (((laneLiveMask_ >> l) & 1) == 0) {
                 std::size_t s = laneQueue_[next++];
-                flippedScratch_.assign(
-                    packedFlipped_.begin() + packedOffsets_[s],
-                    packedFlipped_.begin() + packedOffsets_[s + 1]);
-                laneInstall(l, s, flippedScratch_);
+                laneInstall(l, s, flipped + offsets[s],
+                            flipped + offsets[s + 1]);
             }
         }
         if (laneLiveMask_ == 0) {
@@ -857,10 +726,11 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
         laneIterate(simd);
         if (stats != nullptr) {
             stats->laneSlotsBusy += (uint64_t)std::popcount(laneLiveMask_);
-            stats->laneSlotsTotal += W;
+            stats->laneSlotsTotal += kLanes;
         }
-        // Per-lane stopping rules, mirroring the scalar iteration loop.
-        for (std::size_t l = 0; l < W; ++l) {
+        // Per-lane stopping rules, mirroring decodeReference's iteration
+        // loop.
+        for (std::size_t l = 0; l < kLanes; ++l) {
             if (((laneLiveMask_ >> l) & 1) == 0) {
                 continue;
             }
@@ -890,6 +760,27 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
         }
     }
     osdFlush(obs_out, stats);
+}
+
+void
+BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
+                           PackedDecodeStats *stats)
+{
+    std::size_t shots = frames.shots;
+    if (stats != nullptr) {
+        stats->packedShots += shots;
+    }
+    sim::flippedDetectorLists(frames, packedOffsets_, packedFlipped_);
+    // Trivial syndromes resolve inline, the rest queue for the lanes.
+    laneQueue_.clear();
+    for (std::size_t s = 0; s < shots; ++s) {
+        flippedScratch_.assign(packedFlipped_.begin() + packedOffsets_[s],
+                               packedFlipped_.begin() + packedOffsets_[s + 1]);
+        if (!decodeTrivial(flippedScratch_, obs_out[s])) {
+            laneQueue_.push_back((uint32_t)s);
+        }
+    }
+    laneRun(packedFlipped_.data(), packedOffsets_.data(), obs_out, stats);
 }
 
 } // namespace prophunt::decoder

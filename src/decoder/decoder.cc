@@ -3,26 +3,18 @@
 namespace prophunt::decoder {
 
 void
-Decoder::decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                     std::size_t count, uint64_t *obs_out)
-{
-    std::vector<uint32_t> flipped;
-    for (std::size_t i = 0; i < count; ++i) {
-        batch.flippedDetectors(first + i, flipped);
-        obs_out[i] = decode(flipped);
-    }
-}
-
-void
 Decoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
                       PackedDecodeStats *stats)
 {
-    // Adapter for row-layout decoders: one transpose, then the batched
-    // path. The transpose dominates the adapter's cost, so the scratch
-    // batch being per-call is noise.
-    sim::SampleBatch rows;
-    sim::transposeView(frames, rows);
-    decodeBatch(rows, 0, frames.shots, obs_out);
+    // Per-call scratch: a shard decode costs far more than the
+    // allocations.
+    std::vector<uint32_t> offsets, flipped, shot;
+    sim::flippedDetectorLists(frames, offsets, flipped);
+    for (std::size_t s = 0; s < frames.shots; ++s) {
+        shot.assign(flipped.begin() + offsets[s],
+                    flipped.begin() + offsets[s + 1]);
+        obs_out[s] = decode(shot);
+    }
     if (stats != nullptr) {
         stats->adapterShots += frames.shots;
     }

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "sim/frame_sampler.h"
-#include "sim/sampler.h"
 
 namespace prophunt::decoder {
 
@@ -24,10 +23,10 @@ namespace prophunt::decoder {
  * Counters describing how a packed decode was served.
  *
  * `packedShots` went down a native frame-layout path; `adapterShots` were
- * transposed into row layout and routed through decodeBatch by the base
- * adapter. The lane counters expose the lane engine's occupancy: busy is
- * the number of (lane, BP-iteration) slots that carried a live shot,
- * total is laneWidth times the iterations the engine ran. The OSD
+ * served by the base decodePacked, one decode() call per shot. The lane
+ * counters expose the lane engine's occupancy: busy is the number of
+ * (lane, BP-iteration) slots that carried a live shot, total is the lane
+ * width times the iterations the engine ran. The OSD
  * counters account the lane engine's batched OSD post-pass: `osdShots`
  * is the number of shots whose lane retired without BP convergence and
  * went through the GF(2) elimination (or its scalar reference), `osdUs`
@@ -80,26 +79,16 @@ class Decoder
     virtual uint64_t decode(const std::vector<uint32_t> &flipped_detectors) = 0;
 
     /**
-     * Decode shots [first, first + count) of a row-layout batch.
-     *
-     * Writes one predicted observable mask per shot into @p obs_out. Must
-     * match per-shot decode() bit for bit; the default implementation loops
-     * over decode() with a reusable flipped-detector buffer.
-     */
-    virtual void decodeBatch(const sim::SampleBatch &batch, std::size_t first,
-                             std::size_t count, uint64_t *obs_out);
-
-    /**
      * Decode every shot of a bit-packed, detector-major frame view.
      *
-     * The packed pipeline entry point: the sampler's frame layout flows in
+     * The one batch entry point: the sampler's frame layout flows in
      * unchanged and one observable mask per shot comes out. Must match
-     * per-shot decode() bit for bit. The default implementation transposes
-     * the view once and falls back to decodeBatch, so row-layout decoders
-     * (union-find, matching, MLE) are served unchanged; decoders with a
-     * native packed path (BP+OSD lanes) override it and skip the
-     * transpose. @p stats, when non-null, is accumulated into — it is
-     * never reset here.
+     * per-shot decode() bit for bit. The default implementation extracts
+     * each shot's flipped detectors from the detector-major words
+     * (sim::flippedDetectorLists) and calls decode() per shot, which
+     * serves the per-shot decoders (union-find, matching, MLE); BP+OSD
+     * overrides it with its lane engine. @p stats, when non-null, is
+     * accumulated into — it is never reset here.
      */
     virtual void decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
                               PackedDecodeStats *stats = nullptr);

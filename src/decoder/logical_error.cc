@@ -23,10 +23,9 @@ std::size_t
 decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
                  FrameShardScratch &scratch)
 {
-    // The expected observable masks are read from the frame rows, so the
-    // 64x64 transpose survives only inside the adapter for non-packed
-    // decoders. Identical bits and predictions to the scalar per-shot
-    // path.
+    // The expected observable masks are read from the frame rows, so no
+    // shard is ever transposed. Identical bits and predictions to the
+    // scalar per-shot path.
     std::size_t shard_shots = frames.shots;
     scratch.predictions.resize(shard_shots);
     scratch.stats = PackedDecodeStats{};

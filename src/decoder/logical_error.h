@@ -24,10 +24,6 @@
 
 namespace prophunt::decoder {
 
-// The legacy closed DecoderKind enum and its compatibility overloads
-// were deprecated in PR 4 and deleted in PR 6: pass a DecoderSpec
-// ("union_find", "bp_osd", ...) instead; see decoder/registry.h.
-
 /** Build a decoder for a DEM through the registry. */
 std::unique_ptr<Decoder> makeDecoder(const sim::Dem &dem,
                                      const circuit::SmCircuit &circuit,
@@ -41,8 +37,8 @@ struct LerResult
     /** True iff early stopping cut the run before the full shot budget. */
     bool earlyStopped = false;
     /**
-     * How the counted shots were decoded (native packed vs transpose
-     * adapter, lane occupancy, batched-OSD shots and microseconds).
+     * How the counted shots were decoded (native packed vs the base
+     * per-shot adapter, lane occupancy, batched-OSD shots and microseconds).
      * Accounted over the same deterministic shard prefix as
      * shots/failures, so every counter except the wall-clock osdUs is
      * thread-count invariant.
@@ -90,9 +86,8 @@ struct FrameShardScratch
  * Decode one sampled frame shard with @p dec; returns its failure count
  * and leaves the shard's packed-path telemetry in @p scratch.stats.
  *
- * Frames flow into the decoder packed (decodePacked): decoders with a
- * native frame path (BP+OSD lanes) never see a transpose, everything
- * else is adapted inside the default implementation. The one shard-tally
+ * Frames flow into the decoder packed (decodePacked), the one batch
+ * decode entry; no shard is transposed. The one shard-tally
  * computation shared by measureDemLer and api::DecodeService — a tally
  * recorded under (DEM, decoder, shard seed, shard shots) is bit-exact
  * reusable wherever the same tuple recurs.
@@ -103,7 +98,7 @@ std::size_t decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
 /**
  * Sample the DEM and decode each shot; failures are observable misses.
  *
- * Shots are sharded as in sim::sampleDemSharded: the result is
+ * Shots are sharded as in sim::forEachFrameShard: the result is
  * bit-identical for every thread count at a fixed master seed.
  */
 LerResult measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,

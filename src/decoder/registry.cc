@@ -46,7 +46,6 @@ DecoderSpec::describe() const
         os << "{maxIterations=" << bp->maxIterations
            << ",scale=" << bp->scale
            << ",stagnationWindow=" << bp->stagnationWindow
-           << ",laneWidth=" << bp->laneWidth
            << ",packedOsd=" << bp->packedOsd << "}";
     } else if (const auto *mle = std::get_if<MleOptions>(&options)) {
         os << "{maxWeight=" << mle->maxWeight << "}";

@@ -104,23 +104,6 @@ transposePlane(const uint64_t *frames, std::size_t rows,
 } // namespace
 
 void
-transposeFrames(const FrameBatch &frames, std::size_t det_words,
-                std::size_t obs_words, uint64_t *det_rows,
-                uint64_t *obs_rows)
-{
-    transposePlane(frames.det.data(), frames.numDetectors, frames.shotWords,
-                   frames.shots, det_words, det_rows);
-    transposePlane(frames.obs.data(), frames.numObservables,
-                   frames.shotWords, frames.shots, obs_words, obs_rows);
-}
-
-void
-transposeFrames(const FrameBatch &frames, SampleBatch &out)
-{
-    transposeView(frames.view(), out);
-}
-
-void
 transposeView(const FrameView &view, SampleBatch &out)
 {
     out.shots = view.shots;
@@ -136,6 +119,46 @@ transposeView(const FrameView &view, SampleBatch &out)
     } else {
         std::fill(out.obs.begin(), out.obs.end(), 0);
     }
+}
+
+void
+flippedDetectorLists(const FrameView &view, std::vector<uint32_t> &offsets,
+                     std::vector<uint32_t> &flipped)
+{
+    // Two counting-sort passes over the set bits. Scanning detectors in
+    // ascending order leaves every per-shot list sorted. The last word of
+    // each row is masked to the real shots: a set padding bit would
+    // otherwise index past the offsets.
+    const std::size_t shots = view.shots;
+    const std::size_t words = (shots + 63) / 64;
+    const uint64_t lastMask =
+        (shots & 63) == 0 ? ~uint64_t{0} : (uint64_t{1} << (shots & 63)) - 1;
+    auto forEachFlip = [&](auto &&fn) {
+        for (std::size_t d = 0; d < view.numDetectors; ++d) {
+            const uint64_t *row = view.detRow(d);
+            for (std::size_t w = 0; w < words; ++w) {
+                uint64_t word = w + 1 == words ? row[w] & lastMask : row[w];
+                while (word != 0) {
+                    fn((uint32_t)d,
+                       (w << 6) + (std::size_t)std::countr_zero(word));
+                    word &= word - 1;
+                }
+            }
+        }
+    };
+    offsets.assign(shots + 1, 0);
+    forEachFlip([&](uint32_t, std::size_t s) { ++offsets[s + 1]; });
+    for (std::size_t s = 0; s < shots; ++s) {
+        offsets[s + 1] += offsets[s];
+    }
+    flipped.resize(offsets[shots]);
+    // Fill with offsets[s] as shot s's cursor; afterwards offsets[s] holds
+    // the start of shot s + 1, so shift the array back by one.
+    forEachFlip([&](uint32_t d, std::size_t s) { flipped[offsets[s]++] = d; });
+    for (std::size_t s = shots; s > 0; --s) {
+        offsets[s] = offsets[s - 1];
+    }
+    offsets[0] = 0;
 }
 
 FrameView

@@ -10,9 +10,9 @@
  * and observable rows a whole word at a time.
  *
  * The packed batch is bit-identical to the scalar sampler at the same seed
- * (both consume the RNG stream identically), so the sharded pipeline can
- * sample packed, transpose once per shard, and hand row-layout batches to
- * the decoders without changing any sampled bit.
+ * (both consume the RNG stream identically), so the sharded pipeline
+ * samples packed and hands each shard's frames straight to
+ * decoder::Decoder::decodePacked without changing any sampled bit.
  */
 #ifndef PROPHUNT_SIM_FRAME_SAMPLER_H
 #define PROPHUNT_SIM_FRAME_SAMPLER_H
@@ -30,9 +30,10 @@ namespace prophunt::sim {
  * outcomes.
  *
  * This is the type the packed decode path consumes
- * (decoder::Decoder::decodePacked): decoders that understand the frame
- * layout read detector rows directly, everything else is adapted through
- * one transpose. @p obs may be null — decoding only needs detectors.
+ * (decoder::Decoder::decodePacked), which reads per-shot syndromes
+ * straight from the detector rows (flippedDetectorLists). @p obs may be
+ * null — decoding only needs detectors. Bits beyond @p shots in a row's
+ * last word are padding and carry no outcome.
  */
 struct FrameView
 {
@@ -96,9 +97,9 @@ struct FrameBatch
 /**
  * Sample @p shots shots from @p dem into @p out, reusing its storage.
  *
- * RNG-stream compatible with sampleDemInto: the same (mechanism, shot)
- * events fire at the same seed, so transposing the result reproduces the
- * scalar row batch bit for bit.
+ * RNG-stream compatible with sampleDem: the same (mechanism, shot) events
+ * fire at the same seed, so transposing the result reproduces the scalar
+ * row batch bit for bit.
  */
 void sampleDemFramesInto(const Dem &dem, std::size_t shots, uint64_t seed,
                          FrameBatch &out);
@@ -111,30 +112,25 @@ FrameBatch sampleDemFrames(const Dem &dem, std::size_t shots, uint64_t seed);
 void transpose64x64(uint64_t m[64]);
 
 /**
- * Transpose a frame batch into caller-owned row storage.
- *
- * @p det_rows / @p obs_rows receive frames.shots rows of @p det_words /
- * @p obs_words words; every word of every row is written (rows beyond the
- * frame's detector/observable count read as zero), so the destination does
- * not need to be zeroed. Row widths must satisfy
- * det_words * 64 >= numDetectors (likewise for observables).
- */
-void transposeFrames(const FrameBatch &frames, std::size_t det_words,
-                     std::size_t obs_words, uint64_t *det_rows,
-                     uint64_t *obs_rows);
-
-/** Transpose a frame batch into a row-layout SampleBatch, reusing its
- * storage. */
-void transposeFrames(const FrameBatch &frames, SampleBatch &out);
-
-/**
  * Transpose a frame view into a row-layout SampleBatch, reusing its
  * storage.
  *
- * The adapter behind Decoder::decodePacked for decoders without a native
- * packed path. A null @p view.obs leaves the observable rows zeroed.
+ * A null @p view.obs leaves the observable rows zeroed.
  */
 void transposeView(const FrameView &view, SampleBatch &out);
+
+/**
+ * Per-shot flipped-detector lists of a frame view, read straight from the
+ * detector-major words.
+ *
+ * Shot s's flipped detectors are @p flipped[offsets[s] .. offsets[s + 1]),
+ * in ascending order; @p offsets receives view.shots + 1 entries. Padding
+ * bits beyond view.shots are ignored. Both vectors are overwritten and
+ * keep their capacity.
+ */
+void flippedDetectorLists(const FrameView &view,
+                          std::vector<uint32_t> &offsets,
+                          std::vector<uint32_t> &flipped);
 
 } // namespace prophunt::sim
 

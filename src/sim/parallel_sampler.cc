@@ -235,30 +235,4 @@ forEachFrameShard(
         stop);
 }
 
-SampleBatch
-sampleDemSharded(const Dem &dem, std::size_t shots, uint64_t seed,
-                 std::size_t threads, std::size_t shard_shots)
-{
-    SampleBatch batch;
-    batch.shots = shots;
-    batch.detWords = (dem.numDetectors + 63) / 64;
-    batch.obsWords = (std::max<std::size_t>(dem.numObservables, 1) + 63) / 64;
-    batch.det.assign(shots * batch.detWords, 0);
-    batch.obs.assign(shots * batch.obsWords, 0);
-
-    // Each shard is sampled word-packed (frame layout) and transposed into
-    // its row range; the packed sampler consumes the RNG stream exactly as
-    // the scalar one, so the batch is unchanged bit for bit.
-    ShardPlan plan{shots, std::max<std::size_t>(shard_shots, 1)};
-    forEachFrameShard(
-        dem, plan, seed, threads,
-        [&](std::size_t shard, std::size_t, const FrameBatch &frames) {
-            std::size_t off = plan.offsetOf(shard);
-            transposeFrames(frames, batch.detWords, batch.obsWords,
-                            batch.det.data() + off * batch.detWords,
-                            batch.obs.data() + off * batch.obsWords);
-        });
-    return batch;
-}
-
 } // namespace prophunt::sim

@@ -8,7 +8,7 @@
  * concatenation of independent per-shard serial runs, which makes it
  * bit-identical for every thread count (including 1) at a fixed master
  * seed. Shards are claimed in ascending order from a persistent WorkerPool
- * and written into disjoint row ranges of one shared batch.
+ * and each is handed to the caller in per-worker scratch.
  */
 #ifndef PROPHUNT_SIM_PARALLEL_SAMPLER_H
 #define PROPHUNT_SIM_PARALLEL_SAMPLER_H
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "sim/frame_sampler.h"
-#include "sim/sampler.h"
 
 namespace prophunt::sim {
 
@@ -170,10 +169,11 @@ void forEachShard(const ShardPlan &plan, std::size_t threads,
 /**
  * Sample every shard of @p plan word-packed and hand each to @p fn.
  *
- * The one sampling driver behind both the row-batch API
- * (sampleDemSharded transposes each shard into its row range) and the
- * packed decode pipeline (measureDemLer hands the frames straight to
- * Decoder::decodePacked). @p fn(shard, worker, frames) receives the
+ * The sampling driver of the packed decode pipeline (measureDemLer hands
+ * the frames straight to Decoder::decodePacked). The result is defined
+ * shard by shard: shard i holds sampleDem(plan.shotsOf(i),
+ * shardSeed(seed, i)) in frame layout, for every thread count.
+ * @p fn(shard, worker, frames) receives the
  * shard's outcomes in per-worker scratch that is reused across shards;
  * shard semantics (seeding, claim order, @p stop) are those of
  * forEachShard. Validates the DEM before spawning workers.
@@ -184,16 +184,6 @@ void forEachFrameShard(
     const std::function<void(std::size_t, std::size_t, const FrameBatch &)>
         &fn,
     const std::atomic<bool> *stop = nullptr);
-
-/**
- * Sample @p shots shots from @p dem across @p threads workers.
- *
- * Bit-identical for every thread count at a fixed master seed; equals the
- * concatenation of sampleDem(plan.shotsOf(i), shardSeed(seed, i)) runs.
- */
-SampleBatch sampleDemSharded(const Dem &dem, std::size_t shots, uint64_t seed,
-                             std::size_t threads,
-                             std::size_t shard_shots = kDefaultShardShots);
 
 } // namespace prophunt::sim
 

@@ -37,27 +37,6 @@ SampleBatch::obsMask(std::size_t shot) const
     return obsWords == 0 ? 0 : obs[shot * obsWords];
 }
 
-void
-sampleDemInto(const Dem &dem, std::size_t shots, uint64_t seed,
-              std::size_t det_words, std::size_t obs_words, uint64_t *det,
-              uint64_t *obs)
-{
-    Rng rng(seed);
-    for (const ErrorMechanism &mech : dem.errors) {
-        detail::forEachMechanismEvent(
-            mech, shots, rng, "sampleDem", [&](std::size_t shot) {
-                uint64_t *drow = det + shot * det_words;
-                for (uint32_t d : mech.detectors) {
-                    drow[d >> 6] ^= uint64_t{1} << (d & 63);
-                }
-                uint64_t *orow = obs + shot * obs_words;
-                for (uint32_t o : mech.observables) {
-                    orow[o >> 6] ^= uint64_t{1} << (o & 63);
-                }
-            });
-    }
-}
-
 SampleBatch
 sampleDem(const Dem &dem, std::size_t shots, uint64_t seed)
 {
@@ -67,8 +46,20 @@ sampleDem(const Dem &dem, std::size_t shots, uint64_t seed)
     batch.obsWords = (std::max<std::size_t>(dem.numObservables, 1) + 63) / 64;
     batch.det.assign(shots * batch.detWords, 0);
     batch.obs.assign(shots * batch.obsWords, 0);
-    sampleDemInto(dem, shots, seed, batch.detWords, batch.obsWords,
-                  batch.det.data(), batch.obs.data());
+    Rng rng(seed);
+    for (const ErrorMechanism &mech : dem.errors) {
+        detail::forEachMechanismEvent(
+            mech, shots, rng, "sampleDem", [&](std::size_t shot) {
+                uint64_t *drow = batch.det.data() + shot * batch.detWords;
+                for (uint32_t d : mech.detectors) {
+                    drow[d >> 6] ^= uint64_t{1} << (d & 63);
+                }
+                uint64_t *orow = batch.obs.data() + shot * batch.obsWords;
+                for (uint32_t o : mech.observables) {
+                    orow[o >> 6] ^= uint64_t{1} << (o & 63);
+                }
+            });
+    }
     return batch;
 }
 

@@ -57,17 +57,6 @@ struct SampleBatch
 /** Sample @p shots shots from @p dem with the given seed. */
 SampleBatch sampleDem(const Dem &dem, std::size_t shots, uint64_t seed);
 
-/**
- * Sample @p shots shots into caller-owned row storage.
- *
- * @p det / @p obs point at the first word of the first row; rows are
- * @p det_words / @p obs_words wide and must be zeroed by the caller. Used by
- * the sharded sampler to write shards into disjoint ranges of one batch.
- */
-void sampleDemInto(const Dem &dem, std::size_t shots, uint64_t seed,
-                   std::size_t det_words, std::size_t obs_words,
-                   uint64_t *det, uint64_t *obs);
-
 } // namespace prophunt::sim
 
 #endif // PROPHUNT_SIM_SAMPLER_H

@@ -1,10 +1,10 @@
 /**
  * @file
- * decodeBatch contracts: the batched path must equal per-shot decode bit
- * for bit for every decoder; the BP+OSD hot path must reproduce the
- * original per-region reference implementation exactly in exact mode
- * (stagnationWindow = 0) and keep equal statistical quality in the
- * default stagnation-window mode.
+ * Batch-decode contracts: decodePacked must equal a per-shot decode()
+ * loop bit for bit for every decoder; BP+OSD's decode() must reproduce
+ * the reference implementation exactly, both in exact mode
+ * (stagnationWindow = 0) and at the default options, and the default
+ * stagnation window must keep the exact mode's statistical quality.
  */
 #include <gtest/gtest.h>
 
@@ -71,47 +71,41 @@ ldpcDem(double p)
     return buildDem(circ, NoiseModel::uniform(p));
 }
 
-/** decodeBatch(first, count) must equal a per-shot decode() loop. */
+/** decodePacked must equal a per-shot decode() loop over the same
+ * sampled shots (the scalar sampler reproduces the frames bit for bit). */
 void
-expectBatchEqualsLoop(decoder::Decoder &dec, const SampleBatch &batch)
+expectPackedEqualsLoop(decoder::Decoder &dec, const Dem &dem,
+                       std::size_t shots, uint64_t seed)
 {
-    std::vector<uint64_t> batched(batch.shots);
-    dec.decodeBatch(batch, 0, batch.shots, batched.data());
-    for (std::size_t s = 0; s < batch.shots; ++s) {
-        EXPECT_EQ(batched[s], dec.decode(batch.flippedDetectors(s)))
+    FrameBatch frames = sampleDemFrames(dem, shots, seed);
+    std::vector<uint64_t> packed(shots);
+    dec.decodePacked(frames.view(), packed.data());
+    SampleBatch batch = sampleDem(dem, shots, seed);
+    for (std::size_t s = 0; s < shots; ++s) {
+        EXPECT_EQ(packed[s], dec.decode(batch.flippedDetectors(s)))
             << "shot " << s;
-    }
-    // An offset sub-range must address the same shots.
-    if (batch.shots > 10) {
-        std::vector<uint64_t> sub(5);
-        dec.decodeBatch(batch, 7, 5, sub.data());
-        for (std::size_t i = 0; i < 5; ++i) {
-            EXPECT_EQ(sub[i], batched[7 + i]) << "offset shot " << i;
-        }
     }
 }
 
 } // namespace
 
-TEST(BatchDecode, BpOsdBatchEqualsDecodeOnRandomDems)
+TEST(BatchDecode, BpOsdPackedEqualsDecodeOnRandomDems)
 {
     for (uint64_t seed : {1u, 2u, 3u}) {
         Dem dem = randomDem(seed, 40, 120, 0.03);
         decoder::BpOsdDecoder dec(dem);
-        SampleBatch batch = sampleDem(dem, 400, seed * 7 + 1);
-        expectBatchEqualsLoop(dec, batch);
+        expectPackedEqualsLoop(dec, dem, 400, seed * 7 + 1);
     }
 }
 
-TEST(BatchDecode, MleBatchEqualsDecode)
+TEST(BatchDecode, MlePackedEqualsDecode)
 {
     Dem dem = randomDem(5, 10, 18, 0.05);
     decoder::MleDecoder dec(dem, 4);
-    SampleBatch batch = sampleDem(dem, 150, 9);
-    expectBatchEqualsLoop(dec, batch);
+    expectPackedEqualsLoop(dec, dem, 150, 9);
 }
 
-TEST(BatchDecode, UnionFindBatchEqualsDecode)
+TEST(BatchDecode, UnionFindPackedEqualsDecode)
 {
     code::SurfaceCode s(3);
     auto cp = std::make_shared<const code::CssCode>(s.code());
@@ -120,26 +114,29 @@ TEST(BatchDecode, UnionFindBatchEqualsDecode)
     Dem dem = buildDem(circ, NoiseModel::uniform(5e-3));
     auto dec = decoder::makeDecoder(dem, circ,
                                     "union_find");
-    SampleBatch batch = sampleDem(dem, 600, 23);
-    expectBatchEqualsLoop(*dec, batch);
+    expectPackedEqualsLoop(*dec, dem, 600, 23);
 }
 
-TEST(BatchDecode, ExactModeMatchesReferenceOnRandomDems)
+TEST(BatchDecode, DecodeMatchesReferenceOnRandomDems)
 {
-    // stagnationWindow = 0 must reproduce the original per-region
-    // implementation bit for bit — the global-Tanner rewrite may not
-    // change a single prediction.
+    // decode() must reproduce the reference implementation bit for bit,
+    // in exact mode (stagnationWindow = 0) and at the default options:
+    // the reference applies the same stagnation rule.
     decoder::BpOsdOptions exact;
     exact.stagnationWindow = 0;
-    for (uint64_t seed : {11u, 12u, 13u, 14u}) {
-        Dem dem = randomDem(seed, 50, 160, 0.04);
-        decoder::BpOsdDecoder dec(dem, exact);
-        SampleBatch batch = sampleDem(dem, 500, seed + 100);
-        std::vector<uint32_t> scratch;
-        for (std::size_t s = 0; s < batch.shots; ++s) {
-            batch.flippedDetectors(s, scratch);
-            EXPECT_EQ(dec.decode(scratch), dec.decodeReference(scratch))
-                << "seed " << seed << " shot " << s;
+    const decoder::BpOsdOptions defaults;
+    for (const decoder::BpOsdOptions &opts : {exact, defaults}) {
+        for (uint64_t seed : {11u, 12u, 13u, 14u}) {
+            Dem dem = randomDem(seed, 50, 160, 0.04);
+            decoder::BpOsdDecoder dec(dem, opts);
+            SampleBatch batch = sampleDem(dem, 500, seed + 100);
+            std::vector<uint32_t> scratch;
+            for (std::size_t s = 0; s < batch.shots; ++s) {
+                batch.flippedDetectors(s, scratch);
+                EXPECT_EQ(dec.decode(scratch), dec.decodeReference(scratch))
+                    << "window " << opts.stagnationWindow << " seed " << seed
+                    << " shot " << s;
+            }
         }
     }
 }
@@ -171,39 +168,18 @@ TEST(BatchDecode, StagnationWindowKeepsStatisticalQuality)
     exact.stagnationWindow = 0;
     decoder::BpOsdDecoder dexact(dem, exact);
     decoder::BpOsdDecoder dfast(dem); // default window
-    SampleBatch batch = sampleDem(dem, 6000, 77);
-    std::vector<uint64_t> a(batch.shots), b(batch.shots);
-    dexact.decodeBatch(batch, 0, batch.shots, a.data());
-    dfast.decodeBatch(batch, 0, batch.shots, b.data());
+    FrameBatch frames = sampleDemFrames(dem, 6000, 77);
+    std::vector<uint64_t> a(frames.shots), b(frames.shots), masks;
+    dexact.decodePacked(frames.view(), a.data());
+    dfast.decodePacked(frames.view(), b.data());
+    frames.obsMasks(masks);
     std::size_t failExact = 0, failFast = 0;
-    for (std::size_t s = 0; s < batch.shots; ++s) {
-        failExact += a[s] != batch.obsMask(s);
-        failFast += b[s] != batch.obsMask(s);
+    for (std::size_t s = 0; s < frames.shots; ++s) {
+        failExact += a[s] != masks[s];
+        failFast += b[s] != masks[s];
     }
     // ~5 sigma of slack on top of the exact-mode failure count.
     double sigma = std::sqrt((double)failExact + 1.0);
     EXPECT_LE((double)failFast, (double)failExact + 5.0 * sigma)
         << "exact=" << failExact << " fast=" << failFast;
-}
-
-TEST(BatchDecode, LerEngineThreadInvariantThroughPackedPipeline)
-{
-    // measureDemLer now samples packed, transposes per shard, and decodes
-    // through decodeBatch; failures must stay thread-count independent
-    // with the BP+OSD decoder in the loop.
-    Dem dem = ldpcDem(4e-3);
-    decoder::BpOsdDecoder dec(dem);
-    decoder::LerOptions base;
-    base.shardShots = 128;
-    base.threads = 1;
-    decoder::LerResult serial = decoder::measureDemLer(dem, dec, 1500, 31, base);
-    EXPECT_EQ(serial.shots, 1500u);
-    for (std::size_t threads : {2u, 4u}) {
-        decoder::LerOptions opts = base;
-        opts.threads = threads;
-        decoder::LerResult par =
-            decoder::measureDemLer(dem, dec, 1500, 31, opts);
-        EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
-        EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
-    }
 }

@@ -1,6 +1,7 @@
 /**
  * @file
- * Determinism guarantees of the sharded sampler and parallel LER engine.
+ * Determinism guarantees of the sharded frame sampler and parallel LER
+ * engine.
  *
  * The contract under test: at a fixed master seed, the sharded result is
  * defined as the concatenation of independent per-shard serial runs, so it
@@ -10,11 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "circuit/coloration.h"
 #include "code/surface.h"
 #include "decoder/logical_error.h"
 #include "sim/dem_builder.h"
+#include "sim/frame_sampler.h"
 #include "sim/parallel_sampler.h"
 #include "sim/sampler.h"
 
@@ -41,6 +44,31 @@ d3Decoder(const Dem &dem)
     auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
                                             3, circuit::MemoryBasis::Z);
     return decoder::makeDecoder(dem, circ, "union_find");
+}
+
+/**
+ * Every shard of a forEachFrameShard run, transposed to rows and
+ * concatenated in shard order.
+ */
+SampleBatch
+frameShardRows(const Dem &dem, std::size_t shots, uint64_t seed,
+               std::size_t threads, std::size_t shard_shots)
+{
+    ShardPlan plan{shots, shard_shots};
+    std::vector<SampleBatch> parts(plan.numShards());
+    forEachFrameShard(dem, plan, seed, threads,
+                      [&](std::size_t shard, std::size_t,
+                          const FrameBatch &frames) {
+                          transposeView(frames.view(), parts[shard]);
+                      });
+    SampleBatch whole = parts.front();
+    whole.shots = shots;
+    for (std::size_t i = 1; i < parts.size(); ++i) {
+        const SampleBatch &part = parts[i];
+        whole.det.insert(whole.det.end(), part.det.begin(), part.det.end());
+        whole.obs.insert(whole.obs.end(), part.obs.begin(), part.obs.end());
+    }
+    return whole;
 }
 
 } // namespace
@@ -78,20 +106,20 @@ TEST(ShardSeed, MatchesSplitMix64Sequence)
 TEST(ShardedSampler, SameSeedGivesByteIdenticalBatch)
 {
     Dem dem = d3Dem(1e-2);
-    SampleBatch a = sampleDemSharded(dem, 5000, 9, 1, 512);
-    SampleBatch b = sampleDemSharded(dem, 5000, 9, 1, 512);
+    SampleBatch a = frameShardRows(dem, 5000, 9, 1, 512);
+    SampleBatch b = frameShardRows(dem, 5000, 9, 1, 512);
     EXPECT_EQ(a.det, b.det);
     EXPECT_EQ(a.obs, b.obs);
-    SampleBatch c = sampleDemSharded(dem, 5000, 10, 1, 512);
+    SampleBatch c = frameShardRows(dem, 5000, 10, 1, 512);
     EXPECT_NE(a.det, c.det);
 }
 
 TEST(ShardedSampler, ThreadCountDoesNotChangeTheBatch)
 {
     Dem dem = d3Dem(1e-2);
-    SampleBatch serial = sampleDemSharded(dem, 10000, 42, 1, 512);
+    SampleBatch serial = frameShardRows(dem, 10000, 42, 1, 512);
     for (std::size_t threads : {2u, 4u, 8u}) {
-        SampleBatch par = sampleDemSharded(dem, 10000, 42, threads, 512);
+        SampleBatch par = frameShardRows(dem, 10000, 42, threads, 512);
         EXPECT_EQ(serial.det, par.det) << threads << " threads";
         EXPECT_EQ(serial.obs, par.obs) << threads << " threads";
     }
@@ -102,7 +130,7 @@ TEST(ShardedSampler, EqualsConcatenatedSerialShardRuns)
     Dem dem = d3Dem(5e-3);
     std::size_t shard_shots = 300;
     std::size_t shots = 1000; // 3 full shards + 1 short shard.
-    SampleBatch whole = sampleDemSharded(dem, shots, 7, 4, shard_shots);
+    SampleBatch whole = frameShardRows(dem, shots, 7, 4, shard_shots);
     ShardPlan plan{shots, shard_shots};
     for (std::size_t i = 0; i < plan.numShards(); ++i) {
         SampleBatch part =

@@ -2,21 +2,22 @@
  * @file
  * Packed-decode contracts of the lane engine.
  *
- * decodePacked must equal decodeBatch must equal per-shot decode(),
- * observable for observable, for every laneWidth — 0 (the transpose +
- * batched adapter), 4/8 (AVX2 kernels where available), the maximum
- * width, and an odd width that exercises the scalar remainder lanes —
- * across random DEMs and lp39/rqt54 circuit DEMs, including odd shot
- * counts that leave a partial final 64-shot word. Also pins down the
- * engine's shot-order/thread-count invariance through measureDemLer and
- * the generic (no-AVX2) kernel cross-check, and pins the default decoder's
- * outputs on the benchmark codes to golden hashes.
+ * decodePacked must equal per-shot decode() must equal decodeReference,
+ * observable for observable, at the default options, at a tiny iteration
+ * budget, and with no BP iterations at all — across random DEMs and
+ * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
+ * final 64-shot word. Also pins down the engine's
+ * shot-order/thread-count invariance through measureDemLer, the generic
+ * (no-AVX2) kernel cross-check, that padding bits beyond a view's shots
+ * are ignored, and the default decoder's outputs on the benchmark codes
+ * as golden hashes.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -85,58 +86,71 @@ circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
     return circuitDem(build(), rounds, p);
 }
 
-/** The tested width matrix: scalar reference path, both AVX2 kernel
- * widths, an odd width (scalar remainder lanes), and the maximum. */
-const std::size_t kWidths[] = {0, 4, 8, 5,
-                               decoder::BpOsdDecoder::kMaxLaneWidth};
-
-/** decodePacked == decodeBatch == decode for every lane width. */
-void
-expectPackedMatrixEquals(const Dem &dem, const FrameBatch &frames)
+/**
+ * decodePacked == decode() == decodeReference at @p opts, shot for shot.
+ * Returns the packed decode's stats.
+ */
+decoder::PackedDecodeStats
+expectMatchesReference(const Dem &dem, const FrameBatch &frames,
+                       const decoder::BpOsdOptions &opts)
 {
     SampleBatch rows;
-    transposeFrames(frames, rows);
-    // The laneWidth=0 reference: the PR 2 batched path.
-    decoder::BpOsdOptions refOpts;
-    refOpts.laneWidth = 0;
-    decoder::BpOsdDecoder refDec(dem, refOpts);
-    std::vector<uint64_t> batched(frames.shots);
-    refDec.decodeBatch(rows, 0, frames.shots, batched.data());
+    transposeView(frames.view(), rows);
+    decoder::BpOsdDecoder dec(dem, opts);
+    std::vector<uint64_t> packed(frames.shots, ~uint64_t{0});
+    decoder::PackedDecodeStats st;
+    dec.decodePacked(frames.view(), packed.data(), &st);
+    EXPECT_EQ(st.packedShots, frames.shots);
+    EXPECT_EQ(st.adapterShots, 0u);
+    std::string label = "maxIterations " + std::to_string(opts.maxIterations);
+    std::vector<uint32_t> flipped;
+    for (std::size_t s = 0; s < frames.shots; ++s) {
+        rows.flippedDetectors(s, flipped);
+        uint64_t ref = dec.decodeReference(flipped);
+        EXPECT_EQ(packed[s], ref) << label << " shot " << s;
+        // decode() on the same instance after the packed run: the lane
+        // engine's between-shot invariants survived.
+        EXPECT_EQ(dec.decode(flipped), ref) << label << " decode() shot " << s;
+    }
+    return st;
+}
 
-    std::vector<uint64_t> viaPacked(frames.shots);
-    decoder::PackedDecodeStats stats;
-    refDec.decodePacked(frames.view(), viaPacked.data(), &stats);
-    EXPECT_EQ(viaPacked, batched) << "laneWidth 0 adapter";
-    EXPECT_EQ(stats.adapterShots, frames.shots);
-    EXPECT_EQ(stats.packedShots, 0u);
+/** The oracle comparison at the default options and at a 3-iteration
+ * budget (most hard shots end in OSD). */
+void
+expectMatrixMatchesReference(const Dem &dem, const FrameBatch &frames)
+{
+    decoder::BpOsdOptions opts;
+    expectMatchesReference(dem, frames, opts);
+    opts.maxIterations = 3;
+    expectMatchesReference(dem, frames, opts);
+}
 
-    std::vector<uint32_t> scratch;
-    for (std::size_t w : kWidths) {
-        if (w == 0) {
-            continue;
-        }
-        decoder::BpOsdOptions opts;
-        opts.laneWidth = w;
-        decoder::BpOsdDecoder dec(dem, opts);
-        std::vector<uint64_t> lane(frames.shots, ~uint64_t{0});
-        decoder::PackedDecodeStats st;
-        dec.decodePacked(frames.view(), lane.data(), &st);
-        EXPECT_EQ(st.packedShots, frames.shots) << "laneWidth " << w;
-        EXPECT_EQ(st.adapterShots, 0u) << "laneWidth " << w;
-        for (std::size_t s = 0; s < frames.shots; ++s) {
-            ASSERT_EQ(lane[s], batched[s])
-                << "laneWidth " << w << " shot " << s;
-        }
-        // Spot-check per-shot decode() on the same decoder instance: the
-        // scalar entry point must agree after the lane engine ran (the
-        // shared scratch invariants survived).
-        for (std::size_t s = 0; s < std::min<std::size_t>(frames.shots, 64);
-             ++s) {
-            rows.flippedDetectors(s, scratch);
-            ASSERT_EQ(dec.decode(scratch), batched[s])
-                << "laneWidth " << w << " decode() shot " << s;
+/** Shots BP+OSD resolves without BP: the empty syndrome, an exact
+ * single-mechanism signature, or a detector no mechanism touches. */
+std::size_t
+trivialShots(const Dem &dem, const SampleBatch &rows)
+{
+    std::set<std::vector<uint32_t>> signatures;
+    std::vector<uint8_t> touched(dem.numDetectors, 0);
+    for (const ErrorMechanism &mech : dem.errors) {
+        signatures.insert(mech.detectors);
+        for (uint32_t d : mech.detectors) {
+            touched[d] = 1;
         }
     }
+    std::size_t trivial = 0;
+    std::vector<uint32_t> flipped;
+    for (std::size_t s = 0; s < rows.shots; ++s) {
+        rows.flippedDetectors(s, flipped);
+        bool isolated = false;
+        for (uint32_t d : flipped) {
+            isolated = isolated || touched[d] == 0;
+        }
+        trivial += flipped.empty() || signatures.count(flipped) != 0 ||
+                   isolated;
+    }
+    return trivial;
 }
 
 } // namespace
@@ -147,7 +161,7 @@ TEST(LaneDecode, MatrixOnRandomDems)
         Dem dem = randomDem(seed, 40, 120, 0.03);
         // 451 shots: a partial final word (451 = 7*64 + 3).
         FrameBatch frames = sampleDemFrames(dem, 451, seed * 5 + 3);
-        expectPackedMatrixEquals(dem, frames);
+        expectMatrixMatchesReference(dem, frames);
     }
 }
 
@@ -155,49 +169,53 @@ TEST(LaneDecode, MatrixOnLp39CircuitDem)
 {
     Dem dem = circuitDem(code::benchmarkLp39, 3, 2e-3);
     FrameBatch frames = sampleDemFrames(dem, 333, 77);
-    expectPackedMatrixEquals(dem, frames);
+    expectMatrixMatchesReference(dem, frames);
 }
 
 TEST(LaneDecode, MatrixOnRqt54CircuitDem)
 {
     Dem dem = circuitDem(code::benchmarkRqt54, 4, 2e-3);
     FrameBatch frames = sampleDemFrames(dem, 129, 901);
-    expectPackedMatrixEquals(dem, frames);
+    expectMatrixMatchesReference(dem, frames);
 }
 
 TEST(LaneDecode, OsdHeavyRegimeMatrix)
 {
     // High noise plus a tiny iteration budget: most lanes retire without
-    // BP convergence and flow through the batched OSD work queue. Every
-    // lane width must still reproduce the laneWidth-0 batched path
-    // observable for observable, across odd shot counts that leave a
-    // partial final 64-shot word and force several queue flushes.
+    // BP convergence and flow through the batched OSD work queue. The
+    // lanes must still reproduce the reference observable for
+    // observable, across odd shot counts that leave a partial final
+    // 64-shot word and force several queue flushes.
     for (std::size_t shots : {37u, 451u}) {
         Dem dem = randomDem(91, 48, 160, 0.12);
         FrameBatch frames = sampleDemFrames(dem, shots, 17);
+        decoder::BpOsdOptions opts;
+        opts.maxIterations = 3;
+        decoder::PackedDecodeStats st =
+            expectMatchesReference(dem, frames, opts);
+        // The regime must actually exercise the batched OSD queue.
+        EXPECT_GT(st.osdShots, shots / 4) << shots << " shots";
+    }
+}
+
+TEST(LaneDecode, ZeroIterationsGoStraightToOsd)
+{
+    // maxIterations = 0: every non-trivial shot skips BP and OSD ranks
+    // the columns by all-zero posteriors (column-id order).
+    decoder::BpOsdOptions opts;
+    opts.maxIterations = 0;
+    Dem random = randomDem(31, 40, 120, 0.05);
+    Dem lp39 = circuitDem(code::benchmarkLp39, 3, 4e-3);
+    for (const Dem *dem : {&random, &lp39}) {
+        FrameBatch frames = sampleDemFrames(*dem, 451, 12);
+        decoder::PackedDecodeStats st =
+            expectMatchesReference(*dem, frames, opts);
         SampleBatch rows;
-        transposeFrames(frames, rows);
-        decoder::BpOsdOptions refOpts;
-        refOpts.laneWidth = 0;
-        refOpts.maxIterations = 3;
-        decoder::BpOsdDecoder refDec(dem, refOpts);
-        std::vector<uint64_t> batched(shots);
-        refDec.decodeBatch(rows, 0, shots, batched.data());
-        for (std::size_t w : kWidths) {
-            if (w == 0) {
-                continue;
-            }
-            decoder::BpOsdOptions opts;
-            opts.laneWidth = w;
-            opts.maxIterations = 3;
-            decoder::BpOsdDecoder dec(dem, opts);
-            std::vector<uint64_t> lane(shots, ~uint64_t{0});
-            decoder::PackedDecodeStats st;
-            dec.decodePacked(frames.view(), lane.data(), &st);
-            EXPECT_EQ(lane, batched) << "laneWidth " << w;
-            // The regime must actually exercise the batched OSD queue.
-            EXPECT_GT(st.osdShots, shots / 4) << "laneWidth " << w;
-        }
+        transposeView(frames.view(), rows);
+        std::size_t nonTrivial = frames.shots - trivialShots(*dem, rows);
+        EXPECT_GT(nonTrivial, 0u);
+        EXPECT_EQ(st.osdShots, nonTrivial);
+        EXPECT_EQ(st.laneSlotsTotal, 0u);
     }
 }
 
@@ -226,15 +244,10 @@ TEST(LaneDecode, OsdHeavyCircuitDemAcrossThreads)
         EXPECT_EQ(serial.packed.osdShots, r.packed.osdShots)
             << threads << " threads";
     }
-    // decodeBatch (scalar immediate OSD) must agree shot for shot with
+    // The reference (scalar immediate OSD) must agree shot for shot with
     // decodePacked (batched OSD queue) on the same frames.
     FrameBatch frames = sampleDemFrames(dem, 707, shardSeed(29, 0));
-    SampleBatch rows;
-    transposeFrames(frames, rows);
-    std::vector<uint64_t> viaBatch(707), viaPacked(707);
-    dec.decodeBatch(rows, 0, 707, viaBatch.data());
-    dec.decodePacked(frames.view(), viaPacked.data());
-    EXPECT_EQ(viaPacked, viaBatch);
+    expectMatchesReference(dem, frames, opts);
 }
 
 TEST(LaneDecode, GenericKernelMatchesAvx2)
@@ -246,9 +259,7 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
     // env-var plumbing).
     Dem dem = circuitDem(code::benchmarkLp39, 3, 2e-3);
     FrameBatch frames = sampleDemFrames(dem, 200, 5);
-    decoder::BpOsdOptions opts;
-    opts.laneWidth = 8;
-    decoder::BpOsdDecoder dec(dem, opts);
+    decoder::BpOsdDecoder dec(dem);
     std::vector<uint64_t> vec(frames.shots), avx2(frames.shots),
         gen(frames.shots);
     dec.decodePacked(frames.view(), vec.data());
@@ -260,7 +271,7 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
     const char *prevNoAvx2 = getenv("PROPHUNT_NO_AVX2");
     std::string savedNoAvx2 = prevNoAvx2 ? prevNoAvx2 : "";
     setenv("PROPHUNT_NO_AVX512", "1", 1);
-    decoder::BpOsdDecoder dec3(dem, opts);
+    decoder::BpOsdDecoder dec3(dem);
     dec3.decodePacked(frames.view(), avx2.data());
     if (prevNo512 != nullptr) {
         setenv("PROPHUNT_NO_AVX512", savedNo512.c_str(), 1);
@@ -268,7 +279,7 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
         unsetenv("PROPHUNT_NO_AVX512");
     }
     setenv("PROPHUNT_NO_AVX2", "1", 1);
-    decoder::BpOsdDecoder dec2(dem, opts);
+    decoder::BpOsdDecoder dec2(dem);
     dec2.decodePacked(frames.view(), gen.data());
     if (prevNoAvx2 != nullptr) {
         setenv("PROPHUNT_NO_AVX2", savedNoAvx2.c_str(), 1);
@@ -281,8 +292,8 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
 
 TEST(LaneDecode, DefaultAdapterServesRowDecoders)
 {
-    // A decoder without a native packed path goes through the transpose
-    // adapter and must equal its own decodeBatch.
+    // A decoder without a native packed path is served by the base
+    // decodePacked and must equal its own per-shot decode().
     code::SurfaceCode surface(3);
     auto cs = std::make_shared<const code::CssCode>(surface.code());
     auto circ = circuit::buildMemoryCircuit(
@@ -291,14 +302,44 @@ TEST(LaneDecode, DefaultAdapterServesRowDecoders)
     auto dec = decoder::makeDecoder(dem, circ, "union_find");
     FrameBatch frames = sampleDemFrames(dem, 259, 11);
     SampleBatch rows;
-    transposeFrames(frames, rows);
-    std::vector<uint64_t> batched(frames.shots), packed(frames.shots);
-    dec->decodeBatch(rows, 0, frames.shots, batched.data());
+    transposeView(frames.view(), rows);
+    std::vector<uint64_t> packed(frames.shots);
     decoder::PackedDecodeStats stats;
     dec->decodePacked(frames.view(), packed.data(), &stats);
-    EXPECT_EQ(packed, batched);
+    for (std::size_t s = 0; s < frames.shots; ++s) {
+        EXPECT_EQ(packed[s], dec->decode(rows.flippedDetectors(s)))
+            << "shot " << s;
+    }
     EXPECT_EQ(stats.adapterShots, frames.shots);
     EXPECT_EQ(stats.packedShots, 0u);
+}
+
+TEST(LaneDecode, PaddingBitsBeyondShotsAreIgnored)
+{
+    // A FrameView may carry set bits beyond `shots` in each row's last
+    // word. Both the lane engine and the base adapter must decode such a
+    // view exactly like the clean one (and never index past the shots).
+    auto cp = std::make_shared<const code::CssCode>(code::benchmarkLp39());
+    auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
+                                            3, circuit::MemoryBasis::Z);
+    Dem dem = buildDem(circ, NoiseModel::uniform(2e-3));
+    FrameBatch clean = sampleDemFrames(dem, 37, 8);
+    ASSERT_EQ(clean.shotWords, 1u);
+    std::vector<uint64_t> dirtyDet = clean.det;
+    for (uint64_t &word : dirtyDet) {
+        word |= ~((uint64_t{1} << 37) - 1); // Every bit above shot 36.
+    }
+    FrameView dirty = clean.view();
+    dirty.det = dirtyDet.data();
+    std::vector<std::unique_ptr<decoder::Decoder>> decoders;
+    decoders.push_back(decoder::makeDecoder(dem, circ, "bp_osd"));
+    decoders.push_back(decoder::makeDecoder(dem, circ, "union_find"));
+    for (auto &dec : decoders) {
+        std::vector<uint64_t> want(clean.shots), got(clean.shots);
+        dec->decodePacked(clean.view(), want.data());
+        dec->decodePacked(dirty, got.data());
+        EXPECT_EQ(got, want);
+    }
 }
 
 TEST(LaneDecode, GoldenOutputsOnBenchmarkCodes)
@@ -400,6 +441,7 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
         decoder::LerResult par =
             decoder::measureDemLer(dem, dec, 1500, 31, opts);
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
+        EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
         EXPECT_EQ(serial.packed.laneSlotsBusy, par.packed.laneSlotsBusy)
             << threads << " threads";
     }

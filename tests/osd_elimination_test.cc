@@ -484,7 +484,7 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
             << "regime not OSD-heavy enough to test anything";
         // Per-shot decode() must agree with both.
         sim::SampleBatch rows;
-        sim::transposeFrames(frames, rows);
+        sim::transposeView(frames.view(), rows);
         std::vector<uint32_t> scratch;
         for (std::size_t s = 0; s < std::min<std::size_t>(cfg.shots, 40);
              ++s) {
