@@ -5,11 +5,14 @@
  */
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <string>
 
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
+#include "code/codes.h"
 #include "code/surface.h"
 #include "sim/dem_builder.h"
 #include "sim/sampler.h"
@@ -158,6 +161,119 @@ TEST(DemBuilder, CheckMatrixShapes)
     EXPECT_EQ(l.cols(), dem.errors.size());
     // Circuit-level H is far wider than the code-level matrix (Sec. 2.7).
     EXPECT_GT(h.cols(), 100u);
+}
+
+namespace {
+
+/** FNV-1a fingerprint of every field of a DEM, in order. */
+class DemFingerprint
+{
+  public:
+    explicit DemFingerprint(const Dem &dem)
+    {
+        mix(dem.errors.size());
+        for (const ErrorMechanism &m : dem.errors) {
+            mix(std::bit_cast<uint64_t>(m.p));
+            mixList(m.detectors);
+            mixList(m.observables);
+            mix(m.sources.size());
+            for (const FaultLoc &s : m.sources) {
+                mix(s.instr);
+                mix((uint64_t)s.p0);
+                mix((uint64_t)s.p1);
+                mix(s.isCnot ? 1 : 0);
+                mix(s.cnot.check);
+                mix(s.cnot.dataQubit);
+                mix(s.cnot.posInCheck);
+                mix(s.cnot.round);
+            }
+        }
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    void mix(uint64_t v)
+    {
+        for (int byte = 0; byte < 8; ++byte) {
+            hash_ ^= (v >> (8 * byte)) & 0xff;
+            hash_ *= 1099511628211ull;
+        }
+    }
+
+    void mixList(const std::vector<uint32_t> &v)
+    {
+        mix(v.size());
+        for (uint32_t x : v) {
+            mix(x);
+        }
+    }
+
+    uint64_t hash_ = 1469598103934665603ull;
+};
+
+} // namespace
+
+TEST(DemBuilder, GoldenFingerprintsOnBenchmarkCodes)
+{
+    // Pinned fingerprints of the full buildDem output — mechanism order,
+    // the bits of every merged p, detector and observable lists, and
+    // every source location in merge order — on the benchmark codes'
+    // coloration circuits. Any change to what the builder emits moves at
+    // least one constant; a faster builder must leave all of them alone.
+    struct Cell
+    {
+        const char *code;
+        circuit::MemoryBasis basis;
+        bool idle;
+        std::size_t mechanisms;
+        uint64_t hash;
+    };
+    using circuit::MemoryBasis;
+    const Cell cells[] = {
+        {"surface5", MemoryBasis::Z, false, 1638,
+         11738426922369433384ull},
+        {"surface5", MemoryBasis::X, false, 1651,
+         14890199829795975024ull},
+        {"surface5", MemoryBasis::Z, true, 1638,
+         9763307749248974147ull},
+        {"surface5", MemoryBasis::X, true, 1651,
+         259145765775061443ull},
+        {"lp39", MemoryBasis::Z, false, 1281,
+         6616632346843580844ull},
+        {"lp39", MemoryBasis::X, false, 1281,
+         15396894487780519440ull},
+        {"lp39", MemoryBasis::Z, true, 1281,
+         18309545796658781770ull},
+        {"lp39", MemoryBasis::X, true, 1281,
+         7594455774296834400ull},
+        {"rqt54", MemoryBasis::Z, false, 7371,
+         1674383550238678920ull},
+        {"rqt54", MemoryBasis::X, false, 7380,
+         7908477255317478438ull},
+        {"rqt54", MemoryBasis::Z, true, 7371,
+         12485583140300476434ull},
+        {"rqt54", MemoryBasis::X, true, 7380,
+         10655186543066117204ull},
+    };
+    for (const Cell &cell : cells) {
+        std::string name = cell.code;
+        code::CssCode cc = name == "surface5" ? code::benchmarkSurface(5)
+                           : name == "lp39"   ? code::benchmarkLp39()
+                                              : code::benchmarkRqt54();
+        std::size_t rounds = name == "surface5" ? 5 : name == "lp39" ? 3 : 4;
+        auto cp = std::make_shared<const code::CssCode>(std::move(cc));
+        auto circ = circuit::buildMemoryCircuit(
+            circuit::colorationSchedule(cp), rounds, cell.basis);
+        NoiseModel noise = cell.idle ? NoiseModel::withIdle(1e-3, 1e-4)
+                                     : NoiseModel::uniform(1e-3);
+        Dem dem = buildDem(circ, noise);
+        std::string label = name +
+                            (cell.basis == MemoryBasis::Z ? " Z" : " X") +
+                            (cell.idle ? " idle" : "");
+        EXPECT_EQ(dem.errors.size(), cell.mechanisms) << label;
+        EXPECT_EQ(DemFingerprint(dem).value(), cell.hash) << label;
+    }
 }
 
 TEST(Sampler, EmptyDemGivesCleanShots)
