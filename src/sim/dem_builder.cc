@@ -1,10 +1,13 @@
 #include "sim/dem_builder.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
-#include <cstring>
-#include <map>
+#include <cmath>
+#include <span>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace prophunt::sim {
 
@@ -14,41 +17,211 @@ using circuit::Instruction;
 using circuit::OpType;
 using circuit::SmCircuit;
 
-/** A fault component to inject into the bit planes at a sweep position. */
-struct Activation
+constexpr uint32_t kNone = ~uint32_t{0};
+
+/**
+ * A fault site: one point of the circuit where a fault class acts. A
+ * one-qubit site (reset, measurement or idle) owns generators X, Z on its
+ * qubit; a CNOT site owns X, Z on the control and then X, Z on the target.
+ */
+struct Site
 {
-    uint32_t fault;
-    uint32_t qubit;
-    bool x; ///< Fault has an X component on this qubit.
-    bool z; ///< Fault has a Z component on this qubit.
+    uint32_t instr;
+    uint32_t gen;   ///< First generator of the site.
+    bool cnot;      ///< 15 two-qubit faults instead of 3 one-qubit ones.
+    double prob;    ///< Probability of each fault at the site.
 };
 
-bool
-hasX(Pauli p)
-{
-    return p == Pauli::X || p == Pauli::Y;
-}
-
-bool
-hasZ(Pauli p)
-{
-    return p == Pauli::Z || p == Pauli::Y;
-}
-
-/** All 15 non-identity two-qubit Pauli pairs. */
-std::vector<std::pair<Pauli, Pauli>>
-twoQubitPaulis()
-{
-    std::vector<std::pair<Pauli, Pauli>> out;
+/** The 15 non-identity two-qubit Paulis (Pc, Pt) in fault order. */
+constexpr auto kCnotPaulis = [] {
+    std::array<std::pair<Pauli, Pauli>, 15> out{};
+    std::size_t k = 0;
     for (int a = 0; a < 4; ++a) {
         for (int b = 0; b < 4; ++b) {
-            if (a == 0 && b == 0) {
-                continue;
+            if (a != 0 || b != 0) {
+                out[k++] = {(Pauli)a, (Pauli)b};
             }
-            out.push_back({(Pauli)a, (Pauli)b});
         }
     }
     return out;
+}();
+
+/** Generator bits of a Pauli: bit 0 = X component, bit 1 = Z. */
+constexpr uint8_t
+pauliBits(Pauli p)
+{
+    return (p == Pauli::X || p == Pauli::Y ? 1 : 0) |
+           (p == Pauli::Z || p == Pauli::Y ? 2 : 0);
+}
+
+/**
+ * Generator subset of each fault of a site, in fault order: bits 0 and 1
+ * are X and Z on the first qubit, bits 2 and 3 on the second. One-qubit
+ * sites fault X, Y = XZ (up to phase), Z.
+ */
+constexpr uint8_t kOneQubitMasks[3] = {pauliBits(Pauli::X),
+                                       pauliBits(Pauli::Y),
+                                       pauliBits(Pauli::Z)};
+constexpr auto kCnotMasks = [] {
+    std::array<uint8_t, 15> out{};
+    for (std::size_t k = 0; k < 15; ++k) {
+        out[k] = pauliBits(kCnotPaulis[k].first) |
+                 pauliBits(kCnotPaulis[k].second) << 2;
+    }
+    return out;
+}();
+
+void
+checkStrength(double p, const char *name)
+{
+    if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+        throw std::invalid_argument(
+            std::string("buildDem: noise strength ") + name +
+            " must be a finite probability in [0, 1], got " +
+            std::to_string(p));
+    }
+}
+
+/** Sorted symmetric difference a ^ b appended to @p out. */
+void
+xorSorted(const uint32_t *a, std::size_t na, const uint32_t *b,
+          std::size_t nb, std::vector<uint32_t> &out)
+{
+    std::size_t i = 0, j = 0;
+    while (i < na && j < nb) {
+        if (a[i] < b[j]) {
+            out.push_back(a[i++]);
+        } else if (b[j] < a[i]) {
+            out.push_back(b[j++]);
+        } else {
+            ++i;
+            ++j;
+        }
+    }
+    out.insert(out.end(), a + i, a + na);
+    out.insert(out.end(), b + j, b + nb);
+}
+
+/**
+ * Detector and observable sets stored back to back in one arena: entry k
+ * spans arena[off[k], off[k + 1]), detectors first.
+ */
+struct SignatureArena
+{
+    std::vector<uint32_t> arena;
+    std::vector<uint32_t> off{0};
+    std::vector<uint32_t> numDet;
+
+    const uint32_t *data(std::size_t k) const { return &arena[off[k]]; }
+    uint32_t length(std::size_t k) const { return off[k + 1] - off[k]; }
+
+    void clear()
+    {
+        arena.clear();
+        off.assign(1, 0);
+        numDet.clear();
+    }
+
+    /** Mark the end of the open entry's detectors. */
+    void closeDetectors()
+    {
+        numDet.push_back((uint32_t)arena.size() - off.back());
+    }
+
+    /** Mark the end of the open entry. */
+    void closeEntry() { off.push_back((uint32_t)arena.size()); }
+
+    /** Append entry a of this arena XOR entry b of @p other. */
+    void pushXor(std::size_t a, const SignatureArena &other, std::size_t b)
+    {
+        // Reserve first: the source entry lives in the growing arena.
+        arena.reserve(arena.size() + length(a) + other.length(b));
+        const uint32_t *da = data(a), *db = other.data(b);
+        uint32_t na = numDet[a], nb = other.numDet[b];
+        xorSorted(da, na, db, nb, arena);
+        closeDetectors();
+        xorSorted(da + na, length(a) - na, db + nb, other.length(b) - nb,
+                  arena);
+        closeEntry();
+    }
+
+    /** Append a copy of entry k of @p src. */
+    void pushCopy(const SignatureArena &src, std::size_t k)
+    {
+        arena.insert(arena.end(), src.data(k), src.data(k) + src.length(k));
+        numDet.push_back(src.numDet[k]);
+        closeEntry();
+    }
+};
+
+uint64_t
+hashSignature(const uint32_t *sig, uint32_t len, uint32_t num_det)
+{
+    uint64_t h = 0x9e3779b97f4a7c15ull ^ ((uint64_t)num_det << 32) ^ len;
+    for (uint32_t i = 0; i < len; ++i) {
+        h = (h ^ sig[i]) * 0xff51afd7ed558ccdull;
+        h ^= h >> 32;
+    }
+    return h;
+}
+
+/** Measurement -> detector (or observable) incidence in CSR form. */
+struct Incidence
+{
+    std::vector<uint32_t> off;
+    std::vector<uint32_t> idx;
+
+    Incidence(const std::vector<std::vector<std::size_t>> &sets,
+              std::size_t num_meas)
+        : off(num_meas + 1, 0)
+    {
+        for (const auto &set : sets) {
+            for (std::size_t m : set) {
+                ++off[m + 1];
+            }
+        }
+        for (std::size_t m = 0; m < num_meas; ++m) {
+            off[m + 1] += off[m];
+        }
+        idx.resize(off[num_meas]);
+        std::vector<uint32_t> fill(off.begin(), off.end() - 1);
+        for (std::size_t k = 0; k < sets.size(); ++k) {
+            for (std::size_t m : sets[k]) {
+                idx[fill[m]++] = (uint32_t)k;
+            }
+        }
+    }
+};
+
+/**
+ * Odd-multiplicity elements of the union of incidence rows @p meas,
+ * sorted ascending and appended to @p out. @p parity is all-zero scratch
+ * over the element range and is left all-zero.
+ */
+void
+appendOdd(const Incidence &inc, const uint32_t *meas, std::size_t n,
+          std::vector<uint8_t> &parity, std::vector<uint32_t> &touched,
+          std::vector<uint32_t> &out)
+{
+    touched.clear();
+    for (std::size_t k = 0; k < n; ++k) {
+        for (uint32_t e = inc.off[meas[k]]; e < inc.off[meas[k] + 1]; ++e) {
+            uint32_t v = inc.idx[e];
+            if (!(parity[v] & 2)) {
+                parity[v] = 2; // bit 1: touched, bit 0: parity
+                touched.push_back(v);
+            }
+            parity[v] ^= 1;
+        }
+    }
+    std::size_t start = out.size();
+    for (uint32_t v : touched) {
+        if (parity[v] & 1) {
+            out.push_back(v);
+        }
+        parity[v] = 0;
+    }
+    std::sort(out.begin() + start, out.end());
 }
 
 } // namespace
@@ -56,237 +229,286 @@ twoQubitPaulis()
 Dem
 buildDem(const SmCircuit &circuit, const NoiseModel &noise)
 {
-    std::size_t num_instr = circuit.instructions.size();
-    std::vector<FaultLoc> faults;
-    std::vector<double> fault_p;
-    std::vector<std::vector<Activation>> before(num_instr), after(num_instr);
+    checkStrength(noise.p1, "p1");
+    checkStrength(noise.p2, "p2");
+    checkStrength(noise.pIdle, "pIdle");
 
-    auto add_1q = [&](std::size_t instr, uint32_t q, Pauli p, double prob,
-                      bool before_instr) {
-        uint32_t f = (uint32_t)faults.size();
-        FaultLoc loc;
-        loc.instr = instr;
-        loc.p0 = p;
-        faults.push_back(loc);
-        fault_p.push_back(prob);
-        Activation act{f, q, hasX(p), hasZ(p)};
-        (before_instr ? before : after)[instr].push_back(act);
+    const std::size_t num_instr = circuit.instructions.size();
+    const std::size_t num_qubits = circuit.numQubits;
+
+    // Fault sites in fault-enumeration order: gate sites by instruction,
+    // then idle sites by CNOT layer and qubit. Generators are numbered in
+    // the same order.
+    std::vector<Site> sites;
+    uint32_t num_gen = 0;
+    auto add_site = [&](std::size_t instr, bool cnot, double prob) {
+        sites.push_back({(uint32_t)instr, num_gen, cnot, prob});
+        num_gen += cnot ? 4 : 2;
     };
-
-    // Enumerate fault locations.
-    const auto two_q = twoQubitPaulis();
     for (std::size_t i = 0; i < num_instr; ++i) {
-        const Instruction &ins = circuit.instructions[i];
-        switch (ins.op) {
+        switch (circuit.instructions[i].op) {
         case OpType::ResetZ:
         case OpType::ResetX:
-            if (noise.p1 > 0) {
-                for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-                    add_1q(i, ins.qubits[0], p, noise.p1 / 3.0, false);
-                }
-            }
-            break;
         case OpType::MeasureZ:
         case OpType::MeasureX:
             if (noise.p1 > 0) {
-                for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-                    add_1q(i, ins.qubits[0], p, noise.p1 / 3.0, true);
-                }
+                add_site(i, false, noise.p1 / 3.0);
             }
             break;
         case OpType::Cnot:
             if (noise.p2 > 0) {
-                for (const auto &[pc, pt] : two_q) {
-                    uint32_t f = (uint32_t)faults.size();
-                    FaultLoc loc;
-                    loc.instr = i;
-                    loc.p0 = pc;
-                    loc.p1 = pt;
-                    loc.isCnot = true;
-                    loc.cnot = circuit.cnotInfo[i];
-                    faults.push_back(loc);
-                    fault_p.push_back(noise.p2 / 15.0);
-                    if (hasX(pc) || hasZ(pc)) {
-                        after[i].push_back(
-                            {f, ins.qubits[0], hasX(pc), hasZ(pc)});
-                    }
-                    if (hasX(pt) || hasZ(pt)) {
-                        after[i].push_back(
-                            {f, ins.qubits[1], hasX(pt), hasZ(pt)});
-                    }
-                }
+                add_site(i, true, noise.p2 / 15.0);
             }
             break;
         case OpType::Tick:
             break;
         }
     }
-
-    // Idle faults: qubits unused during each CNOT layer.
+    const std::size_t num_gate_sites = sites.size();
+    // Idle sites: qubits unused during each CNOT layer, faulted just
+    // before the layer's first CNOT.
+    std::vector<uint32_t> idle_qubit;
     if (noise.pIdle > 0) {
-        std::size_t i = 0;
-        while (i < num_instr) {
+        std::vector<uint8_t> busy(num_qubits);
+        for (std::size_t i = 0; i < num_instr;) {
             if (circuit.instructions[i].op != OpType::Cnot) {
                 ++i;
                 continue;
             }
             std::size_t layer_start = i;
-            std::vector<bool> busy(circuit.numQubits, false);
-            while (i < num_instr &&
-                   circuit.instructions[i].op == OpType::Cnot) {
-                busy[circuit.instructions[i].qubits[0]] = true;
-                busy[circuit.instructions[i].qubits[1]] = true;
-                ++i;
+            std::fill(busy.begin(), busy.end(), 0);
+            for (; i < num_instr &&
+                   circuit.instructions[i].op == OpType::Cnot;
+                 ++i) {
+                busy[circuit.instructions[i].qubits[0]] = 1;
+                busy[circuit.instructions[i].qubits[1]] = 1;
             }
-            for (uint32_t q = 0; q < circuit.numQubits; ++q) {
+            for (uint32_t q = 0; q < num_qubits; ++q) {
                 if (!busy[q]) {
-                    for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
-                        add_1q(layer_start, q, p, noise.pIdle / 3.0, true);
-                    }
+                    add_site(layer_start, false, noise.pIdle / 3.0);
+                    idle_qubit.push_back(q);
                 }
             }
         }
     }
 
-    std::size_t num_faults = faults.size();
-    std::size_t words = (num_faults + 63) / 64;
-
-    // Bit planes: for each qubit, which faults currently have an X (Z)
-    // component there.
-    std::vector<std::vector<uint64_t>> xp(circuit.numQubits,
-                                          std::vector<uint64_t>(words, 0));
-    std::vector<std::vector<uint64_t>> zp = xp;
-
-    // Measurement flips per fault.
-    std::vector<std::vector<uint32_t>> fault_meas(num_faults);
-
-    std::size_t meas_index = 0;
-    auto scan_plane = [&](const std::vector<uint64_t> &plane,
-                          std::size_t meas) {
-        for (std::size_t w = 0; w < words; ++w) {
-            uint64_t bits = plane[w];
-            while (bits) {
-                uint32_t f = (uint32_t)((w << 6) + std::countr_zero(bits));
-                bits &= bits - 1;
-                fault_meas[f].push_back((uint32_t)meas);
-            }
-        }
-    };
-    auto activate = [&](const Activation &a) {
-        if (a.x) {
-            xp[a.qubit][a.fault >> 6] ^= uint64_t{1} << (a.fault & 63);
-        }
-        if (a.z) {
-            zp[a.qubit][a.fault >> 6] ^= uint64_t{1} << (a.fault & 63);
-        }
+    // Generator sweep: one bit per generator in contiguous per-qubit X
+    // and Z planes. Propagation is linear, so each fault's measurement
+    // flips are the XOR of its generators' flips.
+    const std::size_t words = (num_gen + 63) / 64;
+    std::vector<uint64_t> xp(num_qubits * words, 0);
+    std::vector<uint64_t> zp(num_qubits * words, 0);
+    auto inject = [&](uint32_t q, uint32_t gen) {
+        xp[q * words + (gen >> 6)] ^= uint64_t{1} << (gen & 63);
+        zp[q * words + ((gen + 1) >> 6)] ^= uint64_t{1} << ((gen + 1) & 63);
     };
 
+    // (generator, measurement) flip pairs, in measurement order.
+    std::vector<uint32_t> flip_gen, flip_meas;
+    std::vector<uint32_t> gen_flips(num_gen + 1, 0);
+    uint32_t meas_index = 0;
+    std::size_t next_site = 0, next_idle = num_gate_sites;
     for (std::size_t i = 0; i < num_instr; ++i) {
-        for (const Activation &a : before[i]) {
-            activate(a);
-        }
         const Instruction &ins = circuit.instructions[i];
+        const bool measure =
+            ins.op == OpType::MeasureZ || ins.op == OpType::MeasureX;
+        const Site *site =
+            next_site < num_gate_sites && sites[next_site].instr == i
+                ? &sites[next_site++]
+                : nullptr;
+        // Idle and measurement faults act before the instruction; reset
+        // and CNOT faults after it.
+        for (; next_idle < sites.size() && sites[next_idle].instr == i;
+             ++next_idle) {
+            inject(idle_qubit[next_idle - num_gate_sites],
+                   sites[next_idle].gen);
+        }
+        if (site && measure) {
+            inject(ins.qubits[0], site->gen);
+        }
         switch (ins.op) {
         case OpType::ResetZ:
         case OpType::ResetX: {
-            uint32_t q = ins.qubits[0];
-            std::fill(xp[q].begin(), xp[q].end(), 0);
-            std::fill(zp[q].begin(), zp[q].end(), 0);
+            uint64_t *x = &xp[ins.qubits[0] * words];
+            uint64_t *z = &zp[ins.qubits[0] * words];
+            std::fill(x, x + words, 0);
+            std::fill(z, z + words, 0);
             break;
         }
         case OpType::Cnot: {
-            uint32_t c = ins.qubits[0], t = ins.qubits[1];
+            uint64_t *xc = &xp[ins.qubits[0] * words];
+            uint64_t *xt = &xp[ins.qubits[1] * words];
+            uint64_t *zc = &zp[ins.qubits[0] * words];
+            uint64_t *zt = &zp[ins.qubits[1] * words];
             for (std::size_t w = 0; w < words; ++w) {
-                xp[t][w] ^= xp[c][w];
-                zp[c][w] ^= zp[t][w];
+                xt[w] ^= xc[w];
+                zc[w] ^= zt[w];
             }
             break;
         }
         case OpType::MeasureZ:
-            scan_plane(xp[ins.qubits[0]], meas_index++);
+        case OpType::MeasureX: {
+            const uint64_t *plane =
+                &(ins.op == OpType::MeasureZ ? xp : zp)[ins.qubits[0] * words];
+            for (std::size_t w = 0; w < words; ++w) {
+                for (uint64_t bits = plane[w]; bits; bits &= bits - 1) {
+                    uint32_t g = (uint32_t)((w << 6) + std::countr_zero(bits));
+                    flip_gen.push_back(g);
+                    flip_meas.push_back(meas_index);
+                    ++gen_flips[g + 1];
+                }
+            }
+            ++meas_index;
             break;
-        case OpType::MeasureX:
-            scan_plane(zp[ins.qubits[0]], meas_index++);
-            break;
+        }
         case OpType::Tick:
             break;
         }
-        for (const Activation &a : after[i]) {
-            activate(a);
+        if (site && !measure) {
+            inject(ins.qubits[0], site->gen);
+            if (site->cnot) {
+                inject(ins.qubits[1], site->gen + 2);
+            }
         }
     }
     if (meas_index != circuit.numMeasurements) {
         throw std::logic_error("buildDem: measurement count mismatch");
     }
 
-    // Measurement -> detector / observable incidence.
-    std::vector<std::vector<uint32_t>> meas_det(circuit.numMeasurements);
-    for (std::size_t d = 0; d < circuit.detectors.size(); ++d) {
-        for (std::size_t mm : circuit.detectors[d]) {
-            meas_det[mm].push_back((uint32_t)d);
-        }
+    // Generator -> flipped measurements (CSR, measurements ascending).
+    for (uint32_t g = 0; g < num_gen; ++g) {
+        gen_flips[g + 1] += gen_flips[g];
     }
-    std::vector<std::vector<uint32_t>> meas_obs(circuit.numMeasurements);
-    for (std::size_t o = 0; o < circuit.observables.size(); ++o) {
-        for (std::size_t mm : circuit.observables[o]) {
-            meas_obs[mm].push_back((uint32_t)o);
+    std::vector<uint32_t> gen_meas(flip_gen.size());
+    {
+        std::vector<uint32_t> fill(gen_flips.begin(), gen_flips.end() - 1);
+        for (std::size_t k = 0; k < flip_gen.size(); ++k) {
+            gen_meas[fill[flip_gen[k]]++] = flip_meas[k];
         }
     }
 
-    // Convert measurement flips to detector/observable signatures and merge
-    // identical signatures.
-    using Signature = std::pair<std::vector<uint32_t>, std::vector<uint32_t>>;
-    std::map<Signature, std::size_t> index;
+    // Generator signatures: odd detector set, then odd observable set.
+    const Incidence meas_det(circuit.detectors, circuit.numMeasurements);
+    const Incidence meas_obs(circuit.observables, circuit.numMeasurements);
+    SignatureArena gen_sig;
+    {
+        std::vector<uint8_t> det_parity(circuit.detectors.size(), 0);
+        std::vector<uint8_t> obs_parity(circuit.observables.size(), 0);
+        std::vector<uint32_t> touched;
+        for (uint32_t g = 0; g < num_gen; ++g) {
+            const uint32_t *m = gen_meas.data() + gen_flips[g];
+            std::size_t n = gen_flips[g + 1] - gen_flips[g];
+            appendOdd(meas_det, m, n, det_parity, touched, gen_sig.arena);
+            gen_sig.closeDetectors();
+            appendOdd(meas_obs, m, n, obs_parity, touched, gen_sig.arena);
+            gen_sig.closeEntry();
+        }
+    }
+
+    // First pass: merge fault signatures in fault order through an
+    // open-addressing table. Mechanism ids follow first appearance and p
+    // folds in fault order, exactly as a sequential merge would.
+    std::size_t num_faults = 0;
+    for (const Site &s : sites) {
+        num_faults += s.cnot ? 15 : 3;
+    }
+    std::size_t capacity = 16;
+    while (capacity < 2 * num_faults) {
+        capacity <<= 1;
+    }
+    std::vector<uint32_t> table(capacity, kNone);
+    SignatureArena mech_sig;
+    std::vector<uint64_t> mech_hash;
+    std::vector<double> mech_p;
+    std::vector<uint32_t> mech_sources;
+    std::vector<uint32_t> fault_mech;
+    fault_mech.reserve(num_faults);
+
+    // subset entry k: the signature of the site's generator subset k.
+    SignatureArena subset;
+    auto merge = [&](std::size_t k, double prob) {
+        const uint32_t *sig = subset.data(k);
+        const uint32_t len = subset.length(k);
+        const uint32_t num_det = subset.numDet[k];
+        if (len == 0) {
+            fault_mech.push_back(kNone);
+            return;
+        }
+        const uint64_t h = hashSignature(sig, len, num_det);
+        for (std::size_t slot = h & (capacity - 1);;
+             slot = (slot + 1) & (capacity - 1)) {
+            uint32_t id = table[slot];
+            if (id == kNone) {
+                id = (uint32_t)mech_p.size();
+                table[slot] = id;
+                mech_sig.pushCopy(subset, k);
+                mech_hash.push_back(h);
+                mech_p.push_back(prob);
+                mech_sources.push_back(1);
+                fault_mech.push_back(id);
+                return;
+            }
+            if (mech_hash[id] == h && mech_sig.numDet[id] == num_det &&
+                mech_sig.length(id) == len &&
+                std::equal(sig, sig + len, mech_sig.data(id))) {
+                mech_p[id] = mech_p[id] + prob - 2.0 * mech_p[id] * prob;
+                ++mech_sources[id];
+                fault_mech.push_back(id);
+                return;
+            }
+        }
+    };
+    for (const Site &s : sites) {
+        // Subset k = subset k & (k - 1) XOR the lowest generator in k.
+        subset.clear();
+        subset.closeDetectors();
+        subset.closeEntry();
+        const std::size_t subsets = s.cnot ? 16 : 4;
+        for (std::size_t k = 1; k < subsets; ++k) {
+            subset.pushXor(k & (k - 1), gen_sig, s.gen + std::countr_zero(k));
+        }
+        for (uint8_t mask : s.cnot ? std::span<const uint8_t>(kCnotMasks)
+                                   : std::span<const uint8_t>(kOneQubitMasks)) {
+            merge(mask, s.prob);
+        }
+    }
+
+    // Second pass: materialize the Dem at exact sizes, sources in fault
+    // order.
     Dem dem;
     dem.numDetectors = circuit.detectors.size();
     dem.numObservables = circuit.observables.size();
-
-    auto odd_elements = [](std::vector<uint32_t> v) {
-        std::sort(v.begin(), v.end());
-        std::vector<uint32_t> out;
-        for (std::size_t i = 0; i < v.size();) {
-            std::size_t j = i;
-            while (j < v.size() && v[j] == v[i]) {
-                ++j;
+    dem.errors.resize(mech_p.size());
+    for (std::size_t id = 0; id < mech_p.size(); ++id) {
+        ErrorMechanism &mech = dem.errors[id];
+        const uint32_t *sig = mech_sig.data(id);
+        const uint32_t num_det = mech_sig.numDet[id];
+        mech.p = mech_p[id];
+        mech.detectors.assign(sig, sig + num_det);
+        mech.observables.assign(sig + num_det, sig + mech_sig.length(id));
+        mech.sources.reserve(mech_sources[id]);
+    }
+    const uint32_t *mech_of = fault_mech.data();
+    for (const Site &s : sites) {
+        FaultLoc loc;
+        loc.instr = s.instr;
+        if (s.cnot) {
+            loc.isCnot = true;
+            loc.cnot = circuit.cnotInfo[s.instr];
+            for (auto [pc, pt] : kCnotPaulis) {
+                if (uint32_t id = *mech_of++; id != kNone) {
+                    loc.p0 = pc;
+                    loc.p1 = pt;
+                    dem.errors[id].sources.push_back(loc);
+                }
             }
-            if ((j - i) % 2 == 1) {
-                out.push_back(v[i]);
-            }
-            i = j;
-        }
-        return out;
-    };
-
-    for (std::size_t f = 0; f < num_faults; ++f) {
-        std::vector<uint32_t> dets, obs;
-        for (uint32_t mm : fault_meas[f]) {
-            for (uint32_t d : meas_det[mm]) {
-                dets.push_back(d);
-            }
-            for (uint32_t o : meas_obs[mm]) {
-                obs.push_back(o);
-            }
-        }
-        dets = odd_elements(std::move(dets));
-        obs = odd_elements(std::move(obs));
-        if (dets.empty() && obs.empty()) {
-            continue;
-        }
-        Signature sig{dets, obs};
-        auto it = index.find(sig);
-        if (it == index.end()) {
-            ErrorMechanism mech;
-            mech.p = fault_p[f];
-            mech.detectors = std::move(sig.first);
-            mech.observables = std::move(sig.second);
-            mech.sources.push_back(faults[f]);
-            index.emplace(Signature{mech.detectors, mech.observables},
-                          dem.errors.size());
-            dem.errors.push_back(std::move(mech));
         } else {
-            ErrorMechanism &mech = dem.errors[it->second];
-            mech.p = mech.p + fault_p[f] - 2.0 * mech.p * fault_p[f];
-            mech.sources.push_back(faults[f]);
+            for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+                if (uint32_t id = *mech_of++; id != kNone) {
+                    loc.p0 = p;
+                    dem.errors[id].sources.push_back(loc);
+                }
+            }
         }
     }
     return dem;

@@ -2,16 +2,34 @@
  * @file
  * DEM extraction: deterministic Pauli-fault propagation through a circuit.
  *
- * Every possible fault location is propagated through the remainder of the
- * circuit using the CNOT rules of the paper's Figure 3b to determine which
+ * Every fault location of the noise model is propagated through the rest
+ * of the circuit using the CNOT rules of the paper's Figure 3b to find the
  * measurements (and hence detectors and observables) it flips. Faults with
  * identical detector/observable signatures are merged with the usual
  * independent-XOR probability combination p = p_a + p_b - 2 p_a p_b.
  *
- * The propagation is batched: instead of walking the circuit once per
- * fault, we sweep the circuit once, carrying per-qubit bit planes indexed
- * by fault (X plane and Z plane). A CNOT is then two word-wise XORs per
- * plane word, making DEM extraction effectively linear in circuit size.
+ * Generator sweep. Pauli-frame propagation through resets, CNOTs and
+ * measurements is linear over GF(2), Y = XZ up to phase, and a two-qubit
+ * CNOT fault (Pc, Pt) is the product of its one-qubit components at the
+ * same point in time. So only generators are propagated: X and Z on the
+ * control and target after each CNOT, and X and Z at each reset,
+ * measurement and idle site. One sweep over the circuit carries one bit
+ * per generator in contiguous per-qubit X and Z bit planes; a CNOT is two
+ * word-wise XORs per plane word. Each generator's flipped measurements
+ * become its odd detector and observable sets once, through CSR
+ * measurement -> detector and measurement -> observable incidence, and a
+ * fault's signature is the symmetric difference of at most four generator
+ * signatures. Faults with an empty signature are dropped.
+ *
+ * Merge order. Signatures are kept in one flat arena and merged through an
+ * open-addressing table keyed by their hash; a hash hit is confirmed by a
+ * full comparison, so no merge is probabilistic. Faults are visited in
+ * enumeration order — gate faults by instruction (X, Y, Z for resets and
+ * measurements; the 15 pairs for CNOTs), then idle faults by CNOT layer
+ * and qubit — so mechanisms appear in order of their first fault, each
+ * mechanism's sources are in fault order, and p folds in fault order. The
+ * output is therefore the same, bit for bit, as merging one fault at a
+ * time. The builder keeps no shared state and may run concurrently.
  */
 #ifndef PROPHUNT_SIM_DEM_BUILDER_H
 #define PROPHUNT_SIM_DEM_BUILDER_H
@@ -22,7 +40,12 @@
 
 namespace prophunt::sim {
 
-/** Extract the detector error model of @p circuit under @p noise. */
+/**
+ * Extract the detector error model of @p circuit under @p noise.
+ *
+ * @throws std::invalid_argument if noise.p1, noise.p2 or noise.pIdle is
+ * not a finite probability in [0, 1].
+ */
 Dem buildDem(const circuit::SmCircuit &circuit, const NoiseModel &noise);
 
 } // namespace prophunt::sim
