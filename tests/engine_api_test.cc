@@ -10,7 +10,9 @@
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
 #include "api/config.h"
@@ -249,6 +251,22 @@ TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
         EXPECT_EQ(pt.telemetry.cacheMisses, 0u);
     }
     EXPECT_EQ(sr.telemetry.shots, 0u);
+}
+
+TEST(Engine, InvalidNoiseStrengthErrorsInsteadOfZeroLer)
+{
+    // A negative or NaN strength must fail the request, not run it as a
+    // noiseless circuit that reports LER 0.
+    api::Engine engine;
+    for (double bad : {-1e-3, std::numeric_limits<double>::quiet_NaN()}) {
+        api::LerRequest req = d3Request(1);
+        req.noise = sim::NoiseModel::uniform(bad);
+        req.shots = 2000;
+        EXPECT_THROW(engine.run(req), std::invalid_argument) << bad;
+    }
+    api::LerRequest idle = d3Request(1);
+    idle.noise = sim::NoiseModel::withIdle(3e-3, -1e-4);
+    EXPECT_THROW(engine.run(idle), std::invalid_argument);
 }
 
 TEST(Engine, ShardLargerThanShotsClampsToOneShard)

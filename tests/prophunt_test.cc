@@ -7,6 +7,7 @@
 
 #include <memory>
 
+#include "api/engine.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
@@ -261,6 +262,39 @@ TEST(Optimizer, ImprovesPoorD3Schedule)
     EXPECT_EQ(res.snapshots.size(), res.history.size() + 1);
     EXPECT_TRUE(res.finalSchedule().commutationValid());
     EXPECT_TRUE(res.finalSchedule().schedulable());
+}
+
+TEST(Optimizer, ThreadCountDoesNotChangeTrajectory)
+{
+    // Subgraph sampling and candidate verification are per-index
+    // deterministic, so the worker count must not change a single
+    // decision. With 4 threads, verification also runs concurrent
+    // buildDem calls on the shared pool.
+    code::SurfaceCode s(3);
+    auto run = [&](std::size_t threads) {
+        PropHuntOptions opts;
+        opts.iterations = 6;
+        opts.samplesPerIteration = 150;
+        opts.seed = 3;
+        opts.threads = threads;
+        return PropHunt(opts).optimize(circuit::poorSurfaceSchedule(s), 3);
+    };
+    OptimizeResult serial = run(1);
+    OptimizeResult parallel = run(4);
+    ASSERT_FALSE(serial.history.empty());
+    ASSERT_EQ(serial.history.size(), parallel.history.size());
+    std::size_t applied = 0;
+    for (std::size_t i = 0; i < serial.history.size(); ++i) {
+        const IterationRecord &a = serial.history[i];
+        const IterationRecord &b = parallel.history[i];
+        EXPECT_EQ(a.candidatesEnumerated, b.candidatesEnumerated) << i;
+        EXPECT_EQ(a.changesVerified, b.changesVerified) << i;
+        EXPECT_EQ(a.changesApplied, b.changesApplied) << i;
+        applied += a.changesApplied;
+    }
+    EXPECT_GT(applied, 0u) << "the poor schedule must be changed";
+    EXPECT_EQ(api::hashSchedule(serial.finalSchedule()),
+              api::hashSchedule(parallel.finalSchedule()));
 }
 
 TEST(Optimizer, RecordsSolveTelemetry)

@@ -7,7 +7,9 @@
 
 #include <bit>
 #include <cmath>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 #include "circuit/coloration.h"
@@ -161,6 +163,29 @@ TEST(DemBuilder, CheckMatrixShapes)
     EXPECT_EQ(l.cols(), dem.errors.size());
     // Circuit-level H is far wider than the code-level matrix (Sec. 2.7).
     EXPECT_GT(h.cols(), 100u);
+}
+
+TEST(DemBuilder, RejectsInvalidNoiseStrengths)
+{
+    // A strength that is not a probability used to be gated out by
+    // "p > 0" and silently treated as zero noise.
+    auto circ = d3Circuit(circuit::MemoryBasis::Z);
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {-1e-3, 1.5, nan, inf, -inf}) {
+        EXPECT_THROW(buildDem(circ, NoiseModel{bad, 1e-3, 0.0}),
+                     std::invalid_argument)
+            << "p1=" << bad;
+        EXPECT_THROW(buildDem(circ, NoiseModel{1e-3, bad, 0.0}),
+                     std::invalid_argument)
+            << "p2=" << bad;
+        EXPECT_THROW(buildDem(circ, NoiseModel::withIdle(1e-3, bad)),
+                     std::invalid_argument)
+            << "pIdle=" << bad;
+    }
+    // The ends of [0, 1] are valid.
+    EXPECT_NO_THROW(buildDem(circ, NoiseModel{0.0, 1.0, 0.0}));
+    EXPECT_NO_THROW(buildDem(circ, NoiseModel::withIdle(1.0, 1.0)));
 }
 
 namespace {

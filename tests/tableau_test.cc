@@ -8,8 +8,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
@@ -136,13 +140,19 @@ TEST(TableauCircuit, NoiselessNzScheduleAllDistances)
 namespace {
 
 /**
- * Cross-validate: for each enumerated fault location, the tableau
- * simulator's detector/observable flips (faulty run vs noiseless run with
- * identical measurement randomness) must equal the DEM's signature for
- * the mechanism containing that fault.
+ * Cross-validate: for every fault location of the uniform noise model —
+ * X, Y, Z at each reset and measurement, the 15 Pauli pairs after each
+ * CNOT — the tableau simulator's detector/observable flips (faulty run vs
+ * noiseless run with identical measurement randomness) must equal the
+ * DEM's signature for the mechanism containing that fault, and a location
+ * in no mechanism must flip nothing. Locations are enumerated here, not
+ * read from the DEM, so a builder that dropped a detectable fault fails.
+ * At most @p cap locations are checked, drawn uniformly at random; the
+ * default covers every location of the d=3 surface circuits.
  */
 void
-crossValidate(const circuit::SmCircuit &circ, uint64_t seed)
+crossValidate(const circuit::SmCircuit &circ, uint64_t seed,
+              std::size_t cap = 4000)
 {
     Dem dem = buildDem(circ, NoiseModel::uniform(1e-3));
     // Index mechanisms by fault location.
@@ -153,17 +163,47 @@ crossValidate(const circuit::SmCircuit &circ, uint64_t seed)
         }
     }
 
+    std::vector<FaultLoc> locs;
+    for (std::size_t i = 0; i < circ.instructions.size(); ++i) {
+        FaultLoc loc;
+        loc.instr = i;
+        switch (circ.instructions[i].op) {
+        case circuit::OpType::Cnot:
+            for (int a = 0; a < 4; ++a) {
+                for (int b = 0; b < 4; ++b) {
+                    if (a != 0 || b != 0) {
+                        loc.p0 = (Pauli)a;
+                        loc.p1 = (Pauli)b;
+                        locs.push_back(loc);
+                    }
+                }
+            }
+            break;
+        case circuit::OpType::Tick:
+            break;
+        default: // resets and measurements
+            for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+                loc.p0 = p;
+                locs.push_back(loc);
+            }
+        }
+    }
+    // Partial Fisher-Yates: the first min(cap, size) entries become a
+    // uniform sample, present and absent locations alike.
+    Rng pick(seed ^ 0x5eed);
+    std::size_t sample = std::min(cap, locs.size());
+    for (std::size_t k = 0; k < sample; ++k) {
+        std::swap(locs[k], locs[k + pick.below(locs.size() - k)]);
+    }
+
     Rng ref_rng(seed);
     auto ref = runTableau(circ, ref_rng);
     auto ref_det = detectorValues(circ, ref);
     auto ref_obs = observableValues(circ, ref);
 
-    std::size_t checked = 0;
-    for (const auto &[key, mech_idx] : by_loc) {
-        FaultLoc loc;
-        loc.instr = std::get<0>(key);
-        loc.p0 = (Pauli)std::get<1>(key);
-        loc.p1 = (Pauli)std::get<2>(key);
+    std::size_t present = 0, absent = 0;
+    for (std::size_t k = 0; k < sample; ++k) {
+        const FaultLoc &loc = locs[k];
         Rng rng(seed); // identical randomness as the reference run
         auto meas = runTableau(circ, rng, &loc);
         auto det = detectorValues(circ, meas);
@@ -180,16 +220,26 @@ crossValidate(const circuit::SmCircuit &circ, uint64_t seed)
                 flipped_obs.push_back((uint32_t)i);
             }
         }
-        ASSERT_EQ(flipped_det, dem.errors[mech_idx].detectors)
-            << "instr " << loc.instr;
-        ASSERT_EQ(flipped_obs, dem.errors[mech_idx].observables)
-            << "instr " << loc.instr;
-        ++checked;
-        if (checked >= 400) {
-            break; // plenty of coverage per circuit
+        auto it = by_loc.find({loc.instr, (int)loc.p0, (int)loc.p1});
+        if (it == by_loc.end()) {
+            ASSERT_TRUE(flipped_det.empty() && flipped_obs.empty())
+                << "detectable fault missing from the DEM: instr "
+                << loc.instr << " p0 " << (int)loc.p0 << " p1 "
+                << (int)loc.p1;
+            ++absent;
+            continue;
         }
+        ASSERT_EQ(flipped_det, dem.errors[it->second].detectors)
+            << "instr " << loc.instr;
+        ASSERT_EQ(flipped_obs, dem.errors[it->second].observables)
+            << "instr " << loc.instr;
+        ++present;
     }
-    ASSERT_GT(checked, 100u);
+    ASSERT_GT(present, 100u);
+    ASSERT_GT(absent, 0u);
+    if (sample == locs.size()) {
+        ASSERT_EQ(present, by_loc.size()); // every DEM source was checked
+    }
 }
 
 } // namespace
@@ -219,5 +269,5 @@ TEST(TableauCrossValidation, Lp39MemoryZ)
     crossValidate(circuit::buildMemoryCircuit(
                       circuit::randomColorationSchedule(cp, 3), 2,
                       circuit::MemoryBasis::Z),
-                  17);
+                  17, 600);
 }
