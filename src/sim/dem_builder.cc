@@ -102,17 +102,33 @@ xorSorted(const uint32_t *a, std::size_t na, const uint32_t *b,
     out.insert(out.end(), b + j, b + nb);
 }
 
+/** Hash of one signature element; observables hash apart from detectors. */
+uint64_t
+elementHash(uint32_t v, bool observable)
+{
+    uint64_t h = (2 * (uint64_t)v + observable) * 0x9e3779b97f4a7c15ull;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ull;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebull;
+    return h ^ (h >> 31);
+}
+
 /**
  * Detector and observable sets stored back to back in one arena: entry k
- * spans arena[off[k], off[k + 1]), detectors first.
+ * spans arena[off[k], off[k + 1]), detectors first. Each entry's hash is
+ * the XOR of its elements' hashes, so the hash of a symmetric difference
+ * is the XOR of the operands' hashes.
  */
 struct SignatureArena
 {
     std::vector<uint32_t> arena;
     std::vector<uint32_t> off{0};
     std::vector<uint32_t> numDet;
+    std::vector<uint64_t> hash;
 
-    const uint32_t *data(std::size_t k) const { return &arena[off[k]]; }
+    const uint32_t *data(std::size_t k) const
+    {
+        return arena.data() + off[k];
+    }
     uint32_t length(std::size_t k) const { return off[k + 1] - off[k]; }
 
     void clear()
@@ -120,6 +136,7 @@ struct SignatureArena
         arena.clear();
         off.assign(1, 0);
         numDet.clear();
+        hash.clear();
     }
 
     /** Mark the end of the open entry's detectors. */
@@ -128,8 +145,17 @@ struct SignatureArena
         numDet.push_back((uint32_t)arena.size() - off.back());
     }
 
-    /** Mark the end of the open entry. */
-    void closeEntry() { off.push_back((uint32_t)arena.size()); }
+    /** Mark the end of the open entry and hash it. */
+    void closeEntry()
+    {
+        off.push_back((uint32_t)arena.size());
+        std::size_t k = numDet.size() - 1;
+        uint64_t h = 0;
+        for (uint32_t i = 0; i < length(k); ++i) {
+            h ^= elementHash(data(k)[i], i >= numDet[k]);
+        }
+        hash.push_back(h);
+    }
 
     /** Append entry a of this arena XOR entry b of @p other. */
     void pushXor(std::size_t a, const SignatureArena &other, std::size_t b)
@@ -142,7 +168,8 @@ struct SignatureArena
         closeDetectors();
         xorSorted(da + na, length(a) - na, db + nb, other.length(b) - nb,
                   arena);
-        closeEntry();
+        off.push_back((uint32_t)arena.size());
+        hash.push_back(hash[a] ^ other.hash[b]);
     }
 
     /** Append a copy of entry k of @p src. */
@@ -150,20 +177,19 @@ struct SignatureArena
     {
         arena.insert(arena.end(), src.data(k), src.data(k) + src.length(k));
         numDet.push_back(src.numDet[k]);
-        closeEntry();
+        off.push_back((uint32_t)arena.size());
+        hash.push_back(src.hash[k]);
+    }
+
+    /** True iff entry k equals entry j of @p other. */
+    bool equals(std::size_t k, const SignatureArena &other,
+                std::size_t j) const
+    {
+        return hash[k] == other.hash[j] && numDet[k] == other.numDet[j] &&
+               length(k) == other.length(j) &&
+               std::equal(data(k), data(k) + length(k), other.data(j));
     }
 };
-
-uint64_t
-hashSignature(const uint32_t *sig, uint32_t len, uint32_t num_det)
-{
-    uint64_t h = 0x9e3779b97f4a7c15ull ^ ((uint64_t)num_det << 32) ^ len;
-    for (uint32_t i = 0; i < len; ++i) {
-        h = (h ^ sig[i]) * 0xff51afd7ed558ccdull;
-        h ^= h >> 32;
-    }
-    return h;
-}
 
 /** Measurement -> detector (or observable) incidence in CSR form. */
 struct Incidence
@@ -298,9 +324,11 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     const std::size_t words = (num_gen + 63) / 64;
     std::vector<uint64_t> xp(num_qubits * words, 0);
     std::vector<uint64_t> zp(num_qubits * words, 0);
+    auto xrow = [&](uint32_t q) { return xp.data() + q * words; };
+    auto zrow = [&](uint32_t q) { return zp.data() + q * words; };
     auto inject = [&](uint32_t q, uint32_t gen) {
-        xp[q * words + (gen >> 6)] ^= uint64_t{1} << (gen & 63);
-        zp[q * words + ((gen + 1) >> 6)] ^= uint64_t{1} << ((gen + 1) & 63);
+        xrow(q)[gen >> 6] ^= uint64_t{1} << (gen & 63);
+        zrow(q)[(gen + 1) >> 6] ^= uint64_t{1} << ((gen + 1) & 63);
     };
 
     // (generator, measurement) flip pairs, in measurement order.
@@ -329,17 +357,15 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         switch (ins.op) {
         case OpType::ResetZ:
         case OpType::ResetX: {
-            uint64_t *x = &xp[ins.qubits[0] * words];
-            uint64_t *z = &zp[ins.qubits[0] * words];
-            std::fill(x, x + words, 0);
-            std::fill(z, z + words, 0);
+            std::fill_n(xrow(ins.qubits[0]), words, 0);
+            std::fill_n(zrow(ins.qubits[0]), words, 0);
             break;
         }
         case OpType::Cnot: {
-            uint64_t *xc = &xp[ins.qubits[0] * words];
-            uint64_t *xt = &xp[ins.qubits[1] * words];
-            uint64_t *zc = &zp[ins.qubits[0] * words];
-            uint64_t *zt = &zp[ins.qubits[1] * words];
+            const uint64_t *xc = xrow(ins.qubits[0]);
+            const uint64_t *zt = zrow(ins.qubits[1]);
+            uint64_t *xt = xrow(ins.qubits[1]);
+            uint64_t *zc = zrow(ins.qubits[0]);
             for (std::size_t w = 0; w < words; ++w) {
                 xt[w] ^= xc[w];
                 zc[w] ^= zt[w];
@@ -348,8 +374,9 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         }
         case OpType::MeasureZ:
         case OpType::MeasureX: {
-            const uint64_t *plane =
-                &(ins.op == OpType::MeasureZ ? xp : zp)[ins.qubits[0] * words];
+            const uint64_t *plane = ins.op == OpType::MeasureZ
+                                        ? xrow(ins.qubits[0])
+                                        : zrow(ins.qubits[0]);
             for (std::size_t w = 0; w < words; ++w) {
                 for (uint64_t bits = plane[w]; bits; bits &= bits - 1) {
                     uint32_t g = (uint32_t)((w << 6) + std::countr_zero(bits));
@@ -418,7 +445,6 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     }
     std::vector<uint32_t> table(capacity, kNone);
     SignatureArena mech_sig;
-    std::vector<uint64_t> mech_hash;
     std::vector<double> mech_p;
     std::vector<uint32_t> mech_sources;
     std::vector<uint32_t> fault_mech;
@@ -427,30 +453,23 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     // subset entry k: the signature of the site's generator subset k.
     SignatureArena subset;
     auto merge = [&](std::size_t k, double prob) {
-        const uint32_t *sig = subset.data(k);
-        const uint32_t len = subset.length(k);
-        const uint32_t num_det = subset.numDet[k];
-        if (len == 0) {
+        if (subset.length(k) == 0) {
             fault_mech.push_back(kNone);
             return;
         }
-        const uint64_t h = hashSignature(sig, len, num_det);
-        for (std::size_t slot = h & (capacity - 1);;
+        for (std::size_t slot = subset.hash[k] & (capacity - 1);;
              slot = (slot + 1) & (capacity - 1)) {
             uint32_t id = table[slot];
             if (id == kNone) {
                 id = (uint32_t)mech_p.size();
                 table[slot] = id;
                 mech_sig.pushCopy(subset, k);
-                mech_hash.push_back(h);
                 mech_p.push_back(prob);
                 mech_sources.push_back(1);
                 fault_mech.push_back(id);
                 return;
             }
-            if (mech_hash[id] == h && mech_sig.numDet[id] == num_det &&
-                mech_sig.length(id) == len &&
-                std::equal(sig, sig + len, mech_sig.data(id))) {
+            if (mech_sig.equals(id, subset, k)) {
                 mech_p[id] = mech_p[id] + prob - 2.0 * mech_p[id] * prob;
                 ++mech_sources[id];
                 fault_mech.push_back(id);
