@@ -191,31 +191,41 @@ struct SignatureArena
     }
 };
 
-/** Measurement -> detector (or observable) incidence in CSR form. */
-struct Incidence
+/** Compressed rows: row r is idx[off[r], off[r + 1]). */
+struct Csr
 {
     std::vector<uint32_t> off;
     std::vector<uint32_t> idx;
 
-    Incidence(const std::vector<std::vector<std::size_t>> &sets,
-              std::size_t num_meas)
-        : off(num_meas + 1, 0)
+    /** Group (row[k], value[k]) pairs by row, values in input order. */
+    Csr(std::size_t rows, const std::vector<uint32_t> &row,
+        const std::vector<uint32_t> &value)
+        : off(rows + 1, 0), idx(row.size())
     {
-        for (const auto &set : sets) {
-            for (std::size_t m : set) {
-                ++off[m + 1];
-            }
+        for (uint32_t r : row) {
+            ++off[r + 1];
         }
-        for (std::size_t m = 0; m < num_meas; ++m) {
-            off[m + 1] += off[m];
+        for (std::size_t r = 0; r < rows; ++r) {
+            off[r + 1] += off[r];
         }
-        idx.resize(off[num_meas]);
         std::vector<uint32_t> fill(off.begin(), off.end() - 1);
+        for (std::size_t k = 0; k < row.size(); ++k) {
+            idx[fill[row[k]]++] = value[k];
+        }
+    }
+
+    /** Measurement -> set incidence of detector or observable @p sets. */
+    static Csr incidence(const std::vector<std::vector<std::size_t>> &sets,
+                         std::size_t num_meas)
+    {
+        std::vector<uint32_t> meas, set;
         for (std::size_t k = 0; k < sets.size(); ++k) {
             for (std::size_t m : sets[k]) {
-                idx[fill[m]++] = (uint32_t)k;
+                meas.push_back((uint32_t)m);
+                set.push_back((uint32_t)k);
             }
         }
+        return Csr(num_meas, meas, set);
     }
 };
 
@@ -225,7 +235,7 @@ struct Incidence
  * over the element range and is left all-zero.
  */
 void
-appendOdd(const Incidence &inc, const uint32_t *meas, std::size_t n,
+appendOdd(const Csr &inc, const uint32_t *meas, std::size_t n,
           std::vector<uint8_t> &parity, std::vector<uint32_t> &touched,
           std::vector<uint32_t> &out)
 {
@@ -333,7 +343,6 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
 
     // (generator, measurement) flip pairs, in measurement order.
     std::vector<uint32_t> flip_gen, flip_meas;
-    std::vector<uint32_t> gen_flips(num_gen + 1, 0);
     uint32_t meas_index = 0;
     std::size_t next_site = 0, next_idle = num_gate_sites;
     for (std::size_t i = 0; i < num_instr; ++i) {
@@ -382,7 +391,6 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
                     uint32_t g = (uint32_t)((w << 6) + std::countr_zero(bits));
                     flip_gen.push_back(g);
                     flip_meas.push_back(meas_index);
-                    ++gen_flips[g + 1];
                 }
             }
             ++meas_index;
@@ -402,29 +410,20 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         throw std::logic_error("buildDem: measurement count mismatch");
     }
 
-    // Generator -> flipped measurements (CSR, measurements ascending).
-    for (uint32_t g = 0; g < num_gen; ++g) {
-        gen_flips[g + 1] += gen_flips[g];
-    }
-    std::vector<uint32_t> gen_meas(flip_gen.size());
-    {
-        std::vector<uint32_t> fill(gen_flips.begin(), gen_flips.end() - 1);
-        for (std::size_t k = 0; k < flip_gen.size(); ++k) {
-            gen_meas[fill[flip_gen[k]]++] = flip_meas[k];
-        }
-    }
-
     // Generator signatures: odd detector set, then odd observable set.
-    const Incidence meas_det(circuit.detectors, circuit.numMeasurements);
-    const Incidence meas_obs(circuit.observables, circuit.numMeasurements);
+    const Csr gen_meas(num_gen, flip_gen, flip_meas);
+    const Csr meas_det =
+        Csr::incidence(circuit.detectors, circuit.numMeasurements);
+    const Csr meas_obs =
+        Csr::incidence(circuit.observables, circuit.numMeasurements);
     SignatureArena gen_sig;
     {
         std::vector<uint8_t> det_parity(circuit.detectors.size(), 0);
         std::vector<uint8_t> obs_parity(circuit.observables.size(), 0);
         std::vector<uint32_t> touched;
         for (uint32_t g = 0; g < num_gen; ++g) {
-            const uint32_t *m = gen_meas.data() + gen_flips[g];
-            std::size_t n = gen_flips[g + 1] - gen_flips[g];
+            const uint32_t *m = gen_meas.idx.data() + gen_meas.off[g];
+            std::size_t n = gen_meas.off[g + 1] - gen_meas.off[g];
             appendOdd(meas_det, m, n, det_parity, touched, gen_sig.arena);
             gen_sig.closeDetectors();
             appendOdd(meas_obs, m, n, obs_parity, touched, gen_sig.arena);
