@@ -4,7 +4,7 @@
 #include <array>
 #include <bit>
 #include <cmath>
-#include <span>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -46,30 +46,19 @@ constexpr auto kCnotPaulis = [] {
     return out;
 }();
 
-/** Generator bits of a Pauli: bit 0 = X component, bit 1 = Z. */
-constexpr uint8_t
+/**
+ * Generators of a Pauli on one qubit of a site: bit 0 = X, bit 1 = Z. On
+ * a CNOT site the target's bits sit two places higher.
+ */
+constexpr std::size_t
 pauliBits(Pauli p)
 {
     return (p == Pauli::X || p == Pauli::Y ? 1 : 0) |
            (p == Pauli::Z || p == Pauli::Y ? 2 : 0);
 }
 
-/**
- * Generator subset of each fault of a site, in fault order: bits 0 and 1
- * are X and Z on the first qubit, bits 2 and 3 on the second. One-qubit
- * sites fault X, Y = XZ (up to phase), Z.
- */
-constexpr uint8_t kOneQubitMasks[3] = {pauliBits(Pauli::X),
-                                       pauliBits(Pauli::Y),
-                                       pauliBits(Pauli::Z)};
-constexpr auto kCnotMasks = [] {
-    std::array<uint8_t, 15> out{};
-    for (std::size_t k = 0; k < 15; ++k) {
-        out[k] = pauliBits(kCnotPaulis[k].first) |
-                 pauliBits(kCnotPaulis[k].second) << 2;
-    }
-    return out;
-}();
+/** One-qubit faults in fault order; Y = XZ up to phase. */
+constexpr Pauli kOneQubitPaulis[3] = {Pauli::X, Pauli::Y, Pauli::Z};
 
 void
 checkStrength(double p, const char *name)
@@ -80,26 +69,6 @@ checkStrength(double p, const char *name)
             " must be a finite probability in [0, 1], got " +
             std::to_string(p));
     }
-}
-
-/** Sorted symmetric difference a ^ b appended to @p out. */
-void
-xorSorted(const uint32_t *a, std::size_t na, const uint32_t *b,
-          std::size_t nb, std::vector<uint32_t> &out)
-{
-    std::size_t i = 0, j = 0;
-    while (i < na && j < nb) {
-        if (a[i] < b[j]) {
-            out.push_back(a[i++]);
-        } else if (b[j] < a[i]) {
-            out.push_back(b[j++]);
-        } else {
-            ++i;
-            ++j;
-        }
-    }
-    out.insert(out.end(), a + i, a + na);
-    out.insert(out.end(), b + j, b + nb);
 }
 
 /** Hash of one signature element; observables hash apart from detectors. */
@@ -163,11 +132,12 @@ struct SignatureArena
         // Reserve first: the source entry lives in the growing arena.
         arena.reserve(arena.size() + length(a) + other.length(b));
         const uint32_t *da = data(a), *db = other.data(b);
-        uint32_t na = numDet[a], nb = other.numDet[b];
-        xorSorted(da, na, db, nb, arena);
+        const uint32_t *ea = da + length(a), *eb = db + other.length(b);
+        const uint32_t *oa = da + numDet[a], *ob = db + other.numDet[b];
+        auto out = std::back_inserter(arena);
+        std::set_symmetric_difference(da, oa, db, ob, out);
         closeDetectors();
-        xorSorted(da + na, length(a) - na, db + nb, other.length(b) - nb,
-                  arena);
+        std::set_symmetric_difference(oa, ea, ob, eb, out);
         off.push_back((uint32_t)arena.size());
         hash.push_back(hash[a] ^ other.hash[b]);
     }
@@ -231,33 +201,28 @@ struct Csr
 
 /**
  * Odd-multiplicity elements of the union of incidence rows @p meas,
- * sorted ascending and appended to @p out. @p parity is all-zero scratch
- * over the element range and is left all-zero.
+ * appended to @p out in ascending order.
  */
 void
 appendOdd(const Csr &inc, const uint32_t *meas, std::size_t n,
-          std::vector<uint8_t> &parity, std::vector<uint32_t> &touched,
           std::vector<uint32_t> &out)
 {
-    touched.clear();
+    const std::size_t start = out.size();
     for (std::size_t k = 0; k < n; ++k) {
-        for (uint32_t e = inc.off[meas[k]]; e < inc.off[meas[k] + 1]; ++e) {
-            uint32_t v = inc.idx[e];
-            if (!(parity[v] & 2)) {
-                parity[v] = 2; // bit 1: touched, bit 0: parity
-                touched.push_back(v);
-            }
-            parity[v] ^= 1;
-        }
-    }
-    std::size_t start = out.size();
-    for (uint32_t v : touched) {
-        if (parity[v] & 1) {
-            out.push_back(v);
-        }
-        parity[v] = 0;
+        out.insert(out.end(), inc.idx.begin() + inc.off[meas[k]],
+                   inc.idx.begin() + inc.off[meas[k] + 1]);
     }
     std::sort(out.begin() + start, out.end());
+    auto kept = out.begin() + start;
+    for (auto run = kept; run != out.end();) {
+        auto next = std::find_if(run, out.end(),
+                                 [&](uint32_t v) { return v != *run; });
+        if ((next - run) % 2 == 1) {
+            *kept++ = *run;
+        }
+        run = next;
+    }
+    out.erase(kept, out.end());
 }
 
 } // namespace
@@ -417,18 +382,13 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     const Csr meas_obs =
         Csr::incidence(circuit.observables, circuit.numMeasurements);
     SignatureArena gen_sig;
-    {
-        std::vector<uint8_t> det_parity(circuit.detectors.size(), 0);
-        std::vector<uint8_t> obs_parity(circuit.observables.size(), 0);
-        std::vector<uint32_t> touched;
-        for (uint32_t g = 0; g < num_gen; ++g) {
-            const uint32_t *m = gen_meas.idx.data() + gen_meas.off[g];
-            std::size_t n = gen_meas.off[g + 1] - gen_meas.off[g];
-            appendOdd(meas_det, m, n, det_parity, touched, gen_sig.arena);
-            gen_sig.closeDetectors();
-            appendOdd(meas_obs, m, n, obs_parity, touched, gen_sig.arena);
-            gen_sig.closeEntry();
-        }
+    for (uint32_t g = 0; g < num_gen; ++g) {
+        const uint32_t *m = gen_meas.idx.data() + gen_meas.off[g];
+        const std::size_t n = gen_meas.off[g + 1] - gen_meas.off[g];
+        appendOdd(meas_det, m, n, gen_sig.arena);
+        gen_sig.closeDetectors();
+        appendOdd(meas_obs, m, n, gen_sig.arena);
+        gen_sig.closeEntry();
     }
 
     // First pass: merge fault signatures in fault order through an
@@ -485,9 +445,14 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         for (std::size_t k = 1; k < subsets; ++k) {
             subset.pushXor(k & (k - 1), gen_sig, s.gen + std::countr_zero(k));
         }
-        for (uint8_t mask : s.cnot ? std::span<const uint8_t>(kCnotMasks)
-                                   : std::span<const uint8_t>(kOneQubitMasks)) {
-            merge(mask, s.prob);
+        if (s.cnot) {
+            for (auto [pc, pt] : kCnotPaulis) {
+                merge(pauliBits(pc) | pauliBits(pt) << 2, s.prob);
+            }
+        } else {
+            for (Pauli p : kOneQubitPaulis) {
+                merge(pauliBits(p), s.prob);
+            }
         }
     }
 
@@ -521,7 +486,7 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
                 }
             }
         } else {
-            for (Pauli p : {Pauli::X, Pauli::Y, Pauli::Z}) {
+            for (Pauli p : kOneQubitPaulis) {
                 if (uint32_t id = *mech_of++; id != kNone) {
                     loc.p0 = p;
                     dem.errors[id].sources.push_back(loc);

@@ -14,7 +14,10 @@
 
 namespace prophunt::sim {
 
-/** Error probabilities for the circuit-level model. */
+/**
+ * Error probabilities for the circuit-level model. Each strength must be a
+ * finite probability in [0, 1]; buildDem rejects any other value.
+ */
 struct NoiseModel
 {
     double p1 = 0.0;    ///< Depolarizing strength after 1q ops.
