@@ -27,6 +27,7 @@ constexpr uint32_t kNone = ~uint32_t{0};
 struct Site
 {
     uint32_t instr;
+    uint32_t qubit; ///< Faulted qubit; the control on CNOT sites.
     uint32_t gen;   ///< First generator of the site.
     bool cnot;      ///< 15 two-qubit faults instead of 3 one-qubit ones.
     double prob;    ///< Probability of each fault at the site.
@@ -59,6 +60,22 @@ pauliBits(Pauli p)
 
 /** One-qubit faults in fault order; Y = XZ up to phase. */
 constexpr Pauli kOneQubitPaulis[3] = {Pauli::X, Pauli::Y, Pauli::Z};
+
+/** Call fn(p0, p1) for each fault of @p site in fault order. */
+template <typename Fn>
+void
+forEachFault(const Site &site, Fn &&fn)
+{
+    if (site.cnot) {
+        for (auto [pc, pt] : kCnotPaulis) {
+            fn(pc, pt);
+        }
+    } else {
+        for (Pauli p : kOneQubitPaulis) {
+            fn(p, Pauli::I);
+        }
+    }
+}
 
 void
 checkStrength(double p, const char *name)
@@ -242,23 +259,25 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     // the same order.
     std::vector<Site> sites;
     uint32_t num_gen = 0;
-    auto add_site = [&](std::size_t instr, bool cnot, double prob) {
-        sites.push_back({(uint32_t)instr, num_gen, cnot, prob});
+    auto add_site = [&](std::size_t instr, uint32_t qubit, bool cnot,
+                        double prob) {
+        sites.push_back({(uint32_t)instr, qubit, num_gen, cnot, prob});
         num_gen += cnot ? 4 : 2;
     };
     for (std::size_t i = 0; i < num_instr; ++i) {
-        switch (circuit.instructions[i].op) {
+        const Instruction &ins = circuit.instructions[i];
+        switch (ins.op) {
         case OpType::ResetZ:
         case OpType::ResetX:
         case OpType::MeasureZ:
         case OpType::MeasureX:
             if (noise.p1 > 0) {
-                add_site(i, false, noise.p1 / 3.0);
+                add_site(i, ins.qubits[0], false, noise.p1 / 3.0);
             }
             break;
         case OpType::Cnot:
             if (noise.p2 > 0) {
-                add_site(i, true, noise.p2 / 15.0);
+                add_site(i, ins.qubits[0], true, noise.p2 / 15.0);
             }
             break;
         case OpType::Tick:
@@ -268,7 +287,6 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     const std::size_t num_gate_sites = sites.size();
     // Idle sites: qubits unused during each CNOT layer, faulted just
     // before the layer's first CNOT.
-    std::vector<uint32_t> idle_qubit;
     if (noise.pIdle > 0) {
         std::vector<uint8_t> busy(num_qubits);
         for (std::size_t i = 0; i < num_instr;) {
@@ -286,8 +304,7 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
             }
             for (uint32_t q = 0; q < num_qubits; ++q) {
                 if (!busy[q]) {
-                    add_site(layer_start, false, noise.pIdle / 3.0);
-                    idle_qubit.push_back(q);
+                    add_site(layer_start, q, false, noise.pIdle / 3.0);
                 }
             }
         }
@@ -322,11 +339,10 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         // and CNOT faults after it.
         for (; next_idle < sites.size() && sites[next_idle].instr == i;
              ++next_idle) {
-            inject(idle_qubit[next_idle - num_gate_sites],
-                   sites[next_idle].gen);
+            inject(sites[next_idle].qubit, sites[next_idle].gen);
         }
         if (site && measure) {
-            inject(ins.qubits[0], site->gen);
+            inject(site->qubit, site->gen);
         }
         switch (ins.op) {
         case OpType::ResetZ:
@@ -365,7 +381,7 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
             break;
         }
         if (site && !measure) {
-            inject(ins.qubits[0], site->gen);
+            inject(site->qubit, site->gen);
             if (site->cnot) {
                 inject(ins.qubits[1], site->gen + 2);
             }
@@ -396,7 +412,7 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     // folds in fault order, exactly as a sequential merge would.
     std::size_t num_faults = 0;
     for (const Site &s : sites) {
-        num_faults += s.cnot ? 15 : 3;
+        num_faults += s.cnot ? kCnotPaulis.size() : 3;
     }
     std::size_t capacity = 16;
     while (capacity < 2 * num_faults) {
@@ -445,15 +461,9 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         for (std::size_t k = 1; k < subsets; ++k) {
             subset.pushXor(k & (k - 1), gen_sig, s.gen + std::countr_zero(k));
         }
-        if (s.cnot) {
-            for (auto [pc, pt] : kCnotPaulis) {
-                merge(pauliBits(pc) | pauliBits(pt) << 2, s.prob);
-            }
-        } else {
-            for (Pauli p : kOneQubitPaulis) {
-                merge(pauliBits(p), s.prob);
-            }
-        }
+        forEachFault(s, [&](Pauli p0, Pauli p1) {
+            merge(pauliBits(p0) | pauliBits(p1) << 2, s.prob);
+        });
     }
 
     // Second pass: materialize the Dem at exact sizes, sources in fault
@@ -478,21 +488,14 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         if (s.cnot) {
             loc.isCnot = true;
             loc.cnot = circuit.cnotInfo[s.instr];
-            for (auto [pc, pt] : kCnotPaulis) {
-                if (uint32_t id = *mech_of++; id != kNone) {
-                    loc.p0 = pc;
-                    loc.p1 = pt;
-                    dem.errors[id].sources.push_back(loc);
-                }
-            }
-        } else {
-            for (Pauli p : kOneQubitPaulis) {
-                if (uint32_t id = *mech_of++; id != kNone) {
-                    loc.p0 = p;
-                    dem.errors[id].sources.push_back(loc);
-                }
-            }
         }
+        forEachFault(s, [&](Pauli p0, Pauli p1) {
+            if (uint32_t id = *mech_of++; id != kNone) {
+                loc.p0 = p0;
+                loc.p1 = p1;
+                dem.errors[id].sources.push_back(loc);
+            }
+        });
     }
     return dem;
 }
