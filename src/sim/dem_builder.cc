@@ -17,6 +17,7 @@ using circuit::Instruction;
 using circuit::OpType;
 using circuit::SmCircuit;
 
+/** Empty table slot; also marks a fault whose signature is empty. */
 constexpr uint32_t kNone = ~uint32_t{0};
 
 /**
