@@ -234,9 +234,10 @@ class BpOsdDecoder : public Decoder
      * mask into @p obs_out immediately; unconverged lanes compact into
      * the batched OSD work queue (osdFlush writes their masks later). */
     void laneRetire(std::size_t l, bool converged, uint64_t *obs_out);
-    /** One BP iteration for every live lane (detector and column pass);
-     * simd_level picks the kernel tier (0 generic, 1 AVX2, 2 AVX-512 —
-     * all bit-identical). */
+    /** One BP iteration for every live lane (detector and column pass).
+     * One kernel serves every tier; simd_level picks the vector width it
+     * is instantiated at (0: 2 lanes per vector on the baseline ISA,
+     * 1: 4 on AVX2, 2: 8 on AVX-512). All widths are bit-identical. */
     void laneIterate(int simd_level);
 
     // --- batched OSD work queue (the lane engine's post-pass) ---

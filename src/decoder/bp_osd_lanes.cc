@@ -10,14 +10,15 @@
  * edge): a detector pass reads column->detector values and overwrites
  * each slot with its detector->column reply (an edge belongs to exactly
  * one detector and one column, so neither pass reads a slot another
- * detector or column wrote this iteration). The detector -> column
- * two-minimum reduction processes all 8 lanes in one AVX-512 vector (two
- * AVX2 vectors on hardware without it, walked in a single pass over the
- * detector's edges so the two independent min chains hide the blend
- * latency) from contiguous loads — no gathers — and touches each message
- * cache line once per pass. Non-x86 builds use a bit-identical
- * scalar-lane generic kernel; all three kernel tiers produce the same
- * bits (PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step down explicitly).
+ * detector or column wrote this iteration). Each pass is ONE body,
+ * written with GCC vector extensions over V-lane vectors, that walks the
+ * 8 lanes as 8/V chunks in a single pass over each detector's or
+ * column's edges from contiguous loads (no gathers), so every message
+ * cache line is touched once per pass. laneIterate instantiates it at
+ * the host's native width: V = 8 on AVX-512, V = 4 on AVX2, and V = 2 on
+ * the baseline ISA (SSE2 on x86, NEON on AArch64), so every build runs
+ * a vectorized kernel. PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step the
+ * width down explicitly; all three widths produce the same bits.
  *
  * Lanes carry no per-shot message initialization: the detector pass
  * substitutes the column prior on a lane's first iteration, when no
@@ -38,36 +39,37 @@
  *
  * Exactness: every per-lane recurrence reproduces decodeReference's
  * arithmetic operation for operation (same edge order in the sums, same
- * strict-minimum updates, no FMA contraction), the per-lane stopping
- * rules are the reference ones, and non-converged lanes hand their
- * posteriors to the shared OSD post-pass — so decodePacked, decode() and
- * decodeReference agree bit for bit, and a shot's result never depends
- * on which shots share its lanes (shot-order invariance).
- * The sign-bit trick used by the vector kernels (sign(x) as the IEEE
- * sign bit) matches the scalar `v < 0.0` test because effective
- * column -> detector messages are never -0.0: priors are positive, and a
- * sum or difference of doubles only produces -0.0 from two negative
- * zeros.
+ * strict-minimum updates, no FMA contraction: no product feeds a sum),
+ * the per-lane stopping rules are the reference ones, and non-converged
+ * lanes hand their posteriors to the shared OSD post-pass — so
+ * decodePacked, decode() and decodeReference agree bit for bit, and a
+ * shot's result never depends on which shots share its lanes
+ * (shot-order invariance). V only sets how many lanes one instruction
+ * carries: every lane select is a bitwise blend and every lane's
+ * arithmetic is the same IEEE operation at every width, so the widths
+ * cannot disagree. Sign handling is integer bit manipulation (sign(x)
+ * as the IEEE sign bit), which matches the scalar `v < 0.0` test because
+ * effective column -> detector messages are never -0.0: priors are
+ * positive, and a sum or difference of doubles only produces -0.0 from
+ * two negative zeros.
  */
 #include "decoder/bp_osd.h"
 
 #include <algorithm>
 #include <bit>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 
 #if defined(__GNUC__) && (defined(__x86_64__) || defined(__i386__))
 #define PROPHUNT_LANES_X86 1
-#include <immintrin.h>
 #endif
 
 namespace prophunt::decoder {
 
 namespace {
 
-/** Shots decoded in parallel: one AVX-512 vector or two AVX2 vectors of
- * doubles. The vector kernels are written for exactly this width. */
+/** Shots decoded in parallel: one AVX-512 vector of doubles, walked as
+ * 8/V chunks by narrower instantiations. */
 constexpr std::size_t kLanes = 8;
 
 /** decodeReference's two-minimum initialization. */
@@ -83,7 +85,7 @@ constexpr double kMinInit = 1e300;
 constexpr std::size_t kOsdFlushCap = 128;
 
 /** Raw pointers of one lane BP iteration, hoisted out of the decoder so
- * the same kernels compile with and without AVX2. */
+ * the passes compile inside each per-ISA function. */
 struct LaneCtx
 {
     std::size_t numDetectors = 0;
@@ -110,340 +112,180 @@ struct LaneCtx
     std::ptrdiff_t *mismatch = nullptr;
 };
 
-/** The effective column->detector message of (edge @p e, lane @p l): the
- * column prior before a lane's first column pass, the stored value
- * afterwards. */
-inline double
-effectiveMsg(const LaneCtx &cx, std::size_t e, std::size_t l)
+/** Vectors of V lanes' doubles (D) and of their bit patterns (I), and
+ * the unaligned, aliasing view (Slot) through which V consecutive
+ * doubles of a lane-interleaved array are loaded and stored. Spelled out
+ * per width: GCC 12 drops a vector_size that depends on a template
+ * parameter. */
+template <std::size_t V>
+struct LaneVec;
+
+template <>
+struct LaneVec<8>
 {
-    if (((cx.freshLanes >> l) & 1) != 0) {
-        return cx.edgePrior[e];
-    }
-    return cx.msg[e * kLanes + l];
-}
-
-/** Detector -> column pass for one (detector, lane): the scalar min-sum
- * two-minimum reduction, indexed into the lane slice. */
-void
-detPassLane(const LaneCtx &cx, uint32_t d, std::size_t l)
-{
-    constexpr std::size_t W = kLanes;
-    uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
-    uint32_t deg = en - b;
-    bool negProduct = cx.synB[(std::size_t)d * W + l] != 0;
-    double min1 = kMinInit, min2 = kMinInit;
-    uint32_t argpos = UINT32_MAX;
-    for (uint32_t i = 0; i < deg; ++i) {
-        double v = effectiveMsg(cx, cx.detEdges[b + i], l);
-        cx.stage[(std::size_t)i * W + l] = v;
-        if (v < 0.0) {
-            negProduct = !negProduct;
-        }
-        double a = std::fabs(v);
-        if (a < min1) {
-            min2 = min1;
-            min1 = a;
-            argpos = i;
-        } else if (a < min2) {
-            min2 = a;
-        }
-    }
-    double m1 = cx.scale * min1, m2 = cx.scale * min2;
-    for (uint32_t i = 0; i < deg; ++i) {
-        double v = cx.stage[(std::size_t)i * W + l];
-        double mag = (i == argpos) ? m2 : m1;
-        cx.msg[(std::size_t)cx.detEdges[b + i] * W + l] =
-            (negProduct != (v < 0.0)) ? -mag : mag;
-    }
-}
-
-/** Column -> detector pass for one (column, lane): posterior, hard
- * decision with incremental syndrome-mismatch tracking, message update. */
-void
-colPassLane(const LaneCtx &cx, uint32_t c, std::size_t l)
-{
-    constexpr std::size_t W = kLanes;
-    uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
-    double total = cx.prior[c];
-    for (uint32_t e = b; e < en; ++e) {
-        total += cx.msg[(std::size_t)e * W + l];
-    }
-    cx.post[(std::size_t)c * W + l] = total;
-    uint32_t bit = uint32_t{1} << l;
-    uint32_t h = total < 0 ? bit : 0;
-    if (((cx.hardBits[c] ^ h) & bit) != 0) {
-        cx.hardBits[c] ^= bit;
-        for (uint32_t e = b; e < en; ++e) {
-            std::size_t off = (std::size_t)cx.colDet[e] * W + l;
-            cx.acc[off] ^= 1;
-            cx.mismatch[l] += (cx.acc[off] != cx.synB[off]) ? 1 : -1;
-        }
-    }
-    for (uint32_t e = b; e < en; ++e) {
-        std::size_t off = (std::size_t)e * W + l;
-        cx.msg[off] = total - cx.msg[off];
-    }
-}
-
-void
-detPassGeneric(const LaneCtx &cx)
-{
-    for (std::size_t d = 0; d < cx.numDetectors; ++d) {
-        for (uint32_t mask = cx.liveLanes; mask != 0; mask &= mask - 1) {
-            detPassLane(cx, (uint32_t)d,
-                        (std::size_t)std::countr_zero(mask));
-        }
-    }
-}
-
-void
-colPassGeneric(const LaneCtx &cx)
-{
-    for (std::size_t c = 0; c < cx.numCols; ++c) {
-        for (uint32_t mask = cx.liveLanes; mask != 0; mask &= mask - 1) {
-            colPassLane(cx, (uint32_t)c,
-                        (std::size_t)std::countr_zero(mask));
-        }
-    }
-}
-
-#if PROPHUNT_LANES_X86
-
-/** Element j is all-ones iff bit j of the index is set; the sign bits
- * drive _mm256_blendv_pd lane selection. */
-alignas(32) constexpr int64_t kNibbleMask[16][4] = {
-    {0, 0, 0, 0},     {-1, 0, 0, 0},   {0, -1, 0, 0},   {-1, -1, 0, 0},
-    {0, 0, -1, 0},    {-1, 0, -1, 0},  {0, -1, -1, 0},  {-1, -1, -1, 0},
-    {0, 0, 0, -1},    {-1, 0, 0, -1},  {0, -1, 0, -1},  {-1, -1, 0, -1},
-    {0, 0, -1, -1},   {-1, 0, -1, -1}, {0, -1, -1, -1}, {-1, -1, -1, -1},
+    typedef double D __attribute__((vector_size(64)));
+    typedef int64_t I __attribute__((vector_size(64)));
+    typedef double Slot
+        __attribute__((vector_size(64), aligned(8), may_alias));
 };
 
-__attribute__((target("avx2"))) inline __m256d
-nibbleMask(uint32_t nib)
+template <>
+struct LaneVec<4>
 {
-    return _mm256_castsi256_pd(
-        _mm256_load_si256((const __m256i *)kNibbleMask[nib]));
-}
+    typedef double D __attribute__((vector_size(32)));
+    typedef int64_t I __attribute__((vector_size(32)));
+    typedef double Slot
+        __attribute__((vector_size(32), aligned(8), may_alias));
+};
 
-/**
- * AVX2 detector pass for the two 4-lane chunks walked in ONE pass over
- * each detector's edges: the two-minimum chains of the chunks are
- * independent, so interleaving them hides the blend latency, and every
- * message cache line is touched once per pass. Lanes with no live shot
- * produce garbage nobody reads.
- */
-__attribute__((target("avx2"))) void
-detPassAvx2(const LaneCtx &cx)
+template <>
+struct LaneVec<2>
 {
-    constexpr int NC = kLanes / 4; // 4-lane chunks
+    typedef double D __attribute__((vector_size(16)));
+    typedef int64_t I __attribute__((vector_size(16)));
+    typedef double Slot
+        __attribute__((vector_size(16), aligned(8), may_alias));
+};
+
+/*
+ * Both passes interleave their kLanes / V chunks inside each edge walk,
+ * so the chunks' independent min chains hide the select latency. Lanes
+ * with no live shot produce garbage nobody reads. The passes are always
+ * inlined into a per-ISA caller, which picks the instructions V lowers
+ * to; no vector crosses a function boundary, whose ABI would depend on
+ * the ISA (-Wpsabi).
+ *
+ * `x - D{}` broadcasts x: x - 0.0 == x for every x, -0.0 included, so it
+ * folds to a plain broadcast (0.0 + x would not: it maps -0.0 to +0.0).
+ */
+
+/** Detector -> column pass: the min-sum two-minimum reduction of every
+ * detector, for all 8 lanes. */
+template <std::size_t V>
+[[gnu::always_inline]] inline void
+detPass(const LaneCtx &cx)
+{
+    using D = typename LaneVec<V>::D;
+    using I = typename LaneVec<V>::I;
+    using Slot = typename LaneVec<V>::Slot;
+    constexpr std::size_t NC = kLanes / V;
     constexpr std::size_t W = kLanes;
-    const __m256d signMask = _mm256_set1_pd(-0.0);
-    const __m256d minInit = _mm256_set1_pd(kMinInit);
-    const __m256d scaleV = _mm256_set1_pd(cx.scale);
-    __m256d freshV[NC];
-    for (int k = 0; k < NC; ++k) {
-        freshV[k] = nibbleMask((cx.freshLanes >> (4 * k)) & 0xf);
+    const I signMask = I{} + INT64_MIN;
+    const D minInit = kMinInit - D{};
+    I fresh[NC];
+    for (std::size_t k = 0; k < NC; ++k) {
+        for (std::size_t j = 0; j < V; ++j) {
+            fresh[k][j] = -(int64_t)((cx.freshLanes >> (k * V + j)) & 1);
+        }
     }
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
         uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
         uint32_t deg = en - b;
-        __m256d signAcc[NC], min1[NC], min2[NC], argpos[NC];
-        for (int k = 0; k < NC; ++k) {
-            signAcc[k] =
-                _mm256_loadu_pd(cx.synSign + (std::size_t)d * W + 4 * k);
+        I signAcc[NC];
+        D min1[NC], min2[NC], argpos[NC];
+        for (std::size_t k = 0; k < NC; ++k) {
+            D syn = *(const Slot *)(cx.synSign + d * W + k * V);
+            signAcc[k] = (I)syn;
             min1[k] = minInit;
             min2[k] = minInit;
-            argpos[k] = _mm256_set1_pd(-1.0);
+            argpos[k] = -1.0 - D{};
         }
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            const __m256d priorV = _mm256_set1_pd(cx.edgePrior[e]);
-            const __m256d idx = _mm256_set1_pd((double)i);
-            for (int k = 0; k < NC; ++k) {
-                __m256d v = _mm256_loadu_pd(cx.msg + e * W + 4 * k);
+            const D prior = cx.edgePrior[e] - D{};
+            const D idx = (double)i - D{};
+            for (std::size_t k = 0; k < NC; ++k) {
                 // Prior on the lane's first iteration, stored value
                 // afterwards.
-                v = _mm256_blendv_pd(v, priorV, freshV[k]);
-                _mm256_storeu_pd(cx.stage + (std::size_t)i * W + 4 * k, v);
-                signAcc[k] =
-                    _mm256_xor_pd(signAcc[k], _mm256_and_pd(v, signMask));
-                __m256d a = _mm256_andnot_pd(signMask, v);
-                __m256d lt1 = _mm256_cmp_pd(a, min1[k], _CMP_LT_OQ);
-                __m256d lt2 = _mm256_cmp_pd(a, min2[k], _CMP_LT_OQ);
-                min2[k] = _mm256_blendv_pd(
-                    _mm256_blendv_pd(min2[k], a, lt2), min1[k], lt1);
-                min1[k] = _mm256_blendv_pd(min1[k], a, lt1);
-                argpos[k] = _mm256_blendv_pd(argpos[k], idx, lt1);
+                D v = *(const Slot *)(cx.msg + e * W + k * V);
+                v = fresh[k] ? prior : v;
+                *(Slot *)(cx.stage + (std::size_t)i * W + k * V) = v;
+                I vi = (I)v;
+                signAcc[k] ^= vi & signMask;
+                D a = (D)(vi & ~signMask);
+                I lt1 = a < min1[k];
+                I lt2 = a < min2[k];
+                min2[k] = lt1 ? min1[k] : lt2 ? a : min2[k];
+                min1[k] = lt1 ? a : min1[k];
+                argpos[k] = lt1 ? idx : argpos[k];
             }
         }
-        __m256d m1[NC], m2[NC];
-        for (int k = 0; k < NC; ++k) {
-            m1[k] = _mm256_mul_pd(scaleV, min1[k]);
-            m2[k] = _mm256_mul_pd(scaleV, min2[k]);
+        D m1[NC], m2[NC];
+        for (std::size_t k = 0; k < NC; ++k) {
+            m1[k] = cx.scale * min1[k];
+            m2[k] = cx.scale * min2[k];
         }
         for (uint32_t i = 0; i < deg; ++i) {
             std::size_t e = cx.detEdges[b + i];
-            const __m256d idx = _mm256_set1_pd((double)i);
-            for (int k = 0; k < NC; ++k) {
-                __m256d v =
-                    _mm256_loadu_pd(cx.stage + (std::size_t)i * W + 4 * k);
-                __m256d eq = _mm256_cmp_pd(idx, argpos[k], _CMP_EQ_OQ);
-                __m256d mag = _mm256_blendv_pd(m1[k], m2[k], eq);
+            const D idx = (double)i - D{};
+            for (std::size_t k = 0; k < NC; ++k) {
+                D v = *(const Slot *)(cx.stage + (std::size_t)i * W + k * V);
+                D mag = idx == argpos[k] ? m2[k] : m1[k];
                 // mag >= 0, so OR-ing the product sign bit equals the
                 // scalar ±mag selection bit for bit (including ±0.0).
-                __m256d sb = _mm256_and_pd(
-                    _mm256_xor_pd(signAcc[k], v), signMask);
-                _mm256_storeu_pd(cx.msg + e * W + 4 * k,
-                                 _mm256_or_pd(mag, sb));
+                *(Slot *)(cx.msg + e * W + k * V) =
+                    (D)((I)mag | ((signAcc[k] ^ (I)v) & signMask));
             }
         }
     }
 }
 
-__attribute__((target("avx2"))) void
-colPassAvx2(const LaneCtx &cx)
+/** Column -> detector pass: posterior, hard decision with incremental
+ * syndrome-mismatch tracking, and message update of every column, for
+ * all 8 lanes. */
+template <std::size_t V>
+[[gnu::always_inline]] inline void
+colPass(const LaneCtx &cx)
 {
-    constexpr int NC = kLanes / 4; // 4-lane chunks
+    using D = typename LaneVec<V>::D;
+    using I = typename LaneVec<V>::I;
+    using Slot = typename LaneVec<V>::Slot;
+    constexpr std::size_t NC = kLanes / V;
     constexpr std::size_t W = kLanes;
-    const __m256d zero = _mm256_setzero_pd();
+    I laneBit[NC];
+    for (std::size_t k = 0; k < NC; ++k) {
+        for (std::size_t j = 0; j < V; ++j) {
+            laneBit[k][j] = int64_t{1} << (k * V + j);
+        }
+    }
     for (std::size_t c = 0; c < cx.numCols; ++c) {
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
-        __m256d tot[NC];
-        for (int k = 0; k < NC; ++k) {
-            tot[k] = _mm256_set1_pd(cx.prior[c]);
-        }
-        for (uint32_t e = b; e < en; ++e) {
-            for (int k = 0; k < NC; ++k) {
-                tot[k] = _mm256_add_pd(
-                    tot[k],
-                    _mm256_loadu_pd(cx.msg + (std::size_t)e * W + 4 * k));
-            }
-        }
-        for (int k = 0; k < NC; ++k) {
-            // Unmasked: dead lanes' posteriors are garbage nobody
-            // reads (a live lane rewrites its slice every iteration).
-            _mm256_storeu_pd(cx.post + (std::size_t)c * W + 4 * k, tot[k]);
-            uint32_t nib = (cx.liveLanes >> (4 * k)) & 0xf;
-            if (nib == 0) {
-                continue;
-            }
-            uint32_t hNow =
-                (uint32_t)_mm256_movemask_pd(
-                    _mm256_cmp_pd(tot[k], zero, _CMP_LT_OQ)) &
-                nib;
-            uint32_t hPrev = (cx.hardBits[c] >> (4 * k)) & 0xf;
-            uint32_t changed = hNow ^ hPrev;
-            if (changed != 0) {
-                cx.hardBits[c] ^= changed << (4 * k);
-                while (changed != 0) {
-                    std::size_t l =
-                        4 * k + (std::size_t)std::countr_zero(changed);
-                    for (uint32_t e = b; e < en; ++e) {
-                        std::size_t off =
-                            (std::size_t)cx.colDet[e] * W + l;
-                        cx.acc[off] ^= 1;
-                        cx.mismatch[l] +=
-                            (cx.acc[off] != cx.synB[off]) ? 1 : -1;
-                    }
-                    changed &= changed - 1;
-                }
+        // Broadcast element by element: `cx.prior[c] - D{}` compiles to
+        // the same broadcast but trips a false -Wmaybe-uninitialized in
+        // GCC 12 at V = 4.
+        D tot[NC];
+        for (std::size_t k = 0; k < NC; ++k) {
+            for (std::size_t j = 0; j < V; ++j) {
+                tot[k][j] = cx.prior[c];
             }
         }
         for (uint32_t e = b; e < en; ++e) {
-            for (int k = 0; k < NC; ++k) {
-                std::size_t off = (std::size_t)e * W + 4 * k;
-                // In-place and unmasked: garbage lanes stay garbage.
-                _mm256_storeu_pd(
-                    cx.msg + off,
-                    _mm256_sub_pd(tot[k], _mm256_loadu_pd(cx.msg + off)));
+            for (std::size_t k = 0; k < NC; ++k) {
+                tot[k] += *(const Slot *)(cx.msg + (std::size_t)e * W + k * V);
             }
         }
-    }
-}
-
-/**
- * AVX-512 kernels: one 512-bit vector carries all 8 lanes, with half the
- * instruction stream of the AVX2 pair — and the lane masks become native
- * predicate masks (__mmask8) instead of nibble-expanded blend vectors.
- * Every select/compare mirrors the AVX2 kernel operation for operation
- * per lane, and all sign handling stays integer bit manipulation, so the
- * three kernel tiers are bit-identical.
- */
-
-__attribute__((target("avx512f"))) void
-detPassAvx512(const LaneCtx &cx)
-{
-    constexpr std::size_t W = kLanes;
-    const __m512i signMask = _mm512_set1_epi64(INT64_MIN);
-    const __m512i absMask = _mm512_set1_epi64(INT64_MAX);
-    const __m512d minInit = _mm512_set1_pd(kMinInit);
-    const __m512d scaleV = _mm512_set1_pd(cx.scale);
-    const __mmask8 fresh = (__mmask8)cx.freshLanes;
-    for (std::size_t d = 0; d < cx.numDetectors; ++d) {
-        uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
-        uint32_t deg = en - b;
-        __m512i signAcc = _mm512_castpd_si512(
-            _mm512_loadu_pd(cx.synSign + (std::size_t)d * W));
-        __m512d min1 = minInit, min2 = minInit;
-        __m512d argpos = _mm512_set1_pd(-1.0);
-        for (uint32_t i = 0; i < deg; ++i) {
-            std::size_t e = cx.detEdges[b + i];
-            __m512d v = _mm512_loadu_pd(cx.msg + e * W);
-            // Prior on the lane's first iteration, stored value
-            // afterwards.
-            v = _mm512_mask_blend_pd(fresh, v,
-                                     _mm512_set1_pd(cx.edgePrior[e]));
-            _mm512_storeu_pd(cx.stage + (std::size_t)i * W, v);
-            __m512i vi = _mm512_castpd_si512(v);
-            signAcc =
-                _mm512_xor_epi64(signAcc, _mm512_and_epi64(vi, signMask));
-            __m512d a = _mm512_castsi512_pd(_mm512_and_epi64(vi, absMask));
-            __mmask8 lt1 = _mm512_cmp_pd_mask(a, min1, _CMP_LT_OQ);
-            __mmask8 lt2 = _mm512_cmp_pd_mask(a, min2, _CMP_LT_OQ);
-            min2 = _mm512_mask_blend_pd(
-                lt1, _mm512_mask_blend_pd(lt2, min2, a), min1);
-            min1 = _mm512_mask_blend_pd(lt1, min1, a);
-            argpos = _mm512_mask_blend_pd(lt1, argpos,
-                                          _mm512_set1_pd((double)i));
+        I neg = I{};
+        for (std::size_t k = 0; k < NC; ++k) {
+            // Unmasked: dead lanes' posteriors are garbage nobody reads
+            // (a live lane rewrites its slice every iteration).
+            *(Slot *)(cx.post + c * W + k * V) = tot[k];
+            neg |= (tot[k] < 0.0) & laneBit[k];
         }
-        __m512d m1 = _mm512_mul_pd(scaleV, min1);
-        __m512d m2 = _mm512_mul_pd(scaleV, min2);
-        for (uint32_t i = 0; i < deg; ++i) {
-            std::size_t e = cx.detEdges[b + i];
-            __m512d v = _mm512_loadu_pd(cx.stage + (std::size_t)i * W);
-            __mmask8 eq = _mm512_cmp_pd_mask(_mm512_set1_pd((double)i),
-                                             argpos, _CMP_EQ_OQ);
-            __m512d mag = _mm512_mask_blend_pd(eq, m1, m2);
-            // mag >= 0, so OR-ing the product sign bit equals the scalar
-            // ±mag selection bit for bit (including ±0.0).
-            __m512i sb = _mm512_and_epi64(
-                _mm512_xor_epi64(signAcc, _mm512_castpd_si512(v)),
-                signMask);
-            _mm512_storeu_pd(cx.msg + e * W,
-                             _mm512_castsi512_pd(_mm512_or_epi64(
-                                 _mm512_castpd_si512(mag), sb)));
+        // OR the lanes' bits into the 8-bit hard-decision mask by halving
+        // the vector: log2(V) shuffles instead of V element extractions.
+        typename LaneVec<2>::I pair;
+        if constexpr (V == 2) {
+            pair = neg;
+        } else if constexpr (V == 4) {
+            pair = __builtin_shufflevector(neg, neg, 0, 1) |
+                   __builtin_shufflevector(neg, neg, 2, 3);
+        } else {
+            auto half = __builtin_shufflevector(neg, neg, 0, 1, 2, 3) |
+                        __builtin_shufflevector(neg, neg, 4, 5, 6, 7);
+            pair = __builtin_shufflevector(half, half, 0, 1) |
+                   __builtin_shufflevector(half, half, 2, 3);
         }
-    }
-}
-
-__attribute__((target("avx512f"))) void
-colPassAvx512(const LaneCtx &cx)
-{
-    constexpr std::size_t W = kLanes;
-    const __m512d zero = _mm512_setzero_pd();
-    for (std::size_t c = 0; c < cx.numCols; ++c) {
-        uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
-        __m512d tot = _mm512_set1_pd(cx.prior[c]);
-        for (uint32_t e = b; e < en; ++e) {
-            tot = _mm512_add_pd(tot,
-                                _mm512_loadu_pd(cx.msg + (std::size_t)e * W));
-        }
-        // Unmasked: dead lanes' posteriors are garbage nobody reads (a
-        // live lane rewrites its slice every iteration).
-        _mm512_storeu_pd(cx.post + (std::size_t)c * W, tot);
-        uint32_t hNow =
-            (uint32_t)_mm512_cmp_pd_mask(tot, zero, _CMP_LT_OQ) &
-            cx.liveLanes;
+        uint32_t hNow = (uint32_t)(pair[0] | pair[1]) & cx.liveLanes;
         uint32_t changed = hNow ^ cx.hardBits[c];
         if (changed != 0) {
             cx.hardBits[c] ^= changed;
@@ -458,16 +300,40 @@ colPassAvx512(const LaneCtx &cx)
             }
         }
         for (uint32_t e = b; e < en; ++e) {
-            std::size_t off = (std::size_t)e * W;
-            // In-place and unmasked: garbage lanes stay garbage.
-            _mm512_storeu_pd(
-                cx.msg + off,
-                _mm512_sub_pd(tot, _mm512_loadu_pd(cx.msg + off)));
+            for (std::size_t k = 0; k < NC; ++k) {
+                // In-place and unmasked: garbage lanes stay garbage.
+                Slot *m = (Slot *)(cx.msg + (std::size_t)e * W + k * V);
+                *m = tot[k] - *m;
+            }
         }
     }
 }
 
+#if PROPHUNT_LANES_X86
+
+__attribute__((target("avx512f"))) void
+iterateAvx512(const LaneCtx &cx)
+{
+    detPass<8>(cx);
+    colPass<8>(cx);
+}
+
+__attribute__((target("avx2"))) void
+iterateAvx2(const LaneCtx &cx)
+{
+    detPass<4>(cx);
+    colPass<4>(cx);
+}
+
 #endif // PROPHUNT_LANES_X86
+
+/** The baseline ISA's 128-bit vectors: SSE2 on x86, NEON on AArch64. */
+void
+iterateBaseline(const LaneCtx &cx)
+{
+    detPass<2>(cx);
+    colPass<2>(cx);
+}
 
 /** True iff @p name is set to a non-empty value — CI matrix legs pass an
  * empty string on the leg that should keep the native kernels. */
@@ -478,8 +344,8 @@ envFlag(const char *name)
     return v != nullptr && v[0] != '\0';
 }
 
-/** Runtime kernel selection. PROPHUNT_NO_AVX2 forces the generic lanes —
- * the cross-check the lane tests use on AVX2 hardware. */
+/** Runtime width selection. PROPHUNT_NO_AVX2 forces the V = 2 baseline
+ * instantiation — the cross-check the lane tests use on AVX2 hardware. */
 bool
 laneUseAvx2()
 {
@@ -490,8 +356,8 @@ laneUseAvx2()
 #endif
 }
 
-/** PROPHUNT_NO_AVX512 (or PROPHUNT_NO_AVX2) steps down to the AVX2
- * (resp. generic) kernels; all tiers are bit-identical. */
+/** PROPHUNT_NO_AVX512 (or PROPHUNT_NO_AVX2) steps down to the V = 4
+ * (resp. V = 2) instantiation; all widths are bit-identical. */
 bool
 laneUseAvx512()
 {
@@ -674,20 +540,17 @@ BpOsdDecoder::laneIterate(int simd_level)
     cx.mismatch = laneMismatch_.data();
 #if PROPHUNT_LANES_X86
     if (simd_level >= 2) {
-        detPassAvx512(cx);
-        colPassAvx512(cx);
+        iterateAvx512(cx);
         return;
     }
     if (simd_level >= 1) {
-        detPassAvx2(cx);
-        colPassAvx2(cx);
+        iterateAvx2(cx);
         return;
     }
 #else
     (void)simd_level;
 #endif
-    detPassGeneric(cx);
-    colPassGeneric(cx);
+    iterateBaseline(cx);
 }
 
 void

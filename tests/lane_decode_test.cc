@@ -7,10 +7,10 @@
  * budget, and with no BP iterations at all — across random DEMs and
  * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
  * final 64-shot word. Also pins down the engine's
- * shot-order/thread-count invariance through measureDemLer, the generic
- * (no-AVX2) kernel cross-check, that padding bits beyond a view's shots
- * are ignored, and the default decoder's outputs on the benchmark codes
- * as golden hashes.
+ * shot-order/thread-count invariance through measureDemLer, the
+ * cross-check of the kernel's vector widths, that padding bits beyond a
+ * view's shots are ignored, and the default decoder's outputs on the
+ * benchmark codes as golden hashes.
  */
 #include <gtest/gtest.h>
 
@@ -153,6 +153,30 @@ trivialShots(const Dem &dem, const SampleBatch &rows)
     return trivial;
 }
 
+/**
+ * decodePacked of @p frames with env flag @p name set to "1", then the
+ * flag's prior value (or absence) restored — the CI scalar matrix leg
+ * sets PROPHUNT_NO_AVX2 job-wide, and later tests in this binary must
+ * keep running the kernel width that leg selected.
+ */
+std::vector<uint64_t>
+decodeWithFlag(const char *name, const Dem &dem, const FrameBatch &frames,
+               const decoder::BpOsdOptions &opts)
+{
+    const char *prev = getenv(name);
+    std::string saved = prev ? prev : "";
+    setenv(name, "1", 1);
+    decoder::BpOsdDecoder dec(dem, opts);
+    std::vector<uint64_t> out(frames.shots);
+    dec.decodePacked(frames.view(), out.data());
+    if (prev != nullptr) {
+        setenv(name, saved.c_str(), 1);
+    } else {
+        unsetenv(name);
+    }
+    return out;
+}
+
 } // namespace
 
 TEST(LaneDecode, MatrixOnRandomDems)
@@ -252,42 +276,49 @@ TEST(LaneDecode, OsdHeavyCircuitDemAcrossThreads)
 
 TEST(LaneDecode, GenericKernelMatchesAvx2)
 {
-    // PROPHUNT_NO_AVX512 steps down to the AVX2 kernels and
-    // PROPHUNT_NO_AVX2 forces the scalar-lane kernels; predictions must
-    // not change across any tier (on machines without the respective
-    // extension a step compares a tier to itself, which still pins the
-    // env-var plumbing).
-    Dem dem = circuitDem(code::benchmarkLp39, 3, 2e-3);
-    FrameBatch frames = sampleDemFrames(dem, 200, 5);
-    decoder::BpOsdDecoder dec(dem);
-    std::vector<uint64_t> vec(frames.shots), avx2(frames.shots),
-        gen(frames.shots);
-    dec.decodePacked(frames.view(), vec.data());
-    // Restore the prior values afterwards — the CI scalar matrix leg
-    // sets PROPHUNT_NO_AVX2 job-wide, and later tests in this binary
-    // must keep running the tier that leg selected.
-    const char *prevNo512 = getenv("PROPHUNT_NO_AVX512");
-    std::string savedNo512 = prevNo512 ? prevNo512 : "";
-    const char *prevNoAvx2 = getenv("PROPHUNT_NO_AVX2");
-    std::string savedNoAvx2 = prevNoAvx2 ? prevNoAvx2 : "";
-    setenv("PROPHUNT_NO_AVX512", "1", 1);
-    decoder::BpOsdDecoder dec3(dem);
-    dec3.decodePacked(frames.view(), avx2.data());
-    if (prevNo512 != nullptr) {
-        setenv("PROPHUNT_NO_AVX512", savedNo512.c_str(), 1);
-    } else {
-        unsetenv("PROPHUNT_NO_AVX512");
+    // PROPHUNT_NO_AVX512 steps down to the V = 4 kernel instantiation and
+    // PROPHUNT_NO_AVX2 to the V = 2 one; predictions must not change
+    // across any width, and every width must equal decodeReference shot
+    // for shot (on machines without the respective extension a step
+    // compares a width to itself, which still pins the env-var
+    // plumbing). rqt54's high-degree detectors make min2/argpos ties
+    // occur; the 3-iteration budget sends most hard shots through OSD.
+    Dem lp39 = circuitDem(code::benchmarkLp39, 3, 2e-3);
+    Dem rqt54 = circuitDem(code::benchmarkRqt54, 4, 2e-3);
+    decoder::BpOsdOptions capped;
+    capped.maxIterations = 3;
+    struct Input
+    {
+        const char *name;
+        const Dem *dem;
+        std::size_t shots;
+        decoder::BpOsdOptions opts;
+    };
+    for (const Input &in : {Input{"lp39", &lp39, 200, {}},
+                            Input{"lp39 capped", &lp39, 200, capped},
+                            Input{"rqt54", &rqt54, 129, {}},
+                            Input{"rqt54 capped", &rqt54, 129, capped}}) {
+        FrameBatch frames = sampleDemFrames(*in.dem, in.shots, 5);
+        decoder::BpOsdDecoder dec(*in.dem, in.opts);
+        std::vector<uint64_t> vec(frames.shots);
+        dec.decodePacked(frames.view(), vec.data());
+        std::vector<uint64_t> avx2 =
+            decodeWithFlag("PROPHUNT_NO_AVX512", *in.dem, frames, in.opts);
+        std::vector<uint64_t> gen =
+            decodeWithFlag("PROPHUNT_NO_AVX2", *in.dem, frames, in.opts);
+        EXPECT_EQ(vec, avx2) << in.name;
+        EXPECT_EQ(vec, gen) << in.name;
+        SampleBatch rows;
+        transposeView(frames.view(), rows);
+        std::vector<uint32_t> flipped;
+        for (std::size_t s = 0; s < frames.shots; ++s) {
+            rows.flippedDetectors(s, flipped);
+            uint64_t ref = dec.decodeReference(flipped);
+            EXPECT_EQ(vec[s], ref) << in.name << " native, shot " << s;
+            EXPECT_EQ(avx2[s], ref) << in.name << " NO_AVX512, shot " << s;
+            EXPECT_EQ(gen[s], ref) << in.name << " NO_AVX2, shot " << s;
+        }
     }
-    setenv("PROPHUNT_NO_AVX2", "1", 1);
-    decoder::BpOsdDecoder dec2(dem);
-    dec2.decodePacked(frames.view(), gen.data());
-    if (prevNoAvx2 != nullptr) {
-        setenv("PROPHUNT_NO_AVX2", savedNoAvx2.c_str(), 1);
-    } else {
-        unsetenv("PROPHUNT_NO_AVX2");
-    }
-    EXPECT_EQ(vec, avx2);
-    EXPECT_EQ(vec, gen);
 }
 
 TEST(LaneDecode, DefaultAdapterServesRowDecoders)
