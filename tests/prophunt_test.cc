@@ -337,3 +337,59 @@ TEST(Optimizer, ConvergesOnAlreadyGoodSchedule)
         estimateEffectiveDistance(res.finalSchedule(), 3, 1e-3, 300, 13);
     EXPECT_EQ(deff, 3u);
 }
+
+TEST(Optimizer, GoldenTrajectories)
+{
+    // Pinned trajectories of two seeded runs: the final schedule hash and
+    // every iteration's counts. Verification may get faster, but it must
+    // not change a single verdict, so none of these may move.
+    struct Golden
+    {
+        std::size_t ambiguousFound;
+        std::size_t candidatesEnumerated;
+        std::size_t changesVerified;
+        std::size_t changesApplied;
+    };
+    auto check = [](const OptimizeResult &res, uint64_t hash,
+                    const std::vector<Golden> &want, const char *label) {
+        ASSERT_EQ(res.history.size(), want.size()) << label;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            const IterationRecord &rec = res.history[i];
+            EXPECT_EQ(rec.ambiguousFound, want[i].ambiguousFound)
+                << label << " iteration " << i;
+            EXPECT_EQ(rec.candidatesEnumerated, want[i].candidatesEnumerated)
+                << label << " iteration " << i;
+            EXPECT_EQ(rec.changesVerified, want[i].changesVerified)
+                << label << " iteration " << i;
+            EXPECT_EQ(rec.changesApplied, want[i].changesApplied)
+                << label << " iteration " << i;
+        }
+        EXPECT_EQ(api::hashSchedule(res.finalSchedule()), hash) << label;
+    };
+
+    code::SurfaceCode s3(3);
+    PropHuntOptions poor;
+    poor.iterations = 6;
+    poor.samplesPerIteration = 150;
+    poor.seed = 3;
+    poor.threads = 2;
+    check(PropHunt(poor).optimize(circuit::poorSurfaceSchedule(s3), 3),
+          14089246124873927371ull,
+          {{16, 256, 22, 4},
+           {16, 218, 6, 3},
+           {16, 269, 2, 2},
+           {16, 276, 3, 3},
+           {16, 308, 3, 3},
+           {16, 223, 4, 2}},
+          "surface3 poor");
+
+    auto s5 = std::make_shared<const code::CssCode>(code::benchmarkSurface(5));
+    PropHuntOptions col;
+    col.iterations = 2;
+    col.samplesPerIteration = 200;
+    col.seed = 1;
+    col.threads = 2;
+    check(PropHunt(col).optimize(circuit::colorationSchedule(s5), 5),
+          311334371332238106ull, {{16, 545, 18, 8}, {16, 632, 6, 4}},
+          "surface5 coloration");
+}
