@@ -56,9 +56,10 @@ buildFlaggedMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
         circ.instructions.push_back({OpType::Cnot, {ctrl, tgt}});
         circ.cnotInfo.push_back(info);
     };
-    auto emit_flag_cnot = [&](std::size_t c) {
+    auto emit_flag_cnot = [&](std::size_t c, std::size_t round) {
         CnotInfo info;
         info.check = c;
+        info.round = round;
         info.flag = true;
         if (c < mx) {
             // X check: ancilla (control) couples into the |0> flag.
@@ -109,10 +110,10 @@ buildFlaggedMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
                     continue;
                 }
                 if (t == t_first[c]) {
-                    emit_flag_cnot(c);
+                    emit_flag_cnot(c, r);
                 }
                 if (t + 1 == t_last[c]) {
-                    emit_flag_cnot(c);
+                    emit_flag_cnot(c, r);
                 }
             }
         }

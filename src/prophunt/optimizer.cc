@@ -173,36 +173,35 @@ PropHunt::optimize(const circuit::SmSchedule &start,
             rec.candidatesEnumerated += plan.candidates.size();
         }
 
-        // Verification (expensive: DEM rebuild per candidate) in parallel.
-        struct VerifyTask
-        {
-            SubgraphPlan *plan;
-            const CircuitChange *change;
-        };
+        // Verification in parallel. Results land in per-task slots and
+        // are collected in task order, so the verified lists are
+        // identical for every thread count.
+        std::vector<SubgraphPlan *> task_plans;
         std::vector<VerifyTask> tasks;
         for (SubgraphPlan &plan : plans) {
             for (const CircuitChange &ch : plan.candidates) {
-                tasks.push_back({&plan, &ch});
+                task_plans.push_back(&plan);
+                tasks.push_back({&ch, plan.bw->basis, &plan.sg->detectors,
+                                 &plan.mw.errors, &plan.bw->dem});
             }
         }
-        // Results land in per-task slots and are collected in task order,
-        // so the verified lists are identical for every thread count.
-        std::vector<std::optional<VerifiedChange>> taskResults(
-            tasks.size());
-        parallelFor(tasks.size(), threads, [&](std::size_t i) {
-            std::optional<VerifiedChange> vc;
-            if (opts_.verifyAmbiguityRemoval) {
-                vc = verifyChange(current, *tasks[i].change,
-                                  tasks[i].plan->sg->detectors,
-                                  tasks[i].plan->mw.errors,
-                                  tasks[i].plan->bw->dem, rounds,
-                                  tasks[i].plan->bw->basis, noise);
-            } else {
+        std::vector<std::optional<VerifiedChange>> taskResults;
+        if (opts_.verifyAmbiguityRemoval) {
+            VerifyStats stats;
+            taskResults =
+                verifyChanges(current, tasks, rounds, noise, threads, &stats);
+            rec.candidateSchedules = stats.candidateSchedules;
+            rec.precheckRejected = stats.precheckRejected;
+            rec.fullDemBuilds = stats.fullDemBuilds;
+        } else {
+            taskResults.resize(tasks.size());
+            parallelFor(tasks.size(), threads, [&](std::size_t i) {
                 // Ablated pruning: only circuit validity is checked. A
                 // shared transposition cache already knows the verdict
                 // for schedules the search portfolio scored; probe it
                 // (read-only — parallel inserts would make hit counts
                 // timing-dependent) before paying the full check.
+                std::optional<VerifiedChange> vc;
                 circuit::SmSchedule cand = tasks[i].change->apply(current);
                 uint64_t cached = 0;
                 bool have_cached =
@@ -230,12 +229,12 @@ PropHunt::optimize(const circuit::SmSchedule &start,
                         }
                     }
                 }
-            }
-            taskResults[i] = std::move(vc);
-        });
+                taskResults[i] = std::move(vc);
+            });
+        }
         for (std::size_t i = 0; i < tasks.size(); ++i) {
             if (taskResults[i]) {
-                tasks[i].plan->verified.push_back(
+                task_plans[i]->verified.push_back(
                     std::move(*taskResults[i]));
             }
         }

@@ -112,6 +112,12 @@ struct IterationRecord
     std::size_t candidatesEnumerated = 0;
     std::size_t changesVerified = 0;
     std::size_t changesApplied = 0;
+    /** Distinct (basis, candidate schedule) pairs swept in verification. */
+    std::size_t candidateSchedules = 0;
+    /** Candidates the sweep pre-check rejected (pruning.h). */
+    std::size_t precheckRejected = 0;
+    /** Full candidate DEMs built for pre-check survivors. */
+    std::size_t fullDemBuilds = 0;
     std::size_t depth = 0;
     /** Minimum logical-error weight seen (circuit-level d_eff estimate). */
     std::size_t minLogicalWeight = std::numeric_limits<std::size_t>::max();

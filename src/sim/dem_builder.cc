@@ -179,6 +179,51 @@ struct SignatureArena
     }
 };
 
+/**
+ * Distinct signatures in order of first insertion, found through an
+ * open-addressing table keyed by their hash. A hash hit is confirmed by a
+ * full comparison, so no merge is probabilistic.
+ */
+class SignatureSet
+{
+  public:
+    /** A set for at most @p max_entries distinct signatures. */
+    explicit SignatureSet(std::size_t max_entries)
+    {
+        std::size_t capacity = 16;
+        while (capacity < 2 * max_entries) {
+            capacity <<= 1;
+        }
+        table_.assign(capacity, kNone);
+    }
+
+    /** Id of entry k of @p src, and true iff it was inserted now. */
+    std::pair<uint32_t, bool> insert(const SignatureArena &src,
+                                     std::size_t k)
+    {
+        const std::size_t mask = table_.size() - 1;
+        for (std::size_t slot = src.hash[k] & mask;;
+             slot = (slot + 1) & mask) {
+            uint32_t id = table_[slot];
+            if (id == kNone) {
+                id = (uint32_t)sigs.hash.size();
+                table_[slot] = id;
+                sigs.pushCopy(src, k);
+                return {id, true};
+            }
+            if (sigs.equals(id, src, k)) {
+                return {id, false};
+            }
+        }
+    }
+
+    /** Entry id is the id-th distinct signature inserted. */
+    SignatureArena sigs;
+
+  private:
+    std::vector<uint32_t> table_;
+};
+
 /** Compressed rows: row r is idx[off[r], off[r + 1]). */
 struct Csr
 {
@@ -217,40 +262,54 @@ struct Csr
     }
 };
 
-/**
- * Odd-multiplicity elements of the union of incidence rows @p meas,
- * appended to @p out in ascending order.
- */
+/** Fill @p subset: entry k is the signature of @p site's generator subset
+ * k, built as subset k & (k - 1) XOR the lowest generator in k. */
 void
-appendOdd(const Csr &inc, const uint32_t *meas, std::size_t n,
-          std::vector<uint32_t> &out)
+siteSubsets(const Site &site, const SignatureArena &gen_sig,
+            SignatureArena &subset)
 {
-    const std::size_t start = out.size();
-    for (std::size_t k = 0; k < n; ++k) {
-        out.insert(out.end(), inc.idx.begin() + inc.off[meas[k]],
-                   inc.idx.begin() + inc.off[meas[k] + 1]);
+    subset.clear();
+    subset.closeDetectors();
+    subset.closeEntry();
+    const std::size_t subsets = site.cnot ? 16 : 4;
+    for (std::size_t k = 1; k < subsets; ++k) {
+        subset.pushXor(k & (k - 1), gen_sig,
+                       site.gen + std::countr_zero(k));
     }
-    std::sort(out.begin() + start, out.end());
-    auto kept = out.begin() + start;
-    for (auto run = kept; run != out.end();) {
-        auto next = std::find_if(run, out.end(),
-                                 [&](uint32_t v) { return v != *run; });
-        if ((next - run) % 2 == 1) {
-            *kept++ = *run;
-        }
-        run = next;
-    }
-    out.erase(kept, out.end());
+}
+
+/** Probability that exactly one of two independent faults fires. */
+constexpr double
+xorProbability(double a, double b)
+{
+    return a + b - 2.0 * a * b;
+}
+
+/** Generator subset of a fault: its index into siteSubsets' entries. */
+constexpr std::size_t
+subsetOf(Pauli p0, Pauli p1)
+{
+    return pauliBits(p0) | pauliBits(p1) << 2;
 }
 
 } // namespace
 
-Dem
-buildDem(const SmCircuit &circuit, const NoiseModel &noise)
+struct FaultSweep::Impl
+{
+    const SmCircuit *circuit;
+    /** Fault sites in fault-enumeration order. */
+    std::vector<Site> sites;
+    /** Entry g: generator g's odd detector set, then odd observable set. */
+    SignatureArena genSig;
+};
+
+FaultSweep::FaultSweep(const SmCircuit &circuit, const NoiseModel &noise)
+    : impl_(std::make_unique<Impl>())
 {
     checkStrength(noise.p1, "p1");
     checkStrength(noise.p2, "p2");
     checkStrength(noise.pIdle, "pIdle");
+    impl_->circuit = &circuit;
 
     const std::size_t num_instr = circuit.instructions.size();
     const std::size_t num_qubits = circuit.numQubits;
@@ -258,7 +317,7 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     // Fault sites in fault-enumeration order: gate sites by instruction,
     // then idle sites by CNOT layer and qubit. Generators are numbered in
     // the same order.
-    std::vector<Site> sites;
+    std::vector<Site> &sites = impl_->sites;
     uint32_t num_gen = 0;
     auto add_site = [&](std::size_t instr, uint32_t qubit, bool cnot,
                         double prob) {
@@ -324,8 +383,27 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         zrow(q)[(gen + 1) >> 6] ^= uint64_t{1} << ((gen + 1) & 63);
     };
 
-    // (generator, measurement) flip pairs, in measurement order.
-    std::vector<uint32_t> flip_gen, flip_meas;
+    // Detector and observable planes: row d accumulates the XOR of the
+    // measurement flips of detector d's measurements, so bit g of row d is
+    // set iff generator g flips detector d.
+    const std::size_t num_det = circuit.detectors.size();
+    const std::size_t num_obs = circuit.observables.size();
+    const Csr meas_det =
+        Csr::incidence(circuit.detectors, circuit.numMeasurements);
+    const Csr meas_obs =
+        Csr::incidence(circuit.observables, circuit.numMeasurements);
+    std::vector<uint64_t> det_plane(num_det * words, 0);
+    std::vector<uint64_t> obs_plane(num_obs * words, 0);
+    auto fold = [&](const Csr &inc, std::vector<uint64_t> &plane,
+                    uint32_t meas, const uint64_t *flips) {
+        for (uint32_t k = inc.off[meas]; k < inc.off[meas + 1]; ++k) {
+            uint64_t *row = plane.data() + inc.idx[k] * words;
+            for (std::size_t w = 0; w < words; ++w) {
+                row[w] ^= flips[w];
+            }
+        }
+    };
+
     uint32_t meas_index = 0;
     std::size_t next_site = 0, next_idle = num_gate_sites;
     for (std::size_t i = 0; i < num_instr; ++i) {
@@ -365,16 +443,15 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         }
         case OpType::MeasureZ:
         case OpType::MeasureX: {
-            const uint64_t *plane = ins.op == OpType::MeasureZ
+            if (meas_index >= circuit.numMeasurements) {
+                throw std::logic_error(
+                    "buildDem: measurement count mismatch");
+            }
+            const uint64_t *flips = ins.op == OpType::MeasureZ
                                         ? xrow(ins.qubits[0])
                                         : zrow(ins.qubits[0]);
-            for (std::size_t w = 0; w < words; ++w) {
-                for (uint64_t bits = plane[w]; bits; bits &= bits - 1) {
-                    uint32_t g = (uint32_t)((w << 6) + std::countr_zero(bits));
-                    flip_gen.push_back(g);
-                    flip_meas.push_back(meas_index);
-                }
-            }
+            fold(meas_det, det_plane, meas_index, flips);
+            fold(meas_obs, obs_plane, meas_index, flips);
             ++meas_index;
             break;
         }
@@ -393,34 +470,57 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     }
 
     // Generator signatures: odd detector set, then odd observable set.
-    const Csr gen_meas(num_gen, flip_gen, flip_meas);
-    const Csr meas_det =
-        Csr::incidence(circuit.detectors, circuit.numMeasurements);
-    const Csr meas_obs =
-        Csr::incidence(circuit.observables, circuit.numMeasurements);
-    SignatureArena gen_sig;
+    // Planes are read row by row, so each generator's sets come out
+    // ascending.
+    auto by_generator = [&](const std::vector<uint64_t> &plane,
+                            std::size_t rows) {
+        std::vector<uint32_t> gen, row;
+        for (uint32_t r = 0; r < rows; ++r) {
+            const uint64_t *bits = plane.data() + r * words;
+            for (std::size_t w = 0; w < words; ++w) {
+                for (uint64_t b = bits[w]; b; b &= b - 1) {
+                    gen.push_back((uint32_t)((w << 6) + std::countr_zero(b)));
+                    row.push_back(r);
+                }
+            }
+        }
+        return Csr(num_gen, gen, row);
+    };
+    const Csr gen_det = by_generator(det_plane, num_det);
+    const Csr gen_obs = by_generator(obs_plane, num_obs);
+    SignatureArena &gen_sig = impl_->genSig;
+    gen_sig.arena.reserve(gen_det.idx.size() + gen_obs.idx.size());
     for (uint32_t g = 0; g < num_gen; ++g) {
-        const uint32_t *m = gen_meas.idx.data() + gen_meas.off[g];
-        const std::size_t n = gen_meas.off[g + 1] - gen_meas.off[g];
-        appendOdd(meas_det, m, n, gen_sig.arena);
+        gen_sig.arena.insert(gen_sig.arena.end(),
+                             gen_det.idx.begin() + gen_det.off[g],
+                             gen_det.idx.begin() + gen_det.off[g + 1]);
         gen_sig.closeDetectors();
-        appendOdd(meas_obs, m, n, gen_sig.arena);
+        gen_sig.arena.insert(gen_sig.arena.end(),
+                             gen_obs.idx.begin() + gen_obs.off[g],
+                             gen_obs.idx.begin() + gen_obs.off[g + 1]);
         gen_sig.closeEntry();
     }
+}
 
-    // First pass: merge fault signatures in fault order through an
-    // open-addressing table. Mechanism ids follow first appearance and p
-    // folds in fault order, exactly as a sequential merge would.
+FaultSweep::~FaultSweep() = default;
+FaultSweep::FaultSweep(FaultSweep &&) noexcept = default;
+FaultSweep &FaultSweep::operator=(FaultSweep &&) noexcept = default;
+
+Dem
+FaultSweep::dem() const
+{
+    const SmCircuit &circuit = *impl_->circuit;
+    const std::vector<Site> &sites = impl_->sites;
+    const SignatureArena &gen_sig = impl_->genSig;
+
+    // First pass: merge fault signatures in fault order. Mechanism ids
+    // follow first appearance and p folds in fault order, exactly as a
+    // sequential merge would.
     std::size_t num_faults = 0;
     for (const Site &s : sites) {
         num_faults += s.cnot ? kCnotPaulis.size() : 3;
     }
-    std::size_t capacity = 16;
-    while (capacity < 2 * num_faults) {
-        capacity <<= 1;
-    }
-    std::vector<uint32_t> table(capacity, kNone);
-    SignatureArena mech_sig;
+    SignatureSet mechs(num_faults);
     std::vector<double> mech_p;
     std::vector<uint32_t> mech_sources;
     std::vector<uint32_t> fault_mech;
@@ -433,37 +533,20 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
             fault_mech.push_back(kNone);
             return;
         }
-        for (std::size_t slot = subset.hash[k] & (capacity - 1);;
-             slot = (slot + 1) & (capacity - 1)) {
-            uint32_t id = table[slot];
-            if (id == kNone) {
-                id = (uint32_t)mech_p.size();
-                table[slot] = id;
-                mech_sig.pushCopy(subset, k);
-                mech_p.push_back(prob);
-                mech_sources.push_back(1);
-                fault_mech.push_back(id);
-                return;
-            }
-            if (mech_sig.equals(id, subset, k)) {
-                mech_p[id] = mech_p[id] + prob - 2.0 * mech_p[id] * prob;
-                ++mech_sources[id];
-                fault_mech.push_back(id);
-                return;
-            }
+        auto [id, inserted] = mechs.insert(subset, k);
+        if (inserted) {
+            mech_p.push_back(prob);
+            mech_sources.push_back(1);
+        } else {
+            mech_p[id] = xorProbability(mech_p[id], prob);
+            ++mech_sources[id];
         }
+        fault_mech.push_back(id);
     };
     for (const Site &s : sites) {
-        // Subset k = subset k & (k - 1) XOR the lowest generator in k.
-        subset.clear();
-        subset.closeDetectors();
-        subset.closeEntry();
-        const std::size_t subsets = s.cnot ? 16 : 4;
-        for (std::size_t k = 1; k < subsets; ++k) {
-            subset.pushXor(k & (k - 1), gen_sig, s.gen + std::countr_zero(k));
-        }
+        siteSubsets(s, gen_sig, subset);
         forEachFault(s, [&](Pauli p0, Pauli p1) {
-            merge(pauliBits(p0) | pauliBits(p1) << 2, s.prob);
+            merge(subsetOf(p0, p1), s.prob);
         });
     }
 
@@ -473,6 +556,7 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
     dem.numDetectors = circuit.detectors.size();
     dem.numObservables = circuit.observables.size();
     dem.errors.resize(mech_p.size());
+    const SignatureArena &mech_sig = mechs.sigs;
     for (std::size_t id = 0; id < mech_p.size(); ++id) {
         ErrorMechanism &mech = dem.errors[id];
         const uint32_t *sig = mech_sig.data(id);
@@ -499,6 +583,76 @@ buildDem(const SmCircuit &circuit, const NoiseModel &noise)
         });
     }
     return dem;
+}
+
+Dem
+FaultSweep::interiorMechanisms(const std::vector<uint32_t> &detectors) const
+{
+    const SmCircuit &circuit = *impl_->circuit;
+    const SignatureArena &gen_sig = impl_->genSig;
+    std::vector<uint8_t> inside(circuit.detectors.size(), 0);
+    for (uint32_t d : detectors) {
+        inside[d] = 1;
+    }
+    auto in_set = [&](uint32_t d) { return inside[d] != 0; };
+
+    // A fault's detectors are the odd part of its generators', so only a
+    // site with a generator touching the set can have a fault inside it.
+    std::vector<const Site *> touched;
+    std::size_t num_faults = 0;
+    for (const Site &s : impl_->sites) {
+        for (uint32_t g = s.gen; g < s.gen + (s.cnot ? 4 : 2); ++g) {
+            const uint32_t *d = gen_sig.data(g);
+            if (std::any_of(d, d + gen_sig.numDet[g], in_set)) {
+                touched.push_back(&s);
+                num_faults += s.cnot ? kCnotPaulis.size() : 3;
+                break;
+            }
+        }
+    }
+
+    // Merge the interior faults in fault order, as dem() does: every fault
+    // of an interior mechanism is visited, in the same order.
+    SignatureSet mechs(num_faults);
+    std::vector<double> mech_p;
+    SignatureArena subset;
+    for (const Site *s : touched) {
+        siteSubsets(*s, gen_sig, subset);
+        forEachFault(*s, [&](Pauli p0, Pauli p1) {
+            const std::size_t k = subsetOf(p0, p1);
+            const uint32_t *sig = subset.data(k);
+            const uint32_t num_det = subset.numDet[k];
+            if (num_det == 0 || !std::all_of(sig, sig + num_det, in_set)) {
+                return;
+            }
+            auto [id, inserted] = mechs.insert(subset, k);
+            if (inserted) {
+                mech_p.push_back(s->prob);
+            } else {
+                mech_p[id] = xorProbability(mech_p[id], s->prob);
+            }
+        });
+    }
+
+    Dem out;
+    out.numDetectors = circuit.detectors.size();
+    out.numObservables = circuit.observables.size();
+    out.errors.resize(mech_p.size());
+    for (std::size_t id = 0; id < mech_p.size(); ++id) {
+        const uint32_t *sig = mechs.sigs.data(id);
+        const uint32_t num_det = mechs.sigs.numDet[id];
+        out.errors[id].p = mech_p[id];
+        out.errors[id].detectors.assign(sig, sig + num_det);
+        out.errors[id].observables.assign(sig + num_det,
+                                          sig + mechs.sigs.length(id));
+    }
+    return out;
+}
+
+Dem
+buildDem(const SmCircuit &circuit, const NoiseModel &noise)
+{
+    return FaultSweep(circuit, noise).dem();
 }
 
 } // namespace prophunt::sim

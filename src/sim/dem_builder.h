@@ -30,9 +30,20 @@
  * mechanism's sources are in fault order, and p folds in fault order. The
  * output is therefore the same, bit for bit, as merging one fault at a
  * time. The builder keeps no shared state and may run concurrently.
+ *
+ * Sweep and merge. buildDem is two steps, and FaultSweep exposes them:
+ * constructing a FaultSweep enumerates the fault sites, runs the generator
+ * sweep and computes every generator's signature; FaultSweep::dem() then
+ * merges the fault signatures and materializes the Dem. A caller that
+ * only needs the faults inside a detector set (candidate pruning) asks
+ * the sweep for them with FaultSweep::interiorMechanisms() and skips the
+ * full merge, which is most of buildDem's time.
  */
 #ifndef PROPHUNT_SIM_DEM_BUILDER_H
 #define PROPHUNT_SIM_DEM_BUILDER_H
+
+#include <memory>
+#include <vector>
 
 #include "circuit/sm_circuit.h"
 #include "sim/dem.h"
@@ -41,7 +52,46 @@
 namespace prophunt::sim {
 
 /**
- * Extract the detector error model of @p circuit under @p noise.
+ * The first step of DEM extraction: every fault site of a circuit and the
+ * detector and observable signature of each of its generators.
+ *
+ * A sweep refers to its circuit, which must outlive it. It is immutable
+ * after construction, so its queries may run concurrently.
+ */
+class FaultSweep
+{
+  public:
+    /**
+     * Enumerate the fault sites of @p circuit under @p noise and propagate
+     * their generators.
+     *
+     * @throws std::invalid_argument if noise.p1, noise.p2 or noise.pIdle
+     * is not a finite probability in [0, 1].
+     */
+    FaultSweep(const circuit::SmCircuit &circuit, const NoiseModel &noise);
+    ~FaultSweep();
+    FaultSweep(FaultSweep &&) noexcept;
+    FaultSweep &operator=(FaultSweep &&) noexcept;
+
+    /** Merge the faults into mechanisms: the circuit's full DEM. */
+    Dem dem() const;
+
+    /**
+     * The mechanisms of dem() whose detector set is non-empty and lies
+     * inside @p detectors, in dem()'s order and with its p, but without
+     * sources. Only the fault sites with a generator that touches
+     * @p detectors are merged, so this costs a small part of dem().
+     */
+    Dem interiorMechanisms(const std::vector<uint32_t> &detectors) const;
+
+  private:
+    struct Impl;
+    std::unique_ptr<Impl> impl_;
+};
+
+/**
+ * Extract the detector error model of @p circuit under @p noise:
+ * FaultSweep(circuit, noise).dem().
  *
  * @throws std::invalid_argument if noise.p1, noise.p2 or noise.pIdle is
  * not a finite probability in [0, 1].

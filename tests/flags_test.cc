@@ -39,6 +39,40 @@ TEST(Flags, StructureCounts)
     EXPECT_EQ(c.detectors.size(), plain.detectors.size() + 2 * f);
 }
 
+TEST(Flags, CouplingsCarryTheirRound)
+{
+    // Every CNOT, flag couplings included, reports the SM round it sits
+    // in: the number of ancilla-measurement layers before it.
+    code::SurfaceCode s(3);
+    const std::size_t rounds = 3;
+    SmCircuit c = buildFlaggedMemoryCircuit(circuit::poorSurfaceSchedule(s),
+                                            rounds, MemoryBasis::Z, 4);
+    std::size_t round = 0, flag_cnots = 0;
+    bool in_measure_layer = false;
+    for (std::size_t i = 0; i < c.instructions.size(); ++i) {
+        const Instruction &ins = c.instructions[i];
+        bool ancilla_measure =
+            (ins.op == OpType::MeasureZ || ins.op == OpType::MeasureX) &&
+            ins.qubits[0] >= c.numData;
+        if (ancilla_measure) {
+            in_measure_layer = true;
+            continue;
+        }
+        if (in_measure_layer) {
+            ++round;
+            in_measure_layer = false;
+        }
+        if (ins.op != OpType::Cnot) {
+            continue;
+        }
+        EXPECT_EQ(c.cnotInfo[i].round, round) << "instruction " << i;
+        flag_cnots += c.cnotInfo[i].flag;
+    }
+    EXPECT_EQ(round, rounds);
+    // Two couplings per flagged check (4 weight-4 faces) per round.
+    EXPECT_EQ(flag_cnots, 2 * 4 * rounds);
+}
+
 TEST(Flags, NoiselessDeterminism)
 {
     // The strongest check: with flags inserted, every detector (including

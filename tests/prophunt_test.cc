@@ -268,8 +268,9 @@ TEST(Optimizer, ThreadCountDoesNotChangeTrajectory)
 {
     // Subgraph sampling and candidate verification are per-index
     // deterministic, so the worker count must not change a single
-    // decision. With 4 threads, verification also runs concurrent
-    // buildDem calls on the shared pool.
+    // decision, nor the verification work counters. With 4 threads,
+    // verification also runs concurrent per-schedule sweeps and DEM
+    // merges on the shared pool.
     code::SurfaceCode s(3);
     auto run = [&](std::size_t threads) {
         PropHuntOptions opts;
@@ -283,16 +284,27 @@ TEST(Optimizer, ThreadCountDoesNotChangeTrajectory)
     OptimizeResult parallel = run(4);
     ASSERT_FALSE(serial.history.empty());
     ASSERT_EQ(serial.history.size(), parallel.history.size());
-    std::size_t applied = 0;
+    std::size_t applied = 0, schedules = 0;
     for (std::size_t i = 0; i < serial.history.size(); ++i) {
         const IterationRecord &a = serial.history[i];
         const IterationRecord &b = parallel.history[i];
         EXPECT_EQ(a.candidatesEnumerated, b.candidatesEnumerated) << i;
         EXPECT_EQ(a.changesVerified, b.changesVerified) << i;
         EXPECT_EQ(a.changesApplied, b.changesApplied) << i;
+        EXPECT_EQ(a.candidateSchedules, b.candidateSchedules) << i;
+        EXPECT_EQ(a.precheckRejected, b.precheckRejected) << i;
+        EXPECT_EQ(a.fullDemBuilds, b.fullDemBuilds) << i;
         applied += a.changesApplied;
+        schedules += a.candidateSchedules;
+        // Each distinct schedule is swept once and merged at most once.
+        EXPECT_LE(a.candidateSchedules, a.candidatesEnumerated) << i;
+        EXPECT_LE(a.fullDemBuilds, a.candidateSchedules) << i;
+        EXPECT_LE(a.changesVerified + a.precheckRejected,
+                  a.candidatesEnumerated)
+            << i;
     }
     EXPECT_GT(applied, 0u) << "the poor schedule must be changed";
+    EXPECT_GT(schedules, 0u);
     EXPECT_EQ(api::hashSchedule(serial.finalSchedule()),
               api::hashSchedule(parallel.finalSchedule()));
 }

@@ -303,3 +303,94 @@ TEST(PruningOracle, DetectorInteriorColumnsNeverRejectAcceptedCandidate)
     }
     EXPECT_GT(accepted, 0u);
 }
+
+TEST(PruningOracle, PrecheckNeverRejectsAcceptedCandidate)
+{
+    // The library's pre-check on the candidate's sweep: a rejection there
+    // must be a rejection of the full rebuild.
+    std::size_t valid = 0, rejected = 0;
+    for (const Cell &cell : cells()) {
+        for (const Probe &pr : cell.probes) {
+            for (const CircuitChange &ch : pr.candidates) {
+                circuit::SmSchedule cand = ch.apply(cell.schedule);
+                if (!cand.commutationValid() || !cand.schedulable()) {
+                    continue;
+                }
+                ++valid;
+                circuit::SmCircuit circ = circuit::buildMemoryCircuit(
+                    cand, cell.rounds, cell.basis);
+                sim::FaultSweep sweep(circ, cell.noise);
+                if (!precheckRejects(sweep, pr.sg.detectors)) {
+                    continue;
+                }
+                ++rejected;
+                EXPECT_FALSE(referenceVerify(cell.schedule, ch,
+                                             pr.sg.detectors, pr.mw.errors,
+                                             cell.dem, cell.rounds,
+                                             cell.basis, cell.noise))
+                    << cell.label << " " << ch.key();
+            }
+        }
+    }
+    EXPECT_GT(rejected, 0u);
+    EXPECT_LT(rejected, valid);
+}
+
+TEST(PruningOracle, GroupedStageMatchesPerTaskCalls)
+{
+    // verifyChanges groups each cell's tasks by candidate schedule; every
+    // task must still get exactly verifyChange's verdict, at any thread
+    // count, with the same work counters.
+    std::size_t valid_total = 0, schedules_total = 0;
+    for (const Cell &cell : cells()) {
+        std::vector<VerifyTask> tasks;
+        for (const Probe &pr : cell.probes) {
+            for (const CircuitChange &ch : pr.candidates) {
+                tasks.push_back({&ch, cell.basis, &pr.sg.detectors,
+                                 &pr.mw.errors, &cell.dem});
+            }
+        }
+        VerifyStats serial_stats, parallel_stats;
+        auto serial = verifyChanges(cell.schedule, tasks, cell.rounds,
+                                    cell.noise, 1, &serial_stats);
+        auto parallel = verifyChanges(cell.schedule, tasks, cell.rounds,
+                                      cell.noise, 4, &parallel_stats);
+        ASSERT_EQ(serial.size(), tasks.size());
+        ASSERT_EQ(parallel.size(), tasks.size());
+        std::size_t verified = 0;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const VerifyTask &t = tasks[i];
+            auto want = verifyChange(cell.schedule, *t.change,
+                                     *t.ambiguousDetectors, *t.logicalErrors,
+                                     *t.dem, cell.rounds, cell.basis,
+                                     cell.noise);
+            for (const auto *got : {&serial[i], &parallel[i]}) {
+                ASSERT_EQ(got->has_value(), want.has_value())
+                    << cell.label << " task " << i;
+                if (want) {
+                    EXPECT_EQ((*got)->change.key(), t.change->key());
+                    EXPECT_TRUE((*got)->schedule == want->schedule);
+                    EXPECT_EQ((*got)->depth, want->depth);
+                }
+            }
+            verified += want.has_value();
+            circuit::SmSchedule cand = t.change->apply(cell.schedule);
+            valid_total += cand.commutationValid() && cand.schedulable();
+        }
+        EXPECT_EQ(serial_stats.candidateSchedules,
+                  parallel_stats.candidateSchedules)
+            << cell.label;
+        EXPECT_EQ(serial_stats.precheckRejected,
+                  parallel_stats.precheckRejected)
+            << cell.label;
+        EXPECT_EQ(serial_stats.fullDemBuilds, parallel_stats.fullDemBuilds)
+            << cell.label;
+        EXPECT_LE(serial_stats.fullDemBuilds,
+                  serial_stats.candidateSchedules);
+        EXPECT_LE(verified + serial_stats.precheckRejected, tasks.size());
+        schedules_total += serial_stats.candidateSchedules;
+    }
+    // Different subgraphs propose the same change, so there are fewer
+    // sweeps than valid candidates.
+    EXPECT_LT(schedules_total, valid_total);
+}

@@ -7,16 +7,19 @@
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
 
 #include "circuit/coloration.h"
+#include "circuit/flags.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
 #include "code/surface.h"
 #include "sim/dem_builder.h"
+#include "sim/rng.h"
 #include "sim/sampler.h"
 
 using namespace prophunt;
@@ -299,6 +302,85 @@ TEST(DemBuilder, GoldenFingerprintsOnBenchmarkCodes)
         EXPECT_EQ(dem.errors.size(), cell.mechanisms) << label;
         EXPECT_EQ(DemFingerprint(dem).value(), cell.hash) << label;
     }
+}
+
+TEST(FaultSweep, InteriorMechanismsAreTheDemsInteriorMechanisms)
+{
+    // interiorMechanisms(S) must be exactly the mechanisms of the full DEM
+    // whose non-empty detector set lies inside S: same order, same
+    // detector and observable lists, bit-identical p. Detector sets are
+    // grown the way subgraph sampling grows them, from one mechanism
+    // through mechanisms that share a detector.
+    using circuit::MemoryBasis;
+    auto surface5 =
+        std::make_shared<const code::CssCode>(code::benchmarkSurface(5));
+    auto lp39 = std::make_shared<const code::CssCode>(code::benchmarkLp39());
+    struct Case
+    {
+        circuit::SmCircuit circ;
+        NoiseModel noise;
+    };
+    const Case cases[] = {
+        {d3Circuit(MemoryBasis::Z), NoiseModel::uniform(1e-3)},
+        {buildMemoryCircuit(circuit::colorationSchedule(surface5), 5,
+                            MemoryBasis::X),
+         NoiseModel::withIdle(1e-3, 1e-4)},
+        {buildMemoryCircuit(circuit::colorationSchedule(lp39), 3,
+                            MemoryBasis::Z),
+         NoiseModel::uniform(2e-3)},
+        {circuit::buildFlaggedMemoryCircuit(
+             circuit::poorSurfaceSchedule(code::SurfaceCode(3)), 3,
+             MemoryBasis::X, 4),
+         NoiseModel::withIdle(1e-3, 1e-4)},
+    };
+    Rng rng(29);
+    std::size_t nonempty = 0;
+    for (const Case &c : cases) {
+        FaultSweep sweep(c.circ, c.noise);
+        Dem dem = sweep.dem();
+        ASSERT_EQ(DemFingerprint(dem).value(),
+                  DemFingerprint(buildDem(c.circ, c.noise)).value());
+        auto adj = dem.detectorToErrors();
+        for (int trial = 0; trial < 40; ++trial) {
+            std::vector<uint8_t> in(dem.numDetectors, 0);
+            std::vector<uint32_t> set;
+            auto absorb = [&](uint32_t e) {
+                for (uint32_t d : dem.errors[e].detectors) {
+                    if (!in[d]) {
+                        in[d] = 1;
+                        set.push_back(d);
+                    }
+                }
+            };
+            absorb((uint32_t)rng.below(dem.errors.size()));
+            for (std::size_t grow = rng.below(12); grow > 0 && !set.empty();
+                 --grow) {
+                const auto &near = adj[set[rng.below(set.size())]];
+                absorb(near[rng.below(near.size())]);
+            }
+            Dem got = sweep.interiorMechanisms(set);
+            std::size_t k = 0;
+            for (const ErrorMechanism &mech : dem.errors) {
+                bool inside = !mech.detectors.empty();
+                for (uint32_t d : mech.detectors) {
+                    inside = inside && in[d];
+                }
+                if (!inside) {
+                    continue;
+                }
+                ASSERT_LT(k, got.errors.size());
+                EXPECT_EQ(got.errors[k].detectors, mech.detectors);
+                EXPECT_EQ(got.errors[k].observables, mech.observables);
+                EXPECT_EQ(std::bit_cast<uint64_t>(got.errors[k].p),
+                          std::bit_cast<uint64_t>(mech.p));
+                EXPECT_TRUE(got.errors[k].sources.empty());
+                ++k;
+            }
+            EXPECT_EQ(k, got.errors.size());
+            nonempty += k > 0;
+        }
+    }
+    EXPECT_GT(nonempty, 80u);
 }
 
 TEST(Sampler, EmptyDemGivesCleanShots)
