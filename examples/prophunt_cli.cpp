@@ -361,10 +361,12 @@ main(int argc, char **argv)
     api::OptimizeResult res = engine.run(oreq);
     for (const auto &rec : res.outcome.history) {
         std::printf("iter %2zu: ambiguous=%-3zu candidates=%-4zu "
+                    "schedules=%-4zu prechecked_out=%-4zu full_dems=%-3zu "
                     "verified=%-3zu applied=%-2zu depth=%zu\n",
                     rec.iteration, rec.ambiguousFound,
-                    rec.candidatesEnumerated, rec.changesVerified,
-                    rec.changesApplied, rec.depth);
+                    rec.candidatesEnumerated, rec.candidateSchedules,
+                    rec.precheckRejected, rec.fullDemBuilds,
+                    rec.changesVerified, rec.changesApplied, rec.depth);
     }
 
     bool is_surface = std::strncmp(argv[1], "surface", 7) == 0;

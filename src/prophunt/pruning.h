@@ -127,8 +127,8 @@ std::vector<std::optional<VerifiedChange>> verifyChanges(
 
 /**
  * The sweep pre-check: true iff the rowspace test already finds ambiguity
- * on @p sweep's interior faults of @p ambiguous_detectors. A true result
- * implies the full check rejects (see the file comment).
+ * on @p sweep's interior mechanisms of @p ambiguous_detectors. A true
+ * result implies the full check rejects (see the file comment).
  */
 bool precheckRejects(const sim::FaultSweep &sweep,
                      const std::vector<uint32_t> &ambiguous_detectors);

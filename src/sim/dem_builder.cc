@@ -503,8 +503,6 @@ FaultSweep::FaultSweep(const SmCircuit &circuit, const NoiseModel &noise)
 }
 
 FaultSweep::~FaultSweep() = default;
-FaultSweep::FaultSweep(FaultSweep &&) noexcept = default;
-FaultSweep &FaultSweep::operator=(FaultSweep &&) noexcept = default;
 
 Dem
 FaultSweep::dem() const

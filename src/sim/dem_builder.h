@@ -15,11 +15,13 @@
  * control and target after each CNOT, and X and Z at each reset,
  * measurement and idle site. One sweep over the circuit carries one bit
  * per generator in contiguous per-qubit X and Z bit planes; a CNOT is two
- * word-wise XORs per plane word. Each generator's flipped measurements
- * become its odd detector and observable sets once, through CSR
- * measurement -> detector and measurement -> observable incidence, and a
- * fault's signature is the symmetric difference of at most four generator
- * signatures. Faults with an empty signature are dropped.
+ * word-wise XORs per plane word. At each measurement the measured plane
+ * row is XORed into the row of every detector and observable that reads
+ * the measurement, so bit g of a detector's row ends up set iff generator
+ * g flips it an odd number of times; reading those rows gives each
+ * generator's detector and observable sets, ascending. A fault's signature
+ * is the symmetric difference of at most four generator signatures.
+ * Faults with an empty signature are dropped.
  *
  * Merge order. Signatures are kept in one flat arena and merged through an
  * open-addressing table keyed by their hash; a hash hit is confirmed by a
@@ -35,9 +37,10 @@
  * constructing a FaultSweep enumerates the fault sites, runs the generator
  * sweep and computes every generator's signature; FaultSweep::dem() then
  * merges the fault signatures and materializes the Dem. A caller that
- * only needs the faults inside a detector set (candidate pruning) asks
- * the sweep for them with FaultSweep::interiorMechanisms() and skips the
- * full merge, which is most of buildDem's time.
+ * only needs the mechanisms inside a detector set (candidate pruning)
+ * asks the sweep for them with FaultSweep::interiorMechanisms(), which
+ * merges only the sites whose generators touch the set and skips the full
+ * merge, most of buildDem's time.
  */
 #ifndef PROPHUNT_SIM_DEM_BUILDER_H
 #define PROPHUNT_SIM_DEM_BUILDER_H
@@ -70,8 +73,6 @@ class FaultSweep
      */
     FaultSweep(const circuit::SmCircuit &circuit, const NoiseModel &noise);
     ~FaultSweep();
-    FaultSweep(FaultSweep &&) noexcept;
-    FaultSweep &operator=(FaultSweep &&) noexcept;
 
     /** Merge the faults into mechanisms: the circuit's full DEM. */
     Dem dem() const;
