@@ -1,8 +1,8 @@
 /**
  * @file
  * Tests for the prophunt::api engine surface: decoder registry
- * round-trips, artifact-cache determinism, async submission, the
- * api::Config layer, and SPRT adaptive sweeps.
+ * round-trips, artifact-cache determinism, async submission, optimize
+ * requests, the api::Config layer, and SPRT adaptive sweeps.
  */
 #include <gtest/gtest.h>
 
@@ -25,6 +25,7 @@
 #include "decoder/logical_error.h"
 #include "decoder/registry.h"
 #include "gf2/matrix.h"
+#include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
 
 using namespace prophunt;
@@ -595,6 +596,93 @@ TEST(Engine, SubmitReturnsSameResultAsRun)
     EXPECT_EQ(r1.memory.x.failures, sync.memory.x.failures);
     EXPECT_EQ(r2.memory.z.failures, sync.memory.z.failures);
     EXPECT_EQ(r2.memory.x.failures, sync.memory.x.failures);
+}
+
+// --- optimize ---------------------------------------------------------------
+
+namespace {
+
+core::PropHuntOptions
+cheapMaxSatOptions(uint64_t seed)
+{
+    core::PropHuntOptions opts;
+    opts.iterations = 2;
+    opts.samplesPerIteration = 50;
+    opts.maxAmbiguousPerIteration = 2;
+    opts.maxCost = 8;
+    opts.satTimeoutSeconds = 5.0;
+    opts.seed = seed;
+    return opts;
+}
+
+void
+expectOutcomesEqual(const core::OptimizeResult &a,
+                    const core::OptimizeResult &b)
+{
+    EXPECT_TRUE(a.finalSchedule() == b.finalSchedule());
+    ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
+    for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
+        EXPECT_TRUE(a.snapshots[i] == b.snapshots[i]);
+    }
+    ASSERT_EQ(a.history.size(), b.history.size());
+    for (std::size_t i = 0; i < a.history.size(); ++i) {
+        EXPECT_EQ(a.history[i].ambiguousFound, b.history[i].ambiguousFound);
+        EXPECT_EQ(a.history[i].candidatesEnumerated,
+                  b.history[i].candidatesEnumerated);
+        EXPECT_EQ(a.history[i].changesVerified,
+                  b.history[i].changesVerified);
+        EXPECT_EQ(a.history[i].changesApplied, b.history[i].changesApplied);
+        EXPECT_EQ(a.history[i].depth, b.history[i].depth);
+        EXPECT_EQ(a.history[i].minLogicalWeight,
+                  b.history[i].minLogicalWeight);
+        EXPECT_EQ(a.history[i].solveWeights, b.history[i].solveWeights);
+    }
+}
+
+} // namespace
+
+TEST(EngineOptimize, MatchesPropHuntOptimize)
+{
+    code::SurfaceCode s(3);
+    api::Engine engine;
+    api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
+    req.rounds = 3;
+    req.options = cheapMaxSatOptions(17);
+    api::OptimizeResult viaEngine = engine.run(req);
+    core::PropHunt tool(req.options);
+    core::OptimizeResult direct = tool.optimize(req.start, req.rounds);
+    EXPECT_TRUE(viaEngine.finalSchedule() == direct.finalSchedule());
+}
+
+TEST(EngineOptimize, CancellationStopsOptimize)
+{
+    // Parity with LerRequest::cancel.
+    code::SurfaceCode s(3);
+    api::Engine engine;
+    std::atomic<bool> cancel{true};
+    api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
+    req.rounds = 3;
+    req.options = cheapMaxSatOptions(3);
+    req.cancel = &cancel;
+    api::OptimizeResult res = engine.run(req);
+    EXPECT_TRUE(res.finalSchedule() == req.start);
+    EXPECT_TRUE(res.outcome.history.empty());
+}
+
+TEST(EngineOptimize, SubmitMatchesRun)
+{
+    code::SurfaceCode s(3);
+    api::Engine engine;
+    auto makeReq = [&]() {
+        api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
+        req.rounds = 3;
+        req.options = cheapMaxSatOptions(13);
+        return req;
+    };
+    api::OptimizeResult sync = engine.run(makeReq());
+    std::future<api::OptimizeResult> fut = engine.submit(makeReq());
+    api::OptimizeResult async = fut.get();
+    expectOutcomesEqual(sync.outcome, async.outcome);
 }
 
 // --- SPRT -------------------------------------------------------------------

@@ -449,21 +449,6 @@ TEST(EngineSearch, TelemetryCarriesSearchStats)
     EXPECT_EQ(res.telemetry.search[2].name, "maxsat");
 }
 
-TEST(EngineSearch, ClassicPathUnchangedWithoutPortfolio)
-{
-    code::SurfaceCode s(3);
-    api::Engine engine;
-    api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
-    req.rounds = 3;
-    req.options = cheapMaxSatOptions(17);
-    api::OptimizeResult viaEngine = engine.run(req);
-    core::PropHunt tool(req.options);
-    core::OptimizeResult direct =
-        tool.optimize(req.start, req.rounds);
-    EXPECT_TRUE(viaEngine.finalSchedule() == direct.finalSchedule());
-    EXPECT_TRUE(viaEngine.telemetry.search.empty());
-}
-
 TEST(EngineSearch, CancellationReturnsStartSchedule)
 {
     code::SurfaceCode s(3);
@@ -481,37 +466,4 @@ TEST(EngineSearch, CancellationReturnsStartSchedule)
         EXPECT_EQ(rep.stats.expansions, 0u);
     }
     EXPECT_TRUE(res.outcome.history.empty());
-}
-
-TEST(EngineSearch, CancellationStopsClassicOptimize)
-{
-    // Parity with LerRequest::cancel for the MaxSAT-only path.
-    code::SurfaceCode s(3);
-    api::Engine engine;
-    std::atomic<bool> cancel{true};
-    api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
-    req.rounds = 3;
-    req.options = cheapMaxSatOptions(3);
-    req.cancel = &cancel;
-    api::OptimizeResult res = engine.run(req);
-    EXPECT_TRUE(res.finalSchedule() == req.start);
-    EXPECT_TRUE(res.outcome.history.empty());
-}
-
-TEST(EngineSearch, SubmitMatchesRun)
-{
-    code::SurfaceCode s(3);
-    api::Engine engine;
-    auto makeReq = [&]() {
-        api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
-        req.rounds = 3;
-        req.options = cheapMaxSatOptions(13);
-        req.portfolio.enabled = true;
-        req.portfolio.includeMaxSat = false; // keep the async leg fast
-        return req;
-    };
-    api::OptimizeResult sync = engine.run(makeReq());
-    std::future<api::OptimizeResult> fut = engine.submit(makeReq());
-    api::OptimizeResult async = fut.get();
-    expectOutcomesEqual(sync.outcome, async.outcome);
 }
