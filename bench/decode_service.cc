@@ -174,7 +174,7 @@ runConfig(const Config &cfg)
     Row row;
     row.name = cfg.name;
     row.p = cfg.p;
-    std::size_t base = api::envSize("PROPHUNT_SHOTS", 20000);
+    std::size_t base = phbench::config().shots;
     row.shotsPerRequest = std::max<std::size_t>(100, base / cfg.divisor);
     row.requests = kRequestsPerPhase;
     // ~8 shards per request: enough queue churn to exercise the shard
@@ -191,8 +191,8 @@ runConfig(const Config &cfg)
     model->prototype = decoder::Registry::make(
         phbench::decoderFor(*cp), model->dem, model->circuit);
 
-    std::size_t reps = std::max<std::size_t>(
-        1, api::envSize("PROPHUNT_BENCH_REPS", 3));
+    std::size_t reps =
+        std::max<std::size_t>(1, phbench::config().benchReps);
 
     // --- calibration: raw serial measureDemLer, best of reps.
     decoder::LerOptions serial;
@@ -315,8 +315,9 @@ main()
         rows.push_back(std::move(row));
     }
 
-    const char *outPath = std::getenv("PROPHUNT_BENCH_OUT");
-    std::string path = outPath ? outPath : "BENCH_decode_service.json";
+    std::string path = phbench::config().benchOut.empty()
+                           ? "BENCH_decode_service.json"
+                           : phbench::config().benchOut;
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f, "{\n  \"bench\": \"decode_service\",\n"
                         "  \"requests_per_phase\": %zu,\n  \"configs\": [\n",

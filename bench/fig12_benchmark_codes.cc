@@ -34,7 +34,7 @@ specs()
 {
     std::vector<CodeSpec> out;
     std::vector<std::size_t> surface_ds = {3, 5, 7};
-    if (api::envFlag("PROPHUNT_FULL")) {
+    if (phbench::config().full) {
         surface_ds.push_back(9);
     }
     for (std::size_t d : surface_ds) {
@@ -44,7 +44,7 @@ specs()
     out.push_back({code::benchmarkLp39(), 3, std::nullopt});
     out.push_back({code::benchmarkRqt60(), 6, std::nullopt});
     out.push_back({code::benchmarkRqt54(), 4, std::nullopt});
-    if (api::envFlag("PROPHUNT_FULL")) {
+    if (phbench::config().full) {
         out.push_back({code::benchmarkRqt108(), 4, std::nullopt});
     }
     return out;

@@ -74,7 +74,7 @@ main(int argc, char **argv)
     runCode(code::benchmarkSurface(5), 5);
     runCode(code::benchmarkLp39(), 3);
     runCode(code::benchmarkRqt60(), 6);
-    if (api::envFlag("PROPHUNT_FULL")) {
+    if (phbench::config().full) {
         runCode(code::benchmarkSurface(7), 7);
         runCode(code::benchmarkSurface(9), 9);
         runCode(code::benchmarkRqt54(), 4);

@@ -34,7 +34,7 @@ void
 runCode(const code::CssCode &code, std::size_t distance,
         const circuit::SmSchedule &start, const char *label)
 {
-    bool full = api::envFlag("PROPHUNT_FULL");
+    bool full = phbench::config().full;
     core::PropHuntOptions opts = phbench::defaultOptions(17);
     if (full) {
         // Paper-scale budgets unless the env overrides them explicitly.
@@ -103,7 +103,7 @@ main(int argc, char **argv)
         runCode(s.code(), 5, circuit::poorSurfaceSchedule(s),
                 "poor start");
     }
-    if (api::envFlag("PROPHUNT_FULL")) {
+    if (phbench::config().full) {
         {
             code::SurfaceCode s(7);
             runCode(s.code(), 7, circuit::poorSurfaceSchedule(s),

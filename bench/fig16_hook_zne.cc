@@ -79,7 +79,7 @@ figure16b()
     cfg.lambdaSuppression = 2.0;
     cfg.depth = 50;
     cfg.totalShots = 20000;
-    std::size_t trials = api::envSize("PROPHUNT_ZNE_TRIALS", 200);
+    std::size_t trials = phbench::config().zneTrials;
     std::printf("%16s %12s %12s %10s\n", "distance range", "DS-ZNE",
                 "Hook-ZNE", "ratio");
     for (double dmax : {13.0, 11.0, 9.0}) {

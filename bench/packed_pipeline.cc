@@ -120,7 +120,7 @@ runConfig(const Config &cfg)
     Row row;
     row.name = cfg.name;
     row.p = cfg.p;
-    std::size_t base = api::envSize("PROPHUNT_SHOTS", 20000);
+    std::size_t base = phbench::config().shots;
     row.shots = std::max<std::size_t>(100, base / cfg.divisor);
 
     auto cp = std::make_shared<const code::CssCode>(cfg.build());
@@ -134,8 +134,8 @@ runConfig(const Config &cfg)
     decoder::BpOsdDecoder seedDec(dem, exactOpts);
 
     // Best-of-N timing on both paths to suppress scheduler noise.
-    std::size_t reps = std::max<std::size_t>(
-        1, api::envSize("PROPHUNT_BENCH_REPS", 3));
+    std::size_t reps =
+        std::max<std::size_t>(1, phbench::config().benchReps);
 
     // --- seed scalar path: row sampling + per-shot reference decode.
     std::vector<uint64_t> seedPred(row.shots);
@@ -269,8 +269,9 @@ main()
                     r.osdEqual ? "yes" : "NO");
     }
 
-    const char *outPath = std::getenv("PROPHUNT_BENCH_OUT");
-    std::string path = outPath ? outPath : "BENCH_packed_pipeline.json";
+    std::string path = phbench::config().benchOut.empty()
+                           ? "BENCH_packed_pipeline.json"
+                           : phbench::config().benchOut;
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f, "{\n  \"bench\": \"packed_pipeline\",\n"
                         "  \"threads\": 1,\n  \"configs\": [\n");

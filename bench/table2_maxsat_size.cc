@@ -110,7 +110,7 @@ BENCHMARK(BM_SubgraphMaxSat)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char **argv)
 {
-    double timeout = api::envDouble("PROPHUNT_SAT_TIMEOUT", 60.0);
+    double timeout = phbench::config().satTimeoutSeconds;
     std::printf("=== Table 2: MaxSAT model sizes, global vs subgraph "
                 "(timeout %.0f s) ===\n",
                 timeout);

@@ -88,6 +88,7 @@ Config::propHuntOptions(uint64_t seed) const
     core::PropHuntOptions opts;
     opts.iterations = iterations;
     opts.samplesPerIteration = samplesPerIteration;
+    opts.satTimeoutSeconds = satTimeoutSeconds;
     opts.seed = seed;
     opts.ler = lerOptions();
     return opts;

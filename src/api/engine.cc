@@ -22,26 +22,6 @@ now_us()
         .count();
 }
 
-void
-fnv(uint64_t &h, uint64_t v)
-{
-    // FNV-1a over the value's 8 bytes.
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
-    }
-}
-
-void
-fnvStr(uint64_t &h, const std::string &s)
-{
-    for (unsigned char c : s) {
-        h ^= c;
-        h *= 0x100000001b3ULL;
-    }
-    fnv(h, s.size());
-}
-
 /** Full schedule identity, used to verify hash-keyed cache hits. */
 bool
 sameSchedule(const circuit::SmSchedule &a, const circuit::SmSchedule &b)
@@ -61,34 +41,6 @@ noiseKey(const sim::NoiseModel &noise)
 }
 
 } // namespace
-
-uint64_t
-hashSchedule(const circuit::SmSchedule &schedule)
-{
-    uint64_t h = 0xcbf29ce484222325ULL;
-    const code::CssCode &code = schedule.code();
-    fnvStr(h, code.name());
-    fnv(h, code.n());
-    fnv(h, code.k());
-    fnv(h, code.numChecks());
-    for (std::size_t c = 0; c < code.numChecks(); ++c) {
-        for (std::size_t q : code.checkSupport(c)) {
-            fnv(h, q);
-        }
-        fnv(h, 0xdeadULL); // Check separator.
-        for (std::size_t q : schedule.checkOrder(c)) {
-            fnv(h, q);
-        }
-        fnv(h, 0xbeefULL);
-    }
-    for (std::size_t q = 0; q < code.n(); ++q) {
-        for (std::size_t c : schedule.qubitOrder(q)) {
-            fnv(h, c);
-        }
-        fnv(h, 0xfeedULL);
-    }
-    return h;
-}
 
 Engine::Engine(EngineOptions opts) : opts_(opts), service_(opts.service) {}
 
@@ -440,15 +392,7 @@ Engine::run(const OptimizeRequest &req)
     if (req.cancel != nullptr) {
         opts.cancel = req.cancel;
     }
-    if (req.portfolio.enabled) {
-        out.outcome =
-            search::runPortfolio(req.start, req.rounds, opts,
-                                 req.portfolio);
-    } else {
-        core::PropHunt tool(opts);
-        out.outcome = tool.optimize(req.start, req.rounds);
-    }
-    out.telemetry.search = out.outcome.searchReports;
+    out.outcome = core::PropHunt(opts).optimize(req.start, req.rounds);
     // The optimizer samples/decodes internally; its whole wall time is
     // reported as decode time.
     out.telemetry.decodeUs += now_us() - t0;

@@ -56,12 +56,8 @@
 
 namespace prophunt::api {
 
-/**
- * Structural hash of a schedule: code shape (name, n, k, check supports)
- * plus both order families. Equal schedules of equal codes hash equal
- * across processes; used as the artifact-cache key component.
- */
-uint64_t hashSchedule(const circuit::SmSchedule &schedule);
+/** The artifact-cache key component (circuit/schedule.h). */
+using circuit::hashSchedule;
 
 /** Engine construction knobs. */
 struct EngineOptions
@@ -92,7 +88,8 @@ class Engine
     /** Run a physical-error-rate sweep (adaptive if req.sprt.enabled). */
     SweepResult run(const SweepRequest &req);
 
-    /** Run the PropHunt optimizer. */
+    /** Run the PropHunt optimizer (core::PropHunt::optimize, with
+     * req.cancel as its cancellation flag). */
     OptimizeResult run(const OptimizeRequest &req);
 
     /** Naming alias: sweeps read better as engine.sweep(req). */

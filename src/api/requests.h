@@ -13,6 +13,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "api/sprt.h"
@@ -20,7 +21,6 @@
 #include "decoder/logical_error.h"
 #include "decoder/registry.h"
 #include "prophunt/optimizer.h"
-#include "search/portfolio.h"
 #include "sim/noise_model.h"
 
 namespace prophunt::api {
@@ -53,9 +53,6 @@ struct Telemetry
      * shots, the lane engine's occupancy, and the batched OSD
      * post-pass's osdShots/osdUs (decoder/decoder.h). */
     decoder::PackedDecodeStats packed;
-    /** Per-strategy schedule-search telemetry of portfolio-served
-     * OptimizeRequests (search/stats.h); empty otherwise. */
-    std::vector<search::StrategyReport> search;
 
     Telemetry &
     operator+=(const Telemetry &o)
@@ -70,7 +67,6 @@ struct Telemetry
         workSteals += o.workSteals;
         queueDepth = queueDepth > o.queueDepth ? queueDepth : o.queueDepth;
         packed += o.packed;
-        search.insert(search.end(), o.search.begin(), o.search.end());
         return *this;
     }
 };
@@ -218,18 +214,9 @@ struct OptimizeRequest
     std::size_t rounds = 1;
     core::PropHuntOptions options;
     /**
-     * Schedule-search portfolio knobs. With portfolio.enabled the
-     * request races beam search, branch-and-bound, and the MaxSAT loop
-     * under anytime budgets and returns the best verified schedule;
-     * otherwise the classic MaxSAT-only loop runs. Per-strategy
-     * SearchStats surface in the result's Telemetry::search.
-     */
-    search::PortfolioOptions portfolio;
-    /**
      * Optional cancellation flag (parity with LerRequest::cancel).
-     * Checked between optimizer iterations and between portfolio search
-     * expansions; once set, the request returns the best schedule
-     * reached so far.
+     * Checked between optimizer iterations; once set, the request
+     * returns the best schedule reached so far.
      */
     const std::atomic<bool> *cancel = nullptr;
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <stdexcept>
+#include <string>
 
 namespace prophunt::circuit {
 
@@ -195,15 +196,7 @@ SmSchedule::withReorder(std::size_t check, std::size_t from_pos,
                         std::size_t before_pos) const
 {
     SmSchedule s = *this;
-    s.applyReorder(check, from_pos, before_pos);
-    return s;
-}
-
-std::size_t
-SmSchedule::applyReorder(std::size_t check, std::size_t from_pos,
-                         std::size_t before_pos)
-{
-    auto &o = checkOrder_[check];
+    auto &o = s.checkOrder_[check];
     std::size_t q = o[from_pos];
     o.erase(o.begin() + (long)from_pos);
     std::size_t dest = before_pos;
@@ -211,21 +204,7 @@ SmSchedule::applyReorder(std::size_t check, std::size_t from_pos,
         --dest;
     }
     o.insert(o.begin() + (long)dest, q);
-    return dest;
-}
-
-void
-SmSchedule::applySwapAt(std::size_t qubit, std::size_t pos_a,
-                        std::size_t pos_b)
-{
-    auto &o = qubitOrder_[qubit];
-    std::swap(o[pos_a], o[pos_b]);
-}
-
-void
-SmSchedule::setCheckOrder(std::size_t check, std::vector<std::size_t> order)
-{
-    checkOrder_[check] = std::move(order);
+    return s;
 }
 
 SmSchedule
@@ -252,6 +231,58 @@ SmSchedule::sharedQubits(std::size_t check_a, std::size_t check_b) const
     std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                           std::back_inserter(out));
     return out;
+}
+
+namespace {
+
+void
+fnv(uint64_t &h, uint64_t v)
+{
+    // FNV-1a over the value's 8 bytes.
+    for (int i = 0; i < 8; ++i) {
+        h ^= (v >> (8 * i)) & 0xff;
+        h *= 0x100000001b3ULL;
+    }
+}
+
+void
+fnvStr(uint64_t &h, const std::string &s)
+{
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ULL;
+    }
+    fnv(h, s.size());
+}
+
+} // namespace
+
+uint64_t
+hashSchedule(const SmSchedule &schedule)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    const code::CssCode &code = schedule.code();
+    fnvStr(h, code.name());
+    fnv(h, code.n());
+    fnv(h, code.k());
+    fnv(h, code.numChecks());
+    for (std::size_t c = 0; c < code.numChecks(); ++c) {
+        for (std::size_t q : code.checkSupport(c)) {
+            fnv(h, q);
+        }
+        fnv(h, 0xdeadULL); // Check separator.
+        for (std::size_t q : schedule.checkOrder(c)) {
+            fnv(h, q);
+        }
+        fnv(h, 0xbeefULL);
+    }
+    for (std::size_t q = 0; q < code.n(); ++q) {
+        for (std::size_t c : schedule.qubitOrder(q)) {
+            fnv(h, c);
+        }
+        fnv(h, 0xfeedULL);
+    }
+    return h;
 }
 
 } // namespace prophunt::circuit

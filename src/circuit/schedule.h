@@ -22,6 +22,7 @@
 #define PROPHUNT_CIRCUIT_SCHEDULE_H
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -110,29 +111,6 @@ class SmSchedule
     SmSchedule withRelativeSwap(std::size_t qubit, std::size_t check_a,
                                 std::size_t check_b) const;
 
-    /**
-     * In-place reorder with withReorder's semantics. Returns the final
-     * position of the moved qubit (before_pos, minus one when the
-     * removal at from_pos shifted it). The exact inverse is
-     * applyReorder(check, dest, from_pos < dest ? from_pos
-     *                                           : from_pos + 1).
-     * These mutators exist for the search hot loop
-     * (search::ObjectiveState), which applies and undoes thousands of
-     * moves per second; everything else should keep using the
-     * copying with* API.
-     */
-    std::size_t applyReorder(std::size_t check, std::size_t from_pos,
-                             std::size_t before_pos);
-
-    /** In-place relative swap by positions within @p qubit's order
-     * (self-inverse). */
-    void applySwapAt(std::size_t qubit, std::size_t pos_a,
-                     std::size_t pos_b);
-
-    /** Replace one check's CNOT order in place. @p order must be a
-     * permutation of the current order (B&B child assignment). */
-    void setCheckOrder(std::size_t check, std::vector<std::size_t> order);
-
     /** Data qubits shared by two checks, ascending. */
     std::vector<std::size_t> sharedQubits(std::size_t check_a,
                                           std::size_t check_b) const;
@@ -148,6 +126,14 @@ class SmSchedule
     std::vector<std::vector<std::size_t>> checkOrder_;
     std::vector<std::vector<std::size_t>> qubitOrder_;
 };
+
+/**
+ * Structural hash of a schedule: code shape (name, n, k, check supports)
+ * plus both order families. Equal schedules of equal codes hash equal
+ * across processes. A hash match is a bucket, not an identity: callers
+ * that need identity confirm it with operator==.
+ */
+uint64_t hashSchedule(const SmSchedule &schedule);
 
 } // namespace prophunt::circuit
 

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <optional>
 #include <map>
 #include <set>
 
-#include "search/objective.h"
-#include "search/transposition.h"
 #include "sim/dem_builder.h"
 #include "sim/parallel_sampler.h"
 
@@ -86,24 +83,10 @@ PropHunt::optimize(const circuit::SmSchedule &start,
     sim::NoiseModel noise = sim::NoiseModel::uniform(opts_.p);
     sim::Rng rng(opts_.seed);
     std::size_t stalled = 0;
-    auto t0 = std::chrono::steady_clock::now();
-    auto interrupted = [&]() {
-        if (opts_.cancel != nullptr &&
-            opts_.cancel->load(std::memory_order_relaxed)) {
-            return true;
-        }
-        if (opts_.wallSecondsBudget > 0.0) {
-            std::chrono::duration<double> dt =
-                std::chrono::steady_clock::now() - t0;
-            if (dt.count() >= opts_.wallSecondsBudget) {
-                return true;
-            }
-        }
-        return false;
-    };
 
     for (std::size_t iter = 0; iter < opts_.iterations; ++iter) {
-        if (interrupted()) {
+        if (opts_.cancel != nullptr &&
+            opts_.cancel->load(std::memory_order_relaxed)) {
             break; // anytime: the snapshots so far are a valid prefix
         }
         IterationRecord rec;
@@ -196,40 +179,16 @@ PropHunt::optimize(const circuit::SmSchedule &start,
         } else {
             taskResults.resize(tasks.size());
             parallelFor(tasks.size(), threads, [&](std::size_t i) {
-                // Ablated pruning: only circuit validity is checked. A
-                // shared transposition cache already knows the verdict
-                // for schedules the search portfolio scored; probe it
-                // (read-only — parallel inserts would make hit counts
-                // timing-dependent) before paying the full check.
-                std::optional<VerifiedChange> vc;
+                // Ablated pruning: only circuit validity is checked.
                 circuit::SmSchedule cand = tasks[i].change->apply(current);
-                uint64_t cached = 0;
-                bool have_cached =
-                    opts_.transpositions != nullptr &&
-                    opts_.transpositions->lookup(
-                        search::scheduleKey(cand), cached);
-                if (have_cached &&
-                    cached == search::kInvalidObjective) {
-                    // Known invalid: reject without re-checking.
-                } else if (have_cached &&
-                           search::ScheduleObjective::unpackDepth(
-                               cached)) {
-                    vc = VerifiedChange{
-                        *tasks[i].change, std::move(cand),
-                        *search::ScheduleObjective::unpackDepth(cached)};
-                } else {
-                    // Miss, or depth saturated in the packed objective:
-                    // fall back to the full validity check.
-                    if (cand.commutationValid()) {
-                        auto ts = cand.computeTimesteps();
-                        if (ts) {
-                            vc = VerifiedChange{*tasks[i].change,
-                                                std::move(cand),
-                                                ts->depth};
-                        }
-                    }
+                if (!cand.commutationValid()) {
+                    return;
                 }
-                taskResults[i] = std::move(vc);
+                if (auto ts = cand.computeTimesteps()) {
+                    taskResults[i] = VerifiedChange{*tasks[i].change,
+                                                    std::move(cand),
+                                                    ts->depth};
+                }
             });
         }
         for (std::size_t i = 0; i < tasks.size(); ++i) {
@@ -262,18 +221,9 @@ PropHunt::optimize(const circuit::SmSchedule &start,
                     break; // already applied for another subgraph
                 }
                 // Re-validate against the *current* schedule (a previously
-                // applied change may interact). A cached objective for
-                // the candidate already encodes validity.
+                // applied change may interact).
                 circuit::SmSchedule next = vc.change.apply(current);
-                uint64_t cached = 0;
-                if (opts_.transpositions != nullptr &&
-                    opts_.transpositions->lookup(
-                        search::scheduleKey(next), cached)) {
-                    if (cached == search::kInvalidObjective) {
-                        continue;
-                    }
-                } else if (!next.commutationValid() ||
-                           !next.schedulable()) {
+                if (!next.commutationValid() || !next.schedulable()) {
                     continue;
                 }
                 current = std::move(next);

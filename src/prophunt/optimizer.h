@@ -24,12 +24,7 @@
 #include "prophunt/minweight.h"
 #include "prophunt/pruning.h"
 #include "prophunt/subgraph.h"
-#include "search/stats.h"
 #include "sim/noise_model.h"
-
-namespace prophunt::search {
-class TranspositionCache;
-} // namespace prophunt::search
 
 namespace prophunt::core {
 
@@ -87,21 +82,6 @@ struct PropHuntOptions
      * prefix of the full run.
      */
     const std::atomic<bool> *cancel = nullptr;
-    /**
-     * Optional wall-clock budget in seconds across all iterations
-     * (0 = unlimited). Checked between iterations, so the loop is
-     * anytime; like any wall-clock budget it trades bit-reproducibility
-     * for latency control.
-     */
-    double wallSecondsBudget = 0.0;
-    /**
-     * Optional caller-owned transposition cache (scheduleKey -> packed
-     * objective) shared with the search portfolio. When set, the loop's
-     * candidate-validity and revalidation steps probe it before paying a
-     * full commutation/timestep check; cached entries are bit-identical
-     * to fresh evaluations, so results are unchanged by this knob.
-     */
-    search::TranspositionCache *transpositions = nullptr;
 };
 
 /** Telemetry for one optimization iteration. */
@@ -132,14 +112,8 @@ struct IterationRecord
 struct OptimizeResult
 {
     std::vector<IterationRecord> history;
-    /** Schedule after each iteration (snapshots[0] = input). Portfolio
-     * runs append the winning schedule, so finalSchedule() is always
-     * the returned optimum. */
+    /** Schedule after each iteration (snapshots[0] = input). */
     std::vector<circuit::SmSchedule> snapshots;
-    /** Per-strategy search telemetry when the schedule-search portfolio
-     * served the request (search::runPortfolio); empty for classic
-     * MaxSAT-only runs. */
-    std::vector<search::StrategyReport> searchReports;
 
     const circuit::SmSchedule &finalSchedule() const
     {

@@ -7,7 +7,6 @@
 #include <tuple>
 #include <unordered_map>
 
-#include "search/objective.h"
 #include "sim/parallel_sampler.h"
 
 namespace prophunt::core {
@@ -179,7 +178,7 @@ verifyChanges(const circuit::SmSchedule &base,
               VerifyStats *stats)
 {
     // Group by (basis, candidate schedule) in order of first appearance.
-    // The schedule key only picks the bucket; membership is decided by
+    // The schedule hash only picks the bucket; membership is decided by
     // exact comparison.
     struct Group
     {
@@ -190,7 +189,7 @@ verifyChanges(const circuit::SmSchedule &base,
     std::unordered_map<uint64_t, std::vector<std::size_t>> buckets;
     for (std::size_t i = 0; i < tasks.size(); ++i) {
         circuit::SmSchedule candidate = tasks[i].change->apply(base);
-        uint64_t key = search::scheduleKey(candidate) ^
+        uint64_t key = circuit::hashSchedule(candidate) ^
                        (tasks[i].basis == circuit::MemoryBasis::X);
         std::vector<std::size_t> &bucket = buckets[key];
         auto same = [&](std::size_t g) {

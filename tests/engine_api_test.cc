@@ -794,10 +794,12 @@ TEST(Config, EnvOverridesDefaults)
     ::setenv("PROPHUNT_SHOTS", "123", 1);
     ::setenv("PROPHUNT_THREADS", "2", 1);
     ::setenv("PROPHUNT_MAX_FAILURES", "7", 1);
+    ::setenv("PROPHUNT_SAT_TIMEOUT", "1.5", 1);
     api::Config cfg = api::Config::fromEnv();
     ::unsetenv("PROPHUNT_SHOTS");
     ::unsetenv("PROPHUNT_THREADS");
     ::unsetenv("PROPHUNT_MAX_FAILURES");
+    ::unsetenv("PROPHUNT_SAT_TIMEOUT");
     EXPECT_EQ(cfg.shots, 123u);
     EXPECT_EQ(cfg.threads, 2u);
     EXPECT_EQ(cfg.maxFailures, 7u);
@@ -805,6 +807,8 @@ TEST(Config, EnvOverridesDefaults)
     EXPECT_EQ(cfg.lerOptions().maxFailures, 7u);
     EXPECT_EQ(cfg.propHuntOptions(9).seed, 9u);
     EXPECT_EQ(cfg.propHuntOptions(9).ler.threads, 2u);
+    EXPECT_EQ(cfg.satTimeoutSeconds, 1.5);
+    EXPECT_EQ(cfg.propHuntOptions(9).satTimeoutSeconds, 1.5);
 }
 
 TEST(Config, DefaultThreadsMeanHardwareConcurrency)
