@@ -130,9 +130,7 @@ main()
                     cacheIdentical ? "yes" : "NO");
     }
 
-    std::string path = phbench::config().benchOut.empty()
-                           ? "BENCH_api_sweep.json"
-                           : phbench::config().benchOut;
+    std::string path = phbench::benchOutPath("BENCH_api_sweep.json");
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f,
                      "{\n  \"bench\": \"api_sweep\",\n"

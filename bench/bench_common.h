@@ -52,6 +52,14 @@ shots()
     return config().shots;
 }
 
+/** Path of the bench's JSON artifact: $PROPHUNT_BENCH_OUT, else
+ * @p fallback. */
+inline std::string
+benchOutPath(const char *fallback)
+{
+    return config().benchOut.empty() ? fallback : config().benchOut;
+}
+
 /** Options for the parallel LER engine, scaled by the environment. */
 inline prophunt::decoder::LerOptions
 lerOptions()

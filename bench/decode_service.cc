@@ -315,9 +315,7 @@ main()
         rows.push_back(std::move(row));
     }
 
-    std::string path = phbench::config().benchOut.empty()
-                           ? "BENCH_decode_service.json"
-                           : phbench::config().benchOut;
+    std::string path = phbench::benchOutPath("BENCH_decode_service.json");
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f, "{\n  \"bench\": \"decode_service\",\n"
                         "  \"requests_per_phase\": %zu,\n  \"configs\": [\n",

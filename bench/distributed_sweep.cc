@@ -318,9 +318,7 @@ main()
 
     std::remove(ck_path.c_str());
 
-    std::string path = phbench::config().benchOut.empty()
-                           ? "BENCH_distributed_sweep.json"
-                           : phbench::config().benchOut;
+    std::string path = phbench::benchOutPath("BENCH_distributed_sweep.json");
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f,
                      "{\n  \"bench\": \"distributed_sweep\",\n"

@@ -269,9 +269,7 @@ main()
                     r.osdEqual ? "yes" : "NO");
     }
 
-    std::string path = phbench::config().benchOut.empty()
-                           ? "BENCH_packed_pipeline.json"
-                           : phbench::config().benchOut;
+    std::string path = phbench::benchOutPath("BENCH_packed_pipeline.json");
     if (FILE *f = std::fopen(path.c_str(), "w")) {
         std::fprintf(f, "{\n  \"bench\": \"packed_pipeline\",\n"
                         "  \"threads\": 1,\n  \"configs\": [\n");

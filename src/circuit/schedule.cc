@@ -1,6 +1,8 @@
 #include "circuit/schedule.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
 #include <stdexcept>
 #include <string>
@@ -235,14 +237,30 @@ SmSchedule::sharedQubits(std::size_t check_a, std::size_t check_b) const
 
 namespace {
 
+constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/** kFnvPrimePow[k] = kFnvPrime^k (mod 2^64). */
+constexpr std::array<uint64_t, 9> kFnvPrimePow = [] {
+    std::array<uint64_t, 9> pow{};
+    pow[0] = 1;
+    for (std::size_t k = 1; k < pow.size(); ++k) {
+        pow[k] = pow[k - 1] * kFnvPrime;
+    }
+    return pow;
+}();
+
 void
 fnv(uint64_t &h, uint64_t v)
 {
-    // FNV-1a over the value's 8 bytes.
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= 0x100000001b3ULL;
+    // FNV-1a over the value's 8 bytes. A zero byte only multiplies by the
+    // prime, so the zero high bytes fold into one multiply by a power of
+    // it; the result equals hashing all 8 bytes one by one.
+    std::size_t bytes = 0;
+    for (; v != 0; v >>= 8, ++bytes) {
+        h ^= v & 0xff;
+        h *= kFnvPrime;
     }
+    h *= kFnvPrimePow[8 - bytes];
 }
 
 void
@@ -250,7 +268,7 @@ fnvStr(uint64_t &h, const std::string &s)
 {
     for (unsigned char c : s) {
         h ^= c;
-        h *= 0x100000001b3ULL;
+        h *= kFnvPrime;
     }
     fnv(h, s.size());
 }
@@ -267,8 +285,16 @@ hashSchedule(const SmSchedule &schedule)
     fnv(h, code.k());
     fnv(h, code.numChecks());
     for (std::size_t c = 0; c < code.numChecks(); ++c) {
-        for (std::size_t q : code.checkSupport(c)) {
-            fnv(h, q);
+        // The check's support, ascending, read off its parity-check row
+        // (checkSupport() would allocate; verification hashes every
+        // candidate schedule).
+        const gf2::BitVec &row = code.isXCheck(c)
+                                     ? code.hx().row(c)
+                                     : code.hz().row(c - code.numXChecks());
+        for (std::size_t i = 0; i < row.words(); ++i) {
+            for (uint64_t w = row.word(i); w != 0; w &= w - 1) {
+                fnv(h, (i << 6) + (std::size_t)std::countr_zero(w));
+            }
         }
         fnv(h, 0xdeadULL); // Check separator.
         for (std::size_t q : schedule.checkOrder(c)) {

@@ -20,6 +20,7 @@
 #include "api/sprt.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
+#include "code/codes.h"
 #include "code/css_code.h"
 #include "code/surface.h"
 #include "decoder/logical_error.h"
@@ -170,6 +171,19 @@ TEST(ScheduleHash, DifferentSchedulesHashDifferent)
     code::SurfaceCode s(3);
     EXPECT_NE(api::hashSchedule(circuit::nzSchedule(s)),
               api::hashSchedule(circuit::poorSurfaceSchedule(s)));
+}
+
+TEST(ScheduleHash, GoldenValues)
+{
+    // Values of the byte-at-a-time FNV-1a original; rqt108's 108 qubits
+    // span two words of each parity-check row.
+    auto coloration = [](code::CssCode c) {
+        return api::hashSchedule(circuit::colorationSchedule(
+            std::make_shared<const code::CssCode>(std::move(c))));
+    };
+    EXPECT_EQ(api::hashSchedule(d3Schedule()), 6086093753182604491ULL);
+    EXPECT_EQ(coloration(code::benchmarkLp39()), 12303966090331988625ULL);
+    EXPECT_EQ(coloration(code::benchmarkRqt108()), 9243990142034731976ULL);
 }
 
 // --- engine -----------------------------------------------------------------
