@@ -38,8 +38,8 @@ struct BpOsdOptions
      * Stop BP once this many consecutive iterations pass without the
      * syndrome-mismatch count (the Hamming distance between the
      * hard-decision parity and the syndrome) reaching a new minimum; 0 =
-     * always run to maxIterations. Every path, decodeReference included,
-     * applies the same rule.
+     * always run to maxIterations. Every path, the reference decoder in
+     * tests/support/ included, applies the same rule.
      *
      * Non-converging syndromes dominate LDPC decode time: they burn the
      * whole iteration budget polishing posteriors that OSD then only uses
@@ -49,17 +49,6 @@ struct BpOsdOptions
      * while removing most BP work on the hard shots.
      */
     std::size_t stagnationWindow = 2;
-    /**
-     * Solve the OSD-0 post-pass with the word-packed gf2_dense
-     * eliminator (incremental syndrome reduction, bit-packed solution
-     * membership) instead of the scalar reference elimination. Both
-     * produce identical observables for every input — the solution is
-     * the unique expression of the syndrome over the same independent
-     * column set — so this switch only trades speed, and the scalar
-     * path survives as the differential-test and benchmark reference
-     * (tests/osd_elimination_test.cc, bench/packed_pipeline.cc).
-     */
-    bool packedOsd = true;
 };
 
 /**
@@ -69,8 +58,8 @@ struct BpOsdOptions
  * over a Tanner structure flattened once per DEM (global CSR edge
  * lists) and shared by every clone (see bp_osd_lanes.cc). decodePacked()
  * feeds it a whole frame shard, decode() a single shot; both agree bit
- * for bit with the retained reference implementation (decodeReference())
- * for every option value.
+ * for bit with the unoptimized reference decoder that the tests keep in
+ * tests/support/, for every option value.
  */
 class BpOsdDecoder : public Decoder
 {
@@ -88,29 +77,19 @@ class BpOsdDecoder : public Decoder
                       PackedDecodeStats *stats = nullptr) override;
 
     /**
-     * The original implementation (rebuilds its edge lists and message
-     * arrays per call, full-graph BP with the stagnation rule, then
-     * OSD-0 by scalar elimination). Kept as the oracle the optimized
-     * paths are tested against: equal output, pre-optimization cost.
-     */
-    uint64_t decodeReference(const std::vector<uint32_t> &flipped_detectors);
-
-    /**
-     * Test seam: run the OSD-0 post-pass alone over an explicit column
-     * set.
+     * OSD-0, the post-pass of every shot BP does not converge on: solve
+     * H x = s over all columns by incremental GF(2) elimination, taking
+     * columns in ascending posterior order (ties broken by column id,
+     * so equal posteriors still give one pivot sequence).
      *
-     * @p cols is the column set, @p post the per-position posterior
-     * ranking (post[i] ranks cols[i]; size must match), and @p flipped
-     * the sorted flipped detectors. @p packed selects the gf2_dense
-     * elimination vs the scalar reference — the two must agree bit for
-     * bit (tests/osd_elimination_test.cc fuzzes exactly this). Fills @p
-     * uses with one 0/1 flag per cols position and returns whether the
-     * syndrome was explained (false leaves @p uses all-zero).
+     * @p post holds one posterior per column and @p flipped the sorted
+     * flipped detectors. Returns whether the syndrome is in the column
+     * span; if so, @p solution lists the columns whose XOR reproduces
+     * it, in no particular order. An unsolvable syndrome decodes to 0.
      */
-    bool osdPostPass(const std::vector<uint32_t> &cols,
-                     const std::vector<double> &post,
-                     const std::vector<uint32_t> &flipped, bool packed,
-                     std::vector<uint8_t> &uses);
+    bool osdSolve(const std::vector<double> &post,
+                  const std::vector<uint32_t> &flipped,
+                  std::vector<uint32_t> &solution);
 
     /**
      * Clones share the immutable per-DEM Tanner structure (one
@@ -145,7 +124,6 @@ class BpOsdDecoder : public Decoder
         std::vector<double> edgePrior;  ///< Edge -> prior of its column.
         std::vector<uint32_t> detBegin;
         std::vector<uint32_t> detEdges; ///< Detector -> edge ids, (c, k) order.
-        std::vector<uint32_t> allCols;  ///< 0..numCols()-1, the OSD columns.
         /** Row c = column c packed over the detectors: the OSD
          * elimination's input, built once instead of per solve. */
         DenseBitMat colBits;
@@ -165,43 +143,17 @@ class BpOsdDecoder : public Decoder
                        uint64_t &out) const;
 
     /**
-     * OSD-0 over @p cols: solve H x = s by incremental elimination with
-     * columns ranked by ascending posterior (ties broken by global
-     * column id, so every elimination backend and every column order
-     * picks the same pivot sequence); post[i] is the posterior of
-     * cols[i]. Elimination rows are the global detector ids. Fills
-     * solUses_ per position in @p cols and returns whether the syndrome
-     * became explainable. Ranks the columns into osdKeys_ (only a short
-     * sorted prefix up front; the backends extend it via osdSortMore
-     * when they reach its end) and dispatches to the packed or scalar
-     * elimination.
-     */
-    bool osdSolve(const std::vector<uint32_t> &cols, const double *post,
-                  const std::vector<uint32_t> &flipped, bool packed);
-
-    /** The packed elimination: gf2_dense eliminator over the shared
-     * packed columns. */
-    bool osdSolvePacked(const std::vector<uint32_t> &cols,
-                        const std::vector<uint32_t> &flipped);
-
-    /** The original per-entry elimination, kept as the bit-exact
-     * reference and benchmark baseline for the packed backend. */
-    bool osdSolveScalar(const std::vector<uint32_t> &cols,
-                        const std::vector<uint32_t> &flipped);
-
-    /**
      * One posterior-ranking record: @p key is the posterior mapped to a
      * uint64 whose integer order equals double order (with -0.0
-     * collapsed onto +0.0), @p col the global column id tie-break, @p
-     * pos the position in the caller's cols. Selecting/sorting flat
-     * 16-byte records replaces the indirect double/column comparator —
-     * the ordering, not the elimination, dominated the OSD post-pass.
+     * collapsed onto +0.0), @p col the column id tie-break.
+     * Selecting/sorting flat 16-byte records replaces the indirect
+     * double/column comparator — the ordering, not the elimination,
+     * dominated the OSD post-pass.
      */
     struct OsdKey
     {
         uint64_t key;
         uint32_t col;
-        uint32_t pos;
 
         bool
         operator<(const OsdKey &o) const
@@ -211,8 +163,8 @@ class BpOsdDecoder : public Decoder
     };
 
     /** Extend the sorted prefix of osdKeys_ by the next chunk of most
-     * likely columns: the lazy ranking both eliminations trigger when
-     * they outrun the sorted prefix. */
+     * likely columns: the lazy ranking osdSolve triggers when the
+     * elimination outruns the sorted prefix. */
     void osdSortMore();
 
     // --- lane engine (decode and decodePacked; see bp_osd_lanes.cc) ---
@@ -265,24 +217,11 @@ class BpOsdDecoder : public Decoder
     std::shared_ptr<const Tanner> tanner_;
 
     std::vector<uint32_t> flippedScratch_; ///< One shot's syndrome.
-    // OSD scratch. Pivots are stored flattened (rows, bit columns,
-    // member segments) so the elimination loop never allocates.
-    std::vector<uint64_t> synWords_;
-    std::vector<uint64_t> colWords_;
-    std::vector<uint8_t> solUses_;
-    std::vector<uint32_t> pivRow_;
-    std::vector<uint64_t> pivCols_;
-    std::vector<uint32_t> pivMemBegin_;
-    std::vector<uint32_t> pivMembers_;
-    std::vector<uint32_t> memScratch_;
-    std::vector<uint64_t> rScratch_;
-    std::vector<uint8_t> useScratch_;
-    // Packed-elimination scratch (osdSolvePacked).
+    // OSD scratch (osdSolve and osdFlush).
     Gf2Eliminator elim_;
-    std::vector<uint32_t> osdPushPos_; ///< Push index -> cols position.
-    std::vector<uint32_t> osdSolIdx_;  ///< Solution push indices.
-    std::vector<OsdKey> osdKeys_;      ///< Posterior-ranking records.
-    std::size_t osdSortedPrefix_ = 0;  ///< Sorted prefix of osdKeys_.
+    std::vector<uint32_t> osdSolution_; ///< osdFlush's solution columns.
+    std::vector<OsdKey> osdKeys_;       ///< Posterior-ranking records.
+    std::size_t osdSortedPrefix_ = 0;   ///< Sorted prefix of osdKeys_.
     // Batched OSD queue (lane engine). Entries are reused: osdQueueSize_
     // counts the live prefix, the vectors behind it keep their capacity.
     std::vector<OsdJob> osdQueue_;

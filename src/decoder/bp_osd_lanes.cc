@@ -35,16 +35,19 @@
  * into a batched work queue (shot id, syndrome, posterior snapshot) that
  * is flushed in one pass, so the post-pass runs out of hot scratch
  * instead of interleaving with lane state. Each job's solve is
- * independent, so the queueing changes throughput only.
+ * independent, so the queueing changes throughput only. Every job goes
+ * through osdSolve, the decoder's one OSD-0; it is public so that tests
+ * and bench/packed_pipeline can check and time it alone.
  *
- * Exactness: every per-lane recurrence reproduces decodeReference's
- * arithmetic operation for operation (same edge order in the sums, same
- * strict-minimum updates, no FMA contraction: no product feeds a sum),
- * the per-lane stopping rules are the reference ones, and non-converged
- * lanes hand their posteriors to the shared OSD post-pass — so
- * decodePacked, decode() and decodeReference agree bit for bit, and a
- * shot's result never depends on which shots share its lanes
- * (shot-order invariance). V only sets how many lanes one instruction
+ * Exactness: every per-lane recurrence reproduces the arithmetic of the
+ * reference decoder in tests/support/ operation for operation (same
+ * edge order in the sums, same strict-minimum updates, no FMA
+ * contraction: no product feeds a sum), the per-lane stopping rules
+ * are the reference ones, and non-converged lanes hand their
+ * posteriors to the OSD-0 post-pass (osdSolve) — so decodePacked,
+ * decode() and the reference agree bit for bit, and a shot's result
+ * never depends on which shots share its lanes (shot-order
+ * invariance). V only sets how many lanes one instruction
  * carries: every lane select is a bitwise blend and every lane's
  * arithmetic is the same IEEE operation at every width, so the widths
  * cannot disagree. Sign handling is integer bit manipulation (sign(x)
@@ -72,7 +75,7 @@ namespace {
  * 8/V chunks by narrower instantiations. */
 constexpr std::size_t kLanes = 8;
 
-/** decodeReference's two-minimum initialization. */
+/** The reference decoder's two-minimum initialization. */
 constexpr double kMinInit = 1e300;
 
 /**
@@ -439,18 +442,14 @@ BpOsdDecoder::osdFlush(uint64_t *obs_out, PackedDecodeStats *stats)
         return;
     }
     auto t0 = std::chrono::steady_clock::now();
-    // Every job solves over all columns against the shared packed
-    // columns of the Tanner structure. An unsolvable syndrome lies
-    // outside the column span and decodes to 0.
-    const std::vector<uint32_t> &cols = tanner_->allCols;
+    // An unsolvable syndrome lies outside the column span and decodes
+    // to 0.
     for (std::size_t k = 0; k < osdQueueSize_; ++k) {
         const OsdJob &job = osdQueue_[k];
         uint64_t result = 0;
-        if (osdSolve(cols, job.post.data(), job.flipped, opts_.packedOsd)) {
-            for (std::size_t c = 0; c < cols.size(); ++c) {
-                if (solUses_[c]) {
-                    result ^= tanner_->colObs[c];
-                }
+        if (osdSolve(job.post, job.flipped, osdSolution_)) {
+            for (uint32_t c : osdSolution_) {
+                result ^= tanner_->colObs[c];
             }
         }
         obs_out[job.shot] = result;
@@ -591,8 +590,8 @@ BpOsdDecoder::laneRun(const uint32_t *flipped, const uint32_t *offsets,
             stats->laneSlotsBusy += (uint64_t)std::popcount(laneLiveMask_);
             stats->laneSlotsTotal += kLanes;
         }
-        // Per-lane stopping rules, mirroring decodeReference's iteration
-        // loop.
+        // Per-lane stopping rules, mirroring the reference decoder's
+        // iteration loop.
         for (std::size_t l = 0; l < kLanes; ++l) {
             if (((laneLiveMask_ >> l) & 1) == 0) {
                 continue;

@@ -5,7 +5,7 @@
  * A decoder receives the set of flipped detectors of one shot and predicts
  * which logical observables flipped, as a bit mask (observable i = bit i).
  * The library supports up to 64 observables per memory experiment, far more
- * than any benchmark code needs (max k = 18); Registry::create rejects a
+ * than any benchmark code needs (max k = 18); Registry::make rejects a
  * DEM with more.
  */
 #ifndef PROPHUNT_DECODER_DECODER_H
@@ -86,7 +86,7 @@ class Decoder
      * per-shot decode() bit for bit. The default implementation extracts
      * each shot's flipped detectors from the detector-major words
      * (sim::flippedDetectorLists) and calls decode() per shot, which
-     * serves the per-shot decoders (union-find, matching, MLE); BP+OSD
+     * serves the per-shot decoders (union-find/matching); BP+OSD
      * overrides it with its lane engine. @p stats, when non-null, is
      * accumulated into — it is never reset here.
      */

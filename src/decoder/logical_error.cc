@@ -12,13 +12,6 @@
 
 namespace prophunt::decoder {
 
-std::unique_ptr<Decoder>
-makeDecoder(const sim::Dem &dem, const circuit::SmCircuit &circuit,
-            const DecoderSpec &spec)
-{
-    return Registry::make(spec, dem, circuit);
-}
-
 std::size_t
 decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
                  FrameShardScratch &scratch)
@@ -144,7 +137,7 @@ measureMemoryLer(const circuit::SmSchedule &schedule, std::size_t rounds,
         circuit::SmCircuit circ =
             circuit::buildMemoryCircuit(schedule, rounds, basis);
         sim::Dem dem = sim::buildDem(circ, noise);
-        auto dec = makeDecoder(dem, circ, spec);
+        auto dec = Registry::make(spec, dem, circ);
         LerResult r = measureDemLer(dem, *dec, shots,
                                     memoryBasisSeed(seed, basis), opts);
         (basis == circuit::MemoryBasis::Z ? out.z : out.x) = r;

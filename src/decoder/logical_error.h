@@ -11,7 +11,6 @@
 #define PROPHUNT_DECODER_LOGICAL_ERROR_H
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "circuit/schedule.h"
@@ -23,11 +22,6 @@
 #include "sim/parallel_sampler.h"
 
 namespace prophunt::decoder {
-
-/** Build a decoder for a DEM through the registry. */
-std::unique_ptr<Decoder> makeDecoder(const sim::Dem &dem,
-                                     const circuit::SmCircuit &circuit,
-                                     const DecoderSpec &spec);
 
 /** Outcome of one Monte-Carlo LER estimate. */
 struct LerResult
@@ -135,7 +129,7 @@ uint64_t memoryBasisSeed(uint64_t seed, circuit::MemoryBasis basis);
  * Measure the combined LER of a schedule over @p rounds rounds.
  *
  * Runs both memory bases with @p shots shots each; the decoder is built
- * through the registry from @p spec. Workloads that repeat (schedule, p)
+ * by Registry::make from @p spec. Workloads that repeat (schedule, p)
  * points should prefer api::Engine, which caches the per-basis circuit,
  * DEM, and decoder this function rebuilds on every call.
  */

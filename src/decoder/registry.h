@@ -1,23 +1,23 @@
 /**
  * @file
- * String-keyed decoder registry.
+ * Decoder construction by name.
  *
- * Decoders are constructed by name through `Registry::make("bp_osd", ...)`
- * with per-backend options structs, so new backends (matching variants,
- * future SIMD min-sum lanes, external decoders) plug in without touching
- * call sites. This subsumed — and PR 6 deleted — the old closed
- * `DecoderKind` enum.
+ * `Registry::make(spec, dem, circuit)` builds one of the built-in
+ * backends from a name plus that backend's options:
+ *
+ *   "union_find"  matching decoder for surface-like DEMs (alias "matching")
+ *   "bp_osd"      BP+OSD decoder for LDPC DEMs
+ *
+ * The set of names is fixed; there is no runtime registration. The
+ * reference decoders the tests compare against (exhaustive MLE, the
+ * unoptimized BP+OSD) live in tests/support/, not here.
  */
 #ifndef PROPHUNT_DECODER_REGISTRY_H
 #define PROPHUNT_DECODER_REGISTRY_H
 
-#include <functional>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <variant>
-#include <vector>
 
 #include "circuit/sm_circuit.h"
 #include "decoder/bp_osd.h"
@@ -26,29 +26,14 @@
 
 namespace prophunt::decoder {
 
-/** Options for the union-find matching decoder (currently none). */
-struct UnionFindOptions
-{
-};
-
-/** Options for the brute-force MLE decoder. */
-struct MleOptions
-{
-    /** Largest error-set size considered in the exhaustive search. */
-    std::size_t maxWeight = 6;
-};
-
 /**
- * Per-decoder options, one alternative per backend.
- *
- * `std::monostate` means "backend defaults". Passing the wrong
- * alternative for a backend is an error (std::invalid_argument), not a
- * silent fallback.
+ * Per-decoder options: backend defaults (`std::monostate`) or BP+OSD
+ * options. Passing BpOsdOptions to a matching backend is an error
+ * (std::invalid_argument), not a silent fallback.
  */
-using DecoderOptions =
-    std::variant<std::monostate, UnionFindOptions, BpOsdOptions, MleOptions>;
+using DecoderOptions = std::variant<std::monostate, BpOsdOptions>;
 
-/** A decoder selection: registry name plus backend options. */
+/** A decoder selection: backend name plus backend options. */
 struct DecoderSpec
 {
     std::string name = "union_find";
@@ -63,64 +48,30 @@ struct DecoderSpec
     }
 
     /**
-     * Stable human-readable key: name plus every option field. Two specs
-     * with equal describe() strings construct identical decoders, which is
-     * what the engine's artifact cache keys on.
+     * Stable human-readable key: name plus every option field, doubles
+     * printed round-trip exact (%.17g). Two specs with equal describe()
+     * strings construct identical decoders, which is what the engine's
+     * artifact cache and the sweep checkpoint fingerprint key on.
      */
     std::string describe() const;
 };
 
-/**
- * The process-wide decoder registry.
- *
- * Built-in backends are registered on first access:
- *
- *   "union_find"  matching decoder for surface-like DEMs (alias "matching")
- *   "bp_osd"      BP+OSD decoder for LDPC DEMs
- *   "mle"         exhaustive most-likely-error decoder (test oracle)
- *
- * `add()` lets extensions register further backends at runtime.
- */
+/** Decoder construction by name (see the file comment). */
 class Registry
 {
   public:
     /**
-     * Build one decoder instance for @p dem.
+     * Build one decoder for @p dem.
      *
      * @param circuit Source circuit; provides the detector -> check-sector
      * labels the matching-graph construction needs.
+     * @throws std::invalid_argument for an unknown name (the message
+     * lists the known ones), options of another backend, or a DEM with
+     * more than 64 observables.
      */
-    using Factory = std::function<std::unique_ptr<Decoder>(
-        const sim::Dem &dem, const circuit::SmCircuit &circuit,
-        const DecoderOptions &opts)>;
-
-    /** The singleton instance (built-ins registered). */
-    static Registry &instance();
-
-    /** Register @p factory under @p name; replaces an existing entry. */
-    void add(const std::string &name, Factory factory);
-
-    bool has(const std::string &name) const;
-
-    /** Registered names, sorted (aliases included). */
-    std::vector<std::string> names() const;
-
-    /** Construct by spec; throws std::invalid_argument for unknown names
-     * or mismatched options. */
-    std::unique_ptr<Decoder> create(const DecoderSpec &spec,
-                                    const sim::Dem &dem,
-                                    const circuit::SmCircuit &circuit) const;
-
-    /** Convenience: Registry::instance().create(spec, dem, circuit). */
     static std::unique_ptr<Decoder> make(const DecoderSpec &spec,
                                          const sim::Dem &dem,
                                          const circuit::SmCircuit &circuit);
-
-  private:
-    Registry();
-
-    mutable std::mutex mutex_;
-    std::map<std::string, Factory> factories_;
 };
 
 } // namespace prophunt::decoder

@@ -17,11 +17,13 @@
 #include "code/surface.h"
 #include "decoder/bp_osd.h"
 #include "decoder/logical_error.h"
-#include "decoder/mle.h"
+#include "decoder/registry.h"
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
 #include "sim/sampler.h"
+#include "support/bp_osd_reference.h"
+#include "support/mle.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -101,7 +103,7 @@ TEST(BatchDecode, BpOsdPackedEqualsDecodeOnRandomDems)
 TEST(BatchDecode, MlePackedEqualsDecode)
 {
     Dem dem = randomDem(5, 10, 18, 0.05);
-    decoder::MleDecoder dec(dem, 4);
+    oracles::MleDecoder dec(dem, 4);
     expectPackedEqualsLoop(dec, dem, 150, 9);
 }
 
@@ -112,8 +114,7 @@ TEST(BatchDecode, UnionFindPackedEqualsDecode)
     auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
                                             3, circuit::MemoryBasis::Z);
     Dem dem = buildDem(circ, NoiseModel::uniform(5e-3));
-    auto dec = decoder::makeDecoder(dem, circ,
-                                    "union_find");
+    auto dec = decoder::Registry::make("union_find", dem, circ);
     expectPackedEqualsLoop(*dec, dem, 600, 23);
 }
 
@@ -129,11 +130,13 @@ TEST(BatchDecode, DecodeMatchesReferenceOnRandomDems)
         for (uint64_t seed : {11u, 12u, 13u, 14u}) {
             Dem dem = randomDem(seed, 50, 160, 0.04);
             decoder::BpOsdDecoder dec(dem, opts);
+            auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
             SampleBatch batch = sampleDem(dem, 500, seed + 100);
             std::vector<uint32_t> scratch;
             for (std::size_t s = 0; s < batch.shots; ++s) {
                 batch.flippedDetectors(s, scratch);
-                EXPECT_EQ(dec.decode(scratch), dec.decodeReference(scratch))
+                EXPECT_EQ(dec.decode(scratch),
+                          oracles::decodeReference(*tanner, opts, scratch))
                     << "window " << opts.stagnationWindow << " seed " << seed
                     << " shot " << s;
             }
@@ -148,11 +151,13 @@ TEST(BatchDecode, ExactModeMatchesReferenceOnLdpcCircuit)
     for (double p : {1e-3, 4e-3}) {
         Dem dem = ldpcDem(p);
         decoder::BpOsdDecoder dec(dem, exact);
+        auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
         SampleBatch batch = sampleDem(dem, 800, 201);
         std::vector<uint32_t> scratch;
         for (std::size_t s = 0; s < batch.shots; ++s) {
             batch.flippedDetectors(s, scratch);
-            EXPECT_EQ(dec.decode(scratch), dec.decodeReference(scratch))
+            EXPECT_EQ(dec.decode(scratch),
+                      oracles::decodeReference(*tanner, exact, scratch))
                 << "p " << p << " shot " << s;
         }
     }

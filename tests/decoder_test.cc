@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for matching-graph construction, the union-find decoder, BP+OSD,
- * the exact MLE oracle, and the LER harness.
+ * the exact MLE oracle (test support), and the LER harness.
  */
 #include <gtest/gtest.h>
 
@@ -14,10 +14,10 @@
 #include "decoder/bp_osd.h"
 #include "decoder/logical_error.h"
 #include "decoder/matching_graph.h"
-#include "decoder/mle.h"
 #include "decoder/union_find.h"
 #include "sim/dem_builder.h"
 #include "sim/sampler.h"
+#include "support/mle.h"
 
 using namespace prophunt;
 using namespace prophunt::decoder;
@@ -114,7 +114,7 @@ TEST(BpOsd, AgreesWithMleOnSampledShots)
                                             circuit::MemoryBasis::Z);
     sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(2e-3));
     BpOsdDecoder bp(dem);
-    MleDecoder mle(dem, 4);
+    oracles::MleDecoder mle(dem, 4);
     sim::SampleBatch batch = sim::sampleDem(dem, 400, 3);
     std::size_t bp_fail = 0, mle_fail = 0;
     for (std::size_t shot = 0; shot < 400; ++shot) {
@@ -134,7 +134,7 @@ TEST(UnionFind, NearMleAccuracy)
                                             circuit::MemoryBasis::Z);
     sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(2e-3));
     UnionFindDecoder uf(buildMatchingGraph(dem, circ));
-    MleDecoder mle(dem, 4);
+    oracles::MleDecoder mle(dem, 4);
     sim::SampleBatch batch = sim::sampleDem(dem, 400, 5);
     std::size_t uf_fail = 0, mle_fail = 0;
     for (std::size_t shot = 0; shot < 400; ++shot) {
@@ -213,7 +213,7 @@ TEST(Mle, PrefersLikelierExplanation)
     exp2.p = 0.001;
     exp2.detectors = {1};
     dem.errors = {cheap, exp1, exp2};
-    MleDecoder mle(dem, 4);
+    oracles::MleDecoder mle(dem, 4);
     // P(cheap)=0.01 > P(exp1)*P(exp2)=1e-6: predict the observable flip.
     EXPECT_EQ(mle.decode({0, 1}), 1u);
 }

@@ -43,7 +43,7 @@ d3Decoder(const Dem &dem)
     auto cp = std::make_shared<const code::CssCode>(s.code());
     auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
                                             3, circuit::MemoryBasis::Z);
-    return decoder::makeDecoder(dem, circ, "union_find");
+    return decoder::Registry::make("union_find", dem, circ);
 }
 
 /**

@@ -63,9 +63,7 @@ smallModel()
 TEST(Registry, EveryRegisteredNameConstructs)
 {
     SmallModel m = smallModel();
-    auto names = decoder::Registry::instance().names();
-    ASSERT_GE(names.size(), 3u);
-    for (const std::string &name : names) {
+    for (const char *name : {"union_find", "matching", "bp_osd"}) {
         auto dec = decoder::Registry::make(name, m.dem, m.circuit);
         ASSERT_NE(dec, nullptr) << name;
         // Empty syndrome decodes to the trivial correction everywhere.
@@ -77,12 +75,10 @@ TEST(Registry, EveryRegisteredNameConstructs)
 
 TEST(Registry, KnownNamesPresent)
 {
-    auto &reg = decoder::Registry::instance();
-    EXPECT_TRUE(reg.has("union_find"));
-    EXPECT_TRUE(reg.has("matching"));
-    EXPECT_TRUE(reg.has("bp_osd"));
-    EXPECT_TRUE(reg.has("mle"));
-    EXPECT_FALSE(reg.has("no_such_decoder"));
+    // The names are fixed; the test-only MLE oracle is not one of them.
+    SmallModel m = smallModel();
+    EXPECT_THROW(decoder::Registry::make("mle", m.dem, m.circuit),
+                 std::invalid_argument);
 }
 
 TEST(Registry, UnknownNameErrorsCleanly)
@@ -115,10 +111,6 @@ TEST(Registry, PerDecoderOptionsApply)
     bp.stagnationWindow = 0;
     EXPECT_NE(decoder::Registry::make({"bp_osd", bp}, m.dem, m.circuit),
               nullptr);
-    decoder::MleOptions mle;
-    mle.maxWeight = 2;
-    EXPECT_NE(decoder::Registry::make({"mle", mle}, m.dem, m.circuit),
-              nullptr);
 }
 
 TEST(Registry, SpecDescribeDistinguishesOptions)
@@ -129,6 +121,11 @@ TEST(Registry, SpecDescribeDistinguishesOptions)
               decoder::DecoderSpec("bp_osd", b).describe());
     EXPECT_EQ(decoder::DecoderSpec("bp_osd", a).describe(),
               decoder::DecoderSpec("bp_osd", a).describe());
+    // Doubles print round-trip exact: a scale 1e-7 away is another key.
+    decoder::BpOsdOptions c;
+    c.scale = 0.8000001;
+    EXPECT_NE(decoder::DecoderSpec("bp_osd", a).describe(),
+              decoder::DecoderSpec("bp_osd", c).describe());
 }
 
 TEST(Registry, RejectsMoreThan64Observables)
@@ -144,7 +141,7 @@ TEST(Registry, RejectsMoreThan64Observables)
     auto code = std::make_shared<const code::CssCode>(hx, hz, "k65");
     ASSERT_EQ(code->k(), 65u);
     circuit::SmSchedule schedule = circuit::colorationSchedule(code);
-    for (const char *name : {"union_find", "bp_osd", "mle"}) {
+    for (const char *name : {"union_find", "bp_osd"}) {
         try {
             decoder::measureMemoryLer(schedule, 1,
                                       sim::NoiseModel::uniform(1e-3), name,
@@ -362,6 +359,26 @@ TEST(Engine, CacheDisabledNeverHits)
     api::LerResult second = engine.run(d3Request(1));
     EXPECT_EQ(second.telemetry.cacheHits, 0u);
     EXPECT_GT(second.telemetry.cacheMisses, 0u);
+}
+
+TEST(Engine, DecoderOptionsKeyTheDemCache)
+{
+    // Requests differing only in BP+OSD's scale, below six significant
+    // digits, must not share a DEM entry (and so a decoder prototype).
+    api::Engine engine;
+    decoder::BpOsdOptions bp;
+    api::LerRequest first = d3Request(1);
+    first.shots = 200;
+    first.decoder = {"bp_osd", bp};
+    api::LerRequest second = first;
+    bp.scale = 0.8000001;
+    second.decoder = {"bp_osd", bp};
+    engine.run(first);
+    std::size_t demEntries = engine.cacheStats().demEntries;
+    api::LerResult r = engine.run(second);
+    EXPECT_EQ(r.telemetry.cacheMisses, 2u)
+        << "one DEM miss per basis; the circuits are shared";
+    EXPECT_EQ(engine.cacheStats().demEntries, 2 * demEntries);
 }
 
 TEST(Engine, CrossRequestShotReuseIsExactAndMonotone)

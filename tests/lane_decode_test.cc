@@ -2,9 +2,9 @@
  * @file
  * Packed-decode contracts of the lane engine.
  *
- * decodePacked must equal per-shot decode() must equal decodeReference,
- * observable for observable, at the default options, at a tiny iteration
- * budget, and with no BP iterations at all — across random DEMs and
+ * decodePacked must equal per-shot decode() must equal the reference
+ * decoder (oracles::decodeReference), observable for observable, at the
+ * default options, at a tiny iteration budget, and with no BP iterations at all — across random DEMs and
  * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
  * final 64-shot word. Also pins down the engine's
  * shot-order/thread-count invariance through measureDemLer, the
@@ -26,11 +26,13 @@
 #include "code/surface.h"
 #include "decoder/bp_osd.h"
 #include "decoder/logical_error.h"
+#include "decoder/registry.h"
 #include "decoder/union_find.h"
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
 #include "sim/sampler.h"
+#include "support/bp_osd_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -103,10 +105,11 @@ expectMatchesReference(const Dem &dem, const FrameBatch &frames,
     EXPECT_EQ(st.packedShots, frames.shots);
     EXPECT_EQ(st.adapterShots, 0u);
     std::string label = "maxIterations " + std::to_string(opts.maxIterations);
+    auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
     std::vector<uint32_t> flipped;
     for (std::size_t s = 0; s < frames.shots; ++s) {
         rows.flippedDetectors(s, flipped);
-        uint64_t ref = dec.decodeReference(flipped);
+        uint64_t ref = oracles::decodeReference(*tanner, opts, flipped);
         EXPECT_EQ(packed[s], ref) << label << " shot " << s;
         // decode() on the same instance after the packed run: the lane
         // engine's between-shot invariants survived.
@@ -310,10 +313,12 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
         EXPECT_EQ(vec, gen) << in.name;
         SampleBatch rows;
         transposeView(frames.view(), rows);
+        auto tanner = decoder::BpOsdDecoder::buildTanner(*in.dem);
         std::vector<uint32_t> flipped;
         for (std::size_t s = 0; s < frames.shots; ++s) {
             rows.flippedDetectors(s, flipped);
-            uint64_t ref = dec.decodeReference(flipped);
+            uint64_t ref =
+                oracles::decodeReference(*tanner, in.opts, flipped);
             EXPECT_EQ(vec[s], ref) << in.name << " native, shot " << s;
             EXPECT_EQ(avx2[s], ref) << in.name << " NO_AVX512, shot " << s;
             EXPECT_EQ(gen[s], ref) << in.name << " NO_AVX2, shot " << s;
@@ -330,7 +335,7 @@ TEST(LaneDecode, DefaultAdapterServesRowDecoders)
     auto circ = circuit::buildMemoryCircuit(
         circuit::colorationSchedule(cs), 3, circuit::MemoryBasis::Z);
     Dem dem = buildDem(circ, NoiseModel::uniform(5e-3));
-    auto dec = decoder::makeDecoder(dem, circ, "union_find");
+    auto dec = decoder::Registry::make("union_find", dem, circ);
     FrameBatch frames = sampleDemFrames(dem, 259, 11);
     SampleBatch rows;
     transposeView(frames.view(), rows);
@@ -363,8 +368,8 @@ TEST(LaneDecode, PaddingBitsBeyondShotsAreIgnored)
     FrameView dirty = clean.view();
     dirty.det = dirtyDet.data();
     std::vector<std::unique_ptr<decoder::Decoder>> decoders;
-    decoders.push_back(decoder::makeDecoder(dem, circ, "bp_osd"));
-    decoders.push_back(decoder::makeDecoder(dem, circ, "union_find"));
+    decoders.push_back(decoder::Registry::make("bp_osd", dem, circ));
+    decoders.push_back(decoder::Registry::make("union_find", dem, circ));
     for (auto &dec : decoders) {
         std::vector<uint64_t> want(clean.shots), got(clean.shots);
         dec->decodePacked(clean.view(), want.data());

@@ -11,12 +11,13 @@
  *    solvability agreement with the augmented-rank criterion, including
  *    duplicate/singular column sets and zero syndromes.
  *
- *  - Differential fuzz of the packed vs reference osdSolve through the
- *    BpOsdDecoder::osdPostPass seam and the full decode paths, over
- *    random DEMs and the lp39/rqt54 circuit DEMs: random posteriors,
- *    degenerate/tied posteriors (the pivot-order tie-break regression),
- *    all-zero syndromes, and OSD-forcing decode settings. The packed
- *    elimination must match the scalar reference bit for bit.
+ *  - Differential fuzz of BpOsdDecoder::osdSolve, the production OSD-0,
+ *    against the scalar reference elimination (oracles::ScalarOsd) and
+ *    through the full decode path, over random DEMs and the lp39/rqt54
+ *    circuit DEMs: random posteriors, degenerate/tied posteriors (the
+ *    pivot-order tie-break regression), all-zero and infeasible
+ *    syndromes, and OSD-forcing decode settings. The packed elimination
+ *    must match the scalar reference bit for bit.
  */
 #include <gtest/gtest.h>
 
@@ -35,6 +36,7 @@
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
+#include "support/bp_osd_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::decoder;
@@ -113,29 +115,43 @@ circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
     return buildDem(circ, sim::NoiseModel::uniform(p));
 }
 
-/** Run osdPostPass with both backends and require identical outcomes. */
-void
-expectBackendsAgree(BpOsdDecoder &dec, const sim::Dem &dem,
-                    const std::vector<uint32_t> &cols,
-                    const std::vector<double> &post,
+/** The mechanisms @p cols of @p dem, in that order, over all of its
+ * detectors: a column subset as a DEM of its own. */
+sim::Dem
+subDem(const sim::Dem &dem, const std::vector<uint32_t> &cols)
+{
+    sim::Dem out;
+    out.numDetectors = dem.numDetectors;
+    out.numObservables = dem.numObservables;
+    for (uint32_t c : cols) {
+        out.errors.push_back(dem.errors[c]);
+    }
+    return out;
+}
+
+/** Run the production OSD-0 and the scalar reference on one input and
+ * require identical outcomes; returns whether the syndrome was solved. */
+bool
+expectBackendsAgree(BpOsdDecoder &dec, oracles::ScalarOsd &scalar,
+                    const sim::Dem &dem, const std::vector<double> &post,
                     const std::vector<uint32_t> &flipped)
 {
-    std::vector<uint8_t> usesPacked, usesScalar;
-    bool packedOk = dec.osdPostPass(cols, post, flipped, true, usesPacked);
-    bool scalarOk = dec.osdPostPass(cols, post, flipped, false, usesScalar);
-    ASSERT_EQ(packedOk, scalarOk);
-    ASSERT_EQ(usesPacked, usesScalar);
+    std::vector<uint32_t> packedSol, scalarSol;
+    bool packedOk = dec.osdSolve(post, flipped, packedSol);
+    bool scalarOk = scalar.solve(post, flipped, scalarSol);
+    std::sort(packedSol.begin(), packedSol.end());
+    EXPECT_EQ(packedOk, scalarOk);
+    EXPECT_EQ(packedSol, scalarSol);
     if (!packedOk) {
-        return;
+        EXPECT_TRUE(packedSol.empty());
+        return false;
     }
     // The solution must actually explain the syndrome: XOR of the used
     // columns' detector sets == the flipped set.
     std::vector<uint8_t> parity(dem.numDetectors, 0);
-    for (std::size_t i = 0; i < cols.size(); ++i) {
-        if (usesPacked[i]) {
-            for (uint32_t d : dem.errors[cols[i]].detectors) {
-                parity[d] ^= 1;
-            }
+    for (uint32_t c : packedSol) {
+        for (uint32_t d : dem.errors[c].detectors) {
+            parity[d] ^= 1;
         }
     }
     std::vector<uint8_t> expected(dem.numDetectors, 0);
@@ -143,6 +159,7 @@ expectBackendsAgree(BpOsdDecoder &dec, const sim::Dem &dem,
         expected[d] = 1;
     }
     EXPECT_EQ(parity, expected);
+    return true;
 }
 
 } // namespace
@@ -316,13 +333,12 @@ TEST(Gf2Eliminator, ZeroSyndromeAndDuplicateColumns)
 TEST(OsdPostPass, DifferentialFuzzRandomDems)
 {
     for (uint64_t seed : {31u, 32u, 33u, 34u}) {
-        sim::Dem dem = randomDem(seed, 36, 110, 0.2);
-        BpOsdDecoder dec(dem);
+        sim::Dem full = randomDem(seed, 36, 110, 0.2);
         sim::Rng rng(seed * 17 + 5);
         for (int trial = 0; trial < 30; ++trial) {
-            // Random region: a contiguous-ish random subset of columns.
+            // Random region: a random subset of the columns, as a DEM.
             std::vector<uint32_t> cols;
-            for (uint32_t c = 0; c < dem.errors.size(); ++c) {
+            for (uint32_t c = 0; c < full.errors.size(); ++c) {
                 if (rng.below(3) != 0) {
                     cols.push_back(c);
                 }
@@ -330,11 +346,15 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
             if (cols.empty()) {
                 continue;
             }
+            sim::Dem dem = subDem(full, cols);
+            BpOsdDecoder dec(dem);
+            auto tanner = BpOsdDecoder::buildTanner(dem);
+            oracles::ScalarOsd scalar(*tanner);
             // Random syndrome over the region's detectors (may still be
             // unexplainable — both backends must agree on that too).
             std::vector<uint8_t> inRegion(dem.numDetectors, 0);
-            for (uint32_t c : cols) {
-                for (uint32_t d : dem.errors[c].detectors) {
+            for (const sim::ErrorMechanism &mech : dem.errors) {
+                for (uint32_t d : mech.detectors) {
                     inRegion[d] = 1;
                 }
             }
@@ -348,7 +368,7 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
             for (double &p : post) {
                 p = rng.uniform() * 10.0 - 5.0;
             }
-            expectBackendsAgree(dec, dem, cols, post, flipped);
+            expectBackendsAgree(dec, scalar, dem, post, flipped);
         }
     }
 }
@@ -356,17 +376,15 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
 TEST(OsdPostPass, TiedPosteriorsPickIdenticalPivotOrders)
 {
     // Duplicated priors are the realistic source of exact posterior
-    // ties; the tie-break by global column id must make the packed and
-    // reference eliminations (and any region discovery order) pick the
-    // same pivots. Regression test for the unstable posterior sort.
+    // ties; the tie-break by column id must make the packed and
+    // reference eliminations pick the same pivots. Regression test for
+    // the unstable posterior sort.
     sim::Dem dem = randomDem(77, 30, 90, 0.1, /*tied_priors=*/true);
     BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    oracles::ScalarOsd scalar(*tanner);
     sim::Rng rng(123);
     for (int trial = 0; trial < 25; ++trial) {
-        std::vector<uint32_t> cols;
-        for (uint32_t c = 0; c < dem.errors.size(); ++c) {
-            cols.push_back(c);
-        }
         std::vector<uint32_t> flipped;
         for (uint32_t d = 0; d < dem.numDetectors; ++d) {
             if (rng.below(3) == 0) {
@@ -374,84 +392,55 @@ TEST(OsdPostPass, TiedPosteriorsPickIdenticalPivotOrders)
             }
         }
         // Heavily tied posteriors: only 3 distinct values.
-        std::vector<double> post(cols.size());
+        std::vector<double> post(dem.errors.size());
         for (double &p : post) {
             p = (double)rng.below(3) - 1.0;
         }
-        expectBackendsAgree(dec, dem, cols, post, flipped);
-
-        // The same region presented in a rotated column order must pick
-        // the same solution as a set (order-invariance of the
-        // tie-break): compare the used global column ids.
-        std::vector<uint32_t> rotated(cols.begin() + 7, cols.end());
-        rotated.insert(rotated.end(), cols.begin(), cols.begin() + 7);
-        std::vector<double> rotatedPost(post.begin() + 7, post.end());
-        rotatedPost.insert(rotatedPost.end(), post.begin(),
-                           post.begin() + 7);
-        std::vector<uint8_t> uses, rotatedUses;
-        bool ok = dec.osdPostPass(cols, post, flipped, true, uses);
-        bool rok =
-            dec.osdPostPass(rotated, rotatedPost, flipped, true,
-                            rotatedUses);
-        ASSERT_EQ(ok, rok);
-        std::vector<uint32_t> usedIds, rotatedIds;
-        for (std::size_t i = 0; i < cols.size(); ++i) {
-            if (uses[i]) {
-                usedIds.push_back(cols[i]);
-            }
-            if (rotatedUses[i]) {
-                rotatedIds.push_back(rotated[i]);
-            }
-        }
-        std::sort(usedIds.begin(), usedIds.end());
-        std::sort(rotatedIds.begin(), rotatedIds.end());
-        EXPECT_EQ(usedIds, rotatedIds);
+        expectBackendsAgree(dec, scalar, dem, post, flipped);
     }
 }
 
 TEST(OsdPostPass, AllZeroSyndromeAndInfeasibleRegion)
 {
-    sim::Dem dem = randomDem(55, 24, 60, 0.2);
+    // Six columns of a larger DEM: most detectors are touched by none
+    // of them.
+    sim::Dem dem = subDem(randomDem(55, 24, 60, 0.2), {0, 1, 2, 3, 4, 5});
     BpOsdDecoder dec(dem);
-    std::vector<uint32_t> cols{0, 1, 2, 3, 4, 5};
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    oracles::ScalarOsd scalar(*tanner);
     std::vector<double> post{0.5, 0.5, 0.5, -1.0, 2.0, 0.5}; // ties too
-    std::vector<uint8_t> usesPacked, usesScalar;
     // All-zero syndrome: explainable by the empty solution.
-    bool p0 = dec.osdPostPass(cols, post, {}, true, usesPacked);
-    bool s0 = dec.osdPostPass(cols, post, {}, false, usesScalar);
-    EXPECT_EQ(p0, s0);
-    EXPECT_EQ(usesPacked, usesScalar);
-    if (p0) {
-        EXPECT_EQ(std::count(usesPacked.begin(), usesPacked.end(), 1), 0);
+    std::vector<uint32_t> sol;
+    if (expectBackendsAgree(dec, scalar, dem, post, {})) {
+        dec.osdSolve(post, {}, sol);
+        EXPECT_TRUE(sol.empty());
     }
-    // A flipped detector nowhere adjacent to the region: infeasible for
-    // both backends.
-    std::vector<uint8_t> inRegion(dem.numDetectors, 0);
-    for (uint32_t c : cols) {
-        for (uint32_t d : dem.errors[c].detectors) {
-            inRegion[d] = 1;
+    // A flipped detector no column touches: infeasible for both
+    // backends.
+    std::vector<uint8_t> touched(dem.numDetectors, 0);
+    for (const sim::ErrorMechanism &mech : dem.errors) {
+        for (uint32_t d : mech.detectors) {
+            touched[d] = 1;
         }
     }
     uint32_t outside = UINT32_MAX;
     for (uint32_t d = 0; d < dem.numDetectors; ++d) {
-        if (!inRegion[d]) {
+        if (!touched[d]) {
             outside = d;
             break;
         }
     }
     ASSERT_NE(outside, UINT32_MAX);
-    EXPECT_FALSE(
-        dec.osdPostPass(cols, post, {outside}, true, usesPacked));
-    EXPECT_FALSE(
-        dec.osdPostPass(cols, post, {outside}, false, usesScalar));
-    EXPECT_EQ(usesPacked, usesScalar);
+    EXPECT_FALSE(expectBackendsAgree(dec, scalar, dem, post, {outside}));
 }
 
 TEST(OsdPostPass, DifferentialOnCircuitDems)
 {
-    // lp39 and rqt54 circuit DEMs: full decode with the packed vs scalar
-    // elimination under OSD-forcing settings (tiny iteration budget at
-    // benchmark noise) must be observable-identical on every path.
+    // lp39 and rqt54 circuit DEMs under OSD-forcing settings (tiny
+    // iteration budget at benchmark noise): the lane decode's OSD shots
+    // are exactly the shots reference BP does not converge on, and on
+    // each of them the production OSD-0 and the scalar reference return
+    // the same solution, whose observables are the decoded prediction.
     struct Cfg
     {
         code::CssCode (*build)();
@@ -465,32 +454,40 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
         sim::Dem dem = circuitDem(cfg.build, cfg.rounds, cfg.p);
         sim::FrameBatch frames =
             sim::sampleDemFrames(dem, cfg.shots, 913);
-        BpOsdOptions packedOpts;
-        packedOpts.maxIterations = 3; // most shots reach OSD
-        BpOsdOptions scalarOpts = packedOpts;
-        scalarOpts.packedOsd = false;
-        BpOsdDecoder packedDec(dem, packedOpts);
-        BpOsdDecoder scalarDec(dem, scalarOpts);
-        std::vector<uint64_t> packedPred(cfg.shots),
-            scalarPred(cfg.shots);
-        PackedDecodeStats packedStats, scalarStats;
-        packedDec.decodePacked(frames.view(), packedPred.data(),
-                               &packedStats);
-        scalarDec.decodePacked(frames.view(), scalarPred.data(),
-                               &scalarStats);
-        EXPECT_EQ(packedPred, scalarPred);
-        EXPECT_EQ(packedStats.osdShots, scalarStats.osdShots);
-        EXPECT_GT(packedStats.osdShots, cfg.shots / 4)
+        BpOsdOptions opts;
+        opts.maxIterations = 3; // most shots reach OSD
+        BpOsdDecoder dec(dem, opts);
+        std::vector<uint64_t> pred(cfg.shots);
+        PackedDecodeStats stats;
+        dec.decodePacked(frames.view(), pred.data(), &stats);
+        EXPECT_GT(stats.osdShots, cfg.shots / 4)
             << "regime not OSD-heavy enough to test anything";
-        // Per-shot decode() must agree with both.
         sim::SampleBatch rows;
         sim::transposeView(frames.view(), rows);
+        auto tanner = BpOsdDecoder::buildTanner(dem);
+        std::vector<oracles::OsdJob> jobs =
+            oracles::referenceOsdJobs(*tanner, opts, rows);
+        EXPECT_EQ(stats.osdShots, jobs.size());
+        oracles::ScalarOsd scalar(*tanner);
+        std::vector<uint32_t> sol;
+        for (const oracles::OsdJob &job : jobs) {
+            expectBackendsAgree(dec, scalar, dem, job.post, job.flipped);
+            uint64_t obs = 0;
+            if (scalar.solve(job.post, job.flipped, sol)) {
+                for (uint32_t c : sol) {
+                    obs ^= tanner->colObs[c];
+                }
+            }
+            EXPECT_EQ(obs, pred[job.shot]) << "shot " << job.shot;
+        }
+        // Per-shot decode() and the reference decoder must agree too.
         std::vector<uint32_t> scratch;
         for (std::size_t s = 0; s < std::min<std::size_t>(cfg.shots, 40);
              ++s) {
             rows.flippedDetectors(s, scratch);
-            EXPECT_EQ(packedDec.decode(scratch), packedPred[s]);
-            EXPECT_EQ(scalarDec.decode(scratch), packedPred[s]);
+            EXPECT_EQ(dec.decode(scratch), pred[s]);
+            EXPECT_EQ(oracles::decodeReference(*tanner, opts, scratch),
+                      pred[s]);
         }
     }
 }

@@ -1,10 +1,11 @@
-#include "decoder/mle.h"
-#include <functional>
+#include "support/mle.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
 
-namespace prophunt::decoder {
+namespace prophunt::oracles {
 
 MleDecoder::MleDecoder(const sim::Dem &dem, std::size_t max_weight)
     : dem_(dem), maxWeight_(max_weight)
@@ -85,4 +86,4 @@ MleDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
     return best_obs;
 }
 
-} // namespace prophunt::decoder
+} // namespace prophunt::oracles

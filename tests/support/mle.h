@@ -7,18 +7,18 @@
  * models used in unit tests, where it validates the union-find and BP+OSD
  * decoders.
  */
-#ifndef PROPHUNT_DECODER_MLE_H
-#define PROPHUNT_DECODER_MLE_H
+#ifndef PROPHUNT_TESTS_SUPPORT_MLE_H
+#define PROPHUNT_TESTS_SUPPORT_MLE_H
 
 #include <cstddef>
 
 #include "decoder/decoder.h"
 #include "sim/dem.h"
 
-namespace prophunt::decoder {
+namespace prophunt::oracles {
 
 /** Brute-force MLE decoder. */
-class MleDecoder : public Decoder
+class MleDecoder : public decoder::Decoder
 {
   public:
     /**
@@ -29,7 +29,7 @@ class MleDecoder : public Decoder
 
     uint64_t decode(const std::vector<uint32_t> &flipped_detectors) override;
 
-    std::unique_ptr<Decoder>
+    std::unique_ptr<decoder::Decoder>
     clone() const override
     {
         return std::make_unique<MleDecoder>(*this);
@@ -40,6 +40,6 @@ class MleDecoder : public Decoder
     std::size_t maxWeight_;
 };
 
-} // namespace prophunt::decoder
+} // namespace prophunt::oracles
 
-#endif // PROPHUNT_DECODER_MLE_H
+#endif // PROPHUNT_TESTS_SUPPORT_MLE_H

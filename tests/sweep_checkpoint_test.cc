@@ -312,6 +312,15 @@ TEST(SweepFingerprint, BindsTallyAffectingFields)
     changed = base;
     changed.decoder = "matching";
     EXPECT_NE(api::sweepFingerprint(changed), fp);
+
+    // Decoder options bind too, down to the last bit of a double.
+    decoder::BpOsdOptions bp;
+    changed = base;
+    changed.decoder = {"bp_osd", bp};
+    uint64_t bpFp = api::sweepFingerprint(changed);
+    bp.scale = 0.8000001;
+    changed.decoder = {"bp_osd", bp};
+    EXPECT_NE(api::sweepFingerprint(changed), bpFp);
 }
 
 TEST(SweepFingerprint, IgnoresExecutionOnlyKnobs)
