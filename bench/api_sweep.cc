@@ -1,7 +1,7 @@
 /**
  * @file
  * Engine sweep smoke: the fig06 good-vs-poor d=3 sweep through
- * api::Engine::sweep, fixed-budget vs SPRT-adaptive.
+ * api::Engine::run(SweepRequest), fixed-budget vs SPRT-adaptive.
  *
  * Runs the reduced Figure 6 sweep twice per schedule — once with the
  * fixed per-point shot budget and once with SPRT early stopping — and
@@ -58,9 +58,9 @@ runPair(const char *label, const circuit::SmSchedule &sched,
     pair.label = label;
     api::SweepRequest req = baseRequest(sched, shots_per_point);
     req.sprt.enabled = false;
-    pair.fixed = phbench::engine().sweep(req);
+    pair.fixed = phbench::engine().run(req);
     req.sprt.enabled = true;
-    pair.adaptive = phbench::engine().sweep(req);
+    pair.adaptive = phbench::engine().run(req);
     return pair;
 }
 
@@ -116,7 +116,7 @@ main()
         api::SweepRequest req =
             baseRequest(circuit::nzSchedule(s), shots_per_point);
         req.sprt.enabled = false;
-        api::SweepResult uncached = cold.sweep(req);
+        api::SweepResult uncached = cold.run(req);
         for (std::size_t i = 0; i < uncached.points.size(); ++i) {
             const auto &a = pairs[0].fixed.points[i];
             const auto &b = uncached.points[i];

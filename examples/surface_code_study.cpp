@@ -6,8 +6,7 @@
  * 'N-Z' schedule, a deliberately poor schedule, and the generic coloration
  * circuit: depth, circuit-level effective distance, and logical error rate
  * across a physical-error-rate sweep — the sweep runs through
- * api::Engine::sweep, so each schedule's circuits are compiled once and
- * reused across every p. Shows how hook-error orientation — not depth —
+ * api::Engine::run(SweepRequest). Shows how hook-error orientation — not depth —
  * separates good from bad SM circuits (paper Sections 3-4).
  */
 #include <cstdio>
@@ -54,7 +53,7 @@ study(std::size_t d, api::Engine &engine, const api::Config &cfg)
         req.shotsPerPoint = 20000;
         req.seed = 19;
         req.ler = cfg.lerOptions();
-        api::SweepResult sweep = engine.sweep(req);
+        api::SweepResult sweep = engine.run(req);
         for (const auto &point : sweep.points) {
             std::printf("  %11.5f", point.ler());
         }

@@ -18,6 +18,43 @@ namespace {
  */
 thread_local const void *tlLastStream = nullptr;
 
+/**
+ * The entry of @p key in a FIFO-bounded map, created (evicting the
+ * oldest key beyond @p cap) when absent. An entry bound to another owner
+ * — a rebuilt artifact, or a 64-bit key collision — is replaced, so
+ * stale clones or tallies are never trusted.
+ */
+template <class Entry>
+std::shared_ptr<Entry>
+ownedEntryLocked(std::map<std::string, std::shared_ptr<Entry>> &map,
+                 std::deque<std::string> &order, std::size_t cap,
+                 const std::string &key,
+                 const std::shared_ptr<const void> &owner)
+{
+    auto [it, inserted] = map.try_emplace(key);
+    if (!it->second || it->second->owner.get() != owner.get()) {
+        it->second = std::make_shared<Entry>();
+        it->second->owner = owner;
+    }
+    std::shared_ptr<Entry> entry = it->second;
+    if (inserted) {
+        order.push_back(key);
+        if (order.size() > cap) {
+            map.erase(order.front());
+            order.pop_front();
+        }
+    }
+    return entry;
+}
+
+/** Runs @p fn when the scope exits, by return or by exception. */
+template <class Fn>
+struct OnExit
+{
+    Fn fn;
+    ~OnExit() { fn(); }
+};
+
 } // namespace
 
 DecodeService::DecodeService(DecodeServiceOptions opts) : opts_(opts)
@@ -41,61 +78,6 @@ DecodeService::defaultSlotCap() const
     // One caller plus every pool worker; the shared pool is sized
     // hardware_concurrency() - 1, so both branches saturate the machine.
     return pool_ ? pool_->threadCount() + 1 : sim::resolveThreads(0);
-}
-
-std::shared_ptr<DecodeService::LaneGroup>
-DecodeService::groupForLocked(const DecodeJob &job)
-{
-    auto it = groups_.find(job.key);
-    if (it != groups_.end()) {
-        if (it->second->owner.get() == job.keepAlive.get()) {
-            return it->second;
-        }
-        // The key re-bound to a rebuilt artifact (or a 64-bit key
-        // collision): drop the stale clones, adopt the new owner.
-        it->second = std::make_shared<LaneGroup>();
-        it->second->owner = job.keepAlive;
-        return it->second;
-    }
-    auto group = std::make_shared<LaneGroup>();
-    group->owner = job.keepAlive;
-    groups_.emplace(job.key, group);
-    groupOrder_.push_back(job.key);
-    if (opts_.maxLaneGroups != 0 && groupOrder_.size() > opts_.maxLaneGroups) {
-        groups_.erase(groupOrder_.front());
-        groupOrder_.pop_front();
-    }
-    return group;
-}
-
-std::shared_ptr<DecodeService::TallyEntry>
-DecodeService::tallyForLocked(const std::string &tally_key,
-                              const DecodeJob &job, bool create)
-{
-    auto it = tallies_.find(tally_key);
-    if (it != tallies_.end()) {
-        if (it->second->owner.get() == job.keepAlive.get()) {
-            return it->second;
-        }
-        if (!create) {
-            return nullptr;
-        }
-        it->second = std::make_shared<TallyEntry>();
-        it->second->owner = job.keepAlive;
-        return it->second;
-    }
-    if (!create) {
-        return nullptr;
-    }
-    auto entry = std::make_shared<TallyEntry>();
-    entry->owner = job.keepAlive;
-    tallies_.emplace(tally_key, entry);
-    tallyOrder_.push_back(tally_key);
-    if (opts_.maxTallyKeys != 0 && tallyOrder_.size() > opts_.maxTallyKeys) {
-        tallies_.erase(tallyOrder_.front());
-        tallyOrder_.pop_front();
-    }
-    return entry;
 }
 
 std::unique_ptr<decoder::Decoder>
@@ -140,55 +122,47 @@ DecodeService::measure(const DecodeJob &job)
     // Throw in the caller before any shard reaches a pool thread.
     sim::validateDemProbabilities(*job.dem, "DecodeService::measure");
 
-    // The exact shard plan of measureDemLer: a shard larger than the run
-    // is one shard, so shard seeds match an exact-fit plan.
-    sim::ShardPlan plan{job.shots, std::min(std::max<std::size_t>(
-                                                job.ler.shardShots, 1),
-                                            job.shots)};
-    std::size_t n = plan.numShards();
+    decoder::ShardLedger ledger(job.shots, job.ler);
+    const sim::ShardPlan &plan = ledger.plan();
+    const std::size_t n = plan.numShards();
 
     // Tally streams are identified by (decode key, master seed, shard
     // size): only an exactly matching tuple may exchange shard results.
     char suffix[48];
     std::snprintf(suffix, sizeof suffix, "|s%016llx|w%zu",
                   (unsigned long long)job.seed, plan.shardShots);
-    std::string tallyKey = job.key + suffix;
+    const std::string tallyKey = job.key + suffix;
 
-    std::vector<std::size_t> shardFailures(n, 0);
-    std::vector<decoder::PackedDecodeStats> shardStats(n);
-    std::vector<uint8_t> shardDone(n, 0);
-    std::vector<uint8_t> shardReused(n, 0);
+    std::vector<uint8_t> reused(n, 0);
     std::vector<std::size_t> todo;
     todo.reserve(n);
-
+    bool targetMet = false;
     std::shared_ptr<LaneGroup> group;
     std::shared_ptr<TallyEntry> tally;
-    LaneGroup privateGroup; // coalescing off: per-request clone set.
 
     // Admission: coalescing bookkeeping, lane-group checkout, and the
-    // tally-prefix scan happen under one lock so concurrent same-key
-    // requests see a consistent picture.
+    // tally scan happen under one lock so concurrent same-key requests
+    // see a consistent picture.
     {
         std::lock_guard<std::mutex> lock(mutex_);
         std::size_t &active = activeKeys_[job.key];
-        out.coalesced = opts_.coalesce && active > 0;
+        out.coalesced = active > 0;
         if (out.coalesced) {
             ++stats_.coalescedRequests;
         }
         ++active;
-        if (opts_.coalesce) {
-            group = groupForLocked(job);
-        }
+        group = ownedEntryLocked(groups_, groupOrder_, kMaxLaneGroups,
+                                 job.key, job.keepAlive);
         if (opts_.reuseShots) {
-            tally = tallyForLocked(tallyKey, job, job.record);
+            tally = ownedEntryLocked(tallies_, tallyOrder_, kMaxTallyKeys,
+                                     tallyKey, job.keepAlive);
         }
         for (std::size_t shard = 0; shard < n; ++shard) {
             if (tally && shard < tally->shards.size() &&
                 tally->shards[shard].shots == plan.shotsOf(shard)) {
-                shardFailures[shard] = tally->shards[shard].failures;
-                shardStats[shard] = tally->shards[shard].stats;
-                shardDone[shard] = 1;
-                shardReused[shard] = 1;
+                const ShardTally &t = tally->shards[shard];
+                targetMet = ledger.record(shard, t.failures, t.stats);
+                reused[shard] = 1;
             } else {
                 todo.push_back(shard);
             }
@@ -199,22 +173,22 @@ DecodeService::measure(const DecodeJob &job)
             std::max(stats_.peakQueueDepth, pendingShards_);
     }
 
-    // Per-run completion state (caller stack, own lock): the contiguous
-    // completed prefix drives early stopping exactly as measureDemLer.
-    std::mutex runMutex;
-    std::size_t prefixEnd = 0;
-    std::size_t prefixFailures = 0;
-    while (prefixEnd < n && shardDone[prefixEnd]) {
-        prefixFailures += shardFailures[prefixEnd];
-        ++prefixEnd;
-    }
-    bool targetMet = job.ler.maxFailures != 0 &&
-                     prefixFailures >= job.ler.maxFailures;
+    // Shards this request took off the queue (guarded by mutex_). On
+    // every exit, a throwing shard included, the unclaimed rest leaves
+    // the queue and the request leaves its key's in-flight count.
+    std::size_t executed = 0;
+    OnExit release{[&] {
+        std::lock_guard<std::mutex> lock(mutex_);
+        pendingShards_ -= std::min(pendingShards_, todo.size() - executed);
+        auto it = activeKeys_.find(job.key);
+        if (it != activeKeys_.end() && --it->second == 0) {
+            activeKeys_.erase(it);
+        }
+    }};
+
     bool cancelled =
         job.cancel != nullptr && job.cancel->load(std::memory_order_relaxed);
-
     std::atomic<bool> stopFlag{false};
-    std::size_t executed = 0;
     std::atomic<std::size_t> steals{0};
 
     if (!todo.empty() && !targetMet && !cancelled) {
@@ -224,9 +198,6 @@ DecodeService::measure(const DecodeJob &job)
         std::size_t maxSlots = std::min(cap, todo.size());
         std::vector<sim::FrameBatch> frameScratch(maxSlots);
         std::vector<decoder::FrameShardScratch> decodeScratch(maxSlots);
-        const void *streamTag =
-            group ? (const void *)group.get() : (const void *)&privateGroup;
-        LaneGroup &lanes = group ? *group : privateGroup;
 
         pool().run(
             todo.size(), maxSlots,
@@ -238,10 +209,10 @@ DecodeService::measure(const DecodeJob &job)
                 }
                 std::size_t shard = todo[t];
                 bool stolen = tlLastStream != nullptr &&
-                              tlLastStream != streamTag;
-                tlLastStream = streamTag;
+                              tlLastStream != group.get();
+                tlLastStream = group.get();
 
-                auto dec = checkout(lanes, job);
+                auto dec = checkout(*group, job);
                 sim::FrameBatch &frames = frameScratch[slot];
                 sim::sampleDemFramesInto(*job.dem, plan.shotsOf(shard),
                                          sim::shardSeed(job.seed, shard),
@@ -249,77 +220,43 @@ DecodeService::measure(const DecodeJob &job)
                 decoder::FrameShardScratch &ws = decodeScratch[slot];
                 std::size_t failures =
                     decoder::decodeFrameShard(*dec, frames, ws);
-                giveBack(lanes, std::move(dec));
+                giveBack(*group, std::move(dec));
 
-                {
-                    std::lock_guard<std::mutex> lock(runMutex);
-                    shardFailures[shard] = failures;
-                    shardStats[shard] = ws.stats;
-                    shardDone[shard] = 1;
-                    ++executed;
-                    while (prefixEnd < n && shardDone[prefixEnd]) {
-                        prefixFailures += shardFailures[prefixEnd];
-                        ++prefixEnd;
-                    }
-                    if (job.ler.maxFailures != 0 &&
-                        prefixFailures >= job.ler.maxFailures) {
-                        stopFlag.store(true, std::memory_order_relaxed);
-                    }
+                if (ledger.record(shard, failures, ws.stats)) {
+                    stopFlag.store(true, std::memory_order_relaxed);
                 }
                 if (stolen) {
                     steals.fetch_add(1, std::memory_order_relaxed);
                 }
-                {
-                    std::lock_guard<std::mutex> lock(mutex_);
-                    if (pendingShards_ > 0) {
-                        --pendingShards_;
+                std::lock_guard<std::mutex> lock(mutex_);
+                --pendingShards_;
+                ++executed;
+                ++stats_.decodedShards;
+                if (tally) {
+                    if (tally->shards.size() <= shard) {
+                        tally->shards.resize(shard + 1);
                     }
-                    ++stats_.decodedShards;
-                    if (tally && job.record) {
-                        if (tally->shards.size() <= shard) {
-                            tally->shards.resize(shard + 1);
-                        }
-                        tally->shards[shard] =
-                            ShardTally{plan.shotsOf(shard), failures,
-                                       ws.stats};
-                    }
+                    tally->shards[shard] =
+                        ShardTally{plan.shotsOf(shard), failures, ws.stats};
                 }
             },
             &stopFlag);
     }
-    out.steals = steals.load(std::memory_order_relaxed);
 
-    // Deterministic accounting: identical to measureDemLer's walk —
-    // shards in index order, truncated at the first gap or at the shard
-    // whose cumulative failures reach the early-stop target.
-    decoder::LerResult &result = out.result;
-    for (std::size_t shard = 0; shard < n; ++shard) {
-        if (!shardDone[shard]) {
-            break;
-        }
-        result.shots += plan.shotsOf(shard);
-        result.failures += shardFailures[shard];
-        result.packed += shardStats[shard];
-        if (shardReused[shard]) {
+    out.result = ledger.result();
+    out.steals = steals.load(std::memory_order_relaxed);
+    // The accounted shards are a prefix of the plan.
+    const std::size_t accounted =
+        sim::ShardPlan{out.result.shots, plan.shardShots}.numShards();
+    for (std::size_t shard = 0; shard < accounted; ++shard) {
+        if (reused[shard]) {
             out.reusedShots += plan.shotsOf(shard);
         }
-        if (job.ler.maxFailures != 0 &&
-            result.failures >= job.ler.maxFailures) {
-            result.earlyStopped = shard + 1 < n;
-            break;
-        }
     }
-
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        // Shards never claimed (early stop / cancel) leave the queue.
-        pendingShards_ -= std::min(pendingShards_, todo.size() - executed);
         stats_.steals += out.steals;
         stats_.reusedShots += out.reusedShots;
-        auto it = activeKeys_.find(job.key);
-        if (it != activeKeys_.end() && --it->second == 0) {
-            activeKeys_.erase(it);
-        }
     }
     return out;
 }

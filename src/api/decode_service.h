@@ -2,9 +2,8 @@
  * @file
  * Decode-as-a-service: persistent lane pools with request coalescing.
  *
- * The PR 4/5 lane engine tore its workers down after every request and
- * refilled from a single per-request shard queue. DecodeService turns
- * that into a long-lived server core:
+ * DecodeService is the long-lived core behind every api::Engine LER
+ * measurement:
  *
  *  - shard execution runs on a persistent sim::WorkerPool (the shared
  *    process pool by default, or a dedicated pool for isolation), so
@@ -16,7 +15,8 @@
  *    decoder clones that all share the read-only Tanner CSR
  *    (decoder::BpOsdDecoder clones alias one immutable Tanner), so a
  *    request admitted for a warm key decodes without paying clone
- *    construction, let alone graph construction;
+ *    construction, let alone graph construction. At most
+ *    kMaxLaneGroups keys stay warm (FIFO);
  *  - concurrent requests for the same key coalesce into one lane
  *    stream: they share the lane group's clones and interleave their
  *    shards in the same pool. Results still split deterministically
@@ -25,17 +25,17 @@
  *    bit-identical to a serial run at any thread count and any arrival
  *    order;
  *  - completed shard tallies (failures + packed-decode stats per shard
- *    seed) are recorded under a FIFO-bounded key so later requests —
- *    or coalesced concurrent ones — satisfy part of their shot budget
- *    without re-decoding. Reuse is bit-exact by construction: a tally
- *    is only consulted when its (key, seed, shard size) tuple matches
- *    exactly, and shard results do not depend on which thread or clone
- *    produced them.
+ *    seed) are recorded under a (key, seed, shard size) stream, at most
+ *    kMaxTallyKeys streams (FIFO), so later requests — or coalesced
+ *    concurrent ones — satisfy part of their shot budget without
+ *    re-decoding. Reuse is bit-exact by construction: a tally is only
+ *    consulted when its tuple matches exactly, and shard results do not
+ *    depend on which thread or clone produced them.
  *
  * Determinism contract: measure() returns exactly what
  * decoder::measureDemLer(dem, clone, shots, seed, ler) returns for the
  * same inputs, for every thread count, coalescing state, and cache
- * state. Early stopping uses the same contiguous-prefix accounting;
+ * state. Both account their shards through one decoder::ShardLedger;
  * cancellation truncates to a contiguous shard prefix (each prefix
  * being a valid smaller run of the same stream).
  */
@@ -69,16 +69,15 @@ struct DecodeServiceOptions
      * small machines).
      */
     std::size_t threads = 0;
-    /** Let same-key concurrent requests share one lane group. */
-    bool coalesce = true;
     /** Record and reuse per-shard tallies across requests. */
     bool reuseShots = true;
-    /** FIFO bound on distinct tally keys (0 = unbounded). Each key holds
-     * the tallies of one (decode key, seed, shard size) stream. */
-    std::size_t maxTallyKeys = 64;
-    /** FIFO bound on warm lane groups (0 = unbounded). */
-    std::size_t maxLaneGroups = 16;
 };
+
+/** FIFO bound on distinct tally keys. Each key holds the tallies of one
+ * (decode key, seed, shard size) stream. */
+inline constexpr std::size_t kMaxTallyKeys = 64;
+/** FIFO bound on warm lane groups. */
+inline constexpr std::size_t kMaxLaneGroups = 16;
 
 /**
  * One decode job: a DEM + decoder prototype (borrowed from the caller's
@@ -110,8 +109,6 @@ struct DecodeJob
      * contiguous completed shard prefix (a valid smaller run).
      */
     const std::atomic<bool> *cancel = nullptr;
-    /** Record this run's shard tallies for later reuse. */
-    bool record = true;
 };
 
 /** What measure() hands back: the LER tally plus service telemetry. */
@@ -200,10 +197,6 @@ class DecodeService
 
     sim::WorkerPool &pool();
     std::size_t defaultSlotCap() const;
-    std::shared_ptr<LaneGroup> groupForLocked(const DecodeJob &job);
-    std::shared_ptr<TallyEntry> tallyForLocked(const std::string &tally_key,
-                                               const DecodeJob &job,
-                                               bool create);
     std::unique_ptr<decoder::Decoder> checkout(LaneGroup &group,
                                                const DecodeJob &job);
     void giveBack(LaneGroup &group, std::unique_ptr<decoder::Decoder> dec);

@@ -8,7 +8,6 @@
 #include "circuit/flags.h"
 #include "circuit/sm_circuit.h"
 #include "sim/dem_builder.h"
-#include "sim/parallel_sampler.h"
 
 namespace prophunt::api {
 
@@ -51,57 +50,9 @@ Engine::~Engine()
         stopping_ = true;
     }
     jobCv_.notify_all();
-    for (std::thread &w : workers_) {
-        w.join();
+    if (dispatcher_.joinable()) {
+        dispatcher_.join();
     }
-}
-
-std::shared_ptr<const circuit::SmCircuit>
-Engine::circuitFor(const std::string &key,
-                   const circuit::SmSchedule &schedule, std::size_t rounds,
-                   circuit::MemoryBasis basis, std::size_t flag_weight,
-                   Telemetry &telemetry)
-{
-    if (opts_.cacheEnabled) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        auto it = circuitCache_.find(key);
-        if (it != circuitCache_.end() &&
-            sameSchedule(it->second.schedule, schedule)) {
-            ++cacheHits_;
-            ++telemetry.cacheHits;
-            return it->second.circuit;
-        }
-    }
-    uint64_t t0 = now_us();
-    auto circuit = std::make_shared<const circuit::SmCircuit>(
-        flag_weight == 0
-            ? circuit::buildMemoryCircuit(schedule, rounds, basis)
-            : circuit::buildFlaggedMemoryCircuit(schedule, rounds, basis,
-                                                 flag_weight));
-    telemetry.buildUs += now_us() - t0;
-    ++telemetry.cacheMisses;
-    if (opts_.cacheEnabled) {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        ++cacheMisses_;
-        // A racing builder may have inserted the key meanwhile; keep the
-        // first entry so every borrower shares one artifact. A key held
-        // by a *different* schedule (64-bit hash collision) keeps its
-        // entry too — the colliding schedule just rebuilds uncached.
-        auto [it, inserted] = circuitCache_.emplace(
-            key, CircuitEntry{schedule, circuit});
-        if (inserted) {
-            circuitOrder_.push_back(key);
-            if (opts_.maxCacheEntries != 0 &&
-                circuitOrder_.size() > opts_.maxCacheEntries) {
-                circuitCache_.erase(circuitOrder_.front());
-                circuitOrder_.pop_front();
-            }
-        }
-        if (sameSchedule(it->second.schedule, schedule)) {
-            return it->second.circuit;
-        }
-    }
-    return circuit;
 }
 
 Engine::Artifact
@@ -111,12 +62,12 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
                     const decoder::DecoderSpec &spec,
                     std::size_t flag_weight, Telemetry &telemetry)
 {
-    char circuitKey[80];
-    std::snprintf(circuitKey, sizeof circuitKey, "c%016llx|r%zu|b%d|f%zu",
+    char key[80];
+    std::snprintf(key, sizeof key, "c%016llx|r%zu|b%d|f%zu",
                   (unsigned long long)hashSchedule(schedule), rounds,
                   basis == circuit::MemoryBasis::Z ? 0 : 1, flag_weight);
-    std::string demKey = std::string(circuitKey) + "|n" + noiseKey(noise) +
-                         "|d" + spec.describe();
+    std::string demKey = std::string(key) + "|n" + noiseKey(noise) + "|d" +
+                         spec.describe();
 
     if (opts_.cacheEnabled) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
@@ -131,24 +82,27 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
         }
     }
 
-    auto circuit = circuitFor(circuitKey, schedule, rounds, basis,
-                              flag_weight, telemetry);
+    // The circuit lives only as long as the DEM and prototype build.
     uint64_t t0 = now_us();
-    sim::Dem dem = sim::buildDem(*circuit, noise);
-    auto prototype = decoder::Registry::make(spec, dem, *circuit);
-    auto entry = std::make_shared<DemEntry>(
+    const circuit::SmCircuit circuit =
+        flag_weight == 0 ? circuit::buildMemoryCircuit(schedule, rounds, basis)
+                         : circuit::buildFlaggedMemoryCircuit(
+                               schedule, rounds, basis, flag_weight);
+    sim::Dem dem = sim::buildDem(circuit, noise);
+    auto prototype = decoder::Registry::make(spec, dem, circuit);
+    std::shared_ptr<const DemEntry> shared = std::make_shared<DemEntry>(
         DemEntry{schedule, std::move(dem), std::move(prototype)});
     telemetry.buildUs += now_us() - t0;
     ++telemetry.cacheMisses;
-    std::shared_ptr<const DemEntry> shared = entry;
     if (opts_.cacheEnabled) {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         ++cacheMisses_;
+        // A racing request may have inserted the key meanwhile; keep the
+        // first entry so every borrower shares one artifact.
         auto [it, inserted] = demCache_.emplace(demKey, shared);
         if (inserted) {
             demOrder_.push_back(demKey);
-            if (opts_.maxCacheEntries != 0 &&
-                demOrder_.size() > opts_.maxCacheEntries) {
+            if (demOrder_.size() > kMaxCacheEntries) {
                 demCache_.erase(demOrder_.front());
                 demOrder_.pop_front();
             }
@@ -408,7 +362,9 @@ Engine::enqueue(Request req)
     std::future<Result> future = task->get_future();
     {
         std::lock_guard<std::mutex> lock(jobMutex_);
-        startWorkersLocked();
+        if (!dispatcher_.joinable()) {
+            dispatcher_ = std::thread([this]() { dispatchLoop(); });
+        }
         jobs_.push_back([task]() { (*task)(); });
     }
     jobCv_.notify_one();
@@ -416,31 +372,21 @@ Engine::enqueue(Request req)
 }
 
 void
-Engine::startWorkersLocked()
+Engine::dispatchLoop()
 {
-    if (!workers_.empty()) {
-        return;
-    }
-    std::size_t n = std::max<std::size_t>(1, opts_.asyncWorkers);
-    workers_.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        workers_.emplace_back([this]() {
-            for (;;) {
-                std::function<void()> job;
-                {
-                    std::unique_lock<std::mutex> lock(jobMutex_);
-                    jobCv_.wait(lock, [this]() {
-                        return stopping_ || !jobs_.empty();
-                    });
-                    if (jobs_.empty()) {
-                        return; // stopping_, queue drained.
-                    }
-                    job = std::move(jobs_.front());
-                    jobs_.pop_front();
-                }
-                job();
+    for (;;) {
+        std::function<void()> job;
+        {
+            std::unique_lock<std::mutex> lock(jobMutex_);
+            jobCv_.wait(lock,
+                        [this]() { return stopping_ || !jobs_.empty(); });
+            if (jobs_.empty()) {
+                return; // stopping_, queue drained.
             }
-        });
+            job = std::move(jobs_.front());
+            jobs_.pop_front();
+        }
+        job();
     }
 }
 
@@ -466,8 +412,7 @@ Engine::CacheStats
 Engine::cacheStats() const
 {
     std::lock_guard<std::mutex> lock(cacheMutex_);
-    return {circuitCache_.size(), demCache_.size(), cacheHits_,
-            cacheMisses_};
+    return {demCache_.size(), cacheHits_, cacheMisses_};
 }
 
 void
@@ -475,8 +420,6 @@ Engine::clearCache()
 {
     {
         std::lock_guard<std::mutex> lock(cacheMutex_);
-        circuitCache_.clear();
-        circuitOrder_.clear();
         demCache_.clear();
         demOrder_.clear();
     }

@@ -6,25 +6,26 @@
  * simulation/decoding machinery, adding the production-side concerns the
  * free functions never had:
  *
- *  - an artifact cache: compiled memory circuits are keyed by
- *    (schedule hash, rounds, basis); built DEMs and decoder prototypes
- *    additionally by (noise model, decoder spec). Sweeps and repeated
- *    requests reuse them instead of rebuilding per point — the dominant
- *    non-decode cost of fig06/fig12-style sweeps. Cached and uncached
- *    runs are bit-identical: DEM construction is deterministic and
- *    Decoder::clone() must not affect decode results.
+ *  - an artifact cache: built DEMs and decoder prototypes are keyed by
+ *    (schedule hash, rounds, basis, flag weight, noise model, decoder
+ *    spec), at most kMaxCacheEntries of them (FIFO). Sweeps and repeated
+ *    requests reuse them instead of rebuilding per point; a miss builds
+ *    the memory circuit, derives the DEM and the prototype from it, and
+ *    drops the circuit. Cached and uncached runs are bit-identical: DEM
+ *    construction is deterministic and Decoder::clone() must not affect
+ *    decode results.
  *  - a decode service: every LER measurement (fixed-budget and SPRT
  *    chunks alike) flows through a long-lived api::DecodeService, which
  *    keeps lane groups of warm decoder clones per decode key, coalesces
  *    concurrent same-key requests into one shard stream on a persistent
  *    worker pool, and reuses recorded shard tallies across requests —
  *    all bit-identical to a serial decoder::measureMemoryLer run.
- *  - async submission: submit() enqueues the request onto internal
- *    dispatcher threads and returns a std::future; each job still fans
+ *  - async submission: submit() enqueues the request onto one
+ *    dispatcher thread and returns a std::future; each job still fans
  *    its shots out over the shared persistent worker pool.
- *  - adaptive sweeps: Engine::sweep with SprtOptions::enabled allocates
- *    shots across sweep points with a sequential test (api/sprt.h)
- *    instead of a fixed per-point budget.
+ *  - adaptive sweeps: run(SweepRequest) with SprtOptions::enabled
+ *    allocates shots across sweep points with a sequential test
+ *    (api/sprt.h) instead of a fixed per-point budget.
  *  - checkpointable, shardable sweeps: SweepRequest execution walks a
  *    deterministic (point, chunk) cell grid (api/sweep_checkpoint.h);
  *    with checkpointPath set the completed cells persist atomically and
@@ -48,7 +49,6 @@
 #include <string>
 #include <thread>
 #include <utility>
-#include <vector>
 
 #include "api/decode_service.h"
 #include "api/requests.h"
@@ -59,16 +59,15 @@ namespace prophunt::api {
 /** The artifact-cache key component (circuit/schedule.h). */
 using circuit::hashSchedule;
 
+/** FIFO capacity of the artifact cache. */
+inline constexpr std::size_t kMaxCacheEntries = 256;
+
 /** Engine construction knobs. */
 struct EngineOptions
 {
-    /** Reuse compiled circuits/DEMs/decoders across requests. */
+    /** Reuse DEMs and decoder prototypes across requests. */
     bool cacheEnabled = true;
-    /** FIFO capacity of each cache layer (0 = unbounded). */
-    std::size_t maxCacheEntries = 256;
-    /** Dispatcher threads draining submit()'s job queue. */
-    std::size_t asyncWorkers = 1;
-    /** Decode-service knobs (pool sizing, coalescing, shot reuse). */
+    /** Decode-service knobs (pool sizing, shot reuse). */
     DecodeServiceOptions service;
 };
 
@@ -92,21 +91,14 @@ class Engine
      * req.cancel as its cancellation flag). */
     OptimizeResult run(const OptimizeRequest &req);
 
-    /** Naming alias: sweeps read better as engine.sweep(req). */
-    SweepResult
-    sweep(const SweepRequest &req)
-    {
-        return run(req);
-    }
-
-    /** Enqueue a request onto the dispatcher pool; returns its future. */
+    /** Enqueue a request onto the dispatcher thread; returns its
+     * future. */
     std::future<LerResult> submit(LerRequest req);
     std::future<SweepResult> submit(SweepRequest req);
     std::future<OptimizeResult> submit(OptimizeRequest req);
 
     struct CacheStats
     {
-        std::size_t circuitEntries = 0;
         std::size_t demEntries = 0;
         std::size_t hits = 0;
         std::size_t misses = 0;
@@ -119,18 +111,11 @@ class Engine
 
   private:
     /**
-     * A compiled circuit plus the schedule it came from. Cache keys carry
-     * only a 64-bit schedule hash; the stored schedule is compared on
-     * every hit so a hash collision degrades to a rebuild, never to
+     * A built DEM plus the decoder prototype runs clone from. Cache keys
+     * carry only a 64-bit schedule hash; the stored schedule is compared
+     * on every hit so a hash collision degrades to a rebuild, never to
      * silently serving another schedule's artifacts.
      */
-    struct CircuitEntry
-    {
-        circuit::SmSchedule schedule;
-        std::shared_ptr<const circuit::SmCircuit> circuit;
-    };
-
-    /** A built DEM plus the decoder prototype runs clone from. */
     struct DemEntry
     {
         circuit::SmSchedule schedule;
@@ -146,11 +131,6 @@ class Engine
         std::string demKey;
         std::shared_ptr<const DemEntry> entry;
     };
-
-    std::shared_ptr<const circuit::SmCircuit>
-    circuitFor(const std::string &key, const circuit::SmSchedule &schedule,
-               std::size_t rounds, circuit::MemoryBasis basis,
-               std::size_t flag_weight, Telemetry &telemetry);
 
     Artifact artifactFor(const circuit::SmSchedule &schedule,
                          std::size_t rounds, circuit::MemoryBasis basis,
@@ -185,14 +165,12 @@ class Engine
 
     template <class Result, class Request>
     std::future<Result> enqueue(Request req);
-    void startWorkersLocked();
+    void dispatchLoop();
 
     EngineOptions opts_;
     DecodeService service_;
 
     mutable std::mutex cacheMutex_;
-    std::map<std::string, CircuitEntry> circuitCache_;
-    std::deque<std::string> circuitOrder_;
     std::map<std::string, std::shared_ptr<const DemEntry>> demCache_;
     std::deque<std::string> demOrder_;
     std::size_t cacheHits_ = 0;
@@ -201,8 +179,9 @@ class Engine
     std::mutex jobMutex_;
     std::condition_variable jobCv_;
     std::deque<std::function<void()>> jobs_;
-    std::vector<std::thread> workers_;
     bool stopping_ = false;
+    /** Drains jobs_; started by the first submit(). */
+    std::thread dispatcher_;
 };
 
 } // namespace prophunt::api

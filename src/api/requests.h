@@ -128,10 +128,10 @@ struct SweepShard
 /**
  * A physical-error-rate sweep of one schedule.
  *
- * The engine reuses the compiled circuits across all points (the DEM and
- * decoder are per-noise) and, with sprt.enabled, allocates shots
- * adaptively: each point stops as soon as the sequential test decides
- * its LER against sprt.decisionLer.
+ * The engine builds each point's DEM and decoder once per basis (cached
+ * across requests) and, with sprt.enabled, allocates shots adaptively:
+ * each point stops as soon as the sequential test decides its LER
+ * against sprt.decisionLer.
  *
  * Execution decomposes into deterministic (point, chunk) cells (see
  * api/sweep_checkpoint.h): with checkpointPath set, completed cells

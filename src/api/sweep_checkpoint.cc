@@ -4,6 +4,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -349,11 +350,19 @@ numField(const JsonValue &obj, const char *key)
     return v.number;
 }
 
+/** True iff @p d is an integer in [0, 2^64): checked before any cast,
+ * since converting an out-of-range double to an integer is undefined. */
+bool
+isUint64(double d)
+{
+    return d >= 0 && d < 0x1p64 && d == std::floor(d);
+}
+
 std::size_t
 sizeField(const JsonValue &obj, const char *key)
 {
     double d = numField(obj, key);
-    if (d < 0 || d != (double)(uint64_t)d) {
+    if (!isUint64(d)) {
         fail(std::string("field '") + key +
              "' must be a non-negative integer");
     }
@@ -399,8 +408,7 @@ uint64_t
 tallyElem(const JsonValue &arr, std::size_t i)
 {
     const JsonValue &v = arr.array[i];
-    if (v.kind != JsonValue::Number || v.number < 0 ||
-        v.number != (double)(uint64_t)v.number) {
+    if (v.kind != JsonValue::Number || !isUint64(v.number)) {
         fail("chunk tally entries must be non-negative integers");
     }
     return (uint64_t)v.number;

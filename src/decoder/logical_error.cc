@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <mutex>
+#include <memory>
 #include <vector>
 
 #include "sim/dem_builder.h"
@@ -34,78 +34,41 @@ decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
     return failures;
 }
 
+ShardLedger::ShardLedger(std::size_t shots, const LerOptions &opts)
+    : plan_{shots, std::min(std::max<std::size_t>(opts.shardShots, 1),
+                            shots)},
+      maxFailures_(opts.maxFailures), failures_(plan_.numShards(), 0),
+      stats_(plan_.numShards()), done_(plan_.numShards(), 0)
+{
+}
+
+bool
+ShardLedger::record(std::size_t shard, std::size_t failures,
+                    const PackedDecodeStats &stats)
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    failures_[shard] = failures;
+    stats_[shard] = stats;
+    done_[shard] = 1;
+    // Early stopping only triggers off in-order results, so the final
+    // walk sees every shard up to the cut point.
+    while (prefixEnd_ < done_.size() && done_[prefixEnd_]) {
+        prefixFailures_ += failures_[prefixEnd_];
+        ++prefixEnd_;
+    }
+    return maxFailures_ != 0 && prefixFailures_ >= maxFailures_;
+}
+
 LerResult
-measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
-              uint64_t seed, const LerOptions &opts)
+ShardLedger::result() const
 {
     LerResult result;
-    if (shots == 0) {
-        // Well-formed empty run: no sampling, no decoder work, zeroed
-        // counters (the engine relies on this for zero-shot requests).
-        return result;
-    }
-    // A shard larger than the run is just one shard; clamping keeps the
-    // shard seeds identical to an exact-fit plan.
-    sim::ShardPlan plan{
-        shots, std::min(std::max<std::size_t>(opts.shardShots, 1), shots)};
-    std::size_t n = plan.numShards();
-
-    // Per-worker decoders: worker 0 uses the caller's, the rest clones.
-    std::size_t workers = sim::shardWorkers(plan, opts.threads);
-    std::vector<std::unique_ptr<Decoder>> clones;
-    clones.reserve(workers > 0 ? workers - 1 : 0);
-    for (std::size_t w = 1; w < workers; ++w) {
-        clones.push_back(dec.clone());
-    }
-
-    std::vector<FrameShardScratch> workspaces(workers);
-    std::vector<std::size_t> shardFailures(n, 0);
-    std::vector<PackedDecodeStats> shardStats(n);
-    std::vector<uint8_t> shardDone(n, 0);
-    std::atomic<bool> stop{false};
-    std::mutex prefixMutex;
-    std::size_t prefixEnd = 0;
-    std::size_t prefixFailures = 0;
-
-    // forEachFrameShard validates the DEM before spawning workers and
-    // hands each shard to the decoder still word-packed.
-    sim::forEachFrameShard(
-        dem, plan, seed, opts.threads,
-        [&](std::size_t shard, std::size_t worker,
-            const sim::FrameBatch &frames) {
-            Decoder &d = worker == 0 ? dec : *clones[worker - 1];
-            FrameShardScratch &ws = workspaces[worker];
-            std::size_t f = decodeFrameShard(d, frames, ws);
-            std::lock_guard<std::mutex> lock(prefixMutex);
-            shardFailures[shard] = f;
-            shardStats[shard] = ws.stats;
-            shardDone[shard] = 1;
-            // Advance the contiguous completed prefix; early stopping only
-            // triggers off in-order results so the final accounting below
-            // sees every shard up to the cut point.
-            while (prefixEnd < n && shardDone[prefixEnd]) {
-                prefixFailures += shardFailures[prefixEnd];
-                ++prefixEnd;
-            }
-            if (opts.maxFailures != 0 && prefixFailures >= opts.maxFailures) {
-                stop.store(true, std::memory_order_relaxed);
-            }
-        },
-        opts.maxFailures != 0 ? &stop : nullptr);
-
-    // Deterministic accounting: walk shards in index order and truncate at
-    // the first shard whose cumulative failures reach the target. Shards a
-    // fast worker finished beyond the cut are discarded, which makes
-    // failures/shots — and the packed-path telemetry — independent of the
-    // thread count.
-    for (std::size_t shard = 0; shard < n; ++shard) {
-        if (!shardDone[shard]) {
-            break;
-        }
-        result.shots += plan.shotsOf(shard);
-        result.failures += shardFailures[shard];
-        result.packed += shardStats[shard];
-        if (opts.maxFailures != 0 && result.failures >= opts.maxFailures) {
+    const std::size_t n = done_.size();
+    for (std::size_t shard = 0; shard < n && done_[shard]; ++shard) {
+        result.shots += plan_.shotsOf(shard);
+        result.failures += failures_[shard];
+        result.packed += stats_[shard];
+        if (maxFailures_ != 0 && result.failures >= maxFailures_) {
             result.earlyStopped = shard + 1 < n;
             break;
         }
@@ -115,9 +78,43 @@ measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
 
 LerResult
 measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
-              uint64_t seed)
+              uint64_t seed, const LerOptions &opts)
 {
-    return measureDemLer(dem, dec, shots, seed, LerOptions{});
+    if (shots == 0) {
+        // Well-formed empty run: no sampling, no decoder work, zeroed
+        // counters (the engine relies on this for zero-shot requests).
+        return {};
+    }
+    // A throw inside a pool worker would terminate: validate up front.
+    sim::validateDemProbabilities(dem, "measureDemLer");
+    ShardLedger ledger(shots, opts);
+    const sim::ShardPlan &plan = ledger.plan();
+
+    // Slot 0 decodes with the caller's decoder, every other slot with
+    // its own clone.
+    const std::size_t slots =
+        std::min(sim::resolveThreads(opts.threads), plan.numShards());
+    std::vector<std::unique_ptr<Decoder>> clones(slots);
+    for (std::size_t slot = 1; slot < slots; ++slot) {
+        clones[slot] = dec.clone();
+    }
+    std::vector<sim::FrameBatch> frames(slots);
+    std::vector<FrameShardScratch> scratch(slots);
+    std::atomic<bool> stop{false};
+    sim::WorkerPool::shared().run(
+        plan.numShards(), slots,
+        [&](std::size_t shard, std::size_t slot) {
+            sim::sampleDemFramesInto(dem, plan.shotsOf(shard),
+                                     sim::shardSeed(seed, shard),
+                                     frames[slot]);
+            Decoder &d = slot == 0 ? dec : *clones[slot];
+            std::size_t f = decodeFrameShard(d, frames[slot], scratch[slot]);
+            if (ledger.record(shard, f, scratch[slot].stats)) {
+                stop.store(true, std::memory_order_relaxed);
+            }
+        },
+        &stop);
+    return ledger.result();
 }
 
 uint64_t
@@ -143,15 +140,6 @@ measureMemoryLer(const circuit::SmSchedule &schedule, std::size_t rounds,
         (basis == circuit::MemoryBasis::Z ? out.z : out.x) = r;
     }
     return out;
-}
-
-MemoryLer
-measureMemoryLer(const circuit::SmSchedule &schedule, std::size_t rounds,
-                 const sim::NoiseModel &noise, const DecoderSpec &spec,
-                 std::size_t shots, uint64_t seed)
-{
-    return measureMemoryLer(schedule, rounds, noise, spec, shots, seed,
-                            LerOptions{});
 }
 
 } // namespace prophunt::decoder

@@ -6,11 +6,16 @@
  * decoding. The reported quantity matches the paper's evaluation: the
  * combined probability of a logical X or logical Z error over a d-round
  * memory experiment, estimated from separate memory-Z and memory-X runs.
+ *
+ * Every Monte-Carlo LER, here or in api::DecodeService, samples shard i
+ * with sim::shardSeed(seed, i), decodes it with decodeFrameShard, and
+ * accounts it through ShardLedger.
  */
 #ifndef PROPHUNT_DECODER_LOGICAL_ERROR_H
 #define PROPHUNT_DECODER_LOGICAL_ERROR_H
 
 #include <cstdint>
+#include <mutex>
 #include <vector>
 
 #include "circuit/schedule.h"
@@ -18,6 +23,7 @@
 #include "decoder/decoder.h"
 #include "decoder/registry.h"
 #include "sim/dem.h"
+#include "sim/frame_sampler.h"
 #include "sim/noise_model.h"
 #include "sim/parallel_sampler.h"
 
@@ -90,17 +96,63 @@ std::size_t decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
                              FrameShardScratch &scratch);
 
 /**
+ * The shard accounting of one LER run, shared by measureDemLer and
+ * api::DecodeService::measure.
+ *
+ * Holds the run's shard plan (a shard larger than the run is one shard,
+ * so shard seeds match an exact-fit plan), each completed shard's
+ * tally, and the contiguous completed prefix that drives early
+ * stopping. Shards may complete in any order; result() walks them in
+ * index order, so the answer does not depend on which thread finished
+ * what. record() may be called concurrently.
+ */
+class ShardLedger
+{
+  public:
+    ShardLedger(std::size_t shots, const LerOptions &opts);
+
+    const sim::ShardPlan &
+    plan() const
+    {
+        return plan_;
+    }
+
+    /**
+     * Record shard @p shard's tally. Returns true once the contiguous
+     * completed prefix has reached opts.maxFailures: no later shard can
+     * change the result, so the caller may stop claiming shards.
+     */
+    bool record(std::size_t shard, std::size_t failures,
+                const PackedDecodeStats &stats);
+
+    /**
+     * Completed shards in index order, truncated at the first missing
+     * shard or at the shard whose cumulative failures reach
+     * opts.maxFailures. Shards completed beyond the cut are discarded.
+     */
+    LerResult result() const;
+
+  private:
+    sim::ShardPlan plan_;
+    std::size_t maxFailures_;
+    std::mutex mutex_;
+    std::vector<std::size_t> failures_;
+    std::vector<PackedDecodeStats> stats_;
+    std::vector<uint8_t> done_;
+    std::size_t prefixEnd_ = 0;
+    std::size_t prefixFailures_ = 0;
+};
+
+/**
  * Sample the DEM and decode each shot; failures are observable misses.
  *
- * Shots are sharded as in sim::forEachFrameShard: the result is
- * bit-identical for every thread count at a fixed master seed.
+ * Shard i samples with sim::shardSeed(seed, i) and shards run on
+ * sim::WorkerPool::shared(): the result is bit-identical for every
+ * thread count at a fixed master seed. Throws std::invalid_argument on
+ * a mechanism with p >= 1 before any shard runs.
  */
 LerResult measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
-                        uint64_t seed, const LerOptions &opts);
-
-/** Single-thread, no-early-stop convenience overload. */
-LerResult measureDemLer(const sim::Dem &dem, Decoder &dec, std::size_t shots,
-                        uint64_t seed);
+                        uint64_t seed, const LerOptions &opts = {});
 
 /** Combined memory-Z + memory-X logical error rate. */
 struct MemoryLer
@@ -130,19 +182,13 @@ uint64_t memoryBasisSeed(uint64_t seed, circuit::MemoryBasis basis);
  *
  * Runs both memory bases with @p shots shots each; the decoder is built
  * by Registry::make from @p spec. Workloads that repeat (schedule, p)
- * points should prefer api::Engine, which caches the per-basis circuit,
- * DEM, and decoder this function rebuilds on every call.
+ * points should prefer api::Engine, which caches the per-basis DEM and
+ * decoder this function rebuilds on every call.
  */
 MemoryLer measureMemoryLer(const circuit::SmSchedule &schedule,
                            std::size_t rounds, const sim::NoiseModel &noise,
                            const DecoderSpec &spec, std::size_t shots,
-                           uint64_t seed, const LerOptions &opts);
-
-/** No-early-stop convenience overload. */
-MemoryLer measureMemoryLer(const circuit::SmSchedule &schedule,
-                           std::size_t rounds, const sim::NoiseModel &noise,
-                           const DecoderSpec &spec, std::size_t shots,
-                           uint64_t seed);
+                           uint64_t seed, const LerOptions &opts = {});
 
 } // namespace prophunt::decoder
 

@@ -39,7 +39,7 @@ Registry::make(const DecoderSpec &spec, const sim::Dem &dem,
         return std::make_unique<BpOsdDecoder>(dem,
                                               opts ? *opts : BpOsdOptions{});
     }
-    if (spec.name == "union_find" || spec.name == "matching") {
+    if (spec.name == "union_find") {
         if (!std::holds_alternative<std::monostate>(spec.options)) {
             throw std::invalid_argument(
                 "decoder '" + spec.name +
@@ -49,8 +49,7 @@ Registry::make(const DecoderSpec &spec, const sim::Dem &dem,
             buildMatchingGraph(dem, circuit));
     }
     throw std::invalid_argument("unknown decoder '" + spec.name +
-                                "' (registered: bp_osd, matching, "
-                                "union_find)");
+                                "' (registered: bp_osd, union_find)");
 }
 
 } // namespace prophunt::decoder

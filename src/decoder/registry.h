@@ -5,7 +5,7 @@
  * `Registry::make(spec, dem, circuit)` builds one of the built-in
  * backends from a name plus that backend's options:
  *
- *   "union_find"  matching decoder for surface-like DEMs (alias "matching")
+ *   "union_find"  matching decoder for surface-like DEMs
  *   "bp_osd"      BP+OSD decoder for LDPC DEMs
  *
  * The set of names is fixed; there is no runtime registration. The

@@ -39,13 +39,26 @@ forEachMechanismEvent(const ErrorMechanism &mech, std::size_t shots,
     if (mech.p >= 1.0) {
         throw std::invalid_argument(std::string(where) + ": p >= 1");
     }
-    double log1mp = std::log1p(-mech.p);
-    double u = rng.uniform();
-    std::size_t shot = (std::size_t)(std::log(u <= 0 ? 1e-300 : u) / log1mp);
-    while (shot < shots) {
+    const double log1mp = std::log1p(-mech.p);
+    auto gap = [&]() {
+        double u = rng.uniform();
+        return std::log(u <= 0 ? 1e-300 : u) / log1mp;
+    };
+    // Each gap is compared as a double against the shots left before it
+    // is converted: for p below ~1e-18 a gap can exceed 2^64, and
+    // floor(gap) < k <=> gap < k for an integer k.
+    double g = gap();
+    if (!(g < (double)shots)) {
+        return;
+    }
+    std::size_t shot = (std::size_t)g;
+    for (;;) {
         emit(shot);
-        u = rng.uniform();
-        shot += 1 + (std::size_t)(std::log(u <= 0 ? 1e-300 : u) / log1mp);
+        g = gap();
+        if (!(g < (double)(shots - shot - 1))) {
+            return;
+        }
+        shot += 1 + (std::size_t)g;
     }
 }
 

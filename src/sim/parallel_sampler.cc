@@ -7,8 +7,6 @@
 #include <thread>
 #include <vector>
 
-#include "sim/frame_sampler.h"
-
 namespace prophunt::sim {
 
 uint64_t
@@ -38,12 +36,6 @@ resolveThreads(std::size_t threads)
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : hw;
-}
-
-std::size_t
-shardWorkers(const ShardPlan &plan, std::size_t threads)
-{
-    return std::min(resolveThreads(threads), plan.numShards());
 }
 
 /**
@@ -187,15 +179,6 @@ WorkerPool::workerLoop()
 }
 
 void
-forEachShard(const ShardPlan &plan, std::size_t threads,
-             const std::function<void(std::size_t, std::size_t)> &fn,
-             const std::atomic<bool> *stop)
-{
-    WorkerPool::shared().run(plan.numShards(), shardWorkers(plan, threads),
-                             fn, stop);
-}
-
-void
 parallelFor(std::size_t n, std::size_t threads,
             const std::function<void(std::size_t)> &fn)
 {
@@ -211,28 +194,6 @@ validateDemProbabilities(const Dem &dem, const char *where)
             throw std::invalid_argument(std::string(where) + ": p >= 1");
         }
     }
-}
-
-void
-forEachFrameShard(
-    const Dem &dem, const ShardPlan &plan, uint64_t seed,
-    std::size_t threads,
-    const std::function<void(std::size_t, std::size_t, const FrameBatch &)>
-        &fn,
-    const std::atomic<bool> *stop)
-{
-    // Validate up front: a throw inside a worker would terminate.
-    validateDemProbabilities(dem, "forEachFrameShard");
-    std::vector<FrameBatch> scratch(shardWorkers(plan, threads));
-    forEachShard(
-        plan, threads,
-        [&](std::size_t shard, std::size_t worker) {
-            FrameBatch &frames = scratch[worker];
-            sampleDemFramesInto(dem, plan.shotsOf(shard),
-                                shardSeed(seed, shard), frames);
-            fn(shard, worker, frames);
-        },
-        stop);
 }
 
 } // namespace prophunt::sim

@@ -1,14 +1,16 @@
 /**
  * @file
- * Sharded, multi-threaded Monte-Carlo sampling.
+ * Shard seeding and the persistent worker pool behind every parallel
+ * loop.
  *
  * Shots are split into fixed-size shards; shard i is sampled with its own
  * RNG stream seeded by the i-th output of a SplitMix64 generator seeded
- * with the master seed. The result is therefore defined as the
+ * with the master seed. A sharded result is therefore defined as the
  * concatenation of independent per-shard serial runs, which makes it
  * bit-identical for every thread count (including 1) at a fixed master
- * seed. Shards are claimed in ascending order from a persistent WorkerPool
- * and each is handed to the caller in per-worker scratch.
+ * seed. The LER measurements (decoder::measureDemLer, api::DecodeService)
+ * claim shards in ascending order from a WorkerPool and account them
+ * through decoder::ShardLedger.
  */
 #ifndef PROPHUNT_SIM_PARALLEL_SAMPLER_H
 #define PROPHUNT_SIM_PARALLEL_SAMPLER_H
@@ -22,7 +24,7 @@
 #include <thread>
 #include <vector>
 
-#include "sim/frame_sampler.h"
+#include "sim/dem.h"
 
 namespace prophunt::sim {
 
@@ -65,9 +67,6 @@ struct ShardPlan
         return off >= shots ? 0 : std::min(shardShots, shots - off);
     }
 };
-
-/** Workers forEachShard will use: min(resolveThreads(threads), shards). */
-std::size_t shardWorkers(const ShardPlan &plan, std::size_t threads);
 
 /**
  * Persistent pool of worker threads draining index runs.
@@ -145,45 +144,13 @@ void validateDemProbabilities(const Dem &dem, const char *where);
 /**
  * Run @p fn(i) for i in [0, n) across @p threads workers.
  *
- * The shared work-distribution loop used by both the sampling shards and
- * the PropHunt optimizer's candidate verification: indices are claimed in
+ * The PropHunt optimizer's work-distribution loop (subgraph sampling,
+ * MaxSAT solves, candidate verification): indices are claimed in
  * ascending order from WorkerPool::shared(), and @p threads = 0 means
  * hardware concurrency.
  */
 void parallelFor(std::size_t n, std::size_t threads,
                  const std::function<void(std::size_t)> &fn);
-
-/**
- * Run @p fn(shard, worker) for every shard of @p plan.
- *
- * Shards are claimed in ascending order from WorkerPool::shared(); worker
- * is in [0, shardWorkers(plan, threads)) and lets callers keep per-worker
- * state (e.g. a cloned decoder). If @p stop is non-null it is checked
- * before each claim; shards already claimed still complete, which keeps
- * the completed set a contiguous prefix.
- */
-void forEachShard(const ShardPlan &plan, std::size_t threads,
-                  const std::function<void(std::size_t, std::size_t)> &fn,
-                  const std::atomic<bool> *stop = nullptr);
-
-/**
- * Sample every shard of @p plan word-packed and hand each to @p fn.
- *
- * The sampling driver of the packed decode pipeline (measureDemLer hands
- * the frames straight to Decoder::decodePacked). The result is defined
- * shard by shard: shard i holds sampleDem(plan.shotsOf(i),
- * shardSeed(seed, i)) in frame layout, for every thread count.
- * @p fn(shard, worker, frames) receives the
- * shard's outcomes in per-worker scratch that is reused across shards;
- * shard semantics (seeding, claim order, @p stop) are those of
- * forEachShard. Validates the DEM before spawning workers.
- */
-void forEachFrameShard(
-    const Dem &dem, const ShardPlan &plan, uint64_t seed,
-    std::size_t threads,
-    const std::function<void(std::size_t, std::size_t, const FrameBatch &)>
-        &fn,
-    const std::atomic<bool> *stop = nullptr);
 
 } // namespace prophunt::sim
 

@@ -93,6 +93,34 @@ serialRef(const Model &m, std::size_t shots, uint64_t seed,
     return decoder::measureDemLer(m.dem, *dec, shots, seed, opts);
 }
 
+/**
+ * The early-stop contract written out shard by shard, independently of
+ * decoder::ShardLedger: sample and decode the shards in order and stop
+ * after the one whose cumulative failures reach @p max_failures.
+ */
+decoder::LerResult
+explicitRef(const Model &m, std::size_t shots, uint64_t seed,
+            std::size_t shard_shots, std::size_t max_failures)
+{
+    auto dec = m.prototype->clone();
+    decoder::LerResult want;
+    sim::FrameBatch frames;
+    decoder::FrameShardScratch scratch;
+    for (std::size_t shard = 0; want.shots < shots; ++shard) {
+        std::size_t n = std::min(shard_shots, shots - want.shots);
+        sim::sampleDemFramesInto(m.dem, n, sim::shardSeed(seed, shard),
+                                 frames);
+        want.failures += decoder::decodeFrameShard(*dec, frames, scratch);
+        want.shots += n;
+        want.packed += scratch.stats;
+        if (max_failures != 0 && want.failures >= max_failures) {
+            want.earlyStopped = want.shots < shots;
+            break;
+        }
+    }
+    return want;
+}
+
 /** Every field of LerResult except the wall-clock osdUs. */
 void
 expectSameResult(const decoder::LerResult &got, const decoder::LerResult &want)
@@ -155,6 +183,30 @@ class GateDecoder : public decoder::Decoder
 
   private:
     GateState *gate_;
+};
+
+/** A decoder whose every shard decode throws. */
+class ThrowingDecoder : public decoder::Decoder
+{
+  public:
+    uint64_t
+    decode(const std::vector<uint32_t> &) override
+    {
+        return 0;
+    }
+
+    void
+    decodePacked(const sim::FrameView &, uint64_t *,
+                 decoder::PackedDecodeStats *) override
+    {
+        throw std::runtime_error("decode failed");
+    }
+
+    std::unique_ptr<decoder::Decoder>
+    clone() const override
+    {
+        return std::make_unique<ThrowingDecoder>();
+    }
 };
 
 /**
@@ -317,18 +369,36 @@ TEST(DecodeService, BpOsdLaneDecoderMatchesSerialReference)
 
 TEST(DecodeService, MaxFailuresEarlyStopMatchesSerial)
 {
+    // 4000 shots in 128-shot shards: 31 full shards and a 32-shot one.
+    // Targets: an early cut, a cut on the shard holding the run's last
+    // failure, and one the run never reaches.
     auto m = makeModel("union_find", 1e-2);
-    decoder::LerResult ref = serialRef(*m, 4096, 13, 128, 5);
-    api::DecodeService service;
-    for (std::size_t threads : {1u, 4u}) {
-        api::DecodeJob job = jobFor(m, "hot", 4096, 13, 128, threads);
-        job.ler.maxFailures = 5;
-        api::DecodeOutcome out = service.measure(job);
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectSameResult(out.result, ref);
-    }
-    EXPECT_TRUE(ref.earlyStopped)
+    const std::size_t total = explicitRef(*m, 4000, 13, 128, 0).failures;
+    ASSERT_GT(total, 5u);
+    EXPECT_TRUE(explicitRef(*m, 4000, 13, 128, 5).earlyStopped)
         << "test needs a regime where early stopping actually triggers";
+    for (std::size_t maxFailures : {std::size_t{5}, total, total + 1}) {
+        decoder::LerResult want =
+            explicitRef(*m, 4000, 13, 128, maxFailures);
+        for (std::size_t threads : {1u, 4u}) {
+            SCOPED_TRACE("maxFailures=" + std::to_string(maxFailures) +
+                         " threads=" + std::to_string(threads));
+            decoder::LerOptions opts;
+            opts.threads = threads;
+            opts.shardShots = 128;
+            opts.maxFailures = maxFailures;
+            auto dec = m->prototype->clone();
+            expectSameResult(
+                decoder::measureDemLer(m->dem, *dec, 4000, 13, opts), want);
+
+            api::DecodeService service;
+            api::DecodeJob job = jobFor(m, "hot", 4000, 13, 128, threads);
+            job.ler.maxFailures = maxFailures;
+            expectSameResult(service.measure(job).result, want);
+            // Again, now fed from the recorded tallies.
+            expectSameResult(service.measure(job).result, want);
+        }
+    }
 }
 
 // --- concurrent submission --------------------------------------------------
@@ -413,7 +483,6 @@ TEST(DecodeService, CoalescingDetectedDeterministically)
     auto gatedJob = [&] {
         api::DecodeJob job = jobFor(m, "gated", 256, 3, 256, 1);
         job.prototype = &prototype;
-        job.record = false;
         return job;
     };
     api::DecodeOutcome oa;
@@ -428,38 +497,6 @@ TEST(DecodeService, CoalescingDetectedDeterministically)
     EXPECT_EQ(ob.result.shots, 256u);
     EXPECT_EQ((oa.coalesced ? 1 : 0) + (ob.coalesced ? 1 : 0), 1);
     EXPECT_EQ(service.stats().coalescedRequests, 1u);
-}
-
-TEST(DecodeService, CoalesceOffNeverCoalescesAndKeepsNoLaneGroups)
-{
-    auto m = makeModel();
-    GateState gate;
-    GateDecoder prototype(&gate);
-    api::DecodeServiceOptions opts;
-    opts.coalesce = false;
-    api::DecodeService service(opts);
-
-    auto gatedJob = [&] {
-        api::DecodeJob job = jobFor(m, "gated", 256, 3, 256, 1);
-        job.prototype = &prototype;
-        job.record = false;
-        return job;
-    };
-    api::DecodeOutcome oa;
-    api::DecodeOutcome ob;
-    std::thread ta([&] { oa = service.measure(gatedJob()); });
-    std::thread tb([&] { ob = service.measure(gatedJob()); });
-    ta.join();
-    tb.join();
-
-    EXPECT_EQ(oa.result.shots, 256u);
-    EXPECT_EQ(ob.result.shots, 256u);
-    EXPECT_FALSE(oa.coalesced);
-    EXPECT_FALSE(ob.coalesced);
-    api::DecodeServiceStats stats = service.stats();
-    EXPECT_EQ(stats.coalescedRequests, 0u);
-    EXPECT_EQ(stats.laneGroups, 0u)
-        << "coalescing off must not retain shared clone groups";
 }
 
 // --- cross-request shot reuse -----------------------------------------------
@@ -540,51 +577,49 @@ TEST(DecodeService, ReuseOffDecodesEveryTime)
     EXPECT_EQ(stats.tallyKeys, 0u);
 }
 
-TEST(DecodeService, RecordOffLeavesNoTallies)
-{
-    auto m = makeModel();
-    api::DecodeService service;
-    api::DecodeJob job = jobFor(m, "d3", 1024, 7, 256);
-    job.record = false;
-    service.measure(job);
-    EXPECT_EQ(service.stats().tallyKeys, 0u);
-    job.record = true;
-    api::DecodeOutcome out = service.measure(job);
-    EXPECT_EQ(out.reusedShots, 0u)
-        << "an unrecorded run must not feed later reuse";
-}
-
 TEST(DecodeService, FifoTallyEvictionDropsOldestKey)
 {
+    // kMaxTallyKeys streams fit; the 65th evicts the oldest.
+    static_assert(api::kMaxTallyKeys == 64);
     auto m = makeModel();
-    api::DecodeServiceOptions tight;
-    tight.maxTallyKeys = 1;
-    api::DecodeService small(tight);
-    small.measure(jobFor(m, "A", 512, 7, 256));
-    small.measure(jobFor(m, "B", 512, 7, 256)); // evicts A's stream
-    EXPECT_EQ(small.stats().tallyKeys, 1u);
-    api::DecodeOutcome again = small.measure(jobFor(m, "A", 512, 7, 256));
-    EXPECT_EQ(again.reusedShots, 0u);
-
-    api::DecodeServiceOptions roomy;
-    roomy.maxTallyKeys = 2;
-    api::DecodeService big(roomy);
-    big.measure(jobFor(m, "A", 512, 7, 256));
-    big.measure(jobFor(m, "B", 512, 7, 256));
-    api::DecodeOutcome kept = big.measure(jobFor(m, "A", 512, 7, 256));
+    api::DecodeService service;
+    service.measure(jobFor(m, "A", 512, 7, 256));
+    for (int k = 1; k < 64; ++k) {
+        service.measure(jobFor(m, "K" + std::to_string(k), 1, 7, 1));
+    }
+    EXPECT_EQ(service.stats().tallyKeys, 64u);
+    api::DecodeOutcome kept = service.measure(jobFor(m, "A", 512, 7, 256));
     EXPECT_EQ(kept.reusedShots, 512u);
+
+    service.measure(jobFor(m, "K64", 1, 7, 1)); // evicts A's stream
+    EXPECT_EQ(service.stats().tallyKeys, 64u);
+    api::DecodeOutcome again = service.measure(jobFor(m, "A", 512, 7, 256));
+    EXPECT_EQ(again.reusedShots, 0u);
+    expectSameResult(again.result, serialRef(*m, 512, 7, 256));
 }
 
 TEST(DecodeService, FifoLaneGroupEvictionBoundsWarmClones)
 {
+    // kMaxLaneGroups keys stay warm; the 17th evicts the oldest, whose
+    // next request must clone the prototype again.
+    static_assert(api::kMaxLaneGroups == 16);
     auto m = makeModel();
     api::DecodeServiceOptions opts;
-    opts.maxLaneGroups = 1;
     opts.reuseShots = false;
     api::DecodeService service(opts);
-    service.measure(jobFor(m, "A", 256, 7, 256));
-    service.measure(jobFor(m, "B", 256, 7, 256));
-    EXPECT_EQ(service.stats().laneGroups, 1u);
+    for (int k = 0; k < 16; ++k) {
+        service.measure(jobFor(m, "K" + std::to_string(k), 256, 7, 256));
+    }
+    EXPECT_EQ(service.stats().laneGroups, 16u);
+    EXPECT_EQ(service.stats().cloneMisses, 16u);
+    service.measure(jobFor(m, "K0", 256, 7, 256));
+    EXPECT_EQ(service.stats().cloneMisses, 16u) << "K0 is still warm";
+
+    service.measure(jobFor(m, "K16", 256, 7, 256)); // evicts K0's group
+    EXPECT_EQ(service.stats().laneGroups, 16u);
+    service.measure(jobFor(m, "K0", 256, 7, 256));
+    EXPECT_EQ(service.stats().cloneMisses, 18u)
+        << "K16 and the evicted K0 each clone once";
 }
 
 TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
@@ -608,7 +643,7 @@ TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
     EXPECT_EQ(after2.cloneHits, 15u);
 }
 
-// --- edge cases: zero shots, cancellation -----------------------------------
+// --- edge cases: zero shots, cancellation, throwing decoders ---------------
 
 TEST(DecodeService, ZeroShotJobIsEmptyAndUntracked)
 {
@@ -658,4 +693,23 @@ TEST(DecodeService, CancelMidQueueTruncatesToValidShardPrefix)
     EXPECT_EQ(out.result.shots, 512u);
     expectSameResult(out.result, serialRef(*m, 512, 7, 256));
     EXPECT_EQ(service.stats().decodedShards, 2u);
+}
+
+TEST(DecodeService, ThrowingShardReleasesAdmissionState)
+{
+    // A request whose shard throws must leave its key's in-flight count
+    // and the pending-shard queue as it found them.
+    auto m = makeModel();
+    ThrowingDecoder throwing;
+    api::DecodeService service;
+    api::DecodeJob bad = jobFor(m, "d3", 4096, 7, 256, 1);
+    bad.prototype = &throwing;
+    EXPECT_THROW(service.measure(bad), std::runtime_error);
+
+    api::DecodeOutcome next =
+        service.measure(jobFor(m, "d3", 4096, 7, 256, 1));
+    EXPECT_FALSE(next.coalesced);
+    EXPECT_EQ(next.queueDepth, 16u);
+    EXPECT_EQ(service.stats().coalescedRequests, 0u);
+    expectSameResult(next.result, serialRef(*m, 4096, 7, 256));
 }

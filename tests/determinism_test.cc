@@ -47,20 +47,20 @@ d3Decoder(const Dem &dem)
 }
 
 /**
- * Every shard of a forEachFrameShard run, transposed to rows and
- * concatenated in shard order.
+ * Every shard of @p shots sampled word-packed with its own shard seed,
+ * transposed to rows and concatenated in shard order.
  */
 SampleBatch
 frameShardRows(const Dem &dem, std::size_t shots, uint64_t seed,
-               std::size_t threads, std::size_t shard_shots)
+               std::size_t shard_shots)
 {
     ShardPlan plan{shots, shard_shots};
     std::vector<SampleBatch> parts(plan.numShards());
-    forEachFrameShard(dem, plan, seed, threads,
-                      [&](std::size_t shard, std::size_t,
-                          const FrameBatch &frames) {
-                          transposeView(frames.view(), parts[shard]);
-                      });
+    FrameBatch frames;
+    for (std::size_t i = 0; i < plan.numShards(); ++i) {
+        sampleDemFramesInto(dem, plan.shotsOf(i), shardSeed(seed, i), frames);
+        transposeView(frames.view(), parts[i]);
+    }
     SampleBatch whole = parts.front();
     whole.shots = shots;
     for (std::size_t i = 1; i < parts.size(); ++i) {
@@ -106,23 +106,12 @@ TEST(ShardSeed, MatchesSplitMix64Sequence)
 TEST(ShardedSampler, SameSeedGivesByteIdenticalBatch)
 {
     Dem dem = d3Dem(1e-2);
-    SampleBatch a = frameShardRows(dem, 5000, 9, 1, 512);
-    SampleBatch b = frameShardRows(dem, 5000, 9, 1, 512);
+    SampleBatch a = frameShardRows(dem, 5000, 9, 512);
+    SampleBatch b = frameShardRows(dem, 5000, 9, 512);
     EXPECT_EQ(a.det, b.det);
     EXPECT_EQ(a.obs, b.obs);
-    SampleBatch c = frameShardRows(dem, 5000, 10, 1, 512);
+    SampleBatch c = frameShardRows(dem, 5000, 10, 512);
     EXPECT_NE(a.det, c.det);
-}
-
-TEST(ShardedSampler, ThreadCountDoesNotChangeTheBatch)
-{
-    Dem dem = d3Dem(1e-2);
-    SampleBatch serial = frameShardRows(dem, 10000, 42, 1, 512);
-    for (std::size_t threads : {2u, 4u, 8u}) {
-        SampleBatch par = frameShardRows(dem, 10000, 42, threads, 512);
-        EXPECT_EQ(serial.det, par.det) << threads << " threads";
-        EXPECT_EQ(serial.obs, par.obs) << threads << " threads";
-    }
 }
 
 TEST(ShardedSampler, EqualsConcatenatedSerialShardRuns)
@@ -130,7 +119,7 @@ TEST(ShardedSampler, EqualsConcatenatedSerialShardRuns)
     Dem dem = d3Dem(5e-3);
     std::size_t shard_shots = 300;
     std::size_t shots = 1000; // 3 full shards + 1 short shard.
-    SampleBatch whole = frameShardRows(dem, shots, 7, 4, shard_shots);
+    SampleBatch whole = frameShardRows(dem, shots, 7, shard_shots);
     ShardPlan plan{shots, shard_shots};
     for (std::size_t i = 0; i < plan.numShards(); ++i) {
         SampleBatch part =

@@ -63,7 +63,7 @@ smallModel()
 TEST(Registry, EveryRegisteredNameConstructs)
 {
     SmallModel m = smallModel();
-    for (const char *name : {"union_find", "matching", "bp_osd"}) {
+    for (const char *name : {"union_find", "bp_osd"}) {
         auto dec = decoder::Registry::make(name, m.dem, m.circuit);
         ASSERT_NE(dec, nullptr) << name;
         // Empty syndrome decodes to the trivial correction everywhere.
@@ -75,10 +75,14 @@ TEST(Registry, EveryRegisteredNameConstructs)
 
 TEST(Registry, KnownNamesPresent)
 {
-    // The names are fixed; the test-only MLE oracle is not one of them.
+    // The names are fixed; the test-only MLE oracle is not one of them,
+    // and union_find has no second name.
     SmallModel m = smallModel();
-    EXPECT_THROW(decoder::Registry::make("mle", m.dem, m.circuit),
-                 std::invalid_argument);
+    for (const char *name : {"mle", "matching"}) {
+        EXPECT_THROW(decoder::Registry::make(name, m.dem, m.circuit),
+                     std::invalid_argument)
+            << name;
+    }
 }
 
 TEST(Registry, UnknownNameErrorsCleanly)
@@ -243,9 +247,7 @@ TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
     EXPECT_EQ(r.telemetry.coalescedRequests, 0u);
     EXPECT_EQ(r.telemetry.workSteals, 0u);
     EXPECT_EQ(r.telemetry.queueDepth, 0u);
-    api::Engine::CacheStats stats = engine.cacheStats();
-    EXPECT_EQ(stats.circuitEntries, 0u);
-    EXPECT_EQ(stats.demEntries, 0u);
+    EXPECT_EQ(engine.cacheStats().demEntries, 0u);
 
     // Zero shots per point in a sweep: well-formed empty points.
     api::SweepRequest sweep(d3Schedule());
@@ -263,6 +265,22 @@ TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
         EXPECT_EQ(pt.telemetry.cacheMisses, 0u);
     }
     EXPECT_EQ(sr.telemetry.shots, 0u);
+}
+
+TEST(Engine, UltraRareNoiseGivesZeroLer)
+{
+    // At p = 1e-21 every mechanism's first geometric gap exceeds 2^64
+    // shots, so no fault fires in any shot.
+    api::Engine engine;
+    api::LerRequest req = d3Request(1);
+    req.noise = sim::NoiseModel::uniform(1e-21);
+    req.shots = 20000;
+    api::LerResult r = engine.run(req);
+    EXPECT_EQ(r.memory.z.shots, 20000u);
+    EXPECT_EQ(r.memory.x.shots, 20000u);
+    EXPECT_EQ(r.memory.z.failures, 0u);
+    EXPECT_EQ(r.memory.x.failures, 0u);
+    EXPECT_EQ(r.ler(), 0.0);
 }
 
 TEST(Engine, InvalidNoiseStrengthErrorsInsteadOfZeroLer)
@@ -347,7 +365,6 @@ TEST(Engine, CacheHitsReported)
     engine.clearCache();
     stats = engine.cacheStats();
     EXPECT_EQ(stats.demEntries, 0u);
-    EXPECT_EQ(stats.circuitEntries, 0u);
 }
 
 TEST(Engine, CacheDisabledNeverHits)
@@ -376,8 +393,7 @@ TEST(Engine, DecoderOptionsKeyTheDemCache)
     engine.run(first);
     std::size_t demEntries = engine.cacheStats().demEntries;
     api::LerResult r = engine.run(second);
-    EXPECT_EQ(r.telemetry.cacheMisses, 2u)
-        << "one DEM miss per basis; the circuits are shared";
+    EXPECT_EQ(r.telemetry.cacheMisses, 2u) << "one DEM miss per basis";
     EXPECT_EQ(engine.cacheStats().demEntries, 2 * demEntries);
 }
 
@@ -416,26 +432,35 @@ TEST(Engine, CrossRequestShotReuseIsExactAndMonotone)
 
 TEST(Engine, ShotReuseEvictionUnderFifoTallyBound)
 {
-    // Each basis records its own tally stream, so a bound of 1 makes
-    // the X run evict the Z tallies and vice versa: a re-run reuses
-    // nothing. A bound of 2 holds both streams and reuses everything.
-    api::EngineOptions tight;
-    tight.service.maxTallyKeys = 1;
-    api::Engine small(tight);
-    api::LerResult ref = small.run(d3Request(1));
-    api::LerResult rerun = small.run(d3Request(1));
-    EXPECT_EQ(rerun.telemetry.reusedShots, 0u);
-    EXPECT_EQ(rerun.memory.z.failures, ref.memory.z.failures);
-    EXPECT_EQ(rerun.memory.x.failures, ref.memory.x.failures);
-
-    api::EngineOptions roomy;
-    roomy.service.maxTallyKeys = 2;
-    api::Engine big(roomy);
-    big.run(d3Request(1));
-    api::LerResult kept = big.run(d3Request(1));
+    // Each basis records its own tally stream, and the service keeps
+    // the newest kMaxTallyKeys of them. After the reference request and
+    // 31 one-shot requests at other seeds (64 streams) a re-run reuses
+    // everything; one more such request evicts both reference streams,
+    // so the next re-run reuses nothing.
+    static_assert(api::kMaxTallyKeys == 64);
+    api::Engine engine;
+    api::LerResult ref = engine.run(d3Request(1));
+    auto filler = [&](uint64_t seed) {
+        api::LerRequest req = d3Request(1);
+        req.shots = 1;
+        req.seed = seed;
+        engine.run(req);
+    };
+    for (uint64_t seed = 1000; seed < 1031; ++seed) {
+        filler(seed);
+    }
+    EXPECT_EQ(engine.serviceStats().tallyKeys, 64u);
+    api::LerResult kept = engine.run(d3Request(1));
     EXPECT_EQ(kept.telemetry.reusedShots, 8000u);
     EXPECT_EQ(kept.memory.z.failures, ref.memory.z.failures);
     EXPECT_EQ(kept.memory.x.failures, ref.memory.x.failures);
+
+    filler(1031);
+    EXPECT_EQ(engine.serviceStats().tallyKeys, 64u);
+    api::LerResult rerun = engine.run(d3Request(1));
+    EXPECT_EQ(rerun.telemetry.reusedShots, 0u);
+    EXPECT_EQ(rerun.memory.z.failures, ref.memory.z.failures);
+    EXPECT_EQ(rerun.memory.x.failures, ref.memory.x.failures);
 }
 
 TEST(Engine, ShotReuseDisabledThroughServiceOptions)

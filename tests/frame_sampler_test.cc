@@ -45,20 +45,20 @@ ldpcDem(double p)
 }
 
 /**
- * Every shard of a forEachFrameShard run, transposed to rows and
- * concatenated in shard order.
+ * Every shard of @p shots sampled word-packed with its own shard seed,
+ * transposed to rows and concatenated in shard order.
  */
 SampleBatch
 frameShardRows(const Dem &dem, std::size_t shots, uint64_t seed,
-               std::size_t threads, std::size_t shard_shots)
+               std::size_t shard_shots)
 {
     ShardPlan plan{shots, shard_shots};
     std::vector<SampleBatch> parts(plan.numShards());
-    forEachFrameShard(dem, plan, seed, threads,
-                      [&](std::size_t shard, std::size_t,
-                          const FrameBatch &frames) {
-                          transposeView(frames.view(), parts[shard]);
-                      });
+    FrameBatch frames;
+    for (std::size_t i = 0; i < plan.numShards(); ++i) {
+        sampleDemFramesInto(dem, plan.shotsOf(i), shardSeed(seed, i), frames);
+        transposeView(frames.view(), parts[i]);
+    }
     SampleBatch whole = parts.front();
     whole.shots = shots;
     for (std::size_t i = 1; i < parts.size(); ++i) {
@@ -163,22 +163,47 @@ TEST(FrameSampler, PerMechanismFlipCountsMatchProbabilities)
     }
 }
 
-TEST(FrameSampler, ShardedSamplerStillThreadInvariant)
+TEST(FrameSampler, UltraRareMechanismsFireInNoShot)
 {
-    // forEachFrameShard's shards must not depend on the thread count.
-    Dem dem = circuitDem(1e-2);
-    SampleBatch serial = frameShardRows(dem, 5000, 11, 1, 256);
-    for (std::size_t threads : {2u, 4u}) {
-        SampleBatch par = frameShardRows(dem, 5000, 11, threads, 256);
-        EXPECT_EQ(serial.det, par.det) << threads;
-        EXPECT_EQ(serial.obs, par.obs) << threads;
+    // Below p ~ 1e-18 the first geometric gap log(u)/log1p(-p) exceeds
+    // 2^64 shots; it must end the mechanism's stream, not wrap into a
+    // small shot index. Both samplers share the event kernel.
+    for (double p : {1e-21, 1e-30}) {
+        Dem dem;
+        dem.numDetectors = 1;
+        dem.numObservables = 1;
+        ErrorMechanism mech;
+        mech.p = p;
+        mech.detectors = {0};
+        mech.observables = {0};
+        dem.errors.push_back(mech);
+        const std::size_t shots = 100000;
+        for (uint64_t seed : {1u, 2u, 3u}) {
+            SampleBatch rows = sampleDem(dem, shots, seed);
+            std::size_t rowFlips = 0;
+            for (uint64_t w : rows.det) {
+                rowFlips += std::popcount(w);
+            }
+            EXPECT_EQ(rowFlips, 0u) << "p=" << p << " seed=" << seed;
+            FrameBatch frames = sampleDemFrames(dem, shots, seed);
+            std::size_t frameFlips = 0;
+            for (uint64_t w : frames.det) {
+                frameFlips += std::popcount(w);
+            }
+            EXPECT_EQ(frameFlips, 0u) << "p=" << p << " seed=" << seed;
+        }
     }
-    // And it still equals per-shard scalar runs.
+}
+
+TEST(FrameSampler, ShardedFramesEqualPerShardScalarRuns)
+{
+    Dem dem = circuitDem(1e-2);
+    SampleBatch sharded = frameShardRows(dem, 5000, 11, 256);
     ShardPlan plan{5000, 256};
     for (std::size_t i = 0; i < plan.numShards(); i += 5) {
         SampleBatch part = sampleDem(dem, plan.shotsOf(i), shardSeed(11, i));
         for (std::size_t s = 0; s < part.shots; s += 13) {
-            EXPECT_EQ(serial.flippedDetectors(plan.offsetOf(i) + s),
+            EXPECT_EQ(sharded.flippedDetectors(plan.offsetOf(i) + s),
                       part.flippedDetectors(s));
         }
     }

@@ -261,6 +261,32 @@ TEST(SweepCheckpoint, RejectsCorruptInput)
                  std::runtime_error);
 }
 
+TEST(SweepCheckpoint, RejectsNumbersBeyondUint64)
+{
+    // Each must be range-checked before any conversion to an integer:
+    // casting an out-of-range double is undefined behaviour, which the
+    // float-cast-overflow sanitizer reports.
+    std::string good = sampleCheckpoint().toJson();
+    auto replaced = [&](const std::string &from, const std::string &to) {
+        std::string json = good;
+        std::size_t pos = json.find(from);
+        EXPECT_NE(pos, std::string::npos) << from;
+        return pos == std::string::npos ? json
+                                        : json.replace(pos, from.size(), to);
+    };
+    for (const char *big : {"1e30", "18446744073709551616"}) {
+        EXPECT_THROW(api::SweepCheckpoint::fromJson(replaced(
+                         "\"shard_count\": 1",
+                         std::string("\"shard_count\": ") + big)),
+                     std::runtime_error)
+            << big;
+        EXPECT_THROW(api::SweepCheckpoint::fromJson(replaced(
+                         "[256,1,256,2", std::string("[") + big + ",1,256,2")),
+                     std::runtime_error)
+            << big;
+    }
+}
+
 TEST(SweepCheckpoint, RejectsInconsistentTallies)
 {
     // failures > shots cannot come from a real run.
@@ -310,7 +336,7 @@ TEST(SweepFingerprint, BindsTallyAffectingFields)
     EXPECT_NE(api::sweepFingerprint(changed), fp);
 
     changed = base;
-    changed.decoder = "matching";
+    changed.decoder = "bp_osd";
     EXPECT_NE(api::sweepFingerprint(changed), fp);
 
     // Decoder options bind too, down to the last bit of a double.
