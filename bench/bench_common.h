@@ -13,11 +13,13 @@
 #ifndef PROPHUNT_BENCH_COMMON_H
 #define PROPHUNT_BENCH_COMMON_H
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "api/config.h"
 #include "api/engine.h"
@@ -127,6 +129,29 @@ combinedLer(const prophunt::circuit::SmSchedule &sched, std::size_t rounds,
     return engine().run(req).ler();
 }
 
+/**
+ * combinedLer of each schedule in @p scheds. A schedule equal to an
+ * earlier one takes that one's number without being decoded again: the
+ * same inputs at the same seed give the same LER.
+ */
+inline std::vector<double>
+combinedLers(const std::vector<prophunt::circuit::SmSchedule> &scheds,
+             std::size_t rounds, double p,
+             const prophunt::decoder::DecoderSpec &decoder,
+             std::size_t num_shots, uint64_t seed)
+{
+    std::vector<double> lers;
+    for (std::size_t i = 0; i < scheds.size(); ++i) {
+        std::size_t first =
+            std::find(scheds.begin(), scheds.end(), scheds[i]) -
+            scheds.begin();
+        lers.push_back(first < i ? lers[first]
+                                 : combinedLer(scheds[i], rounds, p, decoder,
+                                               num_shots, seed));
+    }
+    return lers;
+}
+
 /** Decoder choice matching the paper: matching for surface, BP for LDPC. */
 inline prophunt::decoder::DecoderSpec
 decoderFor(const prophunt::code::CssCode &code)
@@ -153,9 +178,9 @@ roundsFor(const prophunt::code::CssCode &code, std::size_t distance)
     return distance;
 }
 
-/** Default PropHunt options scaled by the environment. The LER knobs are
- * shared with the optimizer so PROPHUNT_THREADS sizes one pool for
- * sampling, candidate verification, and LER scoring alike. */
+/** Default PropHunt options scaled by the environment. PROPHUNT_THREADS
+ * sizes the optimizer's sampling and candidate verification as it sizes
+ * LER scoring. */
 inline prophunt::core::PropHuntOptions
 defaultOptions(uint64_t seed)
 {

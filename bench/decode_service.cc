@@ -9,7 +9,7 @@
  *    shot budget — the machine-speed reference all committed-baseline
  *    gates are guarded by;
  *  - a single-client phase: one thread draining the request list
- *    through the service (warm lane groups, no tally reuse), whose
+ *    through the service (warm lane groups), whose
  *    shots/sec must sustain the committed single-request rate on rqt54
  *    within 5% slack on hardware at least as fast as the baseline's;
  *  - client phases N in {1, 2, 4}: the same request list split
@@ -26,8 +26,7 @@
  * the run FAILS on any mismatch (the service determinism contract,
  * observed under real saturation rather than a test harness).
  *
- * Tally reuse is disabled (distinct work per request is the point);
- * coalescing stays on so clients share each code's warm clone group.
+ * Coalescing stays on so clients share each code's warm clone group.
  *
  * Writes $PROPHUNT_BENCH_OUT (default BENCH_decode_service.json);
  * the committed reference lives at $PROPHUNT_DECODE_SERVICE_BASELINE
@@ -171,9 +170,7 @@ runConfig(const Config &cfg)
 
     // --- the service under saturation: one persistent instance across
     // all phases (warm clones carry over — that is the product).
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false;
-    api::DecodeService service(opts);
+    api::DecodeService service;
     for (std::size_t clients : kClientCounts) {
         Phase best;
         for (std::size_t rep = 0; rep < reps; ++rep) {
@@ -199,7 +196,7 @@ int
 main()
 {
     std::printf("=== DecodeService saturation: N clients, persistent lane "
-                "pools (reuse off, coalescing on) ===\n");
+                "pools (coalescing on) ===\n");
     std::printf("Expected shape: single-client shots/sec ~= raw serial "
                 "rate; identical failures at every client count; "
                 "shots/sec non-collapsing (multi-core: scaling up) as "

@@ -17,8 +17,8 @@ BM_MemoryLerD3(benchmark::State &state)
 {
     code::SurfaceCode s(3);
     circuit::SmSchedule nz = circuit::nzSchedule(s);
-    // A fresh seed per iteration: a repeated one would be answered from
-    // the decode service's recorded tallies instead of being decoded.
+    // A fresh seed per iteration, so each timed run decodes a new sample
+    // stream rather than the same shots every time.
     uint64_t seed = 5;
     for (auto _ : state) {
         benchmark::DoNotOptimize(phbench::combinedLer(

@@ -83,18 +83,17 @@ runCode(const CodeSpec &spec)
         std::printf(" %12s", "hand");
     }
     std::printf("\n");
+    // At small iteration budgets "intermediate" is often "prophunt"
+    // itself; combinedLers scores each distinct schedule once.
+    std::vector<circuit::SmSchedule> columns = {start, mid, end};
+    if (spec.hand) {
+        columns.push_back(*spec.hand);
+    }
     for (double p : {1e-3, 2e-3, 4e-3}) {
-        double l0 = phbench::combinedLer(start, rounds, p, kind, n_shots,
-                                         201);
-        double lm =
-            phbench::combinedLer(mid, rounds, p, kind, n_shots, 201);
-        double l1 =
-            phbench::combinedLer(end, rounds, p, kind, n_shots, 201);
-        std::printf("%10.4f %12.5f %12.5f %12.5f", p, l0, lm, l1);
-        if (spec.hand) {
-            std::printf(" %12.5f",
-                        phbench::combinedLer(*spec.hand, rounds, p, kind,
-                                             n_shots, 201));
+        std::printf("%10.4f", p);
+        for (double ler : phbench::combinedLers(columns, rounds, p, kind,
+                                                n_shots, 201)) {
+            std::printf(" %12.5f", ler);
         }
         std::printf("\n");
     }

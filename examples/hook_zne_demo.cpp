@@ -38,7 +38,7 @@ main(int argc, char **argv)
     oreq.options.samplesPerIteration = 40;
     oreq.options.maxAmbiguousPerIteration = 2;
     oreq.options.seed = 77;
-    oreq.options.ler = cfg.lerOptions();
+    oreq.options.threads = cfg.threads;
     api::OptimizeResult res = engine.run(oreq);
     const auto &snapshots = res.outcome.snapshots;
 
@@ -46,9 +46,15 @@ main(int argc, char **argv)
     std::printf("Intermediate SM circuits as noise-amplification levels "
                 "(d=3, p=2e-3):\n");
     std::printf("%10s %10s %12s\n", "snapshot", "depth", "LER");
+    // An iteration that applies no change repeats the previous snapshot,
+    // whose LER at the same seed is already on its way: submit only the
+    // first of each run of equal snapshots.
     std::vector<std::future<api::LerResult>> futures;
-    for (const auto &snap : snapshots) {
-        api::LerRequest req(snap);
+    for (std::size_t i = 0; i < snapshots.size(); ++i) {
+        if (i > 0 && snapshots[i] == snapshots[i - 1]) {
+            continue;
+        }
+        api::LerRequest req(snapshots[i]);
         req.rounds = 3;
         req.noise = sim::NoiseModel::uniform(2e-3);
         req.decoder = "union_find";
@@ -58,8 +64,10 @@ main(int argc, char **argv)
         futures.push_back(engine.submit(std::move(req)));
     }
     std::vector<double> lers;
-    for (std::size_t i = 0; i < futures.size(); ++i) {
-        double ler = futures[i].get().ler();
+    for (std::size_t i = 0, next = 0; i < snapshots.size(); ++i) {
+        double ler = i > 0 && snapshots[i] == snapshots[i - 1]
+                         ? lers.back()
+                         : futures[next++].get().ler();
         lers.push_back(ler);
         std::printf("%10zu %10zu %12.5f\n", i, snapshots[i].depth(), ler);
     }

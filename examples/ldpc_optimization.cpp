@@ -45,7 +45,7 @@ optimizeCode(const code::CssCode &code, std::size_t distance,
     oreq.options.iterations = 6;
     oreq.options.samplesPerIteration = 200;
     oreq.options.seed = 1234;
-    oreq.options.ler = cfg.lerOptions();
+    oreq.options.threads = cfg.threads;
     api::OptimizeResult res = engine.run(oreq);
 
     for (const auto &rec : res.outcome.history) {

@@ -356,7 +356,6 @@ main(int argc, char **argv)
     oreq.options.iterations = std::strtoull(argv[3], nullptr, 10);
     oreq.options.threads =
         argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
-    oreq.options.ler.threads = oreq.options.threads;
     oreq.options.seed = 1;
     api::OptimizeResult res = engine.run(oreq);
     for (const auto &rec : res.outcome.history) {
@@ -380,7 +379,7 @@ main(int argc, char **argv)
         req.decoder = dec;
         req.shots = shots;
         req.seed = 3;
-        req.ler = oreq.options.ler;
+        req.ler.threads = oreq.options.threads;
         return engine.run(req).ler();
     };
     double l0 = ler(start), l1 = ler(res.finalSchedule());

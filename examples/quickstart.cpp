@@ -77,7 +77,7 @@ main(int argc, char **argv)
     oreq.options.samplesPerIteration = 200;
     oreq.options.p = 1e-3;
     oreq.options.seed = 7;
-    oreq.options.ler = cfg.lerOptions();
+    oreq.options.threads = cfg.threads;
     api::OptimizeResult result = engine.run(oreq);
 
     for (const auto &rec : result.outcome.history) {

@@ -1,28 +1,79 @@
 #include "api/config.h"
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 namespace prophunt::api {
+
+namespace {
+
+[[noreturn]] void
+malformed(const char *what, const char *text, const char *expected)
+{
+    throw std::invalid_argument(std::string(what) + ": expected " +
+                                expected + ", got '" + text + "'");
+}
+
+/** @p text, all of it, as a non-negative decimal integer. */
+std::size_t
+parseSize(const char *what, const char *text)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text, &end, 10);
+    if (!std::isdigit((unsigned char)text[0]) || *end != '\0' ||
+        errno == ERANGE) {
+        malformed(what, text, "a non-negative integer");
+    }
+    return (std::size_t)v;
+}
+
+/** @p text, all of it, as a finite non-negative decimal number. */
+double
+parseDouble(const char *what, const char *text)
+{
+    char *end = nullptr;
+    double v = std::strtod(text, &end);
+    if (!(std::isdigit((unsigned char)text[0]) || text[0] == '.') ||
+        *end != '\0' || !std::isfinite(v)) {
+        malformed(what, text, "a non-negative number");
+    }
+    return v;
+}
+
+/** The variable's value, or nullptr when it is unset or empty. */
+const char *
+envValue(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v != nullptr && v[0] != '\0' ? v : nullptr;
+}
+
+} // namespace
 
 std::size_t
 envSize(const char *name, std::size_t def)
 {
-    const char *v = std::getenv(name);
-    return v ? (std::size_t)std::strtoull(v, nullptr, 10) : def;
+    const char *v = envValue(name);
+    return v ? parseSize(name, v) : def;
 }
 
 double
 envDouble(const char *name, double def)
 {
-    const char *v = std::getenv(name);
-    return v ? std::strtod(v, nullptr) : def;
+    const char *v = envValue(name);
+    return v ? parseDouble(name, v) : def;
 }
 
 bool
 envFlag(const char *name)
 {
-    return std::getenv(name) != nullptr;
+    return envValue(name) != nullptr;
 }
 
 Config
@@ -40,7 +91,7 @@ Config::fromEnv()
     cfg.maxFailures = envSize("PROPHUNT_MAX_FAILURES", cfg.maxFailures);
     cfg.zneTrials = envSize("PROPHUNT_ZNE_TRIALS", cfg.zneTrials);
     cfg.benchReps = envSize("PROPHUNT_BENCH_REPS", cfg.benchReps);
-    if (const char *out = std::getenv("PROPHUNT_BENCH_OUT")) {
+    if (const char *out = envValue("PROPHUNT_BENCH_OUT")) {
         cfg.benchOut = out;
     }
     return cfg;
@@ -57,15 +108,14 @@ Config::applyArgs(int &argc, char **argv)
     };
     for (int i = 1; i < argc;) {
         if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-            threads = (std::size_t)std::strtoull(argv[i + 1], nullptr, 10);
+            threads = parseSize("--threads", argv[i + 1]);
             eat(i, 2);
         } else if (std::strcmp(argv[i], "--shots") == 0 && i + 1 < argc) {
-            shots = (std::size_t)std::strtoull(argv[i + 1], nullptr, 10);
+            shots = parseSize("--shots", argv[i + 1]);
             eat(i, 2);
         } else if (std::strcmp(argv[i], "--max-failures") == 0 &&
                    i + 1 < argc) {
-            maxFailures =
-                (std::size_t)std::strtoull(argv[i + 1], nullptr, 10);
+            maxFailures = parseSize("--max-failures", argv[i + 1]);
             eat(i, 2);
         } else {
             ++i;
@@ -90,7 +140,7 @@ Config::propHuntOptions(uint64_t seed) const
     opts.samplesPerIteration = samplesPerIteration;
     opts.satTimeoutSeconds = satTimeoutSeconds;
     opts.seed = seed;
-    opts.ler = lerOptions();
+    opts.threads = threads;
     return opts;
 }
 

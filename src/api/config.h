@@ -12,7 +12,7 @@
  *   PROPHUNT_ITERS        PropHunt iterations (6)
  *   PROPHUNT_SAMPLES      Subgraph samples per iteration (200)
  *   PROPHUNT_SAT_TIMEOUT  Seconds per MaxSAT solve (60)
- *   PROPHUNT_FULL         If set, include the largest codes in sweeps
+ *   PROPHUNT_FULL         If set non-empty, include the largest codes
  *   PROPHUNT_THREADS      Worker threads (0 = hardware concurrency)
  *   PROPHUNT_MAX_FAILURES Early-stop failure target per LER run (0 = off)
  *   PROPHUNT_ZNE_TRIALS   Trials per ZNE bias estimate (200)
@@ -31,13 +31,21 @@
 
 namespace prophunt::api {
 
-/** std::getenv as a size_t, with a default. */
+/**
+ * std::getenv as a size_t, with a default for an unset or empty
+ * variable. Throws std::invalid_argument naming @p name unless the whole
+ * value is a non-negative decimal integer.
+ */
 std::size_t envSize(const char *name, std::size_t def);
 
-/** std::getenv as a double, with a default. */
+/**
+ * std::getenv as a double, with a default for an unset or empty
+ * variable. Throws std::invalid_argument naming @p name unless the whole
+ * value is a finite non-negative decimal number.
+ */
 double envDouble(const char *name, double def);
 
-/** True iff the variable is set (to anything). */
+/** True iff the variable is set to a non-empty value. */
 bool envFlag(const char *name);
 
 /** Harness configuration: env defaults overlaid by CLI flags. */
@@ -61,14 +69,15 @@ struct Config
     /**
      * Strip recognized flags from argv (adjusting argc) and overlay them:
      * --threads N, --shots N, --max-failures N. Unrecognized arguments
-     * are left in place for the caller.
+     * are left in place for the caller. Throws std::invalid_argument
+     * naming the flag unless N is a non-negative decimal integer.
      */
     void applyArgs(int &argc, char **argv);
 
     /** LER-engine knobs (threads, early stop) from this configuration. */
     decoder::LerOptions lerOptions() const;
 
-    /** Optimizer knobs sharing the same thread-pool configuration. */
+    /** Optimizer knobs sharing the same thread count. */
     core::PropHuntOptions propHuntOptions(uint64_t seed) const;
 };
 

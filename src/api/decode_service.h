@@ -23,14 +23,10 @@
  *    per request because every request's shards are seeded from its own
  *    SplitMix64 range (sim::shardSeed(seed, shard)) — the answer is
  *    bit-identical to a serial run at any thread count and any arrival
- *    order;
- *  - completed shard tallies (failures + packed-decode stats per shard
- *    seed) are recorded under a (key, seed, shard size) stream, at most
- *    kMaxTallyKeys streams (FIFO), so later requests — or coalesced
- *    concurrent ones — satisfy part of their shot budget without
- *    re-decoding. Reuse is bit-exact by construction: a tally is only
- *    consulted when its tuple matches exactly, and shard results do not
- *    depend on which thread or clone produced them.
+ *    order.
+ *
+ * Every measure() samples and decodes every shard it accounts; nothing
+ * is carried between requests except warm decoder clones.
  *
  * Determinism contract: measure() returns exactly what
  * decoder::measureDemLer(dem, clone, shots, seed, ler) returns for the
@@ -69,13 +65,8 @@ struct DecodeServiceOptions
      * small machines).
      */
     std::size_t threads = 0;
-    /** Record and reuse per-shard tallies across requests. */
-    bool reuseShots = true;
 };
 
-/** FIFO bound on distinct tally keys. Each key holds the tallies of one
- * (decode key, seed, shard size) stream. */
-inline constexpr std::size_t kMaxTallyKeys = 64;
 /** FIFO bound on warm lane groups. */
 inline constexpr std::size_t kMaxLaneGroups = 16;
 
@@ -84,11 +75,11 @@ inline constexpr std::size_t kMaxLaneGroups = 16;
  * artifact cache) and a shot budget.
  *
  * Jobs with equal @p key MUST describe bit-identical decode problems —
- * the key is the coalescing and reuse identity. @p keepAlive guards
- * that contract: it pins the artifacts alive and is compared by pointer
- * identity before any cached lane group or tally is trusted, so a
+ * the key is the coalescing and warm-clone identity. @p keepAlive
+ * guards that contract: it pins the artifacts alive and is compared by
+ * pointer identity before a warm lane group's clones are trusted, so a
  * 64-bit key collision or a rebuilt artifact degrades to a cold start,
- * never to wrong reuse.
+ * never to decoding with another problem's clones.
  */
 struct DecodeJob
 {
@@ -115,8 +106,6 @@ struct DecodeJob
 struct DecodeOutcome
 {
     decoder::LerResult result;
-    /** Shots of the accounted result satisfied from recorded tallies. */
-    std::size_t reusedShots = 0;
     /** Admitted while another request with the same key was in flight. */
     bool coalesced = false;
     /** Shards of this request a thread decoded right after serving a
@@ -126,21 +115,19 @@ struct DecodeOutcome
     std::size_t queueDepth = 0;
 };
 
-/** Monotone service-lifetime counters (tallyKeys/laneGroups are
- * point-in-time sizes). */
+/** Monotone service-lifetime counters (laneGroups is a point-in-time
+ * size). */
 struct DecodeServiceStats
 {
     std::size_t requests = 0;
     std::size_t coalescedRequests = 0;
     std::size_t steals = 0;
-    std::size_t reusedShots = 0;
     std::size_t decodedShards = 0;
     std::size_t peakQueueDepth = 0;
     /** Shard decoder checkouts served by a warm clone vs a fresh
      * prototype->clone(). */
     std::size_t cloneHits = 0;
     std::size_t cloneMisses = 0;
-    std::size_t tallyKeys = 0;
     std::size_t laneGroups = 0;
 };
 
@@ -161,15 +148,15 @@ class DecodeService
     /**
      * Run one decode job to completion (blocking). Bit-identical to
      * decoder::measureDemLer on the same (dem, prototype clone, shots,
-     * seed, ler) regardless of thread count, arrival order, coalescing,
-     * or tally reuse. Throws std::invalid_argument on invalid DEM
+     * seed, ler) regardless of thread count, arrival order, or
+     * coalescing. Throws std::invalid_argument on invalid DEM
      * probabilities (before any shard is queued).
      */
     DecodeOutcome measure(const DecodeJob &job);
 
     DecodeServiceStats stats() const;
 
-    /** Drop all warm lane groups and recorded tallies. */
+    /** Drop all warm lane groups. */
     void clear();
 
   private:
@@ -178,21 +165,6 @@ class DecodeService
     {
         std::shared_ptr<const void> owner;
         std::vector<std::unique_ptr<decoder::Decoder>> idle;
-    };
-
-    /** Bit-exact result of one decoded shard. */
-    struct ShardTally
-    {
-        std::size_t shots = 0; ///< 0 = not recorded.
-        std::size_t failures = 0;
-        decoder::PackedDecodeStats stats;
-    };
-
-    /** Recorded tallies of one (key, seed, shard size) stream. */
-    struct TallyEntry
-    {
-        std::shared_ptr<const void> owner;
-        std::vector<ShardTally> shards; ///< Indexed by shard number.
     };
 
     sim::WorkerPool &pool();
@@ -209,8 +181,6 @@ class DecodeService
     mutable std::mutex mutex_;
     std::map<std::string, std::shared_ptr<LaneGroup>> groups_;
     std::deque<std::string> groupOrder_;
-    std::map<std::string, std::shared_ptr<TallyEntry>> tallies_;
-    std::deque<std::string> tallyOrder_;
     /** In-flight requests per key (coalescing detection). */
     std::map<std::string, std::size_t> activeKeys_;
     std::size_t pendingShards_ = 0;

@@ -135,7 +135,6 @@ Engine::serviceMeasure(const Artifact &art, std::size_t shots, uint64_t seed,
     telemetry.decodeUs += now_us() - t0;
     telemetry.shots += o.result.shots;
     telemetry.packed += o.result.packed;
-    telemetry.reusedShots += o.reusedShots;
     telemetry.coalescedRequests += o.coalesced ? 1 : 0;
     telemetry.workSteals += o.steals;
     telemetry.queueDepth = std::max(telemetry.queueDepth, o.queueDepth);

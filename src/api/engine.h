@@ -18,8 +18,8 @@
  *    chunks alike) flows through a long-lived api::DecodeService, which
  *    keeps lane groups of warm decoder clones per decode key, coalesces
  *    concurrent same-key requests into one shard stream on a persistent
- *    worker pool, and reuses recorded shard tallies across requests —
- *    all bit-identical to a serial decoder::measureMemoryLer run.
+ *    worker pool, and samples and decodes every shard it reports — all
+ *    bit-identical to a serial decoder::measureMemoryLer run.
  *  - async submission: submit() enqueues the request onto one
  *    dispatcher thread and returns a std::future; each job still fans
  *    its shots out over the shared persistent worker pool.
@@ -67,7 +67,7 @@ struct EngineOptions
 {
     /** Reuse DEMs and decoder prototypes across requests. */
     bool cacheEnabled = true;
-    /** Decode-service knobs (pool sizing, shot reuse). */
+    /** Decode-service knobs (pool sizing). */
     DecodeServiceOptions service;
 };
 
@@ -106,7 +106,8 @@ class Engine
     CacheStats cacheStats() const;
     void clearCache();
 
-    /** Decode-service lifetime counters (coalescing, steals, reuse). */
+    /** Decode-service lifetime counters (coalescing, steals, decoded
+     * shards). */
     DecodeServiceStats serviceStats() const;
 
   private:
@@ -124,7 +125,7 @@ class Engine
     };
 
     /** What one measurement borrows: the shared DEM entry plus its cache
-     * key — the decode service's coalescing/reuse identity. Decoder
+     * key — the decode service's coalescing/warm-clone identity. Decoder
      * clones are checked out inside the service per shard. */
     struct Artifact
     {

@@ -38,8 +38,8 @@ struct Telemetry
     std::size_t cacheMisses = 0;
     /** Total shots actually sampled (both bases). */
     std::size_t shots = 0;
-    /** Shots of the result satisfied from the decode service's recorded
-     * shard tallies instead of fresh sampling + decoding. */
+    /** Always 0: every accounted shot is sampled and decoded. Kept only
+     * so existing readers of the field still build. */
     std::size_t reusedShots = 0;
     /** Decode-service jobs of this request admitted while another
      * request with the same decode key was already in flight. */
@@ -62,7 +62,6 @@ struct Telemetry
         cacheHits += o.cacheHits;
         cacheMisses += o.cacheMisses;
         shots += o.shots;
-        reusedShots += o.reusedShots;
         coalescedRequests += o.coalescedRequests;
         workSteals += o.workSteals;
         queueDepth = queueDepth > o.queueDepth ? queueDepth : o.queueDepth;

@@ -88,9 +88,9 @@ struct FrameShardScratch
  *
  * Frames flow into the decoder packed (decodePacked), the one batch
  * decode entry; no shard is transposed. The one shard-tally
- * computation shared by measureDemLer and api::DecodeService — a tally
- * recorded under (DEM, decoder, shard seed, shard shots) is bit-exact
- * reusable wherever the same tuple recurs.
+ * computation shared by measureDemLer and api::DecodeService: the tally
+ * is a pure function of (DEM, decoder, shard seed, shard shots), so any
+ * thread or clone that decodes a shard gets the same one.
  */
 std::size_t decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,
                              FrameShardScratch &scratch);

@@ -15,16 +15,6 @@ namespace {
 
 using sim::parallelFor;
 
-/** Effective worker count: explicit threads, else the LER engine's knob,
- * else hardware concurrency — one pool configuration for the pipeline. */
-std::size_t
-workerCount(const PropHuntOptions &opts)
-{
-    std::size_t requested =
-        opts.threads != 0 ? opts.threads : opts.ler.threads;
-    return sim::resolveThreads(requested);
-}
-
 /**
  * Ambiguous subgraphs sampled from one DEM, deduplicated.
  *
@@ -79,7 +69,7 @@ PropHunt::optimize(const circuit::SmSchedule &start,
     OptimizeResult result;
     result.snapshots.push_back(start);
     circuit::SmSchedule current = start;
-    std::size_t threads = workerCount(opts_);
+    std::size_t threads = sim::resolveThreads(opts_.threads);
     sim::NoiseModel noise = sim::NoiseModel::uniform(opts_.p);
     sim::Rng rng(opts_.seed);
     std::size_t stalled = 0;

@@ -19,7 +19,6 @@
 #include <limits>
 #include <vector>
 
-#include "decoder/logical_error.h"
 #include "prophunt/changes.h"
 #include "prophunt/minweight.h"
 #include "prophunt/pruning.h"
@@ -43,19 +42,10 @@ struct PropHuntOptions
     std::size_t maxCost = 12;
     double satTimeoutSeconds = 5.0;
     /**
-     * Worker threads for subgraph sampling and candidate verification;
-     * 0 defers to ler.threads (and hardware concurrency if that is also
-     * 0), so one knob sizes the shared pool for the whole pipeline.
+     * Worker threads for subgraph sampling and candidate verification
+     * (0 = hardware concurrency).
      */
     std::size_t threads = 0;
-    /**
-     * Monte-Carlo LER engine knobs shared with any logical-error-rate
-     * scoring done on behalf of the optimizer (candidate sweeps, final
-     * before/after measurement). Callers that score schedules should pass
-     * this through measureMemoryLer so the optimizer and the LER engine
-     * draw from one thread-pool configuration and early-stopping policy.
-     */
-    decoder::LerOptions ler;
     uint64_t seed = 1;
     /**
      * Ablation: verify that candidates actually remove the found

@@ -5,12 +5,11 @@
  * The service promise under test: measure() returns exactly what a
  * serial decoder::measureDemLer run returns for the same (dem, decoder,
  * shots, seed, ler) — for every thread count, every arrival order of
- * concurrent requests, and every coalescing / tally-reuse / lane-group
- * cache state. On top of that, the suite pins the service-only
- * behaviors: deterministic coalescing detection (via a gate decoder
- * that holds one request in flight until a second is admitted),
- * bit-exact cross-request shot reuse including the partial-trailing-
- * shard guard, FIFO eviction of tally keys and lane groups, warm-clone
+ * concurrent requests, and every coalescing / lane-group cache state.
+ * On top of that, the suite pins the service-only behaviors:
+ * deterministic coalescing detection (via a gate decoder that holds one
+ * request in flight until a second is admitted), an identical rerun
+ * decoding every shard again, FIFO eviction of lane groups, warm-clone
  * checkout accounting, cancellation prefix semantics, and the
  * WorkerPool primitive itself (full coverage, nesting, exception
  * propagation, stop flags).
@@ -347,7 +346,6 @@ TEST(DecodeService, MatchesSerialReferenceAcrossThreadCounts)
             service.measure(jobFor(m, "d3", 4096, 99, 256, threads));
         SCOPED_TRACE("threads=" + std::to_string(threads));
         expectSameResult(out.result, ref);
-        EXPECT_EQ(out.reusedShots, 0u);
         EXPECT_FALSE(out.coalesced);
     }
 }
@@ -394,8 +392,6 @@ TEST(DecodeService, MaxFailuresEarlyStopMatchesSerial)
             api::DecodeService service;
             api::DecodeJob job = jobFor(m, "hot", 4000, 13, 128, threads);
             job.ler.maxFailures = maxFailures;
-            expectSameResult(service.measure(job).result, want);
-            // Again, now fed from the recorded tallies.
             expectSameResult(service.measure(job).result, want);
         }
     }
@@ -499,103 +495,20 @@ TEST(DecodeService, CoalescingDetectedDeterministically)
     EXPECT_EQ(service.stats().coalescedRequests, 1u);
 }
 
-// --- cross-request shot reuse -----------------------------------------------
+// --- reruns and warm clones -------------------------------------------------
 
-TEST(DecodeService, TallyReuseSatisfiesIdenticalRerunWithoutDecoding)
+TEST(DecodeService, IdenticalRerunDecodesEveryShard)
 {
     auto m = makeModel();
     api::DecodeService service;
-    api::DecodeJob job = jobFor(m, "d3", 2048, 7, 256);
-
-    api::DecodeOutcome first = service.measure(job);
-    EXPECT_EQ(first.reusedShots, 0u);
-    api::DecodeServiceStats after1 = service.stats();
-    EXPECT_EQ(after1.decodedShards, 8u);
-    EXPECT_EQ(after1.tallyKeys, 1u);
-
-    api::DecodeOutcome second = service.measure(job);
-    expectSameResult(second.result, first.result);
-    EXPECT_EQ(second.reusedShots, 2048u);
-    api::DecodeServiceStats after2 = service.stats();
-    EXPECT_EQ(after2.decodedShards, 8u)
-        << "a fully reused rerun must not decode any shard";
-    EXPECT_EQ(after2.reusedShots, 2048u);
-}
-
-TEST(DecodeService, TallyReuseExtendsToLargerBudget)
-{
-    auto m = makeModel();
-    api::DecodeService service;
-    service.measure(jobFor(m, "d3", 1024, 7, 256));
-    api::DecodeOutcome out = service.measure(jobFor(m, "d3", 2048, 7, 256));
-    expectSameResult(out.result, serialRef(*m, 2048, 7, 256));
-    EXPECT_EQ(out.reusedShots, 1024u)
-        << "the recorded 4-shard prefix satisfies half the larger budget";
-}
-
-TEST(DecodeService, PartialTrailingShardIsNeverReused)
-{
-    // A 640-shot run at 256-shot shards records shards of 256/256/128.
-    // A later 1024-shot run may reuse only the two full shards: the
-    // first 128 shots of a 256-shot shard sample are NOT the 128-shot
-    // sample of the same seed, so size-mismatched tallies must re-decode.
-    auto m = makeModel();
-    api::DecodeService service;
-    service.measure(jobFor(m, "d3", 640, 7, 256));
-    api::DecodeOutcome out = service.measure(jobFor(m, "d3", 1024, 7, 256));
-    expectSameResult(out.result, serialRef(*m, 1024, 7, 256));
-    EXPECT_EQ(out.reusedShots, 512u);
-}
-
-TEST(DecodeService, DifferentSeedsAndShardSizesDoNotShareTallies)
-{
-    auto m = makeModel();
-    api::DecodeService service;
-    service.measure(jobFor(m, "d3", 1024, 7, 256));
-    api::DecodeOutcome seed = service.measure(jobFor(m, "d3", 1024, 8, 256));
-    EXPECT_EQ(seed.reusedShots, 0u);
-    expectSameResult(seed.result, serialRef(*m, 1024, 8, 256));
-    api::DecodeOutcome width = service.measure(jobFor(m, "d3", 1024, 7, 128));
-    EXPECT_EQ(width.reusedShots, 0u);
-    expectSameResult(width.result, serialRef(*m, 1024, 7, 128));
-}
-
-TEST(DecodeService, ReuseOffDecodesEveryTime)
-{
-    auto m = makeModel();
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false;
-    api::DecodeService service(opts);
     api::DecodeJob job = jobFor(m, "d3", 1024, 7, 256);
     api::DecodeOutcome first = service.measure(job);
+    EXPECT_EQ(service.stats().decodedShards, 4u);
     api::DecodeOutcome second = service.measure(job);
     expectSameResult(second.result, first.result);
-    EXPECT_EQ(second.reusedShots, 0u);
-    api::DecodeServiceStats stats = service.stats();
-    EXPECT_EQ(stats.decodedShards, 8u);
-    EXPECT_EQ(stats.reusedShots, 0u);
-    EXPECT_EQ(stats.tallyKeys, 0u);
-}
-
-TEST(DecodeService, FifoTallyEvictionDropsOldestKey)
-{
-    // kMaxTallyKeys streams fit; the 65th evicts the oldest.
-    static_assert(api::kMaxTallyKeys == 64);
-    auto m = makeModel();
-    api::DecodeService service;
-    service.measure(jobFor(m, "A", 512, 7, 256));
-    for (int k = 1; k < 64; ++k) {
-        service.measure(jobFor(m, "K" + std::to_string(k), 1, 7, 1));
-    }
-    EXPECT_EQ(service.stats().tallyKeys, 64u);
-    api::DecodeOutcome kept = service.measure(jobFor(m, "A", 512, 7, 256));
-    EXPECT_EQ(kept.reusedShots, 512u);
-
-    service.measure(jobFor(m, "K64", 1, 7, 1)); // evicts A's stream
-    EXPECT_EQ(service.stats().tallyKeys, 64u);
-    api::DecodeOutcome again = service.measure(jobFor(m, "A", 512, 7, 256));
-    EXPECT_EQ(again.reusedShots, 0u);
-    expectSameResult(again.result, serialRef(*m, 512, 7, 256));
+    expectSameResult(second.result, serialRef(*m, 1024, 7, 256));
+    EXPECT_EQ(service.stats().decodedShards, 8u)
+        << "a rerun must sample and decode every shard again";
 }
 
 TEST(DecodeService, FifoLaneGroupEvictionBoundsWarmClones)
@@ -604,9 +517,7 @@ TEST(DecodeService, FifoLaneGroupEvictionBoundsWarmClones)
     // next request must clone the prototype again.
     static_assert(api::kMaxLaneGroups == 16);
     auto m = makeModel();
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false;
-    api::DecodeService service(opts);
+    api::DecodeService service;
     for (int k = 0; k < 16; ++k) {
         service.measure(jobFor(m, "K" + std::to_string(k), 256, 7, 256));
     }
@@ -628,9 +539,7 @@ TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
     // of the first request clones the prototype, every later shard and
     // every later request reuses that one warm clone.
     auto m = makeModel();
-    api::DecodeServiceOptions opts;
-    opts.reuseShots = false; // force the second request to decode
-    api::DecodeService service(opts);
+    api::DecodeService service;
     api::DecodeJob job = jobFor(m, "d3", 2048, 7, 256, 1);
     service.measure(job);
     api::DecodeServiceStats after1 = service.stats();
@@ -653,12 +562,10 @@ TEST(DecodeService, ZeroShotJobIsEmptyAndUntracked)
     EXPECT_EQ(out.result.shots, 0u);
     EXPECT_EQ(out.result.failures, 0u);
     EXPECT_FALSE(out.result.earlyStopped);
-    EXPECT_EQ(out.reusedShots, 0u);
     EXPECT_FALSE(out.coalesced);
     api::DecodeServiceStats stats = service.stats();
     EXPECT_EQ(stats.requests, 1u);
     EXPECT_EQ(stats.decodedShards, 0u);
-    EXPECT_EQ(stats.tallyKeys, 0u);
     EXPECT_EQ(stats.laneGroups, 0u);
 }
 

@@ -13,7 +13,9 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "api/config.h"
 #include "api/engine.h"
@@ -28,6 +30,7 @@
 #include "gf2/matrix.h"
 #include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
+#include "sim/parallel_sampler.h"
 
 using namespace prophunt;
 
@@ -204,6 +207,15 @@ d3Request(std::size_t threads)
     return req;
 }
 
+/** Shards a memory run decodes over both bases, @p unit shots each. */
+std::size_t
+shardsOf(const decoder::MemoryLer &m,
+         std::size_t unit = sim::kDefaultShardShots)
+{
+    return sim::ShardPlan{m.z.shots, unit}.numShards() +
+           sim::ShardPlan{m.x.shots, unit}.numShards();
+}
+
 } // namespace
 
 TEST(Engine, MatchesMeasureMemoryLerBitForBit)
@@ -243,7 +255,6 @@ TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
     EXPECT_EQ(r.telemetry.cacheMisses, 0u);
     EXPECT_EQ(r.telemetry.packed.packedShots, 0u);
     EXPECT_EQ(r.telemetry.packed.adapterShots, 0u);
-    EXPECT_EQ(r.telemetry.reusedShots, 0u);
     EXPECT_EQ(r.telemetry.coalescedRequests, 0u);
     EXPECT_EQ(r.telemetry.workSteals, 0u);
     EXPECT_EQ(r.telemetry.queueDepth, 0u);
@@ -330,7 +341,11 @@ TEST(Engine, CacheOnOffBitIdenticalAcrossThreadCounts)
     api::LerResult reference = cachedEngine.run(d3Request(1));
     for (std::size_t threads : {1u, 2u, 3u}) {
         api::LerRequest req = d3Request(threads);
+        std::size_t before = cachedEngine.serviceStats().decodedShards;
         api::LerResult a = cachedEngine.run(req);
+        EXPECT_EQ(cachedEngine.serviceStats().decodedShards - before,
+                  shardsOf(a.memory))
+            << "the cached engine must decode every shard it reports";
         api::LerResult b = uncachedEngine.run(req);
         for (const api::LerResult *r : {&a, &b}) {
             EXPECT_EQ(r->memory.z.failures, reference.memory.z.failures)
@@ -397,83 +412,18 @@ TEST(Engine, DecoderOptionsKeyTheDemCache)
     EXPECT_EQ(engine.cacheStats().demEntries, 2 * demEntries);
 }
 
-TEST(Engine, CrossRequestShotReuseIsExactAndMonotone)
+TEST(Engine, IdenticalRerunDecodesEveryShard)
 {
-    // An identical re-run must be satisfied from the decode service's
-    // recorded shard tallies: bit-identical counts, every shot reused,
-    // and the service-lifetime reuse counter grows monotonically.
     api::Engine engine;
     api::LerResult first = engine.run(d3Request(1));
-    EXPECT_EQ(first.telemetry.reusedShots, 0u);
-    EXPECT_EQ(engine.serviceStats().reusedShots, 0u);
-
+    std::size_t decoded = engine.serviceStats().decodedShards;
+    EXPECT_EQ(decoded, shardsOf(first.memory));
     api::LerResult second = engine.run(d3Request(1));
     EXPECT_EQ(second.memory.z.failures, first.memory.z.failures);
     EXPECT_EQ(second.memory.x.failures, first.memory.x.failures);
     EXPECT_EQ(second.memory.z.shots, first.memory.z.shots);
     EXPECT_EQ(second.memory.x.shots, first.memory.x.shots);
-    EXPECT_EQ(second.telemetry.shots, 8000u);
-    EXPECT_EQ(second.telemetry.reusedShots, 8000u)
-        << "both bases of an identical request must reuse recorded shots";
-    EXPECT_EQ(engine.serviceStats().reusedShots, 8000u);
-
-    api::LerResult third = engine.run(d3Request(1));
-    EXPECT_EQ(third.telemetry.reusedShots, 8000u);
-    EXPECT_EQ(engine.serviceStats().reusedShots, 16000u);
-
-    // A different seed is a different sample stream: no reuse, and the
-    // lifetime counter must not move.
-    api::LerRequest fresh = d3Request(1);
-    fresh.seed = 78;
-    api::LerResult other = engine.run(fresh);
-    EXPECT_EQ(other.telemetry.reusedShots, 0u);
-    EXPECT_EQ(engine.serviceStats().reusedShots, 16000u);
-}
-
-TEST(Engine, ShotReuseEvictionUnderFifoTallyBound)
-{
-    // Each basis records its own tally stream, and the service keeps
-    // the newest kMaxTallyKeys of them. After the reference request and
-    // 31 one-shot requests at other seeds (64 streams) a re-run reuses
-    // everything; one more such request evicts both reference streams,
-    // so the next re-run reuses nothing.
-    static_assert(api::kMaxTallyKeys == 64);
-    api::Engine engine;
-    api::LerResult ref = engine.run(d3Request(1));
-    auto filler = [&](uint64_t seed) {
-        api::LerRequest req = d3Request(1);
-        req.shots = 1;
-        req.seed = seed;
-        engine.run(req);
-    };
-    for (uint64_t seed = 1000; seed < 1031; ++seed) {
-        filler(seed);
-    }
-    EXPECT_EQ(engine.serviceStats().tallyKeys, 64u);
-    api::LerResult kept = engine.run(d3Request(1));
-    EXPECT_EQ(kept.telemetry.reusedShots, 8000u);
-    EXPECT_EQ(kept.memory.z.failures, ref.memory.z.failures);
-    EXPECT_EQ(kept.memory.x.failures, ref.memory.x.failures);
-
-    filler(1031);
-    EXPECT_EQ(engine.serviceStats().tallyKeys, 64u);
-    api::LerResult rerun = engine.run(d3Request(1));
-    EXPECT_EQ(rerun.telemetry.reusedShots, 0u);
-    EXPECT_EQ(rerun.memory.z.failures, ref.memory.z.failures);
-    EXPECT_EQ(rerun.memory.x.failures, ref.memory.x.failures);
-}
-
-TEST(Engine, ShotReuseDisabledThroughServiceOptions)
-{
-    api::EngineOptions opts;
-    opts.service.reuseShots = false;
-    api::Engine engine(opts);
-    api::LerResult first = engine.run(d3Request(1));
-    api::LerResult second = engine.run(d3Request(1));
-    EXPECT_EQ(second.telemetry.reusedShots, 0u);
-    EXPECT_EQ(second.memory.z.failures, first.memory.z.failures);
-    EXPECT_EQ(second.memory.x.failures, first.memory.x.failures);
-    EXPECT_EQ(engine.serviceStats().reusedShots, 0u);
+    EXPECT_EQ(engine.serviceStats().decodedShards, 2 * decoded);
 }
 
 TEST(Engine, FlaggedCircuitsCachedSeparately)
@@ -511,7 +461,11 @@ TEST(Engine, SweepMatchesPointwiseRuns)
         req.shots = 2000;
         req.seed = 5;
         req.ler.threads = 1;
+        std::size_t before = engine.serviceStats().decodedShards;
         api::LerResult point = engine.run(req);
+        EXPECT_EQ(engine.serviceStats().decodedShards - before,
+                  shardsOf(point.memory))
+            << "a pointwise run must decode, not replay the sweep";
         EXPECT_EQ(result.points[i].memory.z.failures,
                   point.memory.z.failures);
         EXPECT_EQ(result.points[i].memory.x.failures,
@@ -829,11 +783,19 @@ TEST(Sprt, AdaptiveSweepDeterministicAcrossThreadCounts)
     sweep.sprt.enabled = true;
     sweep.sprt.decisionLer = 0.02;
 
+    // Each SPRT chunk fits one shard per basis.
+    ASSERT_LE(sweep.sprt.chunkShots, sim::kDefaultShardShots);
     sweep.ler.threads = 1;
     api::SweepResult one = engine.run(sweep);
+    EXPECT_EQ(engine.serviceStats().decodedShards,
+              shardsOf(one.points[0].memory, sweep.sprt.chunkShots));
     for (std::size_t threads : {2u, 3u}) {
         sweep.ler.threads = threads;
+        std::size_t before = engine.serviceStats().decodedShards;
         api::SweepResult many = engine.run(sweep);
+        EXPECT_EQ(engine.serviceStats().decodedShards - before,
+                  shardsOf(many.points[0].memory, sweep.sprt.chunkShots))
+            << "threads=" << threads;
         EXPECT_EQ(many.points[0].memory.z.failures,
                   one.points[0].memory.z.failures);
         EXPECT_EQ(many.points[0].memory.x.failures,
@@ -862,9 +824,54 @@ TEST(Config, EnvOverridesDefaults)
     EXPECT_EQ(cfg.lerOptions().threads, 2u);
     EXPECT_EQ(cfg.lerOptions().maxFailures, 7u);
     EXPECT_EQ(cfg.propHuntOptions(9).seed, 9u);
-    EXPECT_EQ(cfg.propHuntOptions(9).ler.threads, 2u);
+    EXPECT_EQ(cfg.propHuntOptions(9).threads, 2u);
     EXPECT_EQ(cfg.satTimeoutSeconds, 1.5);
     EXPECT_EQ(cfg.propHuntOptions(9).satTimeoutSeconds, 1.5);
+}
+
+TEST(Config, RejectsMalformedValues)
+{
+    // Each has a silent misreading: 20k as 20 shots, -1 as 2^64-1
+    // failures, sixty as a 0 s MaxSAT timeout.
+    const std::pair<const char *, const char *> bad[] = {
+        {"PROPHUNT_SHOTS", "20k"},
+        {"PROPHUNT_MAX_FAILURES", "-1"},
+        {"PROPHUNT_SAT_TIMEOUT", "sixty"},
+    };
+    for (const auto &[name, value] : bad) {
+        ::setenv(name, value, 1);
+        try {
+            api::Config::fromEnv();
+            ADD_FAILURE() << name << "=" << value << " was accepted";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(name), std::string::npos)
+                << e.what();
+        }
+        ::unsetenv(name);
+    }
+
+    // An empty value means unset.
+    ::setenv("PROPHUNT_SHOTS", "", 1);
+    ::setenv("PROPHUNT_FULL", "", 1);
+    api::Config cfg = api::Config::fromEnv();
+    ::unsetenv("PROPHUNT_SHOTS");
+    ::unsetenv("PROPHUNT_FULL");
+    EXPECT_EQ(cfg.shots, api::Config{}.shots);
+    EXPECT_FALSE(cfg.full);
+
+    const char *argv_in[] = {"prog", "--shots", "20k"};
+    char *argv[3];
+    for (int i = 0; i < 3; ++i) {
+        argv[i] = const_cast<char *>(argv_in[i]);
+    }
+    int argc = 3;
+    try {
+        cfg.applyArgs(argc, argv);
+        ADD_FAILURE() << "--shots 20k was accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("--shots"), std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Config, DefaultThreadsMeanHardwareConcurrency)
