@@ -2,36 +2,33 @@
  * @file
  * Command-line PropHunt driver, mirroring the paper artifact's
  * `prophunt_experiment.py <benchmark> <distance> <samples> <iters>
- * <cores>` interface, plus the distributed-sweep front end.
+ * <cores>` interface, plus a resumable LER-sweep front end.
  *
  * Usage:
  *   prophunt_cli <code> <samples-per-iteration> <iterations> [threads]
  *   prophunt_cli sweep <code> [--ps p1,p2,..] [--shots N] [--rounds N]
  *                      [--sprt LER] [--chunk N] [--seed N] [--threads N]
- *                      [--checkpoint PATH [--every N]] [--shard i/k]
- *                      [--out PATH]
- *   prophunt_cli merge <merged-ckpt.json> <shard-ckpt.json>...
- *                      [--out PATH]
+ *                      [--checkpoint PATH [--every N]] [--out PATH]
  *
  * where <code> is one of: surface3 surface5 surface7 surface9 lp39
  * rqt60 rqt54 rqt108. The default mode prints per-iteration telemetry
  * and the before/after logical error rates. `sweep` runs an LER-vs-p
- * sweep with optional SPRT early stopping, checkpoint/resume
- * (interrupt it with SIGKILL and rerun the identical command line), and
- * (point, chunk) sharding across worker processes; `merge` combines
- * shard checkpoints and finalizes the sweep with the deterministic
- * canonical-order SPRT re-evaluation (exit 0 = complete, 3 =
- * incomplete, needs more shard data). Everything runs through
+ * sweep with optional SPRT early stopping and checkpoint/resume
+ * (interrupt it with SIGKILL and rerun the identical command line; exit
+ * 0 = complete, 3 = checkpoint still incomplete). Both modes start from
+ * api::Config::fromEnv(), so PROPHUNT_THREADS, PROPHUNT_SAT_TIMEOUT and
+ * PROPHUNT_MAX_FAILURES apply; arguments override it. A malformed
+ * number or an invalid request exits 2. Everything runs through
  * prophunt::api::Engine.
  */
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "api/config.h"
 #include "api/engine.h"
 #include "api/sweep_checkpoint.h"
 #include "circuit/coloration.h"
@@ -88,10 +85,8 @@ usage(const char *argv0)
                  "       %s sweep <code> [--ps p1,p2,..] [--shots N] "
                  "[--rounds N] [--sprt LER] [--chunk N] [--seed N]\n"
                  "             [--threads N] [--checkpoint PATH "
-                 "[--every N]] [--shard i/k] [--out PATH]\n"
-                 "       %s merge <merged-ckpt.json> "
-                 "<shard-ckpt.json>... [--out PATH]\ncodes:",
-                 argv0, argv0, argv0);
+                 "[--every N]] [--out PATH]\ncodes:",
+                 argv0, argv0);
     for (const Named &n : kCodes) {
         std::fprintf(stderr, " %s", n.name);
     }
@@ -163,21 +158,17 @@ std::vector<double>
 parsePs(const char *arg)
 {
     std::vector<double> ps;
-    const char *s = arg;
-    while (*s != '\0') {
-        char *end = nullptr;
-        double p = std::strtod(s, &end);
-        if (end == s) {
-            throw std::invalid_argument(std::string("bad --ps list: ") +
-                                        arg);
+    std::string list = arg;
+    std::size_t begin = 0;
+    for (;;) {
+        std::size_t comma = list.find(',', begin);
+        std::string item = list.substr(begin, comma - begin);
+        ps.push_back(api::parseDouble("--ps", item.c_str()));
+        if (comma == std::string::npos) {
+            return ps;
         }
-        ps.push_back(p);
-        s = *end == ',' ? end + 1 : end;
+        begin = comma + 1;
     }
-    if (ps.empty()) {
-        throw std::invalid_argument("--ps needs at least one rate");
-    }
-    return ps;
 }
 
 int
@@ -202,6 +193,7 @@ runSweepMode(int argc, char **argv)
                                                  : "bp_osd"};
     req.shotsPerPoint = 20000;
     req.seed = 1;
+    req.ler = api::Config::fromEnv().lerOptions();
     std::string out_path;
 
     for (int i = 3; i < argc; ++i) {
@@ -212,36 +204,29 @@ runSweepMode(int argc, char **argv)
             }
             return argv[++i];
         };
+        auto size = [&](const char *flag) {
+            return api::parseSize(flag, value(flag));
+        };
         if (std::strcmp(argv[i], "--ps") == 0) {
             req.ps = parsePs(value("--ps"));
         } else if (std::strcmp(argv[i], "--shots") == 0) {
-            req.shotsPerPoint = std::strtoull(value("--shots"), nullptr, 10);
+            req.shotsPerPoint = size("--shots");
         } else if (std::strcmp(argv[i], "--rounds") == 0) {
-            req.rounds = std::strtoull(value("--rounds"), nullptr, 10);
+            req.rounds = size("--rounds");
         } else if (std::strcmp(argv[i], "--sprt") == 0) {
             req.sprt.enabled = true;
-            req.sprt.decisionLer = std::strtod(value("--sprt"), nullptr);
+            req.sprt.decisionLer =
+                api::parseDouble("--sprt", value("--sprt"));
         } else if (std::strcmp(argv[i], "--chunk") == 0) {
-            req.sprt.chunkShots =
-                std::strtoull(value("--chunk"), nullptr, 10);
+            req.sprt.chunkShots = size("--chunk");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
-            req.seed = std::strtoull(value("--seed"), nullptr, 10);
+            req.seed = size("--seed");
         } else if (std::strcmp(argv[i], "--threads") == 0) {
-            req.ler.threads =
-                std::strtoull(value("--threads"), nullptr, 10);
+            req.ler.threads = size("--threads");
         } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
             req.checkpointPath = value("--checkpoint");
         } else if (std::strcmp(argv[i], "--every") == 0) {
-            req.checkpointEveryChunks =
-                std::strtoull(value("--every"), nullptr, 10);
-        } else if (std::strcmp(argv[i], "--shard") == 0) {
-            const char *arg = value("--shard");
-            char *end = nullptr;
-            req.shard.index = std::strtoull(arg, &end, 10);
-            if (*end != '/') {
-                throw std::invalid_argument("--shard wants i/k");
-            }
-            req.shard.count = std::strtoull(end + 1, nullptr, 10);
+            req.checkpointEveryChunks = size("--every");
         } else if (std::strcmp(argv[i], "--out") == 0) {
             out_path = value("--out");
         } else {
@@ -251,11 +236,10 @@ runSweepMode(int argc, char **argv)
     }
 
     std::printf("%s sweep: rounds=%zu decoder=%s shots/point=%zu "
-                "points=%zu sprt=%s shard=%zu/%zu%s%s\n",
+                "points=%zu sprt=%s%s%s\n",
                 spec->name, req.rounds, req.decoder.describe().c_str(),
                 req.shotsPerPoint, req.ps.size(),
-                req.sprt.enabled ? "on" : "off", req.shard.index,
-                req.shard.count,
+                req.sprt.enabled ? "on" : "off",
                 req.checkpointPath.empty() ? "" : " checkpoint=",
                 req.checkpointPath.c_str());
 
@@ -281,56 +265,8 @@ runSweepMode(int argc, char **argv)
 }
 
 int
-runMergeMode(int argc, char **argv)
+runOptimizeMode(int argc, char **argv)
 {
-    if (argc < 4) {
-        usage(argv[0]);
-        return 1;
-    }
-    std::string merged_path = argv[2];
-    std::string out_path;
-    std::vector<api::SweepCheckpoint> shards;
-    for (int i = 3; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--out") == 0) {
-            if (i + 1 >= argc) {
-                throw std::invalid_argument("--out needs a value");
-            }
-            out_path = argv[++i];
-            continue;
-        }
-        shards.push_back(api::SweepCheckpoint::load(argv[i]));
-    }
-    api::SweepCheckpoint merged = api::mergeSweepCheckpoints(shards);
-    merged.saveAtomic(merged_path);
-    api::SweepFinalize fin = api::finalizeSweep(merged);
-    std::printf("merged %zu shard checkpoint(s) -> %s (%zu/%zu points "
-                "complete)\n",
-                shards.size(), merged_path.c_str(), fin.pointsComplete,
-                merged.points.size());
-    printSweepResult(fin.result);
-    if (!out_path.empty()) {
-        writeSweepResultJson(out_path, "merged", 0, fin.result,
-                             fin.complete);
-    }
-    return fin.complete ? 0 : 3;
-}
-
-} // namespace
-
-int
-main(int argc, char **argv)
-{
-    if (argc >= 2 && (std::strcmp(argv[1], "sweep") == 0 ||
-                      std::strcmp(argv[1], "merge") == 0 ||
-                      std::strcmp(argv[1], "--merge") == 0)) {
-        try {
-            return argv[1][0] == 's' ? runSweepMode(argc, argv)
-                                     : runMergeMode(argc, argv);
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            return 2;
-        }
-    }
     if (argc < 4) {
         usage(argv[0]);
         return 1;
@@ -339,6 +275,14 @@ main(int argc, char **argv)
     if (!spec) {
         usage(argv[0]);
         return 1;
+    }
+    api::Config cfg = api::Config::fromEnv();
+    core::PropHuntOptions options = cfg.propHuntOptions(1);
+    options.samplesPerIteration =
+        api::parseSize("<samples-per-iteration>", argv[2]);
+    options.iterations = api::parseSize("<iterations>", argv[3]);
+    if (argc > 4) {
+        options.threads = api::parseSize("[threads]", argv[4]);
     }
 
     code::CssCode code = spec->build();
@@ -352,11 +296,7 @@ main(int argc, char **argv)
     api::Engine engine;
     api::OptimizeRequest oreq(start);
     oreq.rounds = spec->distance;
-    oreq.options.samplesPerIteration = std::strtoull(argv[2], nullptr, 10);
-    oreq.options.iterations = std::strtoull(argv[3], nullptr, 10);
-    oreq.options.threads =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 0;
-    oreq.options.seed = 1;
+    oreq.options = options;
     api::OptimizeResult res = engine.run(oreq);
     for (const auto &rec : res.outcome.history) {
         std::printf("iter %2zu: ambiguous=%-3zu candidates=%-4zu "
@@ -379,7 +319,8 @@ main(int argc, char **argv)
         req.decoder = dec;
         req.shots = shots;
         req.seed = 3;
-        req.ler.threads = oreq.options.threads;
+        req.ler = cfg.lerOptions();
+        req.ler.threads = options.threads;
         return engine.run(req).ler();
     };
     double l0 = ler(start), l1 = ler(res.finalSchedule());
@@ -387,4 +328,20 @@ main(int argc, char **argv)
                 "(%.2fx)\n",
                 p, l0, l1, l1 > 0 ? l0 / l1 : 0.0);
     return 0;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        if (argc >= 2 && std::strcmp(argv[1], "sweep") == 0) {
+            return runSweepMode(argc, argv);
+        }
+        return runOptimizeMode(argc, argv);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        return 2;
+    }
 }

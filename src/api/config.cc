@@ -19,7 +19,16 @@ malformed(const char *what, const char *text, const char *expected)
                                 expected + ", got '" + text + "'");
 }
 
-/** @p text, all of it, as a non-negative decimal integer. */
+/** The variable's value, or nullptr when it is unset or empty. */
+const char *
+envValue(const char *name)
+{
+    const char *v = std::getenv(name);
+    return v != nullptr && v[0] != '\0' ? v : nullptr;
+}
+
+} // namespace
+
 std::size_t
 parseSize(const char *what, const char *text)
 {
@@ -33,7 +42,6 @@ parseSize(const char *what, const char *text)
     return (std::size_t)v;
 }
 
-/** @p text, all of it, as a finite non-negative decimal number. */
 double
 parseDouble(const char *what, const char *text)
 {
@@ -45,16 +53,6 @@ parseDouble(const char *what, const char *text)
     }
     return v;
 }
-
-/** The variable's value, or nullptr when it is unset or empty. */
-const char *
-envValue(const char *name)
-{
-    const char *v = std::getenv(name);
-    return v != nullptr && v[0] != '\0' ? v : nullptr;
-}
-
-} // namespace
 
 std::size_t
 envSize(const char *name, std::size_t def)

@@ -32,6 +32,19 @@
 namespace prophunt::api {
 
 /**
+ * @p text, all of it, as a non-negative decimal integer. Throws
+ * std::invalid_argument naming @p what (a variable, flag or argument)
+ * otherwise, or when the value does not fit.
+ */
+std::size_t parseSize(const char *what, const char *text);
+
+/**
+ * @p text, all of it, as a finite non-negative decimal number. Throws
+ * std::invalid_argument naming @p what otherwise.
+ */
+double parseDouble(const char *what, const char *text);
+
+/**
  * std::getenv as a size_t, with a default for an unset or empty
  * variable. Throws std::invalid_argument naming @p name unless the whole
  * value is a non-negative decimal integer.

@@ -188,19 +188,13 @@ Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
             // Canonical early stop: once the contiguous done prefix
             // decides, every later chunk is irrelevant — the serial
             // loop stopped here, and finalize will never read past it.
-            // (Shard workers rarely see a contiguous prefix and so
-            // compute their whole slice; the merge discards the
-            // speculative excess the same way.)
             SweepPrefix pre = evalSweepPrefix(pointCp, grid, req.sprt);
             if (pre.decision != SprtDecision::Undecided &&
                 pre.chunksConsumed <= c) {
                 break;
             }
         }
-        if (pointCp.chunks[c].done ||
-            !grid.ownsCell(req.shard.index,
-                           std::max<std::size_t>(1, req.shard.count), pi,
-                           c)) {
+        if (pointCp.chunks[c].done) {
             continue;
         }
         if (req.cancel != nullptr && req.cancel->load()) {
@@ -269,15 +263,6 @@ Engine::run(const SweepRequest &req)
                     "' belongs to a different request (fingerprint "
                     "mismatch); point it elsewhere or delete it");
             }
-            if (loaded->shardIndex != cp.shardIndex ||
-                loaded->shardCount != cp.shardCount) {
-                throw std::runtime_error(
-                    "SweepRequest: checkpoint '" + req.checkpointPath +
-                    "' was written by shard " +
-                    std::to_string(loaded->shardIndex) + "/" +
-                    std::to_string(loaded->shardCount) +
-                    ", not this request's shard slice");
-            }
             if (loaded->points.size() != cp.points.size()) {
                 throw std::runtime_error(
                     "SweepRequest: checkpoint '" + req.checkpointPath +
@@ -328,9 +313,8 @@ Engine::run(const SweepRequest &req)
         out.telemetry += pt.telemetry;
     }
     if (persist) {
-        // Always leave a final checkpoint on disk — even a no-progress
-        // shard writes its (empty) slice so the merge step has a
-        // complete set of files to work from.
+        // Always leave a final checkpoint on disk, even after a
+        // cancellation or a run that computed nothing new.
         cp.saveAtomic(req.checkpointPath);
     }
     return out;

@@ -26,12 +26,10 @@
  *  - adaptive sweeps: run(SweepRequest) with SprtOptions::enabled
  *    allocates shots across sweep points with a sequential test
  *    (api/sprt.h) instead of a fixed per-point budget.
- *  - checkpointable, shardable sweeps: SweepRequest execution walks a
+ *  - checkpointable sweeps: SweepRequest execution walks a
  *    deterministic (point, chunk) cell grid (api/sweep_checkpoint.h);
  *    with checkpointPath set the completed cells persist atomically and
- *    a rerun resumes bit-identically to an uninterrupted run, and with
- *    shard.count > 1 the process serves only its slice of cells, to be
- *    merged by mergeSweepCheckpoints + finalizeSweep.
+ *    a rerun resumes bit-identically to an uninterrupted run.
  *
  * Thread safety: all public methods may be called concurrently.
  */

@@ -113,18 +113,6 @@ struct LerResult
 };
 
 /**
- * One process's slice of a sweep's (point, chunk) cell space: shard
- * index of count serves the cells where the canonical cell index
- * (point * chunksPerPoint + chunk) is congruent to index mod count.
- * The default 0/1 serves everything.
- */
-struct SweepShard
-{
-    std::size_t index = 0;
-    std::size_t count = 1;
-};
-
-/**
  * A physical-error-rate sweep of one schedule.
  *
  * The engine builds each point's DEM and decoder once per basis (cached
@@ -135,9 +123,7 @@ struct SweepShard
  * Execution decomposes into deterministic (point, chunk) cells (see
  * api/sweep_checkpoint.h): with checkpointPath set, completed cells
  * persist atomically every checkpointEveryChunks chunks and a rerun of
- * the same request resumes bit-identically to an uninterrupted run;
- * with shard.count > 1 this process computes only its slice of cells
- * and the per-shard checkpoints merge into the serial result.
+ * the same request resumes bit-identically to an uninterrupted run.
  */
 struct SweepRequest
 {
@@ -155,11 +141,9 @@ struct SweepRequest
     SprtOptions sprt;
     /** As LerRequest::flagWeight. */
     std::size_t flagWeight = 0;
-    /** This process's slice of the sweep's cell space. */
-    SweepShard shard;
     /** Checkpoint/resume file; empty (the default) disables both. A
-     * mismatched existing checkpoint (different request fingerprint or
-     * shard slice) is an error, never silently overwritten. */
+     * mismatched existing checkpoint (different request fingerprint) is
+     * an error, never silently overwritten. */
     std::string checkpointPath;
     /** Checkpoint write frequency, in completed chunks (clamped >= 1).
      * A final write always happens, even on cancellation. */

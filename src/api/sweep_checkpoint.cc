@@ -445,7 +445,7 @@ sweepChunkSeed(const SweepRequest &req, const SweepGrid &grid,
     }
     // The serial pre-checkpoint loop drew chunk seeds sequentially from
     // SplitMix64(seed ^ salt); shardSeed gives O(1) access to the same
-    // stream, so shard workers agree with it without replaying it.
+    // stream, so a resumed chunk agrees with it without replaying it.
     return sim::shardSeed(req.seed ^ 0xc4ceb9fe1a85ec53ULL, chunk);
 }
 
@@ -485,8 +485,6 @@ makeSweepCheckpoint(const SweepRequest &req)
     SweepGrid grid = sweepGridFor(req);
     SweepCheckpoint cp;
     cp.fingerprint = sweepFingerprint(req);
-    cp.shardIndex = req.shard.index;
-    cp.shardCount = std::max<std::size_t>(1, req.shard.count);
     cp.shotsPerPoint = grid.shotsPerPoint;
     cp.chunkShots = grid.chunkShots;
     cp.seed = req.seed;
@@ -516,8 +514,6 @@ SweepCheckpoint::toJson() const
     append("  \"format\": \"%s\",\n", kFormat);
     append("  \"version\": %d,\n", version);
     append("  \"fingerprint\": \"%016" PRIx64 "\",\n", fingerprint);
-    append("  \"shard_index\": %zu,\n", shardIndex);
-    append("  \"shard_count\": %zu,\n", shardCount);
     append("  \"seed\": \"%016" PRIx64 "\",\n", seed);
     append("  \"shots_per_point\": %zu,\n", shotsPerPoint);
     append("  \"chunk_shots\": %zu,\n", chunkShots);
@@ -569,12 +565,6 @@ SweepCheckpoint::fromJson(const std::string &json)
              ")");
     }
     cp.fingerprint = hexField(root, "fingerprint");
-    cp.shardIndex = sizeField(root, "shard_index");
-    cp.shardCount = sizeField(root, "shard_count");
-    if (cp.shardCount == 0 || cp.shardIndex >= cp.shardCount) {
-        fail("invalid shard slice " + std::to_string(cp.shardIndex) + "/" +
-             std::to_string(cp.shardCount));
-    }
     cp.seed = hexField(root, "seed");
     cp.shotsPerPoint = sizeField(root, "shots_per_point");
     cp.chunkShots = sizeField(root, "chunk_shots");
@@ -836,60 +826,6 @@ finalizeSweep(const SweepCheckpoint &cp)
     return fin;
 }
 
-// --- merge ------------------------------------------------------------------
-
-SweepCheckpoint
-mergeSweepCheckpoints(const std::vector<SweepCheckpoint> &shards)
-{
-    if (shards.empty()) {
-        fail("merge of zero shards");
-    }
-    SweepCheckpoint out = shards.front();
-    out.shardIndex = 0;
-    out.shardCount = 1;
-    for (std::size_t s = 1; s < shards.size(); ++s) {
-        const SweepCheckpoint &sh = shards[s];
-        if (sh.fingerprint != out.fingerprint) {
-            fail("merge: shard " + std::to_string(s) +
-                 " fingerprint mismatch (checkpoints of different "
-                 "requests)");
-        }
-        if (sh.version != out.version ||
-            sh.shotsPerPoint != out.shotsPerPoint ||
-            sh.chunkShots != out.chunkShots || sh.seed != out.seed ||
-            sh.points.size() != out.points.size() ||
-            sh.sprt.enabled != out.sprt.enabled) {
-            fail("merge: shard " + std::to_string(s) +
-                 " grid parameters disagree");
-        }
-        for (std::size_t i = 0; i < out.points.size(); ++i) {
-            SweepPointCheckpoint &dst = out.points[i];
-            const SweepPointCheckpoint &src = sh.points[i];
-            if (src.chunks.size() != dst.chunks.size() ||
-                doubleBits(src.p) != doubleBits(dst.p)) {
-                fail("merge: shard " + std::to_string(s) + " point " +
-                     std::to_string(i) + " does not match the grid");
-            }
-            for (std::size_t c = 0; c < dst.chunks.size(); ++c) {
-                const SweepChunkTally &t = src.chunks[c];
-                if (!t.done) {
-                    continue;
-                }
-                if (!dst.chunks[c].done) {
-                    dst.chunks[c] = t;
-                } else if (!(dst.chunks[c] == t)) {
-                    fail("merge: conflicting tallies for point " +
-                         std::to_string(i) + " chunk " +
-                         std::to_string(c) +
-                         " (shards ran different requests or a "
-                         "checkpoint is corrupt)");
-                }
-            }
-        }
-    }
-    return out;
-}
-
 // --- admission validation ---------------------------------------------------
 
 void
@@ -911,13 +847,6 @@ validateSweepRequest(const SweepRequest &req)
                 "should decide against (e.g. 0.02) and keep margin > 1, "
                 "alpha/beta in (0, 1).");
         }
-    }
-    std::size_t count = std::max<std::size_t>(1, req.shard.count);
-    if (req.shard.index >= count) {
-        throw std::invalid_argument(
-            "SweepRequest: shard.index " +
-            std::to_string(req.shard.index) +
-            " out of range for shard.count " + std::to_string(count));
     }
 }
 

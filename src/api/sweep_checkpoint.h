@@ -1,6 +1,6 @@
 /**
  * @file
- * Checkpointable, shardable sweep execution state.
+ * Checkpointable sweep execution state.
  *
  * A SweepRequest's work decomposes into a deterministic grid of cells:
  * one cell per (point, chunk), where SPRT-adaptive points split their
@@ -8,20 +8,18 @@
  * are a single chunk of shotsPerPoint shots. Each cell's measurement is
  * independent of every other cell — its sampling seed comes from an
  * O(1)-random-access SplitMix64 stream position, and the decode service
- * guarantees the tally is thread-count invariant — so any subset of
- * cells can be computed by any process in any order and the results are
- * bit-identical to a serial run.
+ * guarantees the tally is thread-count invariant — so the cells missing
+ * from a checkpoint can be computed later and the result is
+ * bit-identical to an uninterrupted run.
  *
  * SweepCheckpoint persists the grid's completed tallies as versioned
  * JSON (written atomically: temp file + rename, so a SIGKILL at any
  * instant leaves either the old or the new checkpoint, never a torn
  * one). Engine::run(SweepRequest) resumes from it bit-identically, and
- * K worker processes can each serve the disjoint slice of cells where
- * cellIndex % K == shardIndex; mergeSweepCheckpoints unions their
- * checkpoints and finalizeSweep re-evaluates the SPRT in canonical
- * chunk order — a point's decision consumes the contiguous chunk prefix
- * up to the first Wald-bound crossing and never reads a later chunk, so
- * a late-arriving shard can never flip a decision vs. the serial run.
+ * finalizeSweep evaluates the SPRT in canonical chunk order — a point's
+ * decision consumes the contiguous chunk prefix up to the first
+ * Wald-bound crossing and never reads a later chunk, so completed cells
+ * past a decision can never flip it.
  */
 #ifndef PROPHUNT_API_SWEEP_CHECKPOINT_H
 #define PROPHUNT_API_SWEEP_CHECKPOINT_H
@@ -74,27 +72,6 @@ struct SweepGrid
     chunkEnd(std::size_t c) const
     {
         return c * chunkShots + chunkSize(c);
-    }
-
-    /** Canonical linearization of (point, chunk) — the sharding index. */
-    std::size_t
-    cellIndex(std::size_t point, std::size_t chunk) const
-    {
-        return point * chunksPerPoint() + chunk;
-    }
-
-    std::size_t
-    totalCells() const
-    {
-        return numPoints * chunksPerPoint();
-    }
-
-    /** True iff shard @p index of @p count serves (point, chunk). */
-    bool
-    ownsCell(std::size_t index, std::size_t count, std::size_t point,
-             std::size_t chunk) const
-    {
-        return count <= 1 || cellIndex(point, chunk) % count == index;
     }
 };
 
@@ -157,9 +134,6 @@ struct SweepCheckpoint
     int version = kVersion;
     /** sweepFingerprint(req) of the request this state belongs to. */
     uint64_t fingerprint = 0;
-    /** The shard slice this file was produced by (0/1 = unsharded). */
-    std::size_t shardIndex = 0;
-    std::size_t shardCount = 1;
     /** Grid + decision parameters, so finalizeSweep needs no request. */
     std::size_t shotsPerPoint = 0;
     std::size_t chunkShots = 0;
@@ -188,8 +162,8 @@ struct SweepCheckpoint
  * decision rule: schedule hash, rounds, ps, pIdle, decoder spec,
  * budgets, seeds, SPRT options, flag weight, and the ler fields that
  * change the sample stream (shardShots) or accounting (maxFailures).
- * Thread counts, shard slice, cancellation, and checkpoint knobs are
- * excluded — they never change a tally.
+ * Thread counts, cancellation, and checkpoint knobs are excluded — they
+ * never change a tally.
  */
 uint64_t sweepFingerprint(const SweepRequest &req);
 
@@ -198,8 +172,8 @@ SweepCheckpoint makeSweepCheckpoint(const SweepRequest &req);
 
 /**
  * Canonical-order evaluation of one point's contiguous done prefix —
- * the single decision procedure shared by serial execution, resume, and
- * shard merge (which is what makes them bit-identical).
+ * the single decision procedure shared by execution, resume, and
+ * finalization (which is what makes them bit-identical).
  */
 struct SweepPrefix
 {
@@ -238,23 +212,11 @@ struct SweepFinalize
 SweepFinalize finalizeSweep(const SweepCheckpoint &cp);
 
 /**
- * Union shard checkpoints into one (shard 0/1) checkpoint. All inputs
- * must agree on fingerprint/version/grid/SPRT parameters, and any cell
- * completed by more than one shard must carry identical tallies;
- * violations throw std::runtime_error. Order of @p shards is
- * irrelevant — finalizeSweep of the merge consumes canonical chunk
- * order, so no arrival order can change a decision.
- */
-SweepCheckpoint mergeSweepCheckpoints(
-    const std::vector<SweepCheckpoint> &shards);
-
-/**
- * Request admission checks, run before any artifact is built:
- *  - sprt.enabled with unusable SPRT options (the default
- *    decisionLer == 0 in particular) throws std::invalid_argument with
- *    an actionable message instead of surfacing from deep inside the
- *    chunk loop; sprt.chunkShots == 0 is legal and clamps to 1.
- *  - shard.index must lie inside shard.count (count >= 1).
+ * Request admission check, run before any artifact is built: sprt.enabled
+ * with unusable SPRT options (the default decisionLer == 0 in particular)
+ * throws std::invalid_argument with an actionable message instead of
+ * surfacing from deep inside the chunk loop; sprt.chunkShots == 0 is
+ * legal and clamps to 1.
  */
 void validateSweepRequest(const SweepRequest &req);
 

@@ -9,6 +9,10 @@ SmCircuit
 buildFlaggedMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
                           MemoryBasis basis, std::size_t min_flag_weight)
 {
+    if (rounds == 0) {
+        throw std::invalid_argument(
+            "buildFlaggedMemoryCircuit: rounds must be >= 1");
+    }
     const code::CssCode &code = schedule.code();
     auto ts = schedule.computeTimesteps();
     if (!ts) {

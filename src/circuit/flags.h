@@ -29,7 +29,7 @@ namespace prophunt::circuit {
  * becomes [d_1, flag, d_2 .. d_{w-1}, flag, d_w] in its own serialized
  * time slots (flags serialize a check's CNOTs, trading depth for hook
  * detection — the same depth/fidelity trade-off the paper's Figure 15
- * studies).
+ * studies). Throws std::invalid_argument when @p rounds is 0.
  */
 SmCircuit buildFlaggedMemoryCircuit(const SmSchedule &schedule,
                                     std::size_t rounds, MemoryBasis basis,

@@ -20,6 +20,10 @@ SmCircuit
 buildMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
                    MemoryBasis basis)
 {
+    if (rounds == 0) {
+        throw std::invalid_argument(
+            "buildMemoryCircuit: rounds must be >= 1");
+    }
     const code::CssCode &code = schedule.code();
     auto ts = schedule.computeTimesteps();
     if (!ts) {

@@ -89,7 +89,8 @@ struct SmCircuit
  * first outcome is deterministic), X-check detectors compare consecutive
  * rounds starting at round 1, and the final transversal Z measurement both
  * reconstructs the Z checks and reads out the Z logical observables (rows
- * of L_Z). Memory-X is the basis-swapped mirror.
+ * of L_Z). Memory-X is the basis-swapped mirror. Throws
+ * std::invalid_argument when @p rounds is 0.
  */
 SmCircuit buildMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
                              MemoryBasis basis);

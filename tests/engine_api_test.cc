@@ -494,19 +494,6 @@ TEST(Engine, SweepRejectsSprtWithoutDecisionLer)
     }
 }
 
-TEST(Engine, SweepRejectsShardIndexOutsideCount)
-{
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1e-3};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 100;
-    sweep.shard.index = 3;
-    sweep.shard.count = 2;
-    EXPECT_THROW(engine.run(sweep), std::invalid_argument);
-}
-
 TEST(Engine, SweepCancelledBeforeStartReturnsEmptyResult)
 {
     api::Engine engine;
@@ -693,6 +680,37 @@ TEST(EngineOptimize, SubmitMatchesRun)
     std::future<api::OptimizeResult> fut = engine.submit(makeReq());
     api::OptimizeResult async = fut.get();
     expectOutcomesEqual(sync.outcome, async.outcome);
+}
+
+TEST(Engine, ZeroRoundsIsRejected)
+{
+    // A zero-round memory experiment has no last syndrome round to
+    // compare against the data readout; every request kind must refuse
+    // it instead of indexing measurement round -1.
+    api::Engine engine;
+    for (const char *decoder : {"union_find", "bp_osd"}) {
+        api::LerRequest ler = d3Request(1);
+        ler.rounds = 0;
+        ler.decoder = decoder;
+        EXPECT_THROW(engine.run(ler), std::invalid_argument) << decoder;
+    }
+    api::LerRequest flagged = d3Request(1);
+    flagged.rounds = 0;
+    flagged.flagWeight = 4;
+    EXPECT_THROW(engine.run(flagged), std::invalid_argument);
+
+    api::SweepRequest sweep(d3Schedule());
+    sweep.rounds = 0;
+    sweep.ps = {1e-3};
+    sweep.decoder = "union_find";
+    sweep.shotsPerPoint = 100;
+    EXPECT_THROW(engine.run(sweep), std::invalid_argument);
+
+    code::SurfaceCode s(3);
+    api::OptimizeRequest opt(circuit::poorSurfaceSchedule(s));
+    opt.rounds = 0;
+    opt.options = cheapMaxSatOptions(1);
+    EXPECT_THROW(engine.run(opt), std::invalid_argument);
 }
 
 // --- SPRT -------------------------------------------------------------------

@@ -1,10 +1,9 @@
 /**
  * @file
- * Tests for the checkpointable/shardable sweep layer
- * (api/sweep_checkpoint.h): serialization round-trips, atomic
- * persistence, corrupt-input rejection, fingerprint binding, bit-exact
- * resume at every interruption offset, and shard-merge equivalence with
- * the serial oracle.
+ * Tests for the checkpointable sweep layer (api/sweep_checkpoint.h):
+ * serialization round-trips, atomic persistence, corrupt-input
+ * rejection, fingerprint binding, bit-exact resume at every interruption
+ * offset, and the canonical-order decision rule.
  */
 #include <gtest/gtest.h>
 
@@ -71,8 +70,6 @@ expectEqualCheckpoints(const api::SweepCheckpoint &a,
 {
     EXPECT_EQ(a.version, b.version);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.shardIndex, b.shardIndex);
-    EXPECT_EQ(a.shardCount, b.shardCount);
     EXPECT_EQ(a.shotsPerPoint, b.shotsPerPoint);
     EXPECT_EQ(a.chunkShots, b.chunkShots);
     EXPECT_EQ(a.seed, b.seed);
@@ -148,9 +145,7 @@ TEST(SweepGrid, SprtGridShape)
     EXPECT_EQ(grid.chunkShots, 256u);
     EXPECT_TRUE(grid.sprt);
     EXPECT_EQ(grid.chunksPerPoint(), 8u);
-    EXPECT_EQ(grid.totalCells(), 16u);
     EXPECT_EQ(grid.chunkSize(7), 256u);
-    EXPECT_EQ(grid.cellIndex(1, 3), 11u);
 }
 
 TEST(SweepGrid, FixedBudgetIsOneChunkPerPoint)
@@ -170,23 +165,6 @@ TEST(SweepGrid, ChunkShotsZeroClampsToOne)
     api::SweepGrid grid = api::sweepGridFor(req);
     EXPECT_EQ(grid.chunkShots, 1u);
     EXPECT_EQ(grid.chunksPerPoint(), req.shotsPerPoint);
-}
-
-TEST(SweepGrid, ShardOwnershipPartitionsCells)
-{
-    api::SweepGrid grid = api::sweepGridFor(sprtRequest());
-    for (std::size_t count = 1; count <= 4; ++count) {
-        for (std::size_t p = 0; p < grid.numPoints; ++p) {
-            for (std::size_t c = 0; c < grid.chunksPerPoint(); ++c) {
-                std::size_t owners = 0;
-                for (std::size_t i = 0; i < count; ++i) {
-                    owners += grid.ownsCell(i, count, p, c) ? 1 : 0;
-                }
-                EXPECT_EQ(owners, 1u)
-                    << "count=" << count << " p=" << p << " c=" << c;
-            }
-        }
-    }
 }
 
 // --- serialization ----------------------------------------------------------
@@ -276,8 +254,8 @@ TEST(SweepCheckpoint, RejectsNumbersBeyondUint64)
     };
     for (const char *big : {"1e30", "18446744073709551616"}) {
         EXPECT_THROW(api::SweepCheckpoint::fromJson(replaced(
-                         "\"shard_count\": 1",
-                         std::string("\"shard_count\": ") + big)),
+                         "\"shots_per_point\": 2048",
+                         std::string("\"shots_per_point\": ") + big)),
                      std::runtime_error)
             << big;
         EXPECT_THROW(api::SweepCheckpoint::fromJson(replaced(
@@ -356,12 +334,10 @@ TEST(SweepFingerprint, IgnoresExecutionOnlyKnobs)
 
     api::SweepRequest changed = base;
     changed.ler.threads = 7;
-    changed.shard.index = 1;
-    changed.shard.count = 3;
     changed.checkpointPath = "elsewhere.json";
     changed.checkpointEveryChunks = 99;
     EXPECT_EQ(api::sweepFingerprint(changed), fp)
-        << "threads/shard/checkpoint knobs never change a tally";
+        << "thread and checkpoint knobs never change a tally";
 }
 
 TEST(SweepFingerprint, EngineRejectsMismatchedResume)
@@ -392,16 +368,6 @@ TEST(SweepValidation, SprtWithoutDecisionLerThrowsActionably)
                   std::string::npos)
             << "error should name the field to fix: " << e.what();
     }
-}
-
-TEST(SweepValidation, ShardIndexOutsideCountThrows)
-{
-    api::SweepRequest req = sprtRequest();
-    req.shard.index = 2;
-    req.shard.count = 2;
-    EXPECT_THROW(api::validateSweepRequest(req), std::invalid_argument);
-    req.shard.count = 0;
-    EXPECT_THROW(api::validateSweepRequest(req), std::invalid_argument);
 }
 
 TEST(SweepValidation, AcceptsGoodRequests)
@@ -435,12 +401,13 @@ TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
     // ...from which we can reconstruct the checkpoint a SIGKILL would
     // have left after any number of completed cells, and resume it.
     api::SweepGrid grid = api::sweepGridFor(req);
-    for (std::size_t cut = 0; cut <= grid.totalCells(); ++cut) {
+    const std::size_t per_point = grid.chunksPerPoint();
+    for (std::size_t cut = 0; cut <= grid.numPoints * per_point; ++cut) {
         ScratchFile f("resume_cut");
         api::SweepCheckpoint partial = api::makeSweepCheckpoint(req);
         for (std::size_t p = 0; p < grid.numPoints; ++p) {
-            for (std::size_t c = 0; c < grid.chunksPerPoint(); ++c) {
-                if (grid.cellIndex(p, c) < cut) {
+            for (std::size_t c = 0; c < per_point; ++c) {
+                if (p * per_point + c < cut) {
                     partial.points[p].chunks[c] = full.points[p].chunks[c];
                 }
             }
@@ -481,81 +448,53 @@ TEST(SweepResume, ChunkShotsZeroBehavesAsChunkShotsOne)
     expectEqualResults(zero, one);
 }
 
-// --- sharding + merge -------------------------------------------------------
-
-TEST(SweepShard, MergeMatchesSerialAcrossShardAndThreadCounts)
+TEST(SweepResume, ShardSliceCheckpointFromOlderWriterResumes)
 {
+    // Earlier builds could run one slice of a sweep per process and wrote
+    // "shard_index"/"shard_count" into the checkpoint. Such a file is a
+    // partial checkpoint of the same request: the reader ignores the two
+    // keys and a resume fills in the missing cells.
     api::SweepRequest req = sprtRequest();
     api::Engine engine;
     api::SweepResult oracle = engine.run(req);
 
-    for (std::size_t count : {2u, 3u}) {
-        for (std::size_t threads : {1u, 2u}) {
-            std::vector<api::SweepCheckpoint> parts;
-            for (std::size_t i = 0; i < count; ++i) {
-                ScratchFile f("shard_" + std::to_string(count) + "_" +
-                              std::to_string(i));
-                api::SweepRequest shard = req;
-                shard.ler.threads = threads;
-                shard.shard.index = i;
-                shard.shard.count = count;
-                shard.checkpointPath = f.path;
-                (void)engine.run(shard);
-                parts.push_back(api::SweepCheckpoint::load(f.path));
+    ScratchFile full_file("slice_full");
+    api::SweepRequest ck_req = req;
+    ck_req.checkpointPath = full_file.path;
+    (void)engine.run(ck_req);
+    api::SweepCheckpoint full = api::SweepCheckpoint::load(full_file.path);
+
+    // Slice 1 of 3 owned the cells whose canonical index is 1 mod 3.
+    api::SweepGrid grid = api::sweepGridFor(req);
+    const std::size_t per_point = grid.chunksPerPoint();
+    api::SweepCheckpoint slice = api::makeSweepCheckpoint(req);
+    for (std::size_t p = 0; p < grid.numPoints; ++p) {
+        for (std::size_t c = 0; c < per_point; ++c) {
+            if ((p * per_point + c) % 3 == 1) {
+                slice.points[p].chunks[c] = full.points[p].chunks[c];
             }
-            // Merge order must not matter: reverse arrival.
-            std::vector<api::SweepCheckpoint> reversed(parts.rbegin(),
-                                                       parts.rend());
-            api::SweepFinalize fin =
-                api::finalizeSweep(api::mergeSweepCheckpoints(reversed));
-            SCOPED_TRACE("shards=" + std::to_string(count) +
-                         " threads=" + std::to_string(threads));
-            EXPECT_TRUE(fin.complete);
-            expectEqualResults(fin.result, oracle);
         }
     }
+    std::string json = slice.toJson();
+    std::size_t seed_pos = json.find("  \"seed\"");
+    ASSERT_NE(seed_pos, std::string::npos);
+    json.insert(seed_pos,
+                "  \"shard_index\": 1,\n  \"shard_count\": 3,\n");
+
+    ScratchFile f("slice_resume");
+    {
+        std::ofstream out(f.path);
+        out << json;
+    }
+    api::SweepRequest resume = req;
+    resume.checkpointPath = f.path;
+    expectEqualResults(engine.run(resume), oracle);
+    expectEqualCheckpoints(api::SweepCheckpoint::load(f.path), full);
 }
 
-TEST(SweepShard, MergeRejectsForeignAndConflictingShards)
-{
-    api::SweepRequest req = sprtRequest();
-    api::SweepCheckpoint a = api::makeSweepCheckpoint(req);
+// --- canonical evaluation ---------------------------------------------------
 
-    // Different request entirely.
-    api::SweepRequest other_req = req;
-    other_req.seed = 1234;
-    api::SweepCheckpoint other = api::makeSweepCheckpoint(other_req);
-    EXPECT_THROW(api::mergeSweepCheckpoints({a, other}),
-                 std::runtime_error);
-
-    // Same request, disagreeing tallies for the same completed cell.
-    api::SweepCheckpoint b = api::makeSweepCheckpoint(req);
-    api::SweepChunkTally t;
-    t.done = true;
-    t.zShots = 256;
-    t.zFailures = 1;
-    t.xShots = 256;
-    t.xFailures = 0;
-    a.points[0].chunks[0] = t;
-    t.zFailures = 2;
-    b.points[0].chunks[0] = t;
-    EXPECT_THROW(api::mergeSweepCheckpoints({a, b}), std::runtime_error);
-
-    // Agreement is fine and unions the cells.
-    t.zFailures = 1;
-    b.points[0].chunks[0] = t;
-    api::SweepChunkTally u = t;
-    u.xFailures = 3;
-    b.points[1].chunks[2] = u;
-    api::SweepCheckpoint merged = api::mergeSweepCheckpoints({a, b});
-    EXPECT_TRUE(merged.points[0].chunks[0] == t);
-    EXPECT_TRUE(merged.points[1].chunks[2] == u);
-    EXPECT_EQ(merged.shardCount, 1u);
-
-    EXPECT_THROW(api::mergeSweepCheckpoints({}), std::runtime_error);
-}
-
-TEST(SweepShard, LateChunksCannotFlipAnEarlyDecision)
+TEST(SweepPrefix, LateChunksCannotFlipAnEarlyDecision)
 {
     // Build a checkpoint whose canonical prefix decides Below after two
     // chunks, then poison every later chunk with catastrophic failure
@@ -569,7 +508,7 @@ TEST(SweepShard, LateChunksCannotFlipAnEarlyDecision)
         t.done = true;
         t.zShots = 256;
         t.xShots = 256;
-        if (c >= 2) { // a "late shard" reporting absurd failures
+        if (c >= 2) { // completed late chunks with absurd failures
             t.zFailures = 256;
             t.xFailures = 256;
         }
