@@ -247,8 +247,10 @@ TEST(DemBuilder, GoldenFingerprintsOnBenchmarkCodes)
     // Pinned fingerprints of the full buildDem output — mechanism order,
     // the bits of every merged p, detector and observable lists, and
     // every source location in merge order — on the benchmark codes'
-    // coloration circuits. Any change to what the builder emits moves at
-    // least one constant; a faster builder must leave all of them alone.
+    // coloration circuits, and on flagged circuits (flag weight 4) of the
+    // poor surface d=3 schedule and of two coloration schedules. Any change
+    // to what the circuit or DEM builder emits moves at least one constant;
+    // a faster builder must leave all of them alone.
     struct Cell
     {
         const char *code;
@@ -256,6 +258,7 @@ TEST(DemBuilder, GoldenFingerprintsOnBenchmarkCodes)
         bool idle;
         std::size_t mechanisms;
         uint64_t hash;
+        std::size_t flagWeight = 0;
     };
     using circuit::MemoryBasis;
     const Cell cells[] = {
@@ -283,22 +286,54 @@ TEST(DemBuilder, GoldenFingerprintsOnBenchmarkCodes)
          12485583140300476434ull},
         {"rqt54", MemoryBasis::X, true, 7380,
          10655186543066117204ull},
+        {"surface3poor", MemoryBasis::Z, false, 305,
+         11361548742366064084ull, 4},
+        {"surface3poor", MemoryBasis::X, false, 307,
+         7752994360241216ull, 4},
+        {"surface3poor", MemoryBasis::Z, true, 305,
+         13269639913858812114ull, 4},
+        {"surface3poor", MemoryBasis::X, true, 307,
+         6540893581450125599ull, 4},
+        {"surface5", MemoryBasis::Z, false, 2167,
+         16122376074418291872ull, 4},
+        {"surface5", MemoryBasis::X, false, 2167,
+         16677952678683790194ull, 4},
+        {"surface5", MemoryBasis::Z, true, 2167,
+         168633065350122375ull, 4},
+        {"surface5", MemoryBasis::X, true, 2167,
+         2051034011321518181ull, 4},
+        {"lp39", MemoryBasis::Z, false, 1497,
+         3822074391586449271ull, 4},
+        {"lp39", MemoryBasis::X, false, 1497,
+         1318131111018643581ull, 4},
+        {"lp39", MemoryBasis::Z, true, 1497,
+         12140761221680821297ull, 4},
+        {"lp39", MemoryBasis::X, true, 1497,
+         14672013529904614516ull, 4},
     };
     for (const Cell &cell : cells) {
         std::string name = cell.code;
-        code::CssCode cc = name == "surface5" ? code::benchmarkSurface(5)
-                           : name == "lp39"   ? code::benchmarkLp39()
-                                              : code::benchmarkRqt54();
-        std::size_t rounds = name == "surface5" ? 5 : name == "lp39" ? 3 : 4;
-        auto cp = std::make_shared<const code::CssCode>(std::move(cc));
-        auto circ = circuit::buildMemoryCircuit(
-            circuit::colorationSchedule(cp), rounds, cell.basis);
+        std::size_t rounds = name == "surface5" ? 5 : name == "rqt54" ? 4 : 3;
+        circuit::SmSchedule schedule =
+            name == "surface3poor"
+                ? circuit::poorSurfaceSchedule(code::SurfaceCode(3))
+                : circuit::colorationSchedule(
+                      std::make_shared<const code::CssCode>(
+                          name == "surface5" ? code::benchmarkSurface(5)
+                          : name == "lp39"   ? code::benchmarkLp39()
+                                             : code::benchmarkRqt54()));
+        auto circ = cell.flagWeight == 0
+                        ? circuit::buildMemoryCircuit(schedule, rounds,
+                                                      cell.basis)
+                        : circuit::buildFlaggedMemoryCircuit(
+                              schedule, rounds, cell.basis, cell.flagWeight);
         NoiseModel noise = cell.idle ? NoiseModel::withIdle(1e-3, 1e-4)
                                      : NoiseModel::uniform(1e-3);
         Dem dem = buildDem(circ, noise);
         std::string label = name +
                             (cell.basis == MemoryBasis::Z ? " Z" : " X") +
-                            (cell.idle ? " idle" : "");
+                            (cell.idle ? " idle" : "") +
+                            (cell.flagWeight ? " flagged" : "");
         EXPECT_EQ(dem.errors.size(), cell.mechanisms) << label;
         EXPECT_EQ(DemFingerprint(dem).value(), cell.hash) << label;
     }
