@@ -16,7 +16,7 @@
 #include <benchmark/benchmark.h>
 
 #include "bench_common.h"
-#include "circuit/flags.h"
+#include "circuit/sm_circuit.h"
 #include "prophunt/minweight.h"
 
 using namespace prophunt;
@@ -41,7 +41,7 @@ flaggedLer(const circuit::SmSchedule &sched, std::size_t rounds, double p,
 std::size_t
 flaggedDeff(const circuit::SmSchedule &sched, std::size_t rounds)
 {
-    auto circ = circuit::buildFlaggedMemoryCircuit(
+    auto circ = circuit::buildMemoryCircuit(
         sched, rounds, circuit::MemoryBasis::Z, 4);
     sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(1e-3));
     core::MinWeightResult mw = core::solveGlobalMinWeight(dem, 6, 60.0);
@@ -91,7 +91,7 @@ BM_FlaggedCircuitBuild(benchmark::State &state)
     code::SurfaceCode s(5);
     circuit::SmSchedule sched = circuit::poorSurfaceSchedule(s);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(circuit::buildFlaggedMemoryCircuit(
+        benchmark::DoNotOptimize(circuit::buildMemoryCircuit(
             sched, 5, circuit::MemoryBasis::Z, 4));
     }
 }

@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <stdexcept>
 
-#include "circuit/flags.h"
 #include "circuit/sm_circuit.h"
 #include "sim/dem_builder.h"
 
@@ -85,9 +84,7 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
     // The circuit lives only as long as the DEM and prototype build.
     uint64_t t0 = now_us();
     const circuit::SmCircuit circuit =
-        flag_weight == 0 ? circuit::buildMemoryCircuit(schedule, rounds, basis)
-                         : circuit::buildFlaggedMemoryCircuit(
-                               schedule, rounds, basis, flag_weight);
+        circuit::buildMemoryCircuit(schedule, rounds, basis, flag_weight);
     sim::Dem dem = sim::buildDem(circuit, noise);
     auto prototype = decoder::Registry::make(spec, dem, circuit);
     std::shared_ptr<const DemEntry> shared = std::make_shared<DemEntry>(

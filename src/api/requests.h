@@ -83,9 +83,9 @@ struct LerRequest
     uint64_t seed = 1;
     decoder::LerOptions ler;
     /**
-     * 0 = plain memory circuit; otherwise augment the schedule with flag
-     * qubits (circuit::buildFlaggedMemoryCircuit) of at least this check
-     * weight — the Section 8 flag-fault-tolerance extension study.
+     * Passed to circuit::buildMemoryCircuit as its flag weight: 0 = plain
+     * memory circuit; otherwise a flag qubit on every check of at least
+     * this weight — the Section 8 flag-fault-tolerance extension study.
      */
     std::size_t flagWeight = 0;
     /**
@@ -139,7 +139,8 @@ struct SweepRequest
     uint64_t seed = 1;
     decoder::LerOptions ler;
     SprtOptions sprt;
-    /** As LerRequest::flagWeight. */
+    /** As LerRequest::flagWeight (circuit::buildMemoryCircuit's flag
+     * weight). */
     std::size_t flagWeight = 0;
     /** Checkpoint/resume file; empty (the default) disables both. A
      * mismatched existing checkpoint (different request fingerprint) is

@@ -1,14 +1,15 @@
 /**
  * @file
- * Tests for the flag fault-tolerance extension: structure, noiseless
- * determinism (via the tableau simulator), and hook detection.
+ * Tests for the flag fault-tolerance extension (buildMemoryCircuit with a
+ * nonzero flag weight): structure, noiseless determinism (via the tableau
+ * simulator), and hook detection.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
 
 #include "circuit/coloration.h"
-#include "circuit/flags.h"
+#include "circuit/sm_circuit.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
 #include "code/surface.h"
@@ -23,8 +24,7 @@ TEST(Flags, StructureCounts)
 {
     code::SurfaceCode s(3);
     SmCircuit c =
-        buildFlaggedMemoryCircuit(circuit::nzSchedule(s), 2,
-                                  MemoryBasis::Z, 4);
+        buildMemoryCircuit(circuit::nzSchedule(s), 2, MemoryBasis::Z, 4);
     // d=3 surface: 4 weight-4 faces of each type get flags; 4 weight-2
     // boundary faces do not.
     std::size_t m = s.code().numChecks();
@@ -39,14 +39,55 @@ TEST(Flags, StructureCounts)
     EXPECT_EQ(c.detectors.size(), plain.detectors.size() + 2 * f);
 }
 
+TEST(Flags, WeightAboveEveryCheckAddsOnlyEmptyGaps)
+{
+    // A nonzero flag weight that no check reaches flags nothing: the
+    // circuit is the plain one plus an empty Tick gap after every CNOT
+    // layer, and since idle noise acts per CNOT layer the DEM keeps the
+    // plain mechanisms and probabilities (only source instructions move).
+    code::SurfaceCode s(3);
+    SmSchedule sched = circuit::poorSurfaceSchedule(s);
+    SmCircuit plain = buildMemoryCircuit(sched, 3, MemoryBasis::X);
+    SmCircuit gapped = buildMemoryCircuit(sched, 3, MemoryBasis::X, 100);
+    EXPECT_EQ(gapped.numQubits, plain.numQubits);
+    EXPECT_EQ(gapped.numMeasurements, plain.numMeasurements);
+    EXPECT_EQ(gapped.detectors, plain.detectors);
+    EXPECT_EQ(gapped.detectorSource, plain.detectorSource);
+    EXPECT_EQ(gapped.observables, plain.observables);
+    std::size_t extra_ticks = 0, j = 0;
+    for (const Instruction &ins : gapped.instructions) {
+        if (j < plain.instructions.size() &&
+            ins.op == plain.instructions[j].op &&
+            ins.qubits == plain.instructions[j].qubits) {
+            ++j;
+        } else {
+            EXPECT_EQ(ins.op, OpType::Tick);
+            ++extra_ticks;
+        }
+    }
+    EXPECT_EQ(j, plain.instructions.size());
+    EXPECT_EQ(extra_ticks, 3 * sched.depth());
+    for (double p_idle : {0.0, 1e-4}) {
+        auto noise = sim::NoiseModel::withIdle(1e-3, p_idle);
+        sim::Dem a = sim::buildDem(plain, noise);
+        sim::Dem b = sim::buildDem(gapped, noise);
+        ASSERT_EQ(a.errors.size(), b.errors.size());
+        for (std::size_t i = 0; i < a.errors.size(); ++i) {
+            EXPECT_EQ(a.errors[i].detectors, b.errors[i].detectors);
+            EXPECT_EQ(a.errors[i].observables, b.errors[i].observables);
+            EXPECT_EQ(a.errors[i].p, b.errors[i].p);
+        }
+    }
+}
+
 TEST(Flags, CouplingsCarryTheirRound)
 {
     // Every CNOT, flag couplings included, reports the SM round it sits
     // in: the number of ancilla-measurement layers before it.
     code::SurfaceCode s(3);
     const std::size_t rounds = 3;
-    SmCircuit c = buildFlaggedMemoryCircuit(circuit::poorSurfaceSchedule(s),
-                                            rounds, MemoryBasis::Z, 4);
+    SmCircuit c = buildMemoryCircuit(circuit::poorSurfaceSchedule(s),
+                                     rounds, MemoryBasis::Z, 4);
     std::size_t round = 0, flag_cnots = 0;
     bool in_measure_layer = false;
     for (std::size_t i = 0; i < c.instructions.size(); ++i) {
@@ -79,8 +120,8 @@ TEST(Flags, NoiselessDeterminism)
     // all flag detectors) must still be deterministically zero.
     code::SurfaceCode s(3);
     for (auto basis : {MemoryBasis::Z, MemoryBasis::X}) {
-        SmCircuit c = buildFlaggedMemoryCircuit(circuit::nzSchedule(s), 3,
-                                                basis, 4);
+        SmCircuit c =
+            buildMemoryCircuit(circuit::nzSchedule(s), 3, basis, 4);
         sim::Rng rng(17);
         auto meas = sim::runTableau(c, rng);
         for (uint8_t d : sim::detectorValues(c, meas)) {
@@ -96,7 +137,7 @@ TEST(Flags, NoiselessDeterminismLdpc)
 {
     auto cp =
         std::make_shared<const code::CssCode>(code::benchmarkLp39());
-    SmCircuit c = buildFlaggedMemoryCircuit(
+    SmCircuit c = buildMemoryCircuit(
         circuit::colorationSchedule(cp), 2, MemoryBasis::Z, 4);
     sim::Rng rng(23);
     auto meas = sim::runTableau(c, rng);
@@ -110,7 +151,7 @@ TEST(Flags, MidSequenceHooksFlipTheFlag)
     // Inject an ancilla fault between the two flag couplings of a
     // weight-4 check and confirm a flag detector fires.
     code::SurfaceCode s(3);
-    SmCircuit c = buildFlaggedMemoryCircuit(
+    SmCircuit c = buildMemoryCircuit(
         circuit::poorSurfaceSchedule(s), 2, MemoryBasis::Z, 4);
     sim::Dem dem = sim::buildDem(c, sim::NoiseModel::uniform(1e-3));
     // Flag detectors are those whose source check index >= numChecks.
@@ -160,7 +201,7 @@ TEST(Flags, FlagsRestoreEffectiveDistanceInDecoding)
     // weight-2 undetected logical errors disappear: the min undetected
     // logical error weight must rise back to 3.
     code::SurfaceCode s(3);
-    SmCircuit flagged = buildFlaggedMemoryCircuit(
+    SmCircuit flagged = buildMemoryCircuit(
         circuit::poorSurfaceSchedule(s), 3, MemoryBasis::Z, 4);
     sim::Dem dem = sim::buildDem(flagged, sim::NoiseModel::uniform(1e-3));
     core::MinWeightResult mw = core::solveGlobalMinWeight(dem, 6, 120.0);

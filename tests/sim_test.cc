@@ -14,7 +14,6 @@
 #include <string>
 
 #include "circuit/coloration.h"
-#include "circuit/flags.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
 #include "code/surface.h"
@@ -322,11 +321,8 @@ TEST(DemBuilder, GoldenFingerprintsOnBenchmarkCodes)
                           name == "surface5" ? code::benchmarkSurface(5)
                           : name == "lp39"   ? code::benchmarkLp39()
                                              : code::benchmarkRqt54()));
-        auto circ = cell.flagWeight == 0
-                        ? circuit::buildMemoryCircuit(schedule, rounds,
-                                                      cell.basis)
-                        : circuit::buildFlaggedMemoryCircuit(
-                              schedule, rounds, cell.basis, cell.flagWeight);
+        auto circ = circuit::buildMemoryCircuit(schedule, rounds, cell.basis,
+                                                cell.flagWeight);
         NoiseModel noise = cell.idle ? NoiseModel::withIdle(1e-3, 1e-4)
                                      : NoiseModel::uniform(1e-3);
         Dem dem = buildDem(circ, noise);
@@ -363,7 +359,7 @@ TEST(FaultSweep, InteriorMechanismsAreTheDemsInteriorMechanisms)
         {buildMemoryCircuit(circuit::colorationSchedule(lp39), 3,
                             MemoryBasis::Z),
          NoiseModel::uniform(2e-3)},
-        {circuit::buildFlaggedMemoryCircuit(
+        {circuit::buildMemoryCircuit(
              circuit::poorSurfaceSchedule(code::SurfaceCode(3)), 3,
              MemoryBasis::X, 4),
          NoiseModel::withIdle(1e-3, 1e-4)},
