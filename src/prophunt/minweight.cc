@@ -1,6 +1,7 @@
 #include "prophunt/minweight.h"
 
 #include <numeric>
+#include <utility>
 
 #include "sat/xor_encoder.h"
 
@@ -42,36 +43,12 @@ solveOnErrors(const sim::Dem &dem, const std::vector<uint32_t> &errors,
         }
     }
 
-    // Route the Tseitin encodings through the MaxSAT hard-clause counter by
-    // encoding into a scratch Solver is not possible; MaxSatSolver exposes
-    // newVar/addHard, so the XOR trees are built manually here.
-    auto xor_gate = [&](sat::Lit a, sat::Lit b) {
-        sat::Lit c = sat::mkLit(maxsat.newVar());
-        maxsat.addHard({sat::negate(a), sat::negate(b), sat::negate(c)});
-        maxsat.addHard({a, b, sat::negate(c)});
-        maxsat.addHard({a, sat::negate(b), c});
-        maxsat.addHard({sat::negate(a), b, c});
-        return c;
-    };
-    auto xor_tree = [&](std::vector<sat::Lit> inputs) {
-        while (inputs.size() > 1) {
-            std::vector<sat::Lit> next;
-            for (std::size_t i = 0; i + 1 < inputs.size(); i += 2) {
-                next.push_back(xor_gate(inputs[i], inputs[i + 1]));
-            }
-            if (inputs.size() % 2 == 1) {
-                next.push_back(inputs.back());
-            }
-            inputs = std::move(next);
-        }
-        return inputs[0];
-    };
-
     for (std::size_t d = 0; d < detectors.size(); ++d) {
         if (det_inputs[d].empty()) {
             continue;
         }
-        sat::Lit out = xor_tree(det_inputs[d]);
+        sat::Lit out =
+            sat::encodeXorTree(maxsat.hardSolver(), std::move(det_inputs[d]));
         maxsat.addHard({sat::negate(out)}); // syndrome must stay unflipped
     }
 
@@ -80,7 +57,8 @@ solveOnErrors(const sim::Dem &dem, const std::vector<uint32_t> &errors,
         if (obs_inputs[o].empty()) {
             continue;
         }
-        logical_outs.push_back(xor_tree(obs_inputs[o]));
+        logical_outs.push_back(
+            sat::encodeXorTree(maxsat.hardSolver(), std::move(obs_inputs[o])));
     }
     if (logical_outs.empty()) {
         return result; // no logical support: no logical error possible

@@ -6,13 +6,6 @@
 
 namespace prophunt::sat {
 
-void
-MaxSatSolver::addHard(std::vector<Lit> lits)
-{
-    ++hardClauses_;
-    solver_.addClause(std::move(lits));
-}
-
 MaxSatResult
 MaxSatSolver::solve(std::size_t max_cost, double timeout_seconds)
 {

@@ -12,6 +12,7 @@
 #define PROPHUNT_SAT_MAXSAT_H
 
 #include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "sat/solver.h"
@@ -46,7 +47,14 @@ class MaxSatSolver
     Var newVar() { return solver_.newVar(); }
 
     /** Add a hard clause. */
-    void addHard(std::vector<Lit> lits);
+    void addHard(std::vector<Lit> lits) { solver_.addClause(std::move(lits)); }
+
+    /**
+     * The solver that holds the hard clauses, for encoders that add them
+     * directly (e.g. sat::encodeXorTree). Adding a clause here is the same
+     * as addHard.
+     */
+    Solver &hardSolver() { return solver_; }
 
     /** Add a soft unit literal (prefer @p l true; violation costs 1). */
     void addSoft(Lit l) { softs_.push_back(l); }
@@ -64,7 +72,6 @@ class MaxSatSolver
   private:
     Solver solver_;
     std::vector<Lit> softs_;
-    std::size_t hardClauses_ = 0;
 };
 
 } // namespace prophunt::sat
