@@ -8,7 +8,9 @@
  * future work. This bench quantifies that combination on the d=3/d=5
  * surface codes: for the poor schedule (distance-reducing hooks) and the
  * PropHunt-optimized schedule, measure LER with and without flags, and
- * the circuit-level d_eff. Flags restore d_eff for the poor schedule at
+ * the circuit-level d_eff. Flagged circuits come from
+ * circuit::buildMemoryCircuit with flag weight 4 (LerRequest::flagWeight on
+ * the Engine path). Flags restore d_eff for the poor schedule at
  * the cost of extra qubits and depth; on already-optimized schedules they
  * mostly add overhead — PropHunt's reordering achieves the same
  * protection for free.

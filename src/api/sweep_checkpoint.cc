@@ -558,9 +558,10 @@ SweepCheckpoint::fromJson(const std::string &json)
         fail("not a " + std::string(kFormat) + " file");
     }
     SweepCheckpoint cp;
-    cp.version = (int)sizeField(root, "version");
-    if (cp.version != kVersion) {
-        fail("unsupported version " + std::to_string(cp.version) +
+    // Compared at full width: narrowing first would read 2^32 + 1 as 1.
+    std::size_t version = sizeField(root, "version");
+    if (version != (std::size_t)kVersion) {
+        fail("unsupported version " + std::to_string(version) +
              " (this build reads version " + std::to_string(kVersion) +
              ")");
     }

@@ -239,6 +239,22 @@ TEST(SweepCheckpoint, RejectsCorruptInput)
                  std::runtime_error);
 }
 
+TEST(SweepCheckpoint, RejectsVersionsThatNarrowToTheCurrentOne)
+{
+    // 2^32 + 1 and 2^33 + 1 are unsupported versions, not version 1: the
+    // check must see the parsed integer before any narrowing to int.
+    std::string good = sampleCheckpoint().toJson();
+    for (const char *v : {"4294967297", "8589934593"}) {
+        std::string json = good;
+        std::size_t vpos = json.find("\"version\": 1,");
+        ASSERT_NE(vpos, std::string::npos);
+        json.replace(vpos, 13, std::string("\"version\": ") + v + ",");
+        EXPECT_THROW(api::SweepCheckpoint::fromJson(json),
+                     std::runtime_error)
+            << v;
+    }
+}
+
 TEST(SweepCheckpoint, RejectsNumbersBeyondUint64)
 {
     // Each must be range-checked before any conversion to an integer:
