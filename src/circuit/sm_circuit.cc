@@ -41,14 +41,13 @@ buildMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
     std::vector<std::size_t> flagged;
     std::vector<std::size_t> t_first(m, 0), t_last(m, 0);
     for (std::size_t c = 0; flags && c < m; ++c) {
-        if (schedule.checkOrder(c).size() >= flag_weight) {
-            flag_of[c] = (long)flagged.size();
-            flagged.push_back(c);
+        if (schedule.checkOrder(c).size() < flag_weight) {
+            continue;
         }
-        if (!ts->t[c].empty()) {
-            t_first[c] = *std::min_element(ts->t[c].begin(), ts->t[c].end());
-            t_last[c] = *std::max_element(ts->t[c].begin(), ts->t[c].end());
-        }
+        flag_of[c] = (long)flagged.size();
+        flagged.push_back(c);
+        t_first[c] = *std::min_element(ts->t[c].begin(), ts->t[c].end());
+        t_last[c] = *std::max_element(ts->t[c].begin(), ts->t[c].end());
     }
     std::size_t f = flagged.size();
 
