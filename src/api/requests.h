@@ -139,8 +139,7 @@ struct SweepRequest
     uint64_t seed = 1;
     decoder::LerOptions ler;
     SprtOptions sprt;
-    /** As LerRequest::flagWeight (circuit::buildMemoryCircuit's flag
-     * weight). */
+    /** As LerRequest::flagWeight: buildMemoryCircuit's flag weight. */
     std::size_t flagWeight = 0;
     /** Checkpoint/resume file; empty (the default) disables both. A
      * mismatched existing checkpoint (different request fingerprint) is

@@ -68,10 +68,7 @@ buildMemoryCircuit(const SmSchedule &schedule, std::size_t rounds,
         circ.cnotInfo.push_back(info);
     };
     auto emit_flag_cnot = [&](std::size_t c, std::size_t round) {
-        CnotInfo info;
-        info.check = c;
-        info.round = round;
-        info.flag = true;
+        CnotInfo info{c, 0, 0, round, true};
         if (c < mx) {
             // X check: ancilla (control) couples into the |0> flag.
             emit_cnot(anc(c), flag_q((std::size_t)flag_of[c]), info);
