@@ -442,37 +442,58 @@ TEST(Engine, FlaggedCircuitsCachedSeparately)
 
 TEST(Engine, SweepMatchesPointwiseRuns)
 {
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1e-3, 3e-3};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 2000;
-    sweep.seed = 5;
-    sweep.ler.threads = 1;
-    api::SweepResult result = engine.run(sweep);
-    ASSERT_EQ(result.points.size(), 2u);
+    // maxFailures = 0 runs the full budget; maxFailures = 5 over 250-shot
+    // shards stops the 3e-3 point early, so the early-stop accounting of
+    // a sweep point is compared with the LerRequest's too.
+    for (std::size_t max_failures : {0, 5}) {
+        SCOPED_TRACE("maxFailures " + std::to_string(max_failures));
+        api::Engine engine;
+        api::SweepRequest sweep(d3Schedule());
+        sweep.rounds = 3;
+        sweep.ps = {1e-3, 3e-3};
+        sweep.decoder = "union_find";
+        sweep.shotsPerPoint = 2000;
+        sweep.seed = 5;
+        sweep.ler.threads = 1;
+        sweep.ler.maxFailures = max_failures;
+        sweep.ler.shardShots = max_failures == 0 ? sweep.ler.shardShots : 250;
+        api::SweepResult result = engine.run(sweep);
+        ASSERT_EQ(result.points.size(), 2u);
 
-    for (std::size_t i = 0; i < sweep.ps.size(); ++i) {
-        api::LerRequest req(sweep.schedule);
-        req.rounds = 3;
-        req.noise = sim::NoiseModel::uniform(sweep.ps[i]);
-        req.decoder = "union_find";
-        req.shots = 2000;
-        req.seed = 5;
-        req.ler.threads = 1;
-        std::size_t before = engine.serviceStats().decodedShards;
-        api::LerResult point = engine.run(req);
-        EXPECT_EQ(engine.serviceStats().decodedShards - before,
-                  shardsOf(point.memory))
-            << "a pointwise run must decode, not replay the sweep";
-        EXPECT_EQ(result.points[i].memory.z.failures,
-                  point.memory.z.failures);
-        EXPECT_EQ(result.points[i].memory.x.failures,
-                  point.memory.x.failures);
-        EXPECT_EQ(result.points[i].decision, api::SprtDecision::None);
+        std::size_t pointwise_shots = 0;
+        bool any_early_stop = false;
+        for (std::size_t i = 0; i < sweep.ps.size(); ++i) {
+            api::LerRequest req(sweep.schedule);
+            req.rounds = 3;
+            req.noise = sim::NoiseModel::uniform(sweep.ps[i]);
+            req.decoder = "union_find";
+            req.shots = 2000;
+            req.seed = 5;
+            req.ler = sweep.ler;
+            std::size_t before = engine.serviceStats().decodedShards;
+            api::LerResult point = engine.run(req);
+            EXPECT_EQ(engine.serviceStats().decodedShards - before,
+                      shardsOf(point.memory, req.ler.shardShots))
+                << "a pointwise run must decode, not replay the sweep";
+            const decoder::MemoryLer &m = result.points[i].memory;
+            EXPECT_EQ(m.z.shots, point.memory.z.shots);
+            EXPECT_EQ(m.z.failures, point.memory.z.failures);
+            EXPECT_EQ(m.z.earlyStopped, point.memory.z.earlyStopped);
+            EXPECT_EQ(m.x.shots, point.memory.x.shots);
+            EXPECT_EQ(m.x.failures, point.memory.x.failures);
+            EXPECT_EQ(m.x.earlyStopped, point.memory.x.earlyStopped);
+            EXPECT_EQ(result.points[i].decision, api::SprtDecision::None);
+            pointwise_shots += point.telemetry.shots;
+            any_early_stop = any_early_stop || m.z.earlyStopped ||
+                             m.x.earlyStopped;
+        }
+        EXPECT_EQ(result.totalShots(), pointwise_shots);
+        if (max_failures == 0) {
+            EXPECT_EQ(result.totalShots(), 8000u);
+        } else {
+            EXPECT_TRUE(any_early_stop);
+        }
     }
-    EXPECT_EQ(result.totalShots(), 8000u);
 }
 
 TEST(Engine, SweepRejectsSprtWithoutDecisionLer)

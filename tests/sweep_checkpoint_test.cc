@@ -542,3 +542,127 @@ TEST(SweepPrefix, LateChunksCannotFlipAnEarlyDecision)
         << "post-decision chunks must not leak into the tallies";
     EXPECT_TRUE(fin.complete);
 }
+
+// --- golden tallies ---------------------------------------------------------
+//
+// Literal per-point tallies recorded from the reference implementation.
+// The resume tests compare two runs of the same code; these pin what the
+// sweep actually reports, so a change to the prefix rule cannot move both
+// sides of a comparison together.
+
+namespace {
+
+struct GoldenPoint
+{
+    std::size_t zShots, zFailures;
+    bool zEarlyStopped;
+    std::size_t xShots, xFailures;
+    bool xEarlyStopped;
+    api::SprtDecision decision;
+};
+
+void
+expectGolden(const api::SweepResult &r,
+             const std::vector<GoldenPoint> &golden)
+{
+    ASSERT_EQ(r.points.size(), golden.size());
+    for (std::size_t i = 0; i < golden.size(); ++i) {
+        const api::SweepPointResult &pt = r.points[i];
+        const GoldenPoint &g = golden[i];
+        SCOPED_TRACE("point " + std::to_string(i));
+        EXPECT_EQ(pt.memory.z.shots, g.zShots);
+        EXPECT_EQ(pt.memory.z.failures, g.zFailures);
+        EXPECT_EQ(pt.memory.z.earlyStopped, g.zEarlyStopped);
+        EXPECT_EQ(pt.memory.x.shots, g.xShots);
+        EXPECT_EQ(pt.memory.x.failures, g.xFailures);
+        EXPECT_EQ(pt.memory.x.earlyStopped, g.xEarlyStopped);
+        EXPECT_EQ(pt.decision, g.decision);
+    }
+}
+
+} // namespace
+
+TEST(SweepGolden, FixedBudgetWithMaxFailures)
+{
+    // 256-shot shards let maxFailures = 20 stop the high-p point early.
+    // decisionLer stays set, so each point is classified by the
+    // fixed-budget rule.
+    api::SweepRequest req = sprtRequest();
+    req.sprt.enabled = false;
+    req.ler.shardShots = 256;
+    req.ler.maxFailures = 20;
+    api::Engine engine;
+    expectGolden(engine.run(req),
+                 {{2048, 1, false, 2048, 2, false, api::SprtDecision::Below},
+                  {512, 41, true, 512, 33, true, api::SprtDecision::Above}});
+}
+
+TEST(SweepGolden, SprtDecidedEarlyAndOutOfBudget)
+{
+    // p = 5e-3 exhausts its 1024 shots inside the indifference zone and
+    // falls back to the fixed-budget rule.
+    api::SweepRequest req = sprtRequest();
+    req.ps = {1e-3, 4e-3, 5e-3};
+    req.shotsPerPoint = 1024;
+    api::Engine engine;
+    expectGolden(engine.run(req),
+                 {{256, 0, true, 256, 0, true, api::SprtDecision::Below},
+                  {768, 6, true, 768, 5, true, api::SprtDecision::Below},
+                  {1024, 9, false, 1024, 14, false,
+                   api::SprtDecision::Above}});
+}
+
+TEST(SweepGolden, SprtWithMaxFailuresTruncatingChunks)
+{
+    // 64-shot shards and maxFailures = 3 cut chunks short. The p = 4e-3
+    // point runs out of budget with truncated chunks, so its tallies'
+    // early-stop flags do not surface; the decided points report
+    // earlyStopped from their decision.
+    api::SweepRequest req = sprtRequest();
+    req.ps = {1e-3, 4e-3, 1.6e-2};
+    req.shotsPerPoint = 768;
+    req.ler.shardShots = 64;
+    req.ler.maxFailures = 3;
+    api::Engine engine;
+    expectGolden(engine.run(req),
+                 {{256, 0, true, 256, 0, true, api::SprtDecision::Below},
+                  {640, 7, false, 768, 5, false, api::SprtDecision::Below},
+                  {128, 6, true, 128, 10, true, api::SprtDecision::Above}});
+}
+
+TEST(SweepGolden, ZeroShotPointIsEmptyInBothModes)
+{
+    api::SweepRequest req = sprtRequest();
+    req.ps = {1e-3};
+    req.shotsPerPoint = 0;
+    api::Engine engine;
+    expectGolden(engine.run(req),
+                 {{0, 0, false, 0, 0, false, api::SprtDecision::None}});
+    req.sprt.enabled = false;
+    expectGolden(engine.run(req),
+                 {{0, 0, false, 0, 0, false, api::SprtDecision::None}});
+    EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
+}
+
+TEST(SweepGolden, FingerprintAndCheckpointJson)
+{
+    EXPECT_EQ(api::sweepFingerprint(sprtRequest()), 0xbcac49a6826c30afULL);
+    EXPECT_EQ(sampleCheckpoint().toJson(),
+              "{\n"
+              "  \"format\": \"prophunt-sweep-checkpoint\",\n"
+              "  \"version\": 1,\n"
+              "  \"fingerprint\": \"bcac49a6826c30af\",\n"
+              "  \"seed\": \"000000000000000d\",\n"
+              "  \"shots_per_point\": 2048,\n"
+              "  \"chunk_shots\": 256,\n"
+              "  \"sprt\": {\"enabled\": true, \"decision_ler\": 0.02, "
+              "\"margin\": 2, \"alpha\": 0.001, \"beta\": 0.001, "
+              "\"chunk_shots\": 256, \"min_shots\": 128},\n"
+              "  \"points\": [\n"
+              "    {\"p\": 0.001, \"chunks\": "
+              "[[256,1,256,2,0,0],null,null,null,null,null,null,null]},\n"
+              "    {\"p\": 0.016, \"chunks\": "
+              "[null,null,null,[256,0,256,2,1,0],null,null,null,null]}\n"
+              "  ]\n"
+              "}\n");
+}
