@@ -21,6 +21,7 @@
  * number or an invalid request exits 2. Everything runs through
  * prophunt::api::Engine.
  */
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -108,6 +109,7 @@ findCode(const char *name)
  * Stable sweep-result JSON: tallies and decisions only, no timings —
  * a clean run and a kill/resume run of the same request produce
  * byte-identical files, which is exactly what the CI smoke leg diffs.
+ * Throws std::runtime_error when the file cannot be opened or written.
  */
 void
 writeSweepResultJson(const std::string &path, const char *code_name,
@@ -116,8 +118,8 @@ writeSweepResultJson(const std::string &path, const char *code_name,
 {
     FILE *f = std::fopen(path.c_str(), "w");
     if (f == nullptr) {
-        std::fprintf(stderr, "cannot write %s\n", path.c_str());
-        return;
+        throw std::runtime_error("cannot write " + path + ": " +
+                                 std::strerror(errno));
     }
     std::fprintf(f,
                  "{\n  \"format\": \"prophunt-sweep-result\",\n"
@@ -137,7 +139,10 @@ writeSweepResultJson(const std::string &path, const char *code_name,
                      api::toString(pt.decision));
     }
     std::fprintf(f, "\n  ]\n}\n");
-    std::fclose(f);
+    const bool write_failed = std::ferror(f) != 0;
+    if (std::fclose(f) != 0 || write_failed) {
+        throw std::runtime_error("write to " + path + " failed");
+    }
     std::printf("wrote %s\n", path.c_str());
 }
 

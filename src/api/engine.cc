@@ -138,6 +138,21 @@ Engine::serviceMeasure(const Artifact &art, std::size_t shots, uint64_t seed,
     return o.result;
 }
 
+decoder::MemoryLer
+Engine::measureMemory(const Artifact &z, const Artifact &x, std::size_t shots,
+                      uint64_t seed, const decoder::LerOptions &ler,
+                      const std::atomic<bool> *cancel, Telemetry &telemetry)
+{
+    decoder::MemoryLer m;
+    for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
+        const bool is_z = basis == circuit::MemoryBasis::Z;
+        (is_z ? m.z : m.x) = serviceMeasure(
+            is_z ? z : x, shots, decoder::memoryBasisSeed(seed, basis), ler,
+            cancel, telemetry);
+    }
+    return m;
+}
+
 LerResult
 Engine::run(const LerRequest &req)
 {
@@ -147,88 +162,51 @@ Engine::run(const LerRequest &req)
         // artifact build so the telemetry stays zeroed too.
         return out;
     }
-    for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
-        Artifact art =
-            artifactFor(req.schedule, req.rounds, basis, req.noise,
-                        req.decoder, req.flagWeight, out.telemetry);
-        decoder::LerResult r = serviceMeasure(
-            art, req.shots, decoder::memoryBasisSeed(req.seed, basis),
-            req.ler, req.cancel, out.telemetry);
-        (basis == circuit::MemoryBasis::Z ? out.memory.z : out.memory.x) =
-            r;
-    }
+    Artifact z = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::Z,
+                             req.noise, req.decoder, req.flagWeight,
+                             out.telemetry);
+    Artifact x = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::X,
+                             req.noise, req.decoder, req.flagWeight,
+                             out.telemetry);
+    out.memory = measureMemory(z, x, req.shots, req.seed, req.ler, req.cancel,
+                               out.telemetry);
     return out;
 }
 
-void
-Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
-                        std::size_t pi, SweepPointCheckpoint &pointCp,
-                        Telemetry &telemetry,
-                        decoder::PackedDecodeStats &zPacked,
-                        decoder::PackedDecodeStats &xPacked,
+SweepPointResult
+Engine::sweepPointCells(const SweepRequest &req, SweepCheckpoint &cp,
+                        std::size_t pi,
                         const std::function<void()> &cellCommitted,
                         bool &interrupted)
 {
-    const std::size_t n_chunks = grid.chunksPerPoint();
-    if (n_chunks == 0) {
-        return; // Zero-shot point: nothing to compute, decision None.
-    }
-    sim::NoiseModel noise =
+    Telemetry telemetry;
+    decoder::PackedDecodeStats z_packed, x_packed;
+    const sim::NoiseModel noise =
         sim::NoiseModel::withIdle(req.ps[pi], req.pIdle);
-    // Artifacts are built lazily: a fully checkpointed point resumes
-    // without touching the cache at all.
-    Artifact artZ, artX;
-    bool have_artifacts = false;
+    // Built on the first pending chunk: a fully checkpointed point
+    // resumes without touching the cache at all.
+    Artifact z, x;
 
-    for (std::size_t c = 0; c < n_chunks; ++c) {
-        if (grid.sprt) {
-            // Canonical early stop: once the contiguous done prefix
-            // decides, every later chunk is irrelevant — the serial
-            // loop stopped here, and finalize will never read past it.
-            SweepPrefix pre = evalSweepPrefix(pointCp, grid, req.sprt);
-            if (pre.decision != SprtDecision::Undecided &&
-                pre.chunksConsumed <= c) {
-                break;
-            }
-        }
-        if (pointCp.chunks[c].done) {
-            continue;
-        }
+    // Canonical order: compute the chunk after the contiguous done prefix
+    // until the prefix is complete (an SPRT decision, or every chunk), so
+    // no chunk past a decision is ever sampled — as in the serial loop.
+    for (SweepPrefix pre; !(pre = evalSweepPrefix(cp, pi)).complete;) {
+        const std::size_t c = pre.chunksDone;
         if (req.cancel != nullptr && req.cancel->load()) {
             interrupted = true;
             break;
         }
-        if (!have_artifacts) {
-            artZ = artifactFor(req.schedule, req.rounds,
-                               circuit::MemoryBasis::Z, noise, req.decoder,
-                               req.flagWeight, telemetry);
-            artX = artifactFor(req.schedule, req.rounds,
-                               circuit::MemoryBasis::X, noise, req.decoder,
-                               req.flagWeight, telemetry);
-            have_artifacts = true;
+        if (z.entry == nullptr) {
+            z = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::Z,
+                            noise, req.decoder, req.flagWeight, telemetry);
+            x = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::X,
+                            noise, req.decoder, req.flagWeight, telemetry);
         }
-        const std::size_t chunk_shots = grid.chunkSize(c);
-        const uint64_t chunk_seed = sweepChunkSeed(req, grid, c);
-        SweepChunkTally tally;
-        for (auto basis :
-             {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
-            Artifact &art = basis == circuit::MemoryBasis::Z ? artZ : artX;
-            decoder::LerResult r = serviceMeasure(
-                art, chunk_shots,
-                decoder::memoryBasisSeed(chunk_seed, basis), req.ler,
-                req.cancel, telemetry);
-            if (basis == circuit::MemoryBasis::Z) {
-                tally.zShots = r.shots;
-                tally.zFailures = r.failures;
-                tally.zEarlyStopped = r.earlyStopped;
-                zPacked += r.packed;
-            } else {
-                tally.xShots = r.shots;
-                tally.xFailures = r.failures;
-                tally.xEarlyStopped = r.earlyStopped;
-                xPacked += r.packed;
-            }
-        }
+        decoder::MemoryLer m =
+            measureMemory(z, x, cp.chunkSize(c), sweepChunkSeed(req, c),
+                          req.ler, req.cancel, telemetry);
+        z_packed += m.z.packed;
+        x_packed += m.x.packed;
         if (req.cancel != nullptr && req.cancel->load()) {
             // The cancel flag flipped while this chunk was in flight;
             // its tallies may be a truncated shard prefix rather than
@@ -238,17 +216,29 @@ Engine::sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
             interrupted = true;
             break;
         }
-        tally.done = true;
-        pointCp.chunks[c] = tally;
+        cp.points[pi].chunks[c] = {.done = true,
+                                   .zShots = m.z.shots,
+                                   .zFailures = m.z.failures,
+                                   .xShots = m.x.shots,
+                                   .xFailures = m.x.failures,
+                                   .zEarlyStopped = m.z.earlyStopped,
+                                   .xEarlyStopped = m.x.earlyStopped};
         cellCommitted();
     }
+
+    // The memory tallies account the full canonical prefix, checkpointed
+    // or fresh; telemetry and packed stats report this call's work only.
+    SweepPointResult out = finalizePoint(cp, pi);
+    out.telemetry = telemetry;
+    out.memory.z.packed = z_packed;
+    out.memory.x.packed = x_packed;
+    return out;
 }
 
 SweepResult
 Engine::run(const SweepRequest &req)
 {
     validateSweepRequest(req);
-    const SweepGrid grid = sweepGridFor(req);
     const bool persist = !req.checkpointPath.empty();
 
     SweepCheckpoint cp = makeSweepCheckpoint(req);
@@ -282,32 +272,18 @@ Engine::run(const SweepRequest &req)
     SweepResult out;
     out.points.reserve(req.ps.size());
     bool interrupted = false;
-    for (std::size_t pi = 0; pi < req.ps.size(); ++pi) {
+    for (std::size_t pi = 0; pi < req.ps.size() && !interrupted; ++pi) {
         if (req.cancel != nullptr && req.cancel->load()) {
-            interrupted = true;
-        }
-        if (interrupted) {
             break;
         }
-        Telemetry new_work;
-        decoder::PackedDecodeStats z_packed, x_packed;
-        sweepPointCells(req, grid, pi, cp.points[pi], new_work, z_packed,
-                        x_packed, cell_committed, interrupted);
-        SweepPointResult pt = finalizePoint(cp, pi);
-        // Telemetry reports this run's work (build/decode time, cache
-        // traffic, freshly sampled shots); the memory tallies always
-        // account the full canonical prefix, checkpointed or fresh.
-        pt.telemetry = new_work;
-        pt.memory.z.packed = z_packed;
-        pt.memory.x.packed = x_packed;
+        SweepPointResult pt =
+            sweepPointCells(req, cp, pi, cell_committed, interrupted);
+        out.telemetry += pt.telemetry;
         // A cancelled in-progress point contributes its contiguous
         // done-chunk prefix; an untouched one is omitted entirely.
-        if (interrupted && pt.memory.z.shots + pt.memory.x.shots == 0) {
-            out.telemetry += new_work;
-            break;
+        if (!interrupted || pt.memory.z.shots + pt.memory.x.shots != 0) {
+            out.points.push_back(pt);
         }
-        out.points.push_back(pt);
-        out.telemetry += pt.telemetry;
     }
     if (persist) {
         // Always leave a final checkpoint on disk, even after a

@@ -137,22 +137,28 @@ class Engine
                          const decoder::DecoderSpec &spec,
                          std::size_t flag_weight, Telemetry &telemetry);
 
+    /** The one memory-measurement loop (run(LerRequest), every sweep
+     * chunk): @p shots per basis on prebuilt artifacts, basis b sampling
+     * at memoryBasisSeed(@p seed, b) as decoder::measureMemoryLer does. */
+    decoder::MemoryLer measureMemory(const Artifact &z, const Artifact &x,
+                                     std::size_t shots, uint64_t seed,
+                                     const decoder::LerOptions &ler,
+                                     const std::atomic<bool> *cancel,
+                                     Telemetry &telemetry);
+
     /**
-     * Compute every owned, still-pending cell of sweep point @p pi in
-     * canonical chunk order, recording completed tallies into
-     * @p pointCp. @p cellCommitted fires after each newly completed
-     * cell (the checkpoint-write hook); @p interrupted is set when
-     * req.cancel stopped the point before its owned cells finished.
-     * Packed-decode stats of the freshly computed cells accumulate into
-     * @p zPacked / @p xPacked.
+     * Complete sweep point @p pi of @p cp: while evalSweepPrefix finds
+     * it incomplete, measure the chunk after its done prefix and record
+     * the tally, so an SPRT point never samples past its decision.
+     * Artifacts are built at most once, and only if a chunk is pending.
+     * @p cellCommitted fires after each new cell (the checkpoint hook);
+     * @p interrupted is set when req.cancel stopped the point. Returns
+     * finalizePoint's result with this call's telemetry and packed stats.
      */
-    void sweepPointCells(const SweepRequest &req, const SweepGrid &grid,
-                         std::size_t pi, SweepPointCheckpoint &pointCp,
-                         Telemetry &telemetry,
-                         decoder::PackedDecodeStats &zPacked,
-                         decoder::PackedDecodeStats &xPacked,
-                         const std::function<void()> &cellCommitted,
-                         bool &interrupted);
+    SweepPointResult
+    sweepPointCells(const SweepRequest &req, SweepCheckpoint &cp,
+                    std::size_t pi, const std::function<void()> &cellCommitted,
+                    bool &interrupted);
 
     /** Run one basis measurement through the decode service and fold the
      * outcome's telemetry into @p telemetry. */

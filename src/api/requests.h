@@ -129,7 +129,9 @@ struct SweepRequest
 {
     circuit::SmSchedule schedule;
     std::size_t rounds = 1;
-    /** Gate error rates to sweep. */
+    /** Gate error rates to sweep. Each, and pIdle, must be a finite
+     * probability in [0, 1]; run() rejects any other value with
+     * std::invalid_argument before the first shot is sampled. */
     std::vector<double> ps;
     /** Per-CNOT-layer idle error strength applied at every point. */
     double pIdle = 0.0;

@@ -10,7 +10,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "api/engine.h"
 #include "api/sprt.h"
 #include "sim/parallel_sampler.h"
 
@@ -414,33 +413,25 @@ tallyElem(const JsonValue &arr, std::size_t i)
     return (uint64_t)v.number;
 }
 
-} // namespace
-
-// --- grid -------------------------------------------------------------------
-
-SweepGrid
-sweepGridFor(const SweepRequest &req)
+SweepPointResult
+pointResult(double p, const SweepPrefix &pre)
 {
-    SweepGrid grid;
-    grid.numPoints = req.ps.size();
-    grid.shotsPerPoint = req.shotsPerPoint;
-    grid.sprt = req.sprt.enabled;
-    if (req.shotsPerPoint == 0) {
-        grid.chunkShots = 0;
-    } else if (req.sprt.enabled) {
-        // chunkShots = 0 would never advance the budget; clamp to 1.
-        grid.chunkShots = std::max<std::size_t>(1, req.sprt.chunkShots);
-    } else {
-        grid.chunkShots = req.shotsPerPoint;
-    }
-    return grid;
+    SweepPointResult out;
+    out.p = p;
+    out.memory = pre.memory;
+    out.decision = pre.decision;
+    out.telemetry.shots = pre.memory.z.shots + pre.memory.x.shots;
+    return out;
 }
 
+} // namespace
+
+// --- seeds / fingerprint / construction ------------------------------------
+
 uint64_t
-sweepChunkSeed(const SweepRequest &req, const SweepGrid &grid,
-               std::size_t chunk)
+sweepChunkSeed(const SweepRequest &req, std::size_t chunk)
 {
-    if (!grid.sprt) {
+    if (!req.sprt.enabled) {
         return req.seed;
     }
     // The serial pre-checkpoint loop drew chunk seeds sequentially from
@@ -449,14 +440,31 @@ sweepChunkSeed(const SweepRequest &req, const SweepGrid &grid,
     return sim::shardSeed(req.seed ^ 0xc4ceb9fe1a85ec53ULL, chunk);
 }
 
-// --- fingerprint / construction ---------------------------------------------
-
 uint64_t
 sweepFingerprint(const SweepRequest &req)
 {
-    SweepGrid grid = sweepGridFor(req);
+    return makeSweepCheckpoint(req).fingerprint;
+}
+
+SweepCheckpoint
+makeSweepCheckpoint(const SweepRequest &req)
+{
+    SweepCheckpoint cp;
+    cp.shotsPerPoint = req.shotsPerPoint;
+    if (req.shotsPerPoint == 0) {
+        cp.chunkShots = 0;
+    } else if (req.sprt.enabled) {
+        // chunkShots = 0 would never advance the budget; clamp to 1.
+        cp.chunkShots = std::max<std::size_t>(1, req.sprt.chunkShots);
+    } else {
+        cp.chunkShots = req.shotsPerPoint;
+    }
+    cp.seed = req.seed;
+    cp.sprt = req.sprt;
+    cp.sprt.chunkShots = cp.chunkShots; // Persist the clamped value.
+
     uint64_t h = 0x6a09e667f3bcc908ULL; // Distinct basis from cache keys.
-    fnv(h, hashSchedule(req.schedule));
+    fnv(h, circuit::hashSchedule(req.schedule));
     fnv(h, req.rounds);
     fnv(h, req.ps.size());
     for (double p : req.ps) {
@@ -466,7 +474,7 @@ sweepFingerprint(const SweepRequest &req)
     fnvStr(h, req.decoder.describe());
     fnv(h, req.shotsPerPoint);
     fnv(h, req.seed);
-    fnv(h, grid.chunkShots);
+    fnv(h, cp.chunkShots);
     fnv(h, req.sprt.enabled ? 1 : 0);
     fnv(h, doubleBits(req.sprt.decisionLer));
     fnv(h, doubleBits(req.sprt.margin));
@@ -476,24 +484,12 @@ sweepFingerprint(const SweepRequest &req)
     fnv(h, req.flagWeight);
     fnv(h, req.ler.maxFailures);
     fnv(h, req.ler.shardShots);
-    return h;
-}
+    cp.fingerprint = h;
 
-SweepCheckpoint
-makeSweepCheckpoint(const SweepRequest &req)
-{
-    SweepGrid grid = sweepGridFor(req);
-    SweepCheckpoint cp;
-    cp.fingerprint = sweepFingerprint(req);
-    cp.shotsPerPoint = grid.shotsPerPoint;
-    cp.chunkShots = grid.chunkShots;
-    cp.seed = req.seed;
-    cp.sprt = req.sprt;
-    cp.sprt.chunkShots = grid.chunkShots; // Persist the clamped value.
     cp.points.resize(req.ps.size());
     for (std::size_t i = 0; i < req.ps.size(); ++i) {
         cp.points[i].p = req.ps[i];
-        cp.points[i].chunks.resize(grid.chunksPerPoint());
+        cp.points[i].chunks.resize(cp.chunksPerPoint());
     }
     return cp;
 }
@@ -578,15 +574,11 @@ SweepCheckpoint::fromJson(const std::string &json)
     cp.sprt.chunkShots = sizeField(sprt, "chunk_shots");
     cp.sprt.minShots = sizeField(sprt, "min_shots");
 
-    // The grid every point must be laid out on.
-    std::size_t chunks_per_point = 0;
-    if (cp.shotsPerPoint > 0) {
-        if (cp.chunkShots == 0) {
-            fail("chunk_shots must be positive when shots_per_point is");
-        }
-        chunks_per_point =
-            (cp.shotsPerPoint + cp.chunkShots - 1) / cp.chunkShots;
+    if (cp.shotsPerPoint > 0 && cp.chunkShots == 0) {
+        fail("chunk_shots must be positive when shots_per_point is");
     }
+    // The grid every point must be laid out on.
+    const std::size_t chunks_per_point = cp.chunksPerPoint();
 
     const JsonValue &pts = field(root, "points");
     if (pts.kind != JsonValue::Array) {
@@ -700,130 +692,75 @@ SweepCheckpoint::loadIfExists(const std::string &path)
 // --- canonical evaluation ---------------------------------------------------
 
 SweepPrefix
-evalSweepPrefix(const SweepPointCheckpoint &point, const SweepGrid &grid,
-                const SprtOptions &sprt)
+evalSweepPrefix(const SweepCheckpoint &cp, std::size_t point)
 {
+    const std::vector<SweepChunkTally> &chunks = cp.points[point].chunks;
     SweepPrefix pre;
-    const std::size_t n = point.chunks.size();
-    while (pre.chunksDone < n && point.chunks[pre.chunksDone].done) {
+    while (pre.chunksDone < chunks.size() && chunks[pre.chunksDone].done) {
         ++pre.chunksDone;
     }
-    if (n == 0) {
+    if (chunks.empty()) {
         // Zero-shot point: well-formed empty, decision None.
         pre.complete = true;
         return pre;
     }
 
-    if (!grid.sprt) {
-        // Fixed budget: one chunk carrying the whole point.
-        if (pre.chunksDone == 0) {
-            pre.decision = SprtDecision::None;
-            return pre;
-        }
-        const SweepChunkTally &t = point.chunks[0];
-        pre.chunksConsumed = 1;
-        pre.zShots = t.zShots;
-        pre.zFailures = t.zFailures;
-        pre.xShots = t.xShots;
-        pre.xFailures = t.xFailures;
-        pre.zEarlyStopped = t.zEarlyStopped;
-        pre.xEarlyStopped = t.xEarlyStopped;
-        double zl = pre.zShots == 0
-                        ? 0.0
-                        : (double)pre.zFailures / (double)pre.zShots;
-        double xl = pre.xShots == 0
-                        ? 0.0
-                        : (double)pre.xFailures / (double)pre.xShots;
-        double combined = 1.0 - (1.0 - zl) * (1.0 - xl);
-        pre.decision = SprtTest::fixedDecision(combined, sprt);
-        pre.complete = true;
-        return pre;
+    std::optional<SprtTest> test;
+    if (cp.sprt.enabled) {
+        test.emplace(cp.sprt);
+        pre.decision = SprtDecision::Undecided;
     }
-
-    SprtTest test(sprt);
-    pre.decision = SprtDecision::Undecided;
+    decoder::MemoryLer &m = pre.memory;
     for (std::size_t c = 0; c < pre.chunksDone; ++c) {
-        const SweepChunkTally &t = point.chunks[c];
-        pre.zShots += t.zShots;
-        pre.zFailures += t.zFailures;
-        pre.xShots += t.xShots;
-        pre.xFailures += t.xFailures;
+        const SweepChunkTally &t = chunks[c];
+        m.z.shots += t.zShots;
+        m.z.failures += t.zFailures;
+        m.x.shots += t.xShots;
+        m.x.failures += t.xFailures;
         pre.chunksConsumed = c + 1;
-        std::size_t trials = (std::size_t)((pre.zShots + pre.xShots) / 2);
-        std::size_t failures =
-            (std::size_t)(pre.zFailures + pre.xFailures);
-        SprtDecision dec = test.evaluate(trials, failures);
+        if (!test) {
+            // Fixed budget: the one chunk carries the whole point.
+            m.z.earlyStopped = t.zEarlyStopped;
+            m.x.earlyStopped = t.xEarlyStopped;
+            continue;
+        }
+        SprtDecision dec = test->evaluate((m.z.shots + m.x.shots) / 2,
+                                          m.z.failures + m.x.failures);
         if (dec != SprtDecision::Undecided) {
             pre.decision = dec;
-            pre.decidedEarly = grid.chunkEnd(c) < grid.shotsPerPoint;
-            pre.zEarlyStopped = pre.xEarlyStopped = pre.decidedEarly;
+            pre.decidedEarly = cp.chunkEnd(c) < cp.shotsPerPoint;
+            m.z.earlyStopped = m.x.earlyStopped = pre.decidedEarly;
             pre.complete = true;
             return pre;
         }
     }
-    if (pre.chunksDone == n) {
-        // Budget exhausted inside the indifference zone: the
-        // fixed-budget fallback rule, exactly as the serial loop.
-        double zl = pre.zShots == 0
-                        ? 0.0
-                        : (double)pre.zFailures / (double)pre.zShots;
-        double xl = pre.xShots == 0
-                        ? 0.0
-                        : (double)pre.xFailures / (double)pre.xShots;
-        double combined = 1.0 - (1.0 - zl) * (1.0 - xl);
-        pre.decision = SprtTest::fixedDecision(combined, sprt);
+    if (pre.chunksDone == chunks.size()) {
+        // The whole budget without an SPRT decision: the fixed-budget
+        // rule, exactly as the serial loop.
+        pre.decision = SprtTest::fixedDecision(m.combined(), cp.sprt);
         pre.complete = true;
     }
     return pre;
 }
 
-namespace {
-
-SweepGrid
-gridOf(const SweepCheckpoint &cp)
-{
-    SweepGrid grid;
-    grid.numPoints = cp.points.size();
-    grid.shotsPerPoint = cp.shotsPerPoint;
-    grid.chunkShots = cp.chunkShots;
-    grid.sprt = cp.sprt.enabled;
-    return grid;
-}
-
-} // namespace
-
 SweepPointResult
 finalizePoint(const SweepCheckpoint &cp, std::size_t point)
 {
-    const SweepPointCheckpoint &pt = cp.points[point];
-    SweepPrefix pre = evalSweepPrefix(pt, gridOf(cp), cp.sprt);
-    SweepPointResult out;
-    out.p = pt.p;
-    out.memory.z.shots = (std::size_t)pre.zShots;
-    out.memory.z.failures = (std::size_t)pre.zFailures;
-    out.memory.z.earlyStopped = pre.zEarlyStopped;
-    out.memory.x.shots = (std::size_t)pre.xShots;
-    out.memory.x.failures = (std::size_t)pre.xFailures;
-    out.memory.x.earlyStopped = pre.xEarlyStopped;
-    out.decision = pre.decision;
-    out.telemetry.shots = (std::size_t)(pre.zShots + pre.xShots);
-    return out;
+    return pointResult(cp.points[point].p, evalSweepPrefix(cp, point));
 }
 
 SweepFinalize
 finalizeSweep(const SweepCheckpoint &cp)
 {
     SweepFinalize fin;
-    fin.complete = true;
     fin.result.points.reserve(cp.points.size());
-    SweepGrid grid = gridOf(cp);
     for (std::size_t i = 0; i < cp.points.size(); ++i) {
-        SweepPrefix pre = evalSweepPrefix(cp.points[i], grid, cp.sprt);
-        fin.complete = fin.complete && pre.complete;
+        SweepPrefix pre = evalSweepPrefix(cp, i);
         fin.pointsComplete += pre.complete ? 1 : 0;
-        fin.result.points.push_back(finalizePoint(cp, i));
+        fin.result.points.push_back(pointResult(cp.points[i].p, pre));
         fin.result.telemetry += fin.result.points.back().telemetry;
     }
+    fin.complete = fin.pointsComplete == cp.points.size();
     return fin;
 }
 
@@ -832,12 +769,23 @@ finalizeSweep(const SweepCheckpoint &cp)
 void
 validateSweepRequest(const SweepRequest &req)
 {
+    // buildDem's rule, checked before the first point is sampled rather
+    // than when the sweep reaches the bad point.
+    auto check = [](double p, const std::string &name) {
+        if (!std::isfinite(p) || p < 0.0 || p > 1.0) {
+            throw std::invalid_argument(
+                "SweepRequest: " + name +
+                " must be a finite probability in [0, 1], got " +
+                std::to_string(p));
+        }
+    };
+    for (std::size_t i = 0; i < req.ps.size(); ++i) {
+        check(req.ps[i], "ps[" + std::to_string(i) + "]");
+    }
+    check(req.pIdle, "pIdle");
     if (req.sprt.enabled) {
         try {
-            SprtOptions effective = req.sprt;
-            effective.chunkShots =
-                std::max<std::size_t>(1, req.sprt.chunkShots);
-            SprtTest probe(effective);
+            SprtTest probe(req.sprt);
             (void)probe;
         } catch (const std::invalid_argument &e) {
             throw std::invalid_argument(

@@ -2,28 +2,30 @@
  * @file
  * Checkpointable sweep execution state.
  *
- * A SweepRequest's work decomposes into a deterministic grid of cells:
- * one cell per (point, chunk), where SPRT-adaptive points split their
- * shot budget into sprt.chunkShots-sized chunks and fixed-budget points
- * are a single chunk of shotsPerPoint shots. Each cell's measurement is
+ * SweepCheckpoint is the one sweep state. It carries the request's grid
+ * (shotsPerPoint, the clamped chunkShots and the SPRT options) and one
+ * tally per (point, chunk) cell: SPRT-adaptive points split their shot
+ * budget into chunkShots-sized chunks, and a fixed-budget point is a
+ * single chunk of shotsPerPoint shots. Each cell's measurement is
  * independent of every other cell — its sampling seed comes from an
  * O(1)-random-access SplitMix64 stream position, and the decode service
  * guarantees the tally is thread-count invariant — so the cells missing
  * from a checkpoint can be computed later and the result is
  * bit-identical to an uninterrupted run.
  *
- * SweepCheckpoint persists the grid's completed tallies as versioned
- * JSON (written atomically: temp file + rename, so a SIGKILL at any
- * instant leaves either the old or the new checkpoint, never a torn
- * one). Engine::run(SweepRequest) resumes from it bit-identically, and
- * finalizeSweep evaluates the SPRT in canonical chunk order — a point's
- * decision consumes the contiguous chunk prefix up to the first
- * Wald-bound crossing and never reads a later chunk, so completed cells
+ * The checkpoint persists as versioned JSON (written atomically: temp
+ * file + rename, so a SIGKILL at any instant leaves either the old or
+ * the new checkpoint, never a torn one). Engine::run(SweepRequest)
+ * resumes from it bit-identically. One prefix rule, evalSweepPrefix,
+ * serves both modes and every caller: it walks a point's contiguous
+ * done-chunk prefix in canonical order and, for SPRT, stops at the first
+ * Wald-bound crossing — it never reads a later chunk, so completed cells
  * past a decision can never flip it.
  */
 #ifndef PROPHUNT_API_SWEEP_CHECKPOINT_H
 #define PROPHUNT_API_SWEEP_CHECKPOINT_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -35,58 +37,13 @@
 namespace prophunt::api {
 
 /**
- * The deterministic cell grid of one SweepRequest. Pure arithmetic over
- * the request's budgets — two processes building a grid for the same
- * request always agree on chunk count, sizes, and seeds.
- */
-struct SweepGrid
-{
-    std::size_t numPoints = 0;
-    std::size_t shotsPerPoint = 0;
-    /** Effective chunk size: sprt.chunkShots clamped to >= 1 (SPRT), or
-     * shotsPerPoint itself (fixed budget = one chunk per point). */
-    std::size_t chunkShots = 0;
-    bool sprt = false;
-
-    /** Chunks per point (0 when shotsPerPoint == 0). */
-    std::size_t
-    chunksPerPoint() const
-    {
-        if (shotsPerPoint == 0 || chunkShots == 0) {
-            return 0;
-        }
-        return (shotsPerPoint + chunkShots - 1) / chunkShots;
-    }
-
-    /** Requested shots of chunk @p c (the last chunk may be short). */
-    std::size_t
-    chunkSize(std::size_t c) const
-    {
-        std::size_t begin = c * chunkShots;
-        std::size_t size = shotsPerPoint - begin;
-        return size < chunkShots ? size : chunkShots;
-    }
-
-    /** Cumulative requested shots through chunk @p c inclusive. */
-    std::size_t
-    chunkEnd(std::size_t c) const
-    {
-        return c * chunkShots + chunkSize(c);
-    }
-};
-
-/** The grid a request's execution and checkpoints are laid out on. */
-SweepGrid sweepGridFor(const SweepRequest &req);
-
-/**
  * Master sampling seed of chunk @p chunk. SPRT chunks draw from the
  * request's dedicated SplitMix64 chunk stream (identical to the stream
  * the pre-checkpoint serial loop consumed sequentially); fixed-budget
  * points sample with the request seed itself, exactly as the equivalent
  * LerRequest would.
  */
-uint64_t sweepChunkSeed(const SweepRequest &req, const SweepGrid &grid,
-                        std::size_t chunk);
+uint64_t sweepChunkSeed(const SweepRequest &req, std::size_t chunk);
 
 /** Bit-exact completed tally of one (point, chunk) cell. */
 struct SweepChunkTally
@@ -124,7 +81,9 @@ struct SweepPointCheckpoint
 
 /**
  * The serializable sweep execution state: request fingerprint + grid
- * parameters + every completed cell tally. Version 1.
+ * parameters + every completed cell tally. Version 1. The grid is pure
+ * arithmetic over the stored budgets, so two processes holding the same
+ * checkpoint always agree on chunk count, sizes and seeds.
  */
 struct SweepCheckpoint
 {
@@ -136,10 +95,36 @@ struct SweepCheckpoint
     uint64_t fingerprint = 0;
     /** Grid + decision parameters, so finalizeSweep needs no request. */
     std::size_t shotsPerPoint = 0;
+    /** Effective chunk size: sprt.chunkShots clamped to >= 1 (SPRT), or
+     * shotsPerPoint itself (fixed budget = one chunk per point). */
     std::size_t chunkShots = 0;
     uint64_t seed = 1;
     SprtOptions sprt;
     std::vector<SweepPointCheckpoint> points;
+
+    /** Chunks per point (0 when shotsPerPoint == 0). */
+    std::size_t
+    chunksPerPoint() const
+    {
+        if (shotsPerPoint == 0 || chunkShots == 0) {
+            return 0;
+        }
+        return (shotsPerPoint + chunkShots - 1) / chunkShots;
+    }
+
+    /** Requested shots of chunk @p c (the last chunk may be short). */
+    std::size_t
+    chunkSize(std::size_t c) const
+    {
+        return std::min(chunkShots, shotsPerPoint - c * chunkShots);
+    }
+
+    /** Cumulative requested shots through chunk @p c inclusive. */
+    std::size_t
+    chunkEnd(std::size_t c) const
+    {
+        return c * chunkShots + chunkSize(c);
+    }
 
     std::string toJson() const;
     /** Parse; throws std::runtime_error with offset + cause on corrupt,
@@ -167,13 +152,18 @@ struct SweepCheckpoint
  */
 uint64_t sweepFingerprint(const SweepRequest &req);
 
-/** A fresh all-cells-pending checkpoint laid out for @p req. */
+/** A fresh all-cells-pending checkpoint laid out for @p req: the one
+ * place that derives chunkShots from the request. */
 SweepCheckpoint makeSweepCheckpoint(const SweepRequest &req);
 
 /**
  * Canonical-order evaluation of one point's contiguous done prefix —
  * the single decision procedure shared by execution, resume, and
- * finalization (which is what makes them bit-identical).
+ * finalization (which is what makes them bit-identical). A fixed-budget
+ * point is one chunk whose tally, early-stop flags included, is the
+ * point's; an SPRT point runs the test after each chunk and stops
+ * consuming at the first decision. A prefix that covers the whole budget
+ * undecided falls back to SprtTest::fixedDecision on the combined LER.
  */
 struct SweepPrefix
 {
@@ -182,10 +172,8 @@ struct SweepPrefix
     /** Chunks the canonical evaluation consumed (SPRT stops consuming
      * at the first decision; later chunks are never read). */
     std::size_t chunksConsumed = 0;
-    /** Accumulated tallies over the consumed chunks. */
-    uint64_t zShots = 0, zFailures = 0;
-    uint64_t xShots = 0, xFailures = 0;
-    bool zEarlyStopped = false, xEarlyStopped = false;
+    /** Accumulated tallies over the consumed chunks (packed stats zero). */
+    decoder::MemoryLer memory;
     SprtDecision decision = SprtDecision::None;
     /** Decision reached before the full budget (sets earlyStopped). */
     bool decidedEarly = false;
@@ -193,8 +181,7 @@ struct SweepPrefix
     bool complete = false;
 };
 
-SweepPrefix evalSweepPrefix(const SweepPointCheckpoint &point,
-                            const SweepGrid &grid, const SprtOptions &sprt);
+SweepPrefix evalSweepPrefix(const SweepCheckpoint &cp, std::size_t point);
 
 /** The finalized result of one point (memory tallies + decision;
  * telemetry.shots = accounted shots, timings zero). */
@@ -212,11 +199,11 @@ struct SweepFinalize
 SweepFinalize finalizeSweep(const SweepCheckpoint &cp);
 
 /**
- * Request admission check, run before any artifact is built: sprt.enabled
- * with unusable SPRT options (the default decisionLer == 0 in particular)
- * throws std::invalid_argument with an actionable message instead of
- * surfacing from deep inside the chunk loop; sprt.chunkShots == 0 is
- * legal and clamps to 1.
+ * Request admission check, run before any artifact is built or shot
+ * sampled. Throws std::invalid_argument with an actionable message for a
+ * point p or a pIdle that is not a finite probability in [0, 1], and for
+ * sprt.enabled with unusable SPRT options (the default decisionLer == 0
+ * in particular); sprt.chunkShots == 0 is legal and clamps to 1.
  */
 void validateSweepRequest(const SweepRequest &req);
 

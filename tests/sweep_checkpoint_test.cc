@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -138,33 +139,33 @@ fileExists(const std::string &path)
 
 // --- grid -------------------------------------------------------------------
 
-TEST(SweepGrid, SprtGridShape)
+TEST(SweepCheckpointGrid, SprtGridShape)
 {
-    api::SweepGrid grid = api::sweepGridFor(sprtRequest());
-    EXPECT_EQ(grid.numPoints, 2u);
-    EXPECT_EQ(grid.chunkShots, 256u);
-    EXPECT_TRUE(grid.sprt);
-    EXPECT_EQ(grid.chunksPerPoint(), 8u);
-    EXPECT_EQ(grid.chunkSize(7), 256u);
+    api::SweepCheckpoint cp = api::makeSweepCheckpoint(sprtRequest());
+    EXPECT_EQ(cp.points.size(), 2u);
+    EXPECT_EQ(cp.chunkShots, 256u);
+    EXPECT_TRUE(cp.sprt.enabled);
+    EXPECT_EQ(cp.chunksPerPoint(), 8u);
+    EXPECT_EQ(cp.chunkSize(7), 256u);
 }
 
-TEST(SweepGrid, FixedBudgetIsOneChunkPerPoint)
+TEST(SweepCheckpointGrid, FixedBudgetIsOneChunkPerPoint)
 {
     api::SweepRequest req = sprtRequest();
     req.sprt.enabled = false;
-    api::SweepGrid grid = api::sweepGridFor(req);
-    EXPECT_FALSE(grid.sprt);
-    EXPECT_EQ(grid.chunksPerPoint(), 1u);
-    EXPECT_EQ(grid.chunkShots, req.shotsPerPoint);
+    api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
+    EXPECT_FALSE(cp.sprt.enabled);
+    EXPECT_EQ(cp.chunksPerPoint(), 1u);
+    EXPECT_EQ(cp.chunkShots, req.shotsPerPoint);
 }
 
-TEST(SweepGrid, ChunkShotsZeroClampsToOne)
+TEST(SweepCheckpointGrid, ChunkShotsZeroClampsToOne)
 {
     api::SweepRequest req = sprtRequest();
     req.sprt.chunkShots = 0;
-    api::SweepGrid grid = api::sweepGridFor(req);
-    EXPECT_EQ(grid.chunkShots, 1u);
-    EXPECT_EQ(grid.chunksPerPoint(), req.shotsPerPoint);
+    api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
+    EXPECT_EQ(cp.chunkShots, 1u);
+    EXPECT_EQ(cp.chunksPerPoint(), req.shotsPerPoint);
 }
 
 // --- serialization ----------------------------------------------------------
@@ -398,6 +399,34 @@ TEST(SweepValidation, AcceptsGoodRequests)
     EXPECT_NO_THROW(api::validateSweepRequest(clamped));
 }
 
+TEST(SweepValidation, OutOfRangeNoiseIsRejectedBeforeAnyShot)
+{
+    // The bad value sits after a good point: it must be refused at
+    // admission, not after the first point has been sampled.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {1.5, -1e-3, nan, inf}) {
+        SCOPED_TRACE("bad value " + std::to_string(bad));
+        for (bool sprt : {false, true}) {
+            api::SweepRequest req = sprtRequest();
+            req.sprt.enabled = sprt;
+            req.ps = {1e-3, bad};
+            api::Engine engine;
+            EXPECT_THROW(engine.run(req), std::invalid_argument);
+            EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
+
+            req.ps = {1e-3};
+            req.pIdle = bad;
+            EXPECT_THROW(engine.run(req), std::invalid_argument);
+            EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
+        }
+    }
+    api::SweepRequest edges = sprtRequest();
+    edges.ps = {0.0, 1.0};
+    edges.pIdle = 1.0;
+    EXPECT_NO_THROW(api::validateSweepRequest(edges));
+}
+
 // --- resume -----------------------------------------------------------------
 
 TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
@@ -416,12 +445,12 @@ TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
 
     // ...from which we can reconstruct the checkpoint a SIGKILL would
     // have left after any number of completed cells, and resume it.
-    api::SweepGrid grid = api::sweepGridFor(req);
+    const api::SweepCheckpoint grid = api::makeSweepCheckpoint(req);
     const std::size_t per_point = grid.chunksPerPoint();
-    for (std::size_t cut = 0; cut <= grid.numPoints * per_point; ++cut) {
+    for (std::size_t cut = 0; cut <= grid.points.size() * per_point; ++cut) {
         ScratchFile f("resume_cut");
         api::SweepCheckpoint partial = api::makeSweepCheckpoint(req);
-        for (std::size_t p = 0; p < grid.numPoints; ++p) {
+        for (std::size_t p = 0; p < grid.points.size(); ++p) {
             for (std::size_t c = 0; c < per_point; ++c) {
                 if (p * per_point + c < cut) {
                     partial.points[p].chunks[c] = full.points[p].chunks[c];
@@ -481,10 +510,10 @@ TEST(SweepResume, ShardSliceCheckpointFromOlderWriterResumes)
     api::SweepCheckpoint full = api::SweepCheckpoint::load(full_file.path);
 
     // Slice 1 of 3 owned the cells whose canonical index is 1 mod 3.
-    api::SweepGrid grid = api::sweepGridFor(req);
+    const api::SweepCheckpoint grid = api::makeSweepCheckpoint(req);
     const std::size_t per_point = grid.chunksPerPoint();
     api::SweepCheckpoint slice = api::makeSweepCheckpoint(req);
-    for (std::size_t p = 0; p < grid.numPoints; ++p) {
+    for (std::size_t p = 0; p < grid.points.size(); ++p) {
         for (std::size_t c = 0; c < per_point; ++c) {
             if ((p * per_point + c) % 3 == 1) {
                 slice.points[p].chunks[c] = full.points[p].chunks[c];
@@ -518,8 +547,7 @@ TEST(SweepPrefix, LateChunksCannotFlipAnEarlyDecision)
     api::SweepRequest req = sprtRequest();
     req.ps = {1e-3};
     api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
-    api::SweepGrid grid = api::sweepGridFor(req);
-    for (std::size_t c = 0; c < grid.chunksPerPoint(); ++c) {
+    for (std::size_t c = 0; c < cp.chunksPerPoint(); ++c) {
         api::SweepChunkTally t;
         t.done = true;
         t.zShots = 256;
@@ -530,8 +558,7 @@ TEST(SweepPrefix, LateChunksCannotFlipAnEarlyDecision)
         }
         cp.points[0].chunks[c] = t;
     }
-    api::SweepPrefix pre =
-        api::evalSweepPrefix(cp.points[0], grid, cp.sprt);
+    api::SweepPrefix pre = api::evalSweepPrefix(cp, 0);
     EXPECT_EQ(pre.decision, api::SprtDecision::Below);
     EXPECT_LE(pre.chunksConsumed, 2u);
 
