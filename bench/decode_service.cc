@@ -5,9 +5,9 @@
  *
  * Per code (lp39 fast, rqt54 the gated reference) the run measures:
  *
- *  - "calib": a raw single-thread decoder::measureDemLer of the same
- *    shot budget — the machine-speed reference all committed-baseline
- *    gates are guarded by;
+ *  - "calib": the serial LER oracle (oracles::measureDemLer, one thread)
+ *    on the same shot budget — the machine-speed reference all
+ *    committed-baseline gates are guarded by;
  *  - a single-client phase: one thread draining the request list
  *    through the service (warm lane groups), whose
  *    shots/sec must sustain the committed single-request rate on rqt54
@@ -43,6 +43,7 @@
 #include "api/decode_service.h"
 #include "bench_common.h"
 #include "decoder/logical_error.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 
@@ -154,15 +155,14 @@ runConfig(const Config &cfg)
     std::size_t reps =
         std::max<std::size_t>(1, phbench::config().benchReps);
 
-    // --- calibration: raw serial measureDemLer, best of reps.
+    // --- calibration: the serial oracle, best of reps.
     decoder::LerOptions serial;
-    serial.threads = 1;
     serial.shardShots = row.shardShots;
     double calibSecs = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         auto dec = model->prototype->clone();
         double t0 = phbench::now();
-        decoder::measureDemLer(model->dem, *dec, row.shotsPerRequest, 300,
+        oracles::measureDemLer(model->dem, *dec, row.shotsPerRequest, 300,
                                serial);
         calibSecs = std::min(calibSecs, phbench::now() - t0);
     }

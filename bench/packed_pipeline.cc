@@ -42,6 +42,7 @@
 #include "decoder/bp_osd.h"
 #include "sim/frame_sampler.h"
 #include "support/bp_osd_reference.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 
@@ -110,7 +111,7 @@ runConfig(const Config &cfg)
     double scalarSecs = 1e300;
     for (std::size_t rep = 0; rep < reps; ++rep) {
         double t0 = phbench::now();
-        scalarBatch = sim::sampleDem(dem, row.shots, 201);
+        scalarBatch = oracles::sampleDem(dem, row.shots, 201);
         for (std::size_t s = 0; s < row.shots; ++s) {
             seedPred[s] = oracles::decodeReference(
                 *tanner, exactOpts, scalarBatch.flippedDetectors(s));

@@ -27,6 +27,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "api/config.h"
@@ -105,22 +106,36 @@ findCode(const char *name)
     return nullptr;
 }
 
-/**
- * Stable sweep-result JSON: tallies and decisions only, no timings —
- * a clean run and a kill/resume run of the same request produce
- * byte-identical files, which is exactly what the CI smoke leg diffs.
- * Throws std::runtime_error when the file cannot be opened or written.
- */
-void
-writeSweepResultJson(const std::string &path, const char *code_name,
-                     std::size_t rounds, const api::SweepResult &result,
-                     bool complete)
+struct FileCloser
 {
-    FILE *f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
+    void operator()(FILE *f) const { std::fclose(f); }
+};
+using OutFile = std::unique_ptr<FILE, FileCloser>;
+
+/** Open @p path for writing; throws std::runtime_error if it cannot. */
+OutFile
+openOut(const std::string &path)
+{
+    OutFile f(std::fopen(path.c_str(), "w"));
+    if (!f) {
         throw std::runtime_error("cannot write " + path + ": " +
                                  std::strerror(errno));
     }
+    return f;
+}
+
+/**
+ * Stable sweep-result JSON into @p out (opened on @p path): tallies and
+ * decisions only, no timings — a clean run and a kill/resume run of the
+ * same request produce byte-identical files, which is exactly what the
+ * CI smoke leg diffs. Throws std::runtime_error when a write fails.
+ */
+void
+writeSweepResultJson(OutFile out, const std::string &path,
+                     const char *code_name, std::size_t rounds,
+                     const api::SweepResult &result, bool complete)
+{
+    FILE *f = out.get();
     std::fprintf(f,
                  "{\n  \"format\": \"prophunt-sweep-result\",\n"
                  "  \"code\": \"%s\",\n  \"rounds\": %zu,\n"
@@ -140,7 +155,7 @@ writeSweepResultJson(const std::string &path, const char *code_name,
     }
     std::fprintf(f, "\n  ]\n}\n");
     const bool write_failed = std::ferror(f) != 0;
-    if (std::fclose(f) != 0 || write_failed) {
+    if (std::fclose(out.release()) != 0 || write_failed) {
         throw std::runtime_error("write to " + path + " failed");
     }
     std::printf("wrote %s\n", path.c_str());
@@ -240,6 +255,10 @@ runSweepMode(int argc, char **argv)
         }
     }
 
+    // Open --out before any shot: an unwritable path must not cost the
+    // whole sweep.
+    OutFile out = out_path.empty() ? OutFile{} : openOut(out_path);
+
     std::printf("%s sweep: rounds=%zu decoder=%s shots/point=%zu "
                 "points=%zu sprt=%s%s%s\n",
                 spec->name, req.rounds, req.decoder.describe().c_str(),
@@ -262,9 +281,9 @@ runSweepMode(int argc, char **argv)
         std::printf("checkpoint: %zu/%zu points complete\n",
                     fin.pointsComplete, req.ps.size());
     }
-    if (!out_path.empty()) {
-        writeSweepResultJson(out_path, spec->name, req.rounds, result,
-                             complete);
+    if (out) {
+        writeSweepResultJson(std::move(out), out_path, spec->name,
+                             req.rounds, result, complete);
     }
     return complete ? 0 : 3;
 }

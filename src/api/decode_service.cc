@@ -17,6 +17,14 @@ namespace {
  */
 thread_local const void *tlLastStream = nullptr;
 
+/** One decoded shard of a request. */
+struct ShardTally
+{
+    std::size_t failures = 0;
+    decoder::PackedDecodeStats stats;
+    bool done = false;
+};
+
 /** Runs @p fn when the scope exits, by return or by exception. */
 template <class Fn>
 struct OnExit
@@ -92,8 +100,10 @@ DecodeService::measure(const DecodeJob &job)
     // Throw in the caller before any shard reaches a pool thread.
     sim::validateDemProbabilities(*job.dem, "DecodeService::measure");
 
-    decoder::ShardLedger ledger(job.shots, job.ler);
-    const sim::ShardPlan &plan = ledger.plan();
+    // A shard size of 0 counts as 1; one larger than the run is the run.
+    const sim::ShardPlan plan{
+        job.shots,
+        std::min(std::max<std::size_t>(job.ler.shardShots, 1), job.shots)};
     const std::size_t n = plan.numShards();
     std::shared_ptr<LaneGroup> group;
 
@@ -129,10 +139,15 @@ DecodeService::measure(const DecodeJob &job)
             std::max(stats_.peakQueueDepth, pendingShards_);
     }
 
-    // Shards this request took off the queue (guarded by mutex_). On
+    // Shards this request took off the queue, and each decoded shard's
+    // tally (all guarded by mutex_). Shards may complete in any order;
+    // early stopping looks only at the contiguous completed prefix. On
     // every exit, a throwing shard included, the unclaimed rest leaves
     // the queue and the request leaves its key's in-flight count.
     std::size_t executed = 0;
+    std::vector<ShardTally> tallies(n);
+    std::size_t prefixEnd = 0;
+    std::size_t prefixFailures = 0;
     OnExit release{[&] {
         std::lock_guard<std::mutex> lock(mutex_);
         pendingShards_ -= std::min(pendingShards_, n - executed);
@@ -174,20 +189,39 @@ DecodeService::measure(const DecodeJob &job)
             std::size_t failures = decoder::decodeFrameShard(*dec, frames, ws);
             giveBack(*group, std::move(dec));
 
-            if (ledger.record(shard, failures, ws.stats)) {
-                stopFlag.store(true, std::memory_order_relaxed);
-            }
             if (stolen) {
                 steals.fetch_add(1, std::memory_order_relaxed);
             }
             std::lock_guard<std::mutex> lock(mutex_);
+            tallies[shard] = {failures, ws.stats, true};
+            while (prefixEnd < n && tallies[prefixEnd].done) {
+                prefixFailures += tallies[prefixEnd++].failures;
+            }
+            // No later shard can change the result once the prefix
+            // reaches the target.
+            if (job.ler.maxFailures != 0 &&
+                prefixFailures >= job.ler.maxFailures) {
+                stopFlag.store(true, std::memory_order_relaxed);
+            }
             --pendingShards_;
             ++executed;
             ++stats_.decodedShards;
         },
         &stopFlag);
 
-    out.result = ledger.result();
+    // Completed shards in index order, cut at the first missing shard or
+    // at the shard whose cumulative failures reach maxFailures; shards
+    // decoded beyond the cut are discarded.
+    for (std::size_t shard = 0; shard < n && tallies[shard].done; ++shard) {
+        out.result.shots += plan.shotsOf(shard);
+        out.result.failures += tallies[shard].failures;
+        out.result.packed += tallies[shard].stats;
+        if (job.ler.maxFailures != 0 &&
+            out.result.failures >= job.ler.maxFailures) {
+            out.result.earlyStopped = shard + 1 < n;
+            break;
+        }
+    }
     out.steals = steals.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -28,12 +28,15 @@
  * Every measure() samples and decodes every shard it accounts; nothing
  * is carried between requests except warm decoder clones.
  *
- * Determinism contract: measure() returns exactly what
- * decoder::measureDemLer(dem, clone, shots, seed, ler) returns for the
- * same inputs, for every thread count, coalescing state, and cache
- * state. Both account their shards through one decoder::ShardLedger;
- * cancellation truncates to a contiguous shard prefix (each prefix
- * being a valid smaller run of the same stream).
+ * measure() is the library's one Monte-Carlo LER driver.
+ *
+ * Determinism contract: measure() returns exactly what the serial
+ * oracle (oracles::measureDemLer in tests/support: shards sampled and
+ * decoded in index order, stopped after the shard whose cumulative
+ * failures reach maxFailures) returns for the same (dem, clone, shots,
+ * seed, ler), for every thread count, coalescing state, and cache
+ * state. Cancellation truncates to a contiguous shard prefix (each
+ * prefix being a valid smaller run of the same stream).
  */
 #ifndef PROPHUNT_API_DECODE_SERVICE_H
 #define PROPHUNT_API_DECODE_SERVICE_H
@@ -92,7 +95,8 @@ struct DecodeJob
     std::size_t shots = 0;
     /** Master seed; shard i samples with sim::shardSeed(seed, i). */
     uint64_t seed = 1;
-    /** threads / maxFailures / shardShots, as decoder::measureDemLer. */
+    /** Slot cap (threads; 0 = every pool worker), maxFailures and
+     * shardShots of this request. */
     decoder::LerOptions ler;
     /**
      * Optional cancellation flag. Once set, no further shards are
@@ -147,10 +151,10 @@ class DecodeService
 
     /**
      * Run one decode job to completion (blocking). Bit-identical to
-     * decoder::measureDemLer on the same (dem, prototype clone, shots,
-     * seed, ler) regardless of thread count, arrival order, or
-     * coalescing. Throws std::invalid_argument on invalid DEM
-     * probabilities (before any shard is queued).
+     * the serial oracle on the same (dem, prototype clone, shots, seed,
+     * ler) regardless of thread count, arrival order, or coalescing.
+     * Throws std::invalid_argument on invalid DEM probabilities (before
+     * any shard is queued).
      */
     DecodeOutcome measure(const DecodeJob &job);
 

@@ -19,7 +19,8 @@
  *    keeps lane groups of warm decoder clones per decode key, coalesces
  *    concurrent same-key requests into one shard stream on a persistent
  *    worker pool, and samples and decodes every shard it reports — all
- *    bit-identical to a serial decoder::measureMemoryLer run.
+ *    bit-identical to the serial oracle oracles::measureMemoryLer
+ *    (tests/support).
  *  - async submission: submit() enqueues the request onto one
  *    dispatcher thread and returns a std::future; each job still fans
  *    its shots out over the shared persistent worker pool.
@@ -79,7 +80,8 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     /** Measure one schedule's combined memory-Z/X LER. Bit-identical to
-     * decoder::measureMemoryLer at the same request parameters. */
+     * the serial oracle oracles::measureMemoryLer at the same request
+     * parameters. */
     LerResult run(const LerRequest &req);
 
     /** Run a physical-error-rate sweep (adaptive if req.sprt.enabled). */
@@ -139,7 +141,7 @@ class Engine
 
     /** The one memory-measurement loop (run(LerRequest), every sweep
      * chunk): @p shots per basis on prebuilt artifacts, basis b sampling
-     * at memoryBasisSeed(@p seed, b) as decoder::measureMemoryLer does. */
+     * at memoryBasisSeed(@p seed, b). */
     decoder::MemoryLer measureMemory(const Artifact &z, const Artifact &x,
                                      std::size_t shots, uint64_t seed,
                                      const decoder::LerOptions &ler,

@@ -2,7 +2,8 @@
  * @file
  * Shared geometric-skip event kernel for the DEM samplers.
  *
- * Both the scalar row sampler and the word-packed frame sampler must
+ * Both the scalar row sampler (the oracles::sampleDem test oracle in
+ * tests/support) and the word-packed frame sampler must
  * consume the RNG stream identically — their outputs are contractually
  * bit-identical at a fixed seed — so the per-mechanism skip loop lives
  * here once: the first event lands at floor(log(U)/log(1-p)), and each

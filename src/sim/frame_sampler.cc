@@ -8,6 +8,35 @@
 
 namespace prophunt::sim {
 
+std::vector<uint32_t>
+SampleBatch::flippedDetectors(std::size_t shot) const
+{
+    std::vector<uint32_t> out;
+    flippedDetectors(shot, out);
+    return out;
+}
+
+void
+SampleBatch::flippedDetectors(std::size_t shot,
+                              std::vector<uint32_t> &out) const
+{
+    out.clear();
+    const uint64_t *row = det.data() + shot * detWords;
+    for (std::size_t w = 0; w < detWords; ++w) {
+        uint64_t bits = row[w];
+        while (bits) {
+            out.push_back((uint32_t)((w << 6) + std::countr_zero(bits)));
+            bits &= bits - 1;
+        }
+    }
+}
+
+uint64_t
+SampleBatch::obsMask(std::size_t shot) const
+{
+    return obsWords == 0 ? 0 : obs[shot * obsWords];
+}
+
 void
 sampleDemFramesInto(const Dem &dem, std::size_t shots, uint64_t seed,
                     FrameBatch &out)

@@ -2,15 +2,16 @@
  * @file
  * Word-packed ("frame" layout) Monte-Carlo sampling.
  *
- * The scalar sampler stores one shot per row (shot-major); this sampler
+ * A SampleBatch stores one shot per row (shot-major); this sampler
  * keeps 64 shots per machine word in detector-major order, the layout Stim
  * uses for frame simulation. Sampling still iterates error mechanisms with
  * geometric skipping, but events landing in the same 64-shot window are
  * accumulated into one shot mask and XORed into the mechanism's detector
  * and observable rows a whole word at a time.
  *
- * The packed batch is bit-identical to the scalar sampler at the same seed
- * (both consume the RNG stream identically), so the sharded pipeline
+ * The packed batch is bit-identical to the scalar row sampler
+ * (oracles::sampleDem in tests/support) at the same seed (both consume
+ * the RNG stream through sim/event_stream.h), so the sharded pipeline
  * samples packed and hands each shard's frames straight to
  * decoder::Decoder::decodePacked without changing any sampled bit.
  */
@@ -21,7 +22,6 @@
 #include <vector>
 
 #include "sim/dem.h"
-#include "sim/sampler.h"
 
 namespace prophunt::sim {
 
@@ -94,12 +94,50 @@ struct FrameBatch
     void obsMasks(std::vector<uint64_t> &out) const;
 };
 
+/** Bit-packed detector and observable outcomes in row layout: one shot
+ * per row (shot-major), as transposeView produces. */
+struct SampleBatch
+{
+    std::size_t shots = 0;
+    std::size_t detWords = 0;
+    std::size_t obsWords = 0;
+    /** det[shot * detWords + w]: detector bits of one shot. */
+    std::vector<uint64_t> det;
+    std::vector<uint64_t> obs;
+
+    bool
+    detBit(std::size_t shot, std::size_t d) const
+    {
+        return (det[shot * detWords + (d >> 6)] >> (d & 63)) & 1;
+    }
+
+    bool
+    obsBit(std::size_t shot, std::size_t o) const
+    {
+        return (obs[shot * obsWords + (o >> 6)] >> (o & 63)) & 1;
+    }
+
+    /** Indices of flipped detectors for one shot. */
+    std::vector<uint32_t> flippedDetectors(std::size_t shot) const;
+
+    /**
+     * Indices of flipped detectors for one shot, into a reusable buffer.
+     *
+     * @p out is cleared first; capacity is retained across calls, so hot
+     * loops avoid one heap allocation per shot.
+     */
+    void flippedDetectors(std::size_t shot, std::vector<uint32_t> &out) const;
+
+    /** Observable flip mask (first 64 observables) for one shot. */
+    uint64_t obsMask(std::size_t shot) const;
+};
+
 /**
  * Sample @p shots shots from @p dem into @p out, reusing its storage.
  *
- * RNG-stream compatible with sampleDem: the same (mechanism, shot) events
- * fire at the same seed, so transposing the result reproduces the scalar
- * row batch bit for bit.
+ * RNG-stream compatible with the row sampler: the same (mechanism, shot)
+ * events fire at the same seed, so transposing the result reproduces the
+ * scalar row batch bit for bit.
  */
 void sampleDemFramesInto(const Dem &dem, std::size_t shots, uint64_t seed,
                          FrameBatch &out);

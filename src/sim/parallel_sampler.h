@@ -8,9 +8,10 @@
  * with the master seed. A sharded result is therefore defined as the
  * concatenation of independent per-shard serial runs, which makes it
  * bit-identical for every thread count (including 1) at a fixed master
- * seed. The LER measurements (decoder::measureDemLer, api::DecodeService)
- * claim shards in ascending order from a WorkerPool and account them
- * through decoder::ShardLedger.
+ * seed. The LER driver, api::DecodeService::measure, claims shards in
+ * ascending order from a WorkerPool and accounts them in index order, so
+ * it matches the serial oracle (oracles::measureDemLer in tests/support)
+ * at every thread count.
  */
 #ifndef PROPHUNT_SIM_PARALLEL_SAMPLER_H
 #define PROPHUNT_SIM_PARALLEL_SAMPLER_H

@@ -21,12 +21,13 @@
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
-#include "sim/sampler.h"
 #include "support/bp_osd_reference.h"
 #include "support/mle.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
+using namespace prophunt::oracles;
 
 namespace {
 

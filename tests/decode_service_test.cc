@@ -2,10 +2,11 @@
  * @file
  * Concurrency and determinism contracts of api::DecodeService.
  *
- * The service promise under test: measure() returns exactly what a
- * serial decoder::measureDemLer run returns for the same (dem, decoder,
- * shots, seed, ler) — for every thread count, every arrival order of
- * concurrent requests, and every coalescing / lane-group cache state.
+ * The service promise under test: measure() returns exactly what the
+ * serial oracle (oracles::measureDemLer) returns for the same (dem,
+ * decoder, shots, seed, ler) — for every thread count, every arrival
+ * order of concurrent requests, and every coalescing / lane-group cache
+ * state.
  * On top of that, the suite pins the service-only behaviors:
  * deterministic coalescing detection (via a gate decoder that holds one
  * request in flight until a second is admitted), an identical rerun
@@ -25,6 +26,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/decode_service.h"
@@ -37,6 +39,7 @@
 #include "sim/frame_sampler.h"
 #include "sim/noise_model.h"
 #include "sim/parallel_sampler.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 
@@ -79,45 +82,16 @@ jobFor(const std::shared_ptr<Model> &m, std::string key, std::size_t shots,
     return job;
 }
 
-/** The contract's right-hand side: a fresh clone, serial measureDemLer. */
+/** The contract's right-hand side: the serial oracle on a fresh clone. */
 decoder::LerResult
 serialRef(const Model &m, std::size_t shots, uint64_t seed,
           std::size_t shard_shots, std::size_t max_failures = 0)
 {
     auto dec = m.prototype->clone();
     decoder::LerOptions opts;
-    opts.threads = 1;
     opts.shardShots = shard_shots;
     opts.maxFailures = max_failures;
-    return decoder::measureDemLer(m.dem, *dec, shots, seed, opts);
-}
-
-/**
- * The early-stop contract written out shard by shard, independently of
- * decoder::ShardLedger: sample and decode the shards in order and stop
- * after the one whose cumulative failures reach @p max_failures.
- */
-decoder::LerResult
-explicitRef(const Model &m, std::size_t shots, uint64_t seed,
-            std::size_t shard_shots, std::size_t max_failures)
-{
-    auto dec = m.prototype->clone();
-    decoder::LerResult want;
-    sim::FrameBatch frames;
-    decoder::FrameShardScratch scratch;
-    for (std::size_t shard = 0; want.shots < shots; ++shard) {
-        std::size_t n = std::min(shard_shots, shots - want.shots);
-        sim::sampleDemFramesInto(m.dem, n, sim::shardSeed(seed, shard),
-                                 frames);
-        want.failures += decoder::decodeFrameShard(*dec, frames, scratch);
-        want.shots += n;
-        want.packed += scratch.stats;
-        if (max_failures != 0 && want.failures >= max_failures) {
-            want.earlyStopped = want.shots < shots;
-            break;
-        }
-    }
-    return want;
+    return oracles::measureDemLer(m.dem, *dec, shots, seed, opts);
 }
 
 /** Every field of LerResult except the wall-clock osdUs. */
@@ -336,17 +310,24 @@ TEST(WorkerPool, PresetStopFlagClaimsNothing)
 
 TEST(DecodeService, MatchesSerialReferenceAcrossThreadCounts)
 {
+    // Shard sizes: 16 shards, 0 (counts as 1 shot), and one larger than
+    // the run (one shard at the run's size, seeded as shard 0).
     auto m = makeModel();
-    decoder::LerResult ref = serialRef(*m, 4096, 99, 256);
     api::DecodeServiceOptions opts;
     opts.threads = 2; // dedicated pool: real workers even on 1-CPU boxes
-    for (std::size_t threads : {1u, 2u, 8u}) {
-        api::DecodeService service(opts);
-        api::DecodeOutcome out =
-            service.measure(jobFor(m, "d3", 4096, 99, 256, threads));
-        SCOPED_TRACE("threads=" + std::to_string(threads));
-        expectSameResult(out.result, ref);
-        EXPECT_FALSE(out.coalesced);
+    for (auto [shots, shard_shots] :
+         {std::pair<std::size_t, std::size_t>{4096, 256}, {300, 0},
+          {4096, 10000}}) {
+        decoder::LerResult ref = serialRef(*m, shots, 99, shard_shots);
+        for (std::size_t threads : {1u, 2u, 8u}) {
+            api::DecodeService service(opts);
+            api::DecodeOutcome out = service.measure(
+                jobFor(m, "d3", shots, 99, shard_shots, threads));
+            SCOPED_TRACE("shardShots=" + std::to_string(shard_shots) +
+                         " threads=" + std::to_string(threads));
+            expectSameResult(out.result, ref);
+            EXPECT_FALSE(out.coalesced);
+        }
     }
 }
 
@@ -368,27 +349,23 @@ TEST(DecodeService, BpOsdLaneDecoderMatchesSerialReference)
 TEST(DecodeService, MaxFailuresEarlyStopMatchesSerial)
 {
     // 4000 shots in 128-shot shards: 31 full shards and a 32-shot one.
-    // Targets: an early cut, a cut on the shard holding the run's last
+    // Targets: an early cut, a target that shard 9 reaches exactly
+    // (shard seeds depend only on the index, so the first 1280 shots
+    // are shards 0-9), a cut on the shard holding the run's last
     // failure, and one the run never reaches.
     auto m = makeModel("union_find", 1e-2);
-    const std::size_t total = explicitRef(*m, 4000, 13, 128, 0).failures;
+    const std::size_t total = serialRef(*m, 4000, 13, 128).failures;
+    const std::size_t exact = serialRef(*m, 1280, 13, 128).failures;
     ASSERT_GT(total, 5u);
-    EXPECT_TRUE(explicitRef(*m, 4000, 13, 128, 5).earlyStopped)
+    EXPECT_TRUE(serialRef(*m, 4000, 13, 128, 5).earlyStopped)
         << "test needs a regime where early stopping actually triggers";
-    for (std::size_t maxFailures : {std::size_t{5}, total, total + 1}) {
-        decoder::LerResult want =
-            explicitRef(*m, 4000, 13, 128, maxFailures);
+    EXPECT_EQ(serialRef(*m, 4000, 13, 128, exact).shots, 1280u)
+        << "test needs shard 9 to add a failure";
+    for (std::size_t maxFailures : {std::size_t{5}, exact, total, total + 1}) {
+        decoder::LerResult want = serialRef(*m, 4000, 13, 128, maxFailures);
         for (std::size_t threads : {1u, 4u}) {
             SCOPED_TRACE("maxFailures=" + std::to_string(maxFailures) +
                          " threads=" + std::to_string(threads));
-            decoder::LerOptions opts;
-            opts.threads = threads;
-            opts.shardShots = 128;
-            opts.maxFailures = maxFailures;
-            auto dec = m->prototype->clone();
-            expectSameResult(
-                decoder::measureDemLer(m->dem, *dec, 4000, 13, opts), want);
-
             api::DecodeService service;
             api::DecodeJob job = jobFor(m, "hot", 4000, 13, 128, threads);
             job.ler.maxFailures = maxFailures;

@@ -16,8 +16,8 @@
 #include "decoder/matching_graph.h"
 #include "decoder/union_find.h"
 #include "sim/dem_builder.h"
-#include "sim/sampler.h"
 #include "support/mle.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 using namespace prophunt::decoder;
@@ -115,7 +115,7 @@ TEST(BpOsd, AgreesWithMleOnSampledShots)
     sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(2e-3));
     BpOsdDecoder bp(dem);
     oracles::MleDecoder mle(dem, 4);
-    sim::SampleBatch batch = sim::sampleDem(dem, 400, 3);
+    sim::SampleBatch batch = oracles::sampleDem(dem, 400, 3);
     std::size_t bp_fail = 0, mle_fail = 0;
     for (std::size_t shot = 0; shot < 400; ++shot) {
         auto flipped = batch.flippedDetectors(shot);
@@ -135,7 +135,7 @@ TEST(UnionFind, NearMleAccuracy)
     sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(2e-3));
     UnionFindDecoder uf(buildMatchingGraph(dem, circ));
     oracles::MleDecoder mle(dem, 4);
-    sim::SampleBatch batch = sim::sampleDem(dem, 400, 5);
+    sim::SampleBatch batch = oracles::sampleDem(dem, 400, 5);
     std::size_t uf_fail = 0, mle_fail = 0;
     for (std::size_t shot = 0; shot < 400; ++shot) {
         auto flipped = batch.flippedDetectors(shot);
@@ -151,8 +151,8 @@ TEST(LogicalError, LerDecreasesWithPhysicalRate)
     code::SurfaceCode s(3);
     circuit::SmSchedule nz = circuit::nzSchedule(s);
     auto at = [&](double p) {
-        return measureMemoryLer(nz, 3, sim::NoiseModel::uniform(p),
-                                "union_find", 20000, 17)
+        return oracles::measureMemoryLer(nz, 3, sim::NoiseModel::uniform(p),
+                                         "union_find", 20000, 17)
             .combined();
     };
     double high = at(8e-3), low = at(1e-3);
@@ -164,9 +164,9 @@ TEST(LogicalError, DistanceSuppressesLer)
 {
     auto ler_for = [&](std::size_t d) {
         code::SurfaceCode s(d);
-        return measureMemoryLer(circuit::nzSchedule(s), d,
-                                sim::NoiseModel::uniform(3e-3),
-                                "union_find", 10000, 23)
+        return oracles::measureMemoryLer(circuit::nzSchedule(s), d,
+                                         sim::NoiseModel::uniform(3e-3),
+                                         "union_find", 10000, 23)
             .combined();
     };
     // Below threshold, d=5 beats d=3.
@@ -176,14 +176,15 @@ TEST(LogicalError, DistanceSuppressesLer)
 TEST(LogicalError, NzBeatsPoorSchedule)
 {
     code::SurfaceCode s(5);
-    double nz = measureMemoryLer(circuit::nzSchedule(s), 5,
-                                 sim::NoiseModel::uniform(3e-3),
-                                 "union_find", 8000, 31)
+    double nz = oracles::measureMemoryLer(circuit::nzSchedule(s), 5,
+                                          sim::NoiseModel::uniform(3e-3),
+                                          "union_find", 8000, 31)
                     .combined();
-    double poor = measureMemoryLer(circuit::poorSurfaceSchedule(s), 5,
-                                   sim::NoiseModel::uniform(3e-3),
-                                   "union_find", 8000, 31)
-                      .combined();
+    double poor =
+        oracles::measureMemoryLer(circuit::poorSurfaceSchedule(s), 5,
+                                  sim::NoiseModel::uniform(3e-3),
+                                  "union_find", 8000, 31)
+            .combined();
     EXPECT_LT(nz, poor);
 }
 
@@ -193,8 +194,8 @@ TEST(LogicalError, BpOsdHandlesLdpcCode)
     auto cp = std::make_shared<const code::CssCode>(code);
     circuit::SmSchedule sched = circuit::colorationSchedule(cp);
     decoder::MemoryLer ler =
-        measureMemoryLer(sched, 3, sim::NoiseModel::uniform(1e-3),
-                         "bp_osd", 2000, 41);
+        oracles::measureMemoryLer(sched, 3, sim::NoiseModel::uniform(1e-3),
+                                  "bp_osd", 2000, 41);
     // Sanity: decodes most shots correctly at this rate.
     EXPECT_LT(ler.combined(), 0.25);
 }

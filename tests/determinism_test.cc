@@ -1,25 +1,26 @@
 /**
  * @file
- * Determinism guarantees of the sharded frame sampler and parallel LER
- * engine.
+ * Determinism guarantees of the sharded frame sampler and the LER driver
+ * (api::DecodeService, api::Engine).
  *
  * The contract under test: at a fixed master seed, the sharded result is
- * defined as the concatenation of independent per-shard serial runs, so it
- * must be byte-identical for every thread count — including when early
- * stopping truncates the run.
+ * defined as the concatenation of independent per-shard serial runs (the
+ * serial oracle in tests/support), so it must be byte-identical for every
+ * thread count — including when early stopping truncates the run.
  */
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
+#include "api/engine.h"
 #include "circuit/coloration.h"
 #include "code/surface.h"
 #include "decoder/logical_error.h"
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/parallel_sampler.h"
-#include "sim/sampler.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -123,7 +124,7 @@ TEST(ShardedSampler, EqualsConcatenatedSerialShardRuns)
     ShardPlan plan{shots, shard_shots};
     for (std::size_t i = 0; i < plan.numShards(); ++i) {
         SampleBatch part =
-            sampleDem(dem, plan.shotsOf(i), shardSeed(7, i));
+            oracles::sampleDem(dem, plan.shotsOf(i), shardSeed(7, i));
         for (std::size_t s = 0; s < part.shots; ++s) {
             std::size_t w = plan.offsetOf(i) + s;
             EXPECT_EQ(whole.flippedDetectors(w), part.flippedDetectors(s));
@@ -136,17 +137,15 @@ TEST(ParallelLer, ThreadCountDoesNotChangeFailuresOrShots)
 {
     Dem dem = d3Dem(3e-3);
     auto dec = d3Decoder(dem);
-    decoder::LerOptions base;
-    base.shardShots = 256; // Many shards so threads genuinely interleave.
-    base.threads = 1;
+    decoder::LerOptions opts;
+    opts.shardShots = 256; // Many shards so threads genuinely interleave.
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, *dec, 8000, 77, base);
+        oracles::measureDemLer(dem, *dec, 8000, 77, opts);
     EXPECT_EQ(serial.shots, 8000u);
-    for (std::size_t threads : {2u, 4u, 8u}) {
-        decoder::LerOptions opts = base;
+    for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
         decoder::LerResult par =
-            decoder::measureDemLer(dem, *dec, 8000, 77, opts);
+            oracles::serviceMeasure(dem, *dec, 8000, 77, opts);
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
         EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
     }
@@ -157,20 +156,18 @@ TEST(ParallelLer, EarlyStoppingIsThreadCountIndependent)
     // High p: failures are frequent, so a small target cuts the run early.
     Dem dem = d3Dem(1e-2);
     auto dec = d3Decoder(dem);
-    decoder::LerOptions base;
-    base.shardShots = 128;
-    base.maxFailures = 20;
-    base.threads = 1;
+    decoder::LerOptions opts;
+    opts.shardShots = 128;
+    opts.maxFailures = 20;
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, *dec, 50000, 5, base);
+        oracles::measureDemLer(dem, *dec, 50000, 5, opts);
     EXPECT_TRUE(serial.earlyStopped);
     EXPECT_LT(serial.shots, 50000u);
     EXPECT_GE(serial.failures, 20u);
-    for (std::size_t threads : {2u, 4u, 8u}) {
-        decoder::LerOptions opts = base;
+    for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
         decoder::LerResult par =
-            decoder::measureDemLer(dem, *dec, 50000, 5, opts);
+            oracles::serviceMeasure(dem, *dec, 50000, 5, opts);
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
         EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
         EXPECT_EQ(serial.earlyStopped, par.earlyStopped)
@@ -178,23 +175,12 @@ TEST(ParallelLer, EarlyStoppingIsThreadCountIndependent)
     }
 }
 
-TEST(ParallelLer, LegacyOverloadMatchesDefaultOptions)
-{
-    Dem dem = d3Dem(3e-3);
-    auto dec = d3Decoder(dem);
-    decoder::LerResult a = decoder::measureDemLer(dem, *dec, 4000, 3);
-    decoder::LerResult b =
-        decoder::measureDemLer(dem, *dec, 4000, 3, decoder::LerOptions{});
-    EXPECT_EQ(a.failures, b.failures);
-    EXPECT_EQ(a.shots, b.shots);
-}
-
 TEST(ParallelLer, ClonedDecoderAgreesWithOriginal)
 {
     Dem dem = d3Dem(5e-3);
     auto dec = d3Decoder(dem);
     auto copy = dec->clone();
-    SampleBatch batch = sampleDem(dem, 500, 21);
+    SampleBatch batch = oracles::sampleDem(dem, 500, 21);
     for (std::size_t s = 0; s < batch.shots; ++s) {
         auto flipped = batch.flippedDetectors(s);
         EXPECT_EQ(dec->decode(flipped), copy->decode(flipped));
@@ -205,19 +191,23 @@ TEST(ParallelLer, MemoryLerThreadCountIndependent)
 {
     code::SurfaceCode s(3);
     auto cp = std::make_shared<const code::CssCode>(s.code());
-    auto sched = circuit::colorationSchedule(cp);
-    decoder::LerOptions one;
-    one.threads = 1;
-    one.shardShots = 256;
-    decoder::LerOptions four = one;
-    four.threads = 4;
-    auto a = decoder::measureMemoryLer(sched, 3, NoiseModel::uniform(3e-3),
-                                       "union_find", 4000,
-                                       11, one);
-    auto b = decoder::measureMemoryLer(sched, 3, NoiseModel::uniform(3e-3),
-                                       "union_find", 4000,
-                                       11, four);
-    EXPECT_EQ(a.z.failures, b.z.failures);
-    EXPECT_EQ(a.x.failures, b.x.failures);
-    EXPECT_EQ(a.combined(), b.combined());
+    api::LerRequest req(circuit::colorationSchedule(cp));
+    req.rounds = 3;
+    req.noise = NoiseModel::uniform(3e-3);
+    req.decoder = "union_find";
+    req.shots = 4000;
+    req.seed = 11;
+    req.ler.shardShots = 256;
+    auto want = oracles::measureMemoryLer(req.schedule, 3, req.noise,
+                                          req.decoder, 4000, 11, req.ler);
+    api::EngineOptions eopts;
+    eopts.service.threads = 3; // Dedicated pool: 4 slots are 4 threads.
+    api::Engine engine(eopts);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        req.ler.threads = threads;
+        decoder::MemoryLer got = engine.run(req).memory;
+        EXPECT_EQ(want.z.failures, got.z.failures) << threads << " threads";
+        EXPECT_EQ(want.x.failures, got.x.failures) << threads << " threads";
+        EXPECT_EQ(want.combined(), got.combined()) << threads << " threads";
+    }
 }

@@ -31,6 +31,7 @@
 #include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
 #include "sim/parallel_sampler.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 
@@ -150,7 +151,7 @@ TEST(Registry, RejectsMoreThan64Observables)
     circuit::SmSchedule schedule = circuit::colorationSchedule(code);
     for (const char *name : {"union_find", "bp_osd"}) {
         try {
-            decoder::measureMemoryLer(schedule, 1,
+            oracles::measureMemoryLer(schedule, 1,
                                       sim::NoiseModel::uniform(1e-3), name,
                                       64, 1);
             FAIL() << name << ": expected std::invalid_argument";
@@ -223,10 +224,8 @@ TEST(Engine, MatchesMeasureMemoryLerBitForBit)
     api::Engine engine;
     api::LerRequest req = d3Request(1);
     api::LerResult viaEngine = engine.run(req);
-    decoder::LerOptions opts;
-    opts.threads = 1;
-    decoder::MemoryLer direct = decoder::measureMemoryLer(
-        req.schedule, 3, req.noise, "union_find", 4000, 77, opts);
+    decoder::MemoryLer direct = oracles::measureMemoryLer(
+        req.schedule, 3, req.noise, "union_find", 4000, 77);
     EXPECT_EQ(viaEngine.memory.z.failures, direct.z.failures);
     EXPECT_EQ(viaEngine.memory.z.shots, direct.z.shots);
     EXPECT_EQ(viaEngine.memory.x.failures, direct.x.failures);

@@ -15,7 +15,7 @@
 #include "code/surface.h"
 #include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
-#include "sim/tableau.h"
+#include "support/tableau.h"
 
 using namespace prophunt;
 using namespace prophunt::circuit;
@@ -123,11 +123,11 @@ TEST(Flags, NoiselessDeterminism)
         SmCircuit c =
             buildMemoryCircuit(circuit::nzSchedule(s), 3, basis, 4);
         sim::Rng rng(17);
-        auto meas = sim::runTableau(c, rng);
-        for (uint8_t d : sim::detectorValues(c, meas)) {
+        auto meas = oracles::runTableau(c, rng);
+        for (uint8_t d : oracles::detectorValues(c, meas)) {
             ASSERT_EQ(d, 0);
         }
-        for (uint8_t o : sim::observableValues(c, meas)) {
+        for (uint8_t o : oracles::observableValues(c, meas)) {
             ASSERT_EQ(o, 0);
         }
     }
@@ -140,8 +140,8 @@ TEST(Flags, NoiselessDeterminismLdpc)
     SmCircuit c = buildMemoryCircuit(
         circuit::colorationSchedule(cp), 2, MemoryBasis::Z, 4);
     sim::Rng rng(23);
-    auto meas = sim::runTableau(c, rng);
-    for (uint8_t d : sim::detectorValues(c, meas)) {
+    auto meas = oracles::runTableau(c, rng);
+    for (uint8_t d : oracles::detectorValues(c, meas)) {
         ASSERT_EQ(d, 0);
     }
 }

@@ -17,10 +17,11 @@
 #include "sim/frame_sampler.h"
 #include "sim/parallel_sampler.h"
 #include "sim/rng.h"
-#include "sim/sampler.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
+using namespace prophunt::oracles;
 
 namespace {
 

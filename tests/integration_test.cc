@@ -6,16 +6,34 @@
 
 #include <memory>
 
+#include "api/engine.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
 #include "code/surface.h"
 #include "decoder/bp_osd.h"
-#include "decoder/logical_error.h"
 #include "prophunt/optimizer.h"
 #include "sim/dem_builder.h"
 
 using namespace prophunt;
+
+namespace {
+
+/** Combined memory-Z/X LER of a 3-round memory experiment. */
+double
+engineLer(const circuit::SmSchedule &sched, double p,
+          const decoder::DecoderSpec &spec, std::size_t shots, uint64_t seed)
+{
+    api::LerRequest req(sched);
+    req.rounds = 3;
+    req.noise = sim::NoiseModel::uniform(p);
+    req.decoder = spec;
+    req.shots = shots;
+    req.seed = seed;
+    return api::Engine().run(req).ler();
+}
+
+} // namespace
 
 TEST(Integration, PropHuntRecoversHandDesignedPerformance)
 {
@@ -34,12 +52,8 @@ TEST(Integration, PropHuntRecoversHandDesignedPerformance)
     core::PropHunt tool(opts);
     core::OptimizeResult res = tool.optimize(coloration, 3);
 
-    sim::NoiseModel noise = sim::NoiseModel::uniform(3e-3);
     auto ler = [&](const circuit::SmSchedule &sched) {
-        return decoder::measureMemoryLer(sched, 3, noise,
-                                         "union_find",
-                                         30000, 99)
-            .combined();
+        return engineLer(sched, 3e-3, "union_find", 30000, 99);
     };
     double start = ler(coloration);
     double end = ler(res.finalSchedule());
@@ -67,26 +81,13 @@ TEST(Integration, OptimizerImprovesLdpcCode)
     core::PropHunt tool(opts);
     core::OptimizeResult res = tool.optimize(coloration, 3);
 
-    sim::NoiseModel noise = sim::NoiseModel::uniform(2e-3);
     // Exact decoder mode (stagnationWindow = 0): keeps this ratio bound
     // calibrated to the original decoder, independent of BP cutoff tuning.
     decoder::BpOsdOptions exact;
     exact.stagnationWindow = 0;
     auto ler = [&](const circuit::SmSchedule &sched) {
-        double ok = 1.0;
-        for (auto basis :
-             {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
-            auto circ = circuit::buildMemoryCircuit(sched, 3, basis);
-            auto dem = sim::buildDem(circ, noise);
-            decoder::BpOsdDecoder dec(dem, exact);
-            auto r = decoder::measureDemLer(
-                dem, dec, 3000,
-                101 ^ (basis == circuit::MemoryBasis::X
-                           ? 0x9e3779b97f4a7c15ULL
-                           : 0));
-            ok *= 1.0 - r.ler();
-        }
-        return 1.0 - ok;
+        return engineLer(sched, 2e-3, decoder::DecoderSpec("bp_osd", exact),
+                         3000, 101);
     };
     double start = ler(coloration);
     double end = ler(res.finalSchedule());
@@ -110,13 +111,9 @@ TEST(Integration, IntermediateSnapshotsSpanLerRange)
         tool.optimize(circuit::poorSurfaceSchedule(s), 3);
     ASSERT_GE(res.snapshots.size(), 2u);
 
-    sim::NoiseModel noise = sim::NoiseModel::uniform(3e-3);
     std::vector<double> lers;
     for (const auto &snap : res.snapshots) {
-        lers.push_back(decoder::measureMemoryLer(
-                           snap, 3, noise,
-                           "union_find", 20000, 55)
-                           .combined());
+        lers.push_back(engineLer(snap, 3e-3, "union_find", 20000, 55));
     }
     EXPECT_LT(lers.back(), lers.front())
         << "optimization must reduce the LER end to end";

@@ -7,7 +7,7 @@
  * default options, at a tiny iteration budget, and with no BP iterations at all — across random DEMs and
  * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
  * final 64-shot word. Also pins down the engine's
- * shot-order/thread-count invariance through measureDemLer, the
+ * shot-order/thread-count invariance through api::DecodeService, the
  * cross-check of the kernel's vector widths, that padding bits beyond a
  * view's shots are ignored, and the default decoder's outputs on the
  * benchmark codes as golden hashes.
@@ -31,8 +31,8 @@
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
 #include "sim/rng.h"
-#include "sim/sampler.h"
 #include "support/bp_osd_reference.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
@@ -256,17 +256,14 @@ TEST(LaneDecode, OsdHeavyCircuitDemAcrossThreads)
     decoder::BpOsdOptions opts;
     opts.maxIterations = 4;
     decoder::BpOsdDecoder dec(dem, opts);
-    decoder::LerOptions base;
-    base.shardShots = 101; // odd shard size: ragged lane queues
-    base.threads = 1;
-    decoder::LerResult serial =
-        decoder::measureDemLer(dem, dec, 707, 29, base);
+    decoder::LerOptions ler;
+    ler.shardShots = 101; // odd shard size: ragged lane queues
+    decoder::LerResult serial = oracles::measureDemLer(dem, dec, 707, 29, ler);
     EXPECT_EQ(serial.shots, 707u);
     EXPECT_GT(serial.packed.osdShots, 0u);
-    for (std::size_t threads : {2u, 4u}) {
-        decoder::LerOptions par = base;
-        par.threads = threads;
-        decoder::LerResult r = decoder::measureDemLer(dem, dec, 707, 29, par);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        ler.threads = threads;
+        decoder::LerResult r = oracles::serviceMeasure(dem, dec, 707, 29, ler);
         EXPECT_EQ(serial.failures, r.failures) << threads << " threads";
         EXPECT_EQ(serial.packed.osdShots, r.packed.osdShots)
             << threads << " threads";
@@ -463,19 +460,17 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
     // depends on which shots share its lanes).
     Dem dem = circuitDem(code::benchmarkLp39, 3, 4e-3);
     decoder::BpOsdDecoder dec(dem);
-    decoder::LerOptions base;
-    base.shardShots = 128;
-    base.threads = 1;
+    decoder::LerOptions opts;
+    opts.shardShots = 128;
     decoder::LerResult serial =
-        decoder::measureDemLer(dem, dec, 1500, 31, base);
+        oracles::measureDemLer(dem, dec, 1500, 31, opts);
     EXPECT_EQ(serial.shots, 1500u);
     EXPECT_EQ(serial.packed.packedShots, 1500u);
     EXPECT_GT(serial.packed.laneSlotsTotal, 0u);
-    for (std::size_t threads : {2u, 4u}) {
-        decoder::LerOptions opts = base;
+    for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
         decoder::LerResult par =
-            decoder::measureDemLer(dem, dec, 1500, 31, opts);
+            oracles::serviceMeasure(dem, dec, 1500, 31, opts);
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
         EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
         EXPECT_EQ(serial.packed.laneSlotsBusy, par.packed.laneSlotsBusy)
@@ -483,10 +478,8 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
     }
     // Different shard sizes change the lane co-residency completely; the
     // failure count must not move (shot-order invariance).
-    decoder::LerOptions bigShards = base;
-    bigShards.shardShots = 1500;
-    decoder::LerResult one =
-        decoder::measureDemLer(dem, dec, 1500, 31, bigShards);
+    opts.shardShots = 1500;
+    decoder::LerResult one = oracles::serviceMeasure(dem, dec, 1500, 31, opts);
     // Shard seeds differ between plans, so compare against a direct
     // whole-batch decode at the single-shard seed instead.
     FrameBatch frames = sampleDemFrames(dem, 1500, shardSeed(31, 0));

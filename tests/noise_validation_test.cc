@@ -20,11 +20,12 @@
 #include "circuit/surface_schedules.h"
 #include "code/surface.h"
 #include "sim/dem_builder.h"
-#include "sim/sampler.h"
-#include "sim/tableau.h"
+#include "support/sampling.h"
+#include "support/tableau.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
+using namespace prophunt::oracles;
 
 namespace {
 

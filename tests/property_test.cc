@@ -16,7 +16,7 @@
 #include "decoder/union_find.h"
 #include "prophunt/subgraph.h"
 #include "sim/dem_builder.h"
-#include "sim/sampler.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 
@@ -165,7 +165,7 @@ TEST_P(SamplerSweep, PerDetectorRatesMatchFirstOrder)
         circuit::colorationSchedule(cp), 2, circuit::MemoryBasis::Z);
     sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(5e-3));
     std::size_t shots = 30000;
-    sim::SampleBatch batch = sim::sampleDem(dem, shots, GetParam() * 101);
+    sim::SampleBatch batch = oracles::sampleDem(dem, shots, GetParam() * 101);
     // Expected per-detector flip rate, first order in p.
     std::vector<double> expected(dem.numDetectors, 0.0);
     for (const auto &mech : dem.errors) {
@@ -288,5 +288,5 @@ TEST(FailureInjection, SamplerRejectsCertainErrors)
     m.p = 1.0;
     m.detectors = {0};
     dem.errors.push_back(m);
-    EXPECT_THROW(sim::sampleDem(dem, 10, 1), std::invalid_argument);
+    EXPECT_THROW(oracles::sampleDem(dem, 10, 1), std::invalid_argument);
 }

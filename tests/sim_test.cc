@@ -19,10 +19,11 @@
 #include "code/surface.h"
 #include "sim/dem_builder.h"
 #include "sim/rng.h"
-#include "sim/sampler.h"
+#include "support/sampling.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
+using namespace prophunt::oracles;
 
 namespace {
 

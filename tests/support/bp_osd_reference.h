@@ -20,7 +20,7 @@
 #include <vector>
 
 #include "decoder/bp_osd.h"
-#include "sim/sampler.h"
+#include "sim/frame_sampler.h"
 
 namespace prophunt::oracles {
 

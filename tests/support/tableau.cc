@@ -1,8 +1,12 @@
-#include "sim/tableau.h"
+#include "support/tableau.h"
 
 #include <stdexcept>
 
-namespace prophunt::sim {
+namespace prophunt::oracles {
+
+using sim::FaultLoc;
+using sim::Pauli;
+using sim::Rng;
 
 Tableau::Tableau(std::size_t n)
     : n_(n), x_(2 * n + 1, gf2::BitVec(n)), z_(2 * n + 1, gf2::BitVec(n)),
@@ -257,4 +261,4 @@ observableValues(const circuit::SmCircuit &circuit,
     return out;
 }
 
-} // namespace prophunt::sim
+} // namespace prophunt::oracles

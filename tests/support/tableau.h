@@ -1,6 +1,7 @@
 /**
  * @file
- * Stabilizer tableau simulator (Aaronson-Gottesman CHP style).
+ * Stabilizer tableau simulator (Aaronson-Gottesman CHP style), a test
+ * oracle for the DEM builder (test support, not libprophunt).
  *
  * An exact simulator for the Clifford circuits this library builds. It is
  * deliberately independent of the Pauli-frame machinery in dem_builder so
@@ -8,8 +9,8 @@
  * all-zero detectors, and injecting a single Pauli fault must flip exactly
  * the detectors and observables the DEM predicts for that fault location.
  */
-#ifndef PROPHUNT_SIM_TABLEAU_H
-#define PROPHUNT_SIM_TABLEAU_H
+#ifndef PROPHUNT_TESTS_SUPPORT_TABLEAU_H
+#define PROPHUNT_TESTS_SUPPORT_TABLEAU_H
 
 #include <cstdint>
 #include <vector>
@@ -19,7 +20,7 @@
 #include "sim/dem.h"
 #include "sim/rng.h"
 
-namespace prophunt::sim {
+namespace prophunt::oracles {
 
 /**
  * Stabilizer state of n qubits, initialized to |0...0>.
@@ -47,16 +48,16 @@ class Tableau
      * @param rng Supplies the outcome for non-deterministic measurements.
      * @return The measurement outcome (0 or 1).
      */
-    bool measureZ(std::size_t q, Rng &rng);
+    bool measureZ(std::size_t q, sim::Rng &rng);
 
     /** Measure in the X basis (H-conjugated Z measurement). */
-    bool measureX(std::size_t q, Rng &rng);
+    bool measureX(std::size_t q, sim::Rng &rng);
 
     /** Reset to |0> (measure Z, flip if 1). */
-    void resetZ(std::size_t q, Rng &rng);
+    void resetZ(std::size_t q, sim::Rng &rng);
 
     /** Reset to |+>. */
-    void resetX(std::size_t q, Rng &rng);
+    void resetX(std::size_t q, sim::Rng &rng);
 
   private:
     void rowsum(std::size_t h, std::size_t i);
@@ -81,8 +82,9 @@ class Tableau
  * noiseless run.
  * @return One bit per measurement, in circuit order.
  */
-std::vector<uint8_t> runTableau(const circuit::SmCircuit &circuit, Rng &rng,
-                                const FaultLoc *inject = nullptr);
+std::vector<uint8_t> runTableau(const circuit::SmCircuit &circuit,
+                                sim::Rng &rng,
+                                const sim::FaultLoc *inject = nullptr);
 
 /** Detector values from a measurement record. */
 std::vector<uint8_t> detectorValues(const circuit::SmCircuit &circuit,
@@ -92,6 +94,6 @@ std::vector<uint8_t> detectorValues(const circuit::SmCircuit &circuit,
 std::vector<uint8_t> observableValues(const circuit::SmCircuit &circuit,
                                       const std::vector<uint8_t> &meas);
 
-} // namespace prophunt::sim
+} // namespace prophunt::oracles
 
-#endif // PROPHUNT_SIM_TABLEAU_H
+#endif // PROPHUNT_TESTS_SUPPORT_TABLEAU_H

@@ -20,10 +20,11 @@
 #include "code/codes.h"
 #include "code/surface.h"
 #include "sim/dem_builder.h"
-#include "sim/tableau.h"
+#include "support/tableau.h"
 
 using namespace prophunt;
 using namespace prophunt::sim;
+using namespace prophunt::oracles;
 
 TEST(Tableau, BasicMeasurements)
 {
