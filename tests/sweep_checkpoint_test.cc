@@ -47,6 +47,23 @@ sprtRequest()
     return req;
 }
 
+/** Three fixed-budget points; 256-shot shards let maxFailures = 20 stop
+ * the p = 1.6e-2 point early. */
+api::SweepRequest
+fixedRequest()
+{
+    api::SweepRequest req(d3Schedule());
+    req.rounds = 3;
+    req.ps = {1e-3, 4e-3, 1.6e-2};
+    req.decoder = "union_find";
+    req.shotsPerPoint = 2048;
+    req.seed = 13;
+    req.ler.threads = 1;
+    req.ler.shardShots = 256;
+    req.ler.maxFailures = 20;
+    return req;
+}
+
 /** A filled-in checkpoint with a mix of done and pending cells. */
 api::SweepCheckpoint
 sampleCheckpoint()
@@ -102,10 +119,16 @@ expectEqualResults(const api::SweepResult &a, const api::SweepResult &b)
         EXPECT_EQ(a.points[i].memory.z.failures,
                   b.points[i].memory.z.failures)
             << "point " << i;
+        EXPECT_EQ(a.points[i].memory.z.earlyStopped,
+                  b.points[i].memory.z.earlyStopped)
+            << "point " << i;
         EXPECT_EQ(a.points[i].memory.x.shots, b.points[i].memory.x.shots)
             << "point " << i;
         EXPECT_EQ(a.points[i].memory.x.failures,
                   b.points[i].memory.x.failures)
+            << "point " << i;
+        EXPECT_EQ(a.points[i].memory.x.earlyStopped,
+                  b.points[i].memory.x.earlyStopped)
             << "point " << i;
         EXPECT_EQ(a.points[i].decision, b.points[i].decision)
             << "point " << i;
@@ -431,37 +454,30 @@ TEST(SweepValidation, OutOfRangeNoiseIsRejectedBeforeAnyShot)
 
 TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
 {
-    api::SweepRequest req = sprtRequest();
+    api::SweepRequest req = fixedRequest();
     api::Engine engine;
     api::SweepResult oracle = engine.run(req);
 
-    // A completed checkpointed run gives the full cell tallies...
+    // A completed checkpointed run gives every point's tally...
     ScratchFile full_file("resume_full");
     api::SweepRequest ck_req = req;
     ck_req.checkpointPath = full_file.path;
-    ck_req.checkpointEveryChunks = 1;
     expectEqualResults(engine.run(ck_req), oracle);
     api::SweepCheckpoint full = api::SweepCheckpoint::load(full_file.path);
 
     // ...from which we can reconstruct the checkpoint a SIGKILL would
-    // have left after any number of completed cells, and resume it.
-    const api::SweepCheckpoint grid = api::makeSweepCheckpoint(req);
-    const std::size_t per_point = grid.chunksPerPoint();
-    for (std::size_t cut = 0; cut <= grid.points.size() * per_point; ++cut) {
+    // have left after any number of completed points, and resume it.
+    for (std::size_t cut = 0; cut <= full.points.size(); ++cut) {
         ScratchFile f("resume_cut");
         api::SweepCheckpoint partial = api::makeSweepCheckpoint(req);
-        for (std::size_t p = 0; p < grid.points.size(); ++p) {
-            for (std::size_t c = 0; c < per_point; ++c) {
-                if (p * per_point + c < cut) {
-                    partial.points[p].chunks[c] = full.points[p].chunks[c];
-                }
-            }
+        for (std::size_t p = 0; p < cut; ++p) {
+            partial.points[p].chunks = full.points[p].chunks;
         }
         partial.saveAtomic(f.path);
         api::SweepRequest resume = req;
         resume.checkpointPath = f.path;
         api::SweepResult resumed = engine.run(resume);
-        SCOPED_TRACE("resumed after " + std::to_string(cut) + " cells");
+        SCOPED_TRACE("resumed after " + std::to_string(cut) + " points");
         expectEqualResults(resumed, oracle);
     }
 }
@@ -469,7 +485,7 @@ TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
 TEST(SweepResume, CompleteCheckpointResumesWithZeroNewShots)
 {
     ScratchFile f("resume_noop");
-    api::SweepRequest req = sprtRequest();
+    api::SweepRequest req = fixedRequest();
     req.checkpointPath = f.path;
     api::Engine engine;
     api::SweepResult first = engine.run(req);
@@ -622,6 +638,15 @@ TEST(SweepGolden, FixedBudgetWithMaxFailures)
     expectGolden(engine.run(req),
                  {{2048, 1, false, 2048, 2, false, api::SprtDecision::Below},
                   {512, 41, true, 512, 33, true, api::SprtDecision::Above}});
+}
+
+TEST(SweepGolden, FixedBudgetThreePoints)
+{
+    api::Engine engine;
+    expectGolden(engine.run(fixedRequest()),
+                 {{2048, 1, false, 2048, 2, false, api::SprtDecision::None},
+                  {2048, 18, false, 2048, 6, false, api::SprtDecision::None},
+                  {512, 41, true, 512, 33, true, api::SprtDecision::None}});
 }
 
 TEST(SweepGolden, SprtDecidedEarlyAndOutOfBudget)
