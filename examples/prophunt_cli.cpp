@@ -7,27 +7,26 @@
  * Usage:
  *   prophunt_cli <code> <samples-per-iteration> <iterations> [threads]
  *   prophunt_cli sweep <code> [--ps p1,p2,..] [--shots N] [--rounds N]
- *                      [--sprt LER] [--chunk N] [--seed N] [--threads N]
- *                      [--checkpoint PATH [--every N]] [--out PATH]
+ *                      [--seed N] [--threads N] [--checkpoint PATH]
+ *                      [--out PATH]
  *
  * where <code> is one of: surface3 surface5 surface7 surface9 lp39
  * rqt60 rqt54 rqt108. The default mode prints per-iteration telemetry
  * and the before/after logical error rates. `sweep` runs an LER-vs-p
- * sweep with optional SPRT early stopping and checkpoint/resume
- * (interrupt it with SIGKILL and rerun the identical command line; exit
- * 0 = complete, 3 = checkpoint still incomplete). Both modes start from
+ * sweep with checkpoint/resume (interrupt it with SIGKILL and rerun the
+ * identical command line). Both modes start from
  * api::Config::fromEnv(), so PROPHUNT_THREADS, PROPHUNT_SAT_TIMEOUT and
  * PROPHUNT_MAX_FAILURES apply; arguments override it. A malformed
- * number or an invalid request exits 2. Everything runs through
+ * number or an invalid request exits 2, before any shot and without
+ * touching an existing --out file. Everything runs through
  * prophunt::api::Engine.
  */
-#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "api/config.h"
@@ -85,9 +84,9 @@ usage(const char *argv0)
                  "usage: %s <code> <samples-per-iteration> <iterations> "
                  "[threads]\n"
                  "       %s sweep <code> [--ps p1,p2,..] [--shots N] "
-                 "[--rounds N] [--sprt LER] [--chunk N] [--seed N]\n"
-                 "             [--threads N] [--checkpoint PATH "
-                 "[--every N]] [--out PATH]\ncodes:",
+                 "[--rounds N] [--seed N]\n"
+                 "             [--threads N] [--checkpoint PATH] "
+                 "[--out PATH]\ncodes:",
                  argv0, argv0);
     for (const Named &n : kCodes) {
         std::fprintf(stderr, " %s", n.name);
@@ -106,36 +105,18 @@ findCode(const char *name)
     return nullptr;
 }
 
-struct FileCloser
-{
-    void operator()(FILE *f) const { std::fclose(f); }
-};
-using OutFile = std::unique_ptr<FILE, FileCloser>;
-
-/** Open @p path for writing; throws std::runtime_error if it cannot. */
-OutFile
-openOut(const std::string &path)
-{
-    OutFile f(std::fopen(path.c_str(), "w"));
-    if (!f) {
-        throw std::runtime_error("cannot write " + path + ": " +
-                                 std::strerror(errno));
-    }
-    return f;
-}
-
 /**
- * Stable sweep-result JSON into @p out (opened on @p path): tallies and
- * decisions only, no timings — a clean run and a kill/resume run of the
+ * Stable sweep-result JSON into @p out (the temp file of @p path):
+ * tallies only, no timings — a clean run and a kill/resume run of the
  * same request produce byte-identical files, which is exactly what the
  * CI smoke leg diffs. Throws std::runtime_error when a write fails.
  */
 void
-writeSweepResultJson(OutFile out, const std::string &path,
+writeSweepResultJson(api::AtomicFile &out, const std::string &path,
                      const char *code_name, std::size_t rounds,
                      const api::SweepResult &result, bool complete)
 {
-    FILE *f = out.get();
+    FILE *f = out.stream();
     std::fprintf(f,
                  "{\n  \"format\": \"prophunt-sweep-result\",\n"
                  "  \"code\": \"%s\",\n  \"rounds\": %zu,\n"
@@ -146,31 +127,25 @@ writeSweepResultJson(OutFile out, const std::string &path,
         std::fprintf(f,
                      "%s\n    {\"p\": %.17g, \"z_shots\": %zu, "
                      "\"z_failures\": %zu, \"x_shots\": %zu, "
-                     "\"x_failures\": %zu, \"ler\": %.6g, "
-                     "\"decision\": \"%s\"}",
+                     "\"x_failures\": %zu, \"ler\": %.6g}",
                      i == 0 ? "" : ",", pt.p, pt.memory.z.shots,
                      pt.memory.z.failures, pt.memory.x.shots,
-                     pt.memory.x.failures, pt.ler(),
-                     api::toString(pt.decision));
+                     pt.memory.x.failures, pt.ler());
     }
     std::fprintf(f, "\n  ]\n}\n");
-    const bool write_failed = std::ferror(f) != 0;
-    if (std::fclose(out.release()) != 0 || write_failed) {
-        throw std::runtime_error("write to " + path + " failed");
-    }
+    out.commit();
     std::printf("wrote %s\n", path.c_str());
 }
 
 void
 printSweepResult(const api::SweepResult &result)
 {
-    std::printf("%10s %10s %10s %10s %10s %10s %10s\n", "p", "z_shots",
-                "z_fails", "x_shots", "x_fails", "ler", "decision");
+    std::printf("%10s %10s %10s %10s %10s %10s\n", "p", "z_shots",
+                "z_fails", "x_shots", "x_fails", "ler");
     for (const api::SweepPointResult &pt : result.points) {
-        std::printf("%10.4g %10zu %10zu %10zu %10zu %10.5f %10s\n", pt.p,
+        std::printf("%10.4g %10zu %10zu %10zu %10zu %10.5f\n", pt.p,
                     pt.memory.z.shots, pt.memory.z.failures,
-                    pt.memory.x.shots, pt.memory.x.failures, pt.ler(),
-                    api::toString(pt.decision));
+                    pt.memory.x.shots, pt.memory.x.failures, pt.ler());
     }
 }
 
@@ -233,20 +208,12 @@ runSweepMode(int argc, char **argv)
             req.shotsPerPoint = size("--shots");
         } else if (std::strcmp(argv[i], "--rounds") == 0) {
             req.rounds = size("--rounds");
-        } else if (std::strcmp(argv[i], "--sprt") == 0) {
-            req.sprt.enabled = true;
-            req.sprt.decisionLer =
-                api::parseDouble("--sprt", value("--sprt"));
-        } else if (std::strcmp(argv[i], "--chunk") == 0) {
-            req.sprt.chunkShots = size("--chunk");
         } else if (std::strcmp(argv[i], "--seed") == 0) {
             req.seed = size("--seed");
         } else if (std::strcmp(argv[i], "--threads") == 0) {
             req.ler.threads = size("--threads");
         } else if (std::strcmp(argv[i], "--checkpoint") == 0) {
             req.checkpointPath = value("--checkpoint");
-        } else if (std::strcmp(argv[i], "--every") == 0) {
-            req.checkpointEveryChunks = size("--every");
         } else if (std::strcmp(argv[i], "--out") == 0) {
             out_path = value("--out");
         } else {
@@ -255,15 +222,18 @@ runSweepMode(int argc, char **argv)
         }
     }
 
-    // Open --out before any shot: an unwritable path must not cost the
-    // whole sweep.
-    OutFile out = out_path.empty() ? OutFile{} : openOut(out_path);
+    // Open --out's temp file before any shot: an unwritable path must
+    // not cost the whole sweep, and a rejected run leaves an existing
+    // file untouched.
+    std::optional<api::AtomicFile> out;
+    if (!out_path.empty()) {
+        out.emplace(out_path);
+    }
 
     std::printf("%s sweep: rounds=%zu decoder=%s shots/point=%zu "
-                "points=%zu sprt=%s%s%s\n",
+                "points=%zu%s%s\n",
                 spec->name, req.rounds, req.decoder.describe().c_str(),
                 req.shotsPerPoint, req.ps.size(),
-                req.sprt.enabled ? "on" : "off",
                 req.checkpointPath.empty() ? "" : " checkpoint=",
                 req.checkpointPath.c_str());
 
@@ -272,20 +242,11 @@ runSweepMode(int argc, char **argv)
     printSweepResult(result);
     std::printf("total sampled shots this run: %zu\n",
                 result.telemetry.shots);
-
-    bool complete = true;
-    if (!req.checkpointPath.empty()) {
-        api::SweepFinalize fin = api::finalizeSweep(
-            api::SweepCheckpoint::load(req.checkpointPath));
-        complete = fin.complete;
-        std::printf("checkpoint: %zu/%zu points complete\n",
-                    fin.pointsComplete, req.ps.size());
-    }
     if (out) {
-        writeSweepResultJson(std::move(out), out_path, spec->name,
-                             req.rounds, result, complete);
+        writeSweepResultJson(*out, out_path, spec->name, req.rounds, result,
+                             result.points.size() == req.ps.size());
     }
-    return complete ? 0 : 3;
+    return 0;
 }
 
 int

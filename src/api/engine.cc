@@ -173,68 +173,6 @@ Engine::run(const LerRequest &req)
     return out;
 }
 
-SweepPointResult
-Engine::sweepPointCells(const SweepRequest &req, SweepCheckpoint &cp,
-                        std::size_t pi,
-                        const std::function<void()> &cellCommitted,
-                        bool &interrupted)
-{
-    Telemetry telemetry;
-    decoder::PackedDecodeStats z_packed, x_packed;
-    const sim::NoiseModel noise =
-        sim::NoiseModel::withIdle(req.ps[pi], req.pIdle);
-    // Built on the first pending chunk: a fully checkpointed point
-    // resumes without touching the cache at all.
-    Artifact z, x;
-
-    // Canonical order: compute the chunk after the contiguous done prefix
-    // until the prefix is complete (an SPRT decision, or every chunk), so
-    // no chunk past a decision is ever sampled — as in the serial loop.
-    for (SweepPrefix pre; !(pre = evalSweepPrefix(cp, pi)).complete;) {
-        const std::size_t c = pre.chunksDone;
-        if (req.cancel != nullptr && req.cancel->load()) {
-            interrupted = true;
-            break;
-        }
-        if (z.entry == nullptr) {
-            z = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::Z,
-                            noise, req.decoder, req.flagWeight, telemetry);
-            x = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::X,
-                            noise, req.decoder, req.flagWeight, telemetry);
-        }
-        decoder::MemoryLer m =
-            measureMemory(z, x, cp.chunkSize(c), sweepChunkSeed(req, c),
-                          req.ler, req.cancel, telemetry);
-        z_packed += m.z.packed;
-        x_packed += m.x.packed;
-        if (req.cancel != nullptr && req.cancel->load()) {
-            // The cancel flag flipped while this chunk was in flight;
-            // its tallies may be a truncated shard prefix rather than
-            // the canonical chunk. Discard it — results and checkpoints
-            // carry only full canonical cells, so a resume recomputes
-            // this chunk and stays bit-identical.
-            interrupted = true;
-            break;
-        }
-        cp.points[pi].chunks[c] = {.done = true,
-                                   .zShots = m.z.shots,
-                                   .zFailures = m.z.failures,
-                                   .xShots = m.x.shots,
-                                   .xFailures = m.x.failures,
-                                   .zEarlyStopped = m.z.earlyStopped,
-                                   .xEarlyStopped = m.x.earlyStopped};
-        cellCommitted();
-    }
-
-    // The memory tallies account the full canonical prefix, checkpointed
-    // or fresh; telemetry and packed stats report this call's work only.
-    SweepPointResult out = finalizePoint(cp, pi);
-    out.telemetry = telemetry;
-    out.memory.z.packed = z_packed;
-    out.memory.x.packed = x_packed;
-    return out;
-}
-
 SweepResult
 Engine::run(const SweepRequest &req)
 {
@@ -257,38 +195,55 @@ Engine::run(const SweepRequest &req)
             }
             cp = std::move(*loaded);
         }
+        // An unwritable path fails here, before the first shot.
+        cp.saveAtomic(req.checkpointPath);
     }
 
-    const std::size_t save_every =
-        std::max<std::size_t>(1, req.checkpointEveryChunks);
-    std::size_t since_save = 0;
-    auto cell_committed = [&]() {
-        if (persist && ++since_save >= save_every) {
-            cp.saveAtomic(req.checkpointPath);
-            since_save = 0;
-        }
-    };
+    LerRequest point(req.schedule);
+    point.rounds = req.rounds;
+    point.decoder = req.decoder;
+    point.shots = req.shotsPerPoint;
+    point.seed = req.seed;
+    point.ler = req.ler;
+    point.flagWeight = req.flagWeight;
+    point.cancel = req.cancel;
 
     SweepResult out;
-    out.points.reserve(req.ps.size());
-    bool interrupted = false;
-    for (std::size_t pi = 0; pi < req.ps.size() && !interrupted; ++pi) {
+    out.points.reserve(cp.points.size());
+    for (SweepPointCheckpoint &pt : cp.points) {
         if (req.cancel != nullptr && req.cancel->load()) {
             break;
         }
-        SweepPointResult pt =
-            sweepPointCells(req, cp, pi, cell_committed, interrupted);
-        out.telemetry += pt.telemetry;
-        // A cancelled in-progress point contributes its contiguous
-        // done-chunk prefix; an untouched one is omitted entirely.
-        if (!interrupted || pt.memory.z.shots + pt.memory.x.shots != 0) {
-            out.points.push_back(pt);
+        SweepPointResult r;
+        r.p = pt.p;
+        if (pt.done) {
+            // Checkpointed: its tallies, and no work of this call.
+            r.memory = pt.memory();
+        } else {
+            point.noise = sim::NoiseModel::withIdle(pt.p, req.pIdle);
+            LerResult m = run(point);
+            out.telemetry += m.telemetry;
+            if (req.cancel != nullptr && req.cancel->load()) {
+                // The flag flipped while the point was in flight; its
+                // tallies may be a truncated shard prefix. Discard it, so
+                // a resume measures the whole point again.
+                break;
+            }
+            r.memory = m.memory;
+            r.telemetry = m.telemetry;
+            pt = {.p = pt.p,
+                  .done = true,
+                  .zShots = m.memory.z.shots,
+                  .zFailures = m.memory.z.failures,
+                  .xShots = m.memory.x.shots,
+                  .xFailures = m.memory.x.failures,
+                  .zEarlyStopped = m.memory.z.earlyStopped,
+                  .xEarlyStopped = m.memory.x.earlyStopped};
+            if (persist) {
+                cp.saveAtomic(req.checkpointPath);
+            }
         }
-    }
-    if (persist) {
-        // Always leave a final checkpoint on disk, even after a
-        // cancellation or a run that computed nothing new.
-        cp.saveAtomic(req.checkpointPath);
+        out.points.push_back(r);
     }
     return out;
 }
@@ -298,11 +253,8 @@ Engine::run(const OptimizeRequest &req)
 {
     OptimizeResult out;
     uint64_t t0 = now_us();
-    core::PropHuntOptions opts = req.options;
-    if (req.cancel != nullptr) {
-        opts.cancel = req.cancel;
-    }
-    out.outcome = core::PropHunt(opts).optimize(req.start, req.rounds);
+    out.outcome =
+        core::PropHunt(req.options).optimize(req.start, req.rounds);
     // The optimizer samples/decodes internally; its whole wall time is
     // reported as decode time.
     out.telemetry.decodeUs += now_us() - t0;

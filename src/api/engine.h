@@ -14,8 +14,8 @@
  *    drops the circuit. Cached and uncached runs are bit-identical: DEM
  *    construction is deterministic and Decoder::clone() must not affect
  *    decode results.
- *  - a decode service: every LER measurement (fixed-budget and SPRT
- *    chunks alike) flows through a long-lived api::DecodeService, which
+ *  - a decode service: every LER measurement (LerRequests and sweep
+ *    points alike) flows through a long-lived api::DecodeService, which
  *    keeps lane groups of warm decoder clones per decode key, coalesces
  *    concurrent same-key requests into one shard stream on a persistent
  *    worker pool, and samples and decodes every shard it reports — all
@@ -24,13 +24,10 @@
  *  - async submission: submit() enqueues the request onto one
  *    dispatcher thread and returns a std::future; each job still fans
  *    its shots out over the shared persistent worker pool.
- *  - adaptive sweeps: run(SweepRequest) with SprtOptions::enabled
- *    allocates shots across sweep points with a sequential test
- *    (api/sprt.h) instead of a fixed per-point budget.
- *  - checkpointable sweeps: SweepRequest execution walks a
- *    deterministic (point, chunk) cell grid (api/sweep_checkpoint.h);
- *    with checkpointPath set the completed cells persist atomically and
- *    a rerun resumes bit-identically to an uninterrupted run.
+ *  - checkpointable sweeps: run(SweepRequest) measures each point once,
+ *    as the equivalent LerRequest; with checkpointPath set every
+ *    measured point persists atomically (api/sweep_checkpoint.h) and a
+ *    rerun resumes bit-identically to an uninterrupted run.
  *
  * Thread safety: all public methods may be called concurrently.
  */
@@ -84,11 +81,10 @@ class Engine
      * parameters. */
     LerResult run(const LerRequest &req);
 
-    /** Run a physical-error-rate sweep (adaptive if req.sprt.enabled). */
+    /** Run a physical-error-rate sweep, one LerRequest per point. */
     SweepResult run(const SweepRequest &req);
 
-    /** Run the PropHunt optimizer (core::PropHunt::optimize, with
-     * req.cancel as its cancellation flag). */
+    /** Run the PropHunt optimizer (core::PropHunt::optimize). */
     OptimizeResult run(const OptimizeRequest &req);
 
     /** Enqueue a request onto the dispatcher thread; returns its
@@ -139,28 +135,14 @@ class Engine
                          const decoder::DecoderSpec &spec,
                          std::size_t flag_weight, Telemetry &telemetry);
 
-    /** The one memory-measurement loop (run(LerRequest), every sweep
-     * chunk): @p shots per basis on prebuilt artifacts, basis b sampling
-     * at memoryBasisSeed(@p seed, b). */
+    /** The one memory-measurement loop (run(LerRequest), and so every
+     * sweep point): @p shots per basis on prebuilt artifacts, basis b
+     * sampling at memoryBasisSeed(@p seed, b). */
     decoder::MemoryLer measureMemory(const Artifact &z, const Artifact &x,
                                      std::size_t shots, uint64_t seed,
                                      const decoder::LerOptions &ler,
                                      const std::atomic<bool> *cancel,
                                      Telemetry &telemetry);
-
-    /**
-     * Complete sweep point @p pi of @p cp: while evalSweepPrefix finds
-     * it incomplete, measure the chunk after its done prefix and record
-     * the tally, so an SPRT point never samples past its decision.
-     * Artifacts are built at most once, and only if a chunk is pending.
-     * @p cellCommitted fires after each new cell (the checkpoint hook);
-     * @p interrupted is set when req.cancel stopped the point. Returns
-     * finalizePoint's result with this call's telemetry and packed stats.
-     */
-    SweepPointResult
-    sweepPointCells(const SweepRequest &req, SweepCheckpoint &cp,
-                    std::size_t pi, const std::function<void()> &cellCommitted,
-                    bool &interrupted);
 
     /** Run one basis measurement through the decode service and fold the
      * outcome's telemetry into @p telemetry. */

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "api/sprt.h"
 #include "circuit/schedule.h"
 #include "decoder/logical_error.h"
 #include "decoder/registry.h"
@@ -115,15 +114,13 @@ struct LerResult
 /**
  * A physical-error-rate sweep of one schedule.
  *
- * The engine builds each point's DEM and decoder once per basis (cached
- * across requests) and, with sprt.enabled, allocates shots adaptively:
- * each point stops as soon as the sequential test decides its LER
- * against sprt.decisionLer.
- *
- * Execution decomposes into deterministic (point, chunk) cells (see
- * api/sweep_checkpoint.h): with checkpointPath set, completed cells
- * persist atomically every checkpointEveryChunks chunks and a rerun of
- * the same request resumes bit-identically to an uninterrupted run.
+ * Each point is measured once, exactly as the LerRequest with the same
+ * schedule, noise, decoder, shotsPerPoint, seed, ler options and flag
+ * weight would be; ler.maxFailures is its only early stop. The engine
+ * builds each point's DEM and decoder once per basis (cached across
+ * requests). With checkpointPath set, every measured point persists
+ * atomically (api/sweep_checkpoint.h) and a rerun of the same request
+ * resumes bit-identically to an uninterrupted run.
  */
 struct SweepRequest
 {
@@ -136,28 +133,25 @@ struct SweepRequest
     /** Per-CNOT-layer idle error strength applied at every point. */
     double pIdle = 0.0;
     decoder::DecoderSpec decoder;
-    /** Shot budget per basis per point (SPRT may stop earlier). */
+    /** Shot budget per basis per point (ler.maxFailures may stop
+     * earlier). */
     std::size_t shotsPerPoint = 20000;
     uint64_t seed = 1;
     decoder::LerOptions ler;
-    SprtOptions sprt;
     /** As LerRequest::flagWeight: buildMemoryCircuit's flag weight. */
     std::size_t flagWeight = 0;
-    /** Checkpoint/resume file; empty (the default) disables both. A
-     * mismatched existing checkpoint (different request fingerprint) is
-     * an error, never silently overwritten. */
+    /** Checkpoint/resume file; empty (the default) disables both. It is
+     * written before the first shot (so an unusable path fails first)
+     * and after every measured point. A mismatched existing checkpoint
+     * (different request fingerprint) is an error, never silently
+     * overwritten. */
     std::string checkpointPath;
-    /** Checkpoint write frequency, in completed chunks (clamped >= 1).
-     * A final write always happens, even on cancellation. */
-    std::size_t checkpointEveryChunks = 8;
     /**
      * Optional cancellation flag (parity with LerRequest::cancel).
-     * Honored between points and between SPRT chunks, and passed into
-     * the decode service so an in-flight measurement truncates to a
-     * valid contiguous shard prefix. The result holds every completed
-     * point plus the in-progress point's contiguous chunk prefix (a
-     * mid-chunk truncation is discarded — only canonical full-chunk
-     * tallies enter results and checkpoints).
+     * Honored between points and passed into the decode service. The
+     * result holds every completed point; the point in flight when the
+     * flag flips is discarded (its tallies may be a truncated shard
+     * prefix), so results and checkpoints carry only full points.
      */
     const std::atomic<bool> *cancel = nullptr;
 
@@ -168,8 +162,6 @@ struct SweepPointResult
 {
     double p = 0.0;
     decoder::MemoryLer memory;
-    /** Sequential-test outcome (None when no threshold was given). */
-    SprtDecision decision = SprtDecision::None;
     Telemetry telemetry;
 
     double
@@ -197,13 +189,9 @@ struct OptimizeRequest
 {
     circuit::SmSchedule start;
     std::size_t rounds = 1;
+    /** Optimizer knobs; options.cancel is the request's cancellation
+     * flag. */
     core::PropHuntOptions options;
-    /**
-     * Optional cancellation flag (parity with LerRequest::cancel).
-     * Checked between optimizer iterations; once set, the request
-     * returns the best schedule reached so far.
-     */
-    const std::atomic<bool> *cancel = nullptr;
 
     explicit OptimizeRequest(circuit::SmSchedule s) : start(std::move(s)) {}
 };

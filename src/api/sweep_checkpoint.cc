@@ -1,6 +1,5 @@
 #include "api/sweep_checkpoint.h"
 
-#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <cinttypes>
@@ -9,9 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
-
-#include "api/sprt.h"
-#include "sim/parallel_sampler.h"
+#include <utility>
 
 #ifndef _WIN32
 #include <unistd.h>
@@ -57,8 +54,9 @@ fail(const std::string &msg)
 
 // --- minimal strict JSON ----------------------------------------------------
 //
-// Exactly the subset the writer emits: objects, arrays, strings (no
-// escapes beyond \" \\ \/ \b \f \n \r \t), numbers, true/false/null.
+// Exactly the subset the writer emits: objects, arrays, strings without
+// escapes, numbers, and null; plus true/false, which version-1 files
+// hold, so that they reach the version check and its message.
 // Kept dependency-free on purpose; errors carry the byte offset so a
 // truncated or corrupt checkpoint is diagnosable.
 
@@ -74,7 +72,6 @@ struct JsonValue
         Object
     };
     Kind kind = Null;
-    bool boolean = false;
     double number = 0.0;
     std::string string;
     std::vector<JsonValue> array;
@@ -190,15 +187,9 @@ class JsonParser
     JsonValue
     boolean()
     {
+        literal(text_[pos_] == 't' ? "true" : "false");
         JsonValue v;
         v.kind = JsonValue::Bool;
-        if (text_[pos_] == 't') {
-            literal("true");
-            v.boolean = true;
-        } else {
-            literal("false");
-            v.boolean = false;
-        }
         return v;
     }
 
@@ -217,37 +208,9 @@ class JsonParser
                 return v;
             }
             if (c == '\\') {
-                if (pos_ >= text_.size()) {
-                    error("unterminated escape");
-                }
-                char e = text_[pos_++];
-                switch (e) {
-                case '"':
-                case '\\':
-                case '/':
-                    v.string.push_back(e);
-                    break;
-                case 'b':
-                    v.string.push_back('\b');
-                    break;
-                case 'f':
-                    v.string.push_back('\f');
-                    break;
-                case 'n':
-                    v.string.push_back('\n');
-                    break;
-                case 'r':
-                    v.string.push_back('\r');
-                    break;
-                case 't':
-                    v.string.push_back('\t');
-                    break;
-                default:
-                    error("unsupported string escape");
-                }
-            } else {
-                v.string.push_back(c);
+                error("unsupported string escape");
             }
+            v.string.push_back(c);
         }
     }
 
@@ -368,16 +331,6 @@ sizeField(const JsonValue &obj, const char *key)
     return (std::size_t)d;
 }
 
-bool
-boolField(const JsonValue &obj, const char *key)
-{
-    const JsonValue &v = field(obj, key);
-    if (v.kind != JsonValue::Bool) {
-        fail(std::string("field '") + key + "' must be a boolean");
-    }
-    return v.boolean;
-}
-
 std::string
 strField(const JsonValue &obj, const char *key)
 {
@@ -388,8 +341,8 @@ strField(const JsonValue &obj, const char *key)
     return v.string;
 }
 
-/** uint64 fields travel as hex strings: JSON numbers are doubles and
- * would corrupt seeds/fingerprints above 2^53. */
+/** The uint64 fingerprint travels as a hex string: JSON numbers are
+ * doubles and would corrupt it above 2^53. */
 uint64_t
 hexField(const JsonValue &obj, const char *key)
 {
@@ -408,61 +361,76 @@ tallyElem(const JsonValue &arr, std::size_t i)
 {
     const JsonValue &v = arr.array[i];
     if (v.kind != JsonValue::Number || !isUint64(v.number)) {
-        fail("chunk tally entries must be non-negative integers");
+        fail("tally entries must be non-negative integers");
     }
     return (uint64_t)v.number;
 }
 
-SweepPointResult
-pointResult(double p, const SweepPrefix &pre)
-{
-    SweepPointResult out;
-    out.p = p;
-    out.memory = pre.memory;
-    out.decision = pre.decision;
-    out.telemetry.shots = pre.memory.z.shots + pre.memory.x.shots;
-    return out;
-}
-
 } // namespace
 
-// --- seeds / fingerprint / construction ------------------------------------
+// --- atomic file ------------------------------------------------------------
 
-uint64_t
-sweepChunkSeed(const SweepRequest &req, std::size_t chunk)
+AtomicFile::AtomicFile(std::string path)
+    : path_(std::move(path)), tmp_(path_ + ".tmp"),
+      file_(std::fopen(tmp_.c_str(), "w"))
 {
-    if (!req.sprt.enabled) {
-        return req.seed;
+    if (file_ == nullptr) {
+        throw std::runtime_error("cannot open '" + tmp_ +
+                                 "' for writing: " + std::strerror(errno));
     }
-    // The serial pre-checkpoint loop drew chunk seeds sequentially from
-    // SplitMix64(seed ^ salt); shardSeed gives O(1) access to the same
-    // stream, so a resumed chunk agrees with it without replaying it.
-    return sim::shardSeed(req.seed ^ 0xc4ceb9fe1a85ec53ULL, chunk);
+}
+
+AtomicFile::~AtomicFile()
+{
+    if (file_ != nullptr) {
+        std::fclose(file_);
+        std::remove(tmp_.c_str());
+    }
+}
+
+void
+AtomicFile::commit()
+{
+    FILE *f = std::exchange(file_, nullptr);
+    bool ok = std::ferror(f) == 0;
+    ok = std::fflush(f) == 0 && ok;
+#ifndef _WIN32
+    // Durability: the rename must not land before the contents do.
+    ok = fsync(fileno(f)) == 0 && ok;
+#endif
+    ok = std::fclose(f) == 0 && ok;
+    if (!ok) {
+        int err = errno;
+        std::remove(tmp_.c_str());
+        throw std::runtime_error("write to '" + tmp_ +
+                                 "' failed: " + std::strerror(err));
+    }
+    if (std::rename(tmp_.c_str(), path_.c_str()) != 0) {
+        int err = errno;
+        std::remove(tmp_.c_str());
+        throw std::runtime_error("rename '" + tmp_ + "' -> '" + path_ +
+                                 "' failed: " + std::strerror(err));
+    }
+}
+
+// --- fingerprint / construction ---------------------------------------------
+
+decoder::MemoryLer
+SweepPointCheckpoint::memory() const
+{
+    decoder::MemoryLer m;
+    m.z.shots = zShots;
+    m.z.failures = zFailures;
+    m.z.earlyStopped = zEarlyStopped;
+    m.x.shots = xShots;
+    m.x.failures = xFailures;
+    m.x.earlyStopped = xEarlyStopped;
+    return m;
 }
 
 uint64_t
 sweepFingerprint(const SweepRequest &req)
 {
-    return makeSweepCheckpoint(req).fingerprint;
-}
-
-SweepCheckpoint
-makeSweepCheckpoint(const SweepRequest &req)
-{
-    SweepCheckpoint cp;
-    cp.shotsPerPoint = req.shotsPerPoint;
-    if (req.shotsPerPoint == 0) {
-        cp.chunkShots = 0;
-    } else if (req.sprt.enabled) {
-        // chunkShots = 0 would never advance the budget; clamp to 1.
-        cp.chunkShots = std::max<std::size_t>(1, req.sprt.chunkShots);
-    } else {
-        cp.chunkShots = req.shotsPerPoint;
-    }
-    cp.seed = req.seed;
-    cp.sprt = req.sprt;
-    cp.sprt.chunkShots = cp.chunkShots; // Persist the clamped value.
-
     uint64_t h = 0x6a09e667f3bcc908ULL; // Distinct basis from cache keys.
     fnv(h, circuit::hashSchedule(req.schedule));
     fnv(h, req.rounds);
@@ -474,22 +442,20 @@ makeSweepCheckpoint(const SweepRequest &req)
     fnvStr(h, req.decoder.describe());
     fnv(h, req.shotsPerPoint);
     fnv(h, req.seed);
-    fnv(h, cp.chunkShots);
-    fnv(h, req.sprt.enabled ? 1 : 0);
-    fnv(h, doubleBits(req.sprt.decisionLer));
-    fnv(h, doubleBits(req.sprt.margin));
-    fnv(h, doubleBits(req.sprt.alpha));
-    fnv(h, doubleBits(req.sprt.beta));
-    fnv(h, req.sprt.minShots);
     fnv(h, req.flagWeight);
     fnv(h, req.ler.maxFailures);
     fnv(h, req.ler.shardShots);
-    cp.fingerprint = h;
+    return h;
+}
 
+SweepCheckpoint
+makeSweepCheckpoint(const SweepRequest &req)
+{
+    SweepCheckpoint cp;
+    cp.fingerprint = sweepFingerprint(req);
     cp.points.resize(req.ps.size());
     for (std::size_t i = 0; i < req.ps.size(); ++i) {
         cp.points[i].p = req.ps[i];
-        cp.points[i].chunks.resize(cp.chunksPerPoint());
     }
     return cp;
 }
@@ -500,8 +466,8 @@ std::string
 SweepCheckpoint::toJson() const
 {
     std::string out;
-    out.reserve(256 + points.size() * 64);
-    char buf[384];
+    out.reserve(128 + points.size() * 64);
+    char buf[160];
     auto append = [&](const char *fmt, auto... args) {
         std::snprintf(buf, sizeof buf, fmt, args...);
         out += buf;
@@ -510,34 +476,19 @@ SweepCheckpoint::toJson() const
     append("  \"format\": \"%s\",\n", kFormat);
     append("  \"version\": %d,\n", version);
     append("  \"fingerprint\": \"%016" PRIx64 "\",\n", fingerprint);
-    append("  \"seed\": \"%016" PRIx64 "\",\n", seed);
-    append("  \"shots_per_point\": %zu,\n", shotsPerPoint);
-    append("  \"chunk_shots\": %zu,\n", chunkShots);
-    append("  \"sprt\": {\"enabled\": %s, \"decision_ler\": %.17g, "
-           "\"margin\": %.17g, \"alpha\": %.17g, \"beta\": %.17g, "
-           "\"chunk_shots\": %zu, \"min_shots\": %zu},\n",
-           sprt.enabled ? "true" : "false", sprt.decisionLer, sprt.margin,
-           sprt.alpha, sprt.beta, sprt.chunkShots, sprt.minShots);
     out += "  \"points\": [";
     for (std::size_t i = 0; i < points.size(); ++i) {
-        const SweepPointCheckpoint &pt = points[i];
+        const SweepPointCheckpoint &t = points[i];
         out += i == 0 ? "\n" : ",\n";
-        append("    {\"p\": %.17g, \"chunks\": [", pt.p);
-        for (std::size_t c = 0; c < pt.chunks.size(); ++c) {
-            const SweepChunkTally &t = pt.chunks[c];
-            if (c != 0) {
-                out += ",";
-            }
-            if (!t.done) {
-                out += "null";
-            } else {
-                append("[%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64
-                       ",%d,%d]",
-                       t.zShots, t.zFailures, t.xShots, t.xFailures,
-                       t.zEarlyStopped ? 1 : 0, t.xEarlyStopped ? 1 : 0);
-            }
+        append("    {\"p\": %.17g, \"tally\": ", t.p);
+        if (!t.done) {
+            out += "null";
+        } else {
+            append("[%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%" PRIu64 ",%d,%d]",
+                   t.zShots, t.zFailures, t.xShots, t.xFailures,
+                   t.zEarlyStopped ? 1 : 0, t.xEarlyStopped ? 1 : 0);
         }
-        out += "]}";
+        out += "}";
     }
     out += points.empty() ? "]\n}\n" : "\n  ]\n}\n";
     return out;
@@ -554,7 +505,7 @@ SweepCheckpoint::fromJson(const std::string &json)
         fail("not a " + std::string(kFormat) + " file");
     }
     SweepCheckpoint cp;
-    // Compared at full width: narrowing first would read 2^32 + 1 as 1.
+    // Compared at full width: narrowing first would read 2^32 + 2 as 2.
     std::size_t version = sizeField(root, "version");
     if (version != (std::size_t)kVersion) {
         fail("unsupported version " + std::to_string(version) +
@@ -562,23 +513,6 @@ SweepCheckpoint::fromJson(const std::string &json)
              ")");
     }
     cp.fingerprint = hexField(root, "fingerprint");
-    cp.seed = hexField(root, "seed");
-    cp.shotsPerPoint = sizeField(root, "shots_per_point");
-    cp.chunkShots = sizeField(root, "chunk_shots");
-    const JsonValue &sprt = field(root, "sprt");
-    cp.sprt.enabled = boolField(sprt, "enabled");
-    cp.sprt.decisionLer = numField(sprt, "decision_ler");
-    cp.sprt.margin = numField(sprt, "margin");
-    cp.sprt.alpha = numField(sprt, "alpha");
-    cp.sprt.beta = numField(sprt, "beta");
-    cp.sprt.chunkShots = sizeField(sprt, "chunk_shots");
-    cp.sprt.minShots = sizeField(sprt, "min_shots");
-
-    if (cp.shotsPerPoint > 0 && cp.chunkShots == 0) {
-        fail("chunk_shots must be positive when shots_per_point is");
-    }
-    // The grid every point must be laid out on.
-    const std::size_t chunks_per_point = cp.chunksPerPoint();
 
     const JsonValue &pts = field(root, "points");
     if (pts.kind != JsonValue::Array) {
@@ -586,40 +520,25 @@ SweepCheckpoint::fromJson(const std::string &json)
     }
     cp.points.reserve(pts.array.size());
     for (const JsonValue &pv : pts.array) {
-        SweepPointCheckpoint pt;
-        pt.p = numField(pv, "p");
-        const JsonValue &chunks = field(pv, "chunks");
-        if (chunks.kind != JsonValue::Array) {
-            fail("'chunks' must be an array");
-        }
-        if (chunks.array.size() != chunks_per_point) {
-            fail("point has " + std::to_string(chunks.array.size()) +
-                 " chunks; the grid requires " +
-                 std::to_string(chunks_per_point));
-        }
-        pt.chunks.reserve(chunks.array.size());
-        for (const JsonValue &cv : chunks.array) {
-            SweepChunkTally t;
-            if (cv.kind == JsonValue::Null) {
-                pt.chunks.push_back(t);
-                continue;
-            }
-            if (cv.kind != JsonValue::Array || cv.array.size() != 6) {
-                fail("each chunk must be null or a 6-element array");
+        SweepPointCheckpoint t;
+        t.p = numField(pv, "p");
+        const JsonValue &tv = field(pv, "tally");
+        if (tv.kind != JsonValue::Null) {
+            if (tv.kind != JsonValue::Array || tv.array.size() != 6) {
+                fail("each tally must be null or a 6-element array");
             }
             t.done = true;
-            t.zShots = tallyElem(cv, 0);
-            t.zFailures = tallyElem(cv, 1);
-            t.xShots = tallyElem(cv, 2);
-            t.xFailures = tallyElem(cv, 3);
-            t.zEarlyStopped = tallyElem(cv, 4) != 0;
-            t.xEarlyStopped = tallyElem(cv, 5) != 0;
+            t.zShots = tallyElem(tv, 0);
+            t.zFailures = tallyElem(tv, 1);
+            t.xShots = tallyElem(tv, 2);
+            t.xFailures = tallyElem(tv, 3);
+            t.zEarlyStopped = tallyElem(tv, 4) != 0;
+            t.xEarlyStopped = tallyElem(tv, 5) != 0;
             if (t.zFailures > t.zShots || t.xFailures > t.xShots) {
-                fail("chunk failures exceed its shots");
+                fail("tally failures exceed its shots");
             }
-            pt.chunks.push_back(t);
         }
-        cp.points.push_back(std::move(pt));
+        cp.points.push_back(t);
     }
     return cp;
 }
@@ -627,30 +546,10 @@ SweepCheckpoint::fromJson(const std::string &json)
 void
 SweepCheckpoint::saveAtomic(const std::string &path) const
 {
-    std::string tmp = path + ".tmp";
-    FILE *f = std::fopen(tmp.c_str(), "w");
-    if (f == nullptr) {
-        fail("cannot open '" + tmp + "' for writing: " +
-             std::strerror(errno));
-    }
-    std::string json = toJson();
-    bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-    ok = std::fflush(f) == 0 && ok;
-#ifndef _WIN32
-    // Durability: the rename must not land before the contents do.
-    ok = fsync(fileno(f)) == 0 && ok;
-#endif
-    ok = std::fclose(f) == 0 && ok;
-    if (!ok) {
-        std::remove(tmp.c_str());
-        fail("write to '" + tmp + "' failed: " + std::strerror(errno));
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        int err = errno;
-        std::remove(tmp.c_str());
-        fail("rename '" + tmp + "' -> '" + path +
-             "' failed: " + std::strerror(err));
-    }
+    AtomicFile out(path);
+    const std::string json = toJson();
+    std::fwrite(json.data(), 1, json.size(), out.stream());
+    out.commit();
 }
 
 SweepCheckpoint
@@ -674,7 +573,7 @@ SweepCheckpoint::load(const std::string &path)
     try {
         return fromJson(text);
     } catch (const std::runtime_error &e) {
-        fail("'" + path + "' is corrupt or not a checkpoint (" + e.what() +
+        fail("'" + path + "' is not a usable checkpoint (" + e.what() +
              "); delete it to restart from scratch");
     }
 }
@@ -682,86 +581,15 @@ SweepCheckpoint::load(const std::string &path)
 std::optional<SweepCheckpoint>
 SweepCheckpoint::loadIfExists(const std::string &path)
 {
-    if (FILE *f = std::fopen(path.c_str(), "rb")) {
+    FILE *f = std::fopen(path.c_str(), "rb");
+    if (f == nullptr && errno == ENOENT) {
+        return std::nullopt;
+    }
+    if (f != nullptr) {
         std::fclose(f);
-        return load(path);
     }
-    return std::nullopt;
-}
-
-// --- canonical evaluation ---------------------------------------------------
-
-SweepPrefix
-evalSweepPrefix(const SweepCheckpoint &cp, std::size_t point)
-{
-    const std::vector<SweepChunkTally> &chunks = cp.points[point].chunks;
-    SweepPrefix pre;
-    while (pre.chunksDone < chunks.size() && chunks[pre.chunksDone].done) {
-        ++pre.chunksDone;
-    }
-    if (chunks.empty()) {
-        // Zero-shot point: well-formed empty, decision None.
-        pre.complete = true;
-        return pre;
-    }
-
-    std::optional<SprtTest> test;
-    if (cp.sprt.enabled) {
-        test.emplace(cp.sprt);
-        pre.decision = SprtDecision::Undecided;
-    }
-    decoder::MemoryLer &m = pre.memory;
-    for (std::size_t c = 0; c < pre.chunksDone; ++c) {
-        const SweepChunkTally &t = chunks[c];
-        m.z.shots += t.zShots;
-        m.z.failures += t.zFailures;
-        m.x.shots += t.xShots;
-        m.x.failures += t.xFailures;
-        pre.chunksConsumed = c + 1;
-        if (!test) {
-            // Fixed budget: the one chunk carries the whole point.
-            m.z.earlyStopped = t.zEarlyStopped;
-            m.x.earlyStopped = t.xEarlyStopped;
-            continue;
-        }
-        SprtDecision dec = test->evaluate((m.z.shots + m.x.shots) / 2,
-                                          m.z.failures + m.x.failures);
-        if (dec != SprtDecision::Undecided) {
-            pre.decision = dec;
-            pre.decidedEarly = cp.chunkEnd(c) < cp.shotsPerPoint;
-            m.z.earlyStopped = m.x.earlyStopped = pre.decidedEarly;
-            pre.complete = true;
-            return pre;
-        }
-    }
-    if (pre.chunksDone == chunks.size()) {
-        // The whole budget without an SPRT decision: the fixed-budget
-        // rule, exactly as the serial loop.
-        pre.decision = SprtTest::fixedDecision(m.combined(), cp.sprt);
-        pre.complete = true;
-    }
-    return pre;
-}
-
-SweepPointResult
-finalizePoint(const SweepCheckpoint &cp, std::size_t point)
-{
-    return pointResult(cp.points[point].p, evalSweepPrefix(cp, point));
-}
-
-SweepFinalize
-finalizeSweep(const SweepCheckpoint &cp)
-{
-    SweepFinalize fin;
-    fin.result.points.reserve(cp.points.size());
-    for (std::size_t i = 0; i < cp.points.size(); ++i) {
-        SweepPrefix pre = evalSweepPrefix(cp, i);
-        fin.pointsComplete += pre.complete ? 1 : 0;
-        fin.result.points.push_back(pointResult(cp.points[i].p, pre));
-        fin.result.telemetry += fin.result.points.back().telemetry;
-    }
-    fin.complete = fin.pointsComplete == cp.points.size();
-    return fin;
+    // load() reports any other open error (ENOTDIR, EACCES, ...).
+    return load(path);
 }
 
 // --- admission validation ---------------------------------------------------
@@ -783,20 +611,6 @@ validateSweepRequest(const SweepRequest &req)
         check(req.ps[i], "ps[" + std::to_string(i) + "]");
     }
     check(req.pIdle, "pIdle");
-    if (req.sprt.enabled) {
-        try {
-            SprtTest probe(req.sprt);
-            (void)probe;
-        } catch (const std::invalid_argument &e) {
-            throw std::invalid_argument(
-                std::string("SweepRequest: sprt.enabled with unusable "
-                            "SPRT options (") +
-                e.what() +
-                "). Set sprt.decisionLer to the LER threshold the sweep "
-                "should decide against (e.g. 0.02) and keep margin > 1, "
-                "alpha/beta in (0, 1).");
-        }
-    }
 }
 
 } // namespace prophunt::api

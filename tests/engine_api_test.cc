@@ -2,7 +2,7 @@
  * @file
  * Tests for the prophunt::api engine surface: decoder registry
  * round-trips, artifact-cache determinism, async submission, optimize
- * requests, the api::Config layer, and SPRT adaptive sweeps.
+ * requests, the api::Config layer, and sweeps.
  */
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@
 
 #include "api/config.h"
 #include "api/engine.h"
-#include "api/sprt.h"
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
 #include "code/codes.h"
@@ -270,7 +269,6 @@ TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
     for (const api::SweepPointResult &pt : sr.points) {
         EXPECT_EQ(pt.memory.z.shots, 0u);
         EXPECT_EQ(pt.memory.x.shots, 0u);
-        EXPECT_EQ(pt.decision, api::SprtDecision::None);
         EXPECT_EQ(pt.telemetry.shots, 0u);
         EXPECT_EQ(pt.telemetry.cacheMisses, 0u);
     }
@@ -481,7 +479,6 @@ TEST(Engine, SweepMatchesPointwiseRuns)
             EXPECT_EQ(m.x.shots, point.memory.x.shots);
             EXPECT_EQ(m.x.failures, point.memory.x.failures);
             EXPECT_EQ(m.x.earlyStopped, point.memory.x.earlyStopped);
-            EXPECT_EQ(result.points[i].decision, api::SprtDecision::None);
             pointwise_shots += point.telemetry.shots;
             any_early_stop = any_early_stop || m.z.earlyStopped ||
                              m.x.earlyStopped;
@@ -492,25 +489,6 @@ TEST(Engine, SweepMatchesPointwiseRuns)
         } else {
             EXPECT_TRUE(any_early_stop);
         }
-    }
-}
-
-TEST(Engine, SweepRejectsSprtWithoutDecisionLer)
-{
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1e-3};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 100;
-    sweep.sprt.enabled = true; // decisionLer left at its 0.0 default
-    try {
-        engine.run(sweep);
-        FAIL() << "expected std::invalid_argument at admission";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("decisionLer"),
-                  std::string::npos)
-            << "error should say which field to set: " << e.what();
     }
 }
 
@@ -564,40 +542,6 @@ TEST(Engine, SweepCancelMidRunReturnsCompletedPrefix)
                   oracle.points[i].memory.x.shots);
         EXPECT_EQ(truncated.points[i].memory.x.failures,
                   oracle.points[i].memory.x.failures);
-    }
-}
-
-TEST(Engine, SweepCancelWithSprtKeepsContiguousChunkPrefix)
-{
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1.6e-2};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 8000;
-    sweep.seed = 29;
-    sweep.ler.threads = 1;
-    sweep.sprt.enabled = true;
-    sweep.sprt.decisionLer = 0.02;
-    sweep.sprt.chunkShots = 512;
-    api::SweepResult oracle = engine.run(sweep);
-
-    std::atomic<bool> cancel{false};
-    sweep.cancel = &cancel;
-    std::thread flipper([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-        cancel.store(true);
-    });
-    api::SweepResult truncated = engine.run(sweep);
-    flipper.join();
-
-    // An in-progress SPRT point keeps a contiguous chunk prefix: its
-    // accounted shots are a prefix of the oracle's shot count.
-    for (const api::SweepPointResult &pt : truncated.points) {
-        EXPECT_LE(pt.memory.z.shots, oracle.points[0].memory.z.shots);
-        EXPECT_LE(pt.memory.x.shots, oracle.points[0].memory.x.shots);
-        EXPECT_LE(pt.memory.z.failures, oracle.points[0].memory.z.failures);
-        EXPECT_LE(pt.memory.x.failures, oracle.points[0].memory.x.failures);
     }
 }
 
@@ -680,7 +624,7 @@ TEST(EngineOptimize, CancellationStopsOptimize)
     api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
     req.rounds = 3;
     req.options = cheapMaxSatOptions(3);
-    req.cancel = &cancel;
+    req.options.cancel = &cancel;
     api::OptimizeResult res = engine.run(req);
     EXPECT_TRUE(res.finalSchedule() == req.start);
     EXPECT_TRUE(res.outcome.history.empty());
@@ -733,113 +677,39 @@ TEST(Engine, ZeroRoundsIsRejected)
     EXPECT_THROW(engine.run(opt), std::invalid_argument);
 }
 
-// --- SPRT -------------------------------------------------------------------
-
-TEST(Sprt, InvalidOptionsThrow)
+TEST(Engine, SweepDeterministicAcrossThreadCounts)
 {
-    api::SprtOptions opts;
-    opts.decisionLer = 0.02;
-    opts.margin = 1.0;
-    EXPECT_THROW(api::SprtTest{opts}, std::invalid_argument);
-    opts.margin = 2.0;
-    opts.decisionLer = 0.0;
-    EXPECT_THROW(api::SprtTest{opts}, std::invalid_argument);
-    opts.decisionLer = 0.02;
-    opts.alpha = 0.0;
-    EXPECT_THROW(api::SprtTest{opts}, std::invalid_argument);
-}
-
-TEST(Sprt, DecidesObviousRates)
-{
-    api::SprtOptions opts;
-    opts.decisionLer = 0.02;
-    opts.minShots = 100;
-    api::SprtTest test(opts);
-    // 30% failures over 2000 trials: far above the 4% upper hypothesis.
-    EXPECT_EQ(test.evaluate(2000, 600), api::SprtDecision::Above);
-    // Zero failures over 2000 trials: far below the 1% lower hypothesis.
-    EXPECT_EQ(test.evaluate(2000, 0), api::SprtDecision::Below);
-    // Right at the threshold: still inside the indifference zone.
-    EXPECT_EQ(test.evaluate(2000, 40), api::SprtDecision::Undecided);
-    // Before minShots nothing is decided.
-    EXPECT_EQ(test.evaluate(50, 0), api::SprtDecision::Undecided);
-}
-
-TEST(Sprt, FixedDecisionRule)
-{
-    api::SprtOptions opts;
-    opts.decisionLer = 0.02;
-    EXPECT_EQ(api::SprtTest::fixedDecision(0.5, opts),
-              api::SprtDecision::Above);
-    EXPECT_EQ(api::SprtTest::fixedDecision(0.001, opts),
-              api::SprtDecision::Below);
-    opts.decisionLer = 0.0;
-    EXPECT_EQ(api::SprtTest::fixedDecision(0.5, opts),
-              api::SprtDecision::None);
-}
-
-TEST(Sprt, AdaptiveSweepSameDecisionsFewerShots)
-{
+    // 512-shot shards and maxFailures = 30 stop the 1.6e-2 point after a
+    // few shards, so the early-stop truncation is exercised under every
+    // thread count too.
     api::Engine engine;
     api::SweepRequest sweep(d3Schedule());
     sweep.rounds = 3;
-    // LER(d=3 N-Z) is ~1e-3 at p=1e-3 and ~0.2 at p=1.6e-2 — both far
-    // outside the [0.01, 0.04] indifference zone of the 0.02 threshold.
-    sweep.ps = {1e-3, 1.6e-2};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 20000;
-    sweep.seed = 13;
-    sweep.ler.threads = 1;
-    sweep.sprt.decisionLer = 0.02;
-
-    sweep.sprt.enabled = false;
-    api::SweepResult fixed = engine.run(sweep);
-    sweep.sprt.enabled = true;
-    api::SweepResult adaptive = engine.run(sweep);
-
-    ASSERT_EQ(fixed.points.size(), adaptive.points.size());
-    for (std::size_t i = 0; i < fixed.points.size(); ++i) {
-        EXPECT_NE(fixed.points[i].decision, api::SprtDecision::None);
-        EXPECT_EQ(fixed.points[i].decision, adaptive.points[i].decision)
-            << "p=" << fixed.points[i].p;
-    }
-    EXPECT_EQ(fixed.points[0].decision, api::SprtDecision::Below);
-    EXPECT_EQ(fixed.points[1].decision, api::SprtDecision::Above);
-    EXPECT_LT(adaptive.totalShots(), fixed.totalShots())
-        << "SPRT must save shots on well-separated points";
-}
-
-TEST(Sprt, AdaptiveSweepDeterministicAcrossThreadCounts)
-{
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1.6e-2};
+    sweep.ps = {4e-3, 1.6e-2};
     sweep.decoder = "union_find";
     sweep.shotsPerPoint = 8000;
     sweep.seed = 29;
-    sweep.sprt.enabled = true;
-    sweep.sprt.decisionLer = 0.02;
-
-    // Each SPRT chunk fits one shard per basis.
-    ASSERT_LE(sweep.sprt.chunkShots, sim::kDefaultShardShots);
+    sweep.ler.shardShots = 512;
+    sweep.ler.maxFailures = 30;
     sweep.ler.threads = 1;
     api::SweepResult one = engine.run(sweep);
-    EXPECT_EQ(engine.serviceStats().decodedShards,
-              shardsOf(one.points[0].memory, sweep.sprt.chunkShots));
+    EXPECT_TRUE(one.points[1].memory.z.earlyStopped);
     for (std::size_t threads : {2u, 3u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
         sweep.ler.threads = threads;
-        std::size_t before = engine.serviceStats().decodedShards;
         api::SweepResult many = engine.run(sweep);
-        EXPECT_EQ(engine.serviceStats().decodedShards - before,
-                  shardsOf(many.points[0].memory, sweep.sprt.chunkShots))
-            << "threads=" << threads;
-        EXPECT_EQ(many.points[0].memory.z.failures,
-                  one.points[0].memory.z.failures);
-        EXPECT_EQ(many.points[0].memory.x.failures,
-                  one.points[0].memory.x.failures);
+        ASSERT_EQ(many.points.size(), one.points.size());
+        for (std::size_t i = 0; i < one.points.size(); ++i) {
+            const decoder::MemoryLer &a = one.points[i].memory;
+            const decoder::MemoryLer &b = many.points[i].memory;
+            EXPECT_EQ(b.z.shots, a.z.shots);
+            EXPECT_EQ(b.z.failures, a.z.failures);
+            EXPECT_EQ(b.z.earlyStopped, a.z.earlyStopped);
+            EXPECT_EQ(b.x.shots, a.x.shots);
+            EXPECT_EQ(b.x.failures, a.x.failures);
+            EXPECT_EQ(b.x.earlyStopped, a.x.earlyStopped);
+        }
         EXPECT_EQ(many.totalShots(), one.totalShots());
-        EXPECT_EQ(many.points[0].decision, one.points[0].decision);
     }
 }
 

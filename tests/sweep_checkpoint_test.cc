@@ -1,15 +1,16 @@
 /**
  * @file
  * Tests for the checkpointable sweep layer (api/sweep_checkpoint.h):
- * serialization round-trips, atomic persistence, corrupt-input
- * rejection, fingerprint binding, bit-exact resume at every interruption
- * offset, and the canonical-order decision rule.
+ * serialization round-trips, atomic persistence, corrupt-input and
+ * old-version rejection, fingerprint binding, unusable paths refused
+ * before any shot, and bit-exact resume at every point boundary.
  */
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,9 @@ d3Schedule()
     return circuit::nzSchedule(s);
 }
 
-/** Small SPRT sweep whose grid has several chunks per point. */
+/** Small two-point fixed-budget sweep. */
 api::SweepRequest
-sprtRequest()
+baseRequest()
 {
     api::SweepRequest req(d3Schedule());
     req.rounds = 3;
@@ -40,10 +41,6 @@ sprtRequest()
     req.shotsPerPoint = 2048;
     req.seed = 13;
     req.ler.threads = 1;
-    req.sprt.enabled = true;
-    req.sprt.decisionLer = 0.02;
-    req.sprt.chunkShots = 256;
-    req.sprt.minShots = 128;
     return req;
 }
 
@@ -64,21 +61,25 @@ fixedRequest()
     return req;
 }
 
-/** A filled-in checkpoint with a mix of done and pending cells. */
+/** A filled-in checkpoint with a mix of done and pending points. */
 api::SweepCheckpoint
 sampleCheckpoint()
 {
-    api::SweepCheckpoint cp = api::makeSweepCheckpoint(sprtRequest());
-    api::SweepChunkTally t;
-    t.done = true;
-    t.zShots = 256;
-    t.zFailures = 1;
-    t.xShots = 256;
-    t.xFailures = 2;
-    cp.points[0].chunks[0] = t;
-    t.zFailures = 0;
-    t.zEarlyStopped = true;
-    cp.points[1].chunks[3] = t;
+    api::SweepCheckpoint cp = api::makeSweepCheckpoint(fixedRequest());
+    cp.points[0] = {.p = cp.points[0].p,
+                    .done = true,
+                    .zShots = 2048,
+                    .zFailures = 1,
+                    .xShots = 2048,
+                    .xFailures = 2};
+    cp.points[2] = {.p = cp.points[2].p,
+                    .done = true,
+                    .zShots = 512,
+                    .zFailures = 41,
+                    .xShots = 512,
+                    .xFailures = 33,
+                    .zEarlyStopped = true,
+                    .xEarlyStopped = true};
     return cp;
 }
 
@@ -88,24 +89,9 @@ expectEqualCheckpoints(const api::SweepCheckpoint &a,
 {
     EXPECT_EQ(a.version, b.version);
     EXPECT_EQ(a.fingerprint, b.fingerprint);
-    EXPECT_EQ(a.shotsPerPoint, b.shotsPerPoint);
-    EXPECT_EQ(a.chunkShots, b.chunkShots);
-    EXPECT_EQ(a.seed, b.seed);
-    EXPECT_EQ(a.sprt.enabled, b.sprt.enabled);
-    EXPECT_EQ(a.sprt.decisionLer, b.sprt.decisionLer);
-    EXPECT_EQ(a.sprt.margin, b.sprt.margin);
-    EXPECT_EQ(a.sprt.alpha, b.sprt.alpha);
-    EXPECT_EQ(a.sprt.beta, b.sprt.beta);
-    EXPECT_EQ(a.sprt.chunkShots, b.sprt.chunkShots);
-    EXPECT_EQ(a.sprt.minShots, b.sprt.minShots);
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
-        EXPECT_EQ(a.points[i].p, b.points[i].p);
-        ASSERT_EQ(a.points[i].chunks.size(), b.points[i].chunks.size());
-        for (std::size_t c = 0; c < a.points[i].chunks.size(); ++c) {
-            EXPECT_TRUE(a.points[i].chunks[c] == b.points[i].chunks[c])
-                << "point " << i << " chunk " << c;
-        }
+        EXPECT_TRUE(a.points[i] == b.points[i]) << "point " << i;
     }
 }
 
@@ -129,8 +115,6 @@ expectEqualResults(const api::SweepResult &a, const api::SweepResult &b)
             << "point " << i;
         EXPECT_EQ(a.points[i].memory.x.earlyStopped,
                   b.points[i].memory.x.earlyStopped)
-            << "point " << i;
-        EXPECT_EQ(a.points[i].decision, b.points[i].decision)
             << "point " << i;
     }
 }
@@ -158,37 +142,42 @@ fileExists(const std::string &path)
     return in.good();
 }
 
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path);
+    std::stringstream text;
+    text << in.rdbuf();
+    return text.str();
+}
+
+void
+writeFile(const std::string &path, const std::string &text)
+{
+    std::ofstream out(path);
+    out << text;
+}
+
 } // namespace
 
-// --- grid -------------------------------------------------------------------
+// --- atomic file ------------------------------------------------------------
 
-TEST(SweepCheckpointGrid, SprtGridShape)
+TEST(AtomicFile, UncommittedWriterLeavesTargetUntouched)
 {
-    api::SweepCheckpoint cp = api::makeSweepCheckpoint(sprtRequest());
-    EXPECT_EQ(cp.points.size(), 2u);
-    EXPECT_EQ(cp.chunkShots, 256u);
-    EXPECT_TRUE(cp.sprt.enabled);
-    EXPECT_EQ(cp.chunksPerPoint(), 8u);
-    EXPECT_EQ(cp.chunkSize(7), 256u);
-}
+    ScratchFile f("atomic");
+    writeFile(f.path, "old contents\n");
+    {
+        api::AtomicFile out(f.path);
+        std::fputs("half-written", out.stream());
+    }
+    EXPECT_EQ(readFile(f.path), "old contents\n");
+    EXPECT_FALSE(fileExists(f.path + ".tmp"));
 
-TEST(SweepCheckpointGrid, FixedBudgetIsOneChunkPerPoint)
-{
-    api::SweepRequest req = sprtRequest();
-    req.sprt.enabled = false;
-    api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
-    EXPECT_FALSE(cp.sprt.enabled);
-    EXPECT_EQ(cp.chunksPerPoint(), 1u);
-    EXPECT_EQ(cp.chunkShots, req.shotsPerPoint);
-}
-
-TEST(SweepCheckpointGrid, ChunkShotsZeroClampsToOne)
-{
-    api::SweepRequest req = sprtRequest();
-    req.sprt.chunkShots = 0;
-    api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
-    EXPECT_EQ(cp.chunkShots, 1u);
-    EXPECT_EQ(cp.chunksPerPoint(), req.shotsPerPoint);
+    api::AtomicFile out(f.path);
+    std::fputs("new contents\n", out.stream());
+    out.commit();
+    EXPECT_EQ(readFile(f.path), "new contents\n");
+    EXPECT_FALSE(fileExists(f.path + ".tmp"));
 }
 
 // --- serialization ----------------------------------------------------------
@@ -200,16 +189,14 @@ TEST(SweepCheckpoint, JsonRoundTripIsExact)
     expectEqualCheckpoints(cp, back);
 }
 
-TEST(SweepCheckpoint, HighBitSeedSurvivesRoundTrip)
+TEST(SweepCheckpoint, HighBitFingerprintSurvivesRoundTrip)
 {
     // uint64 values above 2^53 corrupt through doubles; the format must
     // not lose them.
-    api::SweepRequest req = sprtRequest();
-    req.seed = 0xFFFFFFFFFFFFFFFFULL;
-    api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
+    api::SweepCheckpoint cp = sampleCheckpoint();
+    cp.fingerprint = 0xFFFFFFFFFFFFFFFFULL;
     api::SweepCheckpoint back = api::SweepCheckpoint::fromJson(cp.toJson());
-    EXPECT_EQ(back.seed, 0xFFFFFFFFFFFFFFFFULL);
-    EXPECT_EQ(back.fingerprint, cp.fingerprint);
+    EXPECT_EQ(back.fingerprint, 0xFFFFFFFFFFFFFFFFULL);
 }
 
 TEST(SweepCheckpoint, SaveAtomicLoadRoundTripsAndLeavesNoTemp)
@@ -230,6 +217,13 @@ TEST(SweepCheckpoint, LoadMissingThrowsAndLoadIfExistsReturnsEmpty)
     EXPECT_FALSE(
         api::SweepCheckpoint::loadIfExists("no_such_checkpoint.json")
             .has_value());
+
+    // Only a missing file is "no checkpoint": a path under a regular
+    // file cannot be opened for another reason and must not be replaced.
+    ScratchFile f("not_a_dir");
+    writeFile(f.path, "");
+    EXPECT_THROW(api::SweepCheckpoint::loadIfExists(f.path + "/ck.json"),
+                 std::runtime_error);
 }
 
 TEST(SweepCheckpoint, RejectsCorruptInput)
@@ -256,7 +250,7 @@ TEST(SweepCheckpoint, RejectsCorruptInput)
                  std::runtime_error);
 
     std::string wrong_version = good;
-    std::size_t vpos = wrong_version.find("\"version\": 1");
+    std::size_t vpos = wrong_version.find("\"version\": 2");
     ASSERT_NE(vpos, std::string::npos);
     wrong_version.replace(vpos, 12, "\"version\": 9");
     EXPECT_THROW(api::SweepCheckpoint::fromJson(wrong_version),
@@ -265,12 +259,12 @@ TEST(SweepCheckpoint, RejectsCorruptInput)
 
 TEST(SweepCheckpoint, RejectsVersionsThatNarrowToTheCurrentOne)
 {
-    // 2^32 + 1 and 2^33 + 1 are unsupported versions, not version 1: the
+    // 2^32 + 2 and 2^33 + 2 are unsupported versions, not version 2: the
     // check must see the parsed integer before any narrowing to int.
     std::string good = sampleCheckpoint().toJson();
-    for (const char *v : {"4294967297", "8589934593"}) {
+    for (const char *v : {"4294967298", "8589934594"}) {
         std::string json = good;
-        std::size_t vpos = json.find("\"version\": 1,");
+        std::size_t vpos = json.find("\"version\": 2,");
         ASSERT_NE(vpos, std::string::npos);
         json.replace(vpos, 13, std::string("\"version\": ") + v + ",");
         EXPECT_THROW(api::SweepCheckpoint::fromJson(json),
@@ -294,12 +288,12 @@ TEST(SweepCheckpoint, RejectsNumbersBeyondUint64)
     };
     for (const char *big : {"1e30", "18446744073709551616"}) {
         EXPECT_THROW(api::SweepCheckpoint::fromJson(replaced(
-                         "\"shots_per_point\": 2048",
-                         std::string("\"shots_per_point\": ") + big)),
+                         "[2048,1,2048,2",
+                         std::string("[") + big + ",1,2048,2")),
                      std::runtime_error)
             << big;
         EXPECT_THROW(api::SweepCheckpoint::fromJson(replaced(
-                         "[256,1,256,2", std::string("[") + big + ",1,256,2")),
+                         "\"version\": 2", std::string("\"version\": ") + big)),
                      std::runtime_error)
             << big;
     }
@@ -309,7 +303,7 @@ TEST(SweepCheckpoint, RejectsInconsistentTallies)
 {
     // failures > shots cannot come from a real run.
     api::SweepCheckpoint cp = sampleCheckpoint();
-    cp.points[0].chunks[0].zFailures = cp.points[0].chunks[0].zShots + 1;
+    cp.points[0].zFailures = cp.points[0].zShots + 1;
     EXPECT_THROW(api::SweepCheckpoint::fromJson(cp.toJson()),
                  std::runtime_error);
 }
@@ -317,10 +311,8 @@ TEST(SweepCheckpoint, RejectsInconsistentTallies)
 TEST(SweepCheckpoint, LoadCorruptFileMentionsPath)
 {
     ScratchFile f("corrupt");
-    {
-        std::ofstream out(f.path);
-        out << "{\"format\": \"prophunt-sweep-checkpoint\", truncated";
-    }
+    writeFile(f.path,
+              "{\"format\": \"prophunt-sweep-checkpoint\", truncated");
     try {
         api::SweepCheckpoint::load(f.path);
         FAIL() << "expected std::runtime_error";
@@ -330,11 +322,69 @@ TEST(SweepCheckpoint, LoadCorruptFileMentionsPath)
     }
 }
 
+TEST(SweepCheckpoint, VersionOneFileIsRefusedBeforeAnyShot)
+{
+    // A version-1 checkpoint of fixedRequest(), as the per-chunk writer
+    // of earlier builds left it after two of three points. Earlier
+    // builds resumed it; this one refuses it, never migrates it, and
+    // leaves it in place.
+    const std::string v1 =
+        "{\n"
+        "  \"format\": \"prophunt-sweep-checkpoint\",\n"
+        "  \"version\": 1,\n"
+        "  \"fingerprint\": \"3f3cdb37025aaff4\",\n"
+        "  \"seed\": \"000000000000000d\",\n"
+        "  \"shots_per_point\": 2048,\n"
+        "  \"chunk_shots\": 2048,\n"
+        "  \"sprt\": {\"enabled\": false, \"decision_ler\": 0, "
+        "\"margin\": 2, \"alpha\": 0.001, \"beta\": 0.001, "
+        "\"chunk_shots\": 2048, \"min_shots\": 256},\n"
+        "  \"points\": [\n"
+        "    {\"p\": 0.001, \"chunks\": [[2048,1,2048,2,0,0]]},\n"
+        "    {\"p\": 0.0040000000000000001, \"chunks\": "
+        "[[2048,18,2048,6,0,0]]},\n"
+        "    {\"p\": 0.016, \"chunks\": [null]}\n"
+        "  ]\n"
+        "}\n";
+    ScratchFile f("v1");
+    writeFile(f.path, v1);
+    api::SweepRequest req = fixedRequest();
+    req.checkpointPath = f.path;
+    api::Engine engine;
+    try {
+        engine.run(req);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("version 1"), std::string::npos) << what;
+        EXPECT_NE(what.find("delete it"), std::string::npos) << what;
+    }
+    EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
+    EXPECT_EQ(readFile(f.path), v1);
+}
+
+TEST(SweepCheckpoint, UnusableCheckpointPathFailsBeforeAnyShot)
+{
+    // A directory that does not exist, and a path under a regular file:
+    // both must fail before the first shot, not after the whole sweep.
+    ScratchFile regular("regular");
+    writeFile(regular.path, "");
+    for (const std::string &path :
+         {std::string("/nonexistent/dir/ck.json"), regular.path + "/ck.json"}) {
+        SCOPED_TRACE(path);
+        api::SweepRequest req = fixedRequest();
+        req.checkpointPath = path;
+        api::Engine engine;
+        EXPECT_THROW(engine.run(req), std::runtime_error);
+        EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
+    }
+}
+
 // --- fingerprint ------------------------------------------------------------
 
 TEST(SweepFingerprint, BindsTallyAffectingFields)
 {
-    api::SweepRequest base = sprtRequest();
+    api::SweepRequest base = baseRequest();
     uint64_t fp = api::sweepFingerprint(base);
 
     api::SweepRequest changed = base;
@@ -346,11 +396,15 @@ TEST(SweepFingerprint, BindsTallyAffectingFields)
     EXPECT_NE(api::sweepFingerprint(changed), fp);
 
     changed = base;
-    changed.sprt.decisionLer = 0.03;
+    changed.shotsPerPoint = 4096;
     EXPECT_NE(api::sweepFingerprint(changed), fp);
 
     changed = base;
-    changed.shotsPerPoint = 4096;
+    changed.ler.maxFailures = 7;
+    EXPECT_NE(api::sweepFingerprint(changed), fp);
+
+    changed = base;
+    changed.ler.shardShots = 128;
     EXPECT_NE(api::sweepFingerprint(changed), fp);
 
     changed = base;
@@ -369,13 +423,12 @@ TEST(SweepFingerprint, BindsTallyAffectingFields)
 
 TEST(SweepFingerprint, IgnoresExecutionOnlyKnobs)
 {
-    api::SweepRequest base = sprtRequest();
+    api::SweepRequest base = baseRequest();
     uint64_t fp = api::sweepFingerprint(base);
 
     api::SweepRequest changed = base;
     changed.ler.threads = 7;
     changed.checkpointPath = "elsewhere.json";
-    changed.checkpointEveryChunks = 99;
     EXPECT_EQ(api::sweepFingerprint(changed), fp)
         << "thread and checkpoint knobs never change a tally";
 }
@@ -383,7 +436,7 @@ TEST(SweepFingerprint, IgnoresExecutionOnlyKnobs)
 TEST(SweepFingerprint, EngineRejectsMismatchedResume)
 {
     ScratchFile f("fp_mismatch");
-    api::SweepRequest req = sprtRequest();
+    api::SweepRequest req = baseRequest();
     api::makeSweepCheckpoint(req).saveAtomic(f.path);
 
     api::SweepRequest other = req;
@@ -396,30 +449,13 @@ TEST(SweepFingerprint, EngineRejectsMismatchedResume)
 
 // --- validation -------------------------------------------------------------
 
-TEST(SweepValidation, SprtWithoutDecisionLerThrowsActionably)
-{
-    api::SweepRequest req = sprtRequest();
-    req.sprt.decisionLer = 0.0; // the default a caller forgets to set
-    try {
-        api::validateSweepRequest(req);
-        FAIL() << "expected std::invalid_argument";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("decisionLer"),
-                  std::string::npos)
-            << "error should name the field to fix: " << e.what();
-    }
-}
-
 TEST(SweepValidation, AcceptsGoodRequests)
 {
-    EXPECT_NO_THROW(api::validateSweepRequest(sprtRequest()));
-    api::SweepRequest fixed = sprtRequest();
-    fixed.sprt.enabled = false;
-    fixed.sprt.decisionLer = 0.0; // fine when SPRT is off
-    EXPECT_NO_THROW(api::validateSweepRequest(fixed));
-    api::SweepRequest clamped = sprtRequest();
-    clamped.sprt.chunkShots = 0; // clamps to 1, not an error
-    EXPECT_NO_THROW(api::validateSweepRequest(clamped));
+    EXPECT_NO_THROW(api::validateSweepRequest(baseRequest()));
+    api::SweepRequest edges = baseRequest();
+    edges.ps = {0.0, 1.0};
+    edges.pIdle = 1.0;
+    EXPECT_NO_THROW(api::validateSweepRequest(edges));
 }
 
 TEST(SweepValidation, OutOfRangeNoiseIsRejectedBeforeAnyShot)
@@ -430,24 +466,17 @@ TEST(SweepValidation, OutOfRangeNoiseIsRejectedBeforeAnyShot)
     const double inf = std::numeric_limits<double>::infinity();
     for (double bad : {1.5, -1e-3, nan, inf}) {
         SCOPED_TRACE("bad value " + std::to_string(bad));
-        for (bool sprt : {false, true}) {
-            api::SweepRequest req = sprtRequest();
-            req.sprt.enabled = sprt;
-            req.ps = {1e-3, bad};
-            api::Engine engine;
-            EXPECT_THROW(engine.run(req), std::invalid_argument);
-            EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
+        api::SweepRequest req = baseRequest();
+        req.ps = {1e-3, bad};
+        api::Engine engine;
+        EXPECT_THROW(engine.run(req), std::invalid_argument);
+        EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
 
-            req.ps = {1e-3};
-            req.pIdle = bad;
-            EXPECT_THROW(engine.run(req), std::invalid_argument);
-            EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
-        }
+        req.ps = {1e-3};
+        req.pIdle = bad;
+        EXPECT_THROW(engine.run(req), std::invalid_argument);
+        EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
     }
-    api::SweepRequest edges = sprtRequest();
-    edges.ps = {0.0, 1.0};
-    edges.pIdle = 1.0;
-    EXPECT_NO_THROW(api::validateSweepRequest(edges));
 }
 
 // --- resume -----------------------------------------------------------------
@@ -471,7 +500,7 @@ TEST(SweepResume, EveryInterruptionOffsetResumesBitIdentically)
         ScratchFile f("resume_cut");
         api::SweepCheckpoint partial = api::makeSweepCheckpoint(req);
         for (std::size_t p = 0; p < cut; ++p) {
-            partial.points[p].chunks = full.points[p].chunks;
+            partial.points[p] = full.points[p];
         }
         partial.saveAtomic(f.path);
         api::SweepRequest resume = req;
@@ -495,103 +524,12 @@ TEST(SweepResume, CompleteCheckpointResumesWithZeroNewShots)
         << "a complete checkpoint leaves nothing to sample";
 }
 
-TEST(SweepResume, ChunkShotsZeroBehavesAsChunkShotsOne)
-{
-    api::SweepRequest req = sprtRequest();
-    req.shotsPerPoint = 48;
-    req.ps = {1.6e-2};
-    req.sprt.minShots = 8;
-    req.sprt.chunkShots = 1;
-    api::Engine engine;
-    api::SweepResult one = engine.run(req);
-    req.sprt.chunkShots = 0;
-    api::SweepResult zero = engine.run(req);
-    expectEqualResults(zero, one);
-}
-
-TEST(SweepResume, ShardSliceCheckpointFromOlderWriterResumes)
-{
-    // Earlier builds could run one slice of a sweep per process and wrote
-    // "shard_index"/"shard_count" into the checkpoint. Such a file is a
-    // partial checkpoint of the same request: the reader ignores the two
-    // keys and a resume fills in the missing cells.
-    api::SweepRequest req = sprtRequest();
-    api::Engine engine;
-    api::SweepResult oracle = engine.run(req);
-
-    ScratchFile full_file("slice_full");
-    api::SweepRequest ck_req = req;
-    ck_req.checkpointPath = full_file.path;
-    (void)engine.run(ck_req);
-    api::SweepCheckpoint full = api::SweepCheckpoint::load(full_file.path);
-
-    // Slice 1 of 3 owned the cells whose canonical index is 1 mod 3.
-    const api::SweepCheckpoint grid = api::makeSweepCheckpoint(req);
-    const std::size_t per_point = grid.chunksPerPoint();
-    api::SweepCheckpoint slice = api::makeSweepCheckpoint(req);
-    for (std::size_t p = 0; p < grid.points.size(); ++p) {
-        for (std::size_t c = 0; c < per_point; ++c) {
-            if ((p * per_point + c) % 3 == 1) {
-                slice.points[p].chunks[c] = full.points[p].chunks[c];
-            }
-        }
-    }
-    std::string json = slice.toJson();
-    std::size_t seed_pos = json.find("  \"seed\"");
-    ASSERT_NE(seed_pos, std::string::npos);
-    json.insert(seed_pos,
-                "  \"shard_index\": 1,\n  \"shard_count\": 3,\n");
-
-    ScratchFile f("slice_resume");
-    {
-        std::ofstream out(f.path);
-        out << json;
-    }
-    api::SweepRequest resume = req;
-    resume.checkpointPath = f.path;
-    expectEqualResults(engine.run(resume), oracle);
-    expectEqualCheckpoints(api::SweepCheckpoint::load(f.path), full);
-}
-
-// --- canonical evaluation ---------------------------------------------------
-
-TEST(SweepPrefix, LateChunksCannotFlipAnEarlyDecision)
-{
-    // Build a checkpoint whose canonical prefix decides Below after two
-    // chunks, then poison every later chunk with catastrophic failure
-    // counts. The canonical evaluation must never read them.
-    api::SweepRequest req = sprtRequest();
-    req.ps = {1e-3};
-    api::SweepCheckpoint cp = api::makeSweepCheckpoint(req);
-    for (std::size_t c = 0; c < cp.chunksPerPoint(); ++c) {
-        api::SweepChunkTally t;
-        t.done = true;
-        t.zShots = 256;
-        t.xShots = 256;
-        if (c >= 2) { // completed late chunks with absurd failures
-            t.zFailures = 256;
-            t.xFailures = 256;
-        }
-        cp.points[0].chunks[c] = t;
-    }
-    api::SweepPrefix pre = api::evalSweepPrefix(cp, 0);
-    EXPECT_EQ(pre.decision, api::SprtDecision::Below);
-    EXPECT_LE(pre.chunksConsumed, 2u);
-
-    api::SweepFinalize fin = api::finalizeSweep(cp);
-    ASSERT_EQ(fin.result.points.size(), 1u);
-    EXPECT_EQ(fin.result.points[0].decision, api::SprtDecision::Below);
-    EXPECT_EQ(fin.result.points[0].memory.z.failures, 0u)
-        << "post-decision chunks must not leak into the tallies";
-    EXPECT_TRUE(fin.complete);
-}
-
 // --- golden tallies ---------------------------------------------------------
 //
 // Literal per-point tallies recorded from the reference implementation.
 // The resume tests compare two runs of the same code; these pin what the
-// sweep actually reports, so a change to the prefix rule cannot move both
-// sides of a comparison together.
+// sweep actually reports, so a change to how points are measured cannot
+// move both sides of a comparison together.
 
 namespace {
 
@@ -601,7 +539,6 @@ struct GoldenPoint
     bool zEarlyStopped;
     std::size_t xShots, xFailures;
     bool xEarlyStopped;
-    api::SprtDecision decision;
 };
 
 void
@@ -619,7 +556,6 @@ expectGolden(const api::SweepResult &r,
         EXPECT_EQ(pt.memory.x.shots, g.xShots);
         EXPECT_EQ(pt.memory.x.failures, g.xFailures);
         EXPECT_EQ(pt.memory.x.earlyStopped, g.xEarlyStopped);
-        EXPECT_EQ(pt.decision, g.decision);
     }
 }
 
@@ -628,93 +564,45 @@ expectGolden(const api::SweepResult &r,
 TEST(SweepGolden, FixedBudgetWithMaxFailures)
 {
     // 256-shot shards let maxFailures = 20 stop the high-p point early.
-    // decisionLer stays set, so each point is classified by the
-    // fixed-budget rule.
-    api::SweepRequest req = sprtRequest();
-    req.sprt.enabled = false;
+    api::SweepRequest req = baseRequest();
     req.ler.shardShots = 256;
     req.ler.maxFailures = 20;
     api::Engine engine;
-    expectGolden(engine.run(req),
-                 {{2048, 1, false, 2048, 2, false, api::SprtDecision::Below},
-                  {512, 41, true, 512, 33, true, api::SprtDecision::Above}});
+    expectGolden(engine.run(req), {{2048, 1, false, 2048, 2, false},
+                                   {512, 41, true, 512, 33, true}});
 }
 
 TEST(SweepGolden, FixedBudgetThreePoints)
 {
     api::Engine engine;
     expectGolden(engine.run(fixedRequest()),
-                 {{2048, 1, false, 2048, 2, false, api::SprtDecision::None},
-                  {2048, 18, false, 2048, 6, false, api::SprtDecision::None},
-                  {512, 41, true, 512, 33, true, api::SprtDecision::None}});
+                 {{2048, 1, false, 2048, 2, false},
+                  {2048, 18, false, 2048, 6, false},
+                  {512, 41, true, 512, 33, true}});
 }
 
-TEST(SweepGolden, SprtDecidedEarlyAndOutOfBudget)
+TEST(SweepGolden, ZeroShotPointIsEmpty)
 {
-    // p = 5e-3 exhausts its 1024 shots inside the indifference zone and
-    // falls back to the fixed-budget rule.
-    api::SweepRequest req = sprtRequest();
-    req.ps = {1e-3, 4e-3, 5e-3};
-    req.shotsPerPoint = 1024;
-    api::Engine engine;
-    expectGolden(engine.run(req),
-                 {{256, 0, true, 256, 0, true, api::SprtDecision::Below},
-                  {768, 6, true, 768, 5, true, api::SprtDecision::Below},
-                  {1024, 9, false, 1024, 14, false,
-                   api::SprtDecision::Above}});
-}
-
-TEST(SweepGolden, SprtWithMaxFailuresTruncatingChunks)
-{
-    // 64-shot shards and maxFailures = 3 cut chunks short. The p = 4e-3
-    // point runs out of budget with truncated chunks, so its tallies'
-    // early-stop flags do not surface; the decided points report
-    // earlyStopped from their decision.
-    api::SweepRequest req = sprtRequest();
-    req.ps = {1e-3, 4e-3, 1.6e-2};
-    req.shotsPerPoint = 768;
-    req.ler.shardShots = 64;
-    req.ler.maxFailures = 3;
-    api::Engine engine;
-    expectGolden(engine.run(req),
-                 {{256, 0, true, 256, 0, true, api::SprtDecision::Below},
-                  {640, 7, false, 768, 5, false, api::SprtDecision::Below},
-                  {128, 6, true, 128, 10, true, api::SprtDecision::Above}});
-}
-
-TEST(SweepGolden, ZeroShotPointIsEmptyInBothModes)
-{
-    api::SweepRequest req = sprtRequest();
+    api::SweepRequest req = baseRequest();
     req.ps = {1e-3};
     req.shotsPerPoint = 0;
     api::Engine engine;
-    expectGolden(engine.run(req),
-                 {{0, 0, false, 0, 0, false, api::SprtDecision::None}});
-    req.sprt.enabled = false;
-    expectGolden(engine.run(req),
-                 {{0, 0, false, 0, 0, false, api::SprtDecision::None}});
+    expectGolden(engine.run(req), {{0, 0, false, 0, 0, false}});
     EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
 }
 
 TEST(SweepGolden, FingerprintAndCheckpointJson)
 {
-    EXPECT_EQ(api::sweepFingerprint(sprtRequest()), 0xbcac49a6826c30afULL);
+    EXPECT_EQ(api::sweepFingerprint(fixedRequest()), 0xb134b5cefbbc76d7ULL);
     EXPECT_EQ(sampleCheckpoint().toJson(),
               "{\n"
               "  \"format\": \"prophunt-sweep-checkpoint\",\n"
-              "  \"version\": 1,\n"
-              "  \"fingerprint\": \"bcac49a6826c30af\",\n"
-              "  \"seed\": \"000000000000000d\",\n"
-              "  \"shots_per_point\": 2048,\n"
-              "  \"chunk_shots\": 256,\n"
-              "  \"sprt\": {\"enabled\": true, \"decision_ler\": 0.02, "
-              "\"margin\": 2, \"alpha\": 0.001, \"beta\": 0.001, "
-              "\"chunk_shots\": 256, \"min_shots\": 128},\n"
+              "  \"version\": 2,\n"
+              "  \"fingerprint\": \"b134b5cefbbc76d7\",\n"
               "  \"points\": [\n"
-              "    {\"p\": 0.001, \"chunks\": "
-              "[[256,1,256,2,0,0],null,null,null,null,null,null,null]},\n"
-              "    {\"p\": 0.016, \"chunks\": "
-              "[null,null,null,[256,0,256,2,1,0],null,null,null,null]}\n"
+              "    {\"p\": 0.001, \"tally\": [2048,1,2048,2,0,0]},\n"
+              "    {\"p\": 0.0040000000000000001, \"tally\": null},\n"
+              "    {\"p\": 0.016, \"tally\": [512,41,512,33,1,1]}\n"
               "  ]\n"
               "}\n");
 }
