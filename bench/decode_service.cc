@@ -9,8 +9,7 @@
  *    on the same shot budget — the machine-speed reference all
  *    committed-baseline gates are guarded by;
  *  - a single-client phase: one thread draining the request list
- *    through the service (warm lane groups), whose
- *    shots/sec must sustain the committed single-request rate on rqt54
+ *    through the service, whose shots/sec must sustain the committed single-request rate on rqt54
  *    within 5% slack on hardware at least as fast as the baseline's;
  *  - client phases N in {1, 2, 4}: the same request list split
  *    round-robin over N submitting threads (each request decodes on
@@ -21,12 +20,19 @@
  *    an oversubscribed box legitimately pays some contention and is
  *    not gated.
  *
+ * Only the rqt54 rows are gated. The lp39 rows are informational: at
+ * CI budgets an lp39 phase lasts tens of milliseconds, and the same
+ * binary has read 4-client scaling of 1.11x, 2.89x and 3.50x on
+ * back-to-back runs on one 4-core machine, so they cannot show a
+ * regression.
+ *
  * Every phase runs the identical seed set, so the per-request failure
  * counts must be bit-identical across all phases and client counts —
  * the run FAILS on any mismatch (the service determinism contract,
  * observed under real saturation rather than a test harness).
  *
- * Coalescing stays on so clients share each code's warm clone group.
+ * Every request clones the decoder prototype for itself; clients share
+ * only the service's worker pool and its coalescing telemetry.
  *
  * Writes $PROPHUNT_BENCH_OUT (default BENCH_decode_service.json);
  * the committed reference lives at $PROPHUNT_DECODE_SERVICE_BASELINE
@@ -58,7 +64,7 @@ struct Config
     std::size_t divisor; ///< shots per request = PROPHUNT_SHOTS / divisor.
 };
 
-/** One decode problem pinned behind a DecodeJob::keepAlive handle. */
+/** One decode problem: a DEM plus its decoder prototype. */
 struct Model
 {
     circuit::SmCircuit circuit;
@@ -110,7 +116,6 @@ runPhase(api::DecodeService &service, const std::shared_ptr<Model> &model,
                 job.key = key;
                 job.dem = &model->dem;
                 job.prototype = model->prototype.get();
-                job.keepAlive = model;
                 job.shots = shots;
                 job.seed = 300 + r; // identical seed set in every phase
                 job.ler.threads = 1; // clients are the concurrency
@@ -168,8 +173,8 @@ runConfig(const Config &cfg)
     }
     row.calibRate = row.shotsPerRequest / calibSecs;
 
-    // --- the service under saturation: one persistent instance across
-    // all phases (warm clones carry over — that is the product).
+    // --- the service under saturation: one persistent instance (and
+    // worker pool) across all phases.
     api::DecodeService service;
     for (std::size_t clients : kClientCounts) {
         Phase best;
@@ -195,8 +200,8 @@ runConfig(const Config &cfg)
 int
 main()
 {
-    std::printf("=== DecodeService saturation: N clients, persistent lane "
-                "pools (coalescing on) ===\n");
+    std::printf("=== DecodeService saturation: N clients, one persistent "
+                "service ===\n");
     std::printf("Expected shape: single-client shots/sec ~= raw serial "
                 "rate; identical failures at every client count; "
                 "shots/sec non-collapsing (multi-core: scaling up) as "

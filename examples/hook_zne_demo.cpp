@@ -6,14 +6,12 @@
  *   1. Run PropHunt on a d=3 surface code with a gentle budget, keeping
  *      every intermediate schedule.
  *   2. Measure each snapshot's logical error rate — the fine-grained noise
- *      ladder Hook-ZNE exploits. The snapshot measurements are submitted
- *      asynchronously (api::Engine::submit) and collected from futures.
+ *      ladder Hook-ZNE exploits.
  *   3. Run a logical randomized-benchmarking ZNE experiment comparing the
  *      coarse DS-ZNE distance ladder against the fine Hook-ZNE ladder
  *      under a shared shot budget, reporting the bias of each.
  */
 #include <cstdio>
-#include <future>
 #include <vector>
 
 #include "api/engine.h"
@@ -42,32 +40,28 @@ main(int argc, char **argv)
     api::OptimizeResult res = engine.run(oreq);
     const auto &snapshots = res.outcome.snapshots;
 
-    // Step 2: the intermediate noise ladder, submitted asynchronously.
+    // Step 2: the intermediate noise ladder.
     std::printf("Intermediate SM circuits as noise-amplification levels "
                 "(d=3, p=2e-3):\n");
     std::printf("%10s %10s %12s\n", "snapshot", "depth", "LER");
     // An iteration that applies no change repeats the previous snapshot,
-    // whose LER at the same seed is already on its way: submit only the
-    // first of each run of equal snapshots.
-    std::vector<std::future<api::LerResult>> futures;
-    for (std::size_t i = 0; i < snapshots.size(); ++i) {
-        if (i > 0 && snapshots[i] == snapshots[i - 1]) {
-            continue;
-        }
-        api::LerRequest req(snapshots[i]);
+    // whose LER at the same seed is already measured: run only the first
+    // of each run of equal snapshots.
+    auto measure = [&](const circuit::SmSchedule &schedule) {
+        api::LerRequest req(schedule);
         req.rounds = 3;
         req.noise = sim::NoiseModel::uniform(2e-3);
         req.decoder = "union_find";
         req.shots = 30000;
         req.seed = 9;
         req.ler = cfg.lerOptions();
-        futures.push_back(engine.submit(std::move(req)));
-    }
+        return engine.run(req).ler();
+    };
     std::vector<double> lers;
-    for (std::size_t i = 0, next = 0; i < snapshots.size(); ++i) {
+    for (std::size_t i = 0; i < snapshots.size(); ++i) {
         double ler = i > 0 && snapshots[i] == snapshots[i - 1]
                          ? lers.back()
-                         : futures[next++].get().ler();
+                         : measure(snapshots[i]);
         lers.push_back(ler);
         std::printf("%10zu %10zu %12.5f\n", i, snapshots[i].depth(), ler);
     }

@@ -109,19 +109,20 @@ findCode(const char *name)
  * Stable sweep-result JSON into @p out (the temp file of @p path):
  * tallies only, no timings — a clean run and a kill/resume run of the
  * same request produce byte-identical files, which is exactly what the
- * CI smoke leg diffs. Throws std::runtime_error when a write fails.
+ * CI smoke leg diffs. A returned sweep has every point, so "complete"
+ * is always true. Throws std::runtime_error when a write fails.
  */
 void
 writeSweepResultJson(api::AtomicFile &out, const std::string &path,
                      const char *code_name, std::size_t rounds,
-                     const api::SweepResult &result, bool complete)
+                     const api::SweepResult &result)
 {
     FILE *f = out.stream();
     std::fprintf(f,
                  "{\n  \"format\": \"prophunt-sweep-result\",\n"
                  "  \"code\": \"%s\",\n  \"rounds\": %zu,\n"
-                 "  \"complete\": %s,\n  \"points\": [",
-                 code_name, rounds, complete ? "true" : "false");
+                 "  \"complete\": true,\n  \"points\": [",
+                 code_name, rounds);
     for (std::size_t i = 0; i < result.points.size(); ++i) {
         const api::SweepPointResult &pt = result.points[i];
         std::fprintf(f,
@@ -238,13 +239,21 @@ runSweepMode(int argc, char **argv)
                 req.checkpointPath.c_str());
 
     api::Engine engine;
-    api::SweepResult result = engine.run(req);
+    api::SweepResult result;
+    try {
+        result = engine.run(req);
+    } catch (const std::exception &) {
+        // How much work the failed sweep did: a request rejected before
+        // its first shot reports 0.
+        std::fprintf(stderr, "decoded shards before the error: %zu\n",
+                     engine.serviceStats().decodedShards);
+        throw;
+    }
     printSweepResult(result);
     std::printf("total sampled shots this run: %zu\n",
                 result.telemetry.shots);
     if (out) {
-        writeSweepResultJson(*out, out_path, spec->name, req.rounds, result,
-                             result.points.size() == req.ps.size());
+        writeSweepResultJson(*out, out_path, spec->name, req.rounds, result);
     }
     return 0;
 }

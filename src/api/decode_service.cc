@@ -1,6 +1,8 @@
 #include "api/decode_service.h"
 
 #include <algorithm>
+#include <atomic>
+#include <vector>
 
 #include "sim/frame_sampler.h"
 
@@ -9,11 +11,12 @@ namespace prophunt::api {
 namespace {
 
 /**
- * Stream tag of the last shard this thread decoded. A thread whose next
- * shard belongs to a different stream "stole" it in the classic sense:
- * it finished one request's work and moved onto another's queue. Tags
- * are only compared, never dereferenced, so a recycled address can at
- * worst miscount one steal — acceptable for a telemetry counter.
+ * Stream tag (the decoder prototype) of the last shard this thread
+ * decoded. A thread whose next shard belongs to a different stream
+ * "stole" it in the classic sense: it finished one request's work and
+ * moved onto another's queue. Tags are only compared, never
+ * dereferenced, so a recycled address can at worst miscount one steal —
+ * acceptable for a telemetry counter.
  */
 thread_local const void *tlLastStream = nullptr;
 
@@ -58,33 +61,6 @@ DecodeService::defaultSlotCap() const
     return pool_ ? pool_->threadCount() + 1 : sim::resolveThreads(0);
 }
 
-std::unique_ptr<decoder::Decoder>
-DecodeService::checkout(LaneGroup &group, const DecodeJob &job)
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (!group.idle.empty()) {
-            auto dec = std::move(group.idle.back());
-            group.idle.pop_back();
-            ++stats_.cloneHits;
-            return dec;
-        }
-        ++stats_.cloneMisses;
-    }
-    // Clone outside the lock: a BP+OSD scratch copy is large and must
-    // not serialize the whole service (the shared Tanner CSR itself is
-    // not copied — clones alias it).
-    return job.prototype->clone();
-}
-
-void
-DecodeService::giveBack(LaneGroup &group,
-                        std::unique_ptr<decoder::Decoder> dec)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    group.idle.push_back(std::move(dec));
-}
-
 DecodeOutcome
 DecodeService::measure(const DecodeJob &job)
 {
@@ -105,13 +81,9 @@ DecodeService::measure(const DecodeJob &job)
         job.shots,
         std::min(std::max<std::size_t>(job.ler.shardShots, 1), job.shots)};
     const std::size_t n = plan.numShards();
-    std::shared_ptr<LaneGroup> group;
 
-    // Admission: coalescing bookkeeping and the lane-group checkout
-    // happen under one lock so concurrent same-key requests see a
-    // consistent picture. A group bound to another owner — a rebuilt
-    // artifact, or a 64-bit key collision — is replaced, so stale clones
-    // are never trusted; the oldest key beyond kMaxLaneGroups is evicted.
+    // Admission: coalescing bookkeeping under one lock so concurrent
+    // same-key requests see a consistent picture.
     {
         std::lock_guard<std::mutex> lock(mutex_);
         std::size_t &active = activeKeys_[job.key];
@@ -120,19 +92,6 @@ DecodeService::measure(const DecodeJob &job)
             ++stats_.coalescedRequests;
         }
         ++active;
-        auto [it, inserted] = groups_.try_emplace(job.key);
-        if (!it->second || it->second->owner.get() != job.keepAlive.get()) {
-            it->second = std::make_shared<LaneGroup>();
-            it->second->owner = job.keepAlive;
-        }
-        group = it->second;
-        if (inserted) {
-            groupOrder_.push_back(job.key);
-            if (groupOrder_.size() > kMaxLaneGroups) {
-                groups_.erase(groupOrder_.front());
-                groupOrder_.pop_front();
-            }
-        }
         pendingShards_ += n;
         out.queueDepth = pendingShards_;
         stats_.peakQueueDepth =
@@ -157,42 +116,43 @@ DecodeService::measure(const DecodeJob &job)
         }
     }};
 
-    // A request cancelled before it starts claims no shard.
-    std::atomic<bool> stopFlag{job.cancel != nullptr &&
-                               job.cancel->load(std::memory_order_relaxed)};
+    std::atomic<bool> stopFlag{false};
     std::atomic<std::size_t> steals{0};
     std::size_t cap = job.ler.threads != 0
                           ? sim::resolveThreads(job.ler.threads)
                           : defaultSlotCap();
     std::size_t maxSlots = std::min(cap, n);
+    // Per pool slot: a decoder clone made by the slot's first shard, and
+    // frame/decode scratch. A slot runs one shard at a time, so none of
+    // them needs a lock; all are dropped on return.
+    std::vector<std::unique_ptr<decoder::Decoder>> clones(maxSlots);
     std::vector<sim::FrameBatch> frameScratch(maxSlots);
     std::vector<decoder::FrameShardScratch> decodeScratch(maxSlots);
 
     pool().run(
         n, maxSlots,
         [&](std::size_t shard, std::size_t slot) {
-            if (job.cancel != nullptr &&
-                job.cancel->load(std::memory_order_relaxed)) {
-                stopFlag.store(true, std::memory_order_relaxed);
-                return;
-            }
-            bool stolen =
-                tlLastStream != nullptr && tlLastStream != group.get();
-            tlLastStream = group.get();
+            bool stolen = tlLastStream != nullptr &&
+                          tlLastStream != job.prototype;
+            tlLastStream = job.prototype;
 
-            auto dec = checkout(*group, job);
+            std::unique_ptr<decoder::Decoder> &dec = clones[slot];
+            const bool cloned = dec == nullptr;
+            if (cloned) {
+                dec = job.prototype->clone();
+            }
             sim::FrameBatch &frames = frameScratch[slot];
             sim::sampleDemFramesInto(*job.dem, plan.shotsOf(shard),
                                      sim::shardSeed(job.seed, shard),
                                      frames);
             decoder::FrameShardScratch &ws = decodeScratch[slot];
             std::size_t failures = decoder::decodeFrameShard(*dec, frames, ws);
-            giveBack(*group, std::move(dec));
 
             if (stolen) {
                 steals.fetch_add(1, std::memory_order_relaxed);
             }
             std::lock_guard<std::mutex> lock(mutex_);
+            ++(cloned ? stats_.cloneMisses : stats_.cloneHits);
             tallies[shard] = {failures, ws.stats, true};
             while (prefixEnd < n && tallies[prefixEnd].done) {
                 prefixFailures += tallies[prefixEnd++].failures;
@@ -234,17 +194,7 @@ DecodeServiceStats
 DecodeService::stats() const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    DecodeServiceStats s = stats_;
-    s.laneGroups = groups_.size();
-    return s;
-}
-
-void
-DecodeService::clear()
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    groups_.clear();
-    groupOrder_.clear();
+    return stats_;
 }
 
 } // namespace prophunt::api

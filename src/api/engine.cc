@@ -40,19 +40,7 @@ noiseKey(const sim::NoiseModel &noise)
 
 } // namespace
 
-Engine::Engine(EngineOptions opts) : opts_(opts), service_(opts.service) {}
-
-Engine::~Engine()
-{
-    {
-        std::lock_guard<std::mutex> lock(jobMutex_);
-        stopping_ = true;
-    }
-    jobCv_.notify_all();
-    if (dispatcher_.joinable()) {
-        dispatcher_.join();
-    }
-}
+Engine::Engine(EngineOptions opts) : service_(opts.service) {}
 
 Engine::Artifact
 Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
@@ -68,15 +56,15 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
     std::string demKey = std::string(key) + "|n" + noiseKey(noise) + "|d" +
                          spec.describe();
 
-    if (opts_.cacheEnabled) {
+    {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         auto it = demCache_.find(demKey);
         if (it != demCache_.end() &&
             sameSchedule(it->second->schedule, schedule)) {
             ++cacheHits_;
             ++telemetry.cacheHits;
-            // No decoder clone here: the decode service checks warm
-            // clones out of the key's lane group per shard.
+            // No decoder clone here: the decode service clones the
+            // prototype per request.
             return {std::move(demKey), it->second};
         }
     }
@@ -91,7 +79,7 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
         DemEntry{schedule, std::move(dem), std::move(prototype)});
     telemetry.buildUs += now_us() - t0;
     ++telemetry.cacheMisses;
-    if (opts_.cacheEnabled) {
+    {
         std::lock_guard<std::mutex> lock(cacheMutex_);
         ++cacheMisses_;
         // A racing request may have inserted the key meanwhile; keep the
@@ -115,18 +103,15 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
 
 decoder::LerResult
 Engine::serviceMeasure(const Artifact &art, std::size_t shots, uint64_t seed,
-                       const decoder::LerOptions &ler,
-                       const std::atomic<bool> *cancel, Telemetry &telemetry)
+                       const decoder::LerOptions &ler, Telemetry &telemetry)
 {
     DecodeJob job;
     job.key = art.demKey;
     job.dem = &art.entry->dem;
     job.prototype = art.entry->prototype.get();
-    job.keepAlive = art.entry;
     job.shots = shots;
     job.seed = seed;
     job.ler = ler;
-    job.cancel = cancel;
     uint64_t t0 = now_us();
     DecodeOutcome o = service_.measure(job);
     telemetry.decodeUs += now_us() - t0;
@@ -141,14 +126,14 @@ Engine::serviceMeasure(const Artifact &art, std::size_t shots, uint64_t seed,
 decoder::MemoryLer
 Engine::measureMemory(const Artifact &z, const Artifact &x, std::size_t shots,
                       uint64_t seed, const decoder::LerOptions &ler,
-                      const std::atomic<bool> *cancel, Telemetry &telemetry)
+                      Telemetry &telemetry)
 {
     decoder::MemoryLer m;
     for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
         const bool is_z = basis == circuit::MemoryBasis::Z;
         (is_z ? m.z : m.x) = serviceMeasure(
             is_z ? z : x, shots, decoder::memoryBasisSeed(seed, basis), ler,
-            cancel, telemetry);
+            telemetry);
     }
     return m;
 }
@@ -168,8 +153,8 @@ Engine::run(const LerRequest &req)
     Artifact x = artifactFor(req.schedule, req.rounds, circuit::MemoryBasis::X,
                              req.noise, req.decoder, req.flagWeight,
                              out.telemetry);
-    out.memory = measureMemory(z, x, req.shots, req.seed, req.ler, req.cancel,
-                               out.telemetry);
+    out.memory =
+        measureMemory(z, x, req.shots, req.seed, req.ler, out.telemetry);
     return out;
 }
 
@@ -206,14 +191,10 @@ Engine::run(const SweepRequest &req)
     point.seed = req.seed;
     point.ler = req.ler;
     point.flagWeight = req.flagWeight;
-    point.cancel = req.cancel;
 
     SweepResult out;
     out.points.reserve(cp.points.size());
     for (SweepPointCheckpoint &pt : cp.points) {
-        if (req.cancel != nullptr && req.cancel->load()) {
-            break;
-        }
         SweepPointResult r;
         r.p = pt.p;
         if (pt.done) {
@@ -223,12 +204,6 @@ Engine::run(const SweepRequest &req)
             point.noise = sim::NoiseModel::withIdle(pt.p, req.pIdle);
             LerResult m = run(point);
             out.telemetry += m.telemetry;
-            if (req.cancel != nullptr && req.cancel->load()) {
-                // The flag flipped while the point was in flight; its
-                // tallies may be a truncated shard prefix. Discard it, so
-                // a resume measures the whole point again.
-                break;
-            }
             r.memory = m.memory;
             r.telemetry = m.telemetry;
             pt = {.p = pt.p,
@@ -261,61 +236,6 @@ Engine::run(const OptimizeRequest &req)
     return out;
 }
 
-template <class Result, class Request>
-std::future<Result>
-Engine::enqueue(Request req)
-{
-    auto task = std::make_shared<std::packaged_task<Result()>>(
-        [this, req = std::move(req)]() { return run(req); });
-    std::future<Result> future = task->get_future();
-    {
-        std::lock_guard<std::mutex> lock(jobMutex_);
-        if (!dispatcher_.joinable()) {
-            dispatcher_ = std::thread([this]() { dispatchLoop(); });
-        }
-        jobs_.push_back([task]() { (*task)(); });
-    }
-    jobCv_.notify_one();
-    return future;
-}
-
-void
-Engine::dispatchLoop()
-{
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(jobMutex_);
-            jobCv_.wait(lock,
-                        [this]() { return stopping_ || !jobs_.empty(); });
-            if (jobs_.empty()) {
-                return; // stopping_, queue drained.
-            }
-            job = std::move(jobs_.front());
-            jobs_.pop_front();
-        }
-        job();
-    }
-}
-
-std::future<LerResult>
-Engine::submit(LerRequest req)
-{
-    return enqueue<LerResult>(std::move(req));
-}
-
-std::future<SweepResult>
-Engine::submit(SweepRequest req)
-{
-    return enqueue<SweepResult>(std::move(req));
-}
-
-std::future<OptimizeResult>
-Engine::submit(OptimizeRequest req)
-{
-    return enqueue<OptimizeResult>(std::move(req));
-}
-
 Engine::CacheStats
 Engine::cacheStats() const
 {
@@ -326,15 +246,9 @@ Engine::cacheStats() const
 void
 Engine::clearCache()
 {
-    {
-        std::lock_guard<std::mutex> lock(cacheMutex_);
-        demCache_.clear();
-        demOrder_.clear();
-    }
-    // Warm clones and tallies borrow cache-owned artifacts; dropping the
-    // cache without them would only waste memory (identity guards keep
-    // correctness either way).
-    service_.clear();
+    std::lock_guard<std::mutex> lock(cacheMutex_);
+    demCache_.clear();
+    demOrder_.clear();
 }
 
 DecodeServiceStats

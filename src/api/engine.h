@@ -11,40 +11,34 @@
  *    spec), at most kMaxCacheEntries of them (FIFO). Sweeps and repeated
  *    requests reuse them instead of rebuilding per point; a miss builds
  *    the memory circuit, derives the DEM and the prototype from it, and
- *    drops the circuit. Cached and uncached runs are bit-identical: DEM
- *    construction is deterministic and Decoder::clone() must not affect
- *    decode results.
+ *    drops the circuit. The cache is the only state one request leaves
+ *    for the next; a fresh Engine is an uncached run, and cached and
+ *    uncached runs are bit-identical: DEM construction is deterministic
+ *    and Decoder::clone() must not affect decode results.
  *  - a decode service: every LER measurement (LerRequests and sweep
  *    points alike) flows through a long-lived api::DecodeService, which
- *    keeps lane groups of warm decoder clones per decode key, coalesces
- *    concurrent same-key requests into one shard stream on a persistent
- *    worker pool, and samples and decodes every shard it reports — all
- *    bit-identical to the serial oracle oracles::measureMemoryLer
- *    (tests/support).
- *  - async submission: submit() enqueues the request onto one
- *    dispatcher thread and returns a std::future; each job still fans
- *    its shots out over the shared persistent worker pool.
+ *    fans each request's shards out over a persistent worker pool on
+ *    clones made for that request, and samples and decodes every shard
+ *    it reports — bit-identical to the serial oracle
+ *    oracles::measureMemoryLer (tests/support).
  *  - checkpointable sweeps: run(SweepRequest) measures each point once,
  *    as the equivalent LerRequest; with checkpointPath set every
  *    measured point persists atomically (api/sweep_checkpoint.h) and a
  *    rerun resumes bit-identically to an uninterrupted run.
  *
- * Thread safety: all public methods may be called concurrently.
+ * Every run() is one blocking call. Thread safety: all public methods
+ * may be called concurrently; concurrent runs share the cache and the
+ * pool, and each returns what it would return alone.
  */
 #ifndef PROPHUNT_API_ENGINE_H
 #define PROPHUNT_API_ENGINE_H
 
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
-#include <utility>
 
 #include "api/decode_service.h"
 #include "api/requests.h"
@@ -61,8 +55,6 @@ inline constexpr std::size_t kMaxCacheEntries = 256;
 /** Engine construction knobs. */
 struct EngineOptions
 {
-    /** Reuse DEMs and decoder prototypes across requests. */
-    bool cacheEnabled = true;
     /** Decode-service knobs (pool sizing). */
     DecodeServiceOptions service;
 };
@@ -72,7 +64,6 @@ class Engine
 {
   public:
     explicit Engine(EngineOptions opts = {});
-    ~Engine();
     Engine(const Engine &) = delete;
     Engine &operator=(const Engine &) = delete;
 
@@ -86,12 +77,6 @@ class Engine
 
     /** Run the PropHunt optimizer (core::PropHunt::optimize). */
     OptimizeResult run(const OptimizeRequest &req);
-
-    /** Enqueue a request onto the dispatcher thread; returns its
-     * future. */
-    std::future<LerResult> submit(LerRequest req);
-    std::future<SweepResult> submit(SweepRequest req);
-    std::future<OptimizeResult> submit(OptimizeRequest req);
 
     struct CacheStats
     {
@@ -121,8 +106,8 @@ class Engine
     };
 
     /** What one measurement borrows: the shared DEM entry plus its cache
-     * key — the decode service's coalescing/warm-clone identity. Decoder
-     * clones are checked out inside the service per shard. */
+     * key — the decode service's coalescing identity. Decoder clones are
+     * made inside the service, per request. */
     struct Artifact
     {
         std::string demKey;
@@ -141,7 +126,6 @@ class Engine
     decoder::MemoryLer measureMemory(const Artifact &z, const Artifact &x,
                                      std::size_t shots, uint64_t seed,
                                      const decoder::LerOptions &ler,
-                                     const std::atomic<bool> *cancel,
                                      Telemetry &telemetry);
 
     /** Run one basis measurement through the decode service and fold the
@@ -149,14 +133,8 @@ class Engine
     decoder::LerResult serviceMeasure(const Artifact &art, std::size_t shots,
                                       uint64_t seed,
                                       const decoder::LerOptions &ler,
-                                      const std::atomic<bool> *cancel,
                                       Telemetry &telemetry);
 
-    template <class Result, class Request>
-    std::future<Result> enqueue(Request req);
-    void dispatchLoop();
-
-    EngineOptions opts_;
     DecodeService service_;
 
     mutable std::mutex cacheMutex_;
@@ -164,13 +142,6 @@ class Engine
     std::deque<std::string> demOrder_;
     std::size_t cacheHits_ = 0;
     std::size_t cacheMisses_ = 0;
-
-    std::mutex jobMutex_;
-    std::condition_variable jobCv_;
-    std::deque<std::function<void()>> jobs_;
-    bool stopping_ = false;
-    /** Drains jobs_; started by the first submit(). */
-    std::thread dispatcher_;
 };
 
 } // namespace prophunt::api

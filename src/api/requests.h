@@ -2,15 +2,16 @@
  * @file
  * Typed request/response structs of the prophunt::api engine.
  *
- * One struct per workload kind, replacing the seed's positional-argument
- * free functions. Every result carries Telemetry (build/decode timings,
- * cache hits, shots) so callers — and future regression benches — can
- * observe where the time went without instrumenting the engine.
+ * One struct per workload kind, each served by one blocking
+ * Engine::run() call. A request is plain data: it runs to completion
+ * (or to its ler.maxFailures stop) and has no handle to interrupt it.
+ * Every result carries Telemetry (build/decode timings, cache hits,
+ * shots) so callers — and regression benches — can observe where the
+ * time went without instrumenting the engine.
  */
 #ifndef PROPHUNT_API_REQUESTS_H
 #define PROPHUNT_API_REQUESTS_H
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -87,13 +88,6 @@ struct LerRequest
      * this weight — the Section 8 flag-fault-tolerance extension study.
      */
     std::size_t flagWeight = 0;
-    /**
-     * Optional cancellation flag (owned by the caller, may be flipped
-     * from any thread). Once set, the decode service stops claiming
-     * shards; the result truncates to the contiguous completed shard
-     * prefix — a valid smaller run of the same seed stream.
-     */
-    const std::atomic<bool> *cancel = nullptr;
 
     explicit LerRequest(circuit::SmSchedule s) : schedule(std::move(s)) {}
 };
@@ -146,14 +140,6 @@ struct SweepRequest
      * (different request fingerprint) is an error, never silently
      * overwritten. */
     std::string checkpointPath;
-    /**
-     * Optional cancellation flag (parity with LerRequest::cancel).
-     * Honored between points and passed into the decode service. The
-     * result holds every completed point; the point in flight when the
-     * flag flips is discarded (its tallies may be a truncated shard
-     * prefix), so results and checkpoints carry only full points.
-     */
-    const std::atomic<bool> *cancel = nullptr;
 
     explicit SweepRequest(circuit::SmSchedule s) : schedule(std::move(s)) {}
 };
@@ -189,8 +175,7 @@ struct OptimizeRequest
 {
     circuit::SmSchedule start;
     std::size_t rounds = 1;
-    /** Optimizer knobs; options.cancel is the request's cancellation
-     * flag. */
+    /** Optimizer knobs. */
     core::PropHuntOptions options;
 
     explicit OptimizeRequest(circuit::SmSchedule s) : start(std::move(s)) {}

@@ -565,10 +565,11 @@ SweepCheckpoint::load(const std::string &path)
     while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
         text.append(buf, n);
     }
-    bool read_err = std::ferror(f) != 0;
+    const bool read_err = std::ferror(f) != 0;
+    const int err = read_err ? errno : 0; // before fclose can change it
     std::fclose(f);
     if (read_err) {
-        fail("read of '" + path + "' failed");
+        fail("read of '" + path + "' failed: " + std::strerror(err));
     }
     try {
         return fromJson(text);

@@ -116,8 +116,8 @@ struct SweepCheckpoint
  * Fingerprint of every request field that affects a point's tally:
  * schedule hash, rounds, ps, pIdle, decoder spec, shot budget, seed,
  * flag weight, and the ler fields that change the sample stream
- * (shardShots) or accounting (maxFailures). Thread counts, cancellation,
- * and the checkpoint path are excluded — they never change a tally.
+ * (shardShots) or accounting (maxFailures). Thread counts and the
+ * checkpoint path are excluded — they never change a tally.
  */
 uint64_t sweepFingerprint(const SweepRequest &req);
 

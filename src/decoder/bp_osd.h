@@ -94,8 +94,8 @@ class BpOsdDecoder : public Decoder
     /**
      * Clones share the immutable per-DEM Tanner structure (one
      * shared_ptr<const Tanner> behind every copy), so cloning a
-     * prototype for another worker or lane group copies only the
-     * mutable per-shot scratch, not the graph.
+     * prototype for another worker slot copies only the mutable
+     * per-shot scratch, not the graph.
      */
     std::unique_ptr<Decoder>
     clone() const override

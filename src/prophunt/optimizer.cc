@@ -1,7 +1,6 @@
 #include "prophunt/optimizer.h"
 
 #include <algorithm>
-#include <atomic>
 #include <optional>
 #include <map>
 #include <set>
@@ -75,10 +74,6 @@ PropHunt::optimize(const circuit::SmSchedule &start,
     std::size_t stalled = 0;
 
     for (std::size_t iter = 0; iter < opts_.iterations; ++iter) {
-        if (opts_.cancel != nullptr &&
-            opts_.cancel->load(std::memory_order_relaxed)) {
-            break; // anytime: the snapshots so far are a valid prefix
-        }
         IterationRecord rec;
         rec.iteration = iter;
 

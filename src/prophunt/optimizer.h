@@ -14,7 +14,6 @@
 #ifndef PROPHUNT_PROPHUNT_OPTIMIZER_H
 #define PROPHUNT_PROPHUNT_OPTIMIZER_H
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -65,13 +64,6 @@ struct PropHuntOptions
      * remaining ambiguity is at the code distance and irreducible.
      */
     std::size_t maxDepth = 0;
-    /**
-     * Optional caller-owned cancellation flag (parity with
-     * api::LerRequest::cancel). Checked between iterations: once set,
-     * optimize() returns the best schedule reached so far — a valid
-     * prefix of the full run.
-     */
-    const std::atomic<bool> *cancel = nullptr;
 };
 
 /** Telemetry for one optimization iteration. */

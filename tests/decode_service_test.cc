@@ -5,15 +5,13 @@
  * The service promise under test: measure() returns exactly what the
  * serial oracle (oracles::measureDemLer) returns for the same (dem,
  * decoder, shots, seed, ler) — for every thread count, every arrival
- * order of concurrent requests, and every coalescing / lane-group cache
- * state.
+ * order of concurrent requests, and every coalescing state.
  * On top of that, the suite pins the service-only behaviors:
  * deterministic coalescing detection (via a gate decoder that holds one
  * request in flight until a second is admitted), an identical rerun
- * decoding every shard again, FIFO eviction of lane groups, warm-clone
- * checkout accounting, cancellation prefix semantics, and the
- * WorkerPool primitive itself (full coverage, nesting, exception
- * propagation, stop flags).
+ * decoding every shard again, the per-request clone ledger (one clone
+ * per pool slot), and the WorkerPool primitive itself (full coverage,
+ * nesting, exception propagation, stop flags).
  *
  * Everything asserted here is thread-count and wall-clock invariant;
  * PackedDecodeStats::osdUs (wall time) is deliberately never compared.
@@ -45,8 +43,7 @@ using namespace prophunt;
 
 namespace {
 
-/** One decode problem: a d=3 surface memory DEM plus a prototype. The
- * shared_ptr to the model doubles as the job's keepAlive identity. */
+/** One decode problem: a d=3 surface memory DEM plus a prototype. */
 struct Model
 {
     circuit::SmCircuit circuit;
@@ -74,7 +71,6 @@ jobFor(const std::shared_ptr<Model> &m, std::string key, std::size_t shots,
     job.key = std::move(key);
     job.dem = &m->dem;
     job.prototype = m->prototype.get();
-    job.keepAlive = m;
     job.shots = shots;
     job.seed = seed;
     job.ler.shardShots = shard_shots;
@@ -180,51 +176,6 @@ class ThrowingDecoder : public decoder::Decoder
     {
         return std::make_unique<ThrowingDecoder>();
     }
-};
-
-/**
- * Wraps a real decoder and raises @p flag after @p limit decodePacked
- * calls across all clones — a deterministic mid-queue cancellation.
- */
-class CancelAfterDecoder : public decoder::Decoder
-{
-  public:
-    CancelAfterDecoder(const decoder::Decoder &inner,
-                       std::atomic<bool> *flag,
-                       std::shared_ptr<std::atomic<int>> calls, int limit)
-        : inner_(inner.clone()), flag_(flag), calls_(std::move(calls)),
-          limit_(limit)
-    {
-    }
-
-    uint64_t
-    decode(const std::vector<uint32_t> &flipped) override
-    {
-        return inner_->decode(flipped);
-    }
-
-    void
-    decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
-                 decoder::PackedDecodeStats *stats) override
-    {
-        inner_->decodePacked(frames, obs_out, stats);
-        if (calls_->fetch_add(1, std::memory_order_acq_rel) + 1 == limit_) {
-            flag_->store(true, std::memory_order_release);
-        }
-    }
-
-    std::unique_ptr<decoder::Decoder>
-    clone() const override
-    {
-        return std::make_unique<CancelAfterDecoder>(*inner_, flag_, calls_,
-                                                    limit_);
-    }
-
-  private:
-    std::unique_ptr<decoder::Decoder> inner_;
-    std::atomic<bool> *flag_;
-    std::shared_ptr<std::atomic<int>> calls_;
-    int limit_;
 };
 
 } // namespace
@@ -472,7 +423,7 @@ TEST(DecodeService, CoalescingDetectedDeterministically)
     EXPECT_EQ(service.stats().coalescedRequests, 1u);
 }
 
-// --- reruns and warm clones -------------------------------------------------
+// --- reruns and clones ------------------------------------------------------
 
 TEST(DecodeService, IdenticalRerunDecodesEveryShard)
 {
@@ -488,33 +439,11 @@ TEST(DecodeService, IdenticalRerunDecodesEveryShard)
         << "a rerun must sample and decode every shard again";
 }
 
-TEST(DecodeService, FifoLaneGroupEvictionBoundsWarmClones)
+TEST(DecodeService, EachRequestClonesOncePerSlot)
 {
-    // kMaxLaneGroups keys stay warm; the 17th evicts the oldest, whose
-    // next request must clone the prototype again.
-    static_assert(api::kMaxLaneGroups == 16);
-    auto m = makeModel();
-    api::DecodeService service;
-    for (int k = 0; k < 16; ++k) {
-        service.measure(jobFor(m, "K" + std::to_string(k), 256, 7, 256));
-    }
-    EXPECT_EQ(service.stats().laneGroups, 16u);
-    EXPECT_EQ(service.stats().cloneMisses, 16u);
-    service.measure(jobFor(m, "K0", 256, 7, 256));
-    EXPECT_EQ(service.stats().cloneMisses, 16u) << "K0 is still warm";
-
-    service.measure(jobFor(m, "K16", 256, 7, 256)); // evicts K0's group
-    EXPECT_EQ(service.stats().laneGroups, 16u);
-    service.measure(jobFor(m, "K0", 256, 7, 256));
-    EXPECT_EQ(service.stats().cloneMisses, 18u)
-        << "K16 and the evicted K0 each clone once";
-}
-
-TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
-{
-    // Single-slot runs make the checkout ledger exact: the first shard
-    // of the first request clones the prototype, every later shard and
-    // every later request reuses that one warm clone.
+    // Single-slot runs make the clone ledger exact: each request's first
+    // shard clones the prototype and its 7 later shards reuse that
+    // clone; nothing carries over to the next request.
     auto m = makeModel();
     api::DecodeService service;
     api::DecodeJob job = jobFor(m, "d3", 2048, 7, 256, 1);
@@ -524,12 +453,23 @@ TEST(DecodeService, WarmClonesCheckedOutAcrossRequests)
     EXPECT_EQ(after1.cloneHits, 7u);
     service.measure(job);
     api::DecodeServiceStats after2 = service.stats();
-    EXPECT_EQ(after2.cloneMisses, 1u)
-        << "the second request must find the first request's clone warm";
-    EXPECT_EQ(after2.cloneHits, 15u);
+    EXPECT_EQ(after2.cloneMisses, 2u)
+        << "the second request must make a clone of its own";
+    EXPECT_EQ(after2.cloneHits, 14u);
+
+    // Several slots: one clone per slot that ran a shard, at most the
+    // slot cap, and every shard is a hit or a miss.
+    api::DecodeServiceOptions opts;
+    opts.threads = 2;
+    api::DecodeService pooled(opts);
+    pooled.measure(jobFor(m, "d3", 4096, 7, 256, 3));
+    api::DecodeServiceStats st = pooled.stats();
+    EXPECT_GE(st.cloneMisses, 1u);
+    EXPECT_LE(st.cloneMisses, 3u);
+    EXPECT_EQ(st.cloneHits + st.cloneMisses, 16u);
 }
 
-// --- edge cases: zero shots, cancellation, throwing decoders ---------------
+// --- edge cases: zero shots, throwing decoders ------------------------------
 
 TEST(DecodeService, ZeroShotJobIsEmptyAndUntracked)
 {
@@ -543,40 +483,7 @@ TEST(DecodeService, ZeroShotJobIsEmptyAndUntracked)
     api::DecodeServiceStats stats = service.stats();
     EXPECT_EQ(stats.requests, 1u);
     EXPECT_EQ(stats.decodedShards, 0u);
-    EXPECT_EQ(stats.laneGroups, 0u);
-}
-
-TEST(DecodeService, CancelBeforeStartReturnsEmptyResult)
-{
-    auto m = makeModel();
-    api::DecodeService service;
-    std::atomic<bool> cancel{true};
-    api::DecodeJob job = jobFor(m, "d3", 1024, 7, 256);
-    job.cancel = &cancel;
-    api::DecodeOutcome out = service.measure(job);
-    EXPECT_EQ(out.result.shots, 0u);
-    EXPECT_EQ(out.result.failures, 0u);
-    EXPECT_EQ(service.stats().decodedShards, 0u);
-}
-
-TEST(DecodeService, CancelMidQueueTruncatesToValidShardPrefix)
-{
-    // The wrapper raises the cancel flag after the second shard decode;
-    // with one slot the run then stops deterministically after shards
-    // 0 and 1 — and the truncated result must equal a serial 512-shot
-    // run of the same stream (every prefix is a valid smaller run).
-    auto m = makeModel();
-    std::atomic<bool> cancel{false};
-    auto calls = std::make_shared<std::atomic<int>>(0);
-    CancelAfterDecoder prototype(*m->prototype, &cancel, calls, 2);
-    api::DecodeService service;
-    api::DecodeJob job = jobFor(m, "d3", 2048, 7, 256, 1);
-    job.prototype = &prototype;
-    job.cancel = &cancel;
-    api::DecodeOutcome out = service.measure(job);
-    EXPECT_EQ(out.result.shots, 512u);
-    expectSameResult(out.result, serialRef(*m, 512, 7, 256));
-    EXPECT_EQ(service.stats().decodedShards, 2u);
+    EXPECT_EQ(stats.cloneMisses, 0u);
 }
 
 TEST(DecodeService, ThrowingShardReleasesAdmissionState)

@@ -1,15 +1,12 @@
 /**
  * @file
  * Tests for the prophunt::api engine surface: decoder registry
- * round-trips, artifact-cache determinism, async submission, optimize
- * requests, the api::Config layer, and sweeps.
+ * round-trips, artifact-cache determinism, concurrent runs on one
+ * engine, optimize requests, the api::Config layer, and sweeps.
  */
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cstdlib>
-#include <future>
 #include <limits>
 #include <memory>
 #include <stdexcept>
@@ -329,12 +326,9 @@ TEST(Engine, ShardLargerThanShotsClampsToOneShard)
 
 TEST(Engine, CacheOnOffBitIdenticalAcrossThreadCounts)
 {
-    api::EngineOptions cached;
-    api::EngineOptions uncached;
-    uncached.cacheEnabled = false;
-    api::Engine cachedEngine(cached);
-    api::Engine uncachedEngine(uncached);
-
+    // The uncached side is a fresh Engine per request: its artifacts are
+    // built for that request alone.
+    api::Engine cachedEngine;
     api::LerResult reference = cachedEngine.run(d3Request(1));
     for (std::size_t threads : {1u, 2u, 3u}) {
         api::LerRequest req = d3Request(threads);
@@ -343,7 +337,10 @@ TEST(Engine, CacheOnOffBitIdenticalAcrossThreadCounts)
         EXPECT_EQ(cachedEngine.serviceStats().decodedShards - before,
                   shardsOf(a.memory))
             << "the cached engine must decode every shard it reports";
+        EXPECT_GT(a.telemetry.cacheHits, 0u);
+        api::Engine uncachedEngine;
         api::LerResult b = uncachedEngine.run(req);
+        EXPECT_EQ(b.telemetry.cacheHits, 0u);
         for (const api::LerResult *r : {&a, &b}) {
             EXPECT_EQ(r->memory.z.failures, reference.memory.z.failures)
                 << "threads=" << threads;
@@ -379,17 +376,6 @@ TEST(Engine, CacheHitsReported)
     EXPECT_EQ(stats.demEntries, 0u);
 }
 
-TEST(Engine, CacheDisabledNeverHits)
-{
-    api::EngineOptions opts;
-    opts.cacheEnabled = false;
-    api::Engine engine(opts);
-    engine.run(d3Request(1));
-    api::LerResult second = engine.run(d3Request(1));
-    EXPECT_EQ(second.telemetry.cacheHits, 0u);
-    EXPECT_GT(second.telemetry.cacheMisses, 0u);
-}
-
 TEST(Engine, DecoderOptionsKeyTheDemCache)
 {
     // Requests differing only in BP+OSD's scale, below six significant
@@ -421,6 +407,45 @@ TEST(Engine, IdenticalRerunDecodesEveryShard)
     EXPECT_EQ(second.memory.z.shots, first.memory.z.shots);
     EXPECT_EQ(second.memory.x.shots, first.memory.x.shots);
     EXPECT_EQ(engine.serviceStats().decodedShards, 2 * decoded);
+}
+
+TEST(Engine, ConcurrentRunsMatchSerial)
+{
+    // Two threads call run() on one Engine at once; they share its
+    // artifact cache and worker pool, and each must get what a
+    // one-thread serial run of its own request gets. Equal seeds make
+    // the two requests identical (one decode key, so they may coalesce);
+    // distinct seeds make them two streams over the same artifacts.
+    for (const char *decoder : {"union_find", "bp_osd"}) {
+        for (uint64_t other_seed : {77u, 78u}) {
+            SCOPED_TRACE(std::string(decoder) + " seeds 77, " +
+                         std::to_string(other_seed));
+            api::LerRequest reqs[2] = {d3Request(0), d3Request(0)};
+            for (api::LerRequest &req : reqs) {
+                req.decoder = decoder;
+                req.shots = 1024;
+                req.ler.shardShots = 128;
+            }
+            reqs[1].seed = other_seed;
+
+            api::Engine engine;
+            api::LerResult got[2];
+            std::thread other([&] { got[1] = engine.run(reqs[1]); });
+            got[0] = engine.run(reqs[0]);
+            other.join();
+
+            for (int i = 0; i < 2; ++i) {
+                decoder::MemoryLer want = oracles::measureMemoryLer(
+                    reqs[i].schedule, reqs[i].rounds, reqs[i].noise,
+                    reqs[i].decoder, reqs[i].shots, reqs[i].seed,
+                    reqs[i].ler);
+                EXPECT_EQ(got[i].memory.z.shots, want.z.shots) << i;
+                EXPECT_EQ(got[i].memory.z.failures, want.z.failures) << i;
+                EXPECT_EQ(got[i].memory.x.shots, want.x.shots) << i;
+                EXPECT_EQ(got[i].memory.x.failures, want.x.failures) << i;
+            }
+        }
+    }
 }
 
 TEST(Engine, FlaggedCircuitsCachedSeparately)
@@ -492,73 +517,6 @@ TEST(Engine, SweepMatchesPointwiseRuns)
     }
 }
 
-TEST(Engine, SweepCancelledBeforeStartReturnsEmptyResult)
-{
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1e-3, 3e-3};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 2000;
-    std::atomic<bool> cancel{true};
-    sweep.cancel = &cancel;
-    api::SweepResult result = engine.run(sweep);
-    EXPECT_TRUE(result.points.empty())
-        << "a pre-cancelled sweep does no work";
-    EXPECT_EQ(result.totalShots(), 0u);
-}
-
-TEST(Engine, SweepCancelMidRunReturnsCompletedPrefix)
-{
-    api::Engine engine;
-    api::SweepRequest sweep(d3Schedule());
-    sweep.rounds = 3;
-    sweep.ps = {1e-3, 2e-3, 3e-3, 4e-3};
-    sweep.decoder = "union_find";
-    sweep.shotsPerPoint = 4000;
-    sweep.seed = 5;
-    sweep.ler.threads = 1;
-    api::SweepResult oracle = engine.run(sweep);
-
-    std::atomic<bool> cancel{false};
-    sweep.cancel = &cancel;
-    std::thread flipper([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(5));
-        cancel.store(true);
-    });
-    api::SweepResult truncated = engine.run(sweep);
-    flipper.join();
-
-    // Whatever prefix completed must match the uninterrupted run point
-    // for point — cancellation truncates, it never perturbs.
-    ASSERT_LE(truncated.points.size(), oracle.points.size());
-    for (std::size_t i = 0; i < truncated.points.size(); ++i) {
-        EXPECT_EQ(truncated.points[i].p, oracle.points[i].p);
-        EXPECT_EQ(truncated.points[i].memory.z.shots,
-                  oracle.points[i].memory.z.shots);
-        EXPECT_EQ(truncated.points[i].memory.z.failures,
-                  oracle.points[i].memory.z.failures);
-        EXPECT_EQ(truncated.points[i].memory.x.shots,
-                  oracle.points[i].memory.x.shots);
-        EXPECT_EQ(truncated.points[i].memory.x.failures,
-                  oracle.points[i].memory.x.failures);
-    }
-}
-
-TEST(Engine, SubmitReturnsSameResultAsRun)
-{
-    api::Engine engine;
-    api::LerResult sync = engine.run(d3Request(1));
-    std::future<api::LerResult> f1 = engine.submit(d3Request(1));
-    std::future<api::LerResult> f2 = engine.submit(d3Request(2));
-    api::LerResult r1 = f1.get();
-    api::LerResult r2 = f2.get();
-    EXPECT_EQ(r1.memory.z.failures, sync.memory.z.failures);
-    EXPECT_EQ(r1.memory.x.failures, sync.memory.x.failures);
-    EXPECT_EQ(r2.memory.z.failures, sync.memory.z.failures);
-    EXPECT_EQ(r2.memory.x.failures, sync.memory.x.failures);
-}
-
 // --- optimize ---------------------------------------------------------------
 
 namespace {
@@ -576,30 +534,6 @@ cheapMaxSatOptions(uint64_t seed)
     return opts;
 }
 
-void
-expectOutcomesEqual(const core::OptimizeResult &a,
-                    const core::OptimizeResult &b)
-{
-    EXPECT_TRUE(a.finalSchedule() == b.finalSchedule());
-    ASSERT_EQ(a.snapshots.size(), b.snapshots.size());
-    for (std::size_t i = 0; i < a.snapshots.size(); ++i) {
-        EXPECT_TRUE(a.snapshots[i] == b.snapshots[i]);
-    }
-    ASSERT_EQ(a.history.size(), b.history.size());
-    for (std::size_t i = 0; i < a.history.size(); ++i) {
-        EXPECT_EQ(a.history[i].ambiguousFound, b.history[i].ambiguousFound);
-        EXPECT_EQ(a.history[i].candidatesEnumerated,
-                  b.history[i].candidatesEnumerated);
-        EXPECT_EQ(a.history[i].changesVerified,
-                  b.history[i].changesVerified);
-        EXPECT_EQ(a.history[i].changesApplied, b.history[i].changesApplied);
-        EXPECT_EQ(a.history[i].depth, b.history[i].depth);
-        EXPECT_EQ(a.history[i].minLogicalWeight,
-                  b.history[i].minLogicalWeight);
-        EXPECT_EQ(a.history[i].solveWeights, b.history[i].solveWeights);
-    }
-}
-
 } // namespace
 
 TEST(EngineOptimize, MatchesPropHuntOptimize)
@@ -613,37 +547,6 @@ TEST(EngineOptimize, MatchesPropHuntOptimize)
     core::PropHunt tool(req.options);
     core::OptimizeResult direct = tool.optimize(req.start, req.rounds);
     EXPECT_TRUE(viaEngine.finalSchedule() == direct.finalSchedule());
-}
-
-TEST(EngineOptimize, CancellationStopsOptimize)
-{
-    // Parity with LerRequest::cancel.
-    code::SurfaceCode s(3);
-    api::Engine engine;
-    std::atomic<bool> cancel{true};
-    api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
-    req.rounds = 3;
-    req.options = cheapMaxSatOptions(3);
-    req.options.cancel = &cancel;
-    api::OptimizeResult res = engine.run(req);
-    EXPECT_TRUE(res.finalSchedule() == req.start);
-    EXPECT_TRUE(res.outcome.history.empty());
-}
-
-TEST(EngineOptimize, SubmitMatchesRun)
-{
-    code::SurfaceCode s(3);
-    api::Engine engine;
-    auto makeReq = [&]() {
-        api::OptimizeRequest req(circuit::poorSurfaceSchedule(s));
-        req.rounds = 3;
-        req.options = cheapMaxSatOptions(13);
-        return req;
-    };
-    api::OptimizeResult sync = engine.run(makeReq());
-    std::future<api::OptimizeResult> fut = engine.submit(makeReq());
-    api::OptimizeResult async = fut.get();
-    expectOutcomesEqual(sync.outcome, async.outcome);
 }
 
 TEST(Engine, ZeroRoundsIsRejected)

@@ -3,11 +3,15 @@
  * Tests for the checkpointable sweep layer (api/sweep_checkpoint.h):
  * serialization round-trips, atomic persistence, corrupt-input and
  * old-version rejection, fingerprint binding, unusable paths refused
- * before any shot, and bit-exact resume at every point boundary.
+ * before any shot (with the read error's cause), and bit-exact resume
+ * at every point boundary.
  */
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -378,6 +382,26 @@ TEST(SweepCheckpoint, UnusableCheckpointPathFailsBeforeAnyShot)
         EXPECT_THROW(engine.run(req), std::runtime_error);
         EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
     }
+}
+
+TEST(SweepCheckpoint, ReadErrorNamesItsCause)
+{
+    // A directory opens for reading but every read fails with EISDIR;
+    // the message must say so, and no shot may be sampled.
+    ScratchFile dir("dir");
+    ASSERT_TRUE(std::filesystem::create_directory(dir.path));
+    api::SweepRequest req = fixedRequest();
+    req.checkpointPath = dir.path;
+    api::Engine engine;
+    try {
+        engine.run(req);
+        FAIL() << "expected std::runtime_error";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find(std::strerror(EISDIR)), std::string::npos)
+            << what;
+    }
+    EXPECT_EQ(engine.serviceStats().decodedShards, 0u);
 }
 
 // --- fingerprint ------------------------------------------------------------
