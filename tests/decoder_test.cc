@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "circuit/coloration.h"
 #include "circuit/surface_schedules.h"
@@ -16,6 +17,7 @@
 #include "decoder/matching_graph.h"
 #include "decoder/union_find.h"
 #include "sim/dem_builder.h"
+#include "sim/frame_sampler.h"
 #include "support/mle.h"
 #include "support/sampling.h"
 
@@ -87,6 +89,131 @@ TEST(UnionFind, SingleEdgeSyndromeCorrected)
         ++checked;
     }
     EXPECT_GT(checked, 50u);
+}
+
+TEST(UnionFind, GoldenOutputsOnBenchmarkCodes)
+{
+    // Pinned union-find decodePacked outputs: an FNV-1a hash of the
+    // per-shot predictions and the failure count per (schedule, basis, p)
+    // cell at fixed sampling seeds. Any change to what the decoder
+    // predicts (growth order, peeling forest, boundary handling) moves at
+    // least one of these constants. The p = 2e-2 cells reuse one decoder
+    // over thousands of crowded shots, which is where state leaking from
+    // one shot into the next shows. The LDPC cells exercise the matching
+    // graph's hyperedge decomposition: lp39's hyperedges all split into
+    // known edges, rqt54's also need the sequential-pairing fallback.
+    using circuit::MemoryBasis;
+    struct Cell
+    {
+        const char *schedule;
+        MemoryBasis basis;
+        double p;
+        uint64_t hash;
+        std::size_t failures;
+    };
+    const Cell cells[] = {
+        {"surface3", MemoryBasis::Z, 1e-3, 7920269734312448418ull, 2},
+        {"surface3", MemoryBasis::Z, 4e-3, 5846544930292254627ull, 43},
+        {"surface3", MemoryBasis::Z, 2e-2, 11197648166588776930ull, 445},
+        {"surface3", MemoryBasis::X, 1e-3, 6047651380564706ull, 6},
+        {"surface3", MemoryBasis::X, 4e-3, 6303362598131119874ull, 61},
+        {"surface3", MemoryBasis::X, 2e-2, 5010362928994448098ull, 552},
+        {"surface5", MemoryBasis::Z, 1e-3, 10655474754300162659ull, 0},
+        {"surface5", MemoryBasis::Z, 4e-3, 10332147365459412867ull, 27},
+        {"surface5", MemoryBasis::Z, 2e-2, 5502644874462544131ull, 1009},
+        {"surface5", MemoryBasis::X, 1e-3, 18173825926678741666ull, 3},
+        {"surface5", MemoryBasis::X, 4e-3, 2200958146461553474ull, 67},
+        {"surface5", MemoryBasis::X, 2e-2, 11981250930506386051ull, 1109},
+        {"surface7", MemoryBasis::Z, 1e-3, 8117107419231663938ull, 0},
+        {"surface7", MemoryBasis::Z, 4e-3, 12563043175776164515ull, 14},
+        {"surface7", MemoryBasis::Z, 2e-2, 18089003364501916931ull, 1538},
+        {"surface7", MemoryBasis::X, 1e-3, 10760006672000846243ull, 1},
+        {"surface7", MemoryBasis::X, 4e-3, 16482438080266756451ull, 35},
+        {"surface7", MemoryBasis::X, 2e-2, 3866979435002871683ull, 1583},
+        {"nz5", MemoryBasis::Z, 1e-3, 14183177303812347299ull, 2},
+        {"nz5", MemoryBasis::Z, 4e-3, 9998749003810530435ull, 30},
+        {"nz5", MemoryBasis::Z, 2e-2, 1695385964714184482ull, 1005},
+        {"nz5", MemoryBasis::X, 1e-3, 2054500037474384322ull, 0},
+        {"nz5", MemoryBasis::X, 4e-3, 17801405822231437762ull, 23},
+        {"nz5", MemoryBasis::X, 2e-2, 9516439788436115394ull, 1008},
+        {"poor5", MemoryBasis::Z, 1e-3, 16426107549175893250ull, 11},
+        {"poor5", MemoryBasis::Z, 4e-3, 6814186563561579875ull, 105},
+        {"poor5", MemoryBasis::Z, 2e-2, 12439286579930326626ull, 1245},
+        {"poor5", MemoryBasis::X, 1e-3, 2422261600285235139ull, 4},
+        {"poor5", MemoryBasis::X, 4e-3, 18432690901881465187ull, 65},
+        {"poor5", MemoryBasis::X, 2e-2, 3686087746984729059ull, 1218},
+        {"flagged3", MemoryBasis::Z, 1e-3, 5356379476940719778ull, 3},
+        {"flagged3", MemoryBasis::Z, 4e-3, 13703914290100471458ull, 37},
+        {"flagged3", MemoryBasis::Z, 2e-2, 13626521929645398339ull, 660},
+        {"flagged3", MemoryBasis::X, 1e-3, 3405579389501276643ull, 1},
+        {"flagged3", MemoryBasis::X, 4e-3, 15689548371671184354ull, 44},
+        {"flagged3", MemoryBasis::X, 2e-2, 96293540108491203ull, 588},
+        {"lp39", MemoryBasis::Z, 1e-3, 8692491522183685664ull, 7},
+        {"lp39", MemoryBasis::Z, 4e-3, 3990145981774106052ull, 90},
+        {"lp39", MemoryBasis::Z, 2e-2, 14565902935489610144ull, 1355},
+        {"lp39", MemoryBasis::X, 1e-3, 13092758680399965222ull, 5},
+        {"lp39", MemoryBasis::X, 4e-3, 7850756203354664002ull, 87},
+        {"lp39", MemoryBasis::X, 2e-2, 11535837849071463972ull, 1356},
+        {"rqt54", MemoryBasis::Z, 1e-3, 2448733105800408733ull, 1414},
+        {"rqt54", MemoryBasis::Z, 4e-3, 7600696838663567342ull, 3295},
+        {"rqt54", MemoryBasis::Z, 2e-2, 7173160966658708028ull, 4093},
+        {"rqt54", MemoryBasis::X, 1e-3, 10384574998579018589ull, 1307},
+        {"rqt54", MemoryBasis::X, 4e-3, 9314356765472822767ull, 3169},
+        {"rqt54", MemoryBasis::X, 2e-2, 8367661201947459856ull, 4090},
+    };
+    constexpr std::size_t kShots = 4096;
+    uint64_t seed = 2901;
+    for (const Cell &cell : cells) {
+        std::string name = cell.schedule;
+        std::size_t d = name == "surface7"                         ? 7
+                        : name == "surface3" || name == "flagged3" ? 3
+                                                                   : 5;
+        bool ldpc = name == "lp39" || name == "rqt54";
+        std::size_t rounds = ldpc ? 3 : d;
+        circuit::SmSchedule sched = [&] {
+            if (ldpc) {
+                return circuit::colorationSchedule(
+                    std::make_shared<const code::CssCode>(
+                        name == "lp39" ? code::benchmarkLp39()
+                                       : code::benchmarkRqt54()));
+            }
+            code::SurfaceCode s(d);
+            if (name == "nz5") {
+                return circuit::nzSchedule(s);
+            }
+            if (name == "poor5") {
+                return circuit::poorSurfaceSchedule(s);
+            }
+            return circuit::colorationSchedule(
+                std::make_shared<const code::CssCode>(s.code()));
+        }();
+        auto circ = circuit::buildMemoryCircuit(sched, rounds, cell.basis,
+                                                name == "flagged3" ? 4 : 0);
+        sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(cell.p));
+        sim::FrameBatch frames = sim::sampleDemFrames(dem, kShots, seed++);
+        MatchingGraph graph = buildMatchingGraph(dem, circ);
+        if (name == "rqt54") {
+            EXPECT_GT(graph.fallbackDecompositions, 0u);
+        }
+        UnionFindDecoder uf(std::move(graph));
+        std::vector<uint64_t> pred(kShots);
+        uf.decodePacked(frames.view(), pred.data());
+        std::vector<uint64_t> masks;
+        frames.obsMasks(masks);
+        uint64_t hash = 1469598103934665603ull;
+        std::size_t failures = 0;
+        for (std::size_t s = 0; s < kShots; ++s) {
+            for (int byte = 0; byte < 8; ++byte) {
+                hash ^= (pred[s] >> (8 * byte)) & 0xff;
+                hash *= 1099511628211ull;
+            }
+            failures += pred[s] != masks[s];
+        }
+        std::string label = name + " p=" + std::to_string(cell.p) +
+                            (cell.basis == MemoryBasis::Z ? " Z" : " X");
+        EXPECT_EQ(hash, cell.hash) << label;
+        EXPECT_EQ(failures, cell.failures) << label;
+    }
 }
 
 TEST(BpOsd, SingleMechanismsCorrected)
