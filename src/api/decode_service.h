@@ -13,9 +13,10 @@
  *    concurrent requests falls out of the pool's run queue;
  *  - each measure() clones the decoder prototype lazily, once per pool
  *    slot it uses, and drops the clones on return. A clone shares the
- *    prototype's read-only Tanner CSR (decoder::BpOsdDecoder clones
- *    alias one immutable Tanner), so it costs a scratch copy, not a
- *    graph build;
+ *    prototype's read-only graph (decoder::BpOsdDecoder clones alias
+ *    one immutable Tanner CSR, decoder::UnionFindDecoder clones one
+ *    matching graph with its incidence CSR), so it costs a scratch
+ *    copy, not a graph build;
  *  - concurrent requests for the same key interleave their shards in
  *    the same pool and are counted as coalesced. Results still split
  *    deterministically per request because every request's shards are

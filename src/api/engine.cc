@@ -243,14 +243,6 @@ Engine::cacheStats() const
     return {demCache_.size(), cacheHits_, cacheMisses_};
 }
 
-void
-Engine::clearCache()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex_);
-    demCache_.clear();
-    demOrder_.clear();
-}
-
 DecodeServiceStats
 Engine::serviceStats() const
 {

@@ -85,7 +85,6 @@ class Engine
         std::size_t misses = 0;
     };
     CacheStats cacheStats() const;
-    void clearCache();
 
     /** Decode-service lifetime counters (coalescing, steals, decoded
      * shards). */

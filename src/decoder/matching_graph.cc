@@ -183,14 +183,6 @@ buildMatchingGraph(const sim::Dem &dem, const circuit::SmCircuit &circuit)
                     i == 0 ? comp.obs : 0, comp.p);
         }
     }
-
-    g.incident.resize(g.numDetectors);
-    for (std::size_t e = 0; e < g.edges.size(); ++e) {
-        g.incident[g.edges[e].u].push_back((uint32_t)e);
-        if (g.edges[e].v != MatchEdge::kBoundary) {
-            g.incident[g.edges[e].v].push_back((uint32_t)e);
-        }
-    }
     return g;
 }
 

@@ -39,8 +39,6 @@ struct MatchingGraph
 {
     std::size_t numDetectors = 0;
     std::vector<MatchEdge> edges;
-    /** Adjacency: for each detector, incident edge indices. */
-    std::vector<std::vector<uint32_t>> incident;
 
     /** Count of hyperedge components that required fallback splitting. */
     std::size_t fallbackDecompositions = 0;

@@ -5,23 +5,54 @@
 namespace prophunt::decoder {
 
 UnionFindDecoder::UnionFindDecoder(MatchingGraph graph)
-    : graph_(std::move(graph))
 {
-    std::size_t n = graph_.numDetectors;
-    parent_.resize(n);
-    rankOf_.resize(n);
-    parity_.resize(n);
-    touchesBoundary_.resize(n);
-    growth_.resize(graph_.edges.size());
-    defect_.resize(n);
+    auto g = std::make_shared<Graph>();
+    const std::size_t n = graph.numDetectors;
+    // Counting sort by endpoint; scanning edges in ascending order leaves
+    // every detector's list ascending, the order peeling visits them in.
+    g->incidentStart.assign(n + 1, 0);
+    for (const MatchEdge &edge : graph.edges) {
+        ++g->incidentStart[edge.u + 1];
+        if (edge.v != MatchEdge::kBoundary) {
+            ++g->incidentStart[edge.v + 1];
+        }
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+        g->incidentStart[v + 1] += g->incidentStart[v];
+    }
+    g->incidentEdges.resize(g->incidentStart[n]);
+    std::vector<uint32_t> cursor(g->incidentStart.begin(),
+                                 g->incidentStart.end() - 1);
+    for (std::size_t e = 0; e < graph.edges.size(); ++e) {
+        const MatchEdge &edge = graph.edges[e];
+        g->incidentEdges[cursor[edge.u]++] = (uint32_t)e;
+        if (edge.v != MatchEdge::kBoundary) {
+            g->incidentEdges[cursor[edge.v]++] = (uint32_t)e;
+        }
+    }
+    nodes_.assign(n, Node{kUntouched, 0, 0, 0, 0, 0, 0, 0, 0, 0});
+    growth_.assign(graph.edges.size(), 0);
+    stamp_.assign(graph.edges.size(), 0);
+    g->match = std::move(graph);
+    graph_ = std::move(g);
+}
+
+void
+UnionFindDecoder::touch(uint32_t v)
+{
+    Node &node = nodes_[v];
+    if (node.parent == kUntouched) {
+        node = Node{v, v, 0, 0, 0, 0, 0, 0, 0, 0};
+        touched_.push_back(v);
+    }
 }
 
 uint32_t
 UnionFindDecoder::find(uint32_t v)
 {
-    while (parent_[v] != v) {
-        parent_[v] = parent_[parent_[v]];
-        v = parent_[v];
+    while (nodes_[v].parent != v) {
+        nodes_[v].parent = nodes_[nodes_[v].parent].parent;
+        v = nodes_[v].parent;
     }
     return v;
 }
@@ -34,15 +65,39 @@ UnionFindDecoder::unite(uint32_t a, uint32_t b)
     if (a == b) {
         return;
     }
-    if (rankOf_[a] < rankOf_[b]) {
+    if (nodes_[a].rank < nodes_[b].rank) {
         std::swap(a, b);
     }
-    parent_[b] = a;
-    parity_[a] ^= parity_[b];
-    touchesBoundary_[a] |= touchesBoundary_[b];
-    if (rankOf_[a] == rankOf_[b]) {
-        ++rankOf_[a];
+    Node &ra = nodes_[a];
+    Node &rb = nodes_[b];
+    rb.parent = a;
+    ra.parity ^= rb.parity;
+    ra.touchesBoundary |= rb.touchesBoundary;
+    if (ra.rank == rb.rank) {
+        ++ra.rank;
     }
+    // Splice the two member rings into one.
+    std::swap(ra.next, rb.next);
+}
+
+bool
+UnionFindDecoder::active(uint32_t root) const
+{
+    return nodes_[root].parity == 1 && !nodes_[root].touchesBoundary;
+}
+
+uint32_t
+UnionFindDecoder::nextRound()
+{
+    if (++round_ == 0) {
+        // The stamp counter wrapped: no stale stamp may equal a new round.
+        std::fill(stamp_.begin(), stamp_.end(), 0);
+        for (Node &node : nodes_) {
+            node.mark = 0;
+        }
+        round_ = 1;
+    }
+    return round_;
 }
 
 uint64_t
@@ -51,148 +106,179 @@ UnionFindDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
     if (flipped_detectors.empty()) {
         return 0;
     }
-    std::size_t n = graph_.numDetectors;
-    for (std::size_t v = 0; v < n; ++v) {
-        parent_[v] = (uint32_t)v;
-        rankOf_[v] = 0;
-        parity_[v] = 0;
-        touchesBoundary_[v] = 0;
-        defect_[v] = 0;
-    }
-    std::fill(growth_.begin(), growth_.end(), 0);
+    defects_.clear();
     for (uint32_t d : flipped_detectors) {
-        parity_[d] = 1;
-        defect_[d] = 1;
+        touch(d);
+        if (!nodes_[d].defect) {
+            nodes_[d].defect = 1;
+            nodes_[d].parity = 1;
+            defects_.push_back(d);
+        }
     }
+    std::sort(defects_.begin(), defects_.end());
+    active_.assign(defects_.begin(), defects_.end());
 
-    auto active = [&](uint32_t v) {
-        uint32_t r = find(v);
-        return parity_[r] == 1 && !touchesBoundary_[r];
-    };
+    grow();
+    uint64_t result = peel();
 
-    // Growth stage. Each round grows the frontier of every active cluster
-    // by one half-edge; fully grown edges merge clusters.
-    bool any_active = true;
+    for (uint32_t v : touched_) {
+        nodes_[v].parent = kUntouched;
+    }
+    for (uint32_t e : grown_) {
+        growth_[e] = 0;
+    }
+    touched_.clear();
+    grown_.clear();
+    boundaryEdges_.clear();
+    return result;
+}
+
+void
+UnionFindDecoder::grow()
+{
+    // Each round grows the frontier of every active cluster by one
+    // half-edge; fully grown edges merge clusters. Only unions change a
+    // cluster's parity or boundary contact, and every fully grown edge
+    // has an active endpoint, so the clusters active in a round are among
+    // the merged clusters of the previous round's active roots.
+    const Graph &g = *graph_;
+    const std::size_t n = g.match.numDetectors;
     std::size_t guard = 0;
-    while (any_active && guard++ < 4 * n + 16) {
-        any_active = false;
-        for (uint32_t v = 0; v < n; ++v) {
-            if (active(v) && find(v) == v) {
-                any_active = true;
+    while (guard++ < 4 * n + 16) {
+        const uint32_t round = nextRound();
+        std::size_t live = 0;
+        for (uint32_t r : active_) {
+            r = find(r);
+            if (active(r) && nodes_[r].mark != round) {
+                nodes_[r].mark = round;
+                active_[live++] = r;
             }
         }
-        if (!any_active) {
+        active_.resize(live);
+        if (live == 0) {
             break;
         }
-        std::vector<uint32_t> newly_grown;
-        for (std::size_t e = 0; e < graph_.edges.size(); ++e) {
-            if (growth_[e] >= 2) {
-                continue;
-            }
-            const MatchEdge &edge = graph_.edges[e];
-            bool boundary = edge.v == MatchEdge::kBoundary;
-            uint32_t ru = find(edge.u);
-            uint32_t rv = boundary ? MatchEdge::kBoundary : find(edge.v);
-            if (!boundary && ru == rv) {
-                continue; // interior edge
-            }
-            int inc = 0;
-            if (parity_[ru] == 1 && !touchesBoundary_[ru]) {
-                ++inc;
-            }
-            if (!boundary && parity_[rv] == 1 && !touchesBoundary_[rv]) {
-                ++inc;
-            }
-            if (inc == 0) {
-                continue;
-            }
-            growth_[e] = (uint8_t)std::min(2, growth_[e] + inc);
-            if (growth_[e] >= 2) {
-                newly_grown.push_back((uint32_t)e);
-            }
+        full_.clear();
+        bool grew = false;
+        for (uint32_t r : active_) {
+            uint32_t v = r;
+            do {
+                for (uint32_t k = g.incidentStart[v];
+                     k < g.incidentStart[v + 1]; ++k) {
+                    uint32_t e = g.incidentEdges[k];
+                    if (growth_[e] >= 2 || stamp_[e] == round) {
+                        continue;
+                    }
+                    stamp_[e] = round;
+                    // v's cluster r is active; the edge also grows from
+                    // the far endpoint's cluster if that one is active.
+                    // The far endpoint may be new to this shot: initialise
+                    // it before reading its cluster.
+                    const MatchEdge &edge = g.match.edges[e];
+                    uint32_t w = edge.u == v ? edge.v : edge.u;
+                    int inc = 1;
+                    if (w != MatchEdge::kBoundary) {
+                        touch(w);
+                        uint32_t rw = find(w);
+                        if (rw == r) {
+                            continue; // interior edge
+                        }
+                        inc += active(rw);
+                    }
+                    if (growth_[e] == 0) {
+                        grown_.push_back(e);
+                    }
+                    growth_[e] = (uint8_t)std::min(2, growth_[e] + inc);
+                    if (growth_[e] >= 2) {
+                        full_.push_back(e);
+                    }
+                    grew = true;
+                }
+                v = nodes_[v].next;
+            } while (v != r);
         }
-        for (uint32_t e : newly_grown) {
-            const MatchEdge &edge = graph_.edges[e];
+        if (!grew) {
+            // Nothing changed, so every later round would repeat this one.
+            break;
+        }
+        for (uint32_t e : full_) {
+            const MatchEdge &edge = g.match.edges[e];
             if (edge.v == MatchEdge::kBoundary) {
-                touchesBoundary_[find(edge.u)] = 1;
+                nodes_[find(edge.u)].touchesBoundary = 1;
+                boundaryEdges_.push_back(e);
             } else {
                 unite(edge.u, edge.v);
             }
         }
     }
+}
 
-    // Peeling stage over the grown subgraph. Virtual copies of the boundary
-    // per boundary edge keep the forest acyclic, and rooting trees at a
-    // boundary copy lets leftover defects be absorbed there.
-    std::size_t num_virtual = 0;
-    std::vector<std::pair<uint32_t, uint32_t>> adj_count(n, {0, 0});
-    (void)adj_count;
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> adj(n);
-    std::vector<uint32_t> boundary_edges;
-    for (std::size_t e = 0; e < graph_.edges.size(); ++e) {
-        if (growth_[e] < 2) {
-            continue;
-        }
-        const MatchEdge &edge = graph_.edges[e];
-        if (edge.v == MatchEdge::kBoundary) {
-            boundary_edges.push_back((uint32_t)e);
-            ++num_virtual;
-        } else {
-            adj[edge.u].push_back({edge.v, (uint32_t)e});
-            adj[edge.v].push_back({edge.u, (uint32_t)e});
+void
+UnionFindDecoder::peelTree(uint32_t root, uint64_t &result)
+{
+    // Breadth-first spanning tree of the grown edges, each detector's
+    // edges in ascending order, then peel it leaves-first.
+    const Graph &g = *graph_;
+    bfs_.clear();
+    nodes_[root].visited = 1;
+    bfs_.push_back(root);
+    for (std::size_t i = 0; i < bfs_.size(); ++i) {
+        uint32_t v = bfs_[i];
+        for (uint32_t k = g.incidentStart[v]; k < g.incidentStart[v + 1];
+             ++k) {
+            uint32_t e = g.incidentEdges[k];
+            const MatchEdge &edge = g.match.edges[e];
+            if (growth_[e] < 2 || edge.v == MatchEdge::kBoundary) {
+                continue;
+            }
+            uint32_t w = edge.u == v ? edge.v : edge.u;
+            if (!nodes_[w].visited) {
+                nodes_[w].visited = 1;
+                nodes_[w].treeParent = v;
+                nodes_[w].treeEdge = e;
+                bfs_.push_back(w);
+            }
         }
     }
+    for (std::size_t i = bfs_.size(); i-- > 1;) {
+        Node &node = nodes_[bfs_[i]];
+        if (node.defect) {
+            result ^= g.match.edges[node.treeEdge].obsMask;
+            node.defect = 0;
+            nodes_[node.treeParent].defect ^= 1;
+        }
+    }
+    // A leftover defect at the root is handled by the caller (boundary).
+}
 
+uint64_t
+UnionFindDecoder::peel()
+{
+    // Virtual copies of the boundary per boundary edge keep the forest
+    // acyclic, and rooting trees at a boundary copy lets leftover defects
+    // be absorbed there.
+    const Graph &g = *graph_;
     uint64_t result = 0;
-    std::vector<uint8_t> visited(n, 0);
-    std::vector<uint32_t> bfs_order;
-    std::vector<uint32_t> parent_node(n, MatchEdge::kBoundary);
-    std::vector<uint32_t> parent_edge(n, MatchEdge::kBoundary);
-
-    auto bfs_tree = [&](uint32_t root) {
-        std::size_t start = bfs_order.size();
-        visited[root] = 1;
-        bfs_order.push_back(root);
-        for (std::size_t i = start; i < bfs_order.size(); ++i) {
-            uint32_t v = bfs_order[i];
-            for (const auto &[w, e] : adj[v]) {
-                if (!visited[w]) {
-                    visited[w] = 1;
-                    parent_node[w] = v;
-                    parent_edge[w] = e;
-                    bfs_order.push_back(w);
-                }
-            }
-        }
-        // Peel this tree leaves-first (reverse BFS order).
-        for (std::size_t i = bfs_order.size(); i-- > start + 1;) {
-            uint32_t v = bfs_order[i];
-            if (defect_[v]) {
-                result ^= graph_.edges[parent_edge[v]].obsMask;
-                defect_[v] = 0;
-                defect_[parent_node[v]] ^= 1;
-            }
-        }
-        // Leftover defect at the root is handled by the caller (boundary).
-    };
-
     // Trees containing boundary edges: root at the boundary-attached node
     // and discharge the root defect through the boundary edge.
-    for (uint32_t e : boundary_edges) {
-        uint32_t root = graph_.edges[e].u;
-        if (visited[root]) {
+    std::sort(boundaryEdges_.begin(), boundaryEdges_.end());
+    for (uint32_t e : boundaryEdges_) {
+        uint32_t root = g.match.edges[e].u;
+        if (nodes_[root].visited) {
             continue;
         }
-        bfs_tree(root);
-        if (defect_[root]) {
-            result ^= graph_.edges[e].obsMask;
-            defect_[root] = 0;
+        peelTree(root, result);
+        if (nodes_[root].defect) {
+            result ^= g.match.edges[e].obsMask;
+            nodes_[root].defect = 0;
         }
     }
-    // Remaining trees have even defect count; any root works.
-    for (uint32_t v = 0; v < n; ++v) {
-        if (!visited[v] && defect_[v]) {
-            bfs_tree(v);
+    // Remaining trees have even defect count; any root works. Peeling
+    // moves defects only inside visited trees, so an unvisited detector
+    // still holds its flipped state.
+    for (uint32_t v : defects_) {
+        if (!nodes_[v].visited && nodes_[v].defect) {
+            peelTree(v, result);
         }
     }
     return result;

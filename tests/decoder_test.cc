@@ -1,10 +1,12 @@
 /**
  * @file
- * Tests for matching-graph construction, the union-find decoder, BP+OSD,
- * the exact MLE oracle (test support), and the LER harness.
+ * Tests for matching-graph construction, the union-find decoder (against
+ * pinned goldens and the dense oracle), BP+OSD, the exact MLE oracle (test
+ * support), and the LER harness.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 
@@ -18,8 +20,10 @@
 #include "decoder/union_find.h"
 #include "sim/dem_builder.h"
 #include "sim/frame_sampler.h"
+#include "sim/rng.h"
 #include "support/mle.h"
 #include "support/sampling.h"
+#include "support/union_find_reference.h"
 
 using namespace prophunt;
 using namespace prophunt::decoder;
@@ -213,6 +217,63 @@ TEST(UnionFind, GoldenOutputsOnBenchmarkCodes)
                             (cell.basis == MemoryBasis::Z ? " Z" : " X");
         EXPECT_EQ(hash, cell.hash) << label;
         EXPECT_EQ(failures, cell.failures) << label;
+    }
+}
+
+TEST(UnionFind, MatchesDenseOracleOnMixedShotStream)
+{
+    // One decoder object decodes a stream that mixes random defect sets
+    // (weights 1-40, odd ones included), shots sampled at p = 2e-2 and
+    // empty shots. Every prediction must equal the dense oracle's, so no
+    // state may leak from one shot into the next.
+    constexpr std::size_t kShots = 3000;
+    uint64_t seed = 71;
+    for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
+        code::SurfaceCode s(7);
+        auto circ = circuit::buildMemoryCircuit(
+            circuit::colorationSchedule(
+                std::make_shared<const code::CssCode>(s.code())),
+            7, basis);
+        sim::Dem dem = sim::buildDem(circ, sim::NoiseModel::uniform(2e-2));
+        MatchingGraph graph = buildMatchingGraph(dem, circ);
+        oracles::DenseUnionFind dense(graph);
+        UnionFindDecoder sparse(std::move(graph));
+        sim::SampleBatch rows = oracles::sampleDem(dem, kShots, seed++);
+        sim::Rng rng(seed++);
+        std::vector<uint32_t> shot;
+        std::vector<uint8_t> picked(dem.numDetectors);
+        std::size_t compared = 0, mismatches = 0;
+        auto check = [&](const char *kind, std::size_t i) {
+            uint64_t want = dense.decode(shot);
+            uint64_t got = sparse.decode(shot);
+            ++compared;
+            if (got != want && ++mismatches <= 5) {
+                ADD_FAILURE() << kind << " shot " << i << ": sparse " << got
+                              << ", dense " << want;
+            }
+        };
+        for (std::size_t i = 0; i < kShots; ++i) {
+            std::size_t weight = 1 + rng.below(40);
+            shot.clear();
+            std::fill(picked.begin(), picked.end(), 0);
+            while (shot.size() < weight) {
+                uint32_t d = (uint32_t)rng.below(dem.numDetectors);
+                if (!picked[d]) {
+                    picked[d] = 1;
+                    shot.push_back(d);
+                }
+            }
+            std::sort(shot.begin(), shot.end());
+            check("random", i);
+            rows.flippedDetectors(i, shot);
+            check("sampled", i);
+            if (i % 3 == 0) {
+                shot.clear();
+                check("empty", i);
+            }
+        }
+        EXPECT_EQ(compared, 2 * kShots + kShots / 3);
+        EXPECT_EQ(mismatches, 0u);
     }
 }
 

@@ -194,13 +194,6 @@ TEST(UnionFind, IsolatedDefectPairMatchesThroughChain)
     g.edges.push_back({1, 2, 1, 0.01}); // middle edge flips observable
     g.edges.push_back({2, 3, 0, 0.01});
     g.edges.push_back({3, decoder::MatchEdge::kBoundary, 1, 0.01});
-    g.incident.resize(4);
-    for (std::size_t e = 0; e < g.edges.size(); ++e) {
-        g.incident[g.edges[e].u].push_back((uint32_t)e);
-        if (g.edges[e].v != decoder::MatchEdge::kBoundary) {
-            g.incident[g.edges[e].v].push_back((uint32_t)e);
-        }
-    }
     decoder::UnionFindDecoder uf(g);
     EXPECT_EQ(uf.decode({1, 2}), 1u);
     // Single defect at the end: boundary match.
