@@ -86,20 +86,6 @@ UnionFindDecoder::active(uint32_t root) const
     return nodes_[root].parity == 1 && !nodes_[root].touchesBoundary;
 }
 
-uint32_t
-UnionFindDecoder::nextRound()
-{
-    if (++round_ == 0) {
-        // The stamp counter wrapped: no stale stamp may equal a new round.
-        std::fill(stamp_.begin(), stamp_.end(), 0);
-        for (Node &node : nodes_) {
-            node.mark = 0;
-        }
-        round_ = 1;
-    }
-    return round_;
-}
-
 uint64_t
 UnionFindDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
 {
@@ -145,7 +131,7 @@ UnionFindDecoder::grow()
     const std::size_t n = g.match.numDetectors;
     std::size_t guard = 0;
     while (guard++ < 4 * n + 16) {
-        const uint32_t round = nextRound();
+        const uint64_t round = ++round_;
         std::size_t live = 0;
         for (uint32_t r : active_) {
             r = find(r);
@@ -159,7 +145,6 @@ UnionFindDecoder::grow()
             break;
         }
         full_.clear();
-        bool grew = false;
         for (uint32_t r : active_) {
             uint32_t v = r;
             do {
@@ -192,14 +177,9 @@ UnionFindDecoder::grow()
                     if (growth_[e] >= 2) {
                         full_.push_back(e);
                     }
-                    grew = true;
                 }
                 v = nodes_[v].next;
             } while (v != r);
-        }
-        if (!grew) {
-            // Nothing changed, so every later round would repeat this one.
-            break;
         }
         for (uint32_t e : full_) {
             const MatchEdge &edge = g.match.edges[e];

@@ -70,9 +70,9 @@ class UnionFindDecoder : public Decoder
     {
         uint32_t parent;
         uint32_t next;       ///< Next member of the cluster's ring.
-        uint32_t mark;       ///< Round that last listed this root.
         uint32_t treeParent; ///< Peeling forest: parent detector...
         uint32_t treeEdge;   ///< ...and the edge to it.
+        uint64_t mark;       ///< Round that last listed this root.
         uint8_t rank;
         uint8_t parity;
         uint8_t touchesBoundary;
@@ -85,7 +85,6 @@ class UnionFindDecoder : public Decoder
     uint32_t find(uint32_t v);
     void unite(uint32_t a, uint32_t b);
     bool active(uint32_t root) const;
-    uint32_t nextRound();
     void grow();
     uint64_t peel();
     void peelTree(uint32_t root, uint64_t &result);
@@ -94,8 +93,10 @@ class UnionFindDecoder : public Decoder
 
     std::vector<Node> nodes_;
     std::vector<uint8_t> growth_;   ///< Half-edges grown, per edge.
-    std::vector<uint32_t> stamp_;   ///< Round that last counted the edge.
-    uint32_t round_ = 0;
+    /** Round that last counted the edge. Rounds are numbered across
+     * shots and never wrap, so no stamp needs a reset. */
+    std::vector<uint64_t> stamp_;
+    uint64_t round_ = 0;
 
     // Per-shot lists; they keep their capacity across shots.
     std::vector<uint32_t> touched_;  ///< Detectors initialised this shot.
