@@ -180,6 +180,39 @@ decodeWithFlag(const char *name, const Dem &dem, const FrameBatch &frames,
     return out;
 }
 
+/** What a golden cell pins: an FNV-1a hash of the per-shot predictions,
+ * the failure count and osdShots. */
+struct GoldenDigest
+{
+    uint64_t hash = 1469598103934665603ull;
+    std::size_t failures = 0;
+    uint64_t osdShots = 0;
+};
+
+/** Default-options decodePacked of @p shots shots of @p dem sampled at
+ * @p seed, digested. */
+GoldenDigest
+goldenDigest(const Dem &dem, std::size_t shots, uint64_t seed)
+{
+    FrameBatch frames = sampleDemFrames(dem, shots, seed);
+    decoder::BpOsdDecoder dec(dem);
+    std::vector<uint64_t> pred(shots);
+    decoder::PackedDecodeStats stats;
+    dec.decodePacked(frames.view(), pred.data(), &stats);
+    std::vector<uint64_t> masks;
+    frames.obsMasks(masks);
+    GoldenDigest g;
+    for (std::size_t s = 0; s < shots; ++s) {
+        for (int byte = 0; byte < 8; ++byte) {
+            g.hash ^= (pred[s] >> (8 * byte)) & 0xff;
+            g.hash *= 1099511628211ull;
+        }
+        g.failures += pred[s] != masks[s];
+    }
+    g.osdShots = stats.osdShots;
+    return g;
+}
+
 } // namespace
 
 TEST(LaneDecode, MatrixOnRandomDems)
@@ -428,27 +461,47 @@ TEST(LaneDecode, GoldenOutputsOnBenchmarkCodes)
                                                 : code::benchmarkRqt60();
         std::size_t rounds = name == "surface5" ? 5 : 3;
         Dem dem = circuitDem(cc, rounds, cell.p, cell.basis);
-        FrameBatch frames = sampleDemFrames(dem, kShots, seed++);
-        decoder::BpOsdDecoder dec(dem);
-        std::vector<uint64_t> pred(kShots);
-        decoder::PackedDecodeStats stats;
-        dec.decodePacked(frames.view(), pred.data(), &stats);
-        std::vector<uint64_t> masks;
-        frames.obsMasks(masks);
-        uint64_t hash = 1469598103934665603ull;
-        std::size_t failures = 0;
-        for (std::size_t s = 0; s < kShots; ++s) {
-            for (int byte = 0; byte < 8; ++byte) {
-                hash ^= (pred[s] >> (8 * byte)) & 0xff;
-                hash *= 1099511628211ull;
-            }
-            failures += pred[s] != masks[s];
-        }
+        GoldenDigest got = goldenDigest(dem, kShots, seed++);
         std::string label = name + " p=" + std::to_string(cell.p) +
                             (cell.basis == MemoryBasis::Z ? " Z" : " X");
-        EXPECT_EQ(hash, cell.hash) << label;
-        EXPECT_EQ(failures, cell.failures) << label;
-        EXPECT_EQ(stats.osdShots, cell.osdShots) << label;
+        EXPECT_EQ(got.hash, cell.hash) << label;
+        EXPECT_EQ(got.failures, cell.failures) << label;
+        EXPECT_EQ(got.osdShots, cell.osdShots) << label;
+    }
+}
+
+TEST(LaneDecode, GoldenOutputsOnRqt54BenchmarkShape)
+{
+    // The same digest at the shape of the ler_rqt54 benchmark workload:
+    // rqt54 coloration, 4 rounds, 4096 shots per cell, at the benchmark's
+    // p = 1e-3 and at an OSD-heavy p = 2e-2 where nearly every shot
+    // reaches the OSD post-pass. Pins BP's message arithmetic on
+    // degree-190 detectors and the OSD ranking over 7,371 columns.
+    struct Cell
+    {
+        double p;
+        circuit::MemoryBasis basis;
+        uint64_t hash;
+        std::size_t failures;
+        uint64_t osdShots;
+    };
+    using circuit::MemoryBasis;
+    const Cell cells[] = {
+        {1e-3, MemoryBasis::Z, 15453238216829434550ull, 661, 1388},
+        {1e-3, MemoryBasis::X, 2289678150640752691ull, 616, 1369},
+        {2e-2, MemoryBasis::Z, 17347115175260731220ull, 4083, 4096},
+        {2e-2, MemoryBasis::X, 13052468996289749862ull, 4083, 4096},
+    };
+    constexpr std::size_t kShots = 4096;
+    uint64_t seed = 3001;
+    for (const Cell &cell : cells) {
+        Dem dem = circuitDem(code::benchmarkRqt54(), 4, cell.p, cell.basis);
+        GoldenDigest got = goldenDigest(dem, kShots, seed++);
+        std::string label = "rqt54 p=" + std::to_string(cell.p) +
+                            (cell.basis == MemoryBasis::Z ? " Z" : " X");
+        EXPECT_EQ(got.hash, cell.hash) << label;
+        EXPECT_EQ(got.failures, cell.failures) << label;
+        EXPECT_EQ(got.osdShots, cell.osdShots) << label;
     }
 }
 
