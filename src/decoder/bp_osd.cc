@@ -10,13 +10,20 @@ namespace {
 
 /**
  * Elimination usually terminates within a few dozen columns, so the
- * posterior ranking is sorted lazily: first the kOsdPrefix most likely
- * columns, then chunks kOsdGrowth times larger whenever the elimination
- * outruns the sorted prefix. The (posterior, column id) keys are a strict
- * total order, so the pivot sequence equals a full sort's.
+ * posterior ranking is built lazily. A threshold filter first keeps the
+ * columns whose posterior is at most tau, the kOsdSampleRank-th smallest
+ * of about kOsdSample strided columns, and sorts only those (about
+ * kOsdSampleRank / kOsdSample of the columns). If the elimination
+ * outruns them, the rest are keyed and ranked in chunks: first
+ * kOsdPrefix columns, then chunks kOsdGrowth times larger. The
+ * (posterior, column id) keys are a strict total order and every
+ * posterior equal to tau is kept, so each stage is a prefix of that order
+ * and the pivot sequence equals a full sort's.
  */
 constexpr std::size_t kOsdPrefix = 32;
 constexpr std::size_t kOsdGrowth = 4;
+constexpr std::size_t kOsdSample = 256;
+constexpr std::size_t kOsdSampleRank = 8;
 
 /**
  * Map a posterior to a uint64 whose integer order equals double order.
@@ -45,9 +52,9 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
     std::size_t numDetectors = dem.numDetectors;
     std::size_t ne = dem.errors.size();
     // Flatten the Tanner graph once: edge e of column c occupies slots
-    // colBegin[c]..colBegin[c+1]; detEdges lists the same edge ids per
-    // detector in (column, slot) order — the traversal order every
-    // per-shot pass reuses.
+    // colBegin[c]..colBegin[c+1]. Detector d's slots detBegin[d]..
+    // detBegin[d+1] list the same edges in (column, slot) order — the
+    // traversal order every per-shot pass reuses.
     t->colBegin.assign(ne + 1, 0);
     for (std::size_t e = 0; e < ne; ++e) {
         const auto &mech = dem.errors[e];
@@ -57,12 +64,10 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
         }
         t->colObs.push_back(obs);
         double p = std::clamp(mech.p, 1e-12, 0.5 - 1e-12);
-        double prior = std::log((1.0 - p) / p);
-        t->prior.push_back(prior);
+        t->prior.push_back(std::log((1.0 - p) / p));
         t->colBegin[e + 1] = t->colBegin[e] + (uint32_t)mech.detectors.size();
         for (uint32_t d : mech.detectors) {
             t->colDet.push_back(d);
-            t->edgePrior.push_back(prior);
         }
         if (!mech.detectors.empty()) {
             auto it = t->single.find(mech.detectors);
@@ -79,12 +84,17 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
     for (std::size_t d = 0; d < numDetectors; ++d) {
         t->detBegin[d + 1] += t->detBegin[d];
     }
-    t->detEdges.resize(edges);
+    t->detCol.resize(edges);
+    t->edgeSlot.resize(edges);
     {
         std::vector<uint32_t> fill(t->detBegin.begin(),
                                    t->detBegin.end() - 1);
-        for (std::size_t e = 0; e < edges; ++e) {
-            t->detEdges[fill[t->colDet[e]]++] = (uint32_t)e;
+        for (std::size_t c = 0; c < ne; ++c) {
+            for (uint32_t e = t->colBegin[c]; e < t->colBegin[c + 1]; ++e) {
+                uint32_t slot = fill[t->colDet[e]]++;
+                t->detCol[slot] = (uint32_t)c;
+                t->edgeSlot[e] = slot;
+            }
         }
     }
     t->colBits.reset(ne, numDetectors);
@@ -132,24 +142,29 @@ BpOsdDecoder::osdSolve(const std::vector<double> &post,
     // OSD-0: process columns in decreasing error likelihood (ascending
     // posterior LLR) and solve H x = s by incremental elimination on the
     // shared packed columns. Ties are broken by column id: the pivot
-    // order must not depend on the sort strategy (full vs lazy prefix)
-    // even when posteriors collide exactly (duplicated priors make that
-    // common, not hypothetical). The ranking runs on flat OsdKey records
-    // — the indirect double comparator, not the elimination, used to
-    // dominate the post-pass on large graphs.
+    // order must not depend on the ranking strategy (threshold filter,
+    // lazy prefix or full sort) even when posteriors collide exactly
+    // (duplicated priors make that common, not hypothetical). The
+    // ranking runs on flat OsdKey records — the indirect double
+    // comparator, not the elimination, used to dominate the post-pass
+    // on large graphs.
     std::size_t ne = tanner_->numCols();
-    osdKeys_.resize(ne);
-    for (std::size_t c = 0; c < ne; ++c) {
-        osdKeys_[c] = OsdKey{osdPostKey(post[c]), (uint32_t)c};
-    }
-    osdSortedPrefix_ = 0;
-    osdSortMore();
+    osdRank(post);
     elim_.begin(numDetectors_);
     for (uint32_t d : flipped) {
         elim_.setSyndromeBit(d);
     }
     for (std::size_t oi = 0; oi < ne; ++oi) {
         if (oi == osdSortedPrefix_) {
+            if (osdKeys_.size() < ne) {
+                // The filtered prefix is used up: key the columns it
+                // left out (posterior above tau) and rank on.
+                for (std::size_t c = 0; c < ne; ++c) {
+                    if (post[c] > osdTau_) {
+                        osdKeys_.push_back({osdPostKey(post[c]), (uint32_t)c});
+                    }
+                }
+            }
             osdSortMore();
         }
         if (elim_.push(tanner_->colBits.row(osdKeys_[oi].col))) {
@@ -164,6 +179,45 @@ BpOsdDecoder::osdSolve(const std::vector<double> &post,
     }
     solution.clear();
     return false;
+}
+
+void
+BpOsdDecoder::osdRank(const std::vector<double> &post)
+{
+    std::size_t ne = tanner_->numCols();
+    osdKeys_.resize(ne);
+    osdSortedPrefix_ = 0;
+    if (ne > kOsdPrefix) {
+        std::size_t stride = std::max<std::size_t>(1, ne / kOsdSample);
+        osdSample_.clear();
+        for (std::size_t c = 0; c < ne; c += stride) {
+            osdSample_.push_back(post[c]);
+        }
+        auto nth = osdSample_.begin() + (kOsdSampleRank - 1);
+        std::nth_element(osdSample_.begin(), nth, osdSample_.end());
+        osdTau_ = *nth;
+        // Branchless: every column is written, only kept ones advance.
+        // <= keeps every tie at tau, and +0.0 and -0.0 compare equal.
+        std::size_t kept = 0;
+        for (std::size_t c = 0; c < ne; ++c) {
+            osdKeys_[kept].col = (uint32_t)c;
+            kept += post[c] <= osdTau_;
+        }
+        // Too many kept (say all-zero posteriors): rank as below.
+        if (kept <= std::max(kOsdPrefix, ne / 8)) {
+            osdKeys_.resize(kept);
+            for (OsdKey &k : osdKeys_) {
+                k.key = osdPostKey(post[k.col]);
+            }
+            std::sort(osdKeys_.begin(), osdKeys_.end());
+            osdSortedPrefix_ = kept;
+            return;
+        }
+    }
+    for (std::size_t c = 0; c < ne; ++c) {
+        osdKeys_[c] = OsdKey{osdPostKey(post[c]), (uint32_t)c};
+    }
+    osdSortMore();
 }
 
 void

@@ -107,8 +107,9 @@ class BpOsdDecoder : public Decoder
      * Immutable per-DEM decode structure: per-column data plus the
      * flattened global Tanner CSR, built once per DEM by buildTanner()
      * and referenced read-only by every per-shot pass. Edge e of column
-     * c spans colBegin[c]..colBegin[c+1] in (column, slot) order;
-     * detEdges groups the same edge ids by detector.
+     * c spans colBegin[c]..colBegin[c+1] in (column, slot) order. The
+     * same edges grouped by detector are "slots": detector d owns slots
+     * detBegin[d]..detBegin[d+1], in (column, slot) order as well.
      */
     struct Tanner
     {
@@ -121,9 +122,9 @@ class BpOsdDecoder : public Decoder
         // Global Tanner CSR.
         std::vector<uint32_t> colBegin;
         std::vector<uint32_t> colDet;   ///< Edge -> detector.
-        std::vector<double> edgePrior;  ///< Edge -> prior of its column.
+        std::vector<uint32_t> edgeSlot; ///< Edge -> its detector-order slot.
         std::vector<uint32_t> detBegin;
-        std::vector<uint32_t> detEdges; ///< Detector -> edge ids, (c, k) order.
+        std::vector<uint32_t> detCol;   ///< Slot -> column.
         /** Row c = column c packed over the detectors: the OSD
          * elimination's input, built once instead of per solve. */
         DenseBitMat colBits;
@@ -162,6 +163,11 @@ class BpOsdDecoder : public Decoder
         }
     };
 
+    /** Start osdSolve's ranking of @p post: key and sort the columns at
+     * or below the sampled threshold osdTau_ (osdKeys_ then holds only
+     * them), or, if that keeps too many, key every column and sort the
+     * first chunk. */
+    void osdRank(const std::vector<double> &post);
     /** Extend the sorted prefix of osdKeys_ by the next chunk of most
      * likely columns: the lazy ranking osdSolve triggers when the
      * elimination outruns the sorted prefix. */
@@ -222,24 +228,28 @@ class BpOsdDecoder : public Decoder
     std::vector<uint32_t> osdSolution_; ///< osdFlush's solution columns.
     std::vector<OsdKey> osdKeys_;       ///< Posterior-ranking records.
     std::size_t osdSortedPrefix_ = 0;   ///< Sorted prefix of osdKeys_.
+    std::vector<double> osdSample_;     ///< Strided posterior sample.
+    double osdTau_ = 0.0;               ///< osdRank's filter threshold.
     // Batched OSD queue (lane engine). Entries are reused: osdQueueSize_
     // counts the live prefix, the vectors behind it keep their capacity.
     std::vector<OsdJob> osdQueue_;
     std::size_t osdQueueSize_ = 0;
 
     // Lane engine state (sized by laneEnsure on the first decode, so a
-    // prototype that only gets cloned never allocates it). Message and
-    // posterior arrays are lane-interleaved: element (i, lane) lives at
-    // i*8 + lane. Slots of lanes without a live shot hold garbage nobody
-    // reads; a lane's first detector pass substitutes the column prior
-    // while loading, so installing a shot never writes the message array.
-    /** In-place message array: column->detector values going into a
-     * detector pass, detector->column values going into a column pass
-     * (an edge belongs to exactly one detector and one column, so each
-     * pass may overwrite its input slot). */
-    std::vector<double> laneMsg_;
+    // prototype that only gets cloned never allocates it). Arrays are
+    // lane-interleaved: element (i, lane) lives at i*8 + lane. Slots of
+    // lanes without a live shot hold garbage nobody reads; a lane's first
+    // detector pass substitutes the column prior for the posterior
+    // difference it reads, so installing a shot writes no check state.
+    /** Compressed detector->column messages: per detector and lane, the
+     * last detector pass's (scale*min1, scale*min2, argmin slot, sign
+     * product) record. The message to the column of slot s is
+     * rebuilt from its detector's record and laneSign_[s]. */
+    std::vector<double> laneCheck_;
+    /** Per slot, bit l = sign of the column->detector value lane l's
+     * last detector pass read on it. */
+    std::vector<uint8_t> laneSign_;
     std::vector<double> lanePost_;
-    std::vector<double> laneStage_;      ///< Det-pass staging, maxDeg x lanes.
     std::vector<uint32_t> laneHardBits_; ///< Per column, bit l = lane l.
     std::vector<uint8_t> laneAcc_;       ///< Hard-decision parity per (det, lane).
     std::vector<uint8_t> laneSynB_;      ///< Syndrome bit per (det, lane).

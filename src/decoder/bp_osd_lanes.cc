@@ -6,30 +6,41 @@
  * The engine runs min-sum BP for 8 shots in parallel "lanes" over the
  * global Tanner CSR built once per DEM. It is the decoder's only BP:
  * decodePacked feeds it a frame shard, decode() a single shot.
- * Messages live in ONE lane-interleaved in-place array (8 doubles per
- * edge): a detector pass reads column->detector values and overwrites
- * each slot with its detector->column reply (an edge belongs to exactly
- * one detector and one column, so neither pass reads a slot another
- * detector or column wrote this iteration). Each pass is ONE body,
- * written with GCC vector extensions over V-lane vectors, that walks the
- * 8 lanes as 8/V chunks in a single pass over each detector's or
- * column's edges from contiguous loads (no gathers), so every message
- * cache line is touched once per pass. laneIterate instantiates it at
- * the host's native width: V = 8 on AVX-512, V = 4 on AVX2, and V = 2 on
- * the baseline ISA (SSE2 on x86, NEON on AArch64), so every build runs
- * a vectorized kernel. PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step the
- * width down explicitly; all three widths produce the same bits.
  *
- * Lanes carry no per-shot message initialization: the detector pass
- * substitutes the column prior on a lane's first iteration, when no
- * column pass has written real messages yet, while loading. Slots of a
- * lane without a live shot hold garbage that nobody reads — live lanes'
- * results never depend on them, since every pass reads only the lane's
- * own slots. Both passes walk every detector and column in index order,
- * which keeps the message walks sequential. Lanes retire individually
- * (convergence, stagnation, or the iteration budget) and are refilled
- * from the shot queue, so iteration skew between easy and hard syndromes
- * no longer serializes the batch.
+ * No per-edge message is stored. A min-sum detector->column message is
+ * fully determined by its detector's two smallest input magnitudes, the
+ * slot that held the smallest, the product of the input signs (with the
+ * syndrome bit), and the sign of the slot's own input. So each detector
+ * keeps one record per lane (scale*min1, scale*min2, argmin slot, sign
+ * product), and each slot, in detector order, one sign byte (bit l =
+ * lane l). The detector pass is one walk over each detector's slots: it
+ * rebuilds the message it sent the slot's column last iteration from the
+ * old record and sign byte, takes the column->detector value as the
+ * column's posterior minus that message (the same IEEE subtraction the
+ * column pass of a stored-message engine performs), and folds it into
+ * the new record. The column pass sums the rebuilt messages of each
+ * column in edge order onto the prior and writes the posterior and the
+ * hard decision. Per clone the state is 32 doubles per detector, one
+ * byte per edge and 8 doubles per column.
+ *
+ * Each pass is ONE body, written with GCC vector extensions over V-lane
+ * vectors, that walks the 8 lanes as 8/V chunks from contiguous loads (no
+ * gathers). laneIterate instantiates it at the host's native width: V = 8
+ * on AVX-512, V = 4 on AVX2, and V = 2 on the baseline ISA (SSE2 on x86,
+ * NEON on AArch64), so every build runs a vectorized kernel.
+ * PROPHUNT_NO_AVX512 / PROPHUNT_NO_AVX2 step the width down explicitly;
+ * all three widths produce the same bits.
+ *
+ * Lanes carry no per-shot state initialization: the detector pass
+ * substitutes the column prior for a lane's input on its first
+ * iteration, when no column pass has run for it yet. Records, sign bits
+ * and posteriors of a lane without a live shot hold garbage that nobody
+ * reads — live lanes' results never depend on them, since every pass
+ * reads only the lane's own elements. Both passes walk every detector
+ * and column in index order. Lanes retire individually (convergence,
+ * stagnation, or the iteration budget) and are refilled from the shot
+ * queue, so iteration skew between easy and hard syndromes no longer
+ * serializes the batch.
  *
  * Retired-but-unconverged lanes do not solve OSD inline: they compact
  * into a batched work queue (shot id, syndrome, posterior snapshot) that
@@ -42,7 +53,8 @@
  * Exactness: every per-lane recurrence reproduces the arithmetic of the
  * reference decoder in tests/support/ operation for operation (same
  * edge order in the sums, same strict-minimum updates, no FMA
- * contraction: no product feeds a sum), the per-lane stopping rules
+ * contraction: no product feeds a sum), a rebuilt message equals the
+ * one the reference stores bit for bit, the per-lane stopping rules
  * are the reference ones, and non-converged lanes hand their
  * posteriors to the OSD-0 post-pass (osdSolve) — so decodePacked,
  * decode() and the reference agree bit for bit, and a shot's result
@@ -52,7 +64,7 @@
  * arithmetic is the same IEEE operation at every width, so the widths
  * cannot disagree. Sign handling is integer bit manipulation (sign(x)
  * as the IEEE sign bit), which matches the scalar `v < 0.0` test because
- * effective column -> detector messages are never -0.0: priors are
+ * effective column -> detector values are never -0.0: priors are
  * positive, and a sum or difference of doubles only produces -0.0 from
  * two negative zeros.
  */
@@ -96,17 +108,18 @@ struct LaneCtx
     double scale = 0.0;
     /** Bit l: lane l holds a live shot. */
     uint32_t liveLanes = 0;
-    /** Bit l: lane l is on its first iteration (messages still read as
-     * the column prior; no column pass has run for it yet). */
+    /** Bit l: lane l is on its first iteration (column->detector values
+     * still read as the column prior; no column pass has run for it
+     * yet). */
     uint32_t freshLanes = 0;
     const uint32_t *colBegin = nullptr;
     const uint32_t *colDet = nullptr;
+    const uint32_t *edgeSlot = nullptr;
     const uint32_t *detBegin = nullptr;
-    const uint32_t *detEdges = nullptr;
+    const uint32_t *detCol = nullptr;
     const double *prior = nullptr;
-    const double *edgePrior = nullptr;
-    double *msg = nullptr;
-    double *stage = nullptr;
+    double *check = nullptr;
+    uint8_t *sign = nullptr;
     double *post = nullptr;
     const double *synSign = nullptr;
     const uint8_t *synB = nullptr;
@@ -114,6 +127,10 @@ struct LaneCtx
     uint32_t *hardBits = nullptr;
     std::ptrdiff_t *mismatch = nullptr;
 };
+
+/** Doubles per detector in LaneCtx::check: kLanes each of scale*min1,
+ * scale*min2, argmin slot and sign product, in that order. */
+constexpr std::size_t kCheckStride = 4 * kLanes;
 
 /** Vectors of V lanes' doubles (D) and of their bit patterns (I), and
  * the unaligned, aliasing view (Slot) through which V consecutive
@@ -162,8 +179,74 @@ struct LaneVec<2>
  * folds to a plain broadcast (0.0 + x would not: it maps -0.0 to +0.0).
  */
 
-/** Detector -> column pass: the min-sum two-minimum reduction of every
- * detector, for all 8 lanes. */
+/** Chunk k's lane bits: element j is 1 << (k*V + j). */
+template <std::size_t V>
+[[gnu::always_inline]] inline void
+laneBits(typename LaneVec<V>::I (&bit)[kLanes / V])
+{
+    for (std::size_t k = 0; k < kLanes / V; ++k) {
+        for (std::size_t j = 0; j < V; ++j) {
+            bit[k][j] = int64_t{1} << (k * V + j);
+        }
+    }
+}
+
+/** OR the elements of @p v into one word by halving the vector: log2(V)
+ * shuffles instead of V element extractions. */
+template <std::size_t V>
+[[gnu::always_inline]] inline uint32_t
+orLanes(const typename LaneVec<V>::I &v)
+{
+    typename LaneVec<2>::I pair;
+    if constexpr (V == 2) {
+        pair = v;
+    } else if constexpr (V == 4) {
+        pair = __builtin_shufflevector(v, v, 0, 1) |
+               __builtin_shufflevector(v, v, 2, 3);
+    } else {
+        auto half = __builtin_shufflevector(v, v, 0, 1, 2, 3) |
+                    __builtin_shufflevector(v, v, 4, 5, 6, 7);
+        pair = __builtin_shufflevector(half, half, 0, 1) |
+               __builtin_shufflevector(half, half, 2, 3);
+    }
+    return (uint32_t)(pair[0] | pair[1]);
+}
+
+/**
+ * The detector->column message of slot @p idx for chunk k, into @p msg,
+ * from its detector's record @p rec and the slot's sign byte (broadcast
+ * in @p bits): magnitude m2 at the argmin slot and m1 elsewhere, sign the
+ * detector's sign product without the slot's own input sign. mag >= 0,
+ * so OR-ing the sign bit equals the scalar ±mag selection bit for bit
+ * (including ±0.0).
+ */
+template <std::size_t V>
+[[gnu::always_inline]] inline void
+checkMessage(typename LaneVec<V>::D &msg, const double *rec, std::size_t k,
+             const typename LaneVec<V>::D &idx,
+             const typename LaneVec<V>::I &bits,
+             const typename LaneVec<V>::I &laneBit)
+{
+    using D = typename LaneVec<V>::D;
+    using I = typename LaneVec<V>::I;
+    using Slot = typename LaneVec<V>::Slot;
+    constexpr std::size_t W = kLanes;
+    const D m1 = *(const Slot *)(rec + k * V);
+    const D m2 = *(const Slot *)(rec + W + k * V);
+    const D arg = *(const Slot *)(rec + 2 * W + k * V);
+    const I sign = (I) * (const Slot *)(rec + 3 * W + k * V);
+    const I inSign = ((bits & laneBit) != 0) & INT64_MIN;
+    D mag = idx == arg ? m2 : m1;
+    msg = (D)((I)mag | (sign ^ inSign));
+}
+
+/**
+ * Detector -> column pass: the min-sum two-minimum reduction of every
+ * detector, for all 8 lanes, in one walk over its slots. A slot's
+ * column->detector value is the column's posterior minus the message
+ * this detector sent it last iteration, rebuilt from the detector's
+ * record before the walk overwrites it.
+ */
 template <std::size_t V>
 [[gnu::always_inline]] inline void
 detPass(const LaneCtx &cx)
@@ -175,15 +258,16 @@ detPass(const LaneCtx &cx)
     constexpr std::size_t W = kLanes;
     const I signMask = I{} + INT64_MIN;
     const D minInit = kMinInit - D{};
-    I fresh[NC];
+    I fresh[NC], laneBit[NC];
+    laneBits<V>(laneBit);
     for (std::size_t k = 0; k < NC; ++k) {
-        for (std::size_t j = 0; j < V; ++j) {
-            fresh[k][j] = -(int64_t)((cx.freshLanes >> (k * V + j)) & 1);
-        }
+        fresh[k] = ((I{} + (int64_t)cx.freshLanes) & laneBit[k]) != 0;
     }
     for (std::size_t d = 0; d < cx.numDetectors; ++d) {
         uint32_t b = cx.detBegin[d], en = cx.detBegin[d + 1];
-        uint32_t deg = en - b;
+        double *rec = cx.check + d * kCheckStride;
+        // The old record stays in memory until the walk is done: every
+        // slot's old message is rebuilt from it.
         I signAcc[NC];
         D min1[NC], min2[NC], argpos[NC];
         for (std::size_t k = 0; k < NC; ++k) {
@@ -193,17 +277,20 @@ detPass(const LaneCtx &cx)
             min2[k] = minInit;
             argpos[k] = -1.0 - D{};
         }
-        for (uint32_t i = 0; i < deg; ++i) {
-            std::size_t e = cx.detEdges[b + i];
-            const D prior = cx.edgePrior[e] - D{};
-            const D idx = (double)i - D{};
+        for (uint32_t s = b; s < en; ++s) {
+            std::size_t c = cx.detCol[s];
+            const D prior = cx.prior[c] - D{};
+            const D idx = (double)s - D{};
+            const I bits = I{} + (int64_t)cx.sign[s];
+            I neg = I{};
             for (std::size_t k = 0; k < NC; ++k) {
-                // Prior on the lane's first iteration, stored value
-                // afterwards.
-                D v = *(const Slot *)(cx.msg + e * W + k * V);
+                D old;
+                checkMessage<V>(old, rec, k, idx, bits, laneBit[k]);
+                D v = *(const Slot *)(cx.post + c * W + k * V) - old;
+                // Prior on the lane's first iteration.
                 v = fresh[k] ? prior : v;
-                *(Slot *)(cx.stage + (std::size_t)i * W + k * V) = v;
                 I vi = (I)v;
+                neg |= (vi < 0) & laneBit[k];
                 signAcc[k] ^= vi & signMask;
                 D a = (D)(vi & ~signMask);
                 I lt1 = a < min1[k];
@@ -212,30 +299,21 @@ detPass(const LaneCtx &cx)
                 min1[k] = lt1 ? a : min1[k];
                 argpos[k] = lt1 ? idx : argpos[k];
             }
+            cx.sign[s] = (uint8_t)orLanes<V>(neg);
         }
-        D m1[NC], m2[NC];
         for (std::size_t k = 0; k < NC; ++k) {
-            m1[k] = cx.scale * min1[k];
-            m2[k] = cx.scale * min2[k];
-        }
-        for (uint32_t i = 0; i < deg; ++i) {
-            std::size_t e = cx.detEdges[b + i];
-            const D idx = (double)i - D{};
-            for (std::size_t k = 0; k < NC; ++k) {
-                D v = *(const Slot *)(cx.stage + (std::size_t)i * W + k * V);
-                D mag = idx == argpos[k] ? m2[k] : m1[k];
-                // mag >= 0, so OR-ing the product sign bit equals the
-                // scalar ±mag selection bit for bit (including ±0.0).
-                *(Slot *)(cx.msg + e * W + k * V) =
-                    (D)((I)mag | ((signAcc[k] ^ (I)v) & signMask));
-            }
+            *(Slot *)(rec + k * V) = cx.scale * min1[k];
+            *(Slot *)(rec + W + k * V) = cx.scale * min2[k];
+            *(Slot *)(rec + 2 * W + k * V) = argpos[k];
+            *(Slot *)(rec + 3 * W + k * V) = (D)signAcc[k];
         }
     }
 }
 
-/** Column -> detector pass: posterior, hard decision with incremental
- * syndrome-mismatch tracking, and message update of every column, for
- * all 8 lanes. */
+/** Column -> detector pass: posterior (prior plus the column's rebuilt
+ * detector->column messages in edge order) and hard decision with
+ * incremental syndrome-mismatch tracking of every column, for all 8
+ * lanes. */
 template <std::size_t V>
 [[gnu::always_inline]] inline void
 colPass(const LaneCtx &cx)
@@ -246,11 +324,7 @@ colPass(const LaneCtx &cx)
     constexpr std::size_t NC = kLanes / V;
     constexpr std::size_t W = kLanes;
     I laneBit[NC];
-    for (std::size_t k = 0; k < NC; ++k) {
-        for (std::size_t j = 0; j < V; ++j) {
-            laneBit[k][j] = int64_t{1} << (k * V + j);
-        }
-    }
+    laneBits<V>(laneBit);
     for (std::size_t c = 0; c < cx.numCols; ++c) {
         uint32_t b = cx.colBegin[c], en = cx.colBegin[c + 1];
         // Broadcast element by element: `cx.prior[c] - D{}` compiles to
@@ -263,8 +337,14 @@ colPass(const LaneCtx &cx)
             }
         }
         for (uint32_t e = b; e < en; ++e) {
+            std::size_t s = cx.edgeSlot[e];
+            const double *rec = cx.check + cx.colDet[e] * kCheckStride;
+            const D idx = (double)s - D{};
+            const I bits = I{} + (int64_t)cx.sign[s];
             for (std::size_t k = 0; k < NC; ++k) {
-                tot[k] += *(const Slot *)(cx.msg + (std::size_t)e * W + k * V);
+                D msg;
+                checkMessage<V>(msg, rec, k, idx, bits, laneBit[k]);
+                tot[k] += msg;
             }
         }
         I neg = I{};
@@ -274,21 +354,7 @@ colPass(const LaneCtx &cx)
             *(Slot *)(cx.post + c * W + k * V) = tot[k];
             neg |= (tot[k] < 0.0) & laneBit[k];
         }
-        // OR the lanes' bits into the 8-bit hard-decision mask by halving
-        // the vector: log2(V) shuffles instead of V element extractions.
-        typename LaneVec<2>::I pair;
-        if constexpr (V == 2) {
-            pair = neg;
-        } else if constexpr (V == 4) {
-            pair = __builtin_shufflevector(neg, neg, 0, 1) |
-                   __builtin_shufflevector(neg, neg, 2, 3);
-        } else {
-            auto half = __builtin_shufflevector(neg, neg, 0, 1, 2, 3) |
-                        __builtin_shufflevector(neg, neg, 4, 5, 6, 7);
-            pair = __builtin_shufflevector(half, half, 0, 1) |
-                   __builtin_shufflevector(half, half, 2, 3);
-        }
-        uint32_t hNow = (uint32_t)(pair[0] | pair[1]) & cx.liveLanes;
+        uint32_t hNow = orLanes<V>(neg) & cx.liveLanes;
         uint32_t changed = hNow ^ cx.hardBits[c];
         if (changed != 0) {
             cx.hardBits[c] ^= changed;
@@ -300,13 +366,6 @@ colPass(const LaneCtx &cx)
                     cx.mismatch[l] += (cx.acc[off] != cx.synB[off]) ? 1 : -1;
                 }
                 changed &= changed - 1;
-            }
-        }
-        for (uint32_t e = b; e < en; ++e) {
-            for (std::size_t k = 0; k < NC; ++k) {
-                // In-place and unmasked: garbage lanes stay garbage.
-                Slot *m = (Slot *)(cx.msg + (std::size_t)e * W + k * V);
-                *m = tot[k] - *m;
             }
         }
     }
@@ -377,19 +436,13 @@ laneUseAvx512()
 void
 BpOsdDecoder::laneEnsure()
 {
-    std::size_t edges = tanner_->colDet.size();
     std::size_t ne = tanner_->numCols();
     if (laneShot_.size() == kLanes) {
         return;
     }
-    laneMsg_.assign(edges * kLanes, 0.0);
+    laneCheck_.assign(numDetectors_ * kCheckStride, 0.0);
+    laneSign_.assign(tanner_->colDet.size(), 0);
     lanePost_.assign(ne * kLanes, 0.0);
-    std::size_t maxDeg = 0;
-    for (std::size_t d = 0; d < numDetectors_; ++d) {
-        maxDeg = std::max<std::size_t>(maxDeg,
-                                       tanner_->detBegin[d + 1] - tanner_->detBegin[d]);
-    }
-    laneStage_.assign(maxDeg * kLanes, 0.0);
     laneHardBits_.assign(ne, 0);
     laneAcc_.assign(numDetectors_ * kLanes, 0);
     laneSynB_.assign(numDetectors_ * kLanes, 0);
@@ -525,12 +578,12 @@ BpOsdDecoder::laneIterate(int simd_level)
     }
     cx.colBegin = tanner_->colBegin.data();
     cx.colDet = tanner_->colDet.data();
+    cx.edgeSlot = tanner_->edgeSlot.data();
     cx.detBegin = tanner_->detBegin.data();
-    cx.detEdges = tanner_->detEdges.data();
+    cx.detCol = tanner_->detCol.data();
     cx.prior = tanner_->prior.data();
-    cx.edgePrior = tanner_->edgePrior.data();
-    cx.msg = laneMsg_.data();
-    cx.stage = laneStage_.data();
+    cx.check = laneCheck_.data();
+    cx.sign = laneSign_.data();
     cx.post = lanePost_.data();
     cx.synSign = laneSynSign_.data();
     cx.synB = laneSynB_.data();

@@ -43,30 +43,8 @@ buildMatchingGraph(const sim::Dem &dem, const circuit::SmCircuit &circuit)
     MatchingGraph g;
     g.numDetectors = dem.numDetectors;
 
-    // Sector of each detector: true if it monitors an X check. Final-round
-    // reconstruction detectors monitor deterministic-basis checks and keep
-    // that check's sector.
-    std::size_t mx = 0;
-    // Infer the X-check count from the schedule-independent detectorSource.
-    // X checks have global index < numXChecks; we recover the boundary from
-    // the circuit's source list by checking observables' basis instead —
-    // the caller's CssCode isn't available here, so we accept the check
-    // index directly.
-    (void)mx;
-    auto sector_of = [&](uint32_t det) {
-        return circuit.detectorSource[det].first;
-    };
-
-    // Split each mechanism by check sector type is not needed per se; we
-    // split by *check type* via detector source check index parity of the
-    // experiment. In a CSS memory experiment a mechanism's detectors
-    // separate into the X-check group and the Z-check group; detectors of
-    // the same group form the matchable component.
-    // We classify detectors by whether their source check index is below
-    // the number of X checks. That number equals the smallest check index
-    // of a detector attached to the final round... To stay self-contained,
-    // we take it from the circuit: X checks are exactly the checks measured
-    // with MeasureX.
+    // A detector's sector is its source check's type, and the X checks
+    // are exactly the checks the circuit measures with MeasureX.
     std::vector<bool> check_is_x;
     for (std::size_t i = 0; i < circuit.instructions.size(); ++i) {
         const auto &ins = circuit.instructions[i];
@@ -81,7 +59,7 @@ buildMatchingGraph(const sim::Dem &dem, const circuit::SmCircuit &circuit)
         }
     }
     auto det_is_x_sector = [&](uint32_t det) {
-        return check_is_x[sector_of(det)];
+        return check_is_x[circuit.detectorSource[det].first];
     };
 
     std::map<std::pair<uint32_t, uint32_t>, std::size_t> edge_index;

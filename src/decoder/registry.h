@@ -8,6 +8,13 @@
  *   "union_find"  matching decoder for surface-like DEMs
  *   "bp_osd"      BP+OSD decoder for LDPC DEMs
  *
+ * "union_find" builds for any DEM, but on a hyperedge (LDPC) DEM its
+ * matching graph pairs up the hyperedges that split into no known edges
+ * sequentially, and the LER then measures that fallback pairing, not the
+ * schedule: rqt54 coloration (3 rounds) has 285 Z / 306 X fallback
+ * decompositions, and union-find fails 1414 of 4096 rqt54 Z shots at
+ * p = 1e-3, against 7 on lp39. Use "bp_osd" for LDPC codes.
+ *
  * The set of names is fixed; there is no runtime registration. The
  * reference decoders the tests compare against (exhaustive MLE, the
  * unoptimized BP+OSD) live in tests/support/, not here.

@@ -162,6 +162,44 @@ expectBackendsAgree(BpOsdDecoder &dec, oracles::ScalarOsd &scalar,
     return true;
 }
 
+/** A random syndrome: each detector of @p dem flipped with chance 1/3. */
+std::vector<uint32_t>
+randomSyndrome(const sim::Dem &dem, sim::Rng &rng)
+{
+    std::vector<uint32_t> flipped;
+    for (uint32_t d = 0; d < dem.numDetectors; ++d) {
+        if (rng.below(3) == 0) {
+            flipped.push_back(d);
+        }
+    }
+    return flipped;
+}
+
+/**
+ * Posteriors for a 1280-column DEM whose strided sample (every 5th
+ * column) has @p tau as its 8th smallest value: seven sampled columns
+ * below it, @p ties columns (every 3rd from column 35 on, every 15th of
+ * them sampled) exactly equal to it, the rest above it. @p value(c) gives the
+ * tied value of column c, so ±0.0 can be mixed.
+ */
+template <class Tied>
+std::vector<double>
+postsTiedAtTau(std::size_t ne, std::size_t ties, sim::Rng &rng, Tied value)
+{
+    std::vector<double> post(ne);
+    for (double &p : post) {
+        p = 1.0 + rng.uniform() * 9.0;
+    }
+    for (std::size_t k = 0; k < 7; ++k) {
+        post[5 * k] = -1.0 - (double)k;
+    }
+    for (std::size_t k = 0; k < ties; ++k) {
+        std::size_t c = 35 + 3 * k;
+        post[c] = value(c);
+    }
+    return post;
+}
+
 } // namespace
 
 TEST(DenseBitMat, SetGetClearXor)
@@ -490,4 +528,117 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
                       pred[s]);
         }
     }
+}
+
+// osdSolve ranks columns by first keeping those whose posterior is at
+// most a threshold sampled from every (numCols / 256)-th column (the 8th
+// smallest sample). The cases below pin that filter to the full
+// (posterior, column id) order of the scalar reference: ties at the
+// threshold, signed zeros, small DEMs where every column is sampled,
+// a filter that keeps everything, and solves that outrun the filter.
+
+TEST(OsdPostPass, ManyPosteriorsEqualToTheSampledThreshold)
+{
+    sim::Dem dem = randomDem(41, 60, 1280, 0.2);
+    BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    oracles::ScalarOsd scalar(*tanner);
+    sim::Rng rng(411);
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<double> post = postsTiedAtTau(
+            dem.errors.size(), 120, rng, [](std::size_t) { return 0.5; });
+        expectBackendsAgree(dec, scalar, dem, post, randomSyndrome(dem, rng));
+    }
+}
+
+TEST(OsdPostPass, MixedSignedZeroPosteriors)
+{
+    // +0.0 and -0.0 compare equal, so they tie and rank by column id,
+    // whichever of them the sampled threshold is.
+    sim::Dem dem = randomDem(42, 60, 1280, 0.2);
+    BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    oracles::ScalarOsd scalar(*tanner);
+    sim::Rng rng(421);
+    for (int trial = 0; trial < 20; ++trial) {
+        // Even trials: the sampled ties are -0.0, the others +0.0 (the
+        // threshold is -0.0); odd trials the other way round.
+        bool sampledNegative = trial % 2 == 0;
+        std::vector<double> post = postsTiedAtTau(
+            dem.errors.size(), 120, rng, [&](std::size_t c) {
+                return (c % 5 == 0) == sampledNegative ? -0.0 : 0.0;
+            });
+        expectBackendsAgree(dec, scalar, dem, post, randomSyndrome(dem, rng));
+    }
+}
+
+TEST(OsdPostPass, FewerColumnsThanTheSample)
+{
+    // 40 to 250 columns: the sample is every column.
+    for (std::size_t ne : {40u, 97u, 250u}) {
+        sim::Dem dem = randomDem(43 + ne, 30, ne, 0.2);
+        BpOsdDecoder dec(dem);
+        auto tanner = BpOsdDecoder::buildTanner(dem);
+        oracles::ScalarOsd scalar(*tanner);
+        sim::Rng rng(431 + ne);
+        for (int trial = 0; trial < 20; ++trial) {
+            std::vector<double> post(ne);
+            for (double &p : post) {
+                // Every other trial draws from 4 values: ties.
+                p = trial % 2 == 0 ? rng.uniform() * 10.0 - 5.0
+                                   : (double)rng.below(4) - 1.0;
+            }
+            expectBackendsAgree(dec, scalar, dem, post,
+                                randomSyndrome(dem, rng));
+        }
+    }
+}
+
+TEST(OsdPostPass, AllEqualPosteriors)
+{
+    // Every column ties with the threshold, so the filter keeps them
+    // all; the ranking is column-id order.
+    sim::Dem dem = randomDem(44, 60, 1280, 0.2);
+    BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    oracles::ScalarOsd scalar(*tanner);
+    sim::Rng rng(441);
+    for (double v : {0.0, -0.0, 2.5, -3.0}) {
+        std::vector<double> post(dem.errors.size(), v);
+        for (int trial = 0; trial < 5; ++trial) {
+            expectBackendsAgree(dec, scalar, dem, post,
+                                randomSyndrome(dem, rng));
+        }
+    }
+}
+
+TEST(OsdPostPass, SolveNeedsColumnsBeyondTheFilter)
+{
+    // The syndrome is one detector, and every column touching it has a
+    // posterior above all other columns', so the filter (about 40 of
+    // 1280 columns) cannot explain it: the elimination must rank the
+    // columns the filter left out.
+    sim::Dem dem = randomDem(45, 60, 1280, 0.2);
+    BpOsdDecoder dec(dem);
+    auto tanner = BpOsdDecoder::buildTanner(dem);
+    oracles::ScalarOsd scalar(*tanner);
+    sim::Rng rng(451);
+    std::size_t checked = 0;
+    for (uint32_t target = 0; target < dem.numDetectors; target += 7) {
+        std::vector<double> post(dem.errors.size());
+        std::size_t touching = 0;
+        for (std::size_t c = 0; c < post.size(); ++c) {
+            const auto &dets = dem.errors[c].detectors;
+            bool hit = std::find(dets.begin(), dets.end(), target) !=
+                       dets.end();
+            touching += hit;
+            post[c] = (hit ? 5.0 : 0.0) + rng.uniform() * 5.0;
+        }
+        if (touching == 0) {
+            continue;
+        }
+        ASSERT_TRUE(expectBackendsAgree(dec, scalar, dem, post, {target}));
+        ++checked;
+    }
+    EXPECT_GT(checked, 5u);
 }
