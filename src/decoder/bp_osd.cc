@@ -3,6 +3,7 @@
 #include <bit>
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 namespace prophunt::decoder {
 
@@ -12,10 +13,10 @@ namespace {
  * Elimination usually terminates within a few dozen columns, so the
  * posterior ranking is built lazily. A threshold filter first keeps the
  * columns whose posterior is at most tau, the kOsdSampleRank-th smallest
- * of about kOsdSample strided columns, and sorts only those (about
- * kOsdSampleRank / kOsdSample of the columns). If the elimination
- * outruns them, the rest are keyed and ranked in chunks: first
- * kOsdPrefix columns, then chunks kOsdGrowth times larger. The
+ * of about kOsdSample strided columns (about kOsdSampleRank / kOsdSample
+ * of the columns), and keys only those. They are ranked in chunks: first
+ * kOsdPrefix columns, then chunks kOsdGrowth times larger. If the
+ * elimination outruns them, the rest are keyed and ranked on. The
  * (posterior, column id) keys are a strict total order and every
  * posterior equal to tau is kept, so each stage is a prefix of that order
  * and the pivot sequence equals a full sort's.
@@ -156,16 +157,7 @@ BpOsdDecoder::osdSolve(const std::vector<double> &post,
     }
     for (std::size_t oi = 0; oi < ne; ++oi) {
         if (oi == osdSortedPrefix_) {
-            if (osdKeys_.size() < ne) {
-                // The filtered prefix is used up: key the columns it
-                // left out (posterior above tau) and rank on.
-                for (std::size_t c = 0; c < ne; ++c) {
-                    if (post[c] > osdTau_) {
-                        osdKeys_.push_back({osdPostKey(post[c]), (uint32_t)c});
-                    }
-                }
-            }
-            osdSortMore();
+            osdSortMore(post);
         }
         if (elim_.push(tanner_->colBits.row(osdKeys_[oi].col))) {
             // Push index i is key i: the lazy sort never moves a key it
@@ -185,8 +177,9 @@ void
 BpOsdDecoder::osdRank(const std::vector<double> &post)
 {
     std::size_t ne = tanner_->numCols();
-    osdKeys_.resize(ne);
-    osdSortedPrefix_ = 0;
+    // Up to kOsdPrefix columns the sample could hold fewer than
+    // kOsdSampleRank entries: keep them all.
+    osdTau_ = std::numeric_limits<double>::infinity();
     if (ne > kOsdPrefix) {
         std::size_t stride = std::max<std::size_t>(1, ne / kOsdSample);
         osdSample_.clear();
@@ -196,34 +189,36 @@ BpOsdDecoder::osdRank(const std::vector<double> &post)
         auto nth = osdSample_.begin() + (kOsdSampleRank - 1);
         std::nth_element(osdSample_.begin(), nth, osdSample_.end());
         osdTau_ = *nth;
-        // Branchless: every column is written, only kept ones advance.
-        // <= keeps every tie at tau, and +0.0 and -0.0 compare equal.
-        std::size_t kept = 0;
-        for (std::size_t c = 0; c < ne; ++c) {
-            osdKeys_[kept].col = (uint32_t)c;
-            kept += post[c] <= osdTau_;
-        }
-        // Too many kept (say all-zero posteriors): rank as below.
-        if (kept <= std::max(kOsdPrefix, ne / 8)) {
-            osdKeys_.resize(kept);
-            for (OsdKey &k : osdKeys_) {
-                k.key = osdPostKey(post[k.col]);
-            }
-            std::sort(osdKeys_.begin(), osdKeys_.end());
-            osdSortedPrefix_ = kept;
-            return;
-        }
     }
+    // Branchless: every column is written, only kept ones advance.
+    // <= keeps every tie at tau, and +0.0 and -0.0 compare equal.
+    osdKeys_.resize(ne);
+    std::size_t kept = 0;
     for (std::size_t c = 0; c < ne; ++c) {
-        osdKeys_[c] = OsdKey{osdPostKey(post[c]), (uint32_t)c};
+        osdKeys_[kept].col = (uint32_t)c;
+        kept += post[c] <= osdTau_;
     }
-    osdSortMore();
+    osdKeys_.resize(kept);
+    for (OsdKey &k : osdKeys_) {
+        k.key = osdPostKey(post[k.col]);
+    }
+    osdSortedPrefix_ = 0;
 }
 
 void
-BpOsdDecoder::osdSortMore()
+BpOsdDecoder::osdSortMore(const std::vector<double> &post)
 {
+    std::size_t ne = tanner_->numCols();
     std::size_t from = osdSortedPrefix_;
+    if (from == osdKeys_.size() && from < ne) {
+        // The kept columns are used up: key the ones the filter left
+        // out (posterior above tau) and rank on among them.
+        for (std::size_t c = 0; c < ne; ++c) {
+            if (post[c] > osdTau_) {
+                osdKeys_.push_back({osdPostKey(post[c]), (uint32_t)c});
+            }
+        }
+    }
     std::size_t to = std::min(osdKeys_.size(),
                               std::max(kOsdPrefix, kOsdGrowth * from));
     if (to < osdKeys_.size()) {

@@ -163,15 +163,15 @@ class BpOsdDecoder : public Decoder
         }
     };
 
-    /** Start osdSolve's ranking of @p post: key and sort the columns at
-     * or below the sampled threshold osdTau_ (osdKeys_ then holds only
-     * them), or, if that keeps too many, key every column and sort the
-     * first chunk. */
+    /** Start osdSolve's ranking of @p post: set the sampled threshold
+     * osdTau_ and key the columns at or below it (osdKeys_ then holds
+     * only them, none sorted yet). */
     void osdRank(const std::vector<double> &post);
     /** Extend the sorted prefix of osdKeys_ by the next chunk of most
      * likely columns: the lazy ranking osdSolve triggers when the
-     * elimination outruns the sorted prefix. */
-    void osdSortMore();
+     * elimination outruns the sorted prefix. Once the kept columns are
+     * used up, the ones above osdTau_ are keyed and ranked on. */
+    void osdSortMore(const std::vector<double> &post);
 
     // --- lane engine (decode and decodePacked; see bp_osd_lanes.cc) ---
 
