@@ -177,8 +177,8 @@ void
 BpOsdDecoder::osdRank(const std::vector<double> &post)
 {
     std::size_t ne = tanner_->numCols();
-    // Up to kOsdPrefix columns the sample could hold fewer than
-    // kOsdSampleRank entries: keep them all.
+    // Up to kOsdPrefix columns the first chunk is every column, and the
+    // sample could hold fewer than kOsdSampleRank entries: keep them all.
     osdTau_ = std::numeric_limits<double>::infinity();
     if (ne > kOsdPrefix) {
         std::size_t stride = std::max<std::size_t>(1, ne / kOsdSample);
