@@ -9,14 +9,18 @@
  * final 64-shot word. Also pins down the engine's
  * shot-order/thread-count invariance through api::DecodeService, the
  * cross-check of the kernel's vector widths, that padding bits beyond a
- * view's shots are ignored, and the default decoder's outputs on the
- * benchmark codes as golden hashes.
+ * view's shots are ignored, the default decoder's outputs on the
+ * benchmark codes as golden hashes, and that it decodes every syndrome
+ * whose explanations of weight at most 2 agree on the observables.
  */
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -179,6 +183,81 @@ decodeWithFlag(const char *name, const Dem &dem, const FrameBatch &frames,
     }
     return out;
 }
+
+/**
+ * Every explanation of weight at most 2 of a syndrome, found from the
+ * sim::Dem alone: a std::map from each mechanism's sorted detector list
+ * to the observable masks of the mechanisms with that list, and a plain
+ * enumeration of the pairs. It shares no code and no hashing with the
+ * decoder's own low-weight stage.
+ */
+class LowWeightOracle
+{
+  public:
+    explicit LowWeightOracle(const Dem &dem) : onDetector_(dem.detectorToErrors())
+    {
+        for (const ErrorMechanism &mech : dem.errors) {
+            uint64_t obs = 0;
+            for (uint32_t o : mech.observables) {
+                obs |= uint64_t{1} << o;
+            }
+            masks_[mech.detectors].push_back(obs);
+            sigs_.push_back(mech.detectors);
+            obs_.push_back(obs);
+        }
+    }
+
+    /** What the oracle knows about one syndrome. */
+    struct Verdict
+    {
+        /** The mask every explanation of weight at most 2 flips, when
+         * there is at least one and they all agree. */
+        std::optional<uint64_t> unique;
+        /** Some single mechanism reproduces the syndrome. */
+        bool weightOne = false;
+    };
+
+    /** The explanations of the sorted, non-empty syndrome @p flipped.
+     * Every pair explaining it has exactly one mechanism on its first
+     * detector, so the pairs are found once each from that detector. */
+    Verdict
+    verdict(const std::vector<uint32_t> &flipped) const
+    {
+        std::vector<uint64_t> found;
+        auto single = masks_.find(flipped);
+        if (single != masks_.end()) {
+            found = single->second;
+        }
+        Verdict v;
+        v.weightOne = !found.empty();
+        std::vector<uint32_t> rest;
+        for (uint32_t a : onDetector_[flipped[0]]) {
+            rest.clear();
+            std::set_symmetric_difference(flipped.begin(), flipped.end(),
+                                          sigs_[a].begin(), sigs_[a].end(),
+                                          std::back_inserter(rest));
+            auto hit = masks_.find(rest);
+            if (hit == masks_.end()) {
+                continue;
+            }
+            for (uint64_t obs : hit->second) {
+                found.push_back(obs_[a] ^ obs);
+            }
+        }
+        if (!found.empty() &&
+            std::all_of(found.begin(), found.end(),
+                        [&](uint64_t m) { return m == found[0]; })) {
+            v.unique = found[0];
+        }
+        return v;
+    }
+
+  private:
+    std::map<std::vector<uint32_t>, std::vector<uint64_t>> masks_;
+    std::vector<std::vector<uint32_t>> sigs_;
+    std::vector<uint64_t> obs_;
+    std::vector<std::vector<uint32_t>> onDetector_;
+};
 
 /** What a golden cell pins: an FNV-1a hash of the per-shot predictions,
  * the failure count and osdShots. */
@@ -405,6 +484,55 @@ TEST(LaneDecode, PaddingBitsBeyondShotsAreIgnored)
         dec->decodePacked(clean.view(), want.data());
         dec->decodePacked(dirty, got.data());
         EXPECT_EQ(got, want);
+    }
+}
+
+TEST(LaneDecode, DecodesUniquelyExplainedLowWeightSyndromes)
+{
+    // A minimum-weight decoder decodes every syndrome whose explanations
+    // of weight at most 2 all flip the same observables; BP+OSD must
+    // return that mask too. lp39 at 3 rounds and p = 2e-3, and rqt54 at
+    // 4 rounds and p = 1e-3 (the serve_lp39 and ler_rqt54 benchmark
+    // shapes), coloration schedules, both memory bases.
+    struct Cell
+    {
+        const char *name;
+        code::CssCode (*build)();
+        std::size_t rounds;
+        double p;
+        std::size_t shots;
+    };
+    for (const Cell &cell : {Cell{"lp39", code::benchmarkLp39, 3, 2e-3, 2048},
+                             Cell{"rqt54", code::benchmarkRqt54, 4, 1e-3,
+                                  2048}}) {
+        for (circuit::MemoryBasis basis :
+             {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
+            Dem dem = circuitDem(cell.build(), cell.rounds, cell.p, basis);
+            FrameBatch frames = sampleDemFrames(dem, cell.shots, 6007);
+            decoder::BpOsdDecoder dec(dem);
+            std::vector<uint64_t> pred(frames.shots);
+            dec.decodePacked(frames.view(), pred.data());
+            SampleBatch rows;
+            transposeView(frames.view(), rows);
+            LowWeightOracle oracle(dem);
+            std::size_t unique = 0, missed = 0;
+            std::vector<uint32_t> flipped;
+            for (std::size_t s = 0; s < frames.shots; ++s) {
+                rows.flippedDetectors(s, flipped);
+                if (flipped.empty()) {
+                    continue;
+                }
+                LowWeightOracle::Verdict v = oracle.verdict(flipped);
+                unique += v.unique.has_value();
+                missed += v.unique && *v.unique != pred[s];
+            }
+            std::string label = std::string(cell.name) +
+                                (basis == circuit::MemoryBasis::Z ? " Z"
+                                                                  : " X");
+            EXPECT_GT(unique, 0u) << label;
+            EXPECT_EQ(missed, 0u) << label << ": " << unique
+                                  << " uniquely explained shots";
+        }
     }
 }
 
