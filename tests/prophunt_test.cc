@@ -350,6 +350,35 @@ TEST(Optimizer, ConvergesOnAlreadyGoodSchedule)
     EXPECT_EQ(deff, 3u);
 }
 
+TEST(Optimizer, DepthCapHoldsOnEverySnapshot)
+{
+    // maxDepth bounds the schedule a change lands on, not the one the
+    // iteration started from: a change applied after others in the same
+    // iteration can deepen the circuit past the cap. Surface d=5 from a
+    // seeded random coloration with fig12's cap (start depth + 4).
+    auto s5 = std::make_shared<const code::CssCode>(code::benchmarkSurface(5));
+    circuit::SmSchedule start = circuit::randomColorationSchedule(s5, 1);
+    ASSERT_EQ(start.depth(), 9u);
+    PropHuntOptions opts;
+    opts.iterations = 3;
+    opts.samplesPerIteration = 100;
+    opts.seed = 1025;
+    opts.satTimeoutSeconds = 60.0;
+    opts.threads = 2;
+    opts.maxDepth = 13;
+    OptimizeResult res = PropHunt(opts).optimize(start, 5);
+    ASSERT_FALSE(res.history.empty());
+    std::size_t applied = 0;
+    for (const IterationRecord &rec : res.history) {
+        EXPECT_LE(rec.depth, opts.maxDepth) << "iteration " << rec.iteration;
+        applied += rec.changesApplied;
+    }
+    EXPECT_GT(applied, 0u);
+    for (std::size_t i = 0; i < res.snapshots.size(); ++i) {
+        EXPECT_LE(res.snapshots[i].depth(), opts.maxDepth) << "snapshot " << i;
+    }
+}
+
 TEST(Optimizer, GoldenTrajectories)
 {
     // Pinned trajectories of two seeded runs: the final schedule hash and
