@@ -199,17 +199,21 @@ PropHunt::optimize(const circuit::SmSchedule &start,
                           });
             }
             for (const VerifiedChange &vc : plan.verified) {
-                if (opts_.maxDepth != 0 && vc.depth > opts_.maxDepth) {
-                    continue; // depth budget exceeded
-                }
                 if (applied_keys.count(vc.change.key())) {
                     break; // already applied for another subgraph
                 }
                 // Re-validate against the *current* schedule (a previously
-                // applied change may interact).
+                // applied change may interact). The depth cap is checked
+                // here, on the schedule the change lands on: vc.depth was
+                // measured on the iteration's start schedule.
                 circuit::SmSchedule next = vc.change.apply(current);
-                if (!next.commutationValid() || !next.schedulable()) {
+                if (!next.commutationValid()) {
                     continue;
+                }
+                auto ts = next.computeTimesteps();
+                if (!ts ||
+                    (opts_.maxDepth != 0 && ts->depth > opts_.maxDepth)) {
+                    continue; // cyclic, or over the depth budget
                 }
                 current = std::move(next);
                 applied_keys.insert(vc.change.key());

@@ -58,7 +58,9 @@ struct PropHuntOptions
      */
     bool preferMinDepth = true;
     /**
-     * Upper bound on the depth of applied schedules (0 = unlimited).
+     * Upper bound on the depth of applied schedules (0 = unlimited),
+     * checked on the schedule each change lands on, after the changes
+     * applied before it in the same iteration.
      * Circuit depth is the paper's secondary optimization target; a
      * slack over the starting depth keeps depth creep bounded when the
      * remaining ambiguity is at the code distance and irreducible.
