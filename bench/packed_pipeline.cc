@@ -100,6 +100,7 @@ runConfig(const Config &cfg)
     // allocates per call, and with a second one built first glibc
     // unmapped and re-faulted pages on every rqt54 call.
     auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
+    oracles::LowWeightReference low(*tanner);
 
     // Best-of-N timing on both paths to suppress scheduler noise.
     std::size_t reps =
@@ -114,7 +115,7 @@ runConfig(const Config &cfg)
         scalarBatch = oracles::sampleDem(dem, row.shots, 201);
         for (std::size_t s = 0; s < row.shots; ++s) {
             seedPred[s] = oracles::decodeReference(
-                *tanner, exactOpts, scalarBatch.flippedDetectors(s));
+                *tanner, low, exactOpts, scalarBatch.flippedDetectors(s));
         }
         scalarSecs = std::min(scalarSecs, phbench::now() - t0);
     }
@@ -147,7 +148,8 @@ runConfig(const Config &cfg)
     sim::SampleBatch rows;
     sim::transposeView(frames.view(), rows);
     std::vector<oracles::OsdJob> jobs =
-        oracles::referenceOsdJobs(*tanner, decoder::BpOsdOptions{}, rows);
+        oracles::referenceOsdJobs(*tanner, low, decoder::BpOsdOptions{},
+                                  rows);
     row.osdJobs = jobs.size();
     oracles::ScalarOsd scalarOsd(*tanner);
     std::vector<std::vector<uint32_t>> packedSol(jobs.size()),
@@ -188,7 +190,7 @@ runConfig(const Config &cfg)
     std::size_t failScalar = 0, failLane = 0;
     for (std::size_t s = 0; s < row.shots; ++s) {
         rows.flippedDetectors(s, scratch);
-        if (oracles::decodeReference(*tanner, decoder::BpOsdOptions{},
+        if (oracles::decodeReference(*tanner, low, decoder::BpOsdOptions{},
                                      scratch) != lanePred[s]) {
             row.defaultEqualsReference = false;
         }

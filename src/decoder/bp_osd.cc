@@ -43,6 +43,98 @@ osdPostKey(double v)
     return (b & (uint64_t{1} << 63)) != 0 ? ~b : (b | (uint64_t{1} << 63));
 }
 
+/** SplitMix64: the fixed sequence the detectors' Zobrist keys come
+ * from. */
+inline uint64_t
+splitMix64(uint64_t &state)
+{
+    uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return z ^ (z >> 31);
+}
+
+/** Fill the low-weight stage's Zobrist keys, column hashes and
+ * signature table of @p t from its CSR. */
+void
+buildSignatureTable(BpOsdDecoder::Tanner &t)
+{
+    std::size_t ne = t.numCols();
+    uint64_t state = 0x5eed;
+    t.detKey.resize(t.detBegin.size() - 1);
+    for (uint64_t &key : t.detKey) {
+        key = splitMix64(state);
+    }
+    t.colHash.assign(ne, 0);
+    for (std::size_t c = 0; c < ne; ++c) {
+        for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
+            t.colHash[c] ^= t.detKey[t.colDet[e]];
+        }
+    }
+    // Group the columns with detectors by hash, likeliest first.
+    t.sigCols.clear();
+    for (std::size_t c = 0; c < ne; ++c) {
+        if (t.colBegin[c + 1] != t.colBegin[c]) {
+            t.sigCols.push_back((uint32_t)c);
+        }
+    }
+    std::sort(t.sigCols.begin(), t.sigCols.end(), [&](uint32_t a, uint32_t b) {
+        if (t.colHash[a] != t.colHash[b]) {
+            return t.colHash[a] < t.colHash[b];
+        }
+        return t.prior[a] != t.prior[b] ? t.prior[a] < t.prior[b] : a < b;
+    });
+    std::size_t groups = 0;
+    for (std::size_t i = 0; i < t.sigCols.size(); ++i) {
+        groups += i == 0 || t.colHash[t.sigCols[i]] !=
+                                t.colHash[t.sigCols[i - 1]];
+    }
+    // At most half full, so a miss ends within a few entries.
+    std::size_t size = std::bit_ceil(2 * groups + 1);
+    t.sigTable.assign(size, {});
+    for (std::size_t i = 0; i < t.sigCols.size();) {
+        uint64_t h = t.colHash[t.sigCols[i]];
+        std::size_t j = i + 1;
+        while (j < t.sigCols.size() && t.colHash[t.sigCols[j]] == h) {
+            ++j;
+        }
+        std::size_t k = h & (size - 1);
+        while (t.sigTable[k].begin != t.sigTable[k].end) {
+            k = (k + 1) & (size - 1);
+        }
+        t.sigTable[k] = {h, (uint32_t)i, (uint32_t)j};
+        i = j;
+    }
+}
+
+/** Whether the detector sets of columns @p a and @p b, each ascending,
+ * XOR to the ascending syndrome [@p first, @p last): one merge walk. */
+bool
+pairExplains(const BpOsdDecoder::Tanner &t, uint32_t a, uint32_t b,
+             const uint32_t *first, const uint32_t *last)
+{
+    const uint32_t *x = t.colDet.data() + t.colBegin[a];
+    const uint32_t *xEnd = t.colDet.data() + t.colBegin[a + 1];
+    const uint32_t *y = t.colDet.data() + t.colBegin[b];
+    const uint32_t *yEnd = t.colDet.data() + t.colBegin[b + 1];
+    while (x != xEnd || y != yEnd) {
+        uint32_t d;
+        if (y == yEnd || (x != xEnd && *x < *y)) {
+            d = *x++;
+        } else if (x == xEnd || *y < *x) {
+            d = *y++;
+        } else {
+            ++x; // On both columns: cancels.
+            ++y;
+            continue;
+        }
+        if (first == last || *first++ != d) {
+            return false;
+        }
+    }
+    return first == last;
+}
+
 } // namespace
 
 
@@ -69,12 +161,6 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
         t->colBegin[e + 1] = t->colBegin[e] + (uint32_t)mech.detectors.size();
         for (uint32_t d : mech.detectors) {
             t->colDet.push_back(d);
-        }
-        if (!mech.detectors.empty()) {
-            auto it = t->single.find(mech.detectors);
-            if (it == t->single.end() || mech.p > it->second.second) {
-                t->single[mech.detectors] = {obs, mech.p};
-            }
         }
     }
     std::size_t edges = t->colDet.size();
@@ -104,6 +190,7 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
             t->colBits.set(c, t->colDet[e]);
         }
     }
+    buildSignatureTable(*t);
     return t;
 }
 
@@ -113,26 +200,66 @@ BpOsdDecoder::BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts)
 }
 
 bool
-BpOsdDecoder::decodeTrivial(const std::vector<uint32_t> &flipped,
-                            uint64_t &out) const
+BpOsdDecoder::decodeTrivial(const uint32_t *first, const uint32_t *last,
+                            uint64_t &out, PackedDecodeStats *stats) const
 {
+    const Tanner &t = *tanner_;
     out = 0;
-    if (flipped.empty()) {
+    if (first == last) {
         return true;
     }
-    // Weight-1 fast path: a syndrome exactly matching one mechanism is
-    // overwhelmingly most likely explained by it (p >> p^2).
-    auto hit = tanner_->single.find(flipped);
-    if (hit != tanner_->single.end()) {
-        out = hit->second.first;
-        return true;
-    }
-    for (uint32_t d : flipped) {
-        if (tanner_->detBegin[d + 1] == tanner_->detBegin[d]) {
+    uint64_t h = 0;
+    uint32_t d0 = 0, deg0 = std::numeric_limits<uint32_t>::max();
+    for (const uint32_t *d = first; d != last; ++d) {
+        uint32_t deg = t.detBegin[*d + 1] - t.detBegin[*d];
+        if (deg == 0) {
             return true; // No column can explain this detector.
         }
+        if (deg < deg0) {
+            d0 = *d;
+            deg0 = deg;
+        }
+        h ^= t.detKey[*d];
     }
-    return false;
+    // Weight 1: a syndrome exactly matching one mechanism is
+    // overwhelmingly most likely explained by it (p >> p^2). Each group
+    // lists the likeliest column of a detector set first.
+    auto [hit, hitEnd] = t.sigFind(h);
+    for (; hit != hitEnd; ++hit) {
+        const uint32_t *det = t.colDet.data() + t.colBegin[*hit];
+        const uint32_t *detEnd = t.colDet.data() + t.colBegin[*hit + 1];
+        if (std::equal(det, detEnd, first, last)) {
+            out = t.colObs[*hit];
+            return true;
+        }
+    }
+    // Weight 2: the pair's column on d0 is a, its other column has the
+    // hash h ^ hash(a).
+    bool found = false;
+    uint64_t mask = 0;
+    for (uint32_t slot = t.detBegin[d0]; slot < t.detBegin[d0 + 1]; ++slot) {
+        uint32_t a = t.detCol[slot];
+        auto [b, bEnd] = t.sigFind(h ^ t.colHash[a]);
+        for (; b != bEnd; ++b) {
+            if (!pairExplains(t, a, *b, first, last)) {
+                continue;
+            }
+            uint64_t m = t.colObs[a] ^ t.colObs[*b];
+            if (found && m != mask) {
+                return false; // Explanations disagree: BP decides.
+            }
+            found = true;
+            mask = m;
+        }
+    }
+    if (!found) {
+        return false;
+    }
+    out = mask;
+    if (stats != nullptr) {
+        ++stats->lowWeightShots;
+    }
+    return true;
 }
 
 bool
@@ -233,7 +360,9 @@ uint64_t
 BpOsdDecoder::decode(const std::vector<uint32_t> &flipped_detectors)
 {
     uint64_t out = 0;
-    if (decodeTrivial(flipped_detectors, out)) {
+    if (decodeTrivial(flipped_detectors.data(),
+                      flipped_detectors.data() + flipped_detectors.size(),
+                      out, nullptr)) {
         return out;
     }
     const uint32_t offsets[2] = {0, (uint32_t)flipped_detectors.size()};

@@ -2,10 +2,15 @@
  * @file
  * Belief propagation + ordered-statistics decoding for LDPC DEMs.
  *
- * Min-sum BP runs on the full Tanner graph of the DEM; if the hard
- * decision does not reproduce the syndrome, OSD-0 re-solves it by
- * Gaussian elimination over every column ranked by BP reliability. A
- * syndrome outside the column span decodes to 0.
+ * A shot first goes through an exact low-weight stage: the empty
+ * syndrome decodes to 0, a syndrome equal to one column's detector set
+ * to that column's observables, and a syndrome whose weight-2
+ * explanations (pairs of columns whose detector sets XOR to it) all
+ * flip the same observables to that mask. Every other shot runs min-sum
+ * BP on the full Tanner graph of the DEM; if the hard decision does not
+ * reproduce the syndrome, OSD-0 re-solves it by Gaussian elimination
+ * over every column ranked by BP reliability. A syndrome outside the
+ * column span decodes to 0.
  *
  * BP deliberately runs on the whole graph rather than on a localized
  * region around the flipped detectors (the BP-LSD idea): on every
@@ -17,7 +22,6 @@
 #define PROPHUNT_DECODER_BP_OSD_H
 
 #include <cstddef>
-#include <map>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -66,13 +70,13 @@ class BpOsdDecoder : public Decoder
   public:
     explicit BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts = {});
 
-    /** Trivial syndromes resolve by lookup; any other shot runs through
-     * the lane engine alone. */
+    /** Syndromes the low-weight stage resolves decode by lookup; any
+     * other shot runs through the lane engine alone. */
     uint64_t decode(const std::vector<uint32_t> &flipped_detectors) override;
 
     /** Native frame-layout path: per-shot syndromes are extracted from
-     * the detector-major words (sim::flippedDetectorLists) and decoded by
-     * the lane engine. */
+     * the detector-major words (sim::flippedDetectorLists); the
+     * low-weight stage resolves what it can, the lane engine the rest. */
     void decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
                       PackedDecodeStats *stats = nullptr) override;
 
@@ -104,19 +108,26 @@ class BpOsdDecoder : public Decoder
     }
 
     /**
-     * Immutable per-DEM decode structure: per-column data plus the
-     * flattened global Tanner CSR, built once per DEM by buildTanner()
-     * and referenced read-only by every per-shot pass. Edge e of column
-     * c spans colBegin[c]..colBegin[c+1] in (column, slot) order. The
-     * same edges grouped by detector are "slots": detector d owns slots
-     * detBegin[d]..detBegin[d+1], in (column, slot) order as well.
+     * Immutable per-DEM decode structure: per-column data, the flattened
+     * global Tanner CSR, and the signature table, built once per DEM by
+     * buildTanner() and referenced read-only by every per-shot pass.
+     * Edge e of column c spans colBegin[c]..colBegin[c+1] in (column,
+     * slot) order, its detectors ascending. The same edges grouped by
+     * detector are "slots": detector d owns slots detBegin[d]..
+     * detBegin[d+1], in (column, slot) order as well.
      */
     struct Tanner
     {
-        /** Exact lookup: detector signature -> (obs mask, p) of the
-         * likeliest single mechanism. Fixes BP's tendency to explain a
-         * weight-1 syndrome with a heavier degenerate solution. */
-        std::map<std::vector<uint32_t>, std::pair<uint64_t, double>> single;
+        /** One open-addressing entry: the columns whose detector-set
+         * hash is @p hash are sigCols[begin..end). end == begin marks a
+         * free entry. */
+        struct SigEntry
+        {
+            uint64_t hash = 0;
+            uint32_t begin = 0;
+            uint32_t end = 0;
+        };
+
         std::vector<uint64_t> colObs;
         std::vector<double> prior; ///< log((1-p)/p) per column.
         // Global Tanner CSR.
@@ -128,20 +139,63 @@ class BpOsdDecoder : public Decoder
         /** Row c = column c packed over the detectors: the OSD
          * elimination's input, built once instead of per solve. */
         DenseBitMat colBits;
+        // Signature table of the low-weight stage (decodeTrivial). A
+        // detector set's hash is the XOR of its detectors' fixed
+        // Zobrist keys, so the hash of a symmetric difference is the
+        // XOR of the two hashes.
+        std::vector<uint64_t> detKey;  ///< Zobrist key per detector.
+        std::vector<uint64_t> colHash; ///< Detector-set hash per column.
+        /** Power-of-two open-addressing table over the distinct hashes
+         * of the columns with at least one detector, linear probing
+         * from the hash's low bits. */
+        std::vector<SigEntry> sigTable;
+        /** Columns grouped by hash; within a group by ascending prior
+         * (likeliest first), then column id. */
+        std::vector<uint32_t> sigCols;
 
         std::size_t numCols() const { return colObs.size(); }
+
+        /** The group of columns whose detector-set hash is @p h (empty
+         * when there is none). A hit is a candidate: its detector list
+         * still has to be compared. */
+        std::pair<const uint32_t *, const uint32_t *>
+        sigFind(uint64_t h) const
+        {
+            std::size_t mask = sigTable.size() - 1;
+            for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+                const SigEntry &e = sigTable[i];
+                if (e.begin == e.end || e.hash == h) {
+                    return {sigCols.data() + e.begin, sigCols.data() + e.end};
+                }
+            }
+        }
     };
 
     /** Build the shared read-only Tanner structure of @p dem. */
     static std::shared_ptr<const Tanner> buildTanner(const sim::Dem &dem);
 
   private:
-    /** Resolve @p flipped without BP where possible: the empty syndrome,
-     * an exact single-mechanism match, or a flipped detector no column
-     * touches (unexplainable; decoded as 0). Returns false when BP must
-     * run. */
-    bool decodeTrivial(const std::vector<uint32_t> &flipped,
-                       uint64_t &out) const;
+    /**
+     * The low-weight stage: resolve the sorted syndrome [@p first,
+     * @p last) without BP where that is exact, and return false when BP
+     * must run. It resolves
+     *  - the empty syndrome, to 0;
+     *  - a flipped detector no column touches (unexplainable), to 0;
+     *  - a syndrome equal to some column's detector set, to the
+     *    observables of the likeliest such column (smallest prior, then
+     *    lowest id);
+     *  - otherwise, a syndrome with at least one weight-2 explanation
+     *    whose weight-2 explanations all flip the same observables, to
+     *    that mask. Columns that share a detector set but not their
+     *    observables count as several explanations, so they disagree.
+     * Every weight-2 explanation has exactly one column on the flipped
+     * detector d0 of smallest degree, so the search probes the table
+     * once per column c on d0, at hash(S) ^ hash(c), and compares each
+     * hit's detector list exactly. Shots resolved by that last rule are
+     * counted in @p stats->lowWeightShots when @p stats is non-null.
+     */
+    bool decodeTrivial(const uint32_t *first, const uint32_t *last,
+                       uint64_t &out, PackedDecodeStats *stats) const;
 
     /**
      * One posterior-ranking record: @p key is the posterior mapped to a
@@ -222,7 +276,6 @@ class BpOsdDecoder : public Decoder
      * Tanner, only the scratch below is per-instance. */
     std::shared_ptr<const Tanner> tanner_;
 
-    std::vector<uint32_t> flippedScratch_; ///< One shot's syndrome.
     // OSD scratch (osdSolve and osdFlush).
     Gf2Eliminator elim_;
     std::vector<uint32_t> osdSolution_; ///< osdFlush's solution columns.

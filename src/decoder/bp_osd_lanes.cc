@@ -686,12 +686,13 @@ BpOsdDecoder::decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
         stats->packedShots += shots;
     }
     sim::flippedDetectorLists(frames, packedOffsets_, packedFlipped_);
-    // Trivial syndromes resolve inline, the rest queue for the lanes.
+    // The low-weight stage resolves what it can inline, the rest queue
+    // for the lanes.
     laneQueue_.clear();
     for (std::size_t s = 0; s < shots; ++s) {
-        flippedScratch_.assign(packedFlipped_.begin() + packedOffsets_[s],
-                               packedFlipped_.begin() + packedOffsets_[s + 1]);
-        if (!decodeTrivial(flippedScratch_, obs_out[s])) {
+        if (!decodeTrivial(packedFlipped_.data() + packedOffsets_[s],
+                           packedFlipped_.data() + packedOffsets_[s + 1],
+                           obs_out[s], stats)) {
             laneQueue_.push_back((uint32_t)s);
         }
     }

@@ -31,7 +31,9 @@ namespace prophunt::decoder {
  * is the number of shots whose lane retired without BP convergence and
  * went through the GF(2) elimination (or its scalar reference), `osdUs`
  * the wall microseconds spent inside that post-pass (posterior ranking
- * and elimination).
+ * and elimination). `lowWeightShots` counts the shots BP+OSD's
+ * low-weight stage resolved from their weight-2 explanations, without
+ * BP.
  */
 struct PackedDecodeStats
 {
@@ -41,6 +43,7 @@ struct PackedDecodeStats
     uint64_t laneSlotsTotal = 0;
     uint64_t osdShots = 0;
     uint64_t osdUs = 0;
+    uint64_t lowWeightShots = 0;
 
     /** Mean fraction of lanes carrying a live shot (0 when no lane ran). */
     double
@@ -60,6 +63,7 @@ struct PackedDecodeStats
         laneSlotsTotal += o.laneSlotsTotal;
         osdShots += o.osdShots;
         osdUs += o.osdUs;
+        lowWeightShots += o.lowWeightShots;
         return *this;
     }
 };

@@ -132,12 +132,14 @@ TEST(BatchDecode, DecodeMatchesReferenceOnRandomDems)
             Dem dem = randomDem(seed, 50, 160, 0.04);
             decoder::BpOsdDecoder dec(dem, opts);
             auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
+            oracles::LowWeightReference low(*tanner);
             SampleBatch batch = sampleDem(dem, 500, seed + 100);
             std::vector<uint32_t> scratch;
             for (std::size_t s = 0; s < batch.shots; ++s) {
                 batch.flippedDetectors(s, scratch);
                 EXPECT_EQ(dec.decode(scratch),
-                          oracles::decodeReference(*tanner, opts, scratch))
+                          oracles::decodeReference(*tanner, low, opts,
+                                                   scratch))
                     << "window " << opts.stagnationWindow << " seed " << seed
                     << " shot " << s;
             }
@@ -153,12 +155,13 @@ TEST(BatchDecode, ExactModeMatchesReferenceOnLdpcCircuit)
         Dem dem = ldpcDem(p);
         decoder::BpOsdDecoder dec(dem, exact);
         auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
+        oracles::LowWeightReference low(*tanner);
         SampleBatch batch = sampleDem(dem, 800, 201);
         std::vector<uint32_t> scratch;
         for (std::size_t s = 0; s < batch.shots; ++s) {
             batch.flippedDetectors(s, scratch);
             EXPECT_EQ(dec.decode(scratch),
-                      oracles::decodeReference(*tanner, exact, scratch))
+                      oracles::decodeReference(*tanner, low, exact, scratch))
                 << "p " << p << " shot " << s;
         }
     }

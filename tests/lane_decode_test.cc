@@ -110,10 +110,11 @@ expectMatchesReference(const Dem &dem, const FrameBatch &frames,
     EXPECT_EQ(st.adapterShots, 0u);
     std::string label = "maxIterations " + std::to_string(opts.maxIterations);
     auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
+    oracles::LowWeightReference low(*tanner);
     std::vector<uint32_t> flipped;
     for (std::size_t s = 0; s < frames.shots; ++s) {
         rows.flippedDetectors(s, flipped);
-        uint64_t ref = oracles::decodeReference(*tanner, opts, flipped);
+        uint64_t ref = oracles::decodeReference(*tanner, low, opts, flipped);
         EXPECT_EQ(packed[s], ref) << label << " shot " << s;
         // decode() on the same instance after the packed run: the lane
         // engine's between-shot invariants survived.
@@ -131,57 +132,6 @@ expectMatrixMatchesReference(const Dem &dem, const FrameBatch &frames)
     expectMatchesReference(dem, frames, opts);
     opts.maxIterations = 3;
     expectMatchesReference(dem, frames, opts);
-}
-
-/** Shots BP+OSD resolves without BP: the empty syndrome, an exact
- * single-mechanism signature, or a detector no mechanism touches. */
-std::size_t
-trivialShots(const Dem &dem, const SampleBatch &rows)
-{
-    std::set<std::vector<uint32_t>> signatures;
-    std::vector<uint8_t> touched(dem.numDetectors, 0);
-    for (const ErrorMechanism &mech : dem.errors) {
-        signatures.insert(mech.detectors);
-        for (uint32_t d : mech.detectors) {
-            touched[d] = 1;
-        }
-    }
-    std::size_t trivial = 0;
-    std::vector<uint32_t> flipped;
-    for (std::size_t s = 0; s < rows.shots; ++s) {
-        rows.flippedDetectors(s, flipped);
-        bool isolated = false;
-        for (uint32_t d : flipped) {
-            isolated = isolated || touched[d] == 0;
-        }
-        trivial += flipped.empty() || signatures.count(flipped) != 0 ||
-                   isolated;
-    }
-    return trivial;
-}
-
-/**
- * decodePacked of @p frames with env flag @p name set to "1", then the
- * flag's prior value (or absence) restored — the CI scalar matrix leg
- * sets PROPHUNT_NO_AVX2 job-wide, and later tests in this binary must
- * keep running the kernel width that leg selected.
- */
-std::vector<uint64_t>
-decodeWithFlag(const char *name, const Dem &dem, const FrameBatch &frames,
-               const decoder::BpOsdOptions &opts)
-{
-    const char *prev = getenv(name);
-    std::string saved = prev ? prev : "";
-    setenv(name, "1", 1);
-    decoder::BpOsdDecoder dec(dem, opts);
-    std::vector<uint64_t> out(frames.shots);
-    dec.decodePacked(frames.view(), out.data());
-    if (prev != nullptr) {
-        setenv(name, saved.c_str(), 1);
-    } else {
-        unsetenv(name);
-    }
-    return out;
 }
 
 /**
@@ -258,6 +208,61 @@ class LowWeightOracle
     std::vector<uint64_t> obs_;
     std::vector<std::vector<uint32_t>> onDetector_;
 };
+
+/** Shots BP+OSD resolves without BP: the empty syndrome, a detector no
+ * mechanism touches, an exact single-mechanism signature, or weight-2
+ * explanations that all flip the same observables. */
+std::size_t
+trivialShots(const Dem &dem, const SampleBatch &rows)
+{
+    LowWeightOracle oracle(dem);
+    std::vector<uint8_t> touched(dem.numDetectors, 0);
+    for (const ErrorMechanism &mech : dem.errors) {
+        for (uint32_t d : mech.detectors) {
+            touched[d] = 1;
+        }
+    }
+    std::size_t trivial = 0;
+    std::vector<uint32_t> flipped;
+    for (std::size_t s = 0; s < rows.shots; ++s) {
+        rows.flippedDetectors(s, flipped);
+        bool isolated = false;
+        for (uint32_t d : flipped) {
+            isolated = isolated || touched[d] == 0;
+        }
+        if (flipped.empty() || isolated) {
+            ++trivial;
+            continue;
+        }
+        LowWeightOracle::Verdict v = oracle.verdict(flipped);
+        trivial += v.weightOne || v.unique;
+    }
+    return trivial;
+}
+
+/**
+ * decodePacked of @p frames with env flag @p name set to "1", then the
+ * flag's prior value (or absence) restored — the CI scalar matrix leg
+ * sets PROPHUNT_NO_AVX2 job-wide, and later tests in this binary must
+ * keep running the kernel width that leg selected.
+ */
+std::vector<uint64_t>
+decodeWithFlag(const char *name, const Dem &dem, const FrameBatch &frames,
+               const decoder::BpOsdOptions &opts)
+{
+    const char *prev = getenv(name);
+    std::string saved = prev ? prev : "";
+    setenv(name, "1", 1);
+    decoder::BpOsdDecoder dec(dem, opts);
+    std::vector<uint64_t> out(frames.shots);
+    dec.decodePacked(frames.view(), out.data());
+    if (prev != nullptr) {
+        setenv(name, saved.c_str(), 1);
+    } else {
+        unsetenv(name);
+    }
+    return out;
+}
 
 /** What a golden cell pins: an FNV-1a hash of the per-shot predictions,
  * the failure count and osdShots. */
@@ -423,11 +428,12 @@ TEST(LaneDecode, GenericKernelMatchesAvx2)
         SampleBatch rows;
         transposeView(frames.view(), rows);
         auto tanner = decoder::BpOsdDecoder::buildTanner(*in.dem);
+        oracles::LowWeightReference low(*tanner);
         std::vector<uint32_t> flipped;
         for (std::size_t s = 0; s < frames.shots; ++s) {
             rows.flippedDetectors(s, flipped);
             uint64_t ref =
-                oracles::decodeReference(*tanner, in.opts, flipped);
+                oracles::decodeReference(*tanner, low, in.opts, flipped);
             EXPECT_EQ(vec[s], ref) << in.name << " native, shot " << s;
             EXPECT_EQ(avx2[s], ref) << in.name << " NO_AVX512, shot " << s;
             EXPECT_EQ(gen[s], ref) << in.name << " NO_AVX2, shot " << s;
@@ -511,11 +517,12 @@ TEST(LaneDecode, DecodesUniquelyExplainedLowWeightSyndromes)
             FrameBatch frames = sampleDemFrames(dem, cell.shots, 6007);
             decoder::BpOsdDecoder dec(dem);
             std::vector<uint64_t> pred(frames.shots);
-            dec.decodePacked(frames.view(), pred.data());
+            decoder::PackedDecodeStats stats;
+            dec.decodePacked(frames.view(), pred.data(), &stats);
             SampleBatch rows;
             transposeView(frames.view(), rows);
             LowWeightOracle oracle(dem);
-            std::size_t unique = 0, missed = 0;
+            std::size_t unique = 0, missed = 0, weightTwo = 0;
             std::vector<uint32_t> flipped;
             for (std::size_t s = 0; s < frames.shots; ++s) {
                 rows.flippedDetectors(s, flipped);
@@ -525,6 +532,7 @@ TEST(LaneDecode, DecodesUniquelyExplainedLowWeightSyndromes)
                 LowWeightOracle::Verdict v = oracle.verdict(flipped);
                 unique += v.unique.has_value();
                 missed += v.unique && *v.unique != pred[s];
+                weightTwo += v.unique && !v.weightOne;
             }
             std::string label = std::string(cell.name) +
                                 (basis == circuit::MemoryBasis::Z ? " Z"
@@ -532,6 +540,11 @@ TEST(LaneDecode, DecodesUniquelyExplainedLowWeightSyndromes)
             EXPECT_GT(unique, 0u) << label;
             EXPECT_EQ(missed, 0u) << label << ": " << unique
                                   << " uniquely explained shots";
+            // One decodePacked call is one shard: the stage resolved
+            // exactly the shots with agreeing weight-2 explanations and
+            // no weight-1 one.
+            EXPECT_GT(weightTwo, 0u) << label;
+            EXPECT_EQ(stats.lowWeightShots, weightTwo) << label;
         }
     }
 }
@@ -648,6 +661,7 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
     EXPECT_EQ(serial.shots, 1500u);
     EXPECT_EQ(serial.packed.packedShots, 1500u);
     EXPECT_GT(serial.packed.laneSlotsTotal, 0u);
+    EXPECT_GT(serial.packed.lowWeightShots, 0u);
     for (std::size_t threads : {1u, 2u, 4u}) {
         opts.threads = threads;
         decoder::LerResult par =
@@ -655,6 +669,8 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
         EXPECT_EQ(serial.failures, par.failures) << threads << " threads";
         EXPECT_EQ(serial.shots, par.shots) << threads << " threads";
         EXPECT_EQ(serial.packed.laneSlotsBusy, par.packed.laneSlotsBusy)
+            << threads << " threads";
+        EXPECT_EQ(serial.packed.lowWeightShots, par.packed.lowWeightShots)
             << threads << " threads";
     }
     // Different shard sizes change the lane co-residency completely; the
@@ -665,7 +681,8 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
     // whole-batch decode at the single-shard seed instead.
     FrameBatch frames = sampleDemFrames(dem, 1500, shardSeed(31, 0));
     std::vector<uint64_t> pred(frames.shots);
-    dec.decodePacked(frames.view(), pred.data());
+    decoder::PackedDecodeStats whole;
+    dec.decodePacked(frames.view(), pred.data(), &whole);
     std::vector<uint64_t> masks;
     frames.obsMasks(masks);
     std::size_t failures = 0;
@@ -673,4 +690,5 @@ TEST(LaneDecode, LerEngineThreadAndShardInvariantWithLanes)
         failures += pred[s] != masks[s];
     }
     EXPECT_EQ(one.failures, failures);
+    EXPECT_EQ(one.packed.lowWeightShots, whole.lowWeightShots);
 }

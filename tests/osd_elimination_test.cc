@@ -503,8 +503,9 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
         sim::SampleBatch rows;
         sim::transposeView(frames.view(), rows);
         auto tanner = BpOsdDecoder::buildTanner(dem);
+        oracles::LowWeightReference low(*tanner);
         std::vector<oracles::OsdJob> jobs =
-            oracles::referenceOsdJobs(*tanner, opts, rows);
+            oracles::referenceOsdJobs(*tanner, low, opts, rows);
         EXPECT_EQ(stats.osdShots, jobs.size());
         oracles::ScalarOsd scalar(*tanner);
         std::vector<uint32_t> sol;
@@ -524,7 +525,7 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
              ++s) {
             rows.flippedDetectors(s, scratch);
             EXPECT_EQ(dec.decode(scratch), pred[s]);
-            EXPECT_EQ(oracles::decodeReference(*tanner, opts, scratch),
+            EXPECT_EQ(oracles::decodeReference(*tanner, low, opts, scratch),
                       pred[s]);
         }
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <iterator>
 #include <numeric>
 
 namespace prophunt::oracles {
@@ -24,6 +25,75 @@ osdPostKey(double v)
 }
 
 } // namespace
+
+LowWeightReference::LowWeightReference(const Tanner &t) : t_(t)
+{
+    for (uint32_t c = 0; c < t.numCols(); ++c) {
+        std::vector<uint32_t> sig(t.colDet.begin() + t.colBegin[c],
+                                  t.colDet.begin() + t.colBegin[c + 1]);
+        if (!sig.empty()) {
+            bySig_[sig].push_back(c);
+        }
+    }
+    for (auto &entry : bySig_) {
+        std::stable_sort(entry.second.begin(), entry.second.end(),
+                         [&](uint32_t a, uint32_t b) {
+                             return t.prior[a] < t.prior[b];
+                         });
+    }
+}
+
+bool
+LowWeightReference::resolve(const std::vector<uint32_t> &flipped,
+                            uint64_t &out, bool *weightTwo) const
+{
+    out = 0;
+    if (weightTwo != nullptr) {
+        *weightTwo = false;
+    }
+    if (flipped.empty()) {
+        return true;
+    }
+    for (uint32_t d : flipped) {
+        if (t_.detBegin[d + 1] == t_.detBegin[d]) {
+            return true; // Unexplainable: decodes to 0.
+        }
+    }
+    auto single = bySig_.find(flipped);
+    if (single != bySig_.end()) {
+        out = t_.colObs[single->second.front()];
+        return true;
+    }
+    // Every pair explaining the syndrome has exactly one column on its
+    // first detector.
+    std::vector<uint64_t> masks;
+    std::vector<uint32_t> rest;
+    uint32_t d = flipped.front();
+    for (uint32_t slot = t_.detBegin[d]; slot < t_.detBegin[d + 1]; ++slot) {
+        uint32_t a = t_.detCol[slot];
+        rest.clear();
+        std::set_symmetric_difference(
+            flipped.begin(), flipped.end(), t_.colDet.begin() + t_.colBegin[a],
+            t_.colDet.begin() + t_.colBegin[a + 1], std::back_inserter(rest));
+        auto hit = bySig_.find(rest);
+        if (hit == bySig_.end()) {
+            continue;
+        }
+        for (uint32_t b : hit->second) {
+            masks.push_back(t_.colObs[a] ^ t_.colObs[b]);
+        }
+    }
+    if (masks.empty() ||
+        std::count(masks.begin(), masks.end(), masks[0]) !=
+            (std::ptrdiff_t)masks.size()) {
+        return false;
+    }
+    out = masks[0];
+    if (weightTwo != nullptr) {
+        *weightTwo = true;
+    }
+    return true;
+}
 
 ReferenceBp
 referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
@@ -136,23 +206,18 @@ referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
 }
 
 uint64_t
-decodeReference(const Tanner &t, const decoder::BpOsdOptions &opts,
+decodeReference(const Tanner &t, const LowWeightReference &low,
+                const decoder::BpOsdOptions &opts,
                 const std::vector<uint32_t> &flipped_detectors)
 {
-    if (flipped_detectors.empty()) {
-        return 0;
-    }
-    // Weight-1 fast path: a syndrome exactly matching one mechanism is
-    // overwhelmingly most likely explained by it (p >> p^2).
-    auto hit = t.single.find(flipped_detectors);
-    if (hit != t.single.end()) {
-        return hit->second.first;
+    uint64_t result = 0;
+    if (low.resolve(flipped_detectors, result)) {
+        return result;
     }
     std::size_t nd = t.detBegin.size() - 1, ne = t.numCols();
     ReferenceBp bp = referenceBp(t, opts, flipped_detectors);
     const std::vector<double> &posterior = bp.posterior;
 
-    uint64_t result = 0;
     if (bp.converged) {
         // The hard decision of a column is posterior < 0.
         for (std::size_t c = 0; c < ne; ++c) {
@@ -265,18 +330,16 @@ decodeReference(const Tanner &t, const decoder::BpOsdOptions &opts,
 }
 
 std::vector<OsdJob>
-referenceOsdJobs(const Tanner &t, const decoder::BpOsdOptions &opts,
+referenceOsdJobs(const Tanner &t, const LowWeightReference &low,
+                 const decoder::BpOsdOptions &opts,
                  const sim::SampleBatch &rows)
 {
     std::vector<OsdJob> jobs;
     std::vector<uint32_t> flipped;
     for (std::size_t s = 0; s < rows.shots; ++s) {
         rows.flippedDetectors(s, flipped);
-        bool trivial = flipped.empty() || t.single.count(flipped) != 0;
-        for (uint32_t d : flipped) {
-            trivial = trivial || t.detBegin[d + 1] == t.detBegin[d];
-        }
-        if (trivial) {
+        uint64_t resolved = 0;
+        if (low.resolve(flipped, resolved)) {
             continue;
         }
         ReferenceBp bp = referenceBp(t, opts, flipped);

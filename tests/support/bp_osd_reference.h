@@ -3,10 +3,15 @@
  * Reference BP+OSD that the decoder tests and bench/packed_pipeline
  * compare libprophunt's BP+OSD against (test support, not libprophunt).
  *
- *  - decodeReference is the original BP+OSD: per-call edge lists and
- *    message arrays, full-graph min-sum BP with the stagnation rule,
- *    then OSD-0 by a full posterior sort and scalar elimination. The
- *    lane engine must reproduce it bit for bit at every option value.
+ *  - LowWeightReference is the low-weight stage's rule (see
+ *    BpOsdDecoder::decodeTrivial) over a std::map from sorted detector
+ *    lists to columns, built from the Tanner CSR: no hashing, and its
+ *    pairs come from the first flipped detector, not the rarest.
+ *  - decodeReference is the original BP+OSD behind that stage: per-call
+ *    edge lists and message arrays, full-graph min-sum BP with the
+ *    stagnation rule, then OSD-0 by a full posterior sort and scalar
+ *    elimination. The decoder must reproduce it bit for bit at every
+ *    option value.
  *  - ScalarOsd is the scalar OSD-0 elimination that the packed one
  *    replaced, on the same lazy (posterior, column) ranking: the
  *    differential and timing reference for BpOsdDecoder::osdSolve.
@@ -16,6 +21,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <map>
 #include <utility>
 #include <vector>
 
@@ -25,6 +31,28 @@
 namespace prophunt::oracles {
 
 using Tanner = decoder::BpOsdDecoder::Tanner;
+
+/** The low-weight stage over an independent lookup; @p t must outlive
+ * it. */
+class LowWeightReference
+{
+  public:
+    explicit LowWeightReference(const Tanner &t);
+
+    /**
+     * BpOsdDecoder::decodeTrivial's contract for the sorted syndrome
+     * @p flipped: true, with the mask in @p out, when the stage resolves
+     * the shot; @p weightTwo (when non-null) is set to whether the
+     * weight-2 rule did.
+     */
+    bool resolve(const std::vector<uint32_t> &flipped, uint64_t &out,
+                 bool *weightTwo = nullptr) const;
+
+  private:
+    const Tanner &t_;
+    /** Detector list -> its columns, ascending prior, then id. */
+    std::map<std::vector<uint32_t>, std::vector<uint32_t>> bySig_;
+};
 
 /** The BP half: whether BP converged, its final posterior LLR per column
  * (all zero when maxIterations = 0), and its work arrays, which
@@ -45,8 +73,10 @@ struct ReferenceBp
 ReferenceBp referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
                         const std::vector<uint32_t> &flipped);
 
-/** Reference BP+OSD decode of one shot: the observable mask. */
-uint64_t decodeReference(const Tanner &t, const decoder::BpOsdOptions &opts,
+/** Reference BP+OSD decode of one shot: the observable mask. @p low
+ * must be built from @p t. */
+uint64_t decodeReference(const Tanner &t, const LowWeightReference &low,
+                         const decoder::BpOsdOptions &opts,
                          const std::vector<uint32_t> &flipped);
 
 /** One OSD-0 input: a shot reference BP does not converge on. */
@@ -58,13 +88,13 @@ struct OsdJob
 };
 
 /**
- * The OSD jobs of @p rows at @p opts, in shot order: the shots not
- * resolved without BP (empty syndrome, an exact single-mechanism
- * signature, or a detector no column touches) on which reference BP
- * does not converge. The lane engine counts exactly these in
- * PackedDecodeStats::osdShots.
+ * The OSD jobs of @p rows at @p opts, in shot order: the shots that
+ * @p low does not resolve (see LowWeightReference::resolve) and on
+ * which reference BP does not converge. The lane engine counts exactly
+ * these in PackedDecodeStats::osdShots.
  */
 std::vector<OsdJob> referenceOsdJobs(const Tanner &t,
+                                     const LowWeightReference &low,
                                      const decoder::BpOsdOptions &opts,
                                      const sim::SampleBatch &rows);
 
