@@ -475,7 +475,9 @@ TEST(OsdPostPass, AllZeroSyndromeAndInfeasibleRegion)
 TEST(OsdPostPass, DifferentialOnCircuitDems)
 {
     // lp39 and rqt54 circuit DEMs under OSD-forcing settings (tiny
-    // iteration budget at benchmark noise): the lane decode's OSD shots
+    // iteration budget; lp39 at 6e-3, since at 4e-3 the low-weight
+    // stage leaves fewer than a quarter of the shots to BP and OSD):
+    // the lane decode's OSD shots
     // are exactly the shots reference BP does not converge on, and on
     // each of them the production OSD-0 and the scalar reference return
     // the same solution, whose observables are the decoded prediction.
@@ -486,7 +488,7 @@ TEST(OsdPostPass, DifferentialOnCircuitDems)
         double p;
         std::size_t shots;
     };
-    const Cfg cfgs[] = {{code::benchmarkLp39, 3, 4e-3, 200},
+    const Cfg cfgs[] = {{code::benchmarkLp39, 3, 6e-3, 200},
                         {code::benchmarkRqt54, 4, 2e-3, 80}};
     for (const Cfg &cfg : cfgs) {
         sim::Dem dem = circuitDem(cfg.build, cfg.rounds, cfg.p);
