@@ -5,7 +5,8 @@
  *
  * The engine runs min-sum BP for 8 shots in parallel "lanes" over the
  * global Tanner CSR built once per DEM. It is the decoder's only BP:
- * decodePacked feeds it a frame shard, decode() a single shot.
+ * decodePacked feeds it the shots of a frame shard that the low-weight
+ * stage (decodeTrivial) does not resolve, decode() a single shot.
  *
  * No per-edge message is stored. A min-sum detector->column message is
  * fully determined by its detector's two smallest input magnitudes, the
