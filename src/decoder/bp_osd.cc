@@ -107,6 +107,21 @@ buildSignatureTable(BpOsdDecoder::Tanner &t)
     }
 }
 
+/** The group of columns of @p t whose detector-set hash is @p h (empty
+ * when there is none). A hit is a candidate: its detector list still
+ * has to be compared. */
+std::pair<const uint32_t *, const uint32_t *>
+sigFind(const BpOsdDecoder::Tanner &t, uint64_t h)
+{
+    std::size_t mask = t.sigTable.size() - 1;
+    for (std::size_t i = h & mask;; i = (i + 1) & mask) {
+        const BpOsdDecoder::Tanner::SigEntry &e = t.sigTable[i];
+        if (e.begin == e.end || e.hash == h) {
+            return {t.sigCols.data() + e.begin, t.sigCols.data() + e.end};
+        }
+    }
+}
+
 /** Whether the detector sets of columns @p a and @p b, each ascending,
  * XOR to the ascending syndrome [@p first, @p last): one merge walk. */
 bool
@@ -224,7 +239,7 @@ BpOsdDecoder::decodeTrivial(const uint32_t *first, const uint32_t *last,
     // Weight 1: a syndrome exactly matching one mechanism is
     // overwhelmingly most likely explained by it (p >> p^2). Each group
     // lists the likeliest column of a detector set first.
-    auto [hit, hitEnd] = t.sigFind(h);
+    auto [hit, hitEnd] = sigFind(t, h);
     for (; hit != hitEnd; ++hit) {
         const uint32_t *det = t.colDet.data() + t.colBegin[*hit];
         const uint32_t *detEnd = t.colDet.data() + t.colBegin[*hit + 1];
@@ -239,7 +254,7 @@ BpOsdDecoder::decodeTrivial(const uint32_t *first, const uint32_t *last,
     uint64_t mask = 0;
     for (uint32_t slot = t.detBegin[d0]; slot < t.detBegin[d0 + 1]; ++slot) {
         uint32_t a = t.detCol[slot];
-        auto [b, bEnd] = t.sigFind(h ^ t.colHash[a]);
+        auto [b, bEnd] = sigFind(t, h ^ t.colHash[a]);
         for (; b != bEnd; ++b) {
             if (!pairExplains(t, a, *b, first, last)) {
                 continue;

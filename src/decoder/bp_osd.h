@@ -154,21 +154,6 @@ class BpOsdDecoder : public Decoder
         std::vector<uint32_t> sigCols;
 
         std::size_t numCols() const { return colObs.size(); }
-
-        /** The group of columns whose detector-set hash is @p h (empty
-         * when there is none). A hit is a candidate: its detector list
-         * still has to be compared. */
-        std::pair<const uint32_t *, const uint32_t *>
-        sigFind(uint64_t h) const
-        {
-            std::size_t mask = sigTable.size() - 1;
-            for (std::size_t i = h & mask;; i = (i + 1) & mask) {
-                const SigEntry &e = sigTable[i];
-                if (e.begin == e.end || e.hash == h) {
-                    return {sigCols.data() + e.begin, sigCols.data() + e.end};
-                }
-            }
-        }
     };
 
     /** Build the shared read-only Tanner structure of @p dem. */

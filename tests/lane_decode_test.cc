@@ -144,7 +144,9 @@ expectMatrixMatchesReference(const Dem &dem, const FrameBatch &frames)
 class LowWeightOracle
 {
   public:
-    explicit LowWeightOracle(const Dem &dem) : onDetector_(dem.detectorToErrors())
+    /** @p dem must outlive the oracle. */
+    explicit LowWeightOracle(const Dem &dem)
+        : dem_(dem), onDetector_(dem.detectorToErrors())
     {
         for (const ErrorMechanism &mech : dem.errors) {
             uint64_t obs = 0;
@@ -152,7 +154,6 @@ class LowWeightOracle
                 obs |= uint64_t{1} << o;
             }
             masks_[mech.detectors].push_back(obs);
-            sigs_.push_back(mech.detectors);
             obs_.push_back(obs);
         }
     }
@@ -182,9 +183,10 @@ class LowWeightOracle
         v.weightOne = !found.empty();
         std::vector<uint32_t> rest;
         for (uint32_t a : onDetector_[flipped[0]]) {
+            const std::vector<uint32_t> &sig = dem_.errors[a].detectors;
             rest.clear();
             std::set_symmetric_difference(flipped.begin(), flipped.end(),
-                                          sigs_[a].begin(), sigs_[a].end(),
+                                          sig.begin(), sig.end(),
                                           std::back_inserter(rest));
             auto hit = masks_.find(rest);
             if (hit == masks_.end()) {
@@ -203,9 +205,9 @@ class LowWeightOracle
     }
 
   private:
+    const Dem &dem_;
     std::map<std::vector<uint32_t>, std::vector<uint64_t>> masks_;
-    std::vector<std::vector<uint32_t>> sigs_;
-    std::vector<uint64_t> obs_;
+    std::vector<uint64_t> obs_; ///< Observable mask per mechanism.
     std::vector<std::vector<uint32_t>> onDetector_;
 };
 

@@ -45,12 +45,9 @@ LowWeightReference::LowWeightReference(const Tanner &t) : t_(t)
 
 bool
 LowWeightReference::resolve(const std::vector<uint32_t> &flipped,
-                            uint64_t &out, bool *weightTwo) const
+                            uint64_t &out) const
 {
     out = 0;
-    if (weightTwo != nullptr) {
-        *weightTwo = false;
-    }
     if (flipped.empty()) {
         return true;
     }
@@ -89,9 +86,6 @@ LowWeightReference::resolve(const std::vector<uint32_t> &flipped,
         return false;
     }
     out = masks[0];
-    if (weightTwo != nullptr) {
-        *weightTwo = true;
-    }
     return true;
 }
 

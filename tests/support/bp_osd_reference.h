@@ -39,14 +39,10 @@ class LowWeightReference
   public:
     explicit LowWeightReference(const Tanner &t);
 
-    /**
-     * BpOsdDecoder::decodeTrivial's contract for the sorted syndrome
+    /** BpOsdDecoder::decodeTrivial's contract for the sorted syndrome
      * @p flipped: true, with the mask in @p out, when the stage resolves
-     * the shot; @p weightTwo (when non-null) is set to whether the
-     * weight-2 rule did.
-     */
-    bool resolve(const std::vector<uint32_t> &flipped, uint64_t &out,
-                 bool *weightTwo = nullptr) const;
+     * the shot. */
+    bool resolve(const std::vector<uint32_t> &flipped, uint64_t &out) const;
 
   private:
     const Tanner &t_;
