@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <vector>
 
 #include "sim/frame_sampler.h"
@@ -26,6 +27,36 @@ struct ShardTally
     std::size_t failures = 0;
     decoder::PackedDecodeStats stats;
     bool done = false;
+};
+
+/** One admitted job of a measure() run and its shard accounting. */
+struct JobRun
+{
+    JobRun(const DecodeJob &j, DecodeOutcome &o, sim::ShardPlan p,
+           std::size_t firstIndex)
+        : job(j), out(o), plan(p), first(firstIndex), n(p.numShards()),
+          tallies(n)
+    {
+    }
+
+    const DecodeJob &job;
+    DecodeOutcome &out;
+    sim::ShardPlan plan;
+    /** Run index of shard 0; the job owns run indices [first, first+n). */
+    std::size_t first;
+    std::size_t n;
+    /** Each decoded shard's tally, the contiguous completed prefix, the
+     * shards decoded or skipped, and the stolen ones (all guarded by the
+     * service mutex). Shards may complete in any order; early stopping
+     * looks only at the prefix. */
+    std::vector<ShardTally> tallies;
+    std::size_t prefixEnd = 0;
+    std::size_t prefixFailures = 0;
+    std::size_t retired = 0;
+    std::size_t steals = 0;
+    /** Set (under the service mutex) once the prefix reaches
+     * maxFailures; shards claimed later are skipped. */
+    std::atomic<bool> stopped{false};
 };
 
 /** Runs @p fn when the scope exits, by return or by exception. */
@@ -64,130 +95,186 @@ DecodeService::defaultSlotCap() const
 DecodeOutcome
 DecodeService::measure(const DecodeJob &job)
 {
-    DecodeOutcome out;
+    return measure(std::span<const DecodeJob>(&job, 1)).front();
+}
+
+std::vector<DecodeOutcome>
+DecodeService::measure(std::span<const DecodeJob> jobs)
+{
+    std::vector<DecodeOutcome> outs(jobs.size());
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        ++stats_.requests;
-    }
-    if (job.shots == 0) {
-        // Well-formed empty run: nothing admitted.
-        return out;
+        stats_.requests += jobs.size();
     }
     // Throw in the caller before any shard reaches a pool thread.
-    sim::validateDemProbabilities(*job.dem, "DecodeService::measure");
+    for (const DecodeJob &job : jobs) {
+        if (job.shots != 0) {
+            sim::validateDemProbabilities(*job.dem, "DecodeService::measure");
+        }
+    }
 
-    // A shard size of 0 counts as 1; one larger than the run is the run.
-    const sim::ShardPlan plan{
-        job.shots,
-        std::min(std::max<std::size_t>(job.ler.shardShots, 1), job.shots)};
-    const std::size_t n = plan.numShards();
+    // The run's shard space is every job's shards in job order; a
+    // zero-shot job has none and is never admitted. The slot cap is the
+    // smallest of the admitted jobs' caps.
+    std::deque<JobRun> runs;
+    std::size_t total = 0;
+    std::size_t cap = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const DecodeJob &job = jobs[j];
+        if (job.shots == 0) {
+            continue;
+        }
+        // A shard size of 0 counts as 1; one larger than the run is the
+        // run.
+        const sim::ShardPlan plan{
+            job.shots,
+            std::min(std::max<std::size_t>(job.ler.shardShots, 1),
+                     job.shots)};
+        runs.emplace_back(job, outs[j], plan, total);
+        total += plan.numShards();
+        std::size_t jobCap = job.ler.threads != 0
+                                 ? sim::resolveThreads(job.ler.threads)
+                                 : defaultSlotCap();
+        cap = cap == 0 ? jobCap : std::min(cap, jobCap);
+    }
+    if (runs.empty()) {
+        return outs;
+    }
 
     // Admission: coalescing bookkeeping under one lock so concurrent
     // same-key requests see a consistent picture.
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        std::size_t &active = activeKeys_[job.key];
-        out.coalesced = active > 0;
-        if (out.coalesced) {
-            ++stats_.coalescedRequests;
+        for (JobRun &r : runs) {
+            std::size_t &active = activeKeys_[r.job.key];
+            r.out.coalesced = active > 0;
+            if (r.out.coalesced) {
+                ++stats_.coalescedRequests;
+            }
+            ++active;
+            pendingShards_ += r.n;
+            r.out.queueDepth = pendingShards_;
+            stats_.peakQueueDepth =
+                std::max(stats_.peakQueueDepth, pendingShards_);
         }
-        ++active;
-        pendingShards_ += n;
-        out.queueDepth = pendingShards_;
-        stats_.peakQueueDepth =
-            std::max(stats_.peakQueueDepth, pendingShards_);
     }
-
-    // Shards this request took off the queue, and each decoded shard's
-    // tally (all guarded by mutex_). Shards may complete in any order;
-    // early stopping looks only at the contiguous completed prefix. On
-    // every exit, a throwing shard included, the unclaimed rest leaves
-    // the queue and the request leaves its key's in-flight count.
-    std::size_t executed = 0;
-    std::vector<ShardTally> tallies(n);
-    std::size_t prefixEnd = 0;
-    std::size_t prefixFailures = 0;
+    // On every exit, a throwing shard included, each job's unretired
+    // shards leave the queue and the job leaves its key's in-flight
+    // count.
     OnExit release{[&] {
         std::lock_guard<std::mutex> lock(mutex_);
-        pendingShards_ -= std::min(pendingShards_, n - executed);
-        auto it = activeKeys_.find(job.key);
-        if (it != activeKeys_.end() && --it->second == 0) {
-            activeKeys_.erase(it);
+        for (JobRun &r : runs) {
+            pendingShards_ -= std::min(pendingShards_, r.n - r.retired);
+            auto it = activeKeys_.find(r.job.key);
+            if (it != activeKeys_.end() && --it->second == 0) {
+                activeKeys_.erase(it);
+            }
         }
     }};
 
+    // Jobs not yet settled (stopped early, or every shard decoded); the
+    // pool stops claiming once none is left (guarded by mutex_).
+    std::size_t unsettled = runs.size();
     std::atomic<bool> stopFlag{false};
-    std::atomic<std::size_t> steals{0};
-    std::size_t cap = job.ler.threads != 0
-                          ? sim::resolveThreads(job.ler.threads)
-                          : defaultSlotCap();
-    std::size_t maxSlots = std::min(cap, n);
-    // Per pool slot: a decoder clone made by the slot's first shard, and
-    // frame/decode scratch. A slot runs one shard at a time, so none of
-    // them needs a lock; all are dropped on return.
+    const std::size_t maxSlots = std::min(cap, total);
+    // Per pool slot: the decoder clone of the job whose shard the slot
+    // ran last, and frame/decode scratch. A slot runs one shard at a
+    // time, so none of them needs a lock. A slot that moves to another
+    // job drops its clone before cloning that job's prototype, so at
+    // most maxSlots clones are alive; all are dropped on return.
     std::vector<std::unique_ptr<decoder::Decoder>> clones(maxSlots);
+    std::vector<const JobRun *> cloneOwner(maxSlots, nullptr);
     std::vector<sim::FrameBatch> frameScratch(maxSlots);
     std::vector<decoder::FrameShardScratch> decodeScratch(maxSlots);
 
     pool().run(
-        n, maxSlots,
-        [&](std::size_t shard, std::size_t slot) {
+        total, maxSlots,
+        [&](std::size_t index, std::size_t slot) {
+            std::size_t j = 0;
+            while (index >= runs[j].first + runs[j].n) {
+                ++j;
+            }
+            JobRun &r = runs[j];
+            const std::size_t shard = index - r.first;
+            if (r.stopped) {
+                // Claimed after the job's prefix reached maxFailures: no
+                // later shard can change its result.
+                std::lock_guard<std::mutex> lock(mutex_);
+                --pendingShards_;
+                ++r.retired;
+                return;
+            }
             bool stolen = tlLastStream != nullptr &&
-                          tlLastStream != job.prototype;
-            tlLastStream = job.prototype;
+                          tlLastStream != r.job.prototype;
+            tlLastStream = r.job.prototype;
 
             std::unique_ptr<decoder::Decoder> &dec = clones[slot];
-            const bool cloned = dec == nullptr;
+            const bool cloned = cloneOwner[slot] != &r;
             if (cloned) {
-                dec = job.prototype->clone();
+                dec.reset();
+                dec = r.job.prototype->clone();
+                cloneOwner[slot] = &r;
             }
             sim::FrameBatch &frames = frameScratch[slot];
-            sim::sampleDemFramesInto(*job.dem, plan.shotsOf(shard),
-                                     sim::shardSeed(job.seed, shard),
+            sim::sampleDemFramesInto(*r.job.dem, r.plan.shotsOf(shard),
+                                     sim::shardSeed(r.job.seed, shard),
                                      frames);
             decoder::FrameShardScratch &ws = decodeScratch[slot];
             std::size_t failures = decoder::decodeFrameShard(*dec, frames, ws);
 
-            if (stolen) {
-                steals.fetch_add(1, std::memory_order_relaxed);
-            }
             std::lock_guard<std::mutex> lock(mutex_);
+            r.steals += stolen ? 1 : 0;
             ++(cloned ? stats_.cloneMisses : stats_.cloneHits);
-            tallies[shard] = {failures, ws.stats, true};
-            while (prefixEnd < n && tallies[prefixEnd].done) {
-                prefixFailures += tallies[prefixEnd++].failures;
-            }
-            // No later shard can change the result once the prefix
-            // reaches the target.
-            if (job.ler.maxFailures != 0 &&
-                prefixFailures >= job.ler.maxFailures) {
-                stopFlag.store(true, std::memory_order_relaxed);
+            r.tallies[shard] = {failures, ws.stats, true};
+            while (r.prefixEnd < r.n && r.tallies[r.prefixEnd].done) {
+                r.prefixFailures += r.tallies[r.prefixEnd++].failures;
             }
             --pendingShards_;
-            ++executed;
+            ++r.retired;
             ++stats_.decodedShards;
+            // A job settles once its prefix reaches the target or its
+            // last shard is decoded; the run stops claiming once every
+            // job has settled.
+            if (r.stopped) {
+                return;
+            }
+            if (r.job.ler.maxFailures != 0 &&
+                r.prefixFailures >= r.job.ler.maxFailures) {
+                r.stopped = true;
+            } else if (r.retired < r.n) {
+                return;
+            }
+            if (--unsettled == 0) {
+                stopFlag.store(true, std::memory_order_relaxed);
+            }
         },
         &stopFlag);
 
-    // Completed shards in index order, cut at the first missing shard or
-    // at the shard whose cumulative failures reach maxFailures; shards
-    // decoded beyond the cut are discarded.
-    for (std::size_t shard = 0; shard < n && tallies[shard].done; ++shard) {
-        out.result.shots += plan.shotsOf(shard);
-        out.result.failures += tallies[shard].failures;
-        out.result.packed += tallies[shard].stats;
-        if (job.ler.maxFailures != 0 &&
-            out.result.failures >= job.ler.maxFailures) {
-            out.result.earlyStopped = shard + 1 < n;
-            break;
+    std::size_t steals = 0;
+    for (JobRun &r : runs) {
+        // Completed shards in index order, cut at the first missing
+        // shard or at the shard whose cumulative failures reach
+        // maxFailures; shards decoded beyond the cut are discarded.
+        decoder::LerResult &result = r.out.result;
+        for (std::size_t shard = 0; shard < r.n && r.tallies[shard].done;
+             ++shard) {
+            result.shots += r.plan.shotsOf(shard);
+            result.failures += r.tallies[shard].failures;
+            result.packed += r.tallies[shard].stats;
+            if (r.job.ler.maxFailures != 0 &&
+                result.failures >= r.job.ler.maxFailures) {
+                result.earlyStopped = shard + 1 < r.n;
+                break;
+            }
         }
+        r.out.steals = r.steals;
+        steals += r.steals;
     }
-    out.steals = steals.load(std::memory_order_relaxed);
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        stats_.steals += out.steals;
+        stats_.steals += steals;
     }
-    return out;
+    return outs;
 }
 
 DecodeServiceStats

@@ -101,41 +101,37 @@ Engine::artifactFor(const circuit::SmSchedule &schedule, std::size_t rounds,
     return {std::move(demKey), std::move(shared)};
 }
 
-decoder::LerResult
-Engine::serviceMeasure(const Artifact &art, std::size_t shots, uint64_t seed,
-                       const decoder::LerOptions &ler, Telemetry &telemetry)
-{
-    DecodeJob job;
-    job.key = art.demKey;
-    job.dem = &art.entry->dem;
-    job.prototype = art.entry->prototype.get();
-    job.shots = shots;
-    job.seed = seed;
-    job.ler = ler;
-    uint64_t t0 = now_us();
-    DecodeOutcome o = service_.measure(job);
-    telemetry.decodeUs += now_us() - t0;
-    telemetry.shots += o.result.shots;
-    telemetry.packed += o.result.packed;
-    telemetry.coalescedRequests += o.coalesced ? 1 : 0;
-    telemetry.workSteals += o.steals;
-    telemetry.queueDepth = std::max(telemetry.queueDepth, o.queueDepth);
-    return o.result;
-}
-
 decoder::MemoryLer
 Engine::measureMemory(const Artifact &z, const Artifact &x, std::size_t shots,
                       uint64_t seed, const decoder::LerOptions &ler,
                       Telemetry &telemetry)
 {
-    decoder::MemoryLer m;
-    for (auto basis : {circuit::MemoryBasis::Z, circuit::MemoryBasis::X}) {
-        const bool is_z = basis == circuit::MemoryBasis::Z;
-        (is_z ? m.z : m.x) = serviceMeasure(
-            is_z ? z : x, shots, decoder::memoryBasisSeed(seed, basis), ler,
-            telemetry);
+    // Both bases go to the decode service as one run: Z's shards are
+    // claimed first, then X's, so a request with one shard per basis
+    // keeps two pool slots busy.
+    auto jobFor = [&](const Artifact &art, circuit::MemoryBasis basis) {
+        DecodeJob job;
+        job.key = art.demKey;
+        job.dem = &art.entry->dem;
+        job.prototype = art.entry->prototype.get();
+        job.shots = shots;
+        job.seed = decoder::memoryBasisSeed(seed, basis);
+        job.ler = ler;
+        return job;
+    };
+    const DecodeJob jobs[2] = {jobFor(z, circuit::MemoryBasis::Z),
+                               jobFor(x, circuit::MemoryBasis::X)};
+    uint64_t t0 = now_us();
+    std::vector<DecodeOutcome> outs = service_.measure(jobs);
+    telemetry.decodeUs += now_us() - t0;
+    for (const DecodeOutcome &o : outs) {
+        telemetry.shots += o.result.shots;
+        telemetry.packed += o.result.packed;
+        telemetry.coalescedRequests += o.coalesced ? 1 : 0;
+        telemetry.workSteals += o.steals;
+        telemetry.queueDepth = std::max(telemetry.queueDepth, o.queueDepth);
     }
-    return m;
+    return {outs[0].result, outs[1].result};
 }
 
 LerResult

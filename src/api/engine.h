@@ -18,9 +18,9 @@
  *  - a decode service: every LER measurement (LerRequests and sweep
  *    points alike) flows through a long-lived api::DecodeService, which
  *    fans each request's shards out over a persistent worker pool on
- *    clones made for that request, and samples and decodes every shard
- *    it reports — bit-identical to the serial oracle
- *    oracles::measureMemoryLer (tests/support).
+ *    clones made for that request, both memory bases in one pool run,
+ *    and samples and decodes every shard it reports — bit-identical to
+ *    the serial oracle oracles::measureMemoryLer (tests/support).
  *  - checkpointable sweeps: run(SweepRequest) measures each point once,
  *    as the equivalent LerRequest; with checkpointPath set every
  *    measured point persists atomically (api/sweep_checkpoint.h) and a
@@ -121,18 +121,13 @@ class Engine
 
     /** The one memory-measurement loop (run(LerRequest), and so every
      * sweep point): @p shots per basis on prebuilt artifacts, basis b
-     * sampling at memoryBasisSeed(@p seed, b). */
+     * sampling at memoryBasisSeed(@p seed, b). Both bases are one
+     * decode-service run, and the outcomes' telemetry is folded into
+     * @p telemetry. */
     decoder::MemoryLer measureMemory(const Artifact &z, const Artifact &x,
                                      std::size_t shots, uint64_t seed,
                                      const decoder::LerOptions &ler,
                                      Telemetry &telemetry);
-
-    /** Run one basis measurement through the decode service and fold the
-     * outcome's telemetry into @p telemetry. */
-    decoder::LerResult serviceMeasure(const Artifact &art, std::size_t shots,
-                                      uint64_t seed,
-                                      const decoder::LerOptions &ler,
-                                      Telemetry &telemetry);
 
     DecodeService service_;
 

@@ -31,7 +31,9 @@ struct Telemetry
     /** Microseconds spent building artifacts (circuits, DEMs, decoder
      * prototypes) on cache misses. */
     uint64_t buildUs = 0;
-    /** Microseconds spent sampling + decoding. */
+    /** Microseconds spent sampling + decoding: for a memory LER, the
+     * wall time of the one decode-service run that serves both bases,
+     * not a per-basis sum. */
     uint64_t decodeUs = 0;
     /** Artifact-cache hits / misses while serving the request. */
     std::size_t cacheHits = 0;
@@ -45,9 +47,12 @@ struct Telemetry
      * request with the same decode key was already in flight. */
     std::size_t coalescedRequests = 0;
     /** Shards a pool thread decoded right after serving a different
-     * request stream (decode-service work stealing). */
+     * request stream (decode-service work stealing). A slot that moves
+     * from the Z basis's shards to the X basis's counts as a steal. */
     std::size_t workSteals = 0;
-    /** Peak pending shard-queue depth observed at admission. */
+    /** Peak pending shard-queue depth observed at admission. The X
+     * basis is admitted right after the Z basis of the same run, so its
+     * depth includes Z's shards. */
     std::size_t queueDepth = 0;
     /** Packed-decode path counters: native packed vs per-shot adapter
      * shots, the lane engine's occupancy, and the batched OSD

@@ -6,12 +6,16 @@
  * serial oracle (oracles::measureDemLer) returns for the same (dem,
  * decoder, shots, seed, ler) — for every thread count, every arrival
  * order of concurrent requests, and every coalescing state.
+ * A several-job measure() (one pool run, as Engine uses for a memory
+ * request's two bases) must return each job's own serial reference.
  * On top of that, the suite pins the service-only behaviors:
  * deterministic coalescing detection (via a gate decoder that holds one
  * request in flight until a second is admitted), an identical rerun
  * decoding every shard again, the per-request clone ledger (one clone
- * per pool slot), and the WorkerPool primitive itself (full coverage,
- * nesting, exception propagation, stop flags).
+ * per pool slot, and at most one live clone per slot across the jobs of
+ * a run), admission state released when a shard throws, and the
+ * WorkerPool primitive itself (full coverage, nesting, exception
+ * propagation, stop flags).
  *
  * Everything asserted here is thread-count and wall-clock invariant;
  * PackedDecodeStats::osdUs (wall time) is deliberately never compared.
@@ -178,6 +182,65 @@ class ThrowingDecoder : public decoder::Decoder
     }
 };
 
+/** Live and peak counts of CountingDecoder clones. */
+struct CloneCount
+{
+    std::atomic<int> live{0};
+    std::atomic<int> peak{0};
+};
+
+/**
+ * A decoder that predicts "no logical error" after a short wait, and
+ * whose clones register in a CloneCount while alive. The wait keeps
+ * every slot of a pooled run busy, so slots move between jobs.
+ */
+class CountingDecoder : public decoder::Decoder
+{
+  public:
+    /** A prototype: not counted. */
+    explicit CountingDecoder(CloneCount *count) : count_(count) {}
+
+    ~CountingDecoder() override
+    {
+        if (counted_) {
+            count_->live.fetch_sub(1, std::memory_order_acq_rel);
+        }
+    }
+
+    uint64_t
+    decode(const std::vector<uint32_t> &) override
+    {
+        return 0;
+    }
+
+    void
+    decodePacked(const sim::FrameView &frames, uint64_t *obs_out,
+                 decoder::PackedDecodeStats *) override
+    {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        for (std::size_t s = 0; s < frames.shots; ++s) {
+            obs_out[s] = 0;
+        }
+    }
+
+    std::unique_ptr<decoder::Decoder>
+    clone() const override
+    {
+        auto c = std::make_unique<CountingDecoder>(count_);
+        c->counted_ = true;
+        int live = count_->live.fetch_add(1, std::memory_order_acq_rel) + 1;
+        int peak = count_->peak.load(std::memory_order_relaxed);
+        while (live > peak &&
+               !count_->peak.compare_exchange_weak(peak, live)) {
+        }
+        return c;
+    }
+
+  private:
+    CloneCount *count_;
+    bool counted_ = false;
+};
+
 } // namespace
 
 // --- WorkerPool primitive ---------------------------------------------------
@@ -325,6 +388,63 @@ TEST(DecodeService, MaxFailuresEarlyStopMatchesSerial)
     }
 }
 
+TEST(DecodeService, MultiJobRunMatchesSeparateRuns)
+{
+    // Two jobs on different DEMs and seeds in one run: each outcome is
+    // its own serial reference, in either job order, at every slot cap
+    // on dedicated pools of 1 and 3 workers (so the jobs' shards really
+    // interleave). Cases: full budgets; a maxFailures target only the
+    // noisier job reaches (it stops early, the other runs its whole
+    // budget); and a zero-shot job beside a non-empty one.
+    auto a = makeModel("union_find", 3e-3);
+    auto b = makeModel("union_find", 1e-2);
+    const std::size_t quietTotal = serialRef(*a, 2048, 11, 128).failures;
+    const std::size_t target = quietTotal + 1;
+    ASSERT_TRUE(serialRef(*b, 3000, 12, 128, target).earlyStopped)
+        << "test needs the noisier job to stop early";
+
+    struct Case
+    {
+        const char *name;
+        std::size_t shotsA;
+        std::size_t shotsB;
+        std::size_t maxFailures;
+    };
+    const Case cases[] = {{"full budgets", 2048, 3000, 0},
+                          {"one job stops early", 2048, 3000, target},
+                          {"zero-shot A", 0, 3000, 0},
+                          {"zero-shot B", 2048, 0, target}};
+    for (std::size_t workers : {1u, 3u}) {
+        api::DecodeServiceOptions opts;
+        opts.threads = workers;
+        api::DecodeService service(opts);
+        for (const Case &c : cases) {
+            const decoder::LerResult wantA =
+                serialRef(*a, c.shotsA, 11, 128, c.maxFailures);
+            const decoder::LerResult wantB =
+                serialRef(*b, c.shotsB, 12, 128, c.maxFailures);
+            for (std::size_t threads : {1u, 2u, 4u}) {
+                api::DecodeJob ja = jobFor(a, "A", c.shotsA, 11, 128, threads);
+                api::DecodeJob jb = jobFor(b, "B", c.shotsB, 12, 128, threads);
+                ja.ler.maxFailures = c.maxFailures;
+                jb.ler.maxFailures = c.maxFailures;
+                for (bool aFirst : {true, false}) {
+                    SCOPED_TRACE(std::string(c.name) +
+                                 " workers=" + std::to_string(workers) +
+                                 " threads=" + std::to_string(threads) +
+                                 (aFirst ? " A first" : " B first"));
+                    const api::DecodeJob run[2] = {aFirst ? ja : jb,
+                                                   aFirst ? jb : ja};
+                    std::vector<api::DecodeOutcome> out = service.measure(run);
+                    ASSERT_EQ(out.size(), 2u);
+                    expectSameResult(out[aFirst ? 0 : 1].result, wantA);
+                    expectSameResult(out[aFirst ? 1 : 0].result, wantB);
+                }
+            }
+        }
+    }
+}
+
 // --- concurrent submission --------------------------------------------------
 
 TEST(DecodeService, ConcurrentIdenticalRequestsAllBitIdentical)
@@ -467,6 +587,56 @@ TEST(DecodeService, EachRequestClonesOncePerSlot)
     EXPECT_GE(st.cloneMisses, 1u);
     EXPECT_LE(st.cloneMisses, 3u);
     EXPECT_EQ(st.cloneHits + st.cloneMisses, 16u);
+
+    // Two jobs in one run: a single slot clones each job's prototype
+    // once, on reaching its first shard; with several slots every
+    // decoded shard of both jobs is still a hit or a miss.
+    auto other = makeModel("union_find", 5e-3);
+    const api::DecodeJob two[2] = {jobFor(m, "d3", 2048, 7, 256, 1),
+                                   jobFor(other, "d3b", 1024, 8, 256, 1)};
+    api::DecodeService single;
+    single.measure(two);
+    api::DecodeServiceStats one = single.stats();
+    EXPECT_EQ(one.decodedShards, 12u);
+    EXPECT_EQ(one.cloneMisses, 2u);
+    EXPECT_EQ(one.cloneHits, 10u);
+
+    api::DecodeService pooledTwo(opts);
+    api::DecodeJob wide[2] = {two[0], two[1]};
+    for (api::DecodeJob &job : wide) {
+        job.ler.threads = 3;
+    }
+    pooledTwo.measure(wide);
+    api::DecodeServiceStats both = pooledTwo.stats();
+    EXPECT_EQ(both.decodedShards, 12u);
+    EXPECT_EQ(both.cloneHits + both.cloneMisses, both.decodedShards);
+}
+
+TEST(DecodeService, MultiJobRunHoldsAtMostOneClonePerSlot)
+{
+    // A slot that moves to the other job's shards drops its clone before
+    // cloning the other prototype, so a two-job run never holds more
+    // live clones than its slot cap (4: the caller and 3 workers).
+    auto m = makeModel();
+    CloneCount count;
+    CountingDecoder protoA(&count);
+    CountingDecoder protoB(&count);
+    api::DecodeServiceOptions opts;
+    opts.threads = 3;
+    api::DecodeService service(opts);
+    api::DecodeJob jobs[2] = {jobFor(m, "A", 4096, 1, 128, 0),
+                              jobFor(m, "B", 4096, 2, 128, 0)};
+    jobs[0].prototype = &protoA;
+    jobs[1].prototype = &protoB;
+    for (int rep = 0; rep < 3; ++rep) {
+        service.measure(jobs);
+        EXPECT_EQ(count.live.load(), 0) << "clones outlived the run";
+    }
+    EXPECT_GE(count.peak.load(), 1);
+    EXPECT_LE(count.peak.load(), 4);
+    api::DecodeServiceStats st = service.stats();
+    EXPECT_EQ(st.decodedShards, 3 * 64u);
+    EXPECT_EQ(st.cloneHits + st.cloneMisses, st.decodedShards);
 }
 
 // --- edge cases: zero shots, throwing decoders ------------------------------
@@ -503,4 +673,38 @@ TEST(DecodeService, ThrowingShardReleasesAdmissionState)
     EXPECT_EQ(next.queueDepth, 16u);
     EXPECT_EQ(service.stats().coalescedRequests, 0u);
     expectSameResult(next.result, serialRef(*m, 4096, 7, 256));
+}
+
+TEST(DecodeService, ThrowingJobReleasesBothJobsOfARun)
+{
+    // Two jobs in one run, only one of whose decoders throws: whichever
+    // of the two runs first, on one slot or several, neither key may
+    // stay in flight and no shard of either may stay queued.
+    auto m = makeModel();
+    ThrowingDecoder throwing;
+    api::DecodeServiceOptions opts;
+    opts.threads = 3;
+    for (bool badFirst : {false, true}) {
+        for (std::size_t threads : {1u, 0u}) {
+            SCOPED_TRACE(std::string(badFirst ? "bad first" : "bad second") +
+                         " threads=" + std::to_string(threads));
+            api::DecodeService service(opts);
+            api::DecodeJob good = jobFor(m, "good", 4096, 7, 256, threads);
+            api::DecodeJob bad = jobFor(m, "bad", 2048, 8, 256, threads);
+            bad.prototype = &throwing;
+            const api::DecodeJob run[2] = {badFirst ? bad : good,
+                                           badFirst ? good : bad};
+            EXPECT_THROW(service.measure(run), std::runtime_error);
+
+            for (const char *key : {"good", "bad"}) {
+                SCOPED_TRACE(key);
+                api::DecodeOutcome next =
+                    service.measure(jobFor(m, key, 4096, 7, 256, threads));
+                EXPECT_FALSE(next.coalesced);
+                EXPECT_EQ(next.queueDepth, 16u);
+                expectSameResult(next.result, serialRef(*m, 4096, 7, 256));
+            }
+            EXPECT_EQ(service.stats().coalescedRequests, 0u);
+        }
+    }
 }

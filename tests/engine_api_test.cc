@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -227,6 +228,44 @@ TEST(Engine, MatchesMeasureMemoryLerBitForBit)
     EXPECT_EQ(viaEngine.memory.x.failures, direct.x.failures);
     EXPECT_EQ(viaEngine.memory.x.shots, direct.x.shots);
     EXPECT_EQ(viaEngine.telemetry.shots, 8000u);
+}
+
+TEST(Engine, OneBasisStopsEarlyMatchesOracleAcrossThreadCounts)
+{
+    // Both bases share one decode-service run. A maxFailures target
+    // between the two bases' full-budget failure counts stops one basis
+    // early while the other runs its whole budget; each must still match
+    // the serial oracle bit for bit. A dedicated 3-worker pool makes the
+    // bases' shards interleave on real threads.
+    api::LerRequest req = d3Request(1);
+    req.noise = sim::NoiseModel::uniform(6e-3);
+    req.ler.shardShots = 256;
+    decoder::MemoryLer full = oracles::measureMemoryLer(
+        req.schedule, req.rounds, req.noise, req.decoder, req.shots,
+        req.seed, req.ler);
+    req.ler.maxFailures = std::min(full.z.failures, full.x.failures) + 1;
+    decoder::MemoryLer want = oracles::measureMemoryLer(
+        req.schedule, req.rounds, req.noise, req.decoder, req.shots,
+        req.seed, req.ler);
+    ASSERT_NE(want.z.earlyStopped, want.x.earlyStopped)
+        << "test needs exactly one basis to stop early";
+
+    api::EngineOptions opts;
+    opts.service.threads = 3;
+    api::Engine engine(opts);
+    for (std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        req.ler.threads = threads;
+        api::LerResult got = engine.run(req);
+        for (auto [g, w] : {std::pair{&got.memory.z, &want.z},
+                            std::pair{&got.memory.x, &want.x}}) {
+            EXPECT_EQ(g->shots, w->shots);
+            EXPECT_EQ(g->failures, w->failures);
+            EXPECT_EQ(g->earlyStopped, w->earlyStopped);
+            EXPECT_EQ(g->packed.packedShots, w->packed.packedShots);
+        }
+        EXPECT_EQ(got.telemetry.shots, want.z.shots + want.x.shots);
+    }
 }
 
 TEST(Engine, ZeroShotRequestReturnsEmptyWellFormedResult)
