@@ -14,9 +14,7 @@
 #define PROPHUNT_BENCH_COMMON_H
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
@@ -53,57 +51,6 @@ inline std::size_t
 shots()
 {
     return config().shots;
-}
-
-/** Path of the bench's JSON artifact: $PROPHUNT_BENCH_OUT, else
- * @p fallback. */
-inline std::string
-benchOutPath(const char *fallback)
-{
-    return config().benchOut.empty() ? fallback : config().benchOut;
-}
-
-/** Seconds on the steady clock, for timing bench phases. */
-inline double
-now()
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-}
-
-/**
- * Numeric value of @p key in the entry of @p code inside one of our own
- * committed baseline JSON artifacts, or 0 when the file, entry, or key
- * is absent. The files are our own output, so a string scan beats a
- * JSON library.
- */
-inline double
-baselineValue(const std::string &path, const std::string &code,
-              const char *key)
-{
-    FILE *f = std::fopen(path.c_str(), "r");
-    if (f == nullptr) {
-        return 0.0;
-    }
-    std::string text;
-    char buf[4096];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) {
-        text.append(buf, n);
-    }
-    std::fclose(f);
-    std::string anchor = "\"code\": \"" + code + "\"";
-    std::size_t at = text.find(anchor);
-    if (at == std::string::npos) {
-        return 0.0;
-    }
-    std::string quoted = std::string("\"") + key + "\":";
-    std::size_t k = text.find(quoted, at);
-    if (k == std::string::npos) {
-        return 0.0;
-    }
-    return std::atof(text.c_str() + k + quoted.size());
 }
 
 /** Options for the parallel LER engine, scaled by the environment. */

@@ -88,10 +88,6 @@ Config::fromEnv()
     cfg.threads = envSize("PROPHUNT_THREADS", cfg.threads);
     cfg.maxFailures = envSize("PROPHUNT_MAX_FAILURES", cfg.maxFailures);
     cfg.zneTrials = envSize("PROPHUNT_ZNE_TRIALS", cfg.zneTrials);
-    cfg.benchReps = envSize("PROPHUNT_BENCH_REPS", cfg.benchReps);
-    if (const char *out = envValue("PROPHUNT_BENCH_OUT")) {
-        cfg.benchOut = out;
-    }
     return cfg;
 }
 

@@ -16,15 +16,12 @@
  *   PROPHUNT_THREADS      Worker threads (0 = hardware concurrency)
  *   PROPHUNT_MAX_FAILURES Early-stop failure target per LER run (0 = off)
  *   PROPHUNT_ZNE_TRIALS   Trials per ZNE bias estimate (200)
- *   PROPHUNT_BENCH_REPS   Best-of-N repetitions in timing benches (3)
- *   PROPHUNT_BENCH_OUT    Output path for BENCH_*.json artifacts
  */
 #ifndef PROPHUNT_API_CONFIG_H
 #define PROPHUNT_API_CONFIG_H
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 #include "decoder/logical_error.h"
 #include "prophunt/optimizer.h"
@@ -73,8 +70,6 @@ struct Config
     std::size_t threads = 0;
     std::size_t maxFailures = 0;
     std::size_t zneTrials = 200;
-    std::size_t benchReps = 3;
-    std::string benchOut;
 
     /** Defaults overridden by PROPHUNT_* environment variables. */
     static Config fromEnv();

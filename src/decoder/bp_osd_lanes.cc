@@ -48,8 +48,8 @@
  * is flushed in one pass, so the post-pass runs out of hot scratch
  * instead of interleaving with lane state. Each job's solve is
  * independent, so the queueing changes throughput only. Every job goes
- * through osdSolve, the decoder's one OSD-0; it is public so that tests
- * and bench/packed_pipeline can check and time it alone.
+ * through osdSolve, the decoder's one OSD-0; it is public so that the
+ * OSD differential tests can check it alone.
  *
  * Exactness: every per-lane recurrence reproduces the arithmetic of the
  * reference decoder in tests/support/ operation for operation (same

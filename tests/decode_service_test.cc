@@ -5,7 +5,8 @@
  * The service promise under test: measure() returns exactly what the
  * serial oracle (oracles::measureDemLer) returns for the same (dem,
  * decoder, shots, seed, ler) — for every thread count, every arrival
- * order of concurrent requests, and every coalescing state.
+ * order of concurrent requests, every number of client threads sharing
+ * one service (bp_osd on lp39 too), and every coalescing state.
  * A several-job measure() (one pool run, as Engine uses for a memory
  * request's two bases) must return each job's own serial reference.
  * On top of that, the suite pins the service-only behaviors:
@@ -33,6 +34,7 @@
 
 #include "api/decode_service.h"
 #include "circuit/coloration.h"
+#include "code/codes.h"
 #include "code/surface.h"
 #include "decoder/decoder.h"
 #include "decoder/logical_error.h"
@@ -47,7 +49,7 @@ using namespace prophunt;
 
 namespace {
 
-/** One decode problem: a d=3 surface memory DEM plus a prototype. */
+/** One decode problem: a 3-round memory DEM plus a prototype. */
 struct Model
 {
     circuit::SmCircuit circuit;
@@ -55,10 +57,13 @@ struct Model
     std::unique_ptr<decoder::Decoder> prototype;
 };
 
+/** The Z-basis coloration memory circuit of @p code (d=3 surface unless
+ * given) at uniform noise @p p, decoded by @p spec. */
 std::shared_ptr<Model>
-makeModel(const decoder::DecoderSpec &spec = "union_find", double p = 3e-3)
+makeModel(const decoder::DecoderSpec &spec = "union_find", double p = 3e-3,
+          const code::CssCode &code = code::SurfaceCode(3).code())
 {
-    auto cp = std::make_shared<const code::CssCode>(code::SurfaceCode(3).code());
+    auto cp = std::make_shared<const code::CssCode>(code);
     auto m = std::make_shared<Model>();
     m->circuit = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
                                              3, circuit::MemoryBasis::Z);
@@ -511,6 +516,52 @@ TEST(DecodeService, ConcurrentDistinctRequestsAllBitIdentical)
         expectSameResult(outcomes[c].result, ref);
     }
     EXPECT_EQ(service.stats().requests, clients);
+}
+
+TEST(DecodeService, ClientCountsLeaveLdpcResultsUnchanged)
+{
+    // Eight bp_osd requests on lp39 (3 rounds, p = 2e-3), each in 8
+    // shards, drained by 1, 2 and 4 client threads through one persistent
+    // service whose 2-worker pool all clients share: every outcome equals
+    // its serial reference at every client count. Requests are dealt
+    // round-robin to the clients, and nothing waits on a clock.
+    auto m = makeModel("bp_osd", 2e-3, code::benchmarkLp39());
+    const std::size_t requests = 8;
+    const std::size_t shots = 1024;
+    const std::size_t shardShots = shots / 8;
+    std::vector<decoder::LerResult> refs;
+    std::size_t refFailures = 0;
+    for (std::size_t r = 0; r < requests; ++r) {
+        refs.push_back(serialRef(*m, shots, 300 + r, shardShots));
+        refFailures += refs.back().failures;
+    }
+    ASSERT_GT(refFailures, 0u) << "test needs failures to compare";
+
+    api::DecodeServiceOptions opts;
+    opts.threads = 2;
+    api::DecodeService service(opts);
+    for (std::size_t clients : {1u, 2u, 4u}) {
+        std::vector<api::DecodeOutcome> outcomes(requests);
+        std::vector<std::thread> threads;
+        threads.reserve(clients);
+        for (std::size_t c = 0; c < clients; ++c) {
+            threads.emplace_back([&, c] {
+                for (std::size_t r = c; r < requests; r += clients) {
+                    outcomes[r] = service.measure(
+                        jobFor(m, "lp39", shots, 300 + r, shardShots, 2));
+                }
+            });
+        }
+        for (std::thread &t : threads) {
+            t.join();
+        }
+        for (std::size_t r = 0; r < requests; ++r) {
+            SCOPED_TRACE("clients=" + std::to_string(clients) +
+                         " request=" + std::to_string(r));
+            expectSameResult(outcomes[r].result, refs[r]);
+        }
+    }
+    EXPECT_EQ(service.stats().requests, 3 * requests);
 }
 
 TEST(DecodeService, CoalescingDetectedDeterministically)

@@ -36,12 +36,11 @@ circuitDem(double p)
 }
 
 Dem
-ldpcDem(double p)
+ldpcDem(code::CssCode (*build)(), std::size_t rounds, double p)
 {
-    auto code = code::benchmarkLp39();
-    auto cp = std::make_shared<const code::CssCode>(code);
+    auto cp = std::make_shared<const code::CssCode>(build());
     auto circ = circuit::buildMemoryCircuit(circuit::colorationSchedule(cp),
-                                            3, circuit::MemoryBasis::Z);
+                                            rounds, circuit::MemoryBasis::Z);
     return buildDem(circ, NoiseModel::uniform(p));
 }
 
@@ -109,13 +108,25 @@ TEST(FrameSampler, TransposedFramesEqualScalarRows)
 
 TEST(FrameSampler, LdpcDemBitIdentical)
 {
-    Dem dem = ldpcDem(2e-3);
-    SampleBatch scalar = sampleDem(dem, 3000, 17);
-    FrameBatch frames = sampleDemFrames(dem, 3000, 17);
-    SampleBatch rows;
-    transposeView(frames.view(), rows);
-    EXPECT_EQ(scalar.det, rows.det);
-    EXPECT_EQ(scalar.obs, rows.obs);
+    // The fig12 LDPC coloration circuits at the rounds their benchmarks
+    // use: lp39 (3 rounds), rqt54 (4) and rqt60 (6).
+    struct Input
+    {
+        const char *name;
+        code::CssCode (*build)();
+        std::size_t rounds;
+    };
+    for (const Input &in : {Input{"lp39", code::benchmarkLp39, 3},
+                            Input{"rqt54", code::benchmarkRqt54, 4},
+                            Input{"rqt60", code::benchmarkRqt60, 6}}) {
+        Dem dem = ldpcDem(in.build, in.rounds, 2e-3);
+        SampleBatch scalar = sampleDem(dem, 3000, 17);
+        FrameBatch frames = sampleDemFrames(dem, 3000, 17);
+        SampleBatch rows;
+        transposeView(frames.view(), rows);
+        EXPECT_EQ(scalar.det, rows.det) << in.name;
+        EXPECT_EQ(scalar.obs, rows.obs) << in.name;
+    }
 }
 
 TEST(FrameSampler, FrameBitsMatchRowBits)

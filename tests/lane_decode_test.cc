@@ -4,9 +4,10 @@
  *
  * decodePacked must equal per-shot decode() must equal the reference
  * decoder (oracles::decodeReference), observable for observable, at the
- * default options, at a tiny iteration budget, and with no BP iterations at all — across random DEMs and
- * lp39/rqt54 circuit DEMs, including odd shot counts that leave a partial
- * final 64-shot word. Also pins down the engine's
+ * default options, at a tiny iteration budget, and with no BP iterations
+ * at all, and decodePacked must equal it in exact mode (no stagnation
+ * stop) — across random DEMs and lp39/rqt54/rqt60 circuit DEMs,
+ * including odd shot counts that leave a partial final 64-shot word. Also pins down the engine's
  * shot-order/thread-count invariance through api::DecodeService, the
  * cross-check of the kernel's vector widths, that padding bits beyond a
  * view's shots are ignored, the default decoder's outputs on the
@@ -93,12 +94,14 @@ circuitDem(code::CssCode (*build)(), std::size_t rounds, double p)
 }
 
 /**
- * decodePacked == decode() == decodeReference at @p opts, shot for shot.
- * Returns the packed decode's stats.
+ * decodePacked == decodeReference at @p opts, shot for shot, and so is
+ * decode() unless @p per_shot is false. Returns the packed decode's
+ * stats.
  */
 decoder::PackedDecodeStats
 expectMatchesReference(const Dem &dem, const FrameBatch &frames,
-                       const decoder::BpOsdOptions &opts)
+                       const decoder::BpOsdOptions &opts,
+                       bool per_shot = true)
 {
     SampleBatch rows;
     transposeView(frames.view(), rows);
@@ -108,7 +111,9 @@ expectMatchesReference(const Dem &dem, const FrameBatch &frames,
     dec.decodePacked(frames.view(), packed.data(), &st);
     EXPECT_EQ(st.packedShots, frames.shots);
     EXPECT_EQ(st.adapterShots, 0u);
-    std::string label = "maxIterations " + std::to_string(opts.maxIterations);
+    std::string label = "maxIterations " + std::to_string(opts.maxIterations) +
+                        " stagnationWindow " +
+                        std::to_string(opts.stagnationWindow);
     auto tanner = decoder::BpOsdDecoder::buildTanner(dem);
     oracles::LowWeightReference low(*tanner);
     std::vector<uint32_t> flipped;
@@ -118,20 +123,32 @@ expectMatchesReference(const Dem &dem, const FrameBatch &frames,
         EXPECT_EQ(packed[s], ref) << label << " shot " << s;
         // decode() on the same instance after the packed run: the lane
         // engine's between-shot invariants survived.
-        EXPECT_EQ(dec.decode(flipped), ref) << label << " decode() shot " << s;
+        if (per_shot) {
+            EXPECT_EQ(dec.decode(flipped), ref)
+                << label << " decode() shot " << s;
+        }
     }
     return st;
 }
 
-/** The oracle comparison at the default options and at a 3-iteration
- * budget (most hard shots end in OSD). */
+/** The oracle comparison at the default options, at a 3-iteration
+ * budget (most hard shots end in OSD), and in exact mode (no stagnation
+ * stop: every unconverged shot runs the whole iteration budget). Exact
+ * mode checks decodePacked only: a decode() call runs one shot through a
+ * whole lane group for 30 iterations, over a second on rqt54, and
+ * BatchDecode.ExactModeMatchesReferenceOnLdpcCircuit checks decode() in
+ * exact mode. */
 void
 expectMatrixMatchesReference(const Dem &dem, const FrameBatch &frames)
 {
     decoder::BpOsdOptions opts;
     expectMatchesReference(dem, frames, opts);
-    opts.maxIterations = 3;
-    expectMatchesReference(dem, frames, opts);
+    decoder::BpOsdOptions capped;
+    capped.maxIterations = 3;
+    expectMatchesReference(dem, frames, capped);
+    decoder::BpOsdOptions exact;
+    exact.stagnationWindow = 0;
+    expectMatchesReference(dem, frames, exact, false);
 }
 
 /**
@@ -322,6 +339,13 @@ TEST(LaneDecode, MatrixOnRqt54CircuitDem)
 {
     Dem dem = circuitDem(code::benchmarkRqt54, 4, 2e-3);
     FrameBatch frames = sampleDemFrames(dem, 129, 901);
+    expectMatrixMatchesReference(dem, frames);
+}
+
+TEST(LaneDecode, MatrixOnRqt60CircuitDem)
+{
+    Dem dem = circuitDem(code::benchmarkRqt60, 6, 2e-3);
+    FrameBatch frames = sampleDemFrames(dem, 101, 607);
     expectMatrixMatchesReference(dem, frames);
 }
 

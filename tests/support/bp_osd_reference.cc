@@ -194,9 +194,7 @@ referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
             }
         }
     }
-    return {converged,          std::move(syn),       std::move(edge_det),
-            std::move(msg_c2d), std::move(det_edges), std::move(msg_d2c),
-            std::move(posterior), std::move(hard)};
+    return {converged, std::move(posterior)};
 }
 
 uint64_t

@@ -1,7 +1,7 @@
 /**
  * @file
- * Reference BP+OSD that the decoder tests and bench/packed_pipeline
- * compare libprophunt's BP+OSD against (test support, not libprophunt).
+ * Reference BP+OSD that the decoder tests compare libprophunt's BP+OSD
+ * against (test support, not libprophunt).
  *
  *  - LowWeightReference is the low-weight stage's rule (see
  *    BpOsdDecoder::decodeTrivial) over a std::map from sorted detector
@@ -14,7 +14,7 @@
  *    option value.
  *  - ScalarOsd is the scalar OSD-0 elimination that the packed one
  *    replaced, on the same lazy (posterior, column) ranking: the
- *    differential and timing reference for BpOsdDecoder::osdSolve.
+ *    differential reference for BpOsdDecoder::osdSolve.
  */
 #ifndef PROPHUNT_TESTS_SUPPORT_BP_OSD_REFERENCE_H
 #define PROPHUNT_TESTS_SUPPORT_BP_OSD_REFERENCE_H
@@ -50,20 +50,12 @@ class LowWeightReference
     std::map<std::vector<uint32_t>, std::vector<uint32_t>> bySig_;
 };
 
-/** The BP half: whether BP converged, its final posterior LLR per column
- * (all zero when maxIterations = 0), and its work arrays, which
- * decodeReference holds through OSD and frees in the original order (the
- * seed path's cost includes its heap behaviour). */
+/** The BP half: whether BP converged, and its final posterior LLR per
+ * column (all zero when maxIterations = 0). */
 struct ReferenceBp
 {
     bool converged = false;
-    std::vector<uint8_t> syn;
-    std::vector<uint32_t> edge_det;
-    std::vector<double> msg_c2d;
-    std::vector<std::vector<uint32_t>> det_edges;
-    std::vector<double> msg_d2c;
     std::vector<double> posterior;
-    std::vector<uint8_t> hard;
 };
 
 ReferenceBp referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
