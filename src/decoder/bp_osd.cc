@@ -3,7 +3,10 @@
 #include <bit>
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace prophunt::decoder {
 
@@ -27,20 +30,45 @@ constexpr std::size_t kOsdSample = 256;
 constexpr std::size_t kOsdSampleRank = 8;
 
 /**
- * Map a posterior to a uint64 whose integer order equals double order.
- * -0.0 is collapsed onto +0.0 first so key equality matches double
+ * Map a posterior to a uint32 whose integer order equals float order.
+ * -0.0f is collapsed onto +0.0f first so key equality matches float
  * equality exactly — the column-id tie-break must fire for the same
  * pairs as a (post, col) comparator would. Finite and infinite values
  * order correctly; posteriors are never NaN.
  */
-inline uint64_t
-osdPostKey(double v)
+inline uint32_t
+osdPostKey(float v)
 {
-    if (v == 0.0) {
-        v = 0.0;
+    if (v == 0.0f) {
+        v = 0.0f;
     }
-    uint64_t b = std::bit_cast<uint64_t>(v);
-    return (b & (uint64_t{1} << 63)) != 0 ? ~b : (b | (uint64_t{1} << 63));
+    uint32_t b = std::bit_cast<uint32_t>(v);
+    return (b & (uint32_t{1} << 31)) != 0 ? ~b : (b | (uint32_t{1} << 31));
+}
+
+/** The ranking record of column @p col with posterior @p v: key in the
+ * high half, column id in the low half. */
+inline uint64_t
+osdRecord(float v, uint32_t col)
+{
+    return (uint64_t)osdPostKey(v) << 32 | col;
+}
+
+/** @p scale rounded to float, or std::invalid_argument when that is not
+ * a positive factor whose product with the min-sum start value stays
+ * finite. */
+float
+checkedScale(double scale)
+{
+    float s = (float)scale;
+    if (!(s > 0.0f) || !std::isfinite(s * BpOsdDecoder::kMinInit)) {
+        char buf[64];
+        std::snprintf(buf, sizeof buf, "%.17g", scale);
+        throw std::invalid_argument(
+            std::string("bp_osd: scale ") + buf +
+            " is not a positive float whose product with 1e30 is finite");
+    }
+    return s;
 }
 
 /** SplitMix64: the fixed sequence the detectors' Zobrist keys come
@@ -172,7 +200,7 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
         }
         t->colObs.push_back(obs);
         double p = std::clamp(mech.p, 1e-12, 0.5 - 1e-12);
-        t->prior.push_back(std::log((1.0 - p) / p));
+        t->prior.push_back((float)std::log((1.0 - p) / p));
         t->colBegin[e + 1] = t->colBegin[e] + (uint32_t)mech.detectors.size();
         for (uint32_t d : mech.detectors) {
             t->colDet.push_back(d);
@@ -210,7 +238,8 @@ BpOsdDecoder::buildTanner(const sim::Dem &dem)
 }
 
 BpOsdDecoder::BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts)
-    : opts_(opts), numDetectors_(dem.numDetectors), tanner_(buildTanner(dem))
+    : opts_(opts), scale_(checkedScale(opts.scale)),
+      numDetectors_(dem.numDetectors), tanner_(buildTanner(dem))
 {
 }
 
@@ -278,7 +307,7 @@ BpOsdDecoder::decodeTrivial(const uint32_t *first, const uint32_t *last,
 }
 
 bool
-BpOsdDecoder::osdSolve(const std::vector<double> &post,
+BpOsdDecoder::osdSolve(const std::vector<float> &post,
                        const std::vector<uint32_t> &flipped,
                        std::vector<uint32_t> &solution)
 {
@@ -288,7 +317,7 @@ BpOsdDecoder::osdSolve(const std::vector<double> &post,
     // order must not depend on the ranking strategy (threshold filter,
     // lazy prefix or full sort) even when posteriors collide exactly
     // (duplicated priors make that common, not hypothetical). The
-    // ranking runs on flat OsdKey records — the indirect double
+    // ranking runs on flat OsdKey records — the indirect float
     // comparator, not the elimination, used to dominate the post-pass
     // on large graphs.
     std::size_t ne = tanner_->numCols();
@@ -301,12 +330,12 @@ BpOsdDecoder::osdSolve(const std::vector<double> &post,
         if (oi == osdSortedPrefix_) {
             osdSortMore(post);
         }
-        if (elim_.push(tanner_->colBits.row(osdKeys_[oi].col))) {
+        if (elim_.push(tanner_->colBits.row((uint32_t)osdKeys_[oi]))) {
             // Push index i is key i: the lazy sort never moves a key it
             // has already handed out.
             elim_.solution(solution);
             for (uint32_t &idx : solution) {
-                idx = osdKeys_[idx].col;
+                idx = (uint32_t)osdKeys_[idx];
             }
             return true;
         }
@@ -316,12 +345,12 @@ BpOsdDecoder::osdSolve(const std::vector<double> &post,
 }
 
 void
-BpOsdDecoder::osdRank(const std::vector<double> &post)
+BpOsdDecoder::osdRank(const std::vector<float> &post)
 {
     std::size_t ne = tanner_->numCols();
     // Up to kOsdPrefix columns the first chunk is every column, and the
     // sample could hold fewer than kOsdSampleRank entries: keep them all.
-    osdTau_ = std::numeric_limits<double>::infinity();
+    osdTau_ = std::numeric_limits<float>::infinity();
     if (ne > kOsdPrefix) {
         std::size_t stride = std::max<std::size_t>(1, ne / kOsdSample);
         osdSample_.clear();
@@ -333,22 +362,22 @@ BpOsdDecoder::osdRank(const std::vector<double> &post)
         osdTau_ = *nth;
     }
     // Branchless: every column is written, only kept ones advance.
-    // <= keeps every tie at tau, and +0.0 and -0.0 compare equal.
+    // <= keeps every tie at tau, and +0.0f and -0.0f compare equal.
     osdKeys_.resize(ne);
     std::size_t kept = 0;
     for (std::size_t c = 0; c < ne; ++c) {
-        osdKeys_[kept].col = (uint32_t)c;
+        osdKeys_[kept] = c;
         kept += post[c] <= osdTau_;
     }
     osdKeys_.resize(kept);
     for (OsdKey &k : osdKeys_) {
-        k.key = osdPostKey(post[k.col]);
+        k = osdRecord(post[k], (uint32_t)k);
     }
     osdSortedPrefix_ = 0;
 }
 
 void
-BpOsdDecoder::osdSortMore(const std::vector<double> &post)
+BpOsdDecoder::osdSortMore(const std::vector<float> &post)
 {
     std::size_t ne = tanner_->numCols();
     std::size_t from = osdSortedPrefix_;
@@ -357,7 +386,7 @@ BpOsdDecoder::osdSortMore(const std::vector<double> &post)
         // out (posterior above tau) and rank on among them.
         for (std::size_t c = 0; c < ne; ++c) {
             if (post[c] > osdTau_) {
-                osdKeys_.push_back({osdPostKey(post[c]), (uint32_t)c});
+                osdKeys_.push_back(osdRecord(post[c], (uint32_t)c));
             }
         }
     }

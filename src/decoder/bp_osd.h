@@ -36,7 +36,13 @@ namespace prophunt::decoder {
 struct BpOsdOptions
 {
     std::size_t maxIterations = 30;
-    /** Min-sum normalization factor. */
+    /**
+     * Min-sum normalization factor. BP runs in single precision, so the
+     * decoder rounds it to float once and uses only that value. The
+     * rounded value must be positive and keep scale * 1e30 (the min-sum
+     * start value, scaled) finite: 0 < scale < about 3.4e8. The
+     * constructor throws std::invalid_argument otherwise, NaN included.
+     */
     double scale = 0.8;
     /**
      * Stop BP once this many consecutive iterations pass without the
@@ -58,9 +64,10 @@ struct BpOsdOptions
 /**
  * BP+OSD decoder over a detector error model.
  *
- * BP runs in one engine: min-sum for 8 shots at once in SIMD lanes
- * over a Tanner structure flattened once per DEM (global CSR edge
- * lists) and shared by every clone (see bp_osd_lanes.cc). decodePacked()
+ * BP runs in one engine: single-precision min-sum for 16 shots at once
+ * in SIMD lanes over a Tanner structure flattened once per DEM (global
+ * CSR edge lists) and shared by every clone (see bp_osd_lanes.cc).
+ * The OSD post-pass ranks the columns by those float posteriors. decodePacked()
  * feeds it a whole frame shard, decode() a single shot; both agree bit
  * for bit with the unoptimized reference decoder that the tests keep in
  * tests/support/, for every option value.
@@ -68,7 +75,17 @@ struct BpOsdOptions
 class BpOsdDecoder : public Decoder
 {
   public:
+    /** Throws std::invalid_argument when @p opts.scale is out of range
+     * (see BpOsdOptions::scale). */
     explicit BpOsdDecoder(const sim::Dem &dem, BpOsdOptions opts = {});
+
+    /**
+     * Start value of min-sum's two smallest input magnitudes. Finite, so
+     * a detector record that no input lowered still scales and sums to
+     * finite values; the reference decoder in tests/support/ starts from
+     * it too.
+     */
+    static constexpr float kMinInit = 1e30f;
 
     /** Syndromes the low-weight stage resolves decode by lookup; any
      * other shot runs through the lane engine alone. */
@@ -91,7 +108,7 @@ class BpOsdDecoder : public Decoder
      * span; if so, @p solution lists the columns whose XOR reproduces
      * it, in no particular order. An unsolvable syndrome decodes to 0.
      */
-    bool osdSolve(const std::vector<double> &post,
+    bool osdSolve(const std::vector<float> &post,
                   const std::vector<uint32_t> &flipped,
                   std::vector<uint32_t> &solution);
 
@@ -129,7 +146,8 @@ class BpOsdDecoder : public Decoder
         };
 
         std::vector<uint64_t> colObs;
-        std::vector<double> prior; ///< log((1-p)/p) per column.
+        /** log((1-p)/p) per column, rounded once to float. */
+        std::vector<float> prior;
         // Global Tanner CSR.
         std::vector<uint32_t> colBegin;
         std::vector<uint32_t> colDet;   ///< Edge -> detector.
@@ -183,34 +201,24 @@ class BpOsdDecoder : public Decoder
                        uint64_t &out, PackedDecodeStats *stats) const;
 
     /**
-     * One posterior-ranking record: @p key is the posterior mapped to a
-     * uint64 whose integer order equals double order (with -0.0
-     * collapsed onto +0.0), @p col the column id tie-break.
-     * Selecting/sorting flat 16-byte records replaces the indirect
-     * double/column comparator — the ordering, not the elimination,
-     * dominated the OSD post-pass.
+     * One posterior-ranking record: the high half is the posterior
+     * mapped to a uint32 whose integer order equals float order (with
+     * -0.0f collapsed onto +0.0f), the low half the column id, so
+     * integer order is (posterior, column id) order. Selecting/sorting
+     * flat 8-byte records replaces the indirect float/column comparator
+     * — the ordering, not the elimination, dominated the OSD post-pass.
      */
-    struct OsdKey
-    {
-        uint64_t key;
-        uint32_t col;
-
-        bool
-        operator<(const OsdKey &o) const
-        {
-            return key != o.key ? key < o.key : col < o.col;
-        }
-    };
+    using OsdKey = uint64_t;
 
     /** Start osdSolve's ranking of @p post: set the sampled threshold
      * osdTau_ and key the columns at or below it (osdKeys_ then holds
      * only them, none sorted yet). */
-    void osdRank(const std::vector<double> &post);
+    void osdRank(const std::vector<float> &post);
     /** Extend the sorted prefix of osdKeys_ by the next chunk of most
      * likely columns: the lazy ranking osdSolve triggers when the
      * elimination outruns the sorted prefix. Once the kept columns are
      * used up, the ones above osdTau_ are keyed and ranked on. */
-    void osdSortMore(const std::vector<double> &post);
+    void osdSortMore(const std::vector<float> &post);
 
     // --- lane engine (decode and decodePacked; see bp_osd_lanes.cc) ---
 
@@ -233,8 +241,8 @@ class BpOsdDecoder : public Decoder
     void laneRetire(std::size_t l, bool converged, uint64_t *obs_out);
     /** One BP iteration for every live lane (detector and column pass).
      * One kernel serves every tier; simd_level picks the vector width it
-     * is instantiated at (0: 2 lanes per vector on the baseline ISA,
-     * 1: 4 on AVX2, 2: 8 on AVX-512). All widths are bit-identical. */
+     * is instantiated at (0: 4 lanes per vector on the baseline ISA,
+     * 1: 8 on AVX2, 2: 16 on AVX-512). All widths are bit-identical. */
     void laneIterate(int simd_level);
 
     // --- batched OSD work queue (the lane engine's post-pass) ---
@@ -244,18 +252,20 @@ class BpOsdDecoder : public Decoder
     {
         std::size_t shot = 0;
         std::vector<uint32_t> flipped;
-        std::vector<double> post; ///< Posterior per column.
+        std::vector<float> post; ///< Posterior per column.
     };
 
     /** Queue shot @p shot with syndrome [@p first, @p last) for the OSD
      * post-pass and return its posterior buffer, one entry per column for
      * the caller to fill (storage reused across flushes). */
-    double *osdEnqueue(std::size_t shot, const uint32_t *first,
+    float *osdEnqueue(std::size_t shot, const uint32_t *first,
                        const uint32_t *last);
     /** Solve every queued job and write the observable masks. */
     void osdFlush(uint64_t *obs_out, PackedDecodeStats *stats);
 
     BpOsdOptions opts_;
+    /** opts_.scale rounded once to float: the factor BP applies. */
+    float scale_;
     std::size_t numDetectors_;
     /** Shared immutable DEM structure; every clone points at the same
      * Tanner, only the scratch below is per-instance. */
@@ -266,8 +276,8 @@ class BpOsdDecoder : public Decoder
     std::vector<uint32_t> osdSolution_; ///< osdFlush's solution columns.
     std::vector<OsdKey> osdKeys_;       ///< Posterior-ranking records.
     std::size_t osdSortedPrefix_ = 0;   ///< Sorted prefix of osdKeys_.
-    std::vector<double> osdSample_;     ///< Strided posterior sample.
-    double osdTau_ = 0.0;               ///< osdRank's filter threshold.
+    std::vector<float> osdSample_;      ///< Strided posterior sample.
+    float osdTau_ = 0.0f;               ///< osdRank's filter threshold.
     // Batched OSD queue (lane engine). Entries are reused: osdQueueSize_
     // counts the live prefix, the vectors behind it keep their capacity.
     std::vector<OsdJob> osdQueue_;
@@ -275,23 +285,24 @@ class BpOsdDecoder : public Decoder
 
     // Lane engine state (sized by laneEnsure on the first decode, so a
     // prototype that only gets cloned never allocates it). Arrays are
-    // lane-interleaved: element (i, lane) lives at i*8 + lane. Slots of
+    // lane-interleaved: element (i, lane) lives at i*16 + lane. Slots of
     // lanes without a live shot hold garbage nobody reads; a lane's first
     // detector pass substitutes the column prior for the posterior
     // difference it reads, so installing a shot writes no check state.
     /** Compressed detector->column messages: per detector and lane, the
      * last detector pass's (scale*min1, scale*min2, argmin slot, sign
-     * product) record. The message to the column of slot s is
-     * rebuilt from its detector's record and laneSign_[s]. */
-    std::vector<double> laneCheck_;
+     * product) record, the slot stored as an int32 bit pattern. The
+     * message to the column of slot s is rebuilt from its detector's
+     * record and laneSign_[s]. */
+    std::vector<float> laneCheck_;
     /** Per slot, bit l = sign of the column->detector value lane l's
      * last detector pass read on it. */
-    std::vector<uint8_t> laneSign_;
-    std::vector<double> lanePost_;
+    std::vector<uint16_t> laneSign_;
+    std::vector<float> lanePost_;
     std::vector<uint32_t> laneHardBits_; ///< Per column, bit l = lane l.
     std::vector<uint8_t> laneAcc_;       ///< Hard-decision parity per (det, lane).
     std::vector<uint8_t> laneSynB_;      ///< Syndrome bit per (det, lane).
-    std::vector<double> laneSynSign_;    ///< -0.0 where the syndrome is set.
+    std::vector<float> laneSynSign_;     ///< -0.0f where the syndrome is set.
     uint32_t laneLiveMask_ = 0;          ///< Bit l: lane l holds a shot.
     std::vector<std::vector<uint32_t>> laneFlipped_;
     std::vector<std::size_t> laneShot_;

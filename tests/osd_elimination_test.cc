@@ -133,7 +133,7 @@ subDem(const sim::Dem &dem, const std::vector<uint32_t> &cols)
  * require identical outcomes; returns whether the syndrome was solved. */
 bool
 expectBackendsAgree(BpOsdDecoder &dec, oracles::ScalarOsd &scalar,
-                    const sim::Dem &dem, const std::vector<double> &post,
+                    const sim::Dem &dem, const std::vector<float> &post,
                     const std::vector<uint32_t> &flipped)
 {
     std::vector<uint32_t> packedSol, scalarSol;
@@ -183,15 +183,15 @@ randomSyndrome(const sim::Dem &dem, sim::Rng &rng)
  * tied value of column c, so ±0.0 can be mixed.
  */
 template <class Tied>
-std::vector<double>
+std::vector<float>
 postsTiedAtTau(std::size_t ne, std::size_t ties, sim::Rng &rng, Tied value)
 {
-    std::vector<double> post(ne);
-    for (double &p : post) {
-        p = 1.0 + rng.uniform() * 9.0;
+    std::vector<float> post(ne);
+    for (float &p : post) {
+        p = (float)(1.0 + rng.uniform() * 9.0);
     }
     for (std::size_t k = 0; k < 7; ++k) {
-        post[5 * k] = -1.0 - (double)k;
+        post[5 * k] = -1.0f - (float)k;
     }
     for (std::size_t k = 0; k < ties; ++k) {
         std::size_t c = 35 + 3 * k;
@@ -402,9 +402,9 @@ TEST(OsdPostPass, DifferentialFuzzRandomDems)
                     flipped.push_back(d);
                 }
             }
-            std::vector<double> post(cols.size());
-            for (double &p : post) {
-                p = rng.uniform() * 10.0 - 5.0;
+            std::vector<float> post(cols.size());
+            for (float &p : post) {
+                p = (float)(rng.uniform() * 10.0 - 5.0);
             }
             expectBackendsAgree(dec, scalar, dem, post, flipped);
         }
@@ -430,9 +430,9 @@ TEST(OsdPostPass, TiedPosteriorsPickIdenticalPivotOrders)
             }
         }
         // Heavily tied posteriors: only 3 distinct values.
-        std::vector<double> post(dem.errors.size());
-        for (double &p : post) {
-            p = (double)rng.below(3) - 1.0;
+        std::vector<float> post(dem.errors.size());
+        for (float &p : post) {
+            p = (float)rng.below(3) - 1.0f;
         }
         expectBackendsAgree(dec, scalar, dem, post, flipped);
     }
@@ -446,7 +446,7 @@ TEST(OsdPostPass, AllZeroSyndromeAndInfeasibleRegion)
     BpOsdDecoder dec(dem);
     auto tanner = BpOsdDecoder::buildTanner(dem);
     oracles::ScalarOsd scalar(*tanner);
-    std::vector<double> post{0.5, 0.5, 0.5, -1.0, 2.0, 0.5}; // ties too
+    std::vector<float> post{0.5f, 0.5f, 0.5f, -1.0f, 2.0f, 0.5f}; // ties too
     // All-zero syndrome: explainable by the empty solution.
     std::vector<uint32_t> sol;
     if (expectBackendsAgree(dec, scalar, dem, post, {})) {
@@ -548,8 +548,8 @@ TEST(OsdPostPass, ManyPosteriorsEqualToTheSampledThreshold)
     oracles::ScalarOsd scalar(*tanner);
     sim::Rng rng(411);
     for (int trial = 0; trial < 20; ++trial) {
-        std::vector<double> post = postsTiedAtTau(
-            dem.errors.size(), 120, rng, [](std::size_t) { return 0.5; });
+        std::vector<float> post = postsTiedAtTau(
+            dem.errors.size(), 120, rng, [](std::size_t) { return 0.5f; });
         expectBackendsAgree(dec, scalar, dem, post, randomSyndrome(dem, rng));
     }
 }
@@ -567,9 +567,9 @@ TEST(OsdPostPass, MixedSignedZeroPosteriors)
         // Even trials: the sampled ties are -0.0, the others +0.0 (the
         // threshold is -0.0); odd trials the other way round.
         bool sampledNegative = trial % 2 == 0;
-        std::vector<double> post = postsTiedAtTau(
+        std::vector<float> post = postsTiedAtTau(
             dem.errors.size(), 120, rng, [&](std::size_t c) {
-                return (c % 5 == 0) == sampledNegative ? -0.0 : 0.0;
+                return (c % 5 == 0) == sampledNegative ? -0.0f : 0.0f;
             });
         expectBackendsAgree(dec, scalar, dem, post, randomSyndrome(dem, rng));
     }
@@ -585,11 +585,11 @@ TEST(OsdPostPass, FewerColumnsThanTheSample)
         oracles::ScalarOsd scalar(*tanner);
         sim::Rng rng(431 + ne);
         for (int trial = 0; trial < 20; ++trial) {
-            std::vector<double> post(ne);
-            for (double &p : post) {
+            std::vector<float> post(ne);
+            for (float &p : post) {
                 // Every other trial draws from 4 values: ties.
-                p = trial % 2 == 0 ? rng.uniform() * 10.0 - 5.0
-                                   : (double)rng.below(4) - 1.0;
+                p = trial % 2 == 0 ? (float)(rng.uniform() * 10.0 - 5.0)
+                                   : (float)rng.below(4) - 1.0f;
             }
             expectBackendsAgree(dec, scalar, dem, post,
                                 randomSyndrome(dem, rng));
@@ -606,8 +606,8 @@ TEST(OsdPostPass, AllEqualPosteriors)
     auto tanner = BpOsdDecoder::buildTanner(dem);
     oracles::ScalarOsd scalar(*tanner);
     sim::Rng rng(441);
-    for (double v : {0.0, -0.0, 2.5, -3.0}) {
-        std::vector<double> post(dem.errors.size(), v);
+    for (float v : {0.0f, -0.0f, 2.5f, -3.0f}) {
+        std::vector<float> post(dem.errors.size(), v);
         for (int trial = 0; trial < 5; ++trial) {
             expectBackendsAgree(dec, scalar, dem, post,
                                 randomSyndrome(dem, rng));
@@ -628,14 +628,14 @@ TEST(OsdPostPass, SolveNeedsColumnsBeyondTheFilter)
     sim::Rng rng(451);
     std::size_t checked = 0;
     for (uint32_t target = 0; target < dem.numDetectors; target += 7) {
-        std::vector<double> post(dem.errors.size());
+        std::vector<float> post(dem.errors.size());
         std::size_t touching = 0;
         for (std::size_t c = 0; c < post.size(); ++c) {
             const auto &dets = dem.errors[c].detectors;
             bool hit = std::find(dets.begin(), dets.end(), target) !=
                        dets.end();
             touching += hit;
-            post[c] = (hit ? 5.0 : 0.0) + rng.uniform() * 5.0;
+            post[c] = (float)((hit ? 5.0 : 0.0) + rng.uniform() * 5.0);
         }
         if (touching == 0) {
             continue;

@@ -14,14 +14,14 @@ namespace {
 constexpr std::size_t kOsdPrefix = 32;
 constexpr std::size_t kOsdGrowth = 4;
 
-inline uint64_t
-osdPostKey(double v)
+inline uint32_t
+osdPostKey(float v)
 {
-    if (v == 0.0) {
-        v = 0.0;
+    if (v == 0.0f) {
+        v = 0.0f;
     }
-    uint64_t b = std::bit_cast<uint64_t>(v);
-    return (b & (uint64_t{1} << 63)) != 0 ? ~b : (b | (uint64_t{1} << 63));
+    uint32_t b = std::bit_cast<uint32_t>(v);
+    return (b & (uint32_t{1} << 31)) != 0 ? ~b : (b | (uint32_t{1} << 31));
 }
 
 } // namespace
@@ -98,10 +98,12 @@ referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
     for (uint32_t d : flipped_detectors) {
         syn[d] = 1;
     }
+    // Single precision throughout, the scale rounded once.
+    const float scale = (float)opts.scale;
 
     // Edge lists: column c owns edges colBegin[c]..colBegin[c+1].
     std::vector<uint32_t> edge_det; // detector per edge
-    std::vector<double> msg_c2d;    // column -> detector messages
+    std::vector<float> msg_c2d;     // column -> detector messages
     for (std::size_t c = 0; c < ne; ++c) {
         for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
             edge_det.push_back(t.colDet[e]);
@@ -113,8 +115,8 @@ referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
         det_edges[edge_det[e]].push_back((uint32_t)e);
     }
 
-    std::vector<double> msg_d2c(edge_det.size(), 0.0);
-    std::vector<double> posterior(ne, 0.0);
+    std::vector<float> msg_d2c(edge_det.size(), 0.0f);
+    std::vector<float> posterior(ne, 0.0f);
     std::vector<uint8_t> hard(ne, 0);
 
     // Hamming distance between the hard-decision parity and the syndrome.
@@ -146,14 +148,15 @@ referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
             const auto &edges = det_edges[d];
             // Compute product of signs and two smallest magnitudes.
             int sign = syn[d] ? -1 : 1;
-            double min1 = 1e300, min2 = 1e300;
+            float min1 = decoder::BpOsdDecoder::kMinInit;
+            float min2 = decoder::BpOsdDecoder::kMinInit;
             std::size_t argmin = 0;
             for (uint32_t e : edges) {
-                double v = msg_c2d[e];
+                float v = msg_c2d[e];
                 if (v < 0) {
                     sign = -sign;
                 }
-                double a = std::fabs(v);
+                float a = std::fabs(v);
                 if (a < min1) {
                     min2 = min1;
                     min1 = a;
@@ -163,17 +166,17 @@ referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
                 }
             }
             for (uint32_t e : edges) {
-                double mag = (e == argmin) ? min2 : min1;
+                float mag = (e == argmin) ? min2 : min1;
                 int s = sign;
                 if (msg_c2d[e] < 0) {
                     s = -s;
                 }
-                msg_d2c[e] = opts.scale * s * mag;
+                msg_d2c[e] = scale * s * mag;
             }
         }
         // Column -> detector, posterior, hard decision.
         for (std::size_t c = 0; c < ne; ++c) {
-            double total = t.prior[c];
+            float total = t.prior[c];
             for (uint32_t e = t.colBegin[c]; e < t.colBegin[c + 1]; ++e) {
                 total += msg_d2c[e];
             }
@@ -208,7 +211,7 @@ decodeReference(const Tanner &t, const LowWeightReference &low,
     }
     std::size_t nd = t.detBegin.size() - 1, ne = t.numCols();
     ReferenceBp bp = referenceBp(t, opts, flipped_detectors);
-    const std::vector<double> &posterior = bp.posterior;
+    const std::vector<float> &posterior = bp.posterior;
 
     if (bp.converged) {
         // The hard decision of a column is posterior < 0.
@@ -343,7 +346,7 @@ referenceOsdJobs(const Tanner &t, const LowWeightReference &low,
 }
 
 bool
-ScalarOsd::solve(const std::vector<double> &post,
+ScalarOsd::solve(const std::vector<float> &post,
                  const std::vector<uint32_t> &flipped,
                  std::vector<uint32_t> &solution)
 {

@@ -8,10 +8,10 @@
  *    lists to columns, built from the Tanner CSR: no hashing, and its
  *    pairs come from the first flipped detector, not the rarest.
  *  - decodeReference is the original BP+OSD behind that stage: per-call
- *    edge lists and message arrays, full-graph min-sum BP with the
- *    stagnation rule, then OSD-0 by a full posterior sort and scalar
- *    elimination. The decoder must reproduce it bit for bit at every
- *    option value.
+ *    edge lists and message arrays, full-graph single-precision min-sum
+ *    BP with the stagnation rule, then OSD-0 by a full posterior sort
+ *    and scalar elimination. The decoder must reproduce it bit for bit
+ *    at every option value.
  *  - ScalarOsd is the scalar OSD-0 elimination that the packed one
  *    replaced, on the same lazy (posterior, column) ranking: the
  *    differential reference for BpOsdDecoder::osdSolve.
@@ -50,12 +50,12 @@ class LowWeightReference
     std::map<std::vector<uint32_t>, std::vector<uint32_t>> bySig_;
 };
 
-/** The BP half: whether BP converged, and its final posterior LLR per
- * column (all zero when maxIterations = 0). */
+/** The BP half: whether BP converged, and its final float posterior
+ * LLR per column (all zero when maxIterations = 0). */
 struct ReferenceBp
 {
     bool converged = false;
-    std::vector<double> posterior;
+    std::vector<float> posterior;
 };
 
 ReferenceBp referenceBp(const Tanner &t, const decoder::BpOsdOptions &opts,
@@ -72,7 +72,7 @@ struct OsdJob
 {
     std::size_t shot = 0;
     std::vector<uint32_t> flipped;
-    std::vector<double> post; ///< Posterior per column.
+    std::vector<float> post; ///< Posterior per column.
 };
 
 /**
@@ -93,7 +93,7 @@ class ScalarOsd
     explicit ScalarOsd(const Tanner &t) : t_(t) {}
 
     /** BpOsdDecoder::osdSolve's contract, with @p solution ascending. */
-    bool solve(const std::vector<double> &post,
+    bool solve(const std::vector<float> &post,
                const std::vector<uint32_t> &flipped,
                std::vector<uint32_t> &solution);
 
@@ -104,7 +104,7 @@ class ScalarOsd
 
     const Tanner &t_;
     /** (ordered posterior key, column id) ranking records. */
-    std::vector<std::pair<uint64_t, uint32_t>> osdKeys_;
+    std::vector<std::pair<uint32_t, uint32_t>> osdKeys_;
     std::size_t osdSortedPrefix_ = 0;
     // Pivots are stored flattened (rows, bit columns, member segments)
     // so the elimination loop never allocates.
