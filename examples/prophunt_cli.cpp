@@ -138,15 +138,23 @@ writeSweepResultJson(api::AtomicFile &out, const std::string &path,
     std::printf("wrote %s\n", path.c_str());
 }
 
+/** The table of a finished sweep: per point the tallies, the combined
+ * LER, and each basis's LER with its 95% Wilson interval. */
 void
 printSweepResult(const api::SweepResult &result)
 {
-    std::printf("%10s %10s %10s %10s %10s %10s\n", "p", "z_shots",
-                "z_fails", "x_shots", "x_fails", "ler");
+    std::printf("%10s %10s %10s %10s %10s %10s %27s %27s\n", "p",
+                "z_shots", "z_fails", "x_shots", "x_fails", "ler",
+                "z_ler [95% Wilson]", "x_ler [95% Wilson]");
     for (const api::SweepPointResult &pt : result.points) {
-        std::printf("%10.4g %10zu %10zu %10zu %10zu %10.5f\n", pt.p,
-                    pt.memory.z.shots, pt.memory.z.failures,
-                    pt.memory.x.shots, pt.memory.x.failures, pt.ler());
+        decoder::RateInterval zi = pt.memory.z.wilson95();
+        decoder::RateInterval xi = pt.memory.x.wilson95();
+        std::printf("%10.4g %10zu %10zu %10zu %10zu %10.5f "
+                    "%7.5f [%7.5f, %7.5f] %7.5f [%7.5f, %7.5f]\n",
+                    pt.p, pt.memory.z.shots, pt.memory.z.failures,
+                    pt.memory.x.shots, pt.memory.x.failures, pt.ler(),
+                    pt.memory.z.ler(), zi.lo, zi.hi, pt.memory.x.ler(),
+                    xi.lo, xi.hi);
     }
 }
 

@@ -1,6 +1,26 @@
 #include "decoder/logical_error.h"
 
+#include <algorithm>
+#include <cmath>
+
 namespace prophunt::decoder {
+
+RateInterval
+LerResult::wilson95() const
+{
+    if (shots == 0) {
+        return {};
+    }
+    const double z = 1.959963984540054; // Two-sided 95% normal quantile.
+    double n = (double)shots, p = ler(), z2n = z * z / n;
+    double center = (p + z2n / 2.0) / (1.0 + z2n);
+    double half = z / (1.0 + z2n) *
+                  std::sqrt(p * (1.0 - p) / n + z2n / (4.0 * n));
+    RateInterval r;
+    r.lo = failures == 0 ? 0.0 : std::max(0.0, center - half);
+    r.hi = failures == shots ? 1.0 : std::min(1.0, center + half);
+    return r;
+}
 
 std::size_t
 decodeFrameShard(Decoder &dec, const sim::FrameBatch &frames,

@@ -25,6 +25,13 @@
 
 namespace prophunt::decoder {
 
+/** A two-sided confidence interval on a rate, within [0, 1]. */
+struct RateInterval
+{
+    double lo = 0.0;
+    double hi = 1.0;
+};
+
 /** Outcome of one Monte-Carlo LER estimate. */
 struct LerResult
 {
@@ -46,6 +53,10 @@ struct LerResult
     {
         return shots == 0 ? 0.0 : (double)failures / (double)shots;
     }
+
+    /** The 95% Wilson score interval of ler() (z = 1.96): [0, 1] with
+     * no shots, lo = 0 with no failures, hi = 1 when every shot failed. */
+    RateInterval wilson95() const;
 };
 
 /** Knobs of one Monte-Carlo LER measurement. */

@@ -376,6 +376,26 @@ TEST(LogicalError, NzBeatsPoorSchedule)
     EXPECT_LT(nz, poor);
 }
 
+TEST(LogicalError, Wilson95MatchesHandComputedValues)
+{
+    // Values from the closed form with z = 1.959963984540054: with no
+    // failures hi = z^2 / (n + z^2), and all-failed mirrors it.
+    decoder::LerResult r;
+    r.shots = 65536;
+    r.failures = 0;
+    EXPECT_EQ(r.wilson95().lo, 0.0);
+    EXPECT_NEAR(r.wilson95().hi, 5.8612574202e-05, 1e-14);
+    r.failures = 65536;
+    EXPECT_NEAR(r.wilson95().lo, 0.999941387426, 1e-12);
+    EXPECT_EQ(r.wilson95().hi, 1.0);
+    r.failures = 5946;
+    EXPECT_NEAR(r.wilson95().lo, 0.0885536711224, 1e-12);
+    EXPECT_NEAR(r.wilson95().hi, 0.0929518252908, 1e-12);
+    decoder::LerResult empty;
+    EXPECT_EQ(empty.wilson95().lo, 0.0);
+    EXPECT_EQ(empty.wilson95().hi, 1.0);
+}
+
 TEST(LogicalError, BpOsdHandlesLdpcCode)
 {
     auto code = code::benchmarkLp39();

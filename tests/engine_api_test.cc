@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 #include <memory>
@@ -116,6 +117,29 @@ TEST(Registry, PerDecoderOptionsApply)
     bp.stagnationWindow = 0;
     EXPECT_NE(decoder::Registry::make({"bp_osd", bp}, m.dem, m.circuit),
               nullptr);
+}
+
+TEST(Registry, RejectsScalesThatAreNotFinitePositiveFloats)
+{
+    // BP runs in float: a NaN, zero or negative scale, one that
+    // overflows when rounded to float, one that rounds to 0.0f, and one
+    // whose product with the min-sum start value 1e30f overflows would
+    // all decode to garbage, so the decoder refuses them.
+    SmallModel m = smallModel();
+    for (double scale : {std::nan(""), 0.0, -0.8, 1e39, 1e-50, 1e9}) {
+        decoder::BpOsdOptions bp;
+        bp.scale = scale;
+        EXPECT_THROW(decoder::Registry::make({"bp_osd", bp}, m.dem, m.circuit),
+                     std::invalid_argument)
+            << "scale " << scale;
+    }
+    for (double scale : {0.8, 1.0, 1e-3, 1e8}) {
+        decoder::BpOsdOptions bp;
+        bp.scale = scale;
+        EXPECT_NE(decoder::Registry::make({"bp_osd", bp}, m.dem, m.circuit),
+                  nullptr)
+            << "scale " << scale;
+    }
 }
 
 TEST(Registry, SpecDescribeDistinguishesOptions)
